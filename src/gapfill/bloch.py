@@ -3,10 +3,12 @@
 The flux through one continuum unit cell is the integer 2k, so the q x q
 site cell is a magnetic unit cell: the bulk operator commutes with magnetic
 translations by one cell, and the torus operator decomposes exactly into
-q^2-dimensional fibers over the dual torus.  Crossing hops of the fiber at
-(s, t) carry e^{2*pi*i*s} / e^{2*pi*i*t} on top of the gauge's link phases
-and the translation cocycle of the gauge (without the cocycle the fiber
-family would violate the plaquette flux at the cell boundary).
+q^2-dimensional fibers over the dual torus.  The fiber at (s, t) is the
+window stencil of :mod:`gapfill.model` on the one-cell torus, with its seam
+links twisted by e^{2*pi*i*s} / e^{2*pi*i*t}
+(:func:`gapfill.model.twist_seams`).  The Wilson-pinned seam links of that
+cell already carry the translation cocycle of the gauge, without which the
+fiber family would violate the plaquette flux at the cell boundary.
 
 The first Chern number of a band group is computed by plaquette Berry
 fluxes on the dual-torus grid (overlap-determinant link variables, principal
@@ -26,7 +28,8 @@ import numpy as np
 
 from .errors import (GaugeNotCellPeriodic, NonConstantRank, NoUniformGap,
                      SingularOverlap)
-from .model import GaugeField, MagneticLattice, _phase
+from .model import (GaugeField, MagneticLattice, _assemble, _phase, build_gauge,
+                    twist_seams)
 from .spectral import SpectralInterval
 
 ORIENTATION = "ds_wedge_dt_positive"
@@ -136,51 +139,16 @@ def fiber_hamiltonian(lattice: MagneticLattice, gauge: GaugeField,
                       point: tuple[float, float]) -> np.ndarray:
     """q^2 x q^2 Bloch fiber of the bulk stencil at dual-torus point (s, t).
 
-    Hops across the cell boundary are multiplied by e^{2*pi*i*s} (x) or
-    e^{2*pi*i*t} (y) in addition to the link phases and the magnetic
-    translation cocycle of the gauge: gamma_x(j) = exp(2*pi*i*Phi*q*j) for
-    the Landau kind, gamma_x(j) = exp(pi*i*Phi*q*j), gamma_y(i) =
-    exp(-pi*i*Phi*q*i) for the symmetric kind.
+    The stencil on the one-cell torus, whose seam links carry the magnetic
+    translation cocycle of the gauge, twisted by e^{2*pi*i*s} (x seam) and
+    e^{2*pi*i*t} (y seam).
     """
     _check_gauge(lattice, gauge)
     s, t = point
-    q = lattice.q
-    k = lattice.k
-    phi = lattice.flux_per_plaquette
-    hi2 = float(q) ** 2
-    n = q * q
-    mat = np.zeros((n, n), complex)
-    idx = lambda i, j: i * q + j
-    landau = gauge.gauge_kind == "landau"
-
-    def add_hop(v, u, val):
-        if u == v:
-            mat[v, v] += val + np.conj(val)
-        else:
-            mat[v, u] += val
-            mat[u, v] += np.conj(val)
-
-    for i in range(q):
-        for j in range(q):
-            v = idx(i, j)
-            mat[v, v] += 4.0 * hi2 - 4.0 * np.pi * k + lattice.potential[i, j]
-            # +x hop
-            base_x = Fraction(0) if landau else phi * j / 2
-            if i + 1 < q:
-                add_hop(v, idx(i + 1, j), -hi2 * _phase(base_x))
-            else:
-                coc = phi * q * j if landau else phi * q * j / 2
-                ph = _phase(base_x + coc) * np.exp(2j * np.pi * s)
-                add_hop(v, idx(0, j), -hi2 * ph)
-            # +y hop
-            base_y = -phi * i if landau else -phi * i / 2
-            if j + 1 < q:
-                add_hop(v, idx(i, j + 1), -hi2 * _phase(base_y))
-            else:
-                coc = Fraction(0) if landau else -phi * q * i / 2
-                ph = _phase(base_y + coc) * np.exp(2j * np.pi * t)
-                add_hop(v, idx(i, 0), -hi2 * ph)
-    return mat
+    cell = MagneticLattice(lattice.k, lattice.q, 1, 1, "torus", lattice.potential)
+    twisted = twist_seams(build_gauge(cell, gauge.gauge_kind),
+                          np.exp(2j * np.pi * s), np.exp(2j * np.pi * t))
+    return _assemble(cell, twisted, None, {}).matrix.toarray()
 
 
 def fiber_family(lattice: MagneticLattice, gauge: GaugeField, grid: BlochGrid,

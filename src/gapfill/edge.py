@@ -4,10 +4,12 @@ A strip is periodic in x and carved by a boundary shape in y, with one cell
 of vacuum below and above the region so that both edges are genuine mask
 boundaries.  For cell-periodic shapes the strip operator block-diagonalizes
 exactly over the momenta kappa = 2*pi*m/length_cells (magnetic translation
-by one cell; the wrap hop carries e^{i*kappa} times the Landau cocycle
-exp(2*pi*i*Phi*q*j)), which is how gap filling checks and band structures
-stay cheap; the unitary equivalence with the assembled strip matrix is
-exercised directly by the test suite.
+by one cell), which is how gap filling checks and band structures stay
+cheap.  The block at kappa is the window stencil of :mod:`gapfill.model` on
+the one-cell-wide strip, whose x seam links carry the Landau translation
+cocycle, twisted by e^{i*kappa} (:func:`gapfill.model.twist_seams`); the
+unitary equivalence with the assembled strip matrix is exercised directly
+by the test suite.
 
 Sign conventions, recorded in every report: kappa increases along the
 positive dual direction (the wrap phase is e^{+i*kappa}), a crossing counts
@@ -23,13 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.optimize
-import scipy.sparse as sp
 
-from .errors import (BandConnectionAmbiguous, DecorationOutsideWindow,
-                     EmptyRegion)
+from .errors import (BandConnectionAmbiguous, EmptyRegion, MarginTooSmall,
+                     StripTooNarrow, UnsupportedShape)
 from .model import (GaugeField, HalfPlaneShape, GraphShape, BallsShape,
-                    HermitianOperator, MagneticLattice, RegionMask, _phase,
-                    assemble_restricted, build_gauge, mask_from_member)
+                    HermitianOperator, MagneticLattice, RegionMask, _assemble,
+                    _phase, assemble_restricted, build_gauge, mask_from_member,
+                    twist_seams)
 from .spectral import SpectralInterval, Window, dense_cap, eigensolve
 
 FLOW_CONVENTIONS = {
@@ -92,7 +94,7 @@ def make_strip(k: int, q: int, width_cells: int, length_cells: int,
         extra = max(shape.base.level,
                     max(dy for (_, dy) in shape.centers) + shape.radius)
     else:
-        raise ValueError(f"unsupported strip shape: {shape!r}")
+        raise UnsupportedShape(f"unsupported strip shape: {shape!r}")
     cells_y = width_cells + 2 + headroom_cells + int(np.ceil(max(extra, 0.0)))
     lattice = MagneticLattice(k, q, length_cells, cells_y, "strip", potential)
     return StripSpec(width_cells, length_cells, abs_shape, lattice)
@@ -118,7 +120,7 @@ def strip_mask(strip: StripSpec) -> RegionMask:
                             lat.cells_x - np.abs(x - cx) % lat.cells_x)
             member |= dx ** 2 + (y - cy) ** 2 <= shape.radius ** 2
     else:
-        raise ValueError(f"unsupported strip shape: {shape!r}")
+        raise UnsupportedShape(f"unsupported strip shape: {shape!r}")
     member &= y >= 1.0
     if not member.any():
         raise EmptyRegion("strip mask selects no site")
@@ -141,56 +143,20 @@ def _mask_cell_periodic(mask: RegionMask) -> bool:
 def strip_block(strip: StripSpec, kappa: float, mask: RegionMask | None = None) -> HermitianOperator:
     """Momentum-kappa block of the strip: one cell column, wrap phase e^{i*kappa}.
 
-    Valid for cell-periodic masks and the Landau gauge.  The block spectrum
-    over kappa = 2*pi*m/length_cells reproduces the strip spectrum exactly.
+    The window stencil on the one-cell-wide strip, whose x seam carries the
+    Landau translation cocycle, twisted by e^{i*kappa}.  Valid for
+    cell-periodic masks.  The block spectrum over kappa = 2*pi*m/length_cells
+    reproduces the strip spectrum exactly.
     """
     lat = strip.lattice
     mask = mask or strip_mask(strip)
     if not _mask_cell_periodic(mask):
         raise ValueError("strip mask is not cell-periodic; no block reduction")
-    q = lat.q
-    ny = lat.n_y
-    phi = lat.flux_per_plaquette
-    hi2 = float(q) ** 2
-    member = mask.member[:q]
-    ids = -np.ones((q, ny), dtype=np.int64)
-    order = np.flatnonzero(member.ravel())
-    ids.ravel()[order] = np.arange(order.size)
-    n = order.size
-    sites = np.column_stack([order // ny, order % ny])
-    rows, cols, vals = [], [], []
-    diag = (4.0 * hi2 - 4.0 * np.pi * lat.k
-            + lat.potential[sites[:, 0] % q, sites[:, 1] % q]).astype(complex)
-    rows.append(np.arange(n)); cols.append(np.arange(n)); vals.append(diag)
-
-    def add(a, b, val):
-        rows.append(np.array([a, b])); cols.append(np.array([b, a]))
-        vals.append(np.array([val, np.conj(val)]))
-
-    for (i, j) in sites:
-        v = ids[i, j]
-        # +x hop (wrap at the cell boundary picks the Bloch and cocycle phases)
-        if i + 1 < q:
-            u = ids[i + 1, j]
-            if u >= 0:
-                add(v, u, -hi2)
-        else:
-            u = ids[0, j]
-            if u >= 0:
-                ph = _phase(phi * q * j) * np.exp(1j * kappa)
-                add(v, u, -hi2 * ph)
-        # +y hop
-        if j + 1 < ny:
-            u = ids[i, j + 1]
-            if u >= 0:
-                add(v, u, -hi2 * _phase(-phi * i))
-    matrix = sp.csr_matrix((np.concatenate(vals),
-                            (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
-    matrix.sum_duplicates()
-    matrix.sort_indices()
+    cell = MagneticLattice(lat.k, lat.q, 1, lat.cells_y, "strip", lat.potential)
+    gauge = twist_seams(build_gauge(cell, "landau"), np.exp(1j * kappa), 1.0)
     prov = {"lattice": lat, "gauge_kind": "landau", "mask": mask.descriptor,
             "kappa": kappa, "shift": -4.0 * np.pi * lat.k}
-    return HermitianOperator(matrix, sites, ids, lat.h, 1, prov)
+    return _assemble(cell, gauge, mask.member[:lat.q], prov)
 
 
 def lift_block_vector(strip: StripSpec, block: HermitianOperator, kappa: float,
@@ -296,10 +262,12 @@ def gap_filling_check(strip: StripSpec, bulk_gap: SpectralInterval, n_samples: i
     solver above it.  Blocks are independent and may be solved in parallel.
     """
     if bulk_gap.margin <= 0:
-        raise ValueError("bulk_gap must be certified (margin > 0)")
+        raise MarginTooSmall("bulk_gap must be certified (margin > 0)")
     lat = strip.lattice
     if strip.width_cells < 8 * lat.magnetic_length:
-        raise ValueError("strip width below 8 magnetic lengths")
+        raise StripTooNarrow(
+            f"strip width {strip.width_cells} cells is below 8 magnetic lengths "
+            f"(the magnetic length is {lat.magnetic_length:.3g} at k = {lat.k})")
     eps0 = 0.05 * bulk_gap.width
     samples = np.linspace(bulk_gap.lower + eps0, bulk_gap.upper - eps0, n_samples)
 
@@ -364,35 +332,6 @@ def gap_filling_check(strip: StripSpec, bulk_gap: SpectralInterval, n_samples: i
             profiles.append(localization_profile(strip_op, (energy, lifted), mask))
     return EdgeReport(samples, distances, delta, verdicts, tuple(profiles),
                       dict(FLOW_CONVENTIONS), int(len(spectrum)))
-
-
-# ---------------------------------------------------------------------------
-# boundary perturbations
-
-
-@dataclass(frozen=True)
-class BallDecoration:
-    """Union of radius-r balls centered at explicit continuum points."""
-
-    radius: float
-    centers: tuple
-
-
-def perturb_boundary(mask: RegionMask, decoration: BallDecoration) -> RegionMask:
-    """Union of the mask with the decoration's balls; distances recomputed."""
-    lat = mask.lattice
-    if decoration.radius == 0.0 or not decoration.centers:
-        return mask
-    for (cx, cy) in decoration.centers:
-        if not (0.0 <= cx <= lat.cells_x and 0.0 <= cy <= lat.cells_y):
-            raise DecorationOutsideWindow(f"ball center {(cx, cy)} outside the window")
-    ix, iy = np.meshgrid(np.arange(lat.n_x), np.arange(lat.n_y), indexing="ij")
-    x = ix * lat.h
-    y = iy * lat.h
-    member = mask.member.copy()
-    for (cx, cy) in decoration.centers:
-        member |= (x - cx) ** 2 + (y - cy) ** 2 <= decoration.radius ** 2
-    return mask_from_member(lat, member, (mask.descriptor, decoration))
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ class EnclosureViolation(GapfillError):
 
 
 class MarginTooSmall(GapfillError):
-    """Projection margin demands a polynomial degree above the cap."""
+    """An interval's certified margin is missing or too small for the operation."""
 
 
 class GaugeNotCellPeriodic(GapfillError):
@@ -62,8 +62,12 @@ class BandConnectionAmbiguous(GapfillError):
     """Eigenvector overlap too small to continue bands between momenta."""
 
 
-class DecorationOutsideWindow(GapfillError):
-    """A boundary decoration lies outside the lattice window."""
+class UnsupportedShape(GapfillError):
+    """A shape descriptor has no membership rule in this window kind."""
+
+
+class StripTooNarrow(GapfillError):
+    """A strip is narrower than the edge-state localization requires."""
 
 
 class MaskMismatch(GapfillError):

@@ -125,15 +125,6 @@ class MagneticLattice:
     def periodic_y(self) -> bool:
         return self.geometry == "torus"
 
-    def with_geometry(self, geometry: str) -> "MagneticLattice":
-        return MagneticLattice(self.k, self.q, self.cells_x, self.cells_y,
-                               geometry, self.potential)
-
-    def site_coords(self) -> np.ndarray:
-        """All (ix, iy) site pairs in index order (index = ix*n_y + iy)."""
-        ix, iy = np.meshgrid(np.arange(self.n_x), np.arange(self.n_y), indexing="ij")
-        return np.column_stack([ix.ravel(), iy.ravel()])
-
 
 # ---------------------------------------------------------------------------
 # gauge field
@@ -198,7 +189,8 @@ def build_gauge(lattice: MagneticLattice, gauge_kind: str = "landau") -> GaugeFi
     from pinned Wilson-loop targets W_x(row iy) = exp(2*pi*i*Phi*n_x*iy) and
     W_y(col ix) = exp(-2*pi*i*Phi*(ix mod q)*n_y), the holonomies of the
     cell-periodic gauge; this keeps the torus closure unitarily equivalent
-    to the Bloch fiber family with untwisted boundary characters.
+    to the Bloch fiber family with untwisted boundary characters.  On one
+    cell the seam links are the magnetic translation cocycle of the gauge.
     """
     ax, ay = _formula_exponents(lattice, gauge_kind)
     nx, ny = lattice.n_x, lattice.n_y
@@ -222,6 +214,24 @@ def build_gauge(lattice: MagneticLattice, gauge_kind: str = "landau") -> GaugeFi
     if not lattice.periodic_y:
         phase_y[:, ny - 1] = 1.0
     return GaugeField(lattice, gauge_kind, phase_x, phase_y)
+
+
+def twist_seams(gauge: GaugeField, zx: complex, zy: complex) -> GaugeField:
+    """The gauge with the seam links of the periodic directions times zx (x), zy (y).
+
+    Plaquette fluxes are unchanged and each x (y) Wilson loop gains zx (zy).
+    On a one-cell window this is the Bloch reduction: fiber (s, t) takes
+    e^{2*pi*i*s}, e^{2*pi*i*t}; strip momentum kappa takes e^{i*kappa}.
+    Scalar products: numpy's vectorized complex multiply can differ in the last bit.
+    """
+    lat = gauge.lattice
+    phase_x = gauge.phase_x.copy()
+    phase_y = gauge.phase_y.copy()
+    if lat.periodic_x:
+        phase_x[-1, :] = [p * zx for p in phase_x[-1, :]]
+    if lat.periodic_y:
+        phase_y[:, -1] = [p * zy for p in phase_y[:, -1]]
+    return GaugeField(lat, gauge.gauge_kind, phase_x, phase_y)
 
 
 def plaquette_products(gauge: GaugeField) -> np.ndarray:

@@ -138,6 +138,10 @@ def detect_gaps(report: SpectrumReport, min_width: float) -> list[SpectralInterv
     ev = report.eigenvalues
     if report.coverage != "full" and len(ev) < 2:
         raise IncompleteSpectrum("window report with fewer than two eigenvalues")
+    return _gaps_between(ev, min_width)
+
+
+def _gaps_between(ev: np.ndarray, min_width: float) -> list[SpectralInterval]:
     gaps = []
     for a, b in zip(ev[:-1], ev[1:]):
         w = b - a
@@ -194,8 +198,7 @@ class ChebFilter:
     """Chebyshev expansion of a target function on an enclosure [a, b].
 
     uniform_error is the measured sup deviation from the target over the
-    enclosure (excluding any bands listed in error_exclude, where the
-    target's own transition lives); it is 0 for exact polynomials.
+    enclosure; it is 0 for exact polynomials.
     """
 
     degree: int
@@ -205,7 +208,6 @@ class ChebFilter:
     params: dict
     uniform_error: float
     target: object = field(default=None, repr=False)
-    error_exclude: tuple = ()
 
     def evaluate(self, x):
         a, b = self.enclosure
@@ -219,29 +221,6 @@ def _erf_indicator(lo, hi, smoothing):
 
     def f(x):
         return 0.5 * (erf((x - lo) / s) - erf((x - hi) / s))
-    return f
-
-
-def _smoothstep(u):
-    """C-infinity ramp: 0 for u <= 0, 1 for u >= 1, exp(-1/u) mollifier blend."""
-    u = np.asarray(u, float)
-    out = np.zeros_like(u)
-    out[u >= 1.0] = 1.0
-    mid = (u > 0.0) & (u < 1.0)
-    um = u[mid]
-    ga = np.exp(-1.0 / um)
-    gb = np.exp(-1.0 / (1.0 - um))
-    out[mid] = ga / (ga + gb)
-    return out
-
-
-def _plateau_bump(lo, hi, width):
-    """C-infinity bump: 1 on [lo + width/2, hi - width/2], 0 outside [lo - width/2, hi + width/2]."""
-    def f(x):
-        x = np.asarray(x, float)
-        up = _smoothstep((x - (lo - width / 2)) / width)
-        down = _smoothstep(((hi + width / 2) - x) / width)
-        return up * down
     return f
 
 
@@ -267,24 +246,6 @@ def gaussian_filter(center: float, sigma: float, enclosure: tuple,
     err = _uniform_error(f, c, a, b)
     return ChebFilter(degree, c, (a, b), "gaussian",
                       {"center": center, "sigma": sigma}, err, f)
-
-
-def bump_indicator_filter(lo: float, hi: float, margin: float, enclosure: tuple,
-                          degree: int) -> ChebFilter:
-    """C-infinity plateau bump: 1 on the interval shrunk by margin/2, 0 outside it grown by margin/2.
-
-    The uniform error is measured away from the two transition bands of
-    width `margin` centered on lo and hi, which is where a certified
-    spectral interval guarantees no eigenvalue lives.
-    """
-    a, b = enclosure
-    f = _plateau_bump(lo, hi, margin)
-    c = _cheb_fit(f, a, b, degree)
-    exclude = ((lo - margin / 2, lo + margin / 2), (hi - margin / 2, hi + margin / 2))
-    err = _uniform_error(f, c, a, b, exclude=exclude)
-    return ChebFilter(degree, c, (a, b), "bump",
-                      {"lo": lo, "hi": hi, "margin": margin}, err, f,
-                      error_exclude=exclude)
 
 
 def polynomial_filter(power_coefficients, enclosure: tuple) -> ChebFilter:
@@ -386,10 +347,8 @@ def eigensolve(op: HermitianOperator, mode="full", *, cluster_tol: float | None 
         raise WindowNotConverged(f"dense residual {res.max():.3e} above {tol:.3e}")
     ctol = cluster_tol if cluster_tol is not None else _default_cluster_tol(w)
     clusters = _cluster(w, ctol)
-    report = SpectrumReport(w, res, clusters, (), "full", norm_bound, ctol,
-                            v if keep_vectors else None)
     gmw = gaps_min_width if gaps_min_width is not None else _default_gap_width(w)
-    gaps = tuple(detect_gaps(report, gmw))
+    gaps = tuple(_gaps_between(w, gmw))
     return SpectrumReport(w, res, clusters, gaps, "full", norm_bound, ctol,
                           v if keep_vectors else None)
 
@@ -530,8 +489,7 @@ def _eigensolve_window(op: HermitianOperator, win: Window, cluster_tol, seed):
     vecs_in = v_in[:, order]
     ctol = cluster_tol if cluster_tol is not None else _default_cluster_tol(w)
     clusters = _cluster(w, ctol)
-    report = SpectrumReport(w, r, clusters, (), (lo, hi), norm_bound, ctol, vecs_in)
-    gaps = tuple(detect_gaps(report, _default_gap_width(w))) if len(w) >= 2 else ()
+    gaps = tuple(_gaps_between(w, _default_gap_width(w)))
     return SpectrumReport(w, r, clusters, gaps, (lo, hi), norm_bound, ctol, vecs_in)
 
 

@@ -103,13 +103,17 @@ class TestFibers:
 
     @pytest.mark.parametrize("kind", ["landau", "symmetric"])
     def test_fiber_bulk_consistency(self, kind):
-        lat = MagneticLattice(1, 4, 3, 3, "torus")
-        g = build_gauge(lat, kind)
-        bulk = eigensolve(assemble_bulk(lat, g)).eigenvalues
-        fib = np.sort(np.concatenate(
-            [np.linalg.eigvalsh(fiber_hamiltonian(lat, g, (a / 3, b / 3)))
-             for a in range(3) for b in range(3)]))
-        assert np.abs(fib - bulk).max() < 1e-8
+        # the second torus has Phi = 1/4 and a cell potential that is not
+        # symmetric under ix <-> iy
+        w = 0.7 * (np.arange(16).reshape(4, 4) % 5 - 2.0)
+        for k, potential in ((1, None), (2, w)):
+            lat = MagneticLattice(k, 4, 3, 3, "torus", potential)
+            g = build_gauge(lat, kind)
+            bulk = eigensolve(assemble_bulk(lat, g)).eigenvalues
+            fib = np.sort(np.concatenate(
+                [np.linalg.eigvalsh(fiber_hamiltonian(lat, g, (a / 3, b / 3)))
+                 for a in range(3) for b in range(3)]))
+            assert np.abs(fib - bulk).max() < 1e-8
 
     def test_doctored_gauge_rejected(self):
         lat = MagneticLattice(1, 4, 2, 2, "torus")

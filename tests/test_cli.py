@@ -272,6 +272,33 @@ class TestReportChain:
         doc = json.loads((out / "edge_report.json").read_text())
         assert doc["all_pass"] is True
 
+    def test_disk_strip_shape_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", task="bands",
+                           params={"width_cells": 6, "length_cells": 2,
+                                   "n_kappa": 12,
+                                   "shape": {"kind": "disk", "center": [1, 1],
+                                             "radius": 0.5}})
+        status = main(["bands", "--config", str(cfg), "--out",
+                       str(tmp_path / "out")])
+        assert status == 1
+        assert capsys.readouterr().err.startswith("UnsupportedShape: ")
+
+    def test_zero_field_edge_fill_exit_1(self, tmp_path, capsys):
+        # k=0, q=2 on 2x2 cells: the free Laplacian has gaps of width 8, so
+        # the bulk gap is certified and the strip width check decides
+        model = {"k": 0, "q": 2, "cells_x": 2, "cells_y": 2,
+                 "geometry": "torus", "gauge": "landau"}
+        cfg = write_config(tmp_path / "c.json", model=model, task="edge-fill",
+                           params={"width_cells": 6, "length_cells": 6,
+                                   "n_samples": 4, "delta": 0.5,
+                                   "bulk_cells": 2})
+        status = main(["edge-fill", "--config", str(cfg), "--out",
+                       str(tmp_path / "out")])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.startswith("StripTooNarrow: ")
+        assert "magnetic length is inf at k = 0" in err
+
     def test_failing_edge_fill_exit_2(self, tmp_path):
         out = tmp_path / "out"
         model = {"k": 1, "q": 4, "cells_x": 4, "cells_y": 4,

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from gapfill.edge import (BallDecoration, gap_filling_check, lift_block_vector,
-                          localization_profile, make_strip, perturb_boundary,
-                          strip_bands, strip_block, strip_mask, strip_operator)
-from gapfill.errors import BandConnectionAmbiguous, DecorationOutsideWindow
+from gapfill.edge import (gap_filling_check, lift_block_vector,
+                          localization_profile, make_strip, strip_bands,
+                          strip_block, strip_mask, strip_operator)
+from gapfill.errors import BandConnectionAmbiguous
 from gapfill.model import (BallsShape, GraphShape, HalfPlaneShape,
                            MagneticLattice, assemble_bulk, build_gauge,
                            mask_all)
@@ -23,12 +23,16 @@ def small_gap():
 
 class TestStripConstruction:
     def test_block_decomposition_matches_assembled_strip(self):
-        strip = make_strip(1, 4, 6, 3)
-        full = eigensolve(strip_operator(strip)).eigenvalues
-        blocks = np.sort(np.concatenate(
-            [eigensolve(strip_block(strip, 2 * np.pi * m / 3)).eigenvalues
-             for m in range(3)]))
-        assert np.abs(full - blocks).max() < 1e-8
+        # the second strip has Phi = 1/4 and a cell potential that is not
+        # symmetric under ix <-> iy
+        w = 0.7 * (np.arange(16).reshape(4, 4) % 5 - 2.0)
+        for k, potential in ((1, None), (2, w)):
+            strip = make_strip(k, 4, 6, 3, potential=potential)
+            full = eigensolve(strip_operator(strip)).eigenvalues
+            blocks = np.sort(np.concatenate(
+                [eigensolve(strip_block(strip, 2 * np.pi * m / 3)).eigenvalues
+                 for m in range(3)]))
+            assert np.abs(full - blocks).max() < 1e-8
 
     def test_block_decomposition_with_graph_shape(self):
         f = tuple(0.25 * np.sin(2 * np.pi * np.arange(4) / 4))
@@ -164,25 +168,6 @@ class TestLocalization:
 
 
 class TestPerturbation:
-    def test_radius_zero_is_noop(self):
-        strip = make_strip(1, 4, 6, 2)
-        mask = strip_mask(strip)
-        out = perturb_boundary(mask, BallDecoration(0.0, ((1.0, 1.0),)))
-        assert out is mask
-
-    def test_decoration_covering_window(self):
-        lat = MagneticLattice(1, 4, 2, 2, "masked")
-        from gapfill.model import make_mask
-        mask = make_mask(lat, HalfPlaneShape(0.5))
-        big = perturb_boundary(mask, BallDecoration(10.0, ((1.0, 1.0),)))
-        assert big.member.all()
-
-    def test_decoration_outside_window(self):
-        strip = make_strip(1, 4, 6, 2)
-        mask = strip_mask(strip)
-        with pytest.raises(DecorationOutsideWindow):
-            perturb_boundary(mask, BallDecoration(0.3, ((100.0, 1.0),)))
-
     def test_decorated_strip_still_fills_gap(self, small_gap):
         # half-plane plus 1/3-balls one unit above the edge: same delta passes
         _, gap = small_gap

@@ -5,7 +5,7 @@ from gapfill.errors import EmptyRegion, MissingPhase, NonTorusGeometry
 from gapfill.model import (BallsShape, DiskShape, GraphShape, HalfPlaneShape,
                            MagneticLattice, assemble_bulk, assemble_restricted,
                            build_gauge, gauge_transform, make_mask, mask_all,
-                           mask_from_sites, plaquette_products)
+                           mask_from_sites, plaquette_products, twist_seams)
 
 PLAQ_TOL = 1e-12
 
@@ -67,6 +67,28 @@ class TestGauge:
         g = build_gauge(lat, "landau")
         pp = plaquette_products(g)
         assert np.abs(pp - np.exp(-2j * np.pi / 8)).max() <= PLAQ_TOL
+
+    @pytest.mark.parametrize("kind", ["landau", "symmetric"])
+    @pytest.mark.parametrize("geometry", ["torus", "strip"])
+    def test_twist_seams_keeps_flux_and_twists_wilson_loops(self, kind, geometry):
+        lat = MagneticLattice(1, 3, 2, 3, geometry)
+        g = build_gauge(lat, kind)
+        before = (g.phase_x.copy(), g.phase_y.copy())
+        zx, zy = np.exp(0.7j), np.exp(-2.1j)
+        tw = twist_seams(g, zx, zy)
+        assert np.array_equal(g.phase_x, before[0])
+        assert np.array_equal(g.phase_y, before[1])
+        assert np.abs(plaquette_products(tw) - plaquette_products(g)).max() <= PLAQ_TOL
+        # x Wilson loops run along rows, y Wilson loops along columns
+        wx = tw.phase_x.prod(axis=0) / g.phase_x.prod(axis=0)
+        assert np.abs(wx - zx).max() <= PLAQ_TOL
+        if lat.periodic_y:
+            wy = tw.phase_y.prod(axis=1) / g.phase_y.prod(axis=1)
+            assert np.abs(wy - zy).max() <= PLAQ_TOL
+        else:
+            assert np.array_equal(tw.phase_y, g.phase_y)
+        assert np.array_equal(tw.phase_x[:-1], g.phase_x[:-1])
+        assert np.array_equal(tw.phase_y[:, :-1], g.phase_y[:, :-1])
 
     def test_reverse_link_is_conjugate(self):
         lat = lattice()
