@@ -8,11 +8,15 @@ window stencil of :mod:`gapfill.model` on the one-cell torus, with its seam
 links twisted by e^{2*pi*i*s} / e^{2*pi*i*t}
 (:func:`gapfill.model.twist_seams`).  The Wilson-pinned seam links of that
 cell already carry the translation cocycle of the gauge, without which the
-fiber family would violate the plaquette flux at the cell boundary.
+fiber family would violate the plaquette flux at the cell boundary.  An
+unmasked torus of cells_x x cells_y cells is solved on its fibers at
+(a/cells_x, b/cells_y) (:func:`torus_spectrum`), with every lifted pair
+certified on the assembled torus operator.
 
 The first Chern number of a band group is computed by plaquette Berry
 fluxes on the dual-torus grid (overlap-determinant link variables, principal
-argument per plaquette, rounded total).  Plaquette circulation is fixed so
+argument per plaquette, rounded total), on grids that keep every plaquette
+flux below pi/2.  Plaquette circulation is fixed so
 that the generator dual to ds^dt evaluates to +1; under this declared
 orientation the lowest Landau group of the magnetic Laplacian carries
 (dim, c1) = (2k, -1), and an independent Wilson-loop winding oracle in the
@@ -22,19 +26,20 @@ test suite confirms the sign on the flux-1/3 hopping model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import (GaugeNotCellPeriodic, NonConstantRank, NoUniformGap,
-                     SingularOverlap)
-from .model import (GaugeField, MagneticLattice, _assemble, _phase, build_gauge,
-                    twist_seams)
-from .spectral import SpectralInterval
+from .errors import (FluxNotAdmissible, GaugeNotCellPeriodic, LiftNotCertified,
+                     NonConstantRank, NonTorusGeometry, NoUniformGap, SingularOverlap)
+from .model import (GaugeField, MagneticLattice, _assemble, assemble_bulk, cell_gauge,
+                    cell_lift_phases, twist_seams)
+from .spectral import (SpectralInterval, SpectrumReport, residual_tolerance,
+                       spectrum_report)
 
 ORIENTATION = "ds_wedge_dt_positive"
 OVERLAP_SINGULAR_TOL = 1e-8
 FIBER_RESIDUAL_FACTOR = 1e-10
+FLUX_ADMISSIBLE = np.pi / 2
 
 
 @dataclass(frozen=True)
@@ -121,18 +126,28 @@ def _check_gauge(lattice: MagneticLattice, gauge: GaugeField) -> None:
     if gauge.gauge_kind not in ("landau", "symmetric"):
         raise GaugeNotCellPeriodic(
             f"no cell-periodic reduction for gauge kind {gauge.gauge_kind!r}")
-    q = lattice.q
-    phi = lattice.flux_per_plaquette
-    for i in range(min(q, lattice.n_x - 1)):
-        for j in range(min(q, lattice.n_y - 1)):
-            if gauge.gauge_kind == "landau":
-                ref_x, ref_y = Fraction(0), -phi * i
-            else:
-                ref_x, ref_y = phi * j / 2, -phi * i / 2
-            if abs(gauge.phase_x[i, j] - _phase(ref_x)) > 1e-12 or \
-               abs(gauge.phase_y[i, j] - _phase(ref_y)) > 1e-12:
-                raise GaugeNotCellPeriodic(
-                    "stored link phases deviate from the cell-periodic gauge formula")
+    q, k = lattice.q, lattice.k
+    ni, nj = min(q, lattice.n_x - 1), min(q, lattice.n_y - 1)
+    i, j = np.meshgrid(np.arange(ni), np.arange(nj), indexing="ij")
+    # exponents in units of 1/q^2: Landau (0, -Phi*i), symmetric (Phi*j/2, -Phi*i/2)
+    if gauge.gauge_kind == "landau":
+        num_x, num_y = 0 * j, -2 * k * i
+    else:
+        num_x, num_y = k * j, -k * i
+    q2 = q * q
+    dev = max(np.abs(gauge.phase_x[:ni, :nj]
+                     - np.exp(2j * np.pi * (num_x % q2 / q2))).max(initial=0.0),
+              np.abs(gauge.phase_y[:ni, :nj]
+                     - np.exp(2j * np.pi * (num_y % q2 / q2))).max(initial=0.0))
+    if dev > 1e-12:
+        raise GaugeNotCellPeriodic(
+            "stored link phases deviate from the cell-periodic gauge formula")
+
+
+def _fiber_gauge(lattice: MagneticLattice, gauge_kind: str, s: float, t: float) -> GaugeField:
+    """The one-cell torus gauge with its seams twisted by e^{2*pi*i*s}, e^{2*pi*i*t}."""
+    return twist_seams(cell_gauge(lattice.k, lattice.q, gauge_kind),
+                       np.exp(2j * np.pi * s), np.exp(2j * np.pi * t))
 
 
 def fiber_hamiltonian(lattice: MagneticLattice, gauge: GaugeField,
@@ -146,9 +161,54 @@ def fiber_hamiltonian(lattice: MagneticLattice, gauge: GaugeField,
     _check_gauge(lattice, gauge)
     s, t = point
     cell = MagneticLattice(lattice.k, lattice.q, 1, 1, "torus", lattice.potential)
-    twisted = twist_seams(build_gauge(cell, gauge.gauge_kind),
-                          np.exp(2j * np.pi * s), np.exp(2j * np.pi * t))
-    return _assemble(cell, twisted, None, {}).matrix.toarray()
+    return _assemble(cell, _fiber_gauge(lattice, gauge.gauge_kind, s, t),
+                     None, {}).matrix.toarray()
+
+
+def torus_spectrum(lattice: MagneticLattice, gauge: GaugeField, *,
+                   cluster_tol: float | None = None,
+                   keep_vectors: bool = False) -> SpectrumReport:
+    """Complete certified torus spectrum from its cells_x * cells_y Bloch fibers.
+
+    The fiber at (a/cells_x, b/cells_y) is diagonalized densely and each
+    eigenvector phi is lifted to psi = chi * phi / sqrt(cells) on the torus,
+    with chi the ratio of fiber to torus link phases
+    (:func:`gapfill.model.cell_lift_phases`).  Every lifted pair is certified
+    on the assembled torus operator, ||H psi - lambda psi|| <= 1e-9 ||H||
+    (LiftNotCertified otherwise).  The cells_x * cells_y fibers give q^2
+    pairs each, n in all, and lifts of distinct fibers carry distinct Bloch
+    characters and are orthogonal, so the certified pairs are the whole
+    spectrum.  One fiber block of n x q^2 is held at a
+    time; the n x n eigenvector matrix is built only for keep_vectors.
+    """
+    if lattice.geometry != "torus":
+        raise NonTorusGeometry(f"torus_spectrum needs torus geometry, got {lattice.geometry}")
+    op = assemble_bulk(lattice, gauge)
+    q, cx, cy = lattice.q, lattice.cells_x, lattice.cells_y
+    cell_rows = (op.sites[:, 0] % q) * q + op.sites[:, 1] % q
+    values, residuals, blocks = [], [], []
+    for a in range(cx):
+        for b in range(cy):
+            s, t = a / cx, b / cy
+            w, v = np.linalg.eigh(fiber_hamiltonian(lattice, gauge, (s, t)))
+            chi = cell_lift_phases(gauge, _fiber_gauge(lattice, gauge.gauge_kind, s, t))
+            psi = (chi.ravel() / np.sqrt(cx * cy))[:, None] * v[cell_rows]
+            values.append(w)
+            residuals.append(np.linalg.norm(op.matrix @ psi - psi * w, axis=0))
+            if keep_vectors:
+                blocks.append(psi)
+    w = np.concatenate(values)
+    res = np.concatenate(residuals)
+    order = np.argsort(w, kind="stable")
+    report = spectrum_report(w[order], res[order],
+                             np.hstack(blocks)[:, order] if keep_vectors else None,
+                             cluster_tol=cluster_tol)
+    tol = residual_tolerance(report.norm_bound)
+    if res.max() > tol:
+        raise LiftNotCertified(
+            f"lifted fiber residual {res.max():.3e} above {tol:.3e} "
+            "(torus gauge and fibers disagree on a Wilson loop or plaquette flux)")
+    return report
 
 
 def fiber_family(lattice: MagneticLattice, gauge: GaugeField, grid: BlochGrid,
@@ -275,14 +335,28 @@ def chern_fhs(bands: BandData, group: tuple[int, int]) -> ChernResult:
     bounds = bands.group_boundaries()
     if lo not in bounds or hi not in bounds or not lo < hi:
         raise NoUniformGap(f"band range [{lo}, {hi}) is not bounded by certified uniform gaps")
-    flux = _fhs_flux(bands.frames, lo, hi)
+    return _chern_result(_fhs_flux(bands.frames, lo, hi), (lo, hi), bands.grid)
+
+
+def _chern_result(flux: np.ndarray, group: tuple, grid: BlochGrid) -> ChernResult:
+    """Certify a plaquette-flux field and round its total to the Chern number.
+
+    Every |flux| must stay below pi/2 (Luscher's admissibility bound: then
+    the principal arguments sum to the bundle's winding).  The total of
+    principal arguments is 2*pi times an integer for any frame family, so
+    the integrality check only catches rounding.
+    """
+    max_flux = float(np.abs(flux).max())
+    if max_flux >= FLUX_ADMISSIBLE:
+        raise FluxNotAdmissible(
+            f"max plaquette flux {max_flux:.4f} reaches pi/2 (margin "
+            f"{FLUX_ADMISSIBLE - max_flux:.3e}); refine the grid")
     total = float(flux.sum() / (2.0 * np.pi))
     chern = int(np.rint(total))
     if abs(total - chern) > 1e-6:
         raise SingularOverlap(
             f"plaquette flux total {total:.8f} is not integral to 1e-6 (grid too coarse)")
-    return ChernResult(group, flux, chern, hi - lo, float(np.abs(flux).max()),
-                       total, bands.grid)
+    return ChernResult(group, flux, chern, group[1] - group[0], max_flux, total, grid)
 
 
 def invariant_pair(lattice: MagneticLattice, gauge: GaugeField,
@@ -318,9 +392,10 @@ def invariant_pair_result(lattice: MagneticLattice, gauge: GaugeField,
     counts_below = np.empty((grid.n_s, grid.n_t), int)
     sub = {}
     edge_dist = np.inf
+    w_norm = 0.0
 
     def ingest(a, b, w, v):
-        nonlocal edge_dist
+        nonlocal edge_dist, w_norm
         below = int((w < interval.lower).sum())
         inside = int(((w > interval.lower) & (w < interval.upper)).sum())
         counts_below[a, b] = below
@@ -329,6 +404,7 @@ def invariant_pair_result(lattice: MagneticLattice, gauge: GaugeField,
         edge_dist = min(edge_dist,
                         float(np.abs(w - interval.lower).min()),
                         float(np.abs(w - interval.upper).min()))
+        w_norm = max(w_norm, float(np.abs(w).max()))
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -340,8 +416,11 @@ def invariant_pair_result(lattice: MagneticLattice, gauge: GaugeField,
             a, b, w, v = solve(p)
             ingest(a, b, w, v)
 
-    if edge_dist == 0.0:
-        raise NonConstantRank("a fiber eigenvalue sits exactly on an interval endpoint")
+    endpoint_tol = FIBER_RESIDUAL_FACTOR * max(w_norm, 1.0)
+    if edge_dist <= endpoint_tol:
+        raise NonConstantRank(
+            f"a fiber eigenvalue is {edge_dist:.3e} from an interval endpoint "
+            f"(within the fiber residual tolerance {endpoint_tol:.3e})")
     if counts_in.min() != counts_in.max():
         raise NonConstantRank(
             f"in-interval count varies over the grid ({counts_in.min()}..{counts_in.max()})")
@@ -357,11 +436,4 @@ def invariant_pair_result(lattice: MagneticLattice, gauge: GaugeField,
     frames = np.empty((grid.n_s, grid.n_t, m, dim), complex)
     for (a, b), v in sub.items():
         frames[a, b] = v
-    flux = _fhs_flux(frames, 0, dim)
-    total = float(flux.sum() / (2.0 * np.pi))
-    chern = int(np.rint(total))
-    if abs(total - chern) > 1e-6:
-        raise SingularOverlap(
-            f"plaquette flux total {total:.8f} is not integral to 1e-6 (grid too coarse)")
-    return ChernResult((below, below + dim), flux, chern, dim,
-                       float(np.abs(flux).max()), total, grid)
+    return _chern_result(_fhs_flux(frames, 0, dim), (below, below + dim), grid)

@@ -137,10 +137,17 @@ def load_config(path: str) -> dict:
             loc = "/".join(str(p) for p in e.absolute_path) or "<root>"
             msgs.append(f"{loc}: {e.message}")
         raise ConfigInvalid("config rejected: " + "; ".join(msgs))
+    q = cfg["model"]["q"]
     pot = cfg["model"].get("potential")
-    if pot is not None and len(pot) != cfg["model"]["q"] ** 2:
-        raise ConfigInvalid(f"model/potential: expected q^2 = {cfg['model']['q']**2} "
+    if pot is not None and len(pot) != q ** 2:
+        raise ConfigInvalid(f"model/potential: expected q^2 = {q**2} "
                             f"row-major samples, got {len(pot)}")
+    for loc, desc in (("model/mask_descriptor", cfg["model"].get("mask_descriptor")),
+                      ("params/shape", cfg.get("params", {}).get("shape"))):
+        if desc is not None and desc["kind"] == "graph" \
+                and len(desc.get("f_samples", ())) != q:
+            raise ConfigInvalid(f"{loc}/f_samples: a graph shape needs q = {q} samples "
+                                f"(one cell), got {len(desc.get('f_samples', ()))}")
     return cfg
 
 
@@ -177,11 +184,8 @@ def _mask(cfg: dict, lattice: MagneticLattice):
     return make_mask(lattice, _shape_from_descriptor(desc, lattice))
 
 
-def _operator(cfg: dict, lattice: MagneticLattice):
-    gauge = build_gauge(lattice, cfg["model"]["gauge"])
-    if lattice.geometry == "torus" and cfg["model"].get("mask_descriptor") is None:
-        return assemble_bulk(lattice, gauge), gauge
-    return assemble_restricted(lattice, gauge, _mask(cfg, lattice)), gauge
+def _unmasked_torus(cfg: dict, lattice: MagneticLattice) -> bool:
+    return lattice.geometry == "torus" and cfg["model"].get("mask_descriptor") is None
 
 
 def _write_manifest(out: str, cfg: dict, cfg_path: str) -> None:
@@ -198,7 +202,7 @@ def _write_manifest(out: str, cfg: dict, cfg_path: str) -> None:
     })
 
 
-def _spectrum_outputs(out: str, report, min_gap_width: float):
+def _spectrum_outputs(out: str, report, min_gap_width: float, solver: dict):
     rows = [(i, float(ev), float(res), report.cluster_id(i))
             for i, (ev, res) in enumerate(zip(report.eigenvalues, report.residuals))]
     write_csv(os.path.join(out, "spectrum.csv"),
@@ -208,7 +212,8 @@ def _spectrum_outputs(out: str, report, min_gap_width: float):
                {"gaps": [{"lower": g.lower, "upper": g.upper, "margin": g.margin}
                          for g in gaps],
                 "min_width": min_gap_width,
-                "n_eigenvalues": int(len(report.eigenvalues))})
+                "n_eigenvalues": int(len(report.eigenvalues)),
+                "solver": solver})
     svg_plot(os.path.join(out, "spectrum.svg"),
              [{"x": list(range(len(report.eigenvalues))),
                "y": [float(v) for v in report.eigenvalues], "kind": "points"}],
@@ -217,17 +222,27 @@ def _spectrum_outputs(out: str, report, min_gap_width: float):
 
 
 def _task_bulk_spectrum(cfg, out):
+    """Spectrum and gaps; an unmasked torus is solved on its Bloch fibers."""
     lattice = _lattice(cfg)
-    op, _ = _operator(cfg, lattice)
     p = cfg.get("params", {})
-    if p.get("export_operator", False):
+    export = p.get("export_operator", False)
+    gauge = build_gauge(lattice, cfg["model"]["gauge"])
+    if _unmasked_torus(cfg, lattice):
+        report = bloch.torus_spectrum(lattice, gauge, cluster_tol=p.get("cluster_tol"))
+        solver = {"route": "bloch_fibers", "blocks": lattice.cells_x * lattice.cells_y,
+                  "block_dim": lattice.q ** 2}
+        op = assemble_bulk(lattice, gauge) if export else None
+    else:
+        op = assemble_restricted(lattice, gauge, _mask(cfg, lattice))
+        report = spectral.eigensolve(op, cluster_tol=p.get("cluster_tol"),
+                                     seed=cfg.get("seed", 0))
+        solver = {"route": "dense", "blocks": 1, "block_dim": op.dimension}
+    if export:
         from .model import export_triplets
         export_triplets(op, os.path.join(out, "operator.csv"))
-    report = spectral.eigensolve(op, cluster_tol=p.get("cluster_tol"),
-                                 seed=cfg.get("seed", 0))
     min_w = p.get("min_gap_width", 0.01 * float(report.eigenvalues[-1]
                                                 - report.eigenvalues[0]))
-    _spectrum_outputs(out, report, min_w)
+    _spectrum_outputs(out, report, min_w, solver)
     return 0
 
 
@@ -261,11 +276,10 @@ def _task_chern(cfg, out):
     return 0
 
 
-def _bulk_gap_for(lattice: MagneticLattice, gauge_kind: str, bulk_cells: int, seed: int):
+def _bulk_gap_for(lattice: MagneticLattice, gauge_kind: str, bulk_cells: int):
     torus = MagneticLattice(lattice.k, lattice.q, bulk_cells, bulk_cells, "torus",
                             lattice.potential)
-    op = assemble_bulk(torus, build_gauge(torus, gauge_kind))
-    report = spectral.eigensolve(op, seed=seed)
+    report = bloch.torus_spectrum(torus, build_gauge(torus, gauge_kind))
     gaps = [g for g in report.gaps if g.width >= 0.2 * 8 * np.pi * max(lattice.k, 1)]
     if not gaps:
         return None, report
@@ -299,8 +313,7 @@ def _task_edge_fill(cfg, out):
     p = cfg.get("params", {})
     seed = cfg.get("seed", 0)
     lattice = _lattice(cfg)
-    gap, _ = _bulk_gap_for(lattice, cfg["model"]["gauge"],
-                           p.get("bulk_cells", 4), seed)
+    gap, _ = _bulk_gap_for(lattice, cfg["model"]["gauge"], p.get("bulk_cells", 4))
     if gap is None:
         write_json(os.path.join(out, "edge_report.json"),
                    {"verdict": "no_bulk_gap", "all_pass": False})

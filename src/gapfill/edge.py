@@ -30,8 +30,8 @@ from .errors import (BandConnectionAmbiguous, EmptyRegion, MarginTooSmall,
                      StripTooNarrow, UnsupportedShape)
 from .model import (GaugeField, HalfPlaneShape, GraphShape, BallsShape,
                     HermitianOperator, MagneticLattice, RegionMask, _assemble,
-                    _phase, assemble_restricted, build_gauge, mask_from_member,
-                    twist_seams)
+                    assemble_restricted, build_gauge, cell_gauge, cell_lift_phases,
+                    mask_from_member, twist_seams)
 from .spectral import SpectralInterval, Window, dense_cap, eigensolve
 
 FLOW_CONVENTIONS = {
@@ -110,8 +110,7 @@ def strip_mask(strip: StripSpec) -> RegionMask:
     if isinstance(shape, HalfPlaneShape):
         member = y <= shape.level
     elif isinstance(shape, GraphShape):
-        f = np.asarray(shape.f_samples, float)
-        member = y <= f[ix % lat.q]
+        member = y <= shape.samples(lat.q)[ix % lat.q]
     elif isinstance(shape, BallsShape):
         member = y <= shape.base.level
         for (cx, cy) in shape.centers:
@@ -153,26 +152,31 @@ def strip_block(strip: StripSpec, kappa: float, mask: RegionMask | None = None) 
     if not _mask_cell_periodic(mask):
         raise ValueError("strip mask is not cell-periodic; no block reduction")
     cell = MagneticLattice(lat.k, lat.q, 1, lat.cells_y, "strip", lat.potential)
-    gauge = twist_seams(build_gauge(cell, "landau"), np.exp(1j * kappa), 1.0)
     prov = {"lattice": lat, "gauge_kind": "landau", "mask": mask.descriptor,
             "kappa": kappa, "shift": -4.0 * np.pi * lat.k}
-    return _assemble(cell, gauge, mask.member[:lat.q], prov)
+    return _assemble(cell, _block_gauge(lat, kappa), mask.member[:lat.q], prov)
+
+
+def _block_gauge(lat: MagneticLattice, kappa: float) -> GaugeField:
+    """The one-cell-wide strip gauge with its x seam twisted by e^{i*kappa}."""
+    return twist_seams(cell_gauge(lat.k, lat.q, "landau", "strip", lat.cells_y),
+                       np.exp(1j * kappa), 1.0)
 
 
 def lift_block_vector(strip: StripSpec, block: HermitianOperator, kappa: float,
-                      vec: np.ndarray, mask: RegionMask) -> np.ndarray:
-    """Extend a block eigenvector to the strip: psi(i+cq, j) = (e^{i kappa} gamma_x(j))^c psi(i, j)."""
+                      vec: np.ndarray, mask: RegionMask,
+                      gauge: GaugeField | None = None) -> np.ndarray:
+    """Extend a block eigenvector to the strip: psi(x, y) = chi(x, y) vec(x mod q, y).
+
+    chi is the ratio of block to strip link phases
+    (:func:`gapfill.model.cell_lift_phases`); gauge is the strip's Landau
+    gauge, the one :func:`strip_operator` assembles with by default.
+    """
     lat = strip.lattice
-    q = lat.q
-    phi = lat.flux_per_plaquette
-    full_idx = {(int(ix), int(iy)): r for r, (ix, iy) in
-                enumerate(np.column_stack(np.nonzero(mask.member)))}
-    out = np.zeros(len(full_idx), complex)
-    for r, (i, j) in enumerate(block.sites):
-        base = vec[r]
-        for c in range(lat.cells_x):
-            factor = (np.exp(1j * kappa * c) * _phase(phi * q * int(j) * c))
-            out[full_idx[(int(i) + c * q, int(j))]] = factor * base
+    gauge = gauge or build_gauge(lat, "landau")
+    chi = cell_lift_phases(gauge, _block_gauge(lat, kappa))
+    ix, iy = np.nonzero(mask.member)
+    out = chi[ix, iy] * np.asarray(vec)[block.ids[ix % lat.q, iy]]
     return out / np.linalg.norm(out)
 
 
@@ -326,9 +330,10 @@ def gap_filling_check(strip: StripSpec, bulk_gap: SpectralInterval, n_samples: i
         if kappa is None:
             profiles.append(localization_profile(block, (energy, vec), mask))
         else:
-            lifted = lift_block_vector(strip, block, kappa, vec, mask)
             if strip_op is None:
-                strip_op = strip_operator(strip)
+                gauge = build_gauge(lat, "landau")
+                strip_op = strip_operator(strip, gauge)
+            lifted = lift_block_vector(strip, block, kappa, vec, mask, gauge)
             profiles.append(localization_profile(strip_op, (energy, lifted), mask))
     return EdgeReport(samples, distances, delta, verdicts, tuple(profiles),
                       dict(FLOW_CONVENTIONS), int(len(spectrum)))

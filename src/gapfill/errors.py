@@ -58,6 +58,14 @@ class SingularOverlap(GapfillError):
     """An overlap determinant is numerically singular (grid too coarse)."""
 
 
+class FluxNotAdmissible(GapfillError):
+    """A plaquette Berry flux reaches pi/2: the grid is too coarse for the frames."""
+
+
+class LiftNotCertified(GapfillError):
+    """Fiber eigenpairs lifted to the torus fail the residual certificate."""
+
+
 class BandConnectionAmbiguous(GapfillError):
     """Eigenvector overlap too small to continue bands between momenta."""
 

@@ -16,6 +16,7 @@ exactly with the Bloch fiber decomposition (see :mod:`gapfill.bloch`).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ import numpy as np
 import scipy.ndimage
 import scipy.sparse as sp
 
-from .errors import EmptyRegion, MissingPhase, NonTorusGeometry
+from .errors import EmptyRegion, MissingPhase, NonTorusGeometry, UnsupportedShape
 
 GEOMETRIES = ("torus", "strip", "masked")
 GAUGE_KINDS = ("symmetric", "landau")
@@ -234,6 +235,44 @@ def twist_seams(gauge: GaugeField, zx: complex, zy: complex) -> GaugeField:
     return GaugeField(lat, gauge.gauge_kind, phase_x, phase_y)
 
 
+@functools.lru_cache(maxsize=64)
+def cell_gauge(k: int, q: int, gauge_kind: str, geometry: str = "torus",
+               cells_y: int = 1) -> GaugeField:
+    """Untwisted gauge of the one-cell-wide window, solved once per key.
+
+    The Bloch fiber (torus, one cell) and the strip momentum block (strip,
+    one cell by cells_y) twist its seams; the phases do not depend on the
+    potential, so the key leaves it out.  Phase arrays are read-only
+    (twist_seams copies them).
+    """
+    gauge = build_gauge(MagneticLattice(k, q, 1, cells_y, geometry), gauge_kind)
+    gauge.phase_x.setflags(write=False)
+    gauge.phase_y.setflags(write=False)
+    return gauge
+
+
+def cell_lift_phases(gauge: GaugeField, cell: GaugeField) -> np.ndarray:
+    """Phases chi on the window sites that carry one-cell states to the window.
+
+    chi is fixed by U(u -> v) chi(v) = chi(u) U_cell(u' -> v') on every link,
+    where u', v' are the cell sites under u, v, so that psi = chi * phi(u')
+    solves the window equation whenever phi solves the cell equation.  It is
+    the cumulative product of the ratio of cell to window link phases along
+    column 0 in y, then along every row in x; no gauge formula enters.  The
+    remaining links agree when both gauges have the same plaquette fluxes
+    and Wilson loops, which callers certify by residuals.
+    """
+    nx, ny = gauge.lattice.n_x, gauge.lattice.n_y
+    cx = np.arange(nx) % cell.lattice.n_x
+    cy = np.arange(ny) % cell.lattice.n_y
+    col = cell.phase_y[0, cy[:-1]] * np.conj(gauge.phase_y[0, :-1])
+    rows = cell.phase_x[np.ix_(cx[:-1], cy)] * np.conj(gauge.phase_x[:-1, :])
+    chi = np.empty((nx, ny), complex)
+    chi[0] = np.concatenate([[1.0], np.cumprod(col)])
+    chi[1:] = chi[0] * np.cumprod(rows, axis=0)
+    return chi
+
+
 def plaquette_products(gauge: GaugeField) -> np.ndarray:
     """Counterclockwise product of the four link phases of every plaquette.
 
@@ -272,6 +311,14 @@ class GraphShape:
     """
 
     f_samples: tuple
+
+    def samples(self, q: int) -> np.ndarray:
+        """The q samples of one cell (UnsupportedShape for any other count)."""
+        f = np.asarray(self.f_samples, dtype=float)
+        if len(f) != q:
+            raise UnsupportedShape(f"GraphShape needs q = {q} samples (one cell), "
+                                   f"got {len(f)}")
+        return f
 
     @property
     def level_min(self) -> float:
@@ -367,10 +414,7 @@ def make_mask(lattice: MagneticLattice, shape) -> RegionMask:
     if isinstance(shape, HalfPlaneShape):
         member = y <= shape.level
     elif isinstance(shape, GraphShape):
-        f = np.asarray(shape.f_samples, dtype=float)
-        if len(f) != lattice.q:
-            raise ValueError("GraphShape needs q samples (one cell)")
-        member = y <= f[ix % lattice.q]
+        member = y <= shape.samples(lattice.q)[ix % lattice.q]
     elif isinstance(shape, BallsShape):
         base_mask = make_mask(lattice, shape.base)
         member = base_mask.member.copy()

@@ -142,10 +142,11 @@ def detect_gaps(report: SpectrumReport, min_width: float) -> list[SpectralInterv
 
 
 def _gaps_between(ev: np.ndarray, min_width: float) -> list[SpectralInterval]:
+    """Spacings of at least min_width; equal neighbours never bound a gap."""
     gaps = []
     for a, b in zip(ev[:-1], ev[1:]):
         w = b - a
-        if w >= min_width:
+        if w >= min_width and w > 0:
             gaps.append(SpectralInterval(float(a), float(b), w / 4.0))
     return gaps
 
@@ -340,17 +341,35 @@ def eigensolve(op: HermitianOperator, mode="full", *, cluster_tol: float | None 
         raise DenseCapExceeded(f"dimension {n} exceeds dense cap {cap}")
     w, v = scipy.linalg.eigh(op.matrix.toarray(), driver="evr",
                              overwrite_a=True, check_finite=False)
-    norm_bound = float(np.abs(w).max()) if n else 0.0
     res = np.linalg.norm(op.matrix @ v - v * w, axis=0)
-    tol = RESIDUAL_FACTOR * max(norm_bound, 1.0)
+    report = spectrum_report(w, res, v if keep_vectors else None,
+                             cluster_tol=cluster_tol, gaps_min_width=gaps_min_width)
+    tol = residual_tolerance(report.norm_bound)
     if res.max() > tol:
         raise WindowNotConverged(f"dense residual {res.max():.3e} above {tol:.3e}")
+    return report
+
+
+def residual_tolerance(norm_bound: float) -> float:
+    """Largest certified residual ||Hv - lambda v|| for an operator of that norm."""
+    return RESIDUAL_FACTOR * max(norm_bound, 1.0)
+
+
+def spectrum_report(w: np.ndarray, residuals: np.ndarray, vectors=None, *,
+                    coverage="full", norm_bound: float | None = None,
+                    cluster_tol: float | None = None,
+                    gaps_min_width: float | None = None) -> SpectrumReport:
+    """Clusters and gaps of sorted certified eigenvalues, with their defaults.
+
+    norm_bound defaults to max |lambda|, which bounds ||H|| for a complete
+    spectrum.  Every solver route builds its report here.
+    """
+    if norm_bound is None:
+        norm_bound = float(np.abs(w).max()) if len(w) else 0.0
     ctol = cluster_tol if cluster_tol is not None else _default_cluster_tol(w)
-    clusters = _cluster(w, ctol)
     gmw = gaps_min_width if gaps_min_width is not None else _default_gap_width(w)
-    gaps = tuple(_gaps_between(w, gmw))
-    return SpectrumReport(w, res, clusters, gaps, "full", norm_bound, ctol,
-                          v if keep_vectors else None)
+    return SpectrumReport(w, residuals, _cluster(w, ctol), tuple(_gaps_between(w, gmw)),
+                          coverage, norm_bound, ctol, vectors)
 
 
 def _default_cluster_tol(w: np.ndarray) -> float:
@@ -394,7 +413,7 @@ def _eigensolve_window(op: HermitianOperator, win: Window, cluster_tol, seed):
     a -= 1e-9 * (abs(a) + 1)
     b += 1e-9 * (abs(b) + 1)
     norm_bound = max(abs(a), abs(b))
-    tol = RESIDUAL_FACTOR * max(norm_bound, 1.0)
+    tol = residual_tolerance(norm_bound)
     width = hi - lo
     rng = np.random.default_rng(seed)
 
@@ -484,13 +503,8 @@ def _eigensolve_window(op: HermitianOperator, win: Window, cluster_tol, seed):
             f"completeness check failed: filtered trace count {trace_count} vs {count}")
 
     order = np.argsort(w_in)
-    w = w_in[order]
-    r = r_in[order]
-    vecs_in = v_in[:, order]
-    ctol = cluster_tol if cluster_tol is not None else _default_cluster_tol(w)
-    clusters = _cluster(w, ctol)
-    gaps = tuple(_gaps_between(w, _default_gap_width(w)))
-    return SpectrumReport(w, r, clusters, gaps, (lo, hi), norm_bound, ctol, vecs_in)
+    return spectrum_report(w_in[order], r_in[order], v_in[:, order], coverage=(lo, hi),
+                           norm_bound=norm_bound, cluster_tol=cluster_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from gapfill.bloch import BlochGrid, invariant_pair
+from gapfill.bloch import BlochGrid, invariant_pair, torus_spectrum
 from gapfill.coarse import (affiliation_check, ideal_multiplicativity,
                             wideness_check)
 from gapfill.edge import (BallsShape, gap_filling_check, make_strip,
@@ -35,13 +35,13 @@ def announce(num, name, ok, detail):
 
 @pytest.fixture(scope="module")
 def landau_runs():
-    """Full torus solves for k in {1,2}, h in {1/4,1/8,1/16}, 4x4 cells."""
+    """Full torus spectra for k in {1,2}, h in {1/4,1/8,1/16}, 4x4 cells."""
     cache = {}
     for k in (1, 2):
         for q in (4, 8, 16):
             lat = MagneticLattice(k, q, 4, 4, "torus")
-            op = assemble_bulk(lat, build_gauge(lat))
-            cache[(k, q)] = eigensolve(op, cluster_tol=0.1 * EIGHT_PI * k)
+            cache[(k, q)] = torus_spectrum(lat, build_gauge(lat),
+                                           cluster_tol=0.1 * EIGHT_PI * k)
     return cache
 
 
@@ -277,13 +277,14 @@ class TestAcceptance:
                 failures.append(f"gauge {k},{q}")
             cases += 1
 
-        # 40 cases: FHS integrality at 1e-6
+        # 40 cases: FHS integrality at 1e-6, on a grid fine enough for the
+        # admissibility bound (on 8x8 some q=3 bands reach plaquette flux 2.7)
         from gapfill.bloch import band_structure, chern_fhs
         for _ in range(40):
             k = int(rng.integers(1, 3))
             q = int(rng.integers(2, 4))
             lat = MagneticLattice(k, q, 2, 2, "torus")
-            bands = band_structure(lat, build_gauge(lat), BlochGrid(8, 8))
+            bands = band_structure(lat, build_gauge(lat), BlochGrid(16, 16))
             groups = bands.band_groups
             gi = int(rng.integers(0, len(groups)))
             res = chern_fhs(bands, groups[gi])
@@ -295,8 +296,9 @@ class TestAcceptance:
         for _ in range(30):
             q = (4, 6)[int(rng.integers(0, 2))]
             lat = MagneticLattice(1, q, 2, 2, "torus")
-            op = assemble_bulk(lat, build_gauge(lat))
-            rep = eigensolve(op)
+            gauge = build_gauge(lat)
+            op = assemble_bulk(lat, gauge)
+            rep = torus_spectrum(lat, gauge)
             gaps = [g for g in rep.gaps if g.width > 2.0]
             gap = gaps[int(rng.integers(0, len(gaps)))]
             ival = certify_interval(rep, rep.eigenvalues[0] - 1.0, gap.midpoint)

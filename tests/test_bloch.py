@@ -3,11 +3,13 @@ import pytest
 
 from gapfill.bloch import (BandData, BlochGrid, band_structure, chern_fhs,
                            fiber_family, fiber_hamiltonian, invariant_pair,
-                           plaquette_berry_flux)
-from gapfill.errors import (GaugeNotCellPeriodic, NonConstantRank,
-                            NoUniformGap, SingularOverlap)
-from gapfill.model import MagneticLattice, assemble_bulk, build_gauge
-from gapfill.spectral import SpectralInterval, eigensolve
+                           plaquette_berry_flux, torus_spectrum)
+from gapfill.errors import (FluxNotAdmissible, GaugeNotCellPeriodic,
+                            LiftNotCertified, NonConstantRank, NoUniformGap,
+                            SingularOverlap)
+from gapfill.model import (MagneticLattice, assemble_bulk, build_gauge,
+                           twist_seams)
+from gapfill.spectral import RESIDUAL_FACTOR, SpectralInterval, eigensolve
 
 
 def hofstadter_frames(p, q, ngrid, n_bands):
@@ -133,6 +135,41 @@ class TestFibers:
         assert d * 8 <= fam.lipschitz + 1e-9
 
 
+class TestTorusSpectrum:
+    @pytest.mark.parametrize("kind", ["landau", "symmetric"])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_parity_with_dense_eigensolve(self, kind, k):
+        # a cell potential that is not symmetric under ix <-> iy
+        w = 0.7 * (np.arange(16).reshape(4, 4) % 5 - 2.0)
+        for cells in ((1, 1), (3, 2), (1, 4)):
+            lat = MagneticLattice(k, 4, *cells, "torus", w)
+            g = build_gauge(lat, kind)
+            op = assemble_bulk(lat, g)
+            dense = eigensolve(op)
+            fib = torus_spectrum(lat, g, keep_vectors=True)
+            scale = max(dense.norm_bound, 1.0)
+            assert fib.complete and len(fib.eigenvalues) == op.dimension
+            assert np.abs(fib.eigenvalues - dense.eigenvalues).max() <= 1e-10 * scale
+            assert fib.residuals.max() <= RESIDUAL_FACTOR * max(fib.norm_bound, 1.0)
+            v = fib.eigenvectors
+            direct = np.linalg.norm(op.matrix @ v - v * fib.eigenvalues, axis=0)
+            assert np.abs(direct - fib.residuals).max() < 1e-12
+            assert np.abs(v.conj().T @ v - np.eye(op.dimension)).max() < 1e-12
+            assert fib.clusters == dense.clusters
+            ends = [np.array([(g.lower, g.upper) for g in rep.gaps]).reshape(-1, 2)
+                    for rep in (fib, dense)]
+            assert ends[0].shape == ends[1].shape
+            assert np.abs(ends[0] - ends[1]).max(initial=0.0) <= 1e-10 * scale
+
+    def test_twisted_torus_seam_fails_certificate(self):
+        # the fibers keep the untwisted cocycle, so every Wilson loop along x
+        # of the torus differs by -1 and no lifted pair solves it
+        lat = MagneticLattice(1, 4, 2, 2, "torus")
+        g = twist_seams(build_gauge(lat), -1.0, 1.0)
+        with pytest.raises(LiftNotCertified, match="residual"):
+            torus_spectrum(lat, g)
+
+
 class TestBandStructure:
     def test_lowest_group_dims(self):
         # dim 2k per unit cell in the lowest Landau group
@@ -228,6 +265,34 @@ class TestChern:
         bands = band_structure(lat, build_gauge(lat), BlochGrid(6, 6))
         with pytest.raises(NoUniformGap):
             chern_fhs(bands, (0, 1))  # splits the degenerate Landau pair
+
+    def test_random_frames_not_admissible(self, rng):
+        # frames with no continuity: the plaquette fluxes are spread over
+        # (-pi, pi] and their total is still an integer, so only the
+        # admissibility bound can reject them
+        lat = MagneticLattice(1, 4, 2, 2, "torus")
+        bands = band_structure(lat, build_gauge(lat), BlochGrid(8, 8))
+        z = rng.standard_normal(bands.frames.shape) \
+            + 1j * rng.standard_normal(bands.frames.shape)
+        frames = np.linalg.qr(z)[0]
+        total = plaquette_berry_flux(frames[:, :, :, :2]).sum() / (2 * np.pi)
+        assert abs(total - round(total)) < 1e-6
+        doctored = BandData(bands.lattice, bands.construction_gauge, bands.grid,
+                            bands.energies, frames, bands.uniform_gaps,
+                            bands.group_threshold, bands.band_groups,
+                            bands.max_residual, bands.lipschitz)
+        with pytest.raises(FluxNotAdmissible, match="margin"):
+            chern_fhs(doctored, bands.band_groups[0])
+
+    def test_endpoint_near_fiber_eigenvalue(self):
+        # an endpoint 1e-13 above a fiber eigenvalue is not exactly on it,
+        # but it is inside the fiber residual tolerance
+        lat = MagneticLattice(1, 8, 2, 2, "torus")
+        g = build_gauge(lat)
+        w = np.linalg.eigvalsh(fiber_hamiltonian(lat, g, (0.0, 0.0)))
+        with pytest.raises(NonConstantRank, match="endpoint"):
+            invariant_pair(lat, g, SpectralInterval(-1.0, w[2] + 1e-13),
+                           BlochGrid(6, 6))
 
     def test_singular_overlap(self):
         frames = np.zeros((4, 4, 2, 1), complex)

@@ -54,6 +54,32 @@ class TestConfigValidation:
     def test_missing_file(self, tmp_path):
         assert main(["bulk-spectrum", "--config", str(tmp_path / "nope.json")]) == 1
 
+    @pytest.mark.parametrize("n_samples", [3, 5])
+    def test_graph_mask_sample_count(self, tmp_path, capsys, n_samples):
+        # q = 4: a graph shape samples f once per site column of one cell
+        cfg = write_config(tmp_path / "cfg.json", task="wideness",
+                           model={"k": 1, "q": 4, "cells_x": 6, "cells_y": 6,
+                                  "geometry": "masked", "gauge": "landau",
+                                  "mask_descriptor": {
+                                      "kind": "graph",
+                                      "f_samples": [3.0] * n_samples}})
+        assert main(["wideness", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigInvalid: model/mask_descriptor/f_samples")
+
+    @pytest.mark.parametrize("n_samples", [3, 5])
+    def test_graph_strip_shape_sample_count(self, tmp_path, capsys, n_samples):
+        cfg = write_config(tmp_path / "cfg.json", task="bands",
+                           params={"width_cells": 6, "length_cells": 2,
+                                   "n_kappa": 12,
+                                   "shape": {"kind": "graph",
+                                             "f_samples": [0.1] * n_samples}})
+        assert main(["bands", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigInvalid: params/shape/f_samples")
+
 
 class TestBulkSpectrumTask:
     def test_artifacts_and_gap_row(self, tmp_path):
@@ -72,6 +98,23 @@ class TestBulkSpectrumTask:
         assert abs(principal["upper"] - 8 * np.pi) < 2.0
         header = (out / "spectrum.csv").read_text().splitlines()[0]
         assert header == "index,eigenvalue,residual,cluster_id"
+
+    def test_solver_route_recorded(self, tmp_path):
+        # an unmasked torus goes through its 16 Bloch fibers; a masked one is
+        # solved densely
+        torus = {"k": 1, "q": 4, "cells_x": 4, "cells_y": 4,
+                 "geometry": "torus", "gauge": "landau"}
+        masked = dict(torus, mask_descriptor={"kind": "half_plane", "level": 2.0})
+        routes = []
+        for name, model in (("torus", torus), ("masked", masked)):
+            out = tmp_path / name
+            cfg = write_config(tmp_path / f"{name}.json", model=model, task="gaps")
+            assert main(["gaps", "--config", str(cfg), "--out", str(out)]) == 0
+            routes.append(json.loads((out / "gaps.json").read_text())["solver"])
+        n_masked = json.loads((tmp_path / "masked" / "gaps.json").read_text())[
+            "n_eigenvalues"]
+        assert routes == [{"route": "bloch_fibers", "blocks": 16, "block_dim": 16},
+                          {"route": "dense", "blocks": 1, "block_dim": n_masked}]
 
     def test_manifest_records_conventions(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from gapfill.bloch import torus_spectrum
 from gapfill.edge import (gap_filling_check, lift_block_vector,
                           localization_profile, make_strip, strip_bands,
                           strip_block, strip_mask, strip_operator)
-from gapfill.errors import BandConnectionAmbiguous
+from gapfill.errors import BandConnectionAmbiguous, UnsupportedShape
 from gapfill.model import (BallsShape, GraphShape, HalfPlaneShape,
-                           MagneticLattice, assemble_bulk, build_gauge,
+                           MagneticLattice, build_gauge, make_mask,
                            mask_all)
 from gapfill.spectral import Window, certify_interval, eigensolve
 
@@ -15,7 +16,7 @@ from gapfill.spectral import Window, certify_interval, eigensolve
 def small_gap():
     """Certified principal gap of the k=1, h=1/4 bulk torus."""
     lat = MagneticLattice(1, 4, 4, 4, "torus")
-    rep = eigensolve(assemble_bulk(lat, build_gauge(lat)))
+    rep = torus_spectrum(lat, build_gauge(lat))
     gap = next(g for g in rep.gaps if g.contains(4 * np.pi))
     return rep, certify_interval(rep, gap.lower + 0.02 * gap.width,
                                  gap.upper - 0.02 * gap.width)
@@ -42,6 +43,15 @@ class TestStripConstruction:
             [eigensolve(strip_block(strip, 2 * np.pi * m / 2)).eigenvalues
              for m in range(2)]))
         assert np.abs(full - blocks).max() < 1e-8
+
+    @pytest.mark.parametrize("n_samples", [3, 5])
+    def test_graph_shape_sample_count(self, n_samples):
+        # strip and window masks name the same miscount (q = 4)
+        shape = GraphShape((0.1,) * n_samples)
+        with pytest.raises(UnsupportedShape, match=f"q = 4 samples .* got {n_samples}"):
+            strip_mask(make_strip(1, 4, 6, 2, shape=shape))
+        with pytest.raises(UnsupportedShape, match=f"q = 4 samples .* got {n_samples}"):
+            make_mask(MagneticLattice(1, 4, 2, 2, "masked"), shape)
 
     def test_mask_has_vacuum_on_both_sides(self):
         strip = make_strip(1, 4, 6, 2)
@@ -75,7 +85,7 @@ class TestGapFilling:
         # dense-diagonalization oracle on the same strip before trusting
         # windowed solves: force the windowed path and compare distances
         lat = MagneticLattice(1, 6, 3, 3, "torus")
-        rep = eigensolve(assemble_bulk(lat, build_gauge(lat)))
+        rep = torus_spectrum(lat, build_gauge(lat))
         gap = next(g for g in rep.gaps if g.contains(4 * np.pi))
         gap = certify_interval(rep, gap.lower + 0.02 * gap.width,
                                gap.upper - 0.02 * gap.width)
@@ -154,7 +164,7 @@ class TestLocalization:
         # magnetic length): >= 75% of the mass within 1.5 units, and the
         # first-e-folding decay rate within 50% of 1/magnetic_length
         lat = MagneticLattice(1, 8, 4, 4, "torus")
-        rep = eigensolve(assemble_bulk(lat, build_gauge(lat)))
+        rep = torus_spectrum(lat, build_gauge(lat))
         gap = next(g for g in rep.gaps if g.contains(4 * np.pi))
         gap = certify_interval(rep, gap.lower + 0.02 * gap.width,
                                gap.upper - 0.02 * gap.width)

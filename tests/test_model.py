@@ -4,8 +4,9 @@ import pytest
 from gapfill.errors import EmptyRegion, MissingPhase, NonTorusGeometry
 from gapfill.model import (BallsShape, DiskShape, GraphShape, HalfPlaneShape,
                            MagneticLattice, assemble_bulk, assemble_restricted,
-                           build_gauge, gauge_transform, make_mask, mask_all,
-                           mask_from_sites, plaquette_products, twist_seams)
+                           build_gauge, cell_gauge, gauge_transform, make_mask,
+                           mask_all, mask_from_sites, plaquette_products,
+                           twist_seams)
 
 PLAQ_TOL = 1e-12
 
@@ -89,6 +90,16 @@ class TestGauge:
             assert np.array_equal(tw.phase_y, g.phase_y)
         assert np.array_equal(tw.phase_x[:-1], g.phase_x[:-1])
         assert np.array_equal(tw.phase_y[:, :-1], g.phase_y[:, :-1])
+
+    def test_cell_gauge_is_cached_and_read_only(self):
+        g = cell_gauge(2, 4, "symmetric", "strip", 3)
+        assert cell_gauge(2, 4, "symmetric", "strip", 3) is g
+        fresh = build_gauge(MagneticLattice(2, 4, 1, 3, "strip"), "symmetric")
+        assert np.array_equal(g.phase_x, fresh.phase_x)
+        assert np.array_equal(g.phase_y, fresh.phase_y)
+        with pytest.raises(ValueError):
+            g.phase_x[0, 0] = 1.0
+        assert twist_seams(g, -1.0, 1.0).phase_x.flags.writeable
 
     def test_reverse_link_is_conjugate(self):
         lat = lattice()

@@ -35,6 +35,13 @@ class TestEigensolveFull:
         assert np.allclose(rep.eigenvalues, [0.0, 8 * np.pi])
         assert np.all(rep.residuals == 0.0)
 
+    def test_degenerate_spectrum_has_no_gap(self):
+        # spread 0 makes the default gap width 0; equal eigenvalues still
+        # bound no gap (a window holding one degenerate pair hits this)
+        rep = eigensolve(toy_diagonal([5.0, 5.0]))
+        assert rep.gaps == ()
+        assert detect_gaps(rep, 0.0) == []
+
     def test_residual_certificates(self):
         _, op = bulk()
         rep = eigensolve(op)
