@@ -60,21 +60,6 @@ class BlochGrid:
 
 
 @dataclass(frozen=True, eq=False)
-class FiberFamily:
-    """Dense Hermitian fibers over the dual-torus grid.
-
-    fibers has shape (n_s, n_t, q^2, q^2); lipschitz is the measured bound
-    ||H(p) - H(p')|| / dist(p, p') over adjacent grid points.
-    """
-
-    lattice: MagneticLattice
-    construction_gauge: str
-    grid: BlochGrid
-    fibers: np.ndarray
-    lipschitz: float
-
-
-@dataclass(frozen=True, eq=False)
 class BandData:
     """Eigendecompositions of a fiber family with certified band groups.
 
@@ -93,7 +78,6 @@ class BandData:
     group_threshold: float
     band_groups: tuple
     max_residual: float
-    lipschitz: float
 
     def group_boundaries(self) -> set:
         bounds = {0, self.energies.shape[2]}
@@ -211,41 +195,12 @@ def torus_spectrum(lattice: MagneticLattice, gauge: GaugeField, *,
     return report
 
 
-def fiber_family(lattice: MagneticLattice, gauge: GaugeField, grid: BlochGrid,
-                 workers: int = 1) -> FiberFamily:
-    """All fibers over the grid, with the measured Lipschitz bound."""
-    q2 = lattice.q ** 2
-    fibers = np.empty((grid.n_s, grid.n_t, q2, q2), complex)
-    points = [(a, b, s, t) for (a, b, s, t) in grid.points()]
-
-    def build(p):
-        a, b, s, t = p
-        return a, b, fiber_hamiltonian(lattice, gauge, (s, t))
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            for a, b, m in ex.map(build, points):
-                fibers[a, b] = m
-    else:
-        for p in points:
-            a, b, m = build(p)
-            fibers[a, b] = m
-    lip = 0.0
-    for a in range(grid.n_s):
-        for b in range(grid.n_t):
-            da = np.linalg.norm(fibers[(a + 1) % grid.n_s, b] - fibers[a, b], 2)
-            db = np.linalg.norm(fibers[a, (b + 1) % grid.n_t] - fibers[a, b], 2)
-            lip = max(lip, da * grid.n_s, db * grid.n_t)
-    return FiberFamily(lattice, gauge.gauge_kind, grid, fibers, lip)
-
-
 # ---------------------------------------------------------------------------
 # band structure
 
 
 def band_structure(lattice: MagneticLattice, gauge: GaugeField, grid: BlochGrid,
-                   group_threshold: float | None = None, workers: int = 1) -> BandData:
+                   group_threshold: float | None = None) -> BandData:
     """Dense eigendecomposition per fiber with fiber-uniform band grouping.
 
     group_threshold defaults to 1e-3 times the Gershgorin enclosure width of
@@ -254,18 +209,17 @@ def band_structure(lattice: MagneticLattice, gauge: GaugeField, grid: BlochGrid,
     spanning all bands is returned (chern_fhs then raises NoUniformGap for
     any proper subrange).
     """
-    family = fiber_family(lattice, gauge, grid, workers=workers)
     m = lattice.q ** 2
     energies = np.empty((grid.n_s, grid.n_t, m))
     frames = np.empty((grid.n_s, grid.n_t, m, m), complex)
     max_res = 0.0
-    for a in range(grid.n_s):
-        for b in range(grid.n_t):
-            w, v = np.linalg.eigh(family.fibers[a, b])
-            energies[a, b] = w
-            frames[a, b] = v
-            res = np.linalg.norm(family.fibers[a, b] @ v - v * w, axis=0).max()
-            max_res = max(max_res, float(res))
+    for a, b, s, t in grid.points():
+        fiber = fiber_hamiltonian(lattice, gauge, (s, t))
+        w, v = np.linalg.eigh(fiber)
+        energies[a, b] = w
+        frames[a, b] = v
+        res = np.linalg.norm(fiber @ v - v * w, axis=0).max()
+        max_res = max(max_res, float(res))
     fiber_norm = float(np.abs(energies).max())
     if max_res > FIBER_RESIDUAL_FACTOR * max(fiber_norm, 1.0):
         raise RuntimeError(f"fiber residual {max_res:.3e} above certificate")
@@ -281,7 +235,7 @@ def band_structure(lattice: MagneticLattice, gauge: GaugeField, grid: BlochGrid,
     bounds = [0] + [b + 1 for b in range(m - 1) if uniform[b] >= threshold] + [m]
     groups = tuple((bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1))
     return BandData(lattice, gauge.gauge_kind, grid, energies, frames,
-                    uniform, threshold, groups, max_res, family.lipschitz)
+                    uniform, threshold, groups, max_res)
 
 
 # ---------------------------------------------------------------------------
@@ -360,17 +314,16 @@ def _chern_result(flux: np.ndarray, group: tuple, grid: BlochGrid) -> ChernResul
 
 
 def invariant_pair(lattice: MagneticLattice, gauge: GaugeField,
-                   interval: SpectralInterval, grid: BlochGrid = BlochGrid(16, 16),
-                   workers: int = 1) -> tuple[int, int]:
+                   interval: SpectralInterval,
+                   grid: BlochGrid = BlochGrid(16, 16)) -> tuple[int, int]:
     """(dim, c1) of the spectral projection onto a fiber-uniform interval."""
-    res = invariant_pair_result(lattice, gauge, interval, grid, workers)
+    res = invariant_pair_result(lattice, gauge, interval, grid)
     return res.dim, res.chern
 
 
 def invariant_pair_result(lattice: MagneticLattice, gauge: GaugeField,
                           interval: SpectralInterval,
-                          grid: BlochGrid = BlochGrid(16, 16),
-                          workers: int = 1) -> ChernResult:
+                          grid: BlochGrid = BlochGrid(16, 16)) -> ChernResult:
     """Full ChernResult for the fiber-uniform interval (see invariant_pair).
 
     dim is the in-interval fiber eigenvalue count, which must be constant
@@ -381,21 +334,13 @@ def invariant_pair_result(lattice: MagneticLattice, gauge: GaugeField,
     """
     _check_gauge(lattice, gauge)
     m = lattice.q ** 2
-    points = [(a, b, s, t) for (a, b, s, t) in grid.points()]
-
-    def solve(p):
-        a, b, s, t = p
-        w, v = np.linalg.eigh(fiber_hamiltonian(lattice, gauge, (s, t)))
-        return a, b, w, v
-
     counts_in = np.empty((grid.n_s, grid.n_t), int)
     counts_below = np.empty((grid.n_s, grid.n_t), int)
     sub = {}
     edge_dist = np.inf
     w_norm = 0.0
-
-    def ingest(a, b, w, v):
-        nonlocal edge_dist, w_norm
+    for a, b, s, t in grid.points():
+        w, v = np.linalg.eigh(fiber_hamiltonian(lattice, gauge, (s, t)))
         below = int((w < interval.lower).sum())
         inside = int(((w > interval.lower) & (w < interval.upper)).sum())
         counts_below[a, b] = below
@@ -405,16 +350,6 @@ def invariant_pair_result(lattice: MagneticLattice, gauge: GaugeField,
                         float(np.abs(w - interval.lower).min()),
                         float(np.abs(w - interval.upper).min()))
         w_norm = max(w_norm, float(np.abs(w).max()))
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            for a, b, w, v in ex.map(solve, points):
-                ingest(a, b, w, v)
-    else:
-        for p in points:
-            a, b, w, v = solve(p)
-            ingest(a, b, w, v)
 
     endpoint_tol = FIBER_RESIDUAL_FACTOR * max(w_norm, 1.0)
     if edge_dist <= endpoint_tol:

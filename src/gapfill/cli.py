@@ -57,7 +57,6 @@ _PARAMS_SCHEMA = {
                  "minItems": 2, "maxItems": 2},
         "interval": {"type": "array", "items": {"type": "number"},
                      "minItems": 2, "maxItems": 2},
-        "workers": {"type": "integer", "minimum": 1},
         "width_cells": {"type": "integer", "minimum": 4},
         "length_cells": {"type": "integer", "minimum": 1},
         "n_samples": {"type": "integer", "minimum": 1},
@@ -110,7 +109,6 @@ CONVENTIONS = {
     "fhs_integrality_tolerance": 1e-6,
     "residual_factor": spectral.RESIDUAL_FACTOR,
     "degree_cap": spectral.DEGREE_CAP_DEFAULT,
-    "window_capture_level": spectral.WINDOW_CAPTURE_LEVEL,
     "gap_sample_inset_fraction": 0.05,
     "overlap_singular_tolerance": bloch.OVERLAP_SINGULAR_TOL,
 }
@@ -148,6 +146,9 @@ def load_config(path: str) -> dict:
                 and len(desc.get("f_samples", ())) != q:
             raise ConfigInvalid(f"{loc}/f_samples: a graph shape needs q = {q} samples "
                                 f"(one cell), got {len(desc.get('f_samples', ()))}")
+    interval = cfg.get("params", {}).get("interval")
+    if interval is not None and not interval[0] < interval[1]:
+        raise ConfigInvalid(f"params/interval: need lower < upper, got {interval}")
     return cfg
 
 
@@ -197,7 +198,7 @@ def _write_manifest(out: str, cfg: dict, cfg_path: str) -> None:
         "task": cfg["task"],
         "config_sha256": digest,
         "seed": cfg.get("seed", 0),
-        "dense_cap": spectral.dense_cap(),
+        "dense_cap": spectral.DENSE_CAP,
         "conventions": CONVENTIONS,
     })
 
@@ -234,8 +235,7 @@ def _task_bulk_spectrum(cfg, out):
         op = assemble_bulk(lattice, gauge) if export else None
     else:
         op = assemble_restricted(lattice, gauge, _mask(cfg, lattice))
-        report = spectral.eigensolve(op, cluster_tol=p.get("cluster_tol"),
-                                     seed=cfg.get("seed", 0))
+        report = spectral.eigensolve(op, cluster_tol=p.get("cluster_tol"))
         solver = {"route": "dense", "blocks": 1, "block_dim": op.dimension}
     if export:
         from .model import export_triplets
@@ -257,15 +257,13 @@ def _task_chern(cfg, out):
     lo, hi = p.get("interval", [-1.0, 4.0 * np.pi * max(lattice.k, 1)])
     res = bloch.invariant_pair_result(lattice, gauge,
                                       spectral.SpectralInterval(lo, hi),
-                                      bloch.BlochGrid(n_s, n_t),
-                                      workers=p.get("workers", 1))
+                                      bloch.BlochGrid(n_s, n_t))
     write_json(os.path.join(out, "chern.json"),
                {"group": list(res.band_group), "dim": res.dim, "chern": res.chern,
                 "max_flux": res.max_flux, "interval": [lo, hi],
                 "grid": [n_s, n_t], "orientation": res.orientation})
     if p.get("export_bands", False):
-        bands = bloch.band_structure(lattice, gauge, bloch.BlochGrid(n_s, n_t),
-                                     workers=p.get("workers", 1))
+        bands = bloch.band_structure(lattice, gauge, bloch.BlochGrid(n_s, n_t))
         rows = []
         for a in range(n_s):
             for b in range(n_t):
@@ -311,7 +309,6 @@ def _strip_from_params(cfg, p):
 
 def _task_edge_fill(cfg, out):
     p = cfg.get("params", {})
-    seed = cfg.get("seed", 0)
     lattice = _lattice(cfg)
     gap, _ = _bulk_gap_for(lattice, cfg["model"]["gauge"], p.get("bulk_cells", 4))
     if gap is None:
@@ -320,8 +317,7 @@ def _task_edge_fill(cfg, out):
         return 2
     strip = _strip_from_params(cfg, p)
     report = edge.gap_filling_check(strip, gap, p.get("n_samples", 16),
-                                    p.get("delta", 0.5), seed=seed,
-                                    workers=p.get("workers", 1))
+                                    p.get("delta", 0.5))
     write_json(os.path.join(out, "edge_report.json"), {
         "bulk_gap": {"lower": gap.lower, "upper": gap.upper, "margin": gap.margin},
         "samples": [[float(s), float(d)] for s, d in zip(report.samples, report.distances)],
@@ -515,15 +511,13 @@ _TASK_FNS = {
 
 
 def run(task: str, config_path: str, out_dir: str | None = None,
-        threads: int = 1, seed: int | None = None) -> int:
+        seed: int | None = None) -> int:
     """Execute one task; returns the exit status (0 pass, 2 fail verdict)."""
     cfg = load_config(config_path)
     if task != cfg["task"]:
         raise ConfigInvalid(f"config declares task {cfg['task']!r}, invoked {task!r}")
     if seed is not None:
         cfg["seed"] = seed
-    if threads > 1:
-        cfg.setdefault("params", {})["workers"] = threads
     out = out_dir or cfg.get("output_dir", "gapfill-out")
     os.makedirs(out, exist_ok=True)
     _write_manifest(out, cfg, config_path)
@@ -538,11 +532,10 @@ def main(argv=None) -> int:
     parser.add_argument("task", choices=TASKS)
     parser.add_argument("--config", required=True, help="JSON experiment config")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
     try:
-        status = run(args.task, args.config, args.out, args.threads, args.seed)
+        status = run(args.task, args.config, args.out, args.seed)
     except ConfigInvalid as exc:
         print(f"ConfigInvalid: {exc}", file=sys.stderr)
         return 1

@@ -32,7 +32,7 @@ from .model import (GaugeField, HalfPlaneShape, GraphShape, BallsShape,
                     HermitianOperator, MagneticLattice, RegionMask, _assemble,
                     assemble_restricted, build_gauge, cell_gauge, cell_lift_phases,
                     mask_from_member, twist_seams)
-from .spectral import SpectralInterval, Window, dense_cap, eigensolve
+from .spectral import SpectralInterval, eigensolve
 
 FLOW_CONVENTIONS = {
     "kappa_wrap_phase": "exp(+i*kappa) per cell in +x",
@@ -255,15 +255,14 @@ def localization_profile(op: HermitianOperator, eigenpair, mask: RegionMask) -> 
 
 
 def gap_filling_check(strip: StripSpec, bulk_gap: SpectralInterval, n_samples: int,
-                      delta: float, seed: int = 0,
-                      n_localization: int = 3, workers: int = 1) -> EdgeReport:
+                      delta: float, n_localization: int = 3) -> EdgeReport:
     """Are n_samples energies in the bulk-gap interior all within delta of strip spectrum?
 
     Samples are drawn from the gap inset by 5% of its width on both sides
     (the gap endpoints themselves may be spectrum).  For cell-periodic
-    shapes the strip spectrum is assembled from the momentum blocks; each
-    block is solved densely below the dense cap and through the windowed
-    solver above it.  Blocks are independent and may be solved in parallel.
+    shapes the strip spectrum is assembled from the momentum blocks, each
+    solved in turn by the dense eigensolve; other shapes solve the assembled
+    strip.  An operator above the dense cap raises DenseCapExceeded.
     """
     if bulk_gap.margin <= 0:
         raise MarginTooSmall("bulk_gap must be certified (margin > 0)")
@@ -280,40 +279,17 @@ def gap_filling_check(strip: StripSpec, bulk_gap: SpectralInterval, n_samples: i
     mid = bulk_gap.midpoint
     best_states = []  # (|E - mid|, E, block vector, kappa, block op)
     if _mask_cell_periodic(mask):
-        length = strip.length_cells
-
-        def solve(m):
-            kappa = 2.0 * np.pi * m / length
+        for m in range(strip.length_cells):
+            kappa = 2.0 * np.pi * m / strip.length_cells
             block = strip_block(strip, kappa, mask)
-            if block.dimension <= dense_cap():
-                rep = eigensolve(block, keep_vectors=True, seed=seed)
-            else:
-                # verdicts only need coverage of samples +- delta; a tight
-                # window keeps its edges away from the bulk Landau clusters
-                pad = 1.2 * delta
-                rep = eigensolve(block, Window(samples[0] - pad, samples[-1] + pad,
-                                               max_pairs=8 * strip.width_cells),
-                                 seed=seed)
-            best = None
-            if rep.eigenvectors is not None and len(rep.eigenvalues):
-                j = int(np.argmin(np.abs(rep.eigenvalues - mid)))
-                best = (abs(rep.eigenvalues[j] - mid), float(rep.eigenvalues[j]),
-                        rep.eigenvectors[:, j].copy(), kappa, block)
-            return rep.eigenvalues, best
-
-        if workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                solved = list(ex.map(solve, range(length)))
-        else:
-            solved = [solve(m) for m in range(length)]
-        for evs, best in solved:
-            eigenvalues.append(evs)
-            if best is not None:
-                best_states.append(best)
+            rep = eigensolve(block, keep_vectors=True)
+            eigenvalues.append(rep.eigenvalues)
+            j = int(np.argmin(np.abs(rep.eigenvalues - mid)))
+            best_states.append((abs(rep.eigenvalues[j] - mid), float(rep.eigenvalues[j]),
+                                rep.eigenvectors[:, j].copy(), kappa, block))
     else:
         op = strip_operator(strip)
-        rep = eigensolve(op, keep_vectors=True, seed=seed)
+        rep = eigensolve(op, keep_vectors=True)
         eigenvalues.append(rep.eigenvalues)
         for j in np.argsort(np.abs(rep.eigenvalues - mid))[:n_localization]:
             best_states.append((abs(rep.eigenvalues[j] - mid), float(rep.eigenvalues[j]),

@@ -23,15 +23,11 @@ class MissingPhase(GapfillError):
 
 
 class DenseCapExceeded(GapfillError):
-    """Dense eigensolve requested above the configured dimension cap."""
+    """Dense eigensolve requested above the fixed dimension cap."""
 
 
-class WindowNotConverged(GapfillError):
-    """Windowed eigensolve exhausted its budget before certification."""
-
-
-class IncompleteSpectrum(GapfillError):
-    """Gap detection on a report that does not certify completeness."""
+class ResidualNotCertified(GapfillError):
+    """A dense eigenpair fails the residual certificate."""
 
 
 class EnclosureViolation(GapfillError):

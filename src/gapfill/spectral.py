@@ -1,13 +1,9 @@
 """Eigensolvers, spectral intervals and Chebyshev functional calculus.
 
-Full-mode diagonalization goes through LAPACK with per-pair residual
-certificates.  Window mode runs Chebyshev-filtered subspace iteration on
-sparse matvecs: the returned pairs carry the same residual certificate, and
-completeness is certified through the filtered trace count: every captured
-in-window pair accounts for one unit of trace(p(H)), and the norm of the
-filter deflated by the captured subspace bounds the filter value of
-anything that escaped, so it must stay below the window floor for the
-counts to agree within 0.5.
+Every eigensolve is one dense LAPACK diagonalization of the whole operator,
+up to the fixed dimension cap DENSE_CAP, with a per-pair residual
+certificate; a report therefore always holds the complete spectrum, and
+gap detection and interval certification run over all of it.
 
 Filters are Chebyshev expansions on a stated spectral enclosure [a, b];
 applying one to a vector through the three-term recurrence grows the support
@@ -17,7 +13,6 @@ bookkeeping in :mod:`gapfill.coarse` relies on.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,18 +20,13 @@ import scipy.linalg
 import scipy.sparse as sp
 from numpy.polynomial import chebyshev as npcheb
 
-from .errors import (DenseCapExceeded, EnclosureViolation, IncompleteSpectrum,
-                     MarginTooSmall, WindowNotConverged)
+from .errors import (DenseCapExceeded, EnclosureViolation, MarginTooSmall,
+                     ResidualNotCertified)
 from .model import HermitianOperator
 
-DENSE_CAP_DEFAULT = 6000
+DENSE_CAP = 6000
 DEGREE_CAP_DEFAULT = 4096
 RESIDUAL_FACTOR = 1e-9
-
-
-def dense_cap() -> int:
-    """Configured dense eigensolve cap (env GAPFILL_DENSE_CAP overrides)."""
-    return int(os.environ.get("GAPFILL_DENSE_CAP", DENSE_CAP_DEFAULT))
 
 
 # ---------------------------------------------------------------------------
@@ -81,10 +71,8 @@ class SpectralInterval:
 
 @dataclass(frozen=True, eq=False)
 class SpectrumReport:
-    """Sorted eigenvalues with residual certificates and gap decomposition.
+    """Complete sorted spectrum with residual certificates and gap decomposition.
 
-    coverage is "full" for complete dense solves, else the (lower, upper)
-    window over which the eigenvalue list is certified complete.
     eigenvectors is None unless the caller asked to keep them.
     """
 
@@ -92,29 +80,15 @@ class SpectrumReport:
     residuals: np.ndarray
     clusters: tuple
     gaps: tuple
-    coverage: object
     norm_bound: float
     cluster_tol: float
     eigenvectors: np.ndarray | None = None
-
-    @property
-    def complete(self) -> bool:
-        return self.coverage == "full"
 
     def cluster_id(self, i: int) -> int:
         for cid, (a, b) in enumerate(self.clusters):
             if a <= i < b:
                 return cid
         return -1
-
-
-@dataclass(frozen=True)
-class Window:
-    """Window-mode request: all eigenpairs in (lower, upper), at most max_pairs."""
-
-    lower: float
-    upper: float
-    max_pairs: int = 256
 
 
 def _cluster(eigenvalues: np.ndarray, tol: float) -> tuple:
@@ -135,10 +109,7 @@ def detect_gaps(report: SpectrumReport, min_width: float) -> list[SpectralInterv
     from every eigenvalue, which is exactly the room a downstream smoothed
     projector may use.
     """
-    ev = report.eigenvalues
-    if report.coverage != "full" and len(ev) < 2:
-        raise IncompleteSpectrum("window report with fewer than two eigenvalues")
-    return _gaps_between(ev, min_width)
+    return _gaps_between(report.eigenvalues, min_width)
 
 
 def _gaps_between(ev: np.ndarray, min_width: float) -> list[SpectralInterval]:
@@ -154,11 +125,9 @@ def _gaps_between(ev: np.ndarray, min_width: float) -> list[SpectralInterval]:
 def certify_interval(report: SpectrumReport, lower: float, upper: float) -> SpectralInterval:
     """Interval with margin = min distance from the endpoints to the spectrum.
 
-    Requires a complete report (IncompleteSpectrum otherwise) so that the
-    endpoint distances are certified over the whole spectrum.
+    The report holds the complete spectrum, so the endpoint distances are
+    certified over all of it.
     """
-    if not report.complete:
-        raise IncompleteSpectrum("interval certification needs a full-mode report")
     ev = report.eigenvalues
     margin = float(min(np.abs(ev - lower).min(), np.abs(ev - upper).min()))
     return SpectralInterval(lower, upper, margin)
@@ -321,24 +290,18 @@ def materialize_filter(op: HermitianOperator, filt: ChebFilter) -> HermitianOper
 # eigensolve
 
 
-def eigensolve(op: HermitianOperator, mode="full", *, cluster_tol: float | None = None,
-               gaps_min_width: float | None = None, keep_vectors: bool = False,
-               seed: int = 0) -> SpectrumReport:
-    """Certified eigenvalues of a Hermitian operator.
+def eigensolve(op: HermitianOperator, *, cluster_tol: float | None = None,
+               gaps_min_width: float | None = None,
+               keep_vectors: bool = False) -> SpectrumReport:
+    """Complete certified spectrum of a Hermitian operator.
 
-    mode "full" diagonalizes densely (dimension <= dense cap) and certifies
-    every pair to ||Hv - lambda v|| <= 1e-9 ||H||.  A :class:`Window` mode
-    returns all eigenpairs inside the window via Chebyshev-filtered subspace
-    iteration with the same residual certificate plus a completeness check.
+    Diagonalizes densely (DenseCapExceeded above DENSE_CAP rows, before any
+    dense array is built) and certifies every pair to
+    ||Hv - lambda v|| <= 1e-9 max(||H||, 1) (ResidualNotCertified otherwise).
     """
-    if isinstance(mode, Window):
-        return _eigensolve_window(op, mode, cluster_tol, seed)
-    if mode != "full":
-        raise ValueError(f"mode must be 'full' or a Window, got {mode!r}")
     n = op.dimension
-    cap = dense_cap()
-    if n > cap:
-        raise DenseCapExceeded(f"dimension {n} exceeds dense cap {cap}")
+    if n > DENSE_CAP:
+        raise DenseCapExceeded(f"dimension {n} exceeds dense cap {DENSE_CAP}")
     w, v = scipy.linalg.eigh(op.matrix.toarray(), driver="evr",
                              overwrite_a=True, check_finite=False)
     res = np.linalg.norm(op.matrix @ v - v * w, axis=0)
@@ -346,7 +309,7 @@ def eigensolve(op: HermitianOperator, mode="full", *, cluster_tol: float | None 
                              cluster_tol=cluster_tol, gaps_min_width=gaps_min_width)
     tol = residual_tolerance(report.norm_bound)
     if res.max() > tol:
-        raise WindowNotConverged(f"dense residual {res.max():.3e} above {tol:.3e}")
+        raise ResidualNotCertified(f"dense residual {res.max():.3e} above {tol:.3e}")
     return report
 
 
@@ -356,20 +319,18 @@ def residual_tolerance(norm_bound: float) -> float:
 
 
 def spectrum_report(w: np.ndarray, residuals: np.ndarray, vectors=None, *,
-                    coverage="full", norm_bound: float | None = None,
                     cluster_tol: float | None = None,
                     gaps_min_width: float | None = None) -> SpectrumReport:
-    """Clusters and gaps of sorted certified eigenvalues, with their defaults.
+    """Clusters and gaps of a complete sorted certified spectrum, with their defaults.
 
-    norm_bound defaults to max |lambda|, which bounds ||H|| for a complete
-    spectrum.  Every solver route builds its report here.
+    The norm bound is max |lambda|, which is ||H|| for a complete spectrum.
+    Both solver routes (dense and Bloch fibers) build their report here.
     """
-    if norm_bound is None:
-        norm_bound = float(np.abs(w).max()) if len(w) else 0.0
+    norm_bound = float(np.abs(w).max()) if len(w) else 0.0
     ctol = cluster_tol if cluster_tol is not None else _default_cluster_tol(w)
     gmw = gaps_min_width if gaps_min_width is not None else _default_gap_width(w)
     return SpectrumReport(w, residuals, _cluster(w, ctol), tuple(_gaps_between(w, gmw)),
-                          coverage, norm_bound, ctol, vectors)
+                          norm_bound, ctol, vectors)
 
 
 def _default_cluster_tol(w: np.ndarray) -> float:
@@ -380,131 +341,6 @@ def _default_cluster_tol(w: np.ndarray) -> float:
 def _default_gap_width(w: np.ndarray) -> float:
     spread = float(w[-1] - w[0]) if len(w) > 1 else 1.0
     return 0.01 * spread
-
-
-def _orth(v: np.ndarray) -> np.ndarray:
-    qmat, _ = np.linalg.qr(v)
-    return qmat
-
-
-WINDOW_CAPTURE_LEVEL = 0.45  # erf filter sits at 0.5 exactly on the window edges
-
-
-def _eigensolve_window(op: HermitianOperator, win: Window, cluster_tol, seed):
-    """Chebyshev-filtered subspace iteration over (win.lower, win.upper).
-
-    The filter p is a smoothed indicator of the window (p = 1/2 exactly on
-    the edges).  The iteration keeps a block larger than the estimated
-    count and locks once every Ritz pair with p(theta) above the capture
-    level meets the residual certificate.  Completeness is certified by the
-    filtered trace count: captured in-window pairs each account for one
-    unit of trace(p(H)) mass (their residuals pin them), and the norm of
-    the deflated filter p(H)(1 - VV*) bounds the filter value of any
-    eigenvalue that escaped the subspace.  A missed window eigenvalue would
-    keep that norm >= 1/2, so the certified miss count is 0 whenever the
-    deflated norm stays below the capture level; otherwise the filtered
-    trace count disagrees with the pair count by >= 1 and the solve fails.
-    """
-    n = op.dimension
-    lo, hi = win.lower, win.upper
-    if not lo < hi:
-        raise ValueError("window needs lower < upper")
-    a, b = op.gershgorin()
-    a -= 1e-9 * (abs(a) + 1)
-    b += 1e-9 * (abs(b) + 1)
-    norm_bound = max(abs(a), abs(b))
-    tol = residual_tolerance(norm_bound)
-    width = hi - lo
-    rng = np.random.default_rng(seed)
-
-    smoothing = width / 12.0
-    degree = 64
-    filt = None
-    while degree <= DEGREE_CAP_DEFAULT:
-        filt = smoothed_indicator_filter(lo, hi, smoothing, (a, b), degree)
-        if filt.uniform_error <= 1e-3:
-            break
-        degree *= 2
-    if filt is None or filt.uniform_error > 1e-3:
-        raise WindowNotConverged("window filter did not reach 1e-3 within the degree cap")
-
-    matrix = op.matrix
-
-    def filt_apply(block):
-        return _cheb_apply(matrix, filt.coefficients, a, b, block)
-
-    def filt_power(block):
-        # cubing the filter per Rayleigh-Ritz round sharpens the wanted /
-        # unwanted amplification ratio when the window edge sits close to
-        # surrounding spectrum
-        for _ in range(3):
-            block = filt_apply(block)
-        return block
-
-    # stochastic trace estimate of p(H) sizes the block (tail mass only
-    # inflates it, which is safe)
-    m0 = min(24, n)
-    z = rng.choice([-1.0, 1.0], size=(n, m0))
-    count_est = float(np.einsum("ij,ij->", z, filt_apply(z).real) / m0)
-    block_cap = min(n, max(64, 3 * win.max_pairs))
-    block = int(np.clip(np.ceil(max(count_est, 0.0) * 1.2) + 8, 8, block_cap))
-
-    v = _orth(rng.standard_normal((n, block)) + 1j * rng.standard_normal((n, block)))
-    keep = None
-    rho = np.inf
-    for it in range(60):
-        v = _orth(filt_power(v))
-        hv = matrix @ v
-        smat = v.conj().T @ hv
-        smat = 0.5 * (smat + smat.conj().T)
-        theta, u = np.linalg.eigh(smat)
-        vecs = v @ u
-        hvecs = hv @ u
-        res = np.linalg.norm(hvecs - vecs * theta, axis=0)
-        # only residual-certified Ritz pairs count: unconverged directions
-        # are mixtures of transition states whose Rayleigh quotients can
-        # land anywhere in the window (ghosts), and they never converge
-        converged = res <= tol
-        inside = (theta > lo) & (theta < hi)
-        if it >= 3 and it % 3 == 0:
-            cvecs = vecs[:, converged]
-
-            def deflated(x):
-                x = x - cvecs @ (cvecs.conj().T @ x)
-                y = filt_apply(x)
-                return y - cvecs @ (cvecs.conj().T @ y)
-
-            rho = operator_norm(deflated, n, hermitian=True, rtol=1e-2,
-                                iterations=25, seed=seed + 1)
-            if rho < WINDOW_CAPTURE_LEVEL:
-                keep = (theta[inside & converged], res[inside & converged],
-                        vecs[:, inside & converged])
-                break
-        if it in (12, 24, 36) and block < block_cap:
-            extra = _orth(rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8)))
-            v = _orth(np.hstack([vecs, extra]))
-            block = v.shape[1]
-        else:
-            v = vecs
-    if keep is None:
-        raise WindowNotConverged(
-            f"subspace iteration budget exhausted (deflated filter norm {rho:.3f})")
-
-    w_in, r_in, v_in = keep
-    count = int(len(w_in))
-    if count > win.max_pairs:
-        raise WindowNotConverged(f"{count} pairs in window exceed max_pairs={win.max_pairs}")
-    # filtered trace count: each captured in-window pair accounts for one
-    # unit of trace(p(H)); the deflated norm certificate (rho < capture
-    # level < p on the window) leaves no room for a missed unit
-    trace_count = count + (0 if rho < WINDOW_CAPTURE_LEVEL else 1)
-    if abs(trace_count - count) > 0.5:
-        raise WindowNotConverged(
-            f"completeness check failed: filtered trace count {trace_count} vs {count}")
-
-    order = np.argsort(w_in)
-    return spectrum_report(w_in[order], r_in[order], v_in[:, order], coverage=(lo, hi),
-                           norm_bound=norm_bound, cluster_tol=cluster_tol)
 
 
 # ---------------------------------------------------------------------------

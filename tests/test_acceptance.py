@@ -19,7 +19,7 @@ from gapfill.model import (DiskShape, HalfPlaneShape, MagneticLattice,
                            assemble_bulk, assemble_restricted, build_gauge,
                            gauge_transform, make_mask, mask_all,
                            plaquette_products)
-from gapfill.spectral import (SpectralInterval, Window, certify_interval,
+from gapfill.spectral import (SpectralInterval, certify_interval,
                               detect_gaps, eigensolve, materialize_filter,
                               polynomial_filter, smoothed_indicator_filter,
                               spectral_projection)
@@ -87,7 +87,7 @@ class TestAcceptance:
             lat = MagneticLattice(k, q, 2, 2, "torus")
             gauge = build_gauge(lat)
             ival = SpectralInterval(-1.0, EIGHT_PI * k * 0.5)
-            pairs = [invariant_pair(lat, gauge, ival, BlochGrid(n, n), workers=2)
+            pairs = [invariant_pair(lat, gauge, ival, BlochGrid(n, n))
                      for n in (12, 16, 24)]
             ok &= all(p == (2 * k, -1) for p in pairs)
             details.append(f"k={k}: {pairs}")
@@ -101,9 +101,9 @@ class TestAcceptance:
         cert = certify_interval(rep, gap.lower + 0.02 * gap.width,
                                 gap.upper - 0.02 * gap.width)
         base = gap_filling_check(make_strip(1, 8, 16, 48), cert, 16, 0.5,
-                                 n_localization=1, workers=2)
+                                 n_localization=1)
         doubled = gap_filling_check(make_strip(1, 8, 32, 48), cert, 16, 0.5,
-                                    n_localization=0, workers=2)
+                                    n_localization=0)
         ok = (base.all_pass and doubled.all_pass
               and doubled.max_distance <= base.max_distance + 1e-6)
         assert announce(4, "gap filling", ok,
@@ -121,7 +121,7 @@ class TestAcceptance:
         shape = BallsShape(HalfPlaneShape(0.0), 1.0 / 3.0,
                            tuple((float(c), 1.0) for c in range(48)))
         report = gap_filling_check(make_strip(1, 8, 16, 48, shape=shape), cert,
-                                   16, 0.5, n_localization=0, workers=2)
+                                   16, 0.5, n_localization=0)
         ok = report.all_pass
         assert announce(5, "perturbation robustness (1/3-balls)", ok,
                         f"max distance {report.max_distance:.4f} at delta 0.5 "

@@ -1,10 +1,13 @@
+import glob
 import json
 import os
 
 import numpy as np
 import pytest
 
-from gapfill.cli import main
+from gapfill.cli import TASKS, load_config, main
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def write_config(path, model=None, task="bulk-spectrum", params=None, seed=0,
@@ -79,6 +82,22 @@ class TestConfigValidation:
                      str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("ConfigInvalid: params/shape/f_samples")
+
+
+class TestShippedConfigs:
+    def test_configs_load_and_name_their_task(self):
+        paths = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json")))
+        assert paths
+        out_dirs = {}
+        for path in paths:
+            cfg = load_config(path)
+            # k1-edge-fill-balls.json names the task edge-fill
+            stem = os.path.basename(path)[:-len(".json")].split("-", 1)[1]
+            assert cfg["task"] in TASKS
+            assert stem == cfg["task"] or stem.startswith(cfg["task"] + "-"), path
+            out_dirs.setdefault(cfg["task"], []).append(cfg.get("output_dir"))
+        for task, dirs in out_dirs.items():
+            assert len(set(dirs)) == len(dirs), f"{task} configs share an output_dir"
 
 
 class TestBulkSpectrumTask:
@@ -159,18 +178,13 @@ class TestChernTask:
         assert doc["orientation"] == "ds_wedge_dt_positive"
         assert "max_flux" in doc and "group" in doc
 
-    def test_independent_of_thread_count(self, tmp_path):
-        cfg = write_config(tmp_path / "cfg.json",
-                           model={"k": 1, "q": 4, "cells_x": 2, "cells_y": 2,
-                                  "geometry": "torus", "gauge": "landau"},
-                           task="chern",
-                           params={"grid": [8, 8], "interval": [-2.0, 9.0]})
-        out1, out2 = tmp_path / "t1", tmp_path / "t2"
-        main(["chern", "--config", str(cfg), "--out", str(out1), "--threads", "1"])
-        main(["chern", "--config", str(cfg), "--out", str(out2), "--threads", "2"])
-        d1 = json.loads((out1 / "chern.json").read_text())
-        d2 = json.loads((out2 / "chern.json").read_text())
-        assert d1 == d2
+    @pytest.mark.parametrize("interval", [[9.0, -2.0], [3.0, 3.0]])
+    def test_reversed_interval_exit_1(self, tmp_path, capsys, interval):
+        cfg = write_config(tmp_path / "cfg.json", task="chern",
+                           params={"grid": [8, 8], "interval": interval})
+        assert main(["chern", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigInvalid: params/interval: need lower < upper")
 
 
 class TestWidenessTask:
@@ -341,6 +355,20 @@ class TestReportChain:
         err = capsys.readouterr().err
         assert err.startswith("StripTooNarrow: ")
         assert "magnetic length is inf at k = 0" in err
+
+    def test_block_above_dense_cap_exit_1(self, tmp_path, capsys):
+        # q=8, 95 cells wide: one momentum block has 6088 rows > DENSE_CAP
+        model = {"k": 1, "q": 8, "cells_x": 4, "cells_y": 4,
+                 "geometry": "torus", "gauge": "landau"}
+        cfg = write_config(tmp_path / "c.json", model=model, task="edge-fill",
+                           params={"width_cells": 95, "length_cells": 2,
+                                   "n_samples": 4, "delta": 0.5,
+                                   "bulk_cells": 4})
+        status = main(["edge-fill", "--config", str(cfg), "--out",
+                       str(tmp_path / "out")])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.startswith("DenseCapExceeded: dimension 6088 exceeds dense cap 6000")
 
     def test_failing_edge_fill_exit_2(self, tmp_path):
         out = tmp_path / "out"

@@ -9,7 +9,7 @@ from gapfill.errors import BandConnectionAmbiguous, UnsupportedShape
 from gapfill.model import (BallsShape, GraphShape, HalfPlaneShape,
                            MagneticLattice, build_gauge, make_mask,
                            mask_all)
-from gapfill.spectral import Window, certify_interval, eigensolve
+from gapfill.spectral import certify_interval, eigensolve
 
 
 @pytest.fixture(scope="module")
@@ -80,23 +80,6 @@ class TestGapFilling:
         report = gap_filling_check(strip, gap, n_samples=8, delta=1.0)
         assert report.all_pass
         assert report.max_distance <= 1.0
-
-    def test_windowed_blocks_match_dense_blocks(self, monkeypatch):
-        # dense-diagonalization oracle on the same strip before trusting
-        # windowed solves: force the windowed path and compare distances
-        lat = MagneticLattice(1, 6, 3, 3, "torus")
-        rep = torus_spectrum(lat, build_gauge(lat))
-        gap = next(g for g in rep.gaps if g.contains(4 * np.pi))
-        gap = certify_interval(rep, gap.lower + 0.02 * gap.width,
-                               gap.upper - 0.02 * gap.width)
-        strip = make_strip(1, 6, 8, 24)
-        dense = gap_filling_check(strip, gap, n_samples=6, delta=0.8,
-                                  n_localization=0)
-        assert dense.all_pass
-        monkeypatch.setenv("GAPFILL_DENSE_CAP", "64")
-        windowed = gap_filling_check(strip, gap, n_samples=6, delta=0.8,
-                                     n_localization=0)
-        assert np.abs(dense.distances - windowed.distances).max() < 1e-6
 
     def test_samples_below_spectrum_all_fail(self, small_gap):
         from gapfill.spectral import SpectralInterval

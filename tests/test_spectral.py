@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
+from gapfill import spectral
 from gapfill.errors import (DenseCapExceeded, EnclosureViolation,
-                            IncompleteSpectrum, MarginTooSmall,
-                            WindowNotConverged)
+                            MarginTooSmall, ResidualNotCertified)
 from gapfill.model import (HermitianOperator, MagneticLattice, assemble_bulk,
                            build_gauge)
-from gapfill.spectral import (SpectralInterval, SpectrumReport, Window,
-                              _cheb_fit, apply_filter, certify_interval,
-                              detect_gaps, eigensolve, gaussian_filter,
+from gapfill.spectral import (DENSE_CAP, SpectralInterval, _cheb_fit,
+                              apply_filter, certify_interval, detect_gaps,
+                              eigensolve, gaussian_filter,
                               materialize_filter, operator_norm,
                               polynomial_filter, smoothed_indicator_filter,
                               spectral_projection)
@@ -37,7 +38,7 @@ class TestEigensolveFull:
 
     def test_degenerate_spectrum_has_no_gap(self):
         # spread 0 makes the default gap width 0; equal eigenvalues still
-        # bound no gap (a window holding one degenerate pair hits this)
+        # bound no gap
         rep = eigensolve(toy_diagonal([5.0, 5.0]))
         assert rep.gaps == ()
         assert detect_gaps(rep, 0.0) == []
@@ -52,11 +53,29 @@ class TestEigensolveFull:
         direct = np.linalg.norm(op.matrix @ v - v * rep2.eigenvalues, axis=0)
         assert np.abs(direct - rep2.residuals).max() < 1e-12
 
-    def test_dense_cap(self, monkeypatch):
-        monkeypatch.setenv("GAPFILL_DENSE_CAP", "10")
+    def test_residual_certificate_can_fail(self, monkeypatch):
+        # a pair shifted off the spectrum by 1e-3 has residual 1e-3, far
+        # above 1e-9 * ||H|| for this operator
         _, op = bulk()
-        with pytest.raises(DenseCapExceeded):
+        eigh = scipy.linalg.eigh
+
+        def perturbed(a, **kwargs):
+            w, v = eigh(a, **kwargs)
+            return w + 1e-3, v
+
+        monkeypatch.setattr(spectral.scipy.linalg, "eigh", perturbed)
+        with pytest.raises(ResidualNotCertified, match="dense residual"):
             eigensolve(op)
+
+    def test_dense_cap(self, monkeypatch):
+        # the cap is checked on the sparse operator: no dense array is built
+        def no_dense(*args, **kwargs):
+            raise AssertionError("dense array built above the cap")
+
+        monkeypatch.setattr(sp.csr_matrix, "toarray", no_dense)
+        monkeypatch.setattr(spectral.scipy.linalg, "eigh", no_dense)
+        with pytest.raises(DenseCapExceeded, match=f"dimension {DENSE_CAP + 1} "):
+            eigensolve(toy_diagonal(np.arange(DENSE_CAP + 1.0)))
 
     def test_landau_cluster_count(self, torus_reports):
         # one lowest-level state per flux quantum: 2k per cell x 16 cells
@@ -106,38 +125,10 @@ class TestGaps:
         assert gap.lower <= gap0.lower + w + 1e-9
         assert gap.upper >= gap0.upper - w - 1e-9
 
-    def test_incomplete_spectrum(self):
-        rep = SpectrumReport(np.array([1.0]), np.array([0.0]), ((0, 1),), (),
-                             (0.0, 2.0), 2.0, 1e-8)
-        with pytest.raises(IncompleteSpectrum):
-            detect_gaps(rep, 0.1)
-
     def test_certify_interval_margin(self):
         rep = eigensolve(toy_diagonal([0.0, 10.0]))
         ival = certify_interval(rep, 2.0, 7.0)
         assert ival.margin == pytest.approx(2.0)
-
-
-class TestWindowMode:
-    def test_parity_with_full(self, torus_reports):
-        rep = torus_reports(1, 8, 4)
-        lat = MagneticLattice(1, 8, 4, 4, "torus")
-        op = assemble_bulk(lat, build_gauge(lat))
-        win = eigensolve(op, Window(23.0, 27.0, max_pairs=64), seed=3)
-        ref = rep.eigenvalues[(rep.eigenvalues > 23.0) & (rep.eigenvalues < 27.0)]
-        assert len(win.eigenvalues) == len(ref)
-        assert np.abs(np.sort(win.eigenvalues) - ref).max() < 1e-8
-        assert win.residuals.max() <= 1e-9 * win.norm_bound
-
-    def test_empty_window(self):
-        _, op = bulk()
-        win = eigensolve(op, Window(5.0, 15.0, max_pairs=8), seed=1)
-        assert len(win.eigenvalues) == 0
-
-    def test_max_pairs_exceeded(self):
-        _, op = bulk()
-        with pytest.raises(WindowNotConverged):
-            eigensolve(op, Window(-2.0, 30.0, max_pairs=2), seed=1)
 
 
 class TestFilters:
