@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (FluxNotAdmissible, GaugeNotCellPeriodic, LiftNotCertified,
-                     NonConstantRank, NonTorusGeometry, NoUniformGap, SingularOverlap)
+                     NonConstantRank, NonTorusGeometry, NoUniformGap, ResidualNotCertified,
+                     SingularOverlap)
 from .model import (GaugeField, MagneticLattice, _assemble, assemble_bulk, cell_gauge,
                     cell_lift_phases, twist_seams)
 from .spectral import (SpectralInterval, SpectrumReport, residual_tolerance,
@@ -222,7 +223,7 @@ def band_structure(lattice: MagneticLattice, gauge: GaugeField, grid: BlochGrid,
         max_res = max(max_res, float(res))
     fiber_norm = float(np.abs(energies).max())
     if max_res > FIBER_RESIDUAL_FACTOR * max(fiber_norm, 1.0):
-        raise RuntimeError(f"fiber residual {max_res:.3e} above certificate")
+        raise ResidualNotCertified(f"fiber residual {max_res:.3e} above certificate")
 
     # enclosure width from the Gershgorin bound of the stencil
     hi2 = float(lattice.q) ** 2

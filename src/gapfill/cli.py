@@ -326,6 +326,7 @@ def _task_edge_fill(cfg, out):
         "all_pass": report.all_pass,
         "max_distance": report.max_distance,
         "n_strip_eigenvalues": report.n_strip_eigenvalues,
+        "solver": report.solver,
         "localization": [{"energy": lp.energy,
                           "mass_within_1_5": lp.mass_within(1.5),
                           "decay_rate": lp.decay_rate} for lp in report.localization],
@@ -360,6 +361,7 @@ def _task_bands(cfg, out):
         "crossings": [{"kappa": c.kappa, "sign": c.sign, "edge": c.edge,
                        "mass_lower": c.mass_lower} for c in flow.crossings],
         "conventions": flow.conventions,
+        "solver": flow.solver,
     })
     in_gap = np.abs(flow.dispersion - flow.e_ref) < flow.window_halfwidth * 1.5
     series = [{"x": [float(k) for k in flow.kappas],

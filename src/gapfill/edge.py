@@ -9,7 +9,13 @@ cheap.  The block at kappa is the window stencil of :mod:`gapfill.model` on
 the one-cell-wide strip, whose x seam links carry the Landau translation
 cocycle, twisted by e^{i*kappa} (:func:`gapfill.model.twist_seams`); the
 unitary equivalence with the assembled strip matrix is exercised directly
-by the test suite.
+by the test suite.  Every block is solved on the banded route of
+:mod:`gapfill.spectral`: all eigenvalues without vectors, eigenvectors by
+inverse iteration only where a verdict or a band continuation needs one,
+residual certificates on those vectors and inertia counts on every
+eigenvalue count a verdict rests on.  A strip whose shape is not
+cell-periodic has no blocks: gap filling solves it densely as one
+operator, and band structures refuse it (UnsupportedShape).
 
 Sign conventions, recorded in every report: kappa increases along the
 positive dual direction (the wrap phase is e^{+i*kappa}), a crossing counts
@@ -23,16 +29,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 
-from .errors import (BandConnectionAmbiguous, EmptyRegion, MarginTooSmall,
-                     StripTooNarrow, UnsupportedShape)
+from .errors import (BandConnectionAmbiguous, CountNotCertified, EmptyRegion,
+                     MarginTooSmall, StripTooNarrow, UnsupportedShape)
 from .model import (GaugeField, HalfPlaneShape, GraphShape, BallsShape,
                     HermitianOperator, MagneticLattice, RegionMask, _assemble,
                     assemble_restricted, build_gauge, cell_gauge, cell_lift_phases,
                     mask_from_member, twist_seams)
-from .spectral import SpectralInterval, eigensolve
+from .spectral import (SpectralInterval, banded, banded_eigenvalues, banded_vectors,
+                       certify_counts, eigensolve, inertia)
 
 FLOW_CONVENTIONS = {
     "kappa_wrap_phase": "exp(+i*kappa) per cell in +x",
@@ -150,7 +156,7 @@ def strip_block(strip: StripSpec, kappa: float, mask: RegionMask | None = None) 
     lat = strip.lattice
     mask = mask or strip_mask(strip)
     if not _mask_cell_periodic(mask):
-        raise ValueError("strip mask is not cell-periodic; no block reduction")
+        raise UnsupportedShape("strip mask is not cell-periodic; no block reduction")
     cell = MagneticLattice(lat.k, lat.q, 1, lat.cells_y, "strip", lat.potential)
     prov = {"lattice": lat, "gauge_kind": "landau", "mask": mask.descriptor,
             "kappa": kappa, "shift": -4.0 * np.pi * lat.k}
@@ -201,7 +207,11 @@ class LocalizationProfile:
 
 @dataclass(frozen=True, eq=False)
 class EdgeReport:
-    """Gap-filling verdicts: per-sample nearest-eigenvalue distances."""
+    """Gap-filling verdicts: per-sample nearest-eigenvalue distances.
+
+    solver names the route ("banded" momentum blocks or one "dense" strip
+    solve) with the block count and sizes.
+    """
 
     samples: np.ndarray
     distances: np.ndarray
@@ -210,6 +220,7 @@ class EdgeReport:
     localization: tuple
     conventions: dict
     n_strip_eigenvalues: int
+    solver: dict
 
     @property
     def all_pass(self) -> bool:
@@ -260,9 +271,16 @@ def gap_filling_check(strip: StripSpec, bulk_gap: SpectralInterval, n_samples: i
 
     Samples are drawn from the gap inset by 5% of its width on both sides
     (the gap endpoints themselves may be spectrum).  For cell-periodic
-    shapes the strip spectrum is assembled from the momentum blocks, each
-    solved in turn by the dense eigensolve; other shapes solve the assembled
-    strip.  An operator above the dense cap raises DenseCapExceeded.
+    shapes the strip spectrum is the union of the momentum-block spectra,
+    each from one banded values-only solve (:func:`gapfill.spectral.banded`).
+    A sample passes when |s - lambda| + r <= delta for its nearest
+    eigenvalue lambda, with r the residual of lambda's inverse-iteration
+    eigenvector, which bounds the distance from s to the spectrum.  A
+    failing sample is certified by the block inertia counts: no eigenvalue
+    lies in [s - delta, s + delta) (CountNotCertified otherwise).  The
+    n_localization states nearest mid-gap (the nearest in each block, then
+    the best across blocks) are the only other vectors computed.  Other
+    shapes solve the assembled strip densely, up to the dense cap.
     """
     if bulk_gap.margin <= 0:
         raise MarginTooSmall("bulk_gap must be certified (margin > 0)")
@@ -275,34 +293,35 @@ def gap_filling_check(strip: StripSpec, bulk_gap: SpectralInterval, n_samples: i
     samples = np.linspace(bulk_gap.lower + eps0, bulk_gap.upper - eps0, n_samples)
 
     mask = strip_mask(strip)
-    eigenvalues = []
     mid = bulk_gap.midpoint
-    best_states = []  # (|E - mid|, E, block vector, kappa, block op)
     if _mask_cell_periodic(mask):
-        for m in range(strip.length_cells):
-            kappa = 2.0 * np.pi * m / strip.length_cells
-            block = strip_block(strip, kappa, mask)
-            rep = eigensolve(block, keep_vectors=True)
-            eigenvalues.append(rep.eigenvalues)
-            j = int(np.argmin(np.abs(rep.eigenvalues - mid)))
-            best_states.append((abs(rep.eigenvalues[j] - mid), float(rep.eigenvalues[j]),
-                                rep.eigenvectors[:, j].copy(), kappa, block))
+        kappas = 2.0 * np.pi * np.arange(strip.length_cells) / strip.length_cells
+        blocks = [banded(strip_block(strip, kappa, mask)) for kappa in kappas]
+        values = [banded_eigenvalues(b) for b in blocks]
+        distances, verdicts = _banded_verdicts(blocks, values, samples, delta)
+        nearest = [(abs(w[j] - mid), m, j) for m, w in enumerate(values)
+                   for j in [int(np.argmin(np.abs(w - mid)))]]
+        nearest.sort(key=lambda t: t[0])
+        states = []
+        for (_, m, j) in nearest[:n_localization]:
+            vec = banded_vectors(blocks[m], values[m], [j])[0][:, 0]
+            states.append((float(values[m][j]), vec, kappas[m], blocks[m].op))
+        n_eigenvalues = sum(len(w) for w in values)
+        solver = _banded_solver(len(blocks), blocks[0])
     else:
         op = strip_operator(strip)
         rep = eigensolve(op, keep_vectors=True)
-        eigenvalues.append(rep.eigenvalues)
-        for j in np.argsort(np.abs(rep.eigenvalues - mid))[:n_localization]:
-            best_states.append((abs(rep.eigenvalues[j] - mid), float(rep.eigenvalues[j]),
-                                rep.eigenvectors[:, j], None, op))
-    spectrum = np.sort(np.concatenate(eigenvalues))
-    distances = np.array([np.abs(spectrum - s).min() if len(spectrum) else np.inf
-                          for s in samples])
-    verdicts = distances <= delta
+        ev = rep.eigenvalues
+        distances = np.array([np.abs(ev - s).min() for s in samples])
+        verdicts = distances <= delta
+        states = [(float(ev[j]), rep.eigenvectors[:, j], None, op)
+                  for j in np.argsort(np.abs(ev - mid))[:n_localization]]
+        n_eigenvalues = len(ev)
+        solver = {"route": "dense", "blocks": 1, "block_dim": op.dimension}
 
-    best_states.sort(key=lambda t: t[0])
     profiles = []
     strip_op = None
-    for (_, energy, vec, kappa, block) in best_states[:n_localization]:
+    for (energy, vec, kappa, block) in states:
         if kappa is None:
             profiles.append(localization_profile(block, (energy, vec), mask))
         else:
@@ -312,7 +331,41 @@ def gap_filling_check(strip: StripSpec, bulk_gap: SpectralInterval, n_samples: i
             lifted = lift_block_vector(strip, block, kappa, vec, mask, gauge)
             profiles.append(localization_profile(strip_op, (energy, lifted), mask))
     return EdgeReport(samples, distances, delta, verdicts, tuple(profiles),
-                      dict(FLOW_CONVENTIONS), int(len(spectrum)))
+                      dict(FLOW_CONVENTIONS), int(n_eigenvalues), solver)
+
+
+def _banded_verdicts(blocks: list, values: list, samples: np.ndarray,
+                     delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-eigenvalue distances of the samples and their certified verdicts."""
+    block_of = np.repeat(np.arange(len(values)), [len(w) for w in values])
+    index_of = np.concatenate([np.arange(len(w)) for w in values])
+    d = np.abs(np.concatenate(values)[None, :] - samples[:, None])
+    nearest = d.argmin(axis=1)
+    dist = d[np.arange(len(samples)), nearest]
+    near = dist <= delta
+    bound = dist.copy()
+    for m in np.unique(block_of[nearest[near]]):
+        pick = near & (block_of[nearest] == m)
+        idx, inverse = np.unique(index_of[nearest[pick]], return_inverse=True)
+        bound[pick] += banded_vectors(blocks[m], values[m], idx)[1][inverse]
+    verdicts = near & (bound <= delta)
+    failing = samples[~verdicts]
+    if len(failing):
+        shifts = np.concatenate([failing - delta, failing + delta])
+        nu = sum(inertia(b, shifts) for b in blocks)
+        inside = nu[len(failing):] - nu[:len(failing)]
+        if inside.any():
+            i = int(np.flatnonzero(inside)[0])
+            raise CountNotCertified(
+                f"sample {failing[i]:.12g} has no eigenpair certified within {delta}, "
+                f"but the inertia count finds {int(inside[i])} eigenvalues there")
+    return dist, verdicts
+
+
+def _banded_solver(n_blocks: int, b) -> dict:
+    """Solver record of a strip's momentum blocks; they share one sparsity pattern."""
+    return {"route": "banded", "blocks": n_blocks, "block_dim": b.op.dimension,
+            "bandwidth": b.bandwidth}
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +390,8 @@ class SpectralFlowReport:
 
     window_energies[i] / window_mass_lower[i] hold, per momentum, the
     energies and lower-half masses of the bands inside the analysis window
-    |E - e_ref| <= window_halfwidth (eigenvectors are only computed there).
+    |E - e_ref| <= window_halfwidth (eigenvectors are only computed there);
+    solver records the banded route with the block count and sizes.
     """
 
     kappas: np.ndarray
@@ -351,6 +405,7 @@ class SpectralFlowReport:
     window_halfwidth: float
     window_energies: tuple
     window_mass_lower: tuple
+    solver: dict
 
 
 def strip_bands(strip: StripSpec, n_kappa: int, e_ref: float | None = None,
@@ -358,7 +413,12 @@ def strip_bands(strip: StripSpec, n_kappa: int, e_ref: float | None = None,
                 window_halfwidth: float | None = None) -> SpectralFlowReport:
     """Dispersion over kappa in [0, 2*pi) with edge-resolved crossing counts.
 
-    Bands inside  |E - e_ref| <= window_halfwidth  are continued between
+    Each momentum block takes one banded values-only solve for its whole
+    dispersion row; the window count is certified by the inertia counts at
+    the window ends (CountNotCertified otherwise), and only the window
+    bands get eigenvectors, by inverse iteration.  Window energies are the
+    banded eigenvalues themselves.  Bands inside the window
+    |E - e_ref| <= window_halfwidth  are continued between
     consecutive momenta by maximal eigenvector overlap (optimal assignment);
     a crossing pair with overlap below 0.5 raises BandConnectionAmbiguous.
     Crossings are assigned to the lower/upper edge by >= 60% mass on the
@@ -373,7 +433,8 @@ def strip_bands(strip: StripSpec, n_kappa: int, e_ref: float | None = None,
         window_halfwidth = 0.35 * 8.0 * np.pi * max(k, 1)
     mask = strip_mask(strip)
     if not _mask_cell_periodic(mask):
-        raise ValueError("strip_bands needs a cell-periodic (flat or graph-periodic) shape")
+        raise UnsupportedShape(
+            "strip_bands needs a cell-periodic (flat or graph-periodic) shape")
 
     kappas = 2.0 * np.pi * np.arange(n_kappa) / n_kappa
     lo, hi = e_ref - window_halfwidth, e_ref + window_halfwidth
@@ -382,15 +443,16 @@ def strip_bands(strip: StripSpec, n_kappa: int, e_ref: float | None = None,
     energies_all = []
     win_vals, win_vecs, win_mass = [], [], []
     for kappa in kappas:
-        block = strip_block(strip, kappa, mask)
-        dense = block.matrix.toarray()
-        energies_all.append(np.linalg.eigvalsh(dense))
-        w, v = scipy.linalg.eigh(dense, subset_by_value=(lo, hi))
-        lower_rows = block.sites[:, 1] * lat.h < region_mid
-        mass = (np.abs(v[lower_rows]) ** 2).sum(axis=0)
-        win_vals.append(w)
+        b = banded(strip_block(strip, kappa, mask))
+        w = banded_eigenvalues(b)
+        certify_counts(b, w, (lo, hi))
+        window = np.flatnonzero((w > lo) & (w <= hi))
+        v, _ = banded_vectors(b, w, window)
+        lower_rows = b.op.sites[:, 1] * lat.h < region_mid
+        energies_all.append(w)
+        win_vals.append(w[window])
         win_vecs.append(v)
-        win_mass.append(mass)
+        win_mass.append((np.abs(v[lower_rows]) ** 2).sum(axis=0))
     dispersion = np.array(energies_all)
 
     crossings = []
@@ -426,4 +488,4 @@ def strip_bands(strip: StripSpec, n_kappa: int, e_ref: float | None = None,
     return SpectralFlowReport(kappas, dispersion, float(e_ref), tuple(crossings),
                               designated_edge, int(net), int(net_upper),
                               dict(FLOW_CONVENTIONS), float(window_halfwidth),
-                              tuple(win_vals), tuple(win_mass))
+                              tuple(win_vals), tuple(win_mass), _banded_solver(n_kappa, b))

@@ -27,7 +27,11 @@ class DenseCapExceeded(GapfillError):
 
 
 class ResidualNotCertified(GapfillError):
-    """A dense eigenpair fails the residual certificate."""
+    """An eigenpair fails the residual certificate."""
+
+
+class CountNotCertified(GapfillError):
+    """An inertia count disagrees with the eigenvalues it should certify."""
 
 
 class EnclosureViolation(GapfillError):

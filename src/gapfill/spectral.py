@@ -1,9 +1,18 @@
 """Eigensolvers, spectral intervals and Chebyshev functional calculus.
 
-Every eigensolve is one dense LAPACK diagonalization of the whole operator,
+Two eigensolver routes, chosen by the kind of operator.  A strip momentum
+block is one cell wide, so in y-major row order it is banded (bandwidth q)
+and block tridiagonal over its y-rows: :func:`banded` stores it as a LAPACK
+band, :func:`banded_eigenvalues` gives its whole spectrum without vectors,
+:func:`banded_vectors` computes the eigenvectors a caller names by inverse
+iteration, each certified by its residual, and :func:`inertia` counts the
+eigenvalues below a shift by a block LDL^H factorization (Sylvester's law
+of inertia), which :func:`certify_counts` checks against the banded
+eigenvalues.  Every other operator (masked windows, strips that are not
+cell-periodic) takes :func:`eigensolve`: one dense LAPACK diagonalization
 up to the fixed dimension cap DENSE_CAP, with a per-pair residual
-certificate; a report therefore always holds the complete spectrum, and
-gap detection and interval certification run over all of it.
+certificate, so its report holds the complete spectrum and gap detection
+and interval certification run over all of it.
 
 Filters are Chebyshev expansions on a stated spectral enclosure [a, b];
 applying one to a vector through the three-term recurrence grows the support
@@ -20,13 +29,16 @@ import scipy.linalg
 import scipy.sparse as sp
 from numpy.polynomial import chebyshev as npcheb
 
-from .errors import (DenseCapExceeded, EnclosureViolation, MarginTooSmall,
-                     ResidualNotCertified)
+from .errors import (CountNotCertified, DenseCapExceeded, EnclosureViolation,
+                     MarginTooSmall, ResidualNotCertified)
 from .model import HermitianOperator
 
 DENSE_CAP = 6000
 DEGREE_CAP_DEFAULT = 4096
 RESIDUAL_FACTOR = 1e-9
+INVERSE_STEPS = 2      # solves per inverse-iteration vector
+ORTHO_CLUSTER = 1e-3   # relative eigenvalue spacing below which vectors are orthogonalized
+PIVOT_FLOOR = 1e-3     # relative size below which a pivot direction is deferred
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +343,193 @@ def spectrum_report(w: np.ndarray, residuals: np.ndarray, vectors=None, *,
     gmw = gaps_min_width if gaps_min_width is not None else _default_gap_width(w)
     return SpectrumReport(w, residuals, _cluster(w, ctol), tuple(_gaps_between(w, gmw)),
                           norm_bound, ctol, vectors)
+
+
+# ---------------------------------------------------------------------------
+# banded solves
+
+
+@dataclass(frozen=True, eq=False)
+class BandedOperator:
+    """A Hermitian operator with its rows in y-major order, as a LAPACK lower band.
+
+    Band row i is operator row order[i]; band[d, j] = H[j + d, j] in that
+    order for 0 <= d <= bandwidth.  rows holds the band-row range of each
+    y-row, the diagonal blocks of the block-tridiagonal LDL^H inertia count.
+    """
+
+    op: HermitianOperator
+    order: np.ndarray
+    band: np.ndarray
+    rows: tuple
+
+    @property
+    def bandwidth(self) -> int:
+        return self.band.shape[0] - 1
+
+
+def banded(op: HermitianOperator) -> BandedOperator:
+    """The operator in y-major row order (sites sorted by (iy, ix)), stored as a band.
+
+    A strip momentum block is one cell of q columns wide, so its x links
+    stay within a y-row and its y links join consecutive y-rows: the
+    bandwidth is at most q and the matrix is block tridiagonal over y-rows.
+    """
+    n = op.dimension
+    order = np.lexsort((op.sites[:, 0], op.sites[:, 1]))
+    pos = np.empty(n, np.int64)
+    pos[order] = np.arange(n)
+    coo = op.matrix.tocoo()
+    r, c = pos[coo.row], pos[coo.col]
+    low = r >= c
+    band = np.zeros((int((r - c)[low].max()) + 1, n), complex)
+    band[(r - c)[low], c[low]] = coo.data[low]
+    iy = op.sites[order, 1]
+    group = np.concatenate([[0], np.cumsum(np.diff(iy) != 0)])
+    if np.abs(group[r] - group[c]).max() > 1:
+        raise ValueError("operator is not block tridiagonal over its y-rows")
+    starts = np.flatnonzero(np.diff(group, prepend=-1))
+    stops = np.append(starts[1:], n)
+    return BandedOperator(op, order, band, tuple(zip(starts.tolist(), stops.tolist())))
+
+
+def banded_eigenvalues(b: BandedOperator) -> np.ndarray:
+    """All eigenvalues, ascending, from LAPACK's banded Hermitian solver (no vectors)."""
+    return scipy.linalg.eig_banded(b.band, lower=True, eigvals_only=True,
+                                   check_finite=False)
+
+
+def banded_vectors(b: BandedOperator, eigenvalues: np.ndarray,
+                   select) -> tuple[np.ndarray, np.ndarray]:
+    """Certified eigenvectors of eigenvalues[select] by banded inverse iteration.
+
+    eigenvalues is the complete spectrum from banded_eigenvalues.  Each
+    vector takes INVERSE_STEPS solves of (H - lambda) x = x from one fixed
+    start vector, orthogonalized against the vectors already computed for
+    eigenvalues within ORTHO_CLUSTER * max(||H||, 1) of lambda.  Vectors
+    come back in the operator's own row order, as columns, with their
+    residuals ||Hv - lambda v||; ResidualNotCertified if any residual
+    exceeds residual_tolerance(||H||).
+    """
+    n, bw = b.op.dimension, b.bandwidth
+    norm = float(np.abs(eigenvalues).max())
+    # general band layout of solve_banded: full[bw + i - j, j] = H[i, j]
+    full = np.zeros((2 * bw + 1, n), complex)
+    full[bw:] = b.band
+    for d in range(1, bw + 1):
+        full[bw - d, d:] = np.conj(b.band[d, :n - d])
+    rng = np.random.default_rng(0)
+    start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    values = np.asarray(eigenvalues)[select]
+    found = []
+    for lam in values:
+        shifted = full.copy()
+        shifted[bw] -= lam
+        near = [u for (mu, u) in zip(values, found)
+                if abs(mu - lam) <= ORTHO_CLUSTER * max(norm, 1.0)]
+        x = start
+        for _ in range(INVERSE_STEPS):
+            x = scipy.linalg.solve_banded((bw, bw), shifted, x, check_finite=False)
+            for u in near:
+                x = x - np.vdot(u, x) * u
+            x = x / np.linalg.norm(x)
+        found.append(x)
+    vectors = np.zeros((n, len(values)), complex)
+    vectors[b.order] = np.array(found).T.reshape(n, len(values))
+    res = np.linalg.norm(b.op.matrix @ vectors - vectors * values, axis=0)
+    tol = residual_tolerance(norm)
+    if len(values) and res.max() > tol:
+        raise ResidualNotCertified(
+            f"inverse-iteration residual {res.max():.3e} above {tol:.3e}")
+    return vectors, res
+
+
+def _row_blocks(b: BandedOperator) -> tuple[list, list]:
+    """Diagonal blocks H[row r, row r] and couplings H[row r, row r-1] of the y-rows."""
+    start = np.array([a for a, _ in b.rows])
+    size = np.array([z - a for a, z in b.rows])
+    idx = np.minimum(start[:, None] + np.arange(size.max()), b.op.dimension - 1)
+    prev = np.vstack([idx[:1], idx[:-1]])
+    bw = b.bandwidth
+
+    def entries(rows, cols):
+        d = rows[:, :, None] - cols[:, None, :]
+        lower = b.band[np.clip(d, 0, bw), cols[:, None, :]]
+        upper = np.conj(b.band[np.clip(-d, 0, bw), rows[:, :, None]])
+        return np.where(np.abs(d) <= bw, np.where(d >= 0, lower, upper), 0.0)
+
+    diag, cpl = entries(idx, idx), entries(idx, prev)
+    blocks = [diag[r, :m, :m] for r, m in enumerate(size)]
+    couplings = [cpl[r, :m, :size[r - 1]] for r, m in enumerate(size)]
+    return blocks, couplings
+
+
+def inertia(b: BandedOperator, sigmas) -> np.ndarray:
+    """nu(sigma) = #{eigenvalues < sigma} for each shift, by a block LDL^H over y-rows.
+
+    H - sigma is block tridiagonal over the y-rows; eliminating them in
+    order is a congruence H - sigma = L D L^H with D block diagonal, so by
+    Sylvester's law of inertia nu(sigma) is the number of negative
+    eigenvalues of the pivot blocks.  Each pivot is diagonalized; its
+    eigen-directions with |d| >= PIVOT_FLOOR * ||H|| are eliminated, and the
+    smaller ones are deferred into the next pivot (a symmetric pivoting
+    that bounds the growth of the Schur complements by 1 / PIVOT_FLOOR).
+    """
+    blocks, couplings = _row_blocks(b)
+    lo, hi = b.op.gershgorin()
+    floor = PIVOT_FLOOR * max(abs(lo), abs(hi), 1.0)
+    sig = np.atleast_1d(np.asarray(sigmas, float))
+    count = np.zeros(len(sig), int)
+    # deferred directions per shift: values and couplings to the current
+    # row, padded to a common number with decoupled pivots 2 * floor
+    deferred = np.zeros((len(sig), 0))
+    deferred_cpl = None
+    schur = 0.0
+    for r, a in enumerate(blocks):
+        t = deferred.shape[1]
+        pivot = a - sig[:, None, None] * np.eye(len(a)) - schur
+        if t:
+            pivot = np.block([[deferred[:, :, None] * np.eye(t),
+                               deferred_cpl.conj().transpose(0, 2, 1)],
+                              [deferred_cpl, pivot]])
+        d, u = np.linalg.eigh(pivot)
+        good = np.abs(d) >= floor
+        if r + 1 == len(blocks):
+            count += (d < 0).sum(axis=1)
+            break
+        count += ((d < 0) & good).sum(axis=1)
+        cpl = couplings[r + 1] @ u[:, t:]
+        inv = np.divide(1.0, d, out=np.zeros_like(d), where=good)
+        schur = (cpl * inv[:, None, :]) @ cpl.conj().transpose(0, 2, 1)
+        n_deferred = (~good).sum(axis=1)
+        order = np.argsort(good, axis=1, kind="stable")[:, :n_deferred.max()]
+        live = np.arange(order.shape[1]) < n_deferred[:, None]
+        deferred = np.where(live, np.take_along_axis(d, order, axis=1), 2.0 * floor)
+        deferred_cpl = np.where(live[:, None, :],
+                                np.take_along_axis(cpl, order[:, None, :], axis=2), 0.0)
+    return count
+
+
+def certify_counts(b: BandedOperator, eigenvalues: np.ndarray, sigmas) -> np.ndarray:
+    """Inertia counts nu(sigma), checked against the computed eigenvalues.
+
+    Each nu(sigma) must lie between the number of eigenvalues below
+    sigma - tol and below sigma + tol, tol = residual_tolerance(||H||)
+    (CountNotCertified otherwise): the count then certifies that no
+    eigenvalue was lost or invented near sigma.
+    """
+    sig = np.atleast_1d(np.asarray(sigmas, float))
+    nu = inertia(b, sig)
+    tol = residual_tolerance(float(np.abs(eigenvalues).max()))
+    low = np.searchsorted(eigenvalues, sig - tol)
+    high = np.searchsorted(eigenvalues, sig + tol)
+    bad = (nu < low) | (nu > high)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise CountNotCertified(
+            f"inertia counts {int(nu[i])} eigenvalues below {sig[i]:.12g}, the banded "
+            f"solve {int(low[i])} (within {tol:.1e}: {int(high[i])})")
+    return nu
 
 
 def _default_cluster_tol(w: np.ndarray) -> float:

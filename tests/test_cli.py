@@ -186,6 +186,21 @@ class TestChernTask:
         err = capsys.readouterr().err
         assert err.startswith("ConfigInvalid: params/interval: need lower < upper")
 
+    def test_uncertified_fiber_residual_exit_1(self, tmp_path, capsys, monkeypatch):
+        # fiber eigenvalues shifted by 1e-3 fail the residual certificate of
+        # export_bands: a named error and exit 1, not a traceback
+        from gapfill import bloch
+        eigh = np.linalg.eigh
+
+        def shifted(a):
+            w, v = eigh(a)
+            return w + 1e-3, v
+        monkeypatch.setattr(bloch.np.linalg, "eigh", shifted)
+        cfg = write_config(tmp_path / "cfg.json", task="chern",
+                           params={"grid": [8, 8], "export_bands": True})
+        assert main(["chern", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("ResidualNotCertified: fiber residual")
+
 
 class TestWidenessTask:
     def test_half_plane(self, tmp_path):
@@ -356,19 +371,21 @@ class TestReportChain:
         assert err.startswith("StripTooNarrow: ")
         assert "magnetic length is inf at k = 0" in err
 
-    def test_block_above_dense_cap_exit_1(self, tmp_path, capsys):
-        # q=8, 95 cells wide: one momentum block has 6088 rows > DENSE_CAP
+    def test_block_above_dense_cap_solves_banded(self, tmp_path):
+        # q=8, 95 cells wide: one momentum block has 6088 rows, above
+        # DENSE_CAP; strip blocks take the banded route, which has no cap
         model = {"k": 1, "q": 8, "cells_x": 4, "cells_y": 4,
                  "geometry": "torus", "gauge": "landau"}
         cfg = write_config(tmp_path / "c.json", model=model, task="edge-fill",
                            params={"width_cells": 95, "length_cells": 2,
                                    "n_samples": 4, "delta": 0.5,
                                    "bulk_cells": 4})
-        status = main(["edge-fill", "--config", str(cfg), "--out",
-                       str(tmp_path / "out")])
-        assert status == 1
-        err = capsys.readouterr().err
-        assert err.startswith("DenseCapExceeded: dimension 6088 exceeds dense cap 6000")
+        out = tmp_path / "out"
+        assert main(["edge-fill", "--config", str(cfg), "--out", str(out)]) in (0, 2)
+        doc = json.loads((out / "edge_report.json").read_text())
+        assert doc["n_strip_eigenvalues"] == (95 * 8 + 1) * 8 * 2
+        assert doc["solver"] == {"route": "banded", "blocks": 2, "block_dim": 6088,
+                                 "bandwidth": 8}
 
     def test_failing_edge_fill_exit_2(self, tmp_path):
         out = tmp_path / "out"

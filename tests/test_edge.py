@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from gapfill import edge
 from gapfill.bloch import torus_spectrum
 from gapfill.edge import (gap_filling_check, lift_block_vector,
                           localization_profile, make_strip, strip_bands,
                           strip_block, strip_mask, strip_operator)
-from gapfill.errors import BandConnectionAmbiguous, UnsupportedShape
+from gapfill.errors import (BandConnectionAmbiguous, CountNotCertified,
+                            ResidualNotCertified, UnsupportedShape)
 from gapfill.model import (BallsShape, GraphShape, HalfPlaneShape,
                            MagneticLattice, build_gauge, make_mask,
                            mask_all)
-from gapfill.spectral import certify_interval, eigensolve
+from gapfill.spectral import (banded, banded_eigenvalues, banded_vectors,
+                              certify_interval, eigensolve, inertia,
+                              residual_tolerance)
 
 
 @pytest.fixture(scope="module")
@@ -213,3 +218,192 @@ class TestSpectralFlow:
         pair = invariant_pair(lat, build_gauge(lat),
                               SpectralInterval(-2.0, 9.0), BlochGrid(12, 12))
         assert abs(flow.net_flow) == abs(pair[1])
+
+
+# ---------------------------------------------------------------------------
+# banded route against a dense oracle
+
+# a cell potential that is not symmetric under ix <-> iy (q = 4 and q = 8)
+def _potential(q):
+    return 0.7 * (np.arange(q * q).reshape(q, q) % 5 - 2.0)
+
+
+def _shape(kind, q, length):
+    if kind == "graph":
+        return GraphShape(tuple(0.25 * np.sin(2 * np.pi * np.arange(q) / q)))
+    if kind == "balls":
+        return BallsShape(HalfPlaneShape(0.0), 1.0 / 3.0,
+                          tuple((float(c), 1.0) for c in range(length + 1)))
+    return None
+
+
+STRIPS = [(k, q, kind, pot) for k in (1, 2) for q in (4, 8)
+          for kind in ("flat", "graph", "balls") for pot in (False, True)]
+
+
+def use_dense_oracle(monkeypatch):
+    """Route edge's banded primitives through dense LAPACK solves of the same block."""
+    def values(b):
+        return np.linalg.eigvalsh(b.op.matrix.toarray())
+
+    def vectors(b, w, select):
+        dw, dv = np.linalg.eigh(b.op.matrix.toarray())
+        v = dv[:, select]
+        return v, np.linalg.norm(b.op.matrix @ v - v * dw[select], axis=0)
+
+    def counts(b, sigmas):
+        return np.searchsorted(values(b), np.atleast_1d(sigmas))
+
+    monkeypatch.setattr(edge, "banded_eigenvalues", values)
+    monkeypatch.setattr(edge, "banded_vectors", vectors)
+    monkeypatch.setattr(edge, "inertia", counts)
+    monkeypatch.setattr(edge, "certify_counts", lambda b, w, sigmas: counts(b, sigmas))
+
+
+class TestBandedRoute:
+    @pytest.mark.parametrize("k,q,kind,pot", STRIPS)
+    def test_parity_with_dense_eigensolve(self, k, q, kind, pot):
+        strip = make_strip(k, q, 4, 3, shape=_shape(kind, q, 3),
+                           potential=_potential(q) if pot else None)
+        mask = strip_mask(strip)
+        for kappa in (0.0, np.pi, 2.0 * np.pi * 0.2718):
+            block = strip_block(strip, kappa, mask)
+            b = banded(block)
+            assert b.bandwidth <= q
+            w = banded_eigenvalues(b)
+            dense = eigensolve(block).eigenvalues
+            assert np.abs(w - dense).max() <= 1e-10 * max(np.abs(dense).max(), 1.0)
+            # the lowest Landau group is a near-degenerate cluster
+            select = np.r_[np.arange(6), np.argsort(np.abs(w - 4 * np.pi * k))[:4]]
+            v, res = banded_vectors(b, w, select)
+            assert np.abs(v.conj().T @ v - np.eye(len(select))).max() < 1e-10
+            assert res.max() <= residual_tolerance(np.abs(w).max())
+            # a shift between each pair of separated neighbours counts
+            # every eigenvalue below it
+            split = np.flatnonzero(np.diff(dense) > 1e-6)
+            shifts = np.r_[dense[0] - 1.0, 0.5 * (dense[split] + dense[split + 1])]
+            assert list(inertia(b, shifts)) == [0] + list(split + 1)
+
+    @pytest.mark.parametrize("kappa", [0.0, np.pi])
+    def test_inertia_next_to_leading_submatrix_eigenvalues(self, kappa):
+        # a shift 1e-11 from an eigenvalue of a leading y-row submatrix makes
+        # a pivot block nearly singular; deferring its small directions into
+        # the next pivot keeps the count exact
+        block = strip_block(make_strip(1, 4, 4, 2), kappa)
+        b = banded(block)
+        h = block.matrix.toarray()[np.ix_(b.order, b.order)]
+        dense = np.linalg.eigvalsh(h)
+        near = np.concatenate([np.linalg.eigvalsh(h[:z, :z]) for (_, z) in b.rows[:-1]])
+        shifts = np.r_[near - 1e-11, near + 1e-11]
+        shifts = shifts[np.abs(dense[None, :] - shifts[:, None]).min(axis=1) > 1e-6]
+        assert (inertia(b, shifts) == np.searchsorted(dense, shifts)).all()
+
+    @pytest.mark.parametrize("kind", ["flat", "graph", "balls"])
+    @pytest.mark.parametrize("delta", [1.0, 0.05])
+    def test_gap_fill_verdicts_match_dense_oracle(self, small_gap, monkeypatch,
+                                                  kind, delta):
+        _, gap = small_gap
+        strip = make_strip(1, 4, 8, 12, shape=_shape(kind, 4, 12))
+        got = gap_filling_check(strip, gap, 8, delta)
+        with monkeypatch.context() as m:
+            use_dense_oracle(m)
+            want = gap_filling_check(strip, gap, 8, delta)
+        assert got.solver == {"route": "banded", "blocks": 12,
+                              "block_dim": want.solver["block_dim"], "bandwidth": 4}
+        assert list(got.verdicts) == list(want.verdicts)
+        assert np.abs(got.distances - want.distances).max() < 1e-10
+        assert got.n_strip_eigenvalues == want.n_strip_eigenvalues \
+            == strip_mask(strip).n_inside
+        assert [p.energy for p in got.localization] == pytest.approx(
+            [p.energy for p in want.localization], abs=1e-10)
+
+    @pytest.mark.parametrize("k,kind", [(1, "flat"), (2, "graph"), (1, "balls")])
+    def test_flow_matches_dense_oracle(self, monkeypatch, k, kind):
+        strip = make_strip(k, 4, 8, 2, shape=_shape(kind, 4, 2))
+        got = strip_bands(strip, n_kappa=24, e_ref=9.0 * k)
+        with monkeypatch.context() as m:
+            use_dense_oracle(m)
+            want = strip_bands(strip, n_kappa=24, e_ref=9.0 * k)
+        assert np.abs(got.dispersion - want.dispersion).max() < 1e-10 * np.abs(
+            want.dispersion).max()
+        assert (got.net_flow, got.net_flow_upper) == (want.net_flow, want.net_flow_upper)
+        assert [(c.sign, c.edge) for c in got.crossings] == \
+            [(c.sign, c.edge) for c in want.crossings]
+        assert [c.kappa for c in got.crossings] == pytest.approx(
+            [c.kappa for c in want.crossings], abs=1e-9)
+        assert [c.mass_lower for c in got.crossings] == pytest.approx(
+            [c.mass_lower for c in want.crossings], abs=1e-9)
+
+    def test_non_periodic_shape_unsupported(self):
+        strip = make_strip(1, 4, 6, 3, shape=BallsShape(HalfPlaneShape(0.0), 1.0 / 3.0,
+                                                        ((1.0, 1.0),)))
+        with pytest.raises(UnsupportedShape, match="cell-periodic"):
+            strip_block(strip, 0.0)
+        with pytest.raises(UnsupportedShape, match="cell-periodic"):
+            strip_bands(strip, n_kappa=12)
+
+
+class TestBandedCertificates:
+    def test_perturbed_vector_fails_residual(self, monkeypatch):
+        solve = scipy.linalg.solve_banded
+
+        def perturbed(*args, **kwargs):
+            x = solve(*args, **kwargs)
+            x[0] += 1e-3 * np.linalg.norm(x)
+            return x
+        monkeypatch.setattr(scipy.linalg, "solve_banded", perturbed)
+        b = banded(strip_block(make_strip(1, 4, 6, 3), 1.0))
+        w = banded_eigenvalues(b)
+        with pytest.raises(ResidualNotCertified, match="inverse-iteration residual"):
+            banded_vectors(b, w, [len(w) // 2])
+
+    def test_dropped_window_eigenvalue_fails_count(self, monkeypatch):
+        eig_banded = scipy.linalg.eig_banded
+
+        def dropped(*args, **kwargs):
+            w = eig_banded(*args, **kwargs)
+            return np.delete(w, np.argmin(np.abs(w - 9.0)))
+        monkeypatch.setattr(scipy.linalg, "eig_banded", dropped)
+        with pytest.raises(CountNotCertified, match="inertia counts"):
+            strip_bands(make_strip(1, 4, 8, 2), n_kappa=24, e_ref=9.0)
+
+    def test_failing_samples_have_zero_inertia_count(self, small_gap):
+        _, gap = small_gap
+        strip = make_strip(1, 4, 8, 4)
+        report = gap_filling_check(strip, gap, 8, 0.05, n_localization=0)
+        failing = report.samples[~report.verdicts]
+        assert len(failing)
+        mask = strip_mask(strip)
+        nu = sum(inertia(banded(strip_block(strip, 2 * np.pi * m / 4, mask)),
+                         np.r_[failing - 0.05, failing + 0.05]) for m in range(4))
+        assert not (nu[len(failing):] - nu[:len(failing)]).any()
+
+    def test_dropped_sample_eigenvalues_fail_count(self, small_gap, monkeypatch):
+        # the banded solve loses every eigenvalue within delta of mid-gap:
+        # the middle sample then fails by distance, and the inertia count
+        # refuses that verdict
+        _, gap = small_gap
+        strip = make_strip(1, 4, 8, 12)
+        assert gap_filling_check(strip, gap, 9, 0.5, n_localization=0).verdicts[4]
+        eig_banded = scipy.linalg.eig_banded
+
+        def dropped(*args, **kwargs):
+            w = eig_banded(*args, **kwargs)
+            return w[np.abs(w - gap.midpoint) > 0.5]
+        monkeypatch.setattr(scipy.linalg, "eig_banded", dropped)
+        with pytest.raises(CountNotCertified, match="inertia count finds"):
+            gap_filling_check(strip, gap, 9, 0.5, n_localization=0)
+
+    def test_passing_sample_needs_its_residual(self, small_gap, monkeypatch):
+        # with residuals that no longer fit within delta no sample near the
+        # edge bands is certified to pass, and the inertia count refuses
+        # to let it fail
+        _, gap = small_gap
+        vectors = edge.banded_vectors
+
+        def inflated(*args):
+            v, res = vectors(*args)
+            return v, res + 1.0
+        monkeypatch.setattr(edge, "banded_vectors", inflated)
+        with pytest.raises(CountNotCertified, match="no eigenpair certified within 0.5"):
+            gap_filling_check(make_strip(1, 4, 8, 12), gap, 9, 0.5, n_localization=0)
