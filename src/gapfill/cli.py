@@ -396,8 +396,7 @@ def _task_affiliation(cfg, out):
         raise ConfigInvalid(f"unknown filter type {f['type']!r}")
     radii = p.get("radii", [0.5, 1.0, 2.0, 3.0])
     rep = coarse.affiliation_check(bulk, restricted, mask, filt, radii,
-                                   verify_bitwise=p.get("verify_bitwise", True),
-                                   seed=cfg.get("seed", 0))
+                                   verify_bitwise=p.get("verify_bitwise", True))
     write_json(os.path.join(out, "affiliation.json"), {
         "filter": {"description": rep.filter_description, "degree": rep.filter_degree},
         "radii": [float(r) for r in rep.radii],

@@ -7,11 +7,13 @@ with flux Phi = 2k*h^2 quanta per plaquette; the quadratic vector-potential
 term is absorbed entirely into the link phases, so the matrix model stays
 bounded and translation covariant.  Covariant 5-point stencil, hop range 1.
 
-Link-phase exponents are carried as exact rationals (denominator q^2) until
-the final complex exponential, so plaquette fluxes and seam closures are
-exact to rounding.  Torus and strip closures pin the Wilson loops to the
-values of the cell-periodic gauge, which makes the bulk torus spectrum agree
-exactly with the Bloch fiber decomposition (see :mod:`gapfill.bloch`).
+Link-phase exponents are exact integers, numerators over q^2 reduced mod
+q^2, and the seam closures are integer sums; only the final lookup in a
+table of the q^2 complex exponentials rounds, so plaquette fluxes and seam
+closures are exact to rounding.  Torus and strip closures pin the Wilson
+loops to the values of the cell-periodic gauge, which makes the bulk torus
+spectrum agree exactly with the Bloch fiber decomposition (see
+:mod:`gapfill.bloch`).
 """
 
 from __future__ import annotations
@@ -162,24 +164,26 @@ class GaugeField:
         raise ValueError(f"not a nearest-neighbour direction: {direction}")
 
 
-def _formula_exponents(lattice: MagneticLattice, gauge_kind: str):
-    """Rational link-phase exponents of the named gauge on the open window.
+def _formula_numerators(lattice: MagneticLattice, gauge_kind: str):
+    """Link-phase exponents of the named gauge on the open window, times q^2.
 
-    phase = exp(2*pi*i*a).  Landau: a_x = 0, a_y(ix) = -Phi*ix (the y-link
-    leaving x-coordinate ix*h carries exp(-2*pi*i*2k*h*x)).  Symmetric:
-    a_x(iy) = +(Phi/2)*iy, a_y(ix) = -(Phi/2)*ix.
+    phase = exp(2*pi*i*a) with a = numerator / q^2.  Landau: a_x = 0,
+    a_y(ix) = -Phi*ix (the y-link leaving x-coordinate ix*h carries
+    exp(-2*pi*i*2k*h*x)).  Symmetric: a_x(iy) = +(Phi/2)*iy,
+    a_y(ix) = -(Phi/2)*ix.  Returns two int64 (n_x, n_y) arrays of
+    numerators reduced mod q^2.
     """
-    q2 = lattice.q * lattice.q
-    nx, ny = lattice.n_x, lattice.n_y
+    k, q2 = lattice.k, lattice.q * lattice.q
+    ix = np.arange(lattice.n_x, dtype=np.int64)[:, None]
+    iy = np.arange(lattice.n_y, dtype=np.int64)[None, :]
     if gauge_kind == "landau":
-        ax = [[Fraction(0)] * ny for _ in range(nx)]
-        ay = [[Fraction(-2 * lattice.k * ix, q2) for _ in range(ny)] for ix in range(nx)]
+        ax, ay = 0 * iy, -2 * k * ix
     elif gauge_kind == "symmetric":
-        ax = [[Fraction(lattice.k * iy, q2) for iy in range(ny)] for _ in range(nx)]
-        ay = [[Fraction(-lattice.k * ix, q2) for _ in range(ny)] for ix in range(nx)]
+        ax, ay = k * iy, -k * ix
     else:
         raise ValueError(f"gauge_kind must be one of {GAUGE_KINDS}")
-    return ax, ay
+    shape = (lattice.n_x, lattice.n_y)
+    return np.broadcast_to(ax, shape) % q2, np.broadcast_to(ay, shape) % q2
 
 
 def build_gauge(lattice: MagneticLattice, gauge_kind: str = "landau") -> GaugeField:
@@ -192,24 +196,24 @@ def build_gauge(lattice: MagneticLattice, gauge_kind: str = "landau") -> GaugeFi
     cell-periodic gauge; this keeps the torus closure unitarily equivalent
     to the Bloch fiber family with untwisted boundary characters.  On one
     cell the seam links are the magnetic translation cocycle of the gauge.
+
+    Exponents are integers mod q^2 (numerators over q^2), the seams are
+    integer sums along the rows and columns, and each phase is read from a
+    table of the q^2 values _phase(m / q^2).
     """
-    ax, ay = _formula_exponents(lattice, gauge_kind)
+    ax, ay = _formula_numerators(lattice, gauge_kind)
     nx, ny = lattice.n_x, lattice.n_y
-    q = lattice.q
-    phi = lattice.flux_per_plaquette
+    q, q2, k = lattice.q, lattice.q * lattice.q, lattice.k
     if lattice.periodic_x:
         # W_x target minus the interior x-link sum fixes the seam link per row.
-        for iy in range(ny):
-            target = phi * nx * iy
-            interior = sum(ax[ix][iy] for ix in range(nx - 1))
-            ax[nx - 1][iy] = (target - interior) % 1
+        target = 2 * k * nx * np.arange(ny, dtype=np.int64)
+        ax[nx - 1] = (target - ax[:nx - 1].sum(axis=0)) % q2
     if lattice.periodic_y:
-        for ix in range(nx):
-            target = -phi * (ix % q) * ny
-            interior = sum(ay[ix][iy] for iy in range(ny - 1))
-            ay[ix][ny - 1] = (target - interior) % 1
-    phase_x = np.array([[_phase(a) for a in row] for row in ax])
-    phase_y = np.array([[_phase(a) for a in row] for row in ay])
+        target = -2 * k * (np.arange(nx, dtype=np.int64) % q) * ny
+        ay[:, ny - 1] = (target - ay[:, :ny - 1].sum(axis=1)) % q2
+    table = np.array([_phase(Fraction(m, q2)) for m in range(q2)])
+    phase_x = table[ax]
+    phase_y = table[ay]
     if not lattice.periodic_x:
         phase_x[nx - 1, :] = 1.0
     if not lattice.periodic_y:

@@ -266,17 +266,38 @@ def apply_filter(op: HermitianOperator, filt: ChebFilter, v: np.ndarray) -> np.n
 
 def _cheb_apply(matrix: sp.csr_matrix, coefficients: np.ndarray, a: float, b: float,
                 v: np.ndarray) -> np.ndarray:
+    """Sum c_j T_j(H~) v, H~ = (H - center) / half for the enclosure [a, b].
+
+    The recurrence runs on the scaled operator Hs = 2 H~, formed once per
+    call entrywise from the matrix's own entries: (2/half) H_ij off the
+    diagonal and (2/half)(H_ii - center) on it.  Then T_1 v = Hs v / 2, and
+    each further degree is one sparse product, one in-place subtract and one
+    in-place axpy: T_{j+1} v = Hs T_j v - T_{j-1} v, out += c_j T_{j+1} v.
+    Two operators whose rows agree entrywise (a bulk operator and its
+    Dirichlet restriction, on the interior rows) get identical Hs entries
+    there, so the recurrence performs identical arithmetic on those rows and
+    their difference stays bitwise zero beyond degree hops of where the
+    rows differ.  v is a vector or a block of columns.
+
+    The axpy scales into a reused scratch block and then adds, so each
+    entry is rounded the same wherever it sits in the block; a fused BLAS
+    axpy makes no such promise.
+    """
     center, half = 0.5 * (b + a), 0.5 * (b - a)
     c = coefficients
     t0 = np.array(v, dtype=complex)
     out = c[0] * t0
     if len(c) == 1:
         return out
-    t1 = (matrix @ t0 - center * t0) / half
-    out = out + c[1] * t1
-    for j in range(2, len(c)):
-        t2 = 2.0 * (matrix @ t1 - center * t1) / half - t0
-        out = out + c[j] * t2
+    hs = (matrix - center * sp.identity(matrix.shape[0], format="csr")) * (2.0 / half)
+    scratch = np.empty_like(t0)
+    t1 = hs @ t0
+    t1 *= 0.5
+    out += np.multiply(c[1], t1, out=scratch)
+    for cj in c[2:]:
+        t2 = hs @ t1
+        t2 -= t0
+        out += np.multiply(cj, t2, out=scratch)
         t0, t1 = t1, t2
     return out
 
@@ -554,10 +575,12 @@ def spectral_projection(op: HermitianOperator, interval: SpectralInterval,
     bands (width = interval.margin, centered on the endpoints) avoid the
     spectrum by the interval's certificate: an erf-smoothed indicator
     expanded in Chebyshev polynomials, composed with projector-sharpening
-    steps P -> 3P^2 - 2P^3 until the eigenvalue images sit within tol of
-    {0, 1}.  The composite is still a polynomial of the operator, so it
-    commutes with it by construction; MarginTooSmall if the base expansion
-    cannot reach the transition floor within the degree cap.
+    steps P -> 3P^2 - 2P^3 until the Frobenius norm ||P^2 - P||_F, an
+    upper bound on the spectral norm, is at most tol, so every eigenvalue
+    image sits within tol of {0, 1}.  The composite is still a polynomial of
+    the operator, so it commutes with it by construction; MarginTooSmall if
+    the base expansion cannot reach the transition floor within the degree
+    cap, or if eight sharpening steps do not reach tol.
     """
     if interval.margin <= 0:
         raise MarginTooSmall("spectral projection needs a certified interval (margin > 0)")
@@ -588,9 +611,7 @@ def spectral_projection(op: HermitianOperator, interval: SpectralInterval,
     p = _cheb_apply(op.matrix, filt, a, b, np.eye(op.dimension, dtype=complex))
     for _ in range(8):
         p2 = p @ p
-        dev = operator_norm(lambda x: p2 @ x - p @ x, op.dimension, hermitian=True,
-                            rtol=1e-2, iterations=20)
-        if dev <= tol:
+        if np.linalg.norm(p2 - p) <= tol:
             return p
         p = 3.0 * p2 - 2.0 * (p2 @ p)
     raise MarginTooSmall("projector sharpening did not reach the requested tolerance")
@@ -608,14 +629,15 @@ def _erf_floor(margin: float, smoothing: float) -> float:
 
 def operator_norm(apply_fn, n: int, *, adjoint_fn=None, hermitian: bool = False,
                   rtol: float = 1e-3, iterations: int = 60, seed: int = 0) -> float:
-    """Spectral norm of a matrix-free operator, power/Lanczos certified.
+    """Lanczos estimate of the spectral norm of a matrix-free operator.
 
     A fully reorthogonalized Lanczos tridiagonalization runs on A itself
-    when Hermitian, else on A*A (adjoint_fn required); the leading power
-    iterate doubles as the start vector.  Iterates until two consecutive
-    Ritz values agree to rtol or the basis breaks down (beta ~ 0, which
-    certifies the Krylov space is exhausted - in particular a zero operator
-    returns exactly 0.0 after one application).
+    when Hermitian, else on A*A (adjoint_fn required), from a random start
+    vector drawn from seed.  Iterates until two consecutive Ritz values
+    agree to rtol or the basis breaks down (beta ~ 0: the Krylov space is
+    exhausted - in particular a zero operator returns exactly 0.0 after one
+    application).  Ritz values never exceed the norm, so the result is a
+    lower estimate, not a certified bound.
     """
     if not hermitian and adjoint_fn is None:
         raise ValueError("non-Hermitian norm needs adjoint_fn")

@@ -246,6 +246,27 @@ class TestAffiliationTask:
         assert doc["exact_zero_radius"] == pytest.approx(2 * 0.25)
         assert doc["deviations"][-1] == 0.0
 
+    def test_artifacts_do_not_depend_on_seed(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json",
+                           model={"k": 1, "q": 4, "cells_x": 5, "cells_y": 5,
+                                  "geometry": "masked", "gauge": "landau",
+                                  "mask_descriptor": {"kind": "half_plane",
+                                                      "level": 3.0}},
+                           task="affiliation",
+                           params={"filter": {"type": "smoothed_indicator",
+                                              "lo": 2.0, "hi": 23.0,
+                                              "smoothing": 3.0, "degree": 80},
+                                   "radii": [0.5, 1.0, 1.5]})
+        runs = []
+        for seed in (1, 7):
+            out = tmp_path / f"seed{seed}"
+            assert main(["affiliation", "--config", str(cfg), "--out", str(out),
+                         "--seed", str(seed)]) == 0
+            runs.append([(out / name).read_bytes()
+                         for name in ("affiliation.json", "affiliation.csv")])
+        assert runs[0] == runs[1]
+        assert json.loads(runs[0][0])["deviations"][-1] > 0.0
+
 
 class TestReportChain:
     def test_missing_artifacts(self, tmp_path):

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from gapfill import coarse
 from gapfill.coarse import (affiliation_check, ideal_multiplicativity,
                             propagation_profile, wideness_check)
 from gapfill.errors import MaskMismatch
 from gapfill.model import (DiskShape, GraphShape, HalfPlaneShape,
-                           MagneticLattice, assemble_restricted, build_gauge,
-                           gauge_transform, make_mask, mask_all,
-                           mask_from_member)
+                           HermitianOperator, MagneticLattice,
+                           assemble_restricted, build_gauge, gauge_transform,
+                           make_mask, mask_all, mask_from_member)
 from gapfill.spectral import (_cheb_fit, gaussian_filter, materialize_filter,
                               polynomial_filter, smoothed_indicator_filter)
 
@@ -120,6 +121,57 @@ class TestAffiliation:
         filt = polynomial_filter([0.0, 1.0], encl)
         with pytest.raises(MaskMismatch):
             affiliation_check(bulk, edge_op, other, filt, [1.0])
+
+
+class TestBitwiseVerify:
+    """The chunked bitwise verify of affiliation_check on the 6x6-cell window.
+
+    A degree-3 filter leaves 312 far sites past its cone: three chunks.
+    """
+
+    @staticmethod
+    def far_sites(edge_op, mask, cone):
+        bd = mask.boundary_distance[edge_op.sites[:, 0], edge_op.sites[:, 1]]
+        return np.flatnonzero(bd > cone + 1e-12)
+
+    def test_one_ulp_in_the_last_chunk_fails(self, window):
+        lat, _, bulk, mask, edge_op, encl = window
+        filt = polynomial_filter(np.linspace(1.0, 0.3, 4), encl)
+        cone = filt.degree * lat.h
+        far = self.far_sites(edge_op, mask, cone)
+        n_last = far.size - (far.size - 1) // coarse.VERIFY_CHUNK * coarse.VERIFY_CHUNK
+        assert far.size > 2 * coarse.VERIFY_CHUNK
+        site = far[-1]
+        # only columns of the last chunk reach the perturbed site within the cone
+        hops = np.abs(edge_op.sites[far[:-n_last]] - edge_op.sites[site]).sum(axis=1)
+        assert hops.min() > filt.degree
+        m = edge_op.matrix.copy()
+        k = m.indptr[site] + np.searchsorted(m.indices[m.indptr[site]:m.indptr[site + 1]],
+                                             site)
+        m.data[k] = complex(np.nextafter(m.data[k].real, np.inf), m.data[k].imag)
+        perturbed = HermitianOperator(m, edge_op.sites, edge_op.ids, edge_op.h,
+                                      edge_op.hop_range, edge_op.provenance)
+        assert affiliation_check(bulk, edge_op, mask, filt, [1.0]).exact_zero_radius == cone
+        assert affiliation_check(bulk, perturbed, mask, filt, [1.0]).exact_zero_radius is None
+
+    def test_verify_applies_at_most_128_columns(self, window, monkeypatch):
+        lat, _, bulk, mask, edge_op, encl = window
+        filt = polynomial_filter(np.linspace(1.0, 0.3, 4), encl)
+        widths = []
+        apply = coarse._cheb_apply
+
+        def spy(matrix, coefficients, a, b, v):
+            if v.ndim == 2:
+                widths.append(v.shape[1])
+            return apply(matrix, coefficients, a, b, v)
+
+        monkeypatch.setattr(coarse, "_cheb_apply", spy)
+        rep = affiliation_check(bulk, edge_op, mask, filt, [1.0])
+        assert rep.exact_zero_radius == pytest.approx(filt.degree * lat.h)
+        assert max(widths) <= 128
+        # every far column goes through both recurrences exactly once
+        far = self.far_sites(edge_op, mask, filt.degree * lat.h)
+        assert sum(widths) == 2 * far.size
 
 
 class TestIdealMultiplicativity:

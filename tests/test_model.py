@@ -1,18 +1,46 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from gapfill.errors import EmptyRegion, MissingPhase, NonTorusGeometry
 from gapfill.model import (BallsShape, DiskShape, GraphShape, HalfPlaneShape,
-                           MagneticLattice, assemble_bulk, assemble_restricted,
-                           build_gauge, cell_gauge, gauge_transform, make_mask,
-                           mask_all, mask_from_sites, plaquette_products,
-                           twist_seams)
+                           MagneticLattice, _phase, assemble_bulk,
+                           assemble_restricted, build_gauge, cell_gauge,
+                           gauge_transform, make_mask, mask_all,
+                           mask_from_sites, plaquette_products, twist_seams)
 
 PLAQ_TOL = 1e-12
 
 
 def lattice(k=1, q=4, cells=3, geometry="torus", potential=None):
     return MagneticLattice(k, q, cells, cells, geometry, potential)
+
+
+def fraction_gauge(lat, kind):
+    """Reference gauge: every exponent a Fraction, one _phase call per link."""
+    q2, nx, ny, phi = lat.q * lat.q, lat.n_x, lat.n_y, lat.flux_per_plaquette
+    if kind == "landau":
+        ax = [[Fraction(0)] * ny for _ in range(nx)]
+        ay = [[Fraction(-2 * lat.k * ix, q2)] * ny for ix in range(nx)]
+    else:
+        ax = [[Fraction(lat.k * iy, q2) for iy in range(ny)] for _ in range(nx)]
+        ay = [[Fraction(-lat.k * ix, q2)] * ny for ix in range(nx)]
+    if lat.periodic_x:
+        for iy in range(ny):
+            interior = sum(ax[ix][iy] for ix in range(nx - 1))
+            ax[nx - 1][iy] = (phi * nx * iy - interior) % 1
+    if lat.periodic_y:
+        for ix in range(nx):
+            interior = sum(ay[ix][:ny - 1])
+            ay[ix][ny - 1] = (-phi * (ix % lat.q) * ny - interior) % 1
+    phase_x = np.array([[_phase(a) for a in row] for row in ax])
+    phase_y = np.array([[_phase(a) for a in row] for row in ay])
+    if not lat.periodic_x:
+        phase_x[nx - 1, :] = 1.0
+    if not lat.periodic_y:
+        phase_y[:, ny - 1] = 1.0
+    return phase_x, phase_y
 
 
 class TestLatticeInvariants:
@@ -100,6 +128,18 @@ class TestGauge:
         with pytest.raises(ValueError):
             g.phase_x[0, 0] = 1.0
         assert twist_seams(g, -1.0, 1.0).phase_x.flags.writeable
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    @pytest.mark.parametrize("q", [1, 2, 3, 8])
+    @pytest.mark.parametrize("geometry", ["torus", "strip", "masked"])
+    def test_integer_gauge_matches_fraction_oracle_bitwise(self, k, q, geometry):
+        lat = MagneticLattice(k, q, 3, 2, geometry)
+        for kind in ("landau", "symmetric"):
+            g = build_gauge(lat, kind)
+            ref_x, ref_y = fraction_gauge(lat, kind)
+            assert g.phase_x.dtype == ref_x.dtype == complex
+            assert g.phase_x.tobytes() == ref_x.tobytes()
+            assert g.phase_y.tobytes() == ref_y.tobytes()
 
     def test_reverse_link_is_conjugate(self):
         lat = lattice()

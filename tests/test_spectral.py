@@ -6,8 +6,9 @@ import scipy.sparse as sp
 from gapfill import spectral
 from gapfill.errors import (DenseCapExceeded, EnclosureViolation,
                             MarginTooSmall, ResidualNotCertified)
-from gapfill.model import (HermitianOperator, MagneticLattice, assemble_bulk,
-                           build_gauge)
+from gapfill.model import (HalfPlaneShape, HermitianOperator, MagneticLattice,
+                           assemble_bulk, assemble_restricted, build_gauge,
+                           make_mask)
 from gapfill.spectral import (DENSE_CAP, SpectralInterval, _cheb_fit,
                               apply_filter, certify_interval, detect_gaps,
                               eigensolve, gaussian_filter,
@@ -131,7 +132,35 @@ class TestGaps:
         assert ival.margin == pytest.approx(2.0)
 
 
+def masked_window(k=1, q=4, cells=3):
+    lat = MagneticLattice(k, q, cells, cells, "masked")
+    return lat, assemble_restricted(lat, build_gauge(lat), make_mask(lat, HalfPlaneShape(2.0)))
+
+
 class TestFilters:
+    @pytest.mark.parametrize("window", [bulk, masked_window], ids=["torus", "masked"])
+    @pytest.mark.parametrize("kind", ["polynomial", "smoothed_indicator"])
+    def test_cheb_apply_matches_dense_oracle(self, window, kind, rng):
+        _, op = window(1, 4, 3)
+        a, b = op.gershgorin()
+        encl = (a - 1.0, b + 1.0)
+        if kind == "polynomial":
+            filt = polynomial_filter([0.5, -1 / 32, 1 / 64 ** 2, 1 / 64 ** 3, 1 / 64 ** 4],
+                                     encl)
+        else:
+            filt = smoothed_indicator_filter(2.0, 8 * np.pi - 2.0, 3.0, encl, 120)
+        w, vecs = np.linalg.eigh(op.matrix.toarray())
+        pw = filt.evaluate(w)
+        tol = 1e-10 * max(np.abs(pw).max(), 1.0)
+        shape = (op.dimension, 3)
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        v /= np.linalg.norm(v, axis=0)
+        ref = vecs @ (pw[:, None] * (vecs.conj().T @ v))
+        out = spectral._cheb_apply(op.matrix, filt.coefficients, *encl, v)
+        assert np.linalg.norm(out - ref, axis=0).max() <= tol
+        single = spectral._cheb_apply(op.matrix, filt.coefficients, *encl, v[:, 0])
+        assert np.linalg.norm(single - ref[:, 0]) <= tol
+
     def test_degree_zero_is_identity(self):
         _, op = bulk()
         a, b = op.gershgorin()
@@ -220,6 +249,18 @@ class TestProjection:
         ival = certify_interval(rep, rep.eigenvalues[0] - 20, rep.eigenvalues[0] - 4)
         p = spectral_projection(op, ival, tol=1e-6)
         assert np.abs(p).max() <= 1e-6
+
+    def test_returned_projector_meets_frobenius_tolerance(self, setup):
+        _, op, rep = setup
+        ival = certify_interval(rep, -1.0, 4 * np.pi)
+        p = spectral_projection(op, ival, tol=1e-9)
+        assert np.linalg.norm(p @ p - p, "fro") <= 1e-9
+
+    def test_tolerance_below_rounding_rejected(self, setup):
+        _, op, rep = setup
+        ival = certify_interval(rep, -1.0, 4 * np.pi)
+        with pytest.raises(MarginTooSmall, match="sharpening"):
+            spectral_projection(op, ival, tol=1e-20)
 
     def test_margin_zero_rejected(self, setup):
         _, op, _ = setup
