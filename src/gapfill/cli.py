@@ -254,7 +254,10 @@ def _task_chern(cfg, out):
     gauge = build_gauge(lattice, cfg["model"]["gauge"])
     p = cfg.get("params", {})
     n_s, n_t = p.get("grid", [16, 16])
-    lo, hi = p.get("interval", [-1.0, 4.0 * np.pi * max(lattice.k, 1)])
+    # default lower end: one below the Gershgorin bound -4*pi*k + min W of
+    # every fiber, so the interval holds every band below its upper end
+    lo, hi = p.get("interval", [-4.0 * np.pi * lattice.k + lattice.potential.min() - 1.0,
+                                4.0 * np.pi * max(lattice.k, 1)])
     res = bloch.invariant_pair_result(lattice, gauge,
                                       spectral.SpectralInterval(lo, hi),
                                       bloch.BlochGrid(n_s, n_t))
@@ -452,7 +455,9 @@ def _task_report(cfg, out):
 
     obstruction = chern["chern"] != 0
     filled = bool(edge_rep.get("all_pass"))
-    flow_matches = abs(flow["net_flow"]) == abs(chern["chern"])
+    # under the declared conventions the lower edge carries -c1, the upper +c1
+    edge_sign = -1 if flow["designated_edge"] == "lower" else 1
+    flow_matches = flow["net_flow"] == edge_sign * chern["chern"]
     affiliation_ok = True
     if affiliation is not None and affiliation["deviations"]:
         affiliation_ok = affiliation["deviations"][-1] <= 1e-6
@@ -464,7 +469,8 @@ def _task_report(cfg, out):
     elif filled and flow_matches and affiliation_ok:
         verdict = "PASS"
         message = (f"nonzero obstruction (c1={chern['chern']}), gap filled, "
-                   f"|net_flow|=|c1|")
+                   f"net_flow={'-' if edge_sign < 0 else '+'}c1 on the "
+                   f"{flow['designated_edge']} edge")
         status = 0
     else:
         verdict = "FAIL"

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.csgraph as csgraph
 
-from .errors import MaskMismatch
+from .errors import MaskMismatch, UnsupportedShape
 from .model import (BallsShape, DiskShape, GraphShape, HalfPlaneShape,
                     HermitianOperator, MagneticLattice, RegionMask)
 from .spectral import ChebFilter, apply_filter, _cheb_apply, operator_norm
@@ -275,41 +275,12 @@ class WidenessCertificate:
     details: dict
 
 
-def _member_fn(descriptor, lattice: MagneticLattice):
-    """Analytic membership predicate on arbitrary integer site coordinates."""
-    h = lattice.h
-    if isinstance(descriptor, HalfPlaneShape):
-        return lambda ix, iy: iy * h <= descriptor.level
-    if isinstance(descriptor, GraphShape):
-        f = np.asarray(descriptor.f_samples, float)
-        q = lattice.q
-        return lambda ix, iy: iy * h <= f[ix % q]
-    if isinstance(descriptor, BallsShape):
-        base = _member_fn(descriptor.base, lattice)
-        centers = descriptor.centers
-        r2 = descriptor.radius ** 2
-
-        def fn(ix, iy):
-            if base(ix, iy):
-                return True
-            x, y = ix * h, iy * h
-            return any((x - cx) ** 2 + (y - cy) ** 2 <= r2 for (cx, cy) in centers)
-        return fn
-    if isinstance(descriptor, DiskShape):
-        cx, cy = descriptor.center
-        r2 = descriptor.radius ** 2
-        return lambda ix, iy: (ix * h - cx) ** 2 + (iy * h - cy) ** 2 <= r2
-    raise ValueError(f"no analytic membership for {descriptor!r}")
-
-
-def _in_thickened_complement(member_fn, ix, iy, r_sites) -> bool:
-    """Is the site within L1 distance r_sites of a complement site?"""
-    for dx in range(-r_sites, r_sites + 1):
-        rem = r_sites - abs(dx)
-        for dy in range(-rem, rem + 1):
-            if not member_fn(ix + dx, iy + dy):
-                return True
-    return False
+def _l1_ball(r_sites: int) -> np.ndarray:
+    """Integer offsets (dx, dy) with |dx| + |dy| <= r_sites, as an (m, 2) array."""
+    d = np.arange(-r_sites, r_sites + 1)
+    dx, dy = np.meshgrid(d, d, indexing="ij")
+    keep = np.abs(dx) + np.abs(dy) <= r_sites
+    return np.column_stack([dx[keep], dy[keep]])
 
 
 def _sample_bounded_set(rng, lattice: MagneticLattice, diameter: float,
@@ -337,9 +308,11 @@ def wideness_check(descriptor, r: float, lattice: MagneticLattice,
 
     Half-plane and bounded-graph descriptors are wide with the analytic rule
     "translate straight down past the thickened complement"; the rule is
-    spot-verified on n_spot random bounded sets gY against the exact
-    predicates.  Disks (and any bounded region) yield counterexample_found:
-    a set wider than the region cannot fit under any translation.  Explicit
+    spot-verified on n_spot random bounded sets gY against the shape's
+    `contains`: every point of gY and its L1 r-ball must lie in Z, so gY
+    misses the r-thickened complement.  Disks (and any bounded region)
+    yield counterexample_found: a set wider than the region cannot fit
+    under any translation.  Explicit
     masks get a bounded search with verdict inconclusive on success or
     window exhaustion, counterexample_found when the region is bounded
     inside the window.  Translations are the integer (continuum unit)
@@ -353,7 +326,7 @@ def wideness_check(descriptor, r: float, lattice: MagneticLattice,
     box = (0, lattice.n_x - 1, 0, lattice.n_y - 1)
 
     def rule_verdict(level_min: float, name: str):
-        member = _member_fn(descriptor, lattice)
+        ball = _l1_ball(r_sites)
 
         def rule(y_sites):
             top = max(iy for (_, iy) in y_sites) * h
@@ -364,13 +337,8 @@ def wideness_check(descriptor, r: float, lattice: MagneticLattice,
         for _ in range(n_spot):
             y_sites = _sample_bounded_set(rng, lattice, y_diameter, box)
             gx, gy = rule(y_sites)
-            ok = True
-            for (ix, iy) in y_sites:
-                jx, jy = ix + gx * q, iy + gy * q
-                if not member(jx, jy) or _in_thickened_complement(member, jx, jy, r_sites):
-                    ok = False
-                    break
-            if ok:
+            pts = (np.asarray(y_sites) + (gx * q, gy * q))[:, None, :] + ball
+            if descriptor.contains(pts[..., 0], pts[..., 1], q, lattice.period_x).all():
                 passed += 1
         verdict = "wide_proved" if passed == n_spot else "inconclusive"
         witness = (f"g(Y) = (0, floor({name} - r - max_y(Y)) - 1): translate below "
@@ -381,7 +349,7 @@ def wideness_check(descriptor, r: float, lattice: MagneticLattice,
     if isinstance(descriptor, HalfPlaneShape):
         return rule_verdict(descriptor.level, "level")
     if isinstance(descriptor, GraphShape):
-        return rule_verdict(GraphShape(descriptor.f_samples).level_min, "min f")
+        return rule_verdict(descriptor.level_min, "min f")
     if isinstance(descriptor, BallsShape) and isinstance(descriptor.base, HalfPlaneShape):
         # complement is contained above the base half-plane, so its rule works
         return rule_verdict(descriptor.base.level, "base level")
@@ -398,7 +366,8 @@ def wideness_check(descriptor, r: float, lattice: MagneticLattice,
 
     # explicit mask: bounded search
     if mask is None:
-        raise ValueError("explicit-region wideness needs the mask")
+        raise UnsupportedShape(f"no wideness rule for {descriptor!r} without a mask "
+                               "(an explicit region needs its mask)")
     member_grid = mask.member
     # far set: Z minus the r-thickening of the complement, within the window;
     # boundary_distance is (graph hops - 1) * h, so hops * h > r is the test

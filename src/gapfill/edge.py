@@ -21,7 +21,9 @@ Sign conventions, recorded in every report: kappa increases along the
 positive dual direction (the wrap phase is e^{+i*kappa}), a crossing counts
 with the sign of dE/dkappa, and the lower edge is the designated edge by
 default.  Under these conventions the k=1 magnetic Laplacian carries
-net_flow = +1 on the lower edge at mid-gap, and |net_flow| = |c1|.
+net_flow = +1 on the lower edge at mid-gap: the lower edge carries -c1
+and the upper edge +c1, for the Chern number c1 of the bands below
+(orientation of :mod:`gapfill.bloch`).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .errors import (BandConnectionAmbiguous, CountNotCertified, EmptyRegion,
 from .model import (GaugeField, HalfPlaneShape, GraphShape, BallsShape,
                     HermitianOperator, MagneticLattice, RegionMask, _assemble,
                     assemble_restricted, build_gauge, cell_gauge, cell_lift_phases,
-                    mask_from_member, twist_seams)
+                    mask_from_member, twist_seams, window_member)
 from .spectral import (SpectralInterval, banded, banded_eigenvalues, banded_vectors,
                        certify_counts, eigensolve, inertia)
 
@@ -107,26 +109,9 @@ def make_strip(k: int, q: int, width_cells: int, length_cells: int,
 
 
 def strip_mask(strip: StripSpec) -> RegionMask:
-    """Region mask of the strip: shape membership above the bottom vacuum."""
+    """Region mask of the strip: the shape's window members above the bottom vacuum."""
     lat = strip.lattice
-    ix, iy = np.meshgrid(np.arange(lat.n_x), np.arange(lat.n_y), indexing="ij")
-    y = iy * lat.h
-    x = ix * lat.h
-    shape = strip.shape
-    if isinstance(shape, HalfPlaneShape):
-        member = y <= shape.level
-    elif isinstance(shape, GraphShape):
-        member = y <= shape.samples(lat.q)[ix % lat.q]
-    elif isinstance(shape, BallsShape):
-        member = y <= shape.base.level
-        for (cx, cy) in shape.centers:
-            # decoration repeats per cell along x
-            dx = np.minimum(np.abs(x - cx) % lat.cells_x,
-                            lat.cells_x - np.abs(x - cx) % lat.cells_x)
-            member |= dx ** 2 + (y - cy) ** 2 <= shape.radius ** 2
-    else:
-        raise UnsupportedShape(f"unsupported strip shape: {shape!r}")
-    member &= y >= 1.0
+    member = window_member(lat, strip.shape) & (np.arange(lat.n_y) * lat.h >= 1.0)
     if not member.any():
         raise EmptyRegion("strip mask selects no site")
     return mask_from_member(lat, member, ("strip", strip.shape))
@@ -157,10 +142,15 @@ def strip_block(strip: StripSpec, kappa: float, mask: RegionMask | None = None) 
     mask = mask or strip_mask(strip)
     if not _mask_cell_periodic(mask):
         raise UnsupportedShape("strip mask is not cell-periodic; no block reduction")
-    cell = MagneticLattice(lat.k, lat.q, 1, lat.cells_y, "strip", lat.potential)
     prov = {"lattice": lat, "gauge_kind": "landau", "mask": mask.descriptor,
             "kappa": kappa, "shift": -4.0 * np.pi * lat.k}
-    return _assemble(cell, _block_gauge(lat, kappa), mask.member[:lat.q], prov)
+    return _assemble(_cell_lattice(lat), _block_gauge(lat, kappa), mask.member[:lat.q],
+                     prov)
+
+
+def _cell_lattice(lat: MagneticLattice) -> MagneticLattice:
+    """The one-cell-wide strip under every momentum block of lat."""
+    return MagneticLattice(lat.k, lat.q, 1, lat.cells_y, "strip", lat.potential)
 
 
 def _block_gauge(lat: MagneticLattice, kappa: float) -> GaugeField:
@@ -279,8 +269,10 @@ def gap_filling_check(strip: StripSpec, bulk_gap: SpectralInterval, n_samples: i
     failing sample is certified by the block inertia counts: no eigenvalue
     lies in [s - delta, s + delta) (CountNotCertified otherwise).  The
     n_localization states nearest mid-gap (the nearest in each block, then
-    the best across blocks) are the only other vectors computed.  Other
-    shapes solve the assembled strip densely, up to the dense cap.
+    the best across blocks) are the only other vectors computed, and their
+    localization profiles are measured on the block against the one-cell
+    mask, whose boundary distances are those of every cell of the strip.
+    Other shapes solve the assembled strip densely, up to the dense cap.
     """
     if bulk_gap.margin <= 0:
         raise MarginTooSmall("bulk_gap must be certified (margin > 0)")
@@ -305,32 +297,26 @@ def gap_filling_check(strip: StripSpec, bulk_gap: SpectralInterval, n_samples: i
         states = []
         for (_, m, j) in nearest[:n_localization]:
             vec = banded_vectors(blocks[m], values[m], [j])[0][:, 0]
-            states.append((float(values[m][j]), vec, kappas[m], blocks[m].op))
+            states.append((float(values[m][j]), vec, blocks[m].op))
         n_eigenvalues = sum(len(w) for w in values)
         solver = _banded_solver(len(blocks), blocks[0])
+        profile_mask = mask_from_member(_cell_lattice(lat), mask.member[:lat.q],
+                                        mask.descriptor)
     else:
         op = strip_operator(strip)
         rep = eigensolve(op, keep_vectors=True)
         ev = rep.eigenvalues
         distances = np.array([np.abs(ev - s).min() for s in samples])
         verdicts = distances <= delta
-        states = [(float(ev[j]), rep.eigenvectors[:, j], None, op)
+        states = [(float(ev[j]), rep.eigenvectors[:, j], op)
                   for j in np.argsort(np.abs(ev - mid))[:n_localization]]
         n_eigenvalues = len(ev)
         solver = {"route": "dense", "blocks": 1, "block_dim": op.dimension}
+        profile_mask = mask
 
-    profiles = []
-    strip_op = None
-    for (energy, vec, kappa, block) in states:
-        if kappa is None:
-            profiles.append(localization_profile(block, (energy, vec), mask))
-        else:
-            if strip_op is None:
-                gauge = build_gauge(lat, "landau")
-                strip_op = strip_operator(strip, gauge)
-            lifted = lift_block_vector(strip, block, kappa, vec, mask, gauge)
-            profiles.append(localization_profile(strip_op, (energy, lifted), mask))
-    return EdgeReport(samples, distances, delta, verdicts, tuple(profiles),
+    profiles = tuple(localization_profile(op, (energy, vec), profile_mask)
+                     for (energy, vec, op) in states)
+    return EdgeReport(samples, distances, delta, verdicts, profiles,
                       dict(FLOW_CONVENTIONS), int(n_eigenvalues), solver)
 
 

@@ -128,6 +128,11 @@ class MagneticLattice:
     def periodic_y(self) -> bool:
         return self.geometry == "torus"
 
+    @property
+    def period_x(self) -> float | None:
+        """x period of the closure in continuum units (None when open in x)."""
+        return float(self.cells_x) if self.periodic_x else None
+
 
 # ---------------------------------------------------------------------------
 # gauge field
@@ -300,11 +305,33 @@ def plaquette_products(gauge: GaugeField) -> np.ndarray:
 # region masks
 
 
+# Every shape answers membership for integer site coordinates (ix, iy) of
+# any range, at spacing h = 1/q, through contains(ix, iy, q, period_x): a
+# boolean array of the broadcast shape of ix and iy.  period_x (continuum
+# units) is the x period of an x-periodic window; ball x-distances wrap
+# modulo it.  Coordinates are x = ix * h with h = 1.0 / q (not ix / q,
+# which rounds differently).
+
+
+def _in_ball(ix, iy, q, center, radius, period_x):
+    """|(x, y) - center| <= radius, with the x-distance wrapped modulo period_x."""
+    h = 1.0 / q
+    dx = np.asarray(ix) * h - center[0]
+    if period_x is not None:
+        dx = np.abs(dx) % period_x
+        dx = np.minimum(dx, period_x - dx)
+    return dx ** 2 + (np.asarray(iy) * h - center[1]) ** 2 <= radius ** 2
+
+
 @dataclass(frozen=True)
 class HalfPlaneShape:
     """Region y <= level (continuum units)."""
 
     level: float
+
+    def contains(self, ix, iy, q: int, period_x: float | None = None) -> np.ndarray:
+        return np.broadcast_to(np.asarray(iy) * (1.0 / q) <= self.level,
+                               np.broadcast(ix, iy).shape)
 
 
 @dataclass(frozen=True)
@@ -323,6 +350,9 @@ class GraphShape:
             raise UnsupportedShape(f"GraphShape needs q = {q} samples (one cell), "
                                    f"got {len(f)}")
         return f
+
+    def contains(self, ix, iy, q: int, period_x: float | None = None) -> np.ndarray:
+        return np.asarray(iy) * (1.0 / q) <= self.samples(q)[np.asarray(ix) % q]
 
     @property
     def level_min(self) -> float:
@@ -345,6 +375,12 @@ class BallsShape:
     radius: float
     centers: tuple
 
+    def contains(self, ix, iy, q: int, period_x: float | None = None) -> np.ndarray:
+        member = self.base.contains(ix, iy, q, period_x).copy()
+        for center in self.centers:
+            member |= _in_ball(ix, iy, q, center, self.radius, period_x)
+        return member
+
 
 @dataclass(frozen=True)
 class DiskShape:
@@ -352,6 +388,9 @@ class DiskShape:
 
     center: tuple
     radius: float
+
+    def contains(self, ix, iy, q: int, period_x: float | None = None) -> np.ndarray:
+        return _in_ball(ix, iy, q, self.center, self.radius, period_x)
 
 
 @dataclass(frozen=True)
@@ -408,28 +447,18 @@ def _distance_to_complement(lattice: MagneticLattice, member: np.ndarray) -> np.
     return dist
 
 
+def window_member(lattice: MagneticLattice, shape) -> np.ndarray:
+    """The shape's `contains` on every window site, wrapping on an x-periodic window."""
+    contains = getattr(shape, "contains", None)
+    if contains is None:
+        raise UnsupportedShape(f"no membership rule for the shape {shape!r}")
+    ix, iy = np.meshgrid(np.arange(lattice.n_x), np.arange(lattice.n_y), indexing="ij")
+    return contains(ix, iy, lattice.q, lattice.period_x)
+
+
 def make_mask(lattice: MagneticLattice, shape) -> RegionMask:
     """Region mask from a shape descriptor, with boundary distances."""
-    nx, ny = lattice.n_x, lattice.n_y
-    h = lattice.h
-    ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    x = ix * h
-    y = iy * h
-    if isinstance(shape, HalfPlaneShape):
-        member = y <= shape.level
-    elif isinstance(shape, GraphShape):
-        member = y <= shape.samples(lattice.q)[ix % lattice.q]
-    elif isinstance(shape, BallsShape):
-        base_mask = make_mask(lattice, shape.base)
-        member = base_mask.member.copy()
-        for (cx, cy) in shape.centers:
-            member |= (x - cx) ** 2 + (y - cy) ** 2 <= shape.radius ** 2
-    elif isinstance(shape, DiskShape):
-        cx, cy = shape.center
-        member = (x - cx) ** 2 + (y - cy) ** 2 <= shape.radius ** 2
-    else:
-        raise ValueError(f"unsupported shape descriptor: {shape!r}")
-    return mask_from_member(lattice, member, shape)
+    return mask_from_member(lattice, window_member(lattice, shape), shape)
 
 
 def mask_from_sites(lattice: MagneticLattice, sites) -> RegionMask:

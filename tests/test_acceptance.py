@@ -134,11 +134,11 @@ class TestAcceptance:
         for k in (1, 2):
             flow = strip_bands(make_strip(k, 8, 12, 2), n_kappa=48,
                                e_ref=4.0 * np.pi)
-            ok &= abs(flow.net_flow) == 1
+            ok &= flow.net_flow == 1
             ok &= flow.net_flow + flow.net_flow_upper == 0
             details.append(f"k={k}: net_flow={flow.net_flow:+d} "
                            f"(upper {flow.net_flow_upper:+d})")
-        assert announce(6, "spectral flow = |c1|", ok,
+        assert announce(6, "spectral flow = -c1", ok,
                         "; ".join(details) + f" ({time.perf_counter()-t0:.0f}s)")
 
     def test_07_affiliation(self):

@@ -178,6 +178,20 @@ class TestChernTask:
         assert doc["orientation"] == "ds_wedge_dt_positive"
         assert "max_flux" in doc and "group" in doc
 
+    def test_default_interval_holds_the_lowest_group(self, tmp_path):
+        # k=2, q=8: the lowest fiber eigenvalue is -1.216, below the old
+        # default lower end -1; the default is now one below the fiber
+        # Gershgorin bound -4*pi*k + min W
+        cfg = write_config(tmp_path / "cfg.json",
+                           model={"k": 2, "q": 8, "cells_x": 2, "cells_y": 2,
+                                  "geometry": "torus", "gauge": "landau"},
+                           task="chern", params={"grid": [16, 16]})
+        out = tmp_path / "out"
+        assert main(["chern", "--config", str(cfg), "--out", str(out)]) == 0
+        doc = json.loads((out / "chern.json").read_text())
+        assert (doc["dim"], doc["chern"]) == (4, -1)
+        assert doc["interval"] == [-8 * np.pi - 1.0, 8 * np.pi]
+
     @pytest.mark.parametrize("interval", [[9.0, -2.0], [3.0, 3.0]])
     def test_reversed_interval_exit_1(self, tmp_path, capsys, interval):
         cfg = write_config(tmp_path / "cfg.json", task="chern",
@@ -306,10 +320,31 @@ class TestReportChain:
         assert doc["verdict"] == "PASS"
         assert doc["invariant_pair"] == {"dim": 2, "chern": -1}
         assert doc["gap_filled"] is True
-        assert abs(doc["net_flow"]) == 1
+        assert doc["net_flow"] == 1
+        assert "net_flow=-c1 on the lower edge" in doc["message"]
         assert (out / "report.md").exists()
         assert (out / "dispersion.csv").exists()
         assert (out / "bands.svg").exists()
+
+    @pytest.mark.parametrize("edge, net_flow, verdict, status",
+                             [("lower", 1, "PASS", 0), ("lower", -1, "FAIL", 2),
+                              ("upper", -1, "PASS", 0), ("upper", 1, "FAIL", 2)])
+    def test_flow_sign_is_checked(self, tmp_path, edge, net_flow, verdict, status):
+        # hand-written artifacts with c1 = -1: the lower edge must carry
+        # net_flow = -c1 = +1, the upper edge +c1 = -1
+        out = tmp_path / "out"
+        out.mkdir()
+        docs = {"gaps.json": {"gaps": [{"lower": 9.0, "upper": 16.0, "margin": 1.0}]},
+                "chern.json": {"dim": 2, "chern": -1},
+                "edge_report.json": {"all_pass": True, "max_distance": 0.1},
+                "flow.json": {"net_flow": net_flow, "designated_edge": edge}}
+        for name, doc in docs.items():
+            (out / name).write_text(json.dumps(doc))
+        cfg = write_config(tmp_path / "c.json", task="report")
+        assert main(["report", "--config", str(cfg), "--out", str(out)]) == status
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["verdict"] == verdict
+        assert ("flow_matches=False" in doc["message"]) == (verdict == "FAIL")
 
     def test_no_field_reports_no_obstruction(self, tmp_path):
         out = tmp_path / "out"

@@ -4,6 +4,7 @@ import scipy.linalg
 
 from gapfill import edge
 from gapfill.bloch import torus_spectrum
+from gapfill.coarse import wideness_check
 from gapfill.edge import (gap_filling_check, lift_block_vector,
                           localization_profile, make_strip, strip_bands,
                           strip_block, strip_mask, strip_operator)
@@ -51,12 +52,16 @@ class TestStripConstruction:
 
     @pytest.mark.parametrize("n_samples", [3, 5])
     def test_graph_shape_sample_count(self, n_samples):
-        # strip and window masks name the same miscount (q = 4)
+        # strip masks, window masks and wideness spot checks name the same
+        # miscount (q = 4)
         shape = GraphShape((0.1,) * n_samples)
+        window = MagneticLattice(1, 4, 2, 2, "masked")
         with pytest.raises(UnsupportedShape, match=f"q = 4 samples .* got {n_samples}"):
             strip_mask(make_strip(1, 4, 6, 2, shape=shape))
         with pytest.raises(UnsupportedShape, match=f"q = 4 samples .* got {n_samples}"):
-            make_mask(MagneticLattice(1, 4, 2, 2, "masked"), shape)
+            make_mask(window, shape)
+        with pytest.raises(UnsupportedShape, match=f"q = 4 samples .* got {n_samples}"):
+            wideness_check(shape, 1.0, window)
 
     def test_mask_has_vacuum_on_both_sides(self):
         strip = make_strip(1, 4, 6, 2)
@@ -110,6 +115,21 @@ class TestGapFilling:
         dist = np.abs(rep.eigenvalues[None, :] - samples[:, None]).min(axis=1)
         assert (dist > 1.0).all()
 
+    def test_non_periodic_strip_takes_the_dense_route(self, small_gap):
+        # one ball on a 6-cell strip is not cell-periodic: no momentum blocks
+        _, gap = small_gap
+        shape = BallsShape(HalfPlaneShape(0.0), 1.0 / 3.0, ((0.5, 1.0),))
+        strip = make_strip(1, 4, 8, 6, shape=shape)
+        report = gap_filling_check(strip, gap, n_samples=8, delta=1.0)
+        assert report.solver == {"route": "dense", "blocks": 1,
+                                 "block_dim": strip_mask(strip).n_inside}
+        ev = eigensolve(strip_operator(strip)).eigenvalues
+        nearest = np.abs(ev[None, :] - report.samples[:, None]).min(axis=1)
+        np.testing.assert_allclose(report.distances, nearest, rtol=0, atol=1e-12)
+        assert np.array_equal(report.verdicts, report.distances <= 1.0)
+        assert report.n_strip_eigenvalues == len(ev)
+        assert len(report.localization) == 3
+
     def test_width_precondition_satisfied(self, small_gap):
         # 8 magnetic lengths = 8/sqrt(4 pi k) < 4 cells for every k >= 1,
         # so any constructible strip satisfies the precondition
@@ -146,6 +166,36 @@ class TestLocalization:
         for prof in report.localization:
             assert np.all(np.diff(prof.cumulative_mass) >= -1e-12)
             assert prof.cumulative_mass[-1] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("kind", ["flat", "graph", "balls"])
+    def test_block_profiles_match_lifted_strip_profiles(self, small_gap, monkeypatch,
+                                                        kind):
+        # each profile is measured on its momentum block; lifted to the whole
+        # strip, the same state has the same mass curve and decay rate
+        _, gap = small_gap
+        strip = make_strip(1, 4, 8, 6, shape=_shape(kind, 4, 6))
+        calls = []
+        profile = edge.localization_profile
+
+        def record(op, eigenpair, mask):
+            calls.append((op, eigenpair))
+            return profile(op, eigenpair, mask)
+        monkeypatch.setattr(edge, "localization_profile", record)
+        report = gap_filling_check(strip, gap, 4, 1.0)
+        mask = strip_mask(strip)
+        strip_op = strip_operator(strip)
+        assert len(report.localization) == len(calls) == 3
+        for prof, (block, (energy, vec)) in zip(report.localization, calls):
+            assert block.dimension == mask.n_inside // strip.length_cells
+            lifted = lift_block_vector(strip, block, block.provenance["kappa"], vec,
+                                       mask)
+            want = profile(strip_op, (energy, lifted), mask)
+            assert prof.energy == want.energy
+            assert np.array_equal(prof.distances, want.distances)
+            np.testing.assert_allclose(prof.cumulative_mass, want.cumulative_mass,
+                                       rtol=0, atol=1e-12)
+            assert abs(prof.mass_within(1.5) - want.mass_within(1.5)) <= 1e-12
+            assert abs(prof.decay_rate - want.decay_rate) <= 1e-12
 
     def test_midgap_state_is_boundary_localized(self):
         # calibrated on the dense run at h = 1/8 (where h resolves the
@@ -211,13 +261,14 @@ class TestSpectralFlow:
             strip_bands(make_strip(1, 4, 8, 2), n_kappa=3, e_ref=9.0)
 
     def test_flow_magnitude_matches_chern(self, flow):
-        # |net_flow| = |c1| of the bands below the gap
+        # net_flow = -c1 of the bands below the gap, under the declared
+        # orientation and flow conventions
         from gapfill.bloch import BlochGrid, invariant_pair
         from gapfill.spectral import SpectralInterval
         lat = MagneticLattice(1, 4, 2, 2, "torus")
         pair = invariant_pair(lat, build_gauge(lat),
                               SpectralInterval(-2.0, 9.0), BlochGrid(12, 12))
-        assert abs(flow.net_flow) == abs(pair[1])
+        assert flow.net_flow == -pair[1] == 1
 
 
 # ---------------------------------------------------------------------------
