@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (FluxNotAdmissible, GaugeNotCellPeriodic, LiftNotCertified,
                      NonConstantRank, NonTorusGeometry, NoUniformGap, ResidualNotCertified,
@@ -41,6 +42,7 @@ ORIENTATION = "ds_wedge_dt_positive"
 OVERLAP_SINGULAR_TOL = 1e-8
 FIBER_RESIDUAL_FACTOR = 1e-10
 FLUX_ADMISSIBLE = np.pi / 2
+LIFT_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -163,8 +165,10 @@ def torus_spectrum(lattice: MagneticLattice, gauge: GaugeField, *,
     (LiftNotCertified otherwise).  The cells_x * cells_y fibers give q^2
     pairs each, n in all, and lifts of distinct fibers carry distinct Bloch
     characters and are orthogonal, so the certified pairs are the whole
-    spectrum.  One fiber block of n x q^2 is held at a
-    time; the n x n eigenvector matrix is built only for keep_vectors.
+    spectrum.  The lift and its residual run in column chunks of LIFT_CHUNK,
+    so one n x LIFT_CHUNK block is held at a time (each residual column is
+    computed exactly as on the whole n x q^2 block); the n x n eigenvector
+    matrix is built only for keep_vectors.
     """
     if lattice.geometry != "torus":
         raise NonTorusGeometry(f"torus_spectrum needs torus geometry, got {lattice.geometry}")
@@ -177,11 +181,14 @@ def torus_spectrum(lattice: MagneticLattice, gauge: GaugeField, *,
             s, t = a / cx, b / cy
             w, v = np.linalg.eigh(fiber_hamiltonian(lattice, gauge, (s, t)))
             chi = cell_lift_phases(gauge, _fiber_gauge(lattice, gauge.gauge_kind, s, t))
-            psi = (chi.ravel() / np.sqrt(cx * cy))[:, None] * v[cell_rows]
+            scale = (chi.ravel() / np.sqrt(cx * cy))[:, None]
+            for c in range(0, w.size, LIFT_CHUNK):
+                cols = slice(c, c + LIFT_CHUNK)
+                psi = scale * v[cell_rows, cols]
+                residuals.append(np.linalg.norm(op.matrix @ psi - psi * w[cols], axis=0))
+                if keep_vectors:
+                    blocks.append(psi)
             values.append(w)
-            residuals.append(np.linalg.norm(op.matrix @ psi - psi * w, axis=0))
-            if keep_vectors:
-                blocks.append(psi)
     w = np.concatenate(values)
     res = np.concatenate(residuals)
     order = np.argsort(w, kind="stable")
@@ -249,30 +256,26 @@ def _fhs_flux(frames: np.ndarray, lo: int, hi: int) -> np.ndarray:
     Circulation follows the declared ds^dt-positive orientation: the loop
     runs p -> p+t -> p+s+t -> p+s -> p.  Each link variable is the
     determinant of the overlap matrix of the group frames (LU pivoting via
-    numpy.linalg.det); SingularOverlap below 1e-8 modulus.
+    numpy.linalg.det), formed once per link: the s-links p -> p+s and the
+    t-links p -> p+t in one batch each, a reverse link being the conjugate
+    of its forward link.  SingularOverlap when any link determinant has
+    modulus below 1e-8.
     """
-    n_s, n_t = frames.shape[0], frames.shape[1]
-    flux = np.empty((n_s, n_t))
     sub = frames[:, :, :, lo:hi]
+    s_link = _link_phases(sub, np.roll(sub, -1, axis=0))
+    t_link = _link_phases(sub, np.roll(sub, -1, axis=1))
+    loop = (t_link * np.roll(s_link, -1, axis=1)
+            * np.roll(t_link, -1, axis=0).conj() * s_link.conj())
+    return np.angle(loop)
 
-    def link(fa, fb):
-        d = np.linalg.det(fa.conj().T @ fb)
-        if abs(d) < OVERLAP_SINGULAR_TOL:
-            raise SingularOverlap(f"overlap determinant modulus {abs(d):.2e} < 1e-8")
-        return d / abs(d)
 
-    for a in range(n_s):
-        for b in range(n_t):
-            f00 = sub[a, b]
-            f01 = sub[a, (b + 1) % n_t]
-            f11 = sub[(a + 1) % n_s, (b + 1) % n_t]
-            f10 = sub[(a + 1) % n_s, b]
-            u1 = link(f00, f01)
-            u2 = link(f01, f11)
-            u3 = link(f11, f10)
-            u4 = link(f10, f00)
-            flux[a, b] = np.angle(u1 * u2 * u3 * u4)
-    return flux
+def _link_phases(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """Unit link variables det(fa^H fb) / |det(fa^H fb)| per grid point."""
+    d = np.linalg.det(fa.conj().swapaxes(-1, -2) @ fb)
+    mod = np.abs(d)
+    if mod.min() < OVERLAP_SINGULAR_TOL:
+        raise SingularOverlap(f"overlap determinant modulus {mod.min():.2e} < 1e-8")
+    return d / mod
 
 
 def plaquette_berry_flux(frames: np.ndarray) -> np.ndarray:
@@ -330,8 +333,20 @@ def invariant_pair_result(lattice: MagneticLattice, gauge: GaugeField,
     dim is the in-interval fiber eigenvalue count, which must be constant
     over the grid along with the count below the interval (NonConstantRank
     otherwise); chern is the plaquette-flux sum of the corresponding frame
-    columns under the declared orientation.  Only the in-interval frame
-    columns are kept, so large fibers stay within desk memory.
+    columns under the declared orientation.
+
+    Only the pairs the counts and frames need are solved.  The first grid
+    point is diagonalized in full; N is its eigenvalue count below
+    interval.upper.  Every other fiber asks for its lowest N+1 pairs
+    (scipy.linalg.eigh with subset_by_index).  If the returned w[N] lies
+    above interval.upper, no later eigenvalue lies in the interval or
+    nearer to either endpoint, so the counts and the endpoint distance are
+    exact from those N+1 values; otherwise the fiber is diagonalized again
+    in full.  The endpoint tolerance scales with the largest Gershgorin
+    bound of the fibers (largest absolute row sum), an upper bound on every
+    |eigenvalue|.  Each kept frame column is certified by its residual,
+    ||H v - v w|| <= FIBER_RESIDUAL_FACTOR * max(bound, 1)
+    (ResidualNotCertified otherwise), and only those columns are kept.
     """
     _check_gauge(lattice, gauge)
     m = lattice.q ** 2
@@ -339,24 +354,39 @@ def invariant_pair_result(lattice: MagneticLattice, gauge: GaugeField,
     counts_below = np.empty((grid.n_s, grid.n_t), int)
     sub = {}
     edge_dist = np.inf
-    w_norm = 0.0
+    bound = 0.0
+    max_res = 0.0
+    last = None
     for a, b, s, t in grid.points():
-        w, v = np.linalg.eigh(fiber_hamiltonian(lattice, gauge, (s, t)))
+        fiber = fiber_hamiltonian(lattice, gauge, (s, t))
+        if last is None:
+            w, v = np.linalg.eigh(fiber)
+            last = min(int((w < interval.upper).sum()), m - 1)
+        else:
+            w, v = scipy.linalg.eigh(fiber, subset_by_index=[0, last])
+            if w.size < m and w[-1] <= interval.upper:
+                w, v = np.linalg.eigh(fiber)
         below = int((w < interval.lower).sum())
         inside = int(((w > interval.lower) & (w < interval.upper)).sum())
         counts_below[a, b] = below
         counts_in[a, b] = inside
-        sub[(a, b)] = v[:, below:below + inside].copy()
+        kept = v[:, below:below + inside].copy()
+        sub[(a, b)] = kept
+        res = np.linalg.norm(fiber @ kept - kept * w[below:below + inside], axis=0)
+        max_res = max(max_res, float(res.max(initial=0.0)))
         edge_dist = min(edge_dist,
                         float(np.abs(w - interval.lower).min()),
                         float(np.abs(w - interval.upper).min()))
-        w_norm = max(w_norm, float(np.abs(w).max()))
+        bound = max(bound, float(np.abs(fiber).sum(axis=1).max()))
 
-    endpoint_tol = FIBER_RESIDUAL_FACTOR * max(w_norm, 1.0)
-    if edge_dist <= endpoint_tol:
+    tol = FIBER_RESIDUAL_FACTOR * max(bound, 1.0)
+    if max_res > tol:
+        raise ResidualNotCertified(
+            f"fiber residual {max_res:.3e} on the in-interval columns above {tol:.3e}")
+    if edge_dist <= tol:
         raise NonConstantRank(
             f"a fiber eigenvalue is {edge_dist:.3e} from an interval endpoint "
-            f"(within the fiber residual tolerance {endpoint_tol:.3e})")
+            f"(within the fiber residual tolerance {tol:.3e})")
     if counts_in.min() != counts_in.max():
         raise NonConstantRank(
             f"in-interval count varies over the grid ({counts_in.min()}..{counts_in.max()})")

@@ -306,7 +306,8 @@ def wideness_check(descriptor, r: float, lattice: MagneticLattice,
                    mask: RegionMask | None = None) -> WidenessCertificate:
     """Can every bounded set be translated into Z away from the thickened complement?
 
-    Half-plane and bounded-graph descriptors are wide with the analytic rule
+    Half-plane and bounded-graph descriptors, and balls decorating either
+    (their complement lies above the base), are wide with the analytic rule
     "translate straight down past the thickened complement"; the rule is
     spot-verified on n_spot random bounded sets gY against the shape's
     `contains`: every point of gY and its L1 r-ball must lie in Z, so gY
@@ -353,6 +354,9 @@ def wideness_check(descriptor, r: float, lattice: MagneticLattice,
     if isinstance(descriptor, BallsShape) and isinstance(descriptor.base, HalfPlaneShape):
         # complement is contained above the base half-plane, so its rule works
         return rule_verdict(descriptor.base.level, "base level")
+    if isinstance(descriptor, BallsShape) and isinstance(descriptor.base, GraphShape):
+        # complement is contained above the base graph
+        return rule_verdict(descriptor.base.level_min, "base min f")
     if isinstance(descriptor, DiskShape):
         needed = 2.0 * descriptor.radius
         diam = max(y_diameter, needed + 2 * h)

@@ -82,30 +82,32 @@ def make_strip(k: int, q: int, width_cells: int, length_cells: int,
     shape=None gives the flat edge y <= 1 + width_cells.  Shapes are given
     relative to the top level: HalfPlaneShape(0.25) means the flat edge
     raised by 0.25, GraphShape samples are offsets of f around the top
-    level, BallsShape decorates the shifted base shape (its centers are
-    relative (x, dy) pairs with dy measured from the top level).
+    level, BallsShape decorates its base (a half-plane or a graph, shifted
+    the same way; UnsupportedShape for any other base) and its centers are
+    relative (x, dy) pairs with dy measured from the top level.
     """
     top = 1.0 + width_cells
     if shape is None:
         shape = HalfPlaneShape(0.0)
-    extra = 0.0
-    if isinstance(shape, HalfPlaneShape):
-        abs_shape = HalfPlaneShape(top + shape.level)
-        extra = max(extra, shape.level)
-    elif isinstance(shape, GraphShape):
-        abs_shape = GraphShape(tuple(top + f for f in shape.f_samples))
-        extra = max(extra, max(shape.f_samples))
-    elif isinstance(shape, BallsShape):
-        base = HalfPlaneShape(top + shape.base.level)
+    if isinstance(shape, BallsShape):
+        base, extra = _raise_base(shape.base, top)
         centers = tuple((cx, top + dy) for (cx, dy) in shape.centers)
         abs_shape = BallsShape(base, shape.radius, centers)
-        extra = max(shape.base.level,
-                    max(dy for (_, dy) in shape.centers) + shape.radius)
+        extra = max(extra, max(dy for (_, dy) in shape.centers) + shape.radius)
     else:
-        raise UnsupportedShape(f"unsupported strip shape: {shape!r}")
+        abs_shape, extra = _raise_base(shape, top)
     cells_y = width_cells + 2 + headroom_cells + int(np.ceil(max(extra, 0.0)))
     lattice = MagneticLattice(k, q, length_cells, cells_y, "strip", potential)
     return StripSpec(width_cells, length_cells, abs_shape, lattice)
+
+
+def _raise_base(shape: object, top: float) -> tuple[object, float]:
+    """A half-plane or graph shape raised by top, with its largest offset above top."""
+    if isinstance(shape, HalfPlaneShape):
+        return HalfPlaneShape(top + shape.level), shape.level
+    if isinstance(shape, GraphShape):
+        return GraphShape(tuple(top + f for f in shape.f_samples)), max(shape.f_samples)
+    raise UnsupportedShape(f"unsupported strip shape: {shape!r}")
 
 
 def strip_mask(strip: StripSpec) -> RegionMask:

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from gapfill import bloch
 from gapfill.bloch import (BandData, BlochGrid, band_structure, chern_fhs,
                            fiber_hamiltonian, invariant_pair,
-                           plaquette_berry_flux, torus_spectrum)
+                           invariant_pair_result, plaquette_berry_flux,
+                           torus_spectrum)
 from gapfill.errors import (FluxNotAdmissible, GaugeNotCellPeriodic,
                             LiftNotCertified, NonConstantRank, NoUniformGap,
-                            SingularOverlap)
+                            ResidualNotCertified, SingularOverlap)
 from gapfill.model import (MagneticLattice, assemble_bulk, build_gauge,
-                           twist_seams)
+                           cell_lift_phases, twist_seams)
 from gapfill.spectral import RESIDUAL_FACTOR, SpectralInterval, eigensolve
 
 
@@ -65,6 +68,44 @@ def wilson_loop_winding(frames):
         winding += d
         prev = cur
     return winding / (2 * np.pi)
+
+
+def plaquette_flux_loop(frames):
+    """Per-plaquette FHS fluxes, four link determinants per plaquette.
+
+    Reference for the batched link route: same circulation
+    p -> p+t -> p+s+t -> p+s -> p, every link formed from its own overlap.
+    """
+    n_s, n_t = frames.shape[0], frames.shape[1]
+    flux = np.empty((n_s, n_t))
+
+    def link(fa, fb):
+        d = np.linalg.det(fa.conj().T @ fb)
+        if abs(d) < 1e-8:
+            raise SingularOverlap(f"overlap determinant modulus {abs(d):.2e} < 1e-8")
+        return d / abs(d)
+
+    for a in range(n_s):
+        for b in range(n_t):
+            f00 = frames[a, b]
+            f01 = frames[a, (b + 1) % n_t]
+            f11 = frames[(a + 1) % n_s, (b + 1) % n_t]
+            f10 = frames[(a + 1) % n_s, b]
+            flux[a, b] = np.angle(link(f00, f01) * link(f01, f11)
+                                  * link(f11, f10) * link(f10, f00))
+    return flux
+
+
+def count_full_solves(monkeypatch):
+    """Count the dense full eigendecompositions made through numpy.linalg.eigh."""
+    calls = []
+    full = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return full(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
 
 
 class TestFibers:
@@ -153,6 +194,29 @@ class TestTorusSpectrum:
             assert ends[0].shape == ends[1].shape
             assert np.abs(ends[0] - ends[1]).max(initial=0.0) <= 1e-10 * scale
 
+    @pytest.mark.parametrize("q", [16, 10])
+    def test_chunked_lift_residuals_are_bitwise(self, q):
+        # q=10 leaves a last chunk of 36 columns; every residual equals the
+        # one computed on the whole n x q^2 lifted block
+        lat = MagneticLattice(1, q, 3, 2, "torus")
+        g = build_gauge(lat)
+        fib = torus_spectrum(lat, g, keep_vectors=True)
+        op = assemble_bulk(lat, g)
+        rows = (op.sites[:, 0] % q) * q + op.sites[:, 1] % q
+        values, residuals, blocks = [], [], []
+        for a in range(3):
+            for b in range(2):
+                w, v = np.linalg.eigh(fiber_hamiltonian(lat, g, (a / 3, b / 2)))
+                chi = cell_lift_phases(g, bloch._fiber_gauge(lat, g.gauge_kind,
+                                                             a / 3, b / 2))
+                psi = (chi.ravel() / np.sqrt(6))[:, None] * v[rows]
+                values.append(w)
+                residuals.append(np.linalg.norm(op.matrix @ psi - psi * w, axis=0))
+                blocks.append(psi)
+        order = np.argsort(np.concatenate(values), kind="stable")
+        assert np.array_equal(fib.residuals, np.concatenate(residuals)[order])
+        assert np.array_equal(fib.eigenvectors, np.hstack(blocks)[:, order])
+
     def test_twisted_torus_seam_fails_certificate(self):
         # the fibers keep the untwisted cocycle, so every Wilson loop along x
         # of the torus differs by -1 and no lifted pair solves it
@@ -184,6 +248,13 @@ class TestBandStructure:
         bands = band_structure(lat, build_gauge(lat), BlochGrid(6, 6))
         assert bands.max_residual <= 1e-10 * np.abs(bands.energies).max()
 
+    def test_shifted_eigenvalues_fail_certificate(self, monkeypatch):
+        lat = MagneticLattice(1, 4, 2, 2, "torus")
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (eigh(a)[0] + 1e-3, eigh(a)[1]))
+        with pytest.raises(ResidualNotCertified, match="fiber residual"):
+            band_structure(lat, build_gauge(lat), BlochGrid(6, 6))
+
 
 class TestChern:
     def test_invariant_pair_k1_k2(self):
@@ -203,12 +274,56 @@ class TestChern:
                               SpectralInterval(-30.0, -20.0), BlochGrid(6, 6))
         assert pair == (0, 0)
 
-    def test_nonconstant_rank(self):
-        # an interval ending inside a dispersive band has grid-dependent count
+    def test_nonconstant_rank(self, monkeypatch):
+        # an interval ending inside a dispersive band has grid-dependent
+        # count.  Bands 2-3 peak at 19.43 on the first fiber and dip to 19.04
+        # elsewhere, so later fibers find their (N+1)-th value below 19.2
+        # and are solved again in full
         lat = MagneticLattice(1, 4, 2, 2, "torus")
-        with pytest.raises(NonConstantRank):
+        calls = count_full_solves(monkeypatch)
+        with pytest.raises(NonConstantRank, match="in-interval count varies"):
             invariant_pair(lat, build_gauge(lat),
                            SpectralInterval(-2.0, 19.2), BlochGrid(8, 8))
+        assert len(calls) > 1
+
+    def test_nonconstant_rank_from_lowest_pairs(self, monkeypatch):
+        # bands 4-5 bottom out at 34.12 on the first fiber and rise to 36.44
+        # elsewhere, so later fibers count fewer pairs below 35.0; their
+        # lowest N+1 values already show it, with no further full solve
+        lat = MagneticLattice(1, 4, 2, 2, "torus")
+        calls = count_full_solves(monkeypatch)
+        with pytest.raises(NonConstantRank, match="in-interval count varies"):
+            invariant_pair(lat, build_gauge(lat),
+                           SpectralInterval(-2.0, 35.0), BlochGrid(8, 8))
+        assert calls == [(16, 16)]
+
+    @pytest.mark.parametrize("k, q", [(1, 8), (2, 16)])
+    def test_one_full_solve(self, monkeypatch, k, q):
+        # a passing pair diagonalizes only the first fiber in full; every
+        # other fiber's lowest N+1 pairs certify its counts
+        lat = MagneticLattice(k, q, 2, 2, "torus")
+        calls = count_full_solves(monkeypatch)
+        res = invariant_pair_result(lat, build_gauge(lat),
+                                    SpectralInterval(-1.0, 4 * np.pi * k), BlochGrid(6, 6))
+        assert (res.dim, res.chern) == (2 * k, -1)
+        assert calls == [(q * q, q * q)]
+
+    @pytest.mark.parametrize("solver", ["full", "subset"])
+    def test_kept_columns_residual_certificate(self, monkeypatch, solver):
+        # a frame that is not an eigenframe of its fiber must be refused,
+        # whether it comes from the full solve of the first fiber or from the
+        # subset solve of a later one
+        lat = MagneticLattice(1, 8, 2, 2, "torus")
+        module, name = (np.linalg, "eigh") if solver == "full" else (scipy.linalg, "eigh")
+        exact = getattr(module, name)
+
+        def perturbed(a, *args, **kwargs):
+            w, v = exact(a, *args, **kwargs)
+            return w, v + 1e-6 * np.roll(v, 1, axis=0)
+        monkeypatch.setattr(module, name, perturbed)
+        with pytest.raises(ResidualNotCertified, match="in-interval columns"):
+            invariant_pair(lat, build_gauge(lat), SpectralInterval(-1.0, 4 * np.pi),
+                           BlochGrid(6, 6))
 
     def test_full_family_is_trivial(self):
         # all bands together form a trivial bundle: chern 0
@@ -285,6 +400,19 @@ class TestChern:
         with pytest.raises(NonConstantRank, match="endpoint"):
             invariant_pair(lat, g, SpectralInterval(-1.0, w[2] + 1e-13),
                            BlochGrid(6, 6))
+
+    def test_batched_links_match_plaquette_loop(self, rng):
+        # random unitary frame families (no continuity, fluxes anywhere in
+        # (-pi, pi]) and the flux-1/3 family; differences are taken modulo
+        # 2 pi, since a flux at -pi may come out as +pi on either route
+        families = [hofstadter_frames(1, 3, 12, 1)[0], hofstadter_frames(1, 3, 9, 2)[0]]
+        for shape in ((4, 4, 2, 1), (5, 6, 8, 3), (6, 4, 16, 16)):
+            z = rng.standard_normal(shape[:3] + (shape[2],)) \
+                + 1j * rng.standard_normal(shape[:3] + (shape[2],))
+            families.append(np.linalg.qr(z)[0][..., :shape[3]])
+        for frames in families:
+            diff = plaquette_berry_flux(frames) - plaquette_flux_loop(frames)
+            assert np.abs(np.angle(np.exp(1j * diff))).max() <= 1e-14
 
     def test_singular_overlap(self):
         frames = np.zeros((4, 4, 2, 1), complex)

@@ -202,7 +202,7 @@ class TestChernTask:
 
     def test_uncertified_fiber_residual_exit_1(self, tmp_path, capsys, monkeypatch):
         # fiber eigenvalues shifted by 1e-3 fail the residual certificate of
-        # export_bands: a named error and exit 1, not a traceback
+        # the invariant pair: a named error and exit 1, not a traceback
         from gapfill import bloch
         eigh = np.linalg.eigh
 

@@ -5,7 +5,7 @@ from gapfill import coarse
 from gapfill.coarse import (affiliation_check, ideal_multiplicativity,
                             propagation_profile, wideness_check)
 from gapfill.errors import MaskMismatch
-from gapfill.model import (DiskShape, GraphShape, HalfPlaneShape,
+from gapfill.model import (BallsShape, DiskShape, GraphShape, HalfPlaneShape,
                            HermitianOperator, MagneticLattice,
                            assemble_restricted, build_gauge, gauge_transform,
                            make_mask, mask_all, mask_from_member)
@@ -231,6 +231,16 @@ class TestWideness:
         cert = wideness_check(GraphShape((3.0, 3.25, 2.75, 3.0)), 1.0, lat, seed=3)
         assert cert.verdict == "wide_proved"
         assert cert.spot_checks_passed == 100
+
+    def test_balls_on_graph_base_proved(self, window):
+        # the complement of the decorated region lies above the base graph,
+        # so the graph rule at its lowest sample applies
+        lat = window[0]
+        shape = BallsShape(GraphShape((3.0,) * 4), 0.3, ((1.0, 3.2),))
+        cert = wideness_check(shape, 1.0, lat)
+        assert cert.verdict == "wide_proved"
+        assert cert.details == {"rule_base_level": 3.0}
+        assert "base min f" in cert.witness
 
     def test_disk_counterexample(self, window):
         lat = window[0]

@@ -10,7 +10,7 @@ from gapfill.edge import (gap_filling_check, lift_block_vector,
                           strip_block, strip_mask, strip_operator)
 from gapfill.errors import (BandConnectionAmbiguous, CountNotCertified,
                             ResidualNotCertified, UnsupportedShape)
-from gapfill.model import (BallsShape, GraphShape, HalfPlaneShape,
+from gapfill.model import (BallsShape, DiskShape, GraphShape, HalfPlaneShape,
                            MagneticLattice, build_gauge, make_mask,
                            mask_all)
 from gapfill.spectral import (banded, banded_eigenvalues, banded_vectors,
@@ -49,6 +49,29 @@ class TestStripConstruction:
             [eigensolve(strip_block(strip, 2 * np.pi * m / 2)).eigenvalues
              for m in range(2)]))
         assert np.abs(full - blocks).max() < 1e-8
+
+    def test_balls_on_graph_base(self):
+        # the base graph is raised as in a graph strip and the balls add
+        # sites above it; the strip still splits into momentum blocks
+        f = tuple(0.25 * np.sin(2 * np.pi * np.arange(4) / 4))
+        graph = make_strip(1, 4, 6, 2, shape=GraphShape(f))
+        strip = make_strip(1, 4, 6, 2, shape=BallsShape(GraphShape(f), 1.0 / 3.0,
+                                                        ((0.0, 1.0), (1.0, 1.0), (2.0, 1.0))))
+        assert strip.shape.base == graph.shape
+        assert strip.lattice.cells_y == graph.lattice.cells_y + 1
+        g_mem, b_mem = strip_mask(graph).member, strip_mask(strip).member
+        assert not (g_mem & ~b_mem[:, :g_mem.shape[1]]).any()
+        assert b_mem.sum() > g_mem.sum()
+        full = eigensolve(strip_operator(strip)).eigenvalues
+        blocks = np.sort(np.concatenate(
+            [eigensolve(strip_block(strip, 2 * np.pi * m / 2)).eigenvalues
+             for m in range(2)]))
+        assert np.abs(full - blocks).max() < 1e-8
+
+    def test_balls_on_other_base_unsupported(self):
+        shape = BallsShape(DiskShape((0.5, 0.5), 0.3), 1.0 / 3.0, ((0.0, 1.0),))
+        with pytest.raises(UnsupportedShape, match="unsupported strip shape"):
+            make_strip(1, 4, 6, 2, shape=shape)
 
     @pytest.mark.parametrize("n_samples", [3, 5])
     def test_graph_shape_sample_count(self, n_samples):
