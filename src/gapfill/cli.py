@@ -2,8 +2,10 @@
 
 Tasks: bulk-spectrum, gaps, chern, edge-fill, bands, affiliation, wideness,
 report.  Exit code 0 on pass verdicts, 2 on scientific fail verdicts, 1 on
-configuration or tooling errors.  Every run writes manifest.json recording
-the config hash and every convention that affects a sign or threshold.
+configuration or tooling errors.  Every run records its config hash and
+seed in manifest.json under its task name, beside the entries of the other
+tasks run into the same directory, with every convention that affects a
+sign or threshold.
 """
 
 from __future__ import annotations
@@ -190,14 +192,24 @@ def _unmasked_torus(cfg: dict, lattice: MagneticLattice) -> bool:
 
 
 def _write_manifest(out: str, cfg: dict, cfg_path: str) -> None:
+    """Record this task's config hash and seed under "tasks" in manifest.json.
+
+    Entries of the other tasks that wrote into the directory are kept, so a
+    chain run into one directory keeps one entry per task; rerunning a task
+    replaces its own entry.
+    """
     with open(cfg_path, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
-    write_json(os.path.join(out, "manifest.json"), {
+    path = os.path.join(out, "manifest.json")
+    tasks = {}
+    if os.path.exists(path):
+        with open(path) as fh:
+            tasks = json.load(fh).get("tasks", {})
+    tasks[cfg["task"]] = {"config_sha256": digest, "seed": cfg.get("seed", 0)}
+    write_json(path, {
         "tool": "gapfill",
         "version": __version__,
-        "task": cfg["task"],
-        "config_sha256": digest,
-        "seed": cfg.get("seed", 0),
+        "tasks": tasks,
         "dense_cap": spectral.DENSE_CAP,
         "conventions": CONVENTIONS,
     })
@@ -231,12 +243,13 @@ def _task_bulk_spectrum(cfg, out):
     if _unmasked_torus(cfg, lattice):
         report = bloch.torus_spectrum(lattice, gauge, cluster_tol=p.get("cluster_tol"))
         solver = {"route": "bloch_fibers", "blocks": lattice.cells_x * lattice.cells_y,
-                  "block_dim": lattice.q ** 2}
+                  "block_dim": lattice.q ** 2, "solved_blocks": report.solved_blocks}
         op = assemble_bulk(lattice, gauge) if export else None
     else:
         op = assemble_restricted(lattice, gauge, _mask(cfg, lattice))
         report = spectral.eigensolve(op, cluster_tol=p.get("cluster_tol"))
-        solver = {"route": "dense", "blocks": 1, "block_dim": op.dimension}
+        solver = {"route": "dense", "blocks": 1, "block_dim": op.dimension,
+                  "solved_blocks": report.solved_blocks}
     if export:
         from .model import export_triplets
         export_triplets(op, os.path.join(out, "operator.csv"))
@@ -264,13 +277,16 @@ def _task_chern(cfg, out):
     write_json(os.path.join(out, "chern.json"),
                {"group": list(res.band_group), "dim": res.dim, "chern": res.chern,
                 "max_flux": res.max_flux, "interval": [lo, hi],
-                "grid": [n_s, n_t], "orientation": res.orientation})
+                "grid": [n_s, n_t], "orientation": res.orientation,
+                "solver": {"route": "fiber_orbits", "fibers": n_s * n_t,
+                           "solved": res.solved,
+                           "max_transport_defect": res.max_transport_defect}})
     if p.get("export_bands", False):
-        bands = bloch.band_structure(lattice, gauge, bloch.BlochGrid(n_s, n_t))
+        energies = bloch.band_energies(lattice, gauge, bloch.BlochGrid(n_s, n_t))
         rows = []
         for a in range(n_s):
             for b in range(n_t):
-                for j, en in enumerate(bands.energies[a, b]):
+                for j, en in enumerate(energies[a, b]):
                     rows.append((a / n_s, b / n_t, j, float(en)))
         write_csv(os.path.join(out, "bands.csv"),
                   ["s", "t", "band_index", "energy"], rows)

@@ -85,7 +85,9 @@ class SpectralInterval:
 class SpectrumReport:
     """Complete sorted spectrum with residual certificates and gap decomposition.
 
-    eigenvectors is None unless the caller asked to keep them.
+    eigenvectors is None unless the caller asked to keep them.  solved_blocks
+    counts the diagonalized blocks: 1 for a dense solve, one per
+    magnetic-translation orbit of Bloch fibers for a torus.
     """
 
     eigenvalues: np.ndarray
@@ -95,6 +97,7 @@ class SpectrumReport:
     norm_bound: float
     cluster_tol: float
     eigenvectors: np.ndarray | None = None
+    solved_blocks: int = 1
 
     def cluster_id(self, i: int) -> int:
         for cid, (a, b) in enumerate(self.clusters):
@@ -353,7 +356,8 @@ def residual_tolerance(norm_bound: float) -> float:
 
 def spectrum_report(w: np.ndarray, residuals: np.ndarray, vectors=None, *,
                     cluster_tol: float | None = None,
-                    gaps_min_width: float | None = None) -> SpectrumReport:
+                    gaps_min_width: float | None = None,
+                    solved_blocks: int = 1) -> SpectrumReport:
     """Clusters and gaps of a complete sorted certified spectrum, with their defaults.
 
     The norm bound is max |lambda|, which is ||H|| for a complete spectrum.
@@ -363,7 +367,7 @@ def spectrum_report(w: np.ndarray, residuals: np.ndarray, vectors=None, *,
     ctol = cluster_tol if cluster_tol is not None else _default_cluster_tol(w)
     gmw = gaps_min_width if gaps_min_width is not None else _default_gap_width(w)
     return SpectrumReport(w, residuals, _cluster(w, ctol), tuple(_gaps_between(w, gmw)),
-                          norm_bound, ctol, vectors)
+                          norm_bound, ctol, vectors, solved_blocks)
 
 
 # ---------------------------------------------------------------------------

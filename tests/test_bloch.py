@@ -1,9 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from gapfill import bloch
-from gapfill.bloch import (BandData, BlochGrid, band_structure, chern_fhs,
+from gapfill.bloch import (BandData, BlochGrid, band_energies, band_structure, chern_fhs,
                            fiber_hamiltonian, invariant_pair,
                            invariant_pair_result, plaquette_berry_flux,
                            torus_spectrum)
@@ -108,6 +110,50 @@ def count_full_solves(monkeypatch):
     return calls
 
 
+def count_solves(monkeypatch):
+    """Count every fiber eigensolve: numpy eigh and eigvalsh, and scipy eigh."""
+    calls = []
+
+    def counted(module, name):
+        solver = getattr(module, name)
+
+        def wrapped(a, *args, **kwargs):
+            calls.append(name)
+            return solver(a, *args, **kwargs)
+        monkeypatch.setattr(module, name, wrapped)
+    counted(np.linalg, "eigh")
+    counted(np.linalg, "eigvalsh")
+    counted(scipy.linalg, "eigh")
+    return calls
+
+
+def per_fiber_oracle(lat, gauge, n):
+    """Every fiber of an n x n grid diagonalized in full, with no orbit transport.
+
+    Returns the interval [E.min() - 1, upper], upper in the middle of the
+    widest fiber-uniform gap in the lower half of the spectrum; the counts
+    below and inside it per fiber; and (dim, c1, max |flux|) of the bands
+    under it from the per-plaquette loop.
+    """
+    m = lat.q ** 2
+    energies = np.empty((n, n, m))
+    vectors = np.empty((n, n, m, m), complex)
+    for a in range(n):
+        for b in range(n):
+            energies[a, b], vectors[a, b] = np.linalg.eigh(
+                fiber_hamiltonian(lat, gauge, (a / n, b / n)))
+    gaps = energies[:, :, 1:m // 2 + 1].min(axis=(0, 1)) \
+        - energies[:, :, :m // 2].max(axis=(0, 1))
+    j = int(np.argmax(gaps)) + 1
+    lower = float(energies.min()) - 1.0
+    upper = 0.5 * (energies[:, :, j - 1].max() + energies[:, :, j].min())
+    below = (energies < lower).sum(axis=2)
+    inside = ((energies > lower) & (energies < upper)).sum(axis=2)
+    flux = plaquette_flux_loop(vectors[:, :, :, :j])
+    return (SpectralInterval(lower, upper), below, inside,
+            (j, int(np.rint(flux.sum() / (2 * np.pi))), float(np.abs(flux).max())))
+
+
 class TestFibers:
     def test_hermitian_exactly(self):
         lat = MagneticLattice(1, 4, 2, 2, "torus")
@@ -197,22 +243,21 @@ class TestTorusSpectrum:
     @pytest.mark.parametrize("q", [16, 10])
     def test_chunked_lift_residuals_are_bitwise(self, q):
         # q=10 leaves a last chunk of 36 columns; every residual equals the
-        # one computed on the whole n x q^2 lifted block
+        # one computed on the whole n x q^2 lifted block of the same fiber
+        # pairs (solved or orbit-transported)
         lat = MagneticLattice(1, q, 3, 2, "torus")
         g = build_gauge(lat)
         fib = torus_spectrum(lat, g, keep_vectors=True)
         op = assemble_bulk(lat, g)
         rows = (op.sites[:, 0] % q) * q + op.sites[:, 1] % q
         values, residuals, blocks = [], [], []
-        for a in range(3):
-            for b in range(2):
-                w, v = np.linalg.eigh(fiber_hamiltonian(lat, g, (a / 3, b / 2)))
-                chi = cell_lift_phases(g, bloch._fiber_gauge(lat, g.gauge_kind,
-                                                             a / 3, b / 2))
-                psi = (chi.ravel() / np.sqrt(6))[:, None] * v[rows]
-                values.append(w)
-                residuals.append(np.linalg.norm(op.matrix @ psi - psi * w, axis=0))
-                blocks.append(psi)
+        for _, _, fiber_gauge, w, v, _ in bloch._fiber_family(lat, g.gauge_kind, 3, 2,
+                                                              np.linalg.eigh):
+            chi = cell_lift_phases(g, fiber_gauge)
+            psi = (chi.ravel() / np.sqrt(6))[:, None] * v[rows]
+            values.append(w)
+            residuals.append(np.linalg.norm(op.matrix @ psi - psi * w, axis=0))
+            blocks.append(psi)
         order = np.argsort(np.concatenate(values), kind="stable")
         assert np.array_equal(fib.residuals, np.concatenate(residuals)[order])
         assert np.array_equal(fib.eigenvectors, np.hstack(blocks)[:, order])
@@ -420,6 +465,164 @@ class TestChern:
         frames[1, 0] = [[0.0], [1.0]]  # orthogonal to its s-neighbours
         with pytest.raises(SingularOverlap):
             plaquette_berry_flux(frames)
+
+
+class TestFiberOrbits:
+    def test_misrouted_transport_is_refused(self, monkeypatch):
+        # a shift rule with the wrong sign of s pairs fibers that are not
+        # unitarily equivalent: the transport certificate must refuse them
+        lat = MagneticLattice(1, 8, 2, 2, "torus")
+        monkeypatch.setattr(bloch, "_momentum_shift",
+                            lambda k, q, dx, dy: (Fraction(2 * k * dy, q),
+                                                  Fraction(2 * k * dx, q)))
+        with pytest.raises(LiftNotCertified, match="orbit transport"):
+            invariant_pair(lat, build_gauge(lat), SpectralInterval(-1.0, 4 * np.pi),
+                           BlochGrid(8, 8))
+        with pytest.raises(LiftNotCertified, match="orbit transport"):
+            torus_spectrum(MagneticLattice(1, 8, 4, 4, "torus"),
+                           build_gauge(MagneticLattice(1, 8, 4, 4, "torus")))
+
+    def test_endpoint_margin_includes_the_transport_defect(self, monkeypatch):
+        # an endpoint 1.5 tol above the highest band-1 value passes on its
+        # own, but a member whose transport defect is 0.9 tol may hold an
+        # eigenvalue within 2.4 tol of the representative's: refused (Weyl)
+        lat = MagneticLattice(1, 8, 2, 2, "torus")
+        g = build_gauge(lat)
+        fiber = fiber_hamiltonian(lat, g, (0.0, 0.0))
+        tol = bloch.FIBER_RESIDUAL_FACTOR * np.abs(fiber).sum(axis=1).max()
+        top = band_energies(lat, g, BlochGrid(8, 8))[:, :, 1].max()
+        interval = SpectralInterval(-1.0, top + 1.5 * tol)
+        assert invariant_pair(lat, g, interval, BlochGrid(8, 8)) == (2, -1)
+        transport = bloch._transport
+
+        def inflated(*args):
+            perm, chi, _ = transport(*args)
+            return perm, chi, 0.9 * tol
+        monkeypatch.setattr(bloch, "_transport", inflated)
+        with pytest.raises(NonConstantRank, match="transport defect"):
+            invariant_pair(lat, g, interval, BlochGrid(8, 8))
+
+    def test_gauge_checked_once_per_family(self, monkeypatch):
+        # one check per call, not one per fiber; a doctored torus gauge is
+        # still refused by every fiber loop
+        lat = MagneticLattice(1, 4, 2, 2, "torus")
+        g = build_gauge(lat)
+        calls = []
+        check = bloch._check_gauge
+        monkeypatch.setattr(bloch, "_check_gauge",
+                            lambda *args: calls.append(1) or check(*args))
+        invariant_pair(lat, g, SpectralInterval(-1.0, 4 * np.pi), BlochGrid(8, 8))
+        band_structure(lat, g, BlochGrid(8, 8))
+        band_energies(lat, g, BlochGrid(8, 8))
+        torus_spectrum(lat, g)
+        assert len(calls) == 4
+        bad = g.phase_y.copy()
+        bad[1, 1] *= np.exp(0.25j)
+        from gapfill.model import GaugeField
+        doctored = GaugeField(lat, "landau", g.phase_x, bad)
+        for run in (lambda: invariant_pair(lat, doctored, SpectralInterval(-1.0, 4 * np.pi),
+                                           BlochGrid(8, 8)),
+                    lambda: band_energies(lat, doctored, BlochGrid(8, 8)),
+                    lambda: torus_spectrum(lat, doctored)):
+            with pytest.raises(GaugeNotCellPeriodic):
+                run()
+
+    def test_stabilizer_of_the_potential(self, rng):
+        # W = 0: k=1, q=8 on 8x8 moves s and t in steps of 2 grid points,
+        # orbits of 16; W depending on ix only keeps the row shifts, which
+        # move s alone; a random W keeps only (0, 0)
+        q = 8
+        cases = [(np.zeros((q, q)), 4, 16),
+                 (np.repeat(rng.standard_normal(q)[:, None], q, axis=1), 16, 4),
+                 (rng.standard_normal((q, q)), 64, 1)]
+        for w, n_orbits, size in cases:
+            lat = MagneticLattice(1, q, 2, 2, "torus", w)
+            orbits = bloch._fiber_orbits(lat, 8, 8)
+            assert len(orbits) == n_orbits
+            assert all(len(members) + 1 == size for _, members in orbits)
+            points = [rep for rep, _ in orbits] + [p for _, ms in orbits for p, _ in ms]
+            assert sorted(points) == [(a, b) for a in range(8) for b in range(8)]
+            if size == 4:
+                assert all(p[1] == rep[1] for rep, ms in orbits for p, _ in ms)
+
+    def test_random_potential_solves_every_fiber(self, monkeypatch, rng):
+        # no shift survives, so every fiber is solved: one full solve and 35
+        # subset solves, as on the fiber-by-fiber route
+        lat = MagneticLattice(1, 8, 2, 2, "torus", 0.5 * rng.standard_normal((8, 8)))
+        g = build_gauge(lat)
+        oracle = per_fiber_oracle(lat, g, 6)
+        calls = count_solves(monkeypatch)
+        res = invariant_pair_result(lat, g, oracle[0], BlochGrid(6, 6))
+        assert calls == ["eigh"] * 36
+        assert (res.solved, res.max_transport_defect) == (36, 0.0)
+        assert (res.dim, res.chern) == oracle[3][:2]
+
+    @pytest.mark.parametrize("k, n_solves", [(1, 1), (2, 4)])
+    def test_route_guard(self, monkeypatch, k, n_solves):
+        # k=1, q=16 on 8x8: one orbit; k=2: four orbits of 16
+        lat = MagneticLattice(k, 16, 2, 2, "torus")
+        calls = count_solves(monkeypatch)
+        res = invariant_pair_result(lat, build_gauge(lat),
+                                    SpectralInterval(-1.0, 4 * np.pi * k), BlochGrid(8, 8))
+        assert (res.dim, res.chern) == (2 * k, -1)
+        assert len(calls) == res.solved == n_solves
+
+    @pytest.mark.parametrize("kind", ["landau", "symmetric"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("q", [4, 6, 8, 16])
+    def test_against_per_fiber_oracle(self, kind, k, q):
+        # grids 6, 8 and 12 in turn (at most 8 for q=16, to keep the oracle
+        # cheap); the mix holds one-fiber orbits (k=1, q=6, n=8) as well as
+        # a single orbit (k=1, q=16, n=8)
+        n = (6, 8, 12)[(k + q + (kind == "symmetric")) % 3]
+        if q == 16:
+            n = min(n, 8)
+        lat = MagneticLattice(k, q, 2, 2, "torus")
+        g = build_gauge(lat, kind)
+        interval, below, inside, (dim, c1, max_flux) = per_fiber_oracle(lat, g, n)
+        assert below.min() == below.max() == 0
+        assert inside.min() == inside.max() == dim
+        assert max_flux < np.pi / 2
+        res = invariant_pair_result(lat, g, interval, BlochGrid(n, n))
+        assert res.band_group == (0, dim)
+        assert (res.dim, res.chern) == (dim, c1)
+        assert abs(res.max_flux - max_flux) <= 1e-12
+
+    def test_torus_with_orbits_matches_dense(self):
+        # W = 0, k=1, q=4 on 4x4 cells: 16 fibers, 4 solved, every lifted
+        # pair certified on the torus
+        lat = MagneticLattice(1, 4, 4, 4, "torus")
+        g = build_gauge(lat)
+        fib = torus_spectrum(lat, g)
+        dense = eigensolve(assemble_bulk(lat, g))
+        assert fib.solved_blocks == 4
+        assert np.abs(fib.eigenvalues - dense.eigenvalues).max() \
+            <= 1e-10 * max(dense.norm_bound, 1.0)
+
+    def test_band_energies_match_band_structure(self, monkeypatch):
+        # k=2, q=8 on 8x8: orbits of 4, so 16 solves each, full or values-only
+        lat = MagneticLattice(2, 8, 2, 2, "torus")
+        g = build_gauge(lat, "symmetric")
+        calls = count_solves(monkeypatch)
+        ref = band_structure(lat, g, BlochGrid(8, 8))
+        energies = band_energies(lat, g, BlochGrid(8, 8))
+        assert calls == ["eigh"] * 16 + ["eigvalsh"] * 16
+        bound = np.abs(ref.energies).max()
+        assert np.abs(energies - ref.energies).max() <= 1e-10 * bound
+
+    def test_band_energies_hold_no_frames(self):
+        # k=1, q=8 on 16x16: the energies take 128 KiB, the frames of
+        # band_structure 16 MiB
+        import tracemalloc
+        lat = MagneticLattice(1, 8, 2, 2, "torus")
+        g = build_gauge(lat)
+        tracemalloc.start()
+        try:
+            band_energies(lat, g, BlochGrid(16, 16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestFluxThirdOracle:

@@ -1,4 +1,5 @@
 import glob
+import hashlib
 import json
 import os
 
@@ -119,8 +120,10 @@ class TestBulkSpectrumTask:
         assert header == "index,eigenvalue,residual,cluster_id"
 
     def test_solver_route_recorded(self, tmp_path):
-        # an unmasked torus goes through its 16 Bloch fibers; a masked one is
-        # solved densely
+        # an unmasked torus goes through its 16 Bloch fibers, of which W = 0
+        # leaves 4 magnetic-translation orbits (k=1, q=4: a shift by dy rows
+        # moves s by dy/2, a shift by dx columns moves t by dx/2); a masked
+        # one is solved densely
         torus = {"k": 1, "q": 4, "cells_x": 4, "cells_y": 4,
                  "geometry": "torus", "gauge": "landau"}
         masked = dict(torus, mask_descriptor={"kind": "half_plane", "level": 2.0})
@@ -132,8 +135,10 @@ class TestBulkSpectrumTask:
             routes.append(json.loads((out / "gaps.json").read_text())["solver"])
         n_masked = json.loads((tmp_path / "masked" / "gaps.json").read_text())[
             "n_eigenvalues"]
-        assert routes == [{"route": "bloch_fibers", "blocks": 16, "block_dim": 16},
-                          {"route": "dense", "blocks": 1, "block_dim": n_masked}]
+        assert routes == [{"route": "bloch_fibers", "blocks": 16, "block_dim": 16,
+                           "solved_blocks": 4},
+                          {"route": "dense", "blocks": 1, "block_dim": n_masked,
+                           "solved_blocks": 1}]
 
     def test_manifest_records_conventions(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
@@ -143,7 +148,27 @@ class TestBulkSpectrumTask:
         conv = manifest["conventions"]
         assert conv["orientation"] == "ds_wedge_dt_positive"
         assert "spectral_flow" in conv
-        assert "config_sha256" in manifest
+        assert manifest["tasks"]["bulk-spectrum"] == {
+            "config_sha256": hashlib.sha256(cfg.read_bytes()).hexdigest(), "seed": 0}
+
+    def test_manifest_keeps_one_entry_per_task(self, tmp_path):
+        # gaps then chern into one directory: both entries remain, each with
+        # the hash of its own config; rerunning gaps replaces only its entry
+        out = tmp_path / "out"
+        gaps = write_config(tmp_path / "gaps.json", task="gaps")
+        chern = write_config(tmp_path / "chern.json", task="chern", seed=3,
+                             params={"grid": [8, 8]})
+        assert main(["gaps", "--config", str(gaps), "--out", str(out)]) == 0
+        assert main(["chern", "--config", str(chern), "--out", str(out)]) == 0
+        digest = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+                  for name, path in (("gaps", gaps), ("chern", chern))}
+        tasks = json.loads((out / "manifest.json").read_text())["tasks"]
+        assert tasks == {"gaps": {"config_sha256": digest["gaps"], "seed": 0},
+                         "chern": {"config_sha256": digest["chern"], "seed": 3}}
+        assert digest["gaps"] != digest["chern"]
+        assert main(["gaps", "--config", str(gaps), "--out", str(out), "--seed", "5"]) == 0
+        tasks = json.loads((out / "manifest.json").read_text())["tasks"]
+        assert tasks["gaps"]["seed"] == 5 and tasks["chern"]["seed"] == 3
 
     def test_determinism(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", seed=7)
@@ -177,6 +202,28 @@ class TestChernTask:
         assert doc["dim"] == 2 and doc["chern"] == -1
         assert doc["orientation"] == "ds_wedge_dt_positive"
         assert "max_flux" in doc and "group" in doc
+        # k=1, q=8 on a 12x12 grid: the shifts move s and t in steps of 3
+        # grid points, so 144 fibers form 9 orbits of 16
+        solver = doc["solver"]
+        assert solver["route"] == "fiber_orbits"
+        assert (solver["fibers"], solver["solved"]) == (144, 9)
+        assert 0.0 < solver["max_transport_defect"] < 1e-10
+
+    def test_band_export_without_frames(self, tmp_path):
+        # bands.csv holds every fiber's q^2 energies, from one values-only
+        # solve per orbit
+        from gapfill.bloch import BlochGrid, band_structure
+        from gapfill.model import MagneticLattice, build_gauge
+        cfg = write_config(tmp_path / "cfg.json", task="chern",
+                           params={"grid": [8, 8], "export_bands": True})
+        out = tmp_path / "out"
+        assert main(["chern", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = (out / "bands.csv").read_text().splitlines()
+        assert lines[0] == "s,t,band_index,energy"
+        energies = np.array([float(line.split(",")[3]) for line in lines[1:]])
+        lat = MagneticLattice(1, 4, 4, 4, "torus")
+        ref = band_structure(lat, build_gauge(lat), BlochGrid(8, 8)).energies
+        assert np.abs(energies - ref.ravel()).max() <= 1e-10 * np.abs(ref).max()
 
     def test_default_interval_holds_the_lowest_group(self, tmp_path):
         # k=2, q=8: the lowest fiber eigenvalue is -1.216, below the old
