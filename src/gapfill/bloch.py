@@ -22,9 +22,9 @@ orientation the lowest Landau group of the magnetic Laplacian carries
 (dim, c1) = (2k, -1), and an independent Wilson-loop winding oracle in the
 test suite confirms the sign on the flux-1/3 hopping model.
 
-Every fiber loop (:func:`torus_spectrum`, :func:`band_structure`,
-:func:`band_energies`, :func:`invariant_pair_result`) solves one fiber per
-orbit of the magnetic translations (Zak, Phys. Rev. 134, A1602, 1964).  A
+Every fiber loop (:func:`torus_spectrum`, :func:`band_energies`,
+:func:`invariant_pair_result`) solves one fiber per orbit of the magnetic
+translations (Zak, Phys. Rev. 134, A1602, 1964).  A
 one-site shift by (dx, dy) that leaves the potential unchanged, i.e. an
 element of the stabilizer {(dx, dy) : np.roll(W, (dx, dy)) == W exactly},
 carries fiber (s, t) onto fiber (s - 2k*dy/q, t + 2k*dx/q): the x Wilson
@@ -54,7 +54,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (FluxNotAdmissible, GaugeNotCellPeriodic, LiftNotCertified,
-                     NonConstantRank, NonTorusGeometry, NoUniformGap, ResidualNotCertified,
+                     NonConstantRank, NonTorusGeometry, ResidualNotCertified,
                      SingularOverlap)
 from .model import (GaugeField, MagneticLattice, _assemble, assemble_bulk, cell_gauge,
                     cell_lift_phases, twist_seams)
@@ -81,40 +81,12 @@ class BlochGrid:
 
 
 @dataclass(frozen=True, eq=False)
-class BandData:
-    """Eigendecompositions of a fiber family with certified band groups.
-
-    energies: (n_s, n_t, m) ascending per fiber; frames: (n_s, n_t, m, m)
-    orthonormal columns.  band_groups are (start, stop) index ranges whose
-    bounding inter-band gaps are fiber-uniformly >= group_threshold;
-    uniform_gaps[b] = min over the grid of energies[..., b+1] - energies[..., b].
-    """
-
-    lattice: MagneticLattice
-    construction_gauge: str
-    grid: BlochGrid
-    energies: np.ndarray
-    frames: np.ndarray
-    uniform_gaps: np.ndarray
-    group_threshold: float
-    band_groups: tuple
-    max_residual: float
-
-    def group_boundaries(self) -> set:
-        bounds = {0, self.energies.shape[2]}
-        for (a, b) in self.band_groups:
-            bounds.add(a)
-            bounds.add(b)
-        return bounds
-
-
-@dataclass(frozen=True, eq=False)
 class ChernResult:
     """Integer invariant of a band group from plaquette Berry fluxes.
 
-    solved and max_transport_defect are set by invariant_pair_result: the
-    fibers diagonalized (one per magnetic-translation orbit) and the largest
-    certified transport defect.
+    solved counts the fibers diagonalized (one per magnetic-translation
+    orbit) and max_transport_defect is the largest certified transport
+    defect.
     """
 
     band_group: tuple
@@ -124,9 +96,9 @@ class ChernResult:
     max_flux: float
     total_over_2pi: float
     grid: BlochGrid
+    solved: int
+    max_transport_defect: float
     orientation: str = ORIENTATION
-    solved: int | None = None
-    max_transport_defect: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -339,50 +311,6 @@ def torus_spectrum(lattice: MagneticLattice, gauge: GaugeField, *,
     return report
 
 
-# ---------------------------------------------------------------------------
-# band structure
-
-
-def band_structure(lattice: MagneticLattice, gauge: GaugeField, grid: BlochGrid,
-                   group_threshold: float | None = None) -> BandData:
-    """Dense eigendecomposition per fiber with fiber-uniform band grouping.
-
-    group_threshold defaults to 1e-3 times the Gershgorin enclosure width of
-    the fibers.  Groups are maximal index ranges separated by uniform gaps
-    >= threshold; if the spectrum admits no internal split the single group
-    spanning all bands is returned (chern_fhs then raises NoUniformGap for
-    any proper subrange).
-    """
-    _check_gauge(lattice, gauge)
-    m = lattice.q ** 2
-    energies = np.empty((grid.n_s, grid.n_t, m))
-    frames = np.empty((grid.n_s, grid.n_t, m, m), complex)
-    max_res = 0.0
-    for a, b, fiber_gauge, w, v, _ in _fiber_family(lattice, gauge.gauge_kind,
-                                                    grid.n_s, grid.n_t, np.linalg.eigh):
-        energies[a, b] = w
-        frames[a, b] = v
-        fiber = _fiber(lattice, fiber_gauge)
-        res = np.linalg.norm(fiber @ v - v * w, axis=0).max()
-        max_res = max(max_res, float(res))
-    fiber_norm = float(np.abs(energies).max())
-    if max_res > FIBER_RESIDUAL_FACTOR * max(fiber_norm, 1.0):
-        raise ResidualNotCertified(f"fiber residual {max_res:.3e} above certificate")
-
-    # enclosure width from the Gershgorin bound of the stencil
-    hi2 = float(lattice.q) ** 2
-    width = 16.0 * hi2 + 2.0 * lattice.w_norm
-    threshold = group_threshold if group_threshold is not None else 1e-3 * width
-    if m > 1:
-        uniform = (energies[:, :, 1:] - energies[:, :, :-1]).min(axis=(0, 1))
-    else:
-        uniform = np.zeros(0)
-    bounds = [0] + [b + 1 for b in range(m - 1) if uniform[b] >= threshold] + [m]
-    groups = tuple((bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1))
-    return BandData(lattice, gauge.gauge_kind, grid, energies, frames,
-                    uniform, threshold, groups, max_res)
-
-
 def band_energies(lattice: MagneticLattice, gauge: GaugeField, grid: BlochGrid) -> np.ndarray:
     """Fiber eigenvalues (n_s, n_t, q^2) on the grid, ascending, without vectors.
 
@@ -402,20 +330,20 @@ def band_energies(lattice: MagneticLattice, gauge: GaugeField, grid: BlochGrid) 
 # chern numbers
 
 
-def _fhs_flux(frames: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Plaquette Berry fluxes of the frame columns [lo, hi) over the grid.
+def plaquette_berry_flux(frames: np.ndarray) -> np.ndarray:
+    """Plaquette Berry fluxes of a frame family (n_s, n_t, m, d) over the grid.
 
     Circulation follows the declared ds^dt-positive orientation: the loop
     runs p -> p+t -> p+s+t -> p+s -> p.  Each link variable is the
-    determinant of the overlap matrix of the group frames (LU pivoting via
+    determinant of the overlap matrix of the frames (LU pivoting via
     numpy.linalg.det), formed once per link: the s-links p -> p+s and the
     t-links p -> p+t in one batch each, a reverse link being the conjugate
     of its forward link.  SingularOverlap when any link determinant has
-    modulus below 1e-8.
+    modulus below 1e-8.  Exposed for cross-checking external families
+    (e.g. hopping-model oracles) under the same declared orientation.
     """
-    sub = frames[:, :, :, lo:hi]
-    s_link = _link_phases(sub, np.roll(sub, -1, axis=0))
-    t_link = _link_phases(sub, np.roll(sub, -1, axis=1))
+    s_link = _link_phases(frames, np.roll(frames, -1, axis=0))
+    t_link = _link_phases(frames, np.roll(frames, -1, axis=1))
     loop = (t_link * np.roll(s_link, -1, axis=1)
             * np.roll(t_link, -1, axis=0).conj() * s_link.conj())
     return np.angle(loop)
@@ -430,26 +358,8 @@ def _link_phases(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
     return d / mod
 
 
-def plaquette_berry_flux(frames: np.ndarray) -> np.ndarray:
-    """Plaquette Berry fluxes of an explicit frame family (n_s, n_t, m, d).
-
-    Exposed for cross-checking external families (e.g. hopping-model
-    oracles) under the same declared orientation.
-    """
-    return _fhs_flux(frames, 0, frames.shape[3])
-
-
-def chern_fhs(bands: BandData, group: tuple[int, int]) -> ChernResult:
-    """Integer Chern number of a certified band group by plaquette flux summation."""
-    lo, hi = group
-    bounds = bands.group_boundaries()
-    if lo not in bounds or hi not in bounds or not lo < hi:
-        raise NoUniformGap(f"band range [{lo}, {hi}) is not bounded by certified uniform gaps")
-    return _chern_result(_fhs_flux(bands.frames, lo, hi), (lo, hi), bands.grid)
-
-
 def _chern_result(flux: np.ndarray, group: tuple, grid: BlochGrid,
-                  solved: int | None = None, max_defect: float | None = None) -> ChernResult:
+                  solved: int, max_defect: float) -> ChernResult:
     """Certify a plaquette-flux field and round its total to the Chern number.
 
     Every |flux| must stay below pi/2 (Luscher's admissibility bound: then
@@ -468,7 +378,7 @@ def _chern_result(flux: np.ndarray, group: tuple, grid: BlochGrid,
         raise SingularOverlap(
             f"plaquette flux total {total:.8f} is not integral to 1e-6 (grid too coarse)")
     return ChernResult(group, flux, chern, group[1] - group[0], max_flux, total, grid,
-                       ORIENTATION, solved, max_defect)
+                       solved, max_defect)
 
 
 def invariant_pair(lattice: MagneticLattice, gauge: GaugeField,
@@ -498,12 +408,14 @@ def invariant_pair_result(lattice: MagneticLattice, gauge: GaugeField,
     (scipy.linalg.eigh with subset_by_index).  If the returned w[N] lies
     above interval.upper, no later eigenvalue lies in the interval or
     nearer to either endpoint, so the counts and the endpoint distance are
-    exact from those N+1 values; otherwise the fiber is diagonalized again
-    in full.  The endpoint tolerance scales with the largest Gershgorin
-    bound of the fibers (largest absolute row sum), an upper bound on every
-    |eigenvalue|, and the endpoint distance must exceed it plus the largest
-    transport defect.  Each kept frame column, solved or transported, is
-    certified by its residual on its own fiber,
+    exact from those N+1 values; otherwise, or when LAPACK fails on the
+    subset (it does where the subset boundary splits an exactly degenerate
+    pair), the fiber is diagonalized again in full.  The endpoint tolerance
+    scales with the largest Gershgorin bound of the fibers (largest
+    absolute row sum), an upper bound on every |eigenvalue|, and the
+    endpoint distance must exceed it plus the largest transport defect.
+    Each kept frame column, solved or transported, is certified by its
+    residual on its own fiber,
     ||H v - v w|| <= FIBER_RESIDUAL_FACTOR * max(bound, 1)
     (ResidualNotCertified otherwise), and only those columns are kept.
     """
@@ -524,7 +436,10 @@ def invariant_pair_result(lattice: MagneticLattice, gauge: GaugeField,
             w, v = np.linalg.eigh(fiber)
             last = min(int((w < interval.upper).sum()), m - 1)
             return w, v[:, :last + 1].copy()  # frees the full frame
-        w, v = scipy.linalg.eigh(fiber, subset_by_index=[0, last])
+        try:
+            w, v = scipy.linalg.eigh(fiber, subset_by_index=[0, last])
+        except np.linalg.LinAlgError:
+            return np.linalg.eigh(fiber)
         if w.size < m and w[-1] <= interval.upper:
             return np.linalg.eigh(fiber)
         return w, v
@@ -567,9 +482,9 @@ def invariant_pair_result(lattice: MagneticLattice, gauge: GaugeField,
     below = int(counts_below[0, 0])
     if dim == 0:
         return ChernResult((below, below), np.zeros((grid.n_s, grid.n_t)), 0, 0,
-                           0.0, 0.0, grid, ORIENTATION, solved, max_defect)
+                           0.0, 0.0, grid, solved, max_defect)
     frames = np.empty((grid.n_s, grid.n_t, m, dim), complex)
     for (a, b), v in sub.items():
         frames[a, b] = v
-    return _chern_result(_fhs_flux(frames, 0, dim), (below, below + dim), grid,
+    return _chern_result(plaquette_berry_flux(frames), (below, below + dim), grid,
                          solved, max_defect)

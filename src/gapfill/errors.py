@@ -46,10 +46,6 @@ class GaugeNotCellPeriodic(GapfillError):
     """Gauge field cannot be reduced to a cell-periodic Bloch family."""
 
 
-class NoUniformGap(GapfillError):
-    """No fiber-uniform gap separates the requested band groups."""
-
-
 class NonConstantRank(GapfillError):
     """In-interval fiber eigenvalue count varies over the dual-torus grid."""
 

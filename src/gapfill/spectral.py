@@ -327,7 +327,6 @@ def materialize_filter(op: HermitianOperator, filt: ChebFilter) -> HermitianOper
 
 
 def eigensolve(op: HermitianOperator, *, cluster_tol: float | None = None,
-               gaps_min_width: float | None = None,
                keep_vectors: bool = False) -> SpectrumReport:
     """Complete certified spectrum of a Hermitian operator.
 
@@ -341,8 +340,7 @@ def eigensolve(op: HermitianOperator, *, cluster_tol: float | None = None,
     w, v = scipy.linalg.eigh(op.matrix.toarray(), driver="evr",
                              overwrite_a=True, check_finite=False)
     res = np.linalg.norm(op.matrix @ v - v * w, axis=0)
-    report = spectrum_report(w, res, v if keep_vectors else None,
-                             cluster_tol=cluster_tol, gaps_min_width=gaps_min_width)
+    report = spectrum_report(w, res, v if keep_vectors else None, cluster_tol=cluster_tol)
     tol = residual_tolerance(report.norm_bound)
     if res.max() > tol:
         raise ResidualNotCertified(f"dense residual {res.max():.3e} above {tol:.3e}")
@@ -356,7 +354,6 @@ def residual_tolerance(norm_bound: float) -> float:
 
 def spectrum_report(w: np.ndarray, residuals: np.ndarray, vectors=None, *,
                     cluster_tol: float | None = None,
-                    gaps_min_width: float | None = None,
                     solved_blocks: int = 1) -> SpectrumReport:
     """Clusters and gaps of a complete sorted certified spectrum, with their defaults.
 
@@ -365,8 +362,8 @@ def spectrum_report(w: np.ndarray, residuals: np.ndarray, vectors=None, *,
     """
     norm_bound = float(np.abs(w).max()) if len(w) else 0.0
     ctol = cluster_tol if cluster_tol is not None else _default_cluster_tol(w)
-    gmw = gaps_min_width if gaps_min_width is not None else _default_gap_width(w)
-    return SpectrumReport(w, residuals, _cluster(w, ctol), tuple(_gaps_between(w, gmw)),
+    return SpectrumReport(w, residuals, _cluster(w, ctol),
+                          tuple(_gaps_between(w, _default_gap_width(w))),
                           norm_bound, ctol, vectors, solved_blocks)
 
 

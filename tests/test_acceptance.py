@@ -239,7 +239,7 @@ class TestAcceptance:
                         f"multiset dev {dev_fb:.2e} "
                         f"({time.perf_counter()-t0:.0f}s)")
 
-    def test_11_property_suite(self, tmp_path):
+    def test_11_property_suite(self, tmp_path, band_groups):
         t0 = time.perf_counter()
         rng = np.random.default_rng(20240809)
         cases = 0
@@ -277,19 +277,21 @@ class TestAcceptance:
                 failures.append(f"gauge {k},{q}")
             cases += 1
 
-        # 40 cases: FHS integrality at 1e-6, on a grid fine enough for the
+        # 40 cases: FHS integrality at 1e-6 on a random band group, any one
+        # of them and not only those from band 0, through the interval
+        # between its bounding mid-gaps; the grid is fine enough for the
         # admissibility bound (on 8x8 some q=3 bands reach plaquette flux 2.7)
-        from gapfill.bloch import band_structure, chern_fhs
+        from gapfill.bloch import band_energies, invariant_pair_result
         for _ in range(40):
             k = int(rng.integers(1, 3))
             q = int(rng.integers(2, 4))
             lat = MagneticLattice(k, q, 2, 2, "torus")
-            bands = band_structure(lat, build_gauge(lat), BlochGrid(16, 16))
-            groups = bands.band_groups
-            gi = int(rng.integers(0, len(groups)))
-            res = chern_fhs(bands, groups[gi])
-            if abs(res.total_over_2pi - res.chern) > 1e-6:
-                failures.append(f"fhs {k},{q},{groups[gi]}")
+            gauge = build_gauge(lat)
+            groups = band_groups(lat, band_energies(lat, gauge, BlochGrid(16, 16)))
+            group, interval = groups[int(rng.integers(0, len(groups)))]
+            res = invariant_pair_result(lat, gauge, interval, BlochGrid(16, 16))
+            if res.band_group != group or abs(res.total_over_2pi - res.chern) > 1e-6:
+                failures.append(f"fhs {k},{q},{group}")
             cases += 1
 
         # 30 cases: projector idempotence at the configured tolerance 1e-4

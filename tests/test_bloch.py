@@ -5,12 +5,11 @@ import pytest
 import scipy.linalg
 
 from gapfill import bloch
-from gapfill.bloch import (BandData, BlochGrid, band_energies, band_structure, chern_fhs,
-                           fiber_hamiltonian, invariant_pair,
-                           invariant_pair_result, plaquette_berry_flux,
-                           torus_spectrum)
+from gapfill.bloch import (BlochGrid, band_energies, fiber_hamiltonian,
+                           invariant_pair, invariant_pair_result,
+                           plaquette_berry_flux, torus_spectrum)
 from gapfill.errors import (FluxNotAdmissible, GaugeNotCellPeriodic,
-                            LiftNotCertified, NonConstantRank, NoUniformGap,
+                            LiftNotCertified, NonConstantRank,
                             ResidualNotCertified, SingularOverlap)
 from gapfill.model import (MagneticLattice, assemble_bulk, build_gauge,
                            cell_lift_phases, twist_seams)
@@ -132,8 +131,8 @@ def per_fiber_oracle(lat, gauge, n):
 
     Returns the interval [E.min() - 1, upper], upper in the middle of the
     widest fiber-uniform gap in the lower half of the spectrum; the counts
-    below and inside it per fiber; and (dim, c1, max |flux|) of the bands
-    under it from the per-plaquette loop.
+    below and inside it per fiber; (dim, c1, max |flux|) of the bands under
+    it from the per-plaquette loop; and the energies (n, n, q^2).
     """
     m = lat.q ** 2
     energies = np.empty((n, n, m))
@@ -151,7 +150,7 @@ def per_fiber_oracle(lat, gauge, n):
     inside = ((energies > lower) & (energies < upper)).sum(axis=2)
     flux = plaquette_flux_loop(vectors[:, :, :, :j])
     return (SpectralInterval(lower, upper), below, inside,
-            (j, int(np.rint(flux.sum() / (2 * np.pi))), float(np.abs(flux).max())))
+            (j, int(np.rint(flux.sum() / (2 * np.pi))), float(np.abs(flux).max())), energies)
 
 
 class TestFibers:
@@ -272,33 +271,23 @@ class TestTorusSpectrum:
 
 
 class TestBandStructure:
-    def test_lowest_group_dims(self):
-        # dim 2k per unit cell in the lowest Landau group
+    def test_lowest_group_dims(self, band_groups):
+        # the lowest Landau group holds 2k bands per unit cell and carries
+        # the pair (2k, -1)
         for k, q in ((1, 8), (2, 8)):
             lat = MagneticLattice(k, q, 2, 2, "torus")
-            bands = band_structure(lat, build_gauge(lat), BlochGrid(6, 6))
-            lo, hi = bands.band_groups[0]
-            assert hi - lo == 2 * k
+            g = build_gauge(lat)
+            group, interval = band_groups(lat, band_energies(lat, g, BlochGrid(6, 6)))[0]
+            assert group == (0, 2 * k)
+            assert invariant_pair(lat, g, interval, BlochGrid(6, 6)) == (2 * k, -1)
 
     def test_gershgorin_envelope(self):
         lat = MagneticLattice(1, 4, 2, 2, "torus")
-        bands = band_structure(lat, build_gauge(lat), BlochGrid(6, 6))
+        energies = band_energies(lat, build_gauge(lat), BlochGrid(6, 6))
         op = assemble_bulk(lat, build_gauge(lat))
         gl, gu = op.gershgorin()
-        assert bands.energies.min() >= gl - 1e-9
-        assert bands.energies.max() <= gu + 1e-9
-
-    def test_residual_certificate(self):
-        lat = MagneticLattice(1, 4, 2, 2, "torus")
-        bands = band_structure(lat, build_gauge(lat), BlochGrid(6, 6))
-        assert bands.max_residual <= 1e-10 * np.abs(bands.energies).max()
-
-    def test_shifted_eigenvalues_fail_certificate(self, monkeypatch):
-        lat = MagneticLattice(1, 4, 2, 2, "torus")
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: (eigh(a)[0] + 1e-3, eigh(a)[1]))
-        with pytest.raises(ResidualNotCertified, match="fiber residual"):
-            band_structure(lat, build_gauge(lat), BlochGrid(6, 6))
+        assert energies.min() >= gl - 1e-9
+        assert energies.max() <= gu + 1e-9
 
 
 class TestChern:
@@ -373,26 +362,37 @@ class TestChern:
     def test_full_family_is_trivial(self):
         # all bands together form a trivial bundle: chern 0
         lat = MagneticLattice(1, 4, 2, 2, "torus")
-        bands = band_structure(lat, build_gauge(lat), BlochGrid(8, 8))
-        res = chern_fhs(bands, (0, lat.q ** 2))
-        assert res.chern == 0
+        g = build_gauge(lat)
+        energies = band_energies(lat, g, BlochGrid(8, 8))
+        res = invariant_pair_result(
+            lat, g, SpectralInterval(energies.min() - 1.0, energies.max() + 1.0),
+            BlochGrid(8, 8))
+        assert res.band_group == (0, lat.q ** 2)
+        assert (res.dim, res.chern) == (lat.q ** 2, 0)
 
-    def test_grid_stability(self):
+    def test_grid_stability(self, band_groups):
         lat = MagneticLattice(1, 8, 2, 2, "torus")
         g = build_gauge(lat)
         values = []
         for n in (12, 16, 24):
-            bands = band_structure(lat, g, BlochGrid(n, n))
-            res = chern_fhs(bands, bands.band_groups[0])
+            group, interval = band_groups(lat, band_energies(lat, g, BlochGrid(n, n)))[0]
+            res = invariant_pair_result(lat, g, interval, BlochGrid(n, n))
+            assert res.band_group == group
             assert res.max_flux < np.pi / 2
             values.append(res.chern)
         assert values == [-1, -1, -1]
 
-    def test_gauge_independence_of_frames(self, rng):
+    def test_gauge_independence_of_frames(self, rng, band_groups):
         lat = MagneticLattice(1, 4, 2, 2, "torus")
-        bands = band_structure(lat, build_gauge(lat), BlochGrid(8, 8))
-        lo, hi = bands.band_groups[0]
-        frames = bands.frames[:, :, :, lo:hi].copy()
+        g = build_gauge(lat)
+        energies = np.empty((8, 8, 16))
+        frames = np.empty((8, 8, 16, 16), complex)
+        for a in range(8):
+            for b in range(8):
+                energies[a, b], frames[a, b] = np.linalg.eigh(
+                    fiber_hamiltonian(lat, g, (a / 8, b / 8)))
+        (lo, hi), _ = band_groups(lat, energies)[0]
+        frames = frames[:, :, :, lo:hi].copy()
         total0 = plaquette_berry_flux(frames).sum() / (2 * np.pi)
         for a in range(8):
             for b in range(8):
@@ -403,38 +403,28 @@ class TestChern:
         total1 = plaquette_berry_flux(frames).sum() / (2 * np.pi)
         assert abs(total0 - total1) < 1e-8
 
-    def test_additivity_over_adjacent_groups(self):
+    def test_additivity_over_adjacent_groups(self, band_groups):
         lat = MagneticLattice(1, 4, 2, 2, "torus")
-        bands = band_structure(lat, build_gauge(lat), BlochGrid(10, 10))
-        assert len(bands.band_groups) >= 2
-        (a0, a1), (b0, b1) = bands.band_groups[0], bands.band_groups[1]
-        c_union = chern_fhs(bands, (a0, b1)).chern
-        c_sum = chern_fhs(bands, (a0, a1)).chern + chern_fhs(bands, (b0, b1)).chern
-        assert c_union == c_sum
-
-    def test_uncertified_range_rejected(self):
-        lat = MagneticLattice(1, 8, 2, 2, "torus")
-        bands = band_structure(lat, build_gauge(lat), BlochGrid(6, 6))
-        with pytest.raises(NoUniformGap):
-            chern_fhs(bands, (0, 1))  # splits the degenerate Landau pair
+        g = build_gauge(lat)
+        groups = band_groups(lat, band_energies(lat, g, BlochGrid(10, 10)))
+        assert len(groups) >= 2
+        (ga, ia), (gb, ib) = groups[0], groups[1]
+        parts = [invariant_pair_result(lat, g, ival, BlochGrid(10, 10))
+                 for ival in (ia, ib, SpectralInterval(ia.lower, ib.upper))]
+        assert [res.band_group for res in parts] == [ga, gb, (ga[0], gb[1])]
+        assert parts[2].chern == parts[0].chern + parts[1].chern
 
     def test_random_frames_not_admissible(self, rng):
         # frames with no continuity: the plaquette fluxes are spread over
         # (-pi, pi] and their total is still an integer, so only the
         # admissibility bound can reject them
-        lat = MagneticLattice(1, 4, 2, 2, "torus")
-        bands = band_structure(lat, build_gauge(lat), BlochGrid(8, 8))
-        z = rng.standard_normal(bands.frames.shape) \
-            + 1j * rng.standard_normal(bands.frames.shape)
-        frames = np.linalg.qr(z)[0]
-        total = plaquette_berry_flux(frames[:, :, :, :2]).sum() / (2 * np.pi)
+        shape = (8, 8, 16, 16)
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        flux = plaquette_berry_flux(np.linalg.qr(z)[0][:, :, :, :2])
+        total = flux.sum() / (2 * np.pi)
         assert abs(total - round(total)) < 1e-6
-        doctored = BandData(bands.lattice, bands.construction_gauge, bands.grid,
-                            bands.energies, frames, bands.uniform_gaps,
-                            bands.group_threshold, bands.band_groups,
-                            bands.max_residual)
         with pytest.raises(FluxNotAdmissible, match="margin"):
-            chern_fhs(doctored, bands.band_groups[0])
+            bloch._chern_result(flux, (0, 2), BlochGrid(8, 8), 64, 0.0)
 
     def test_endpoint_near_fiber_eigenvalue(self):
         # an endpoint 1e-13 above a fiber eigenvalue is not exactly on it,
@@ -512,10 +502,9 @@ class TestFiberOrbits:
         monkeypatch.setattr(bloch, "_check_gauge",
                             lambda *args: calls.append(1) or check(*args))
         invariant_pair(lat, g, SpectralInterval(-1.0, 4 * np.pi), BlochGrid(8, 8))
-        band_structure(lat, g, BlochGrid(8, 8))
         band_energies(lat, g, BlochGrid(8, 8))
         torus_spectrum(lat, g)
-        assert len(calls) == 4
+        assert len(calls) == 3
         bad = g.phase_y.copy()
         bad[1, 1] *= np.exp(0.25j)
         from gapfill.model import GaugeField
@@ -579,7 +568,7 @@ class TestFiberOrbits:
             n = min(n, 8)
         lat = MagneticLattice(k, q, 2, 2, "torus")
         g = build_gauge(lat, kind)
-        interval, below, inside, (dim, c1, max_flux) = per_fiber_oracle(lat, g, n)
+        interval, below, inside, (dim, c1, max_flux), _ = per_fiber_oracle(lat, g, n)
         assert below.min() == below.max() == 0
         assert inside.min() == inside.max() == dim
         assert max_flux < np.pi / 2
@@ -600,19 +589,19 @@ class TestFiberOrbits:
             <= 1e-10 * max(dense.norm_bound, 1.0)
 
     def test_band_energies_match_band_structure(self, monkeypatch):
-        # k=2, q=8 on 8x8: orbits of 4, so 16 solves each, full or values-only
+        # k=2, q=8 on 8x8: orbits of 4, so 16 values-only solves; the oracle
+        # diagonalizes all 64 fibers with no orbit transport
         lat = MagneticLattice(2, 8, 2, 2, "torus")
         g = build_gauge(lat, "symmetric")
         calls = count_solves(monkeypatch)
-        ref = band_structure(lat, g, BlochGrid(8, 8))
         energies = band_energies(lat, g, BlochGrid(8, 8))
-        assert calls == ["eigh"] * 16 + ["eigvalsh"] * 16
-        bound = np.abs(ref.energies).max()
-        assert np.abs(energies - ref.energies).max() <= 1e-10 * bound
+        assert calls == ["eigvalsh"] * 16
+        ref = per_fiber_oracle(lat, g, 8)[4]
+        assert np.abs(energies - ref).max() <= 1e-10 * np.abs(ref).max()
 
     def test_band_energies_hold_no_frames(self):
-        # k=1, q=8 on 16x16: the energies take 128 KiB, the frames of
-        # band_structure 16 MiB
+        # k=1, q=8 on 16x16: the energies take 128 KiB, a full frame family
+        # 16 MiB
         import tracemalloc
         lat = MagneticLattice(1, 8, 2, 2, "torus")
         g = build_gauge(lat)

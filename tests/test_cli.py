@@ -209,10 +209,26 @@ class TestChernTask:
         assert (solver["fibers"], solver["solved"]) == (144, 9)
         assert 0.0 < solver["max_transport_defect"] < 1e-10
 
+    def test_subset_splitting_a_degenerate_pair(self, tmp_path):
+        # k=1, q=4 on 16x16: the lowest-5 subset solve of fiber (1/16, 0) and
+        # the lowest-7 one of fiber (6/16, 15/16) end inside exactly
+        # degenerate pairs, where LAPACK fails; both are solved in full
+        cfg = write_config(tmp_path / "cfg.json",
+                           model={"k": 1, "q": 4, "cells_x": 2, "cells_y": 2,
+                                  "geometry": "torus", "gauge": "landau"},
+                           task="chern",
+                           params={"grid": [16, 16],
+                                   "interval": [8.925119271497696, 26.774491783301663]})
+        out = tmp_path / "out"
+        assert main(["chern", "--config", str(cfg), "--out", str(out)]) == 0
+        doc = json.loads((out / "chern.json").read_text())
+        assert (doc["dim"], doc["chern"]) == (2, -1)
+        assert doc["group"] == [2, 4]
+
     def test_band_export_without_frames(self, tmp_path):
         # bands.csv holds every fiber's q^2 energies, from one values-only
-        # solve per orbit
-        from gapfill.bloch import BlochGrid, band_structure
+        # solve per orbit; the reference solves every fiber on its own
+        from gapfill.bloch import fiber_hamiltonian
         from gapfill.model import MagneticLattice, build_gauge
         cfg = write_config(tmp_path / "cfg.json", task="chern",
                            params={"grid": [8, 8], "export_bands": True})
@@ -222,7 +238,9 @@ class TestChernTask:
         assert lines[0] == "s,t,band_index,energy"
         energies = np.array([float(line.split(",")[3]) for line in lines[1:]])
         lat = MagneticLattice(1, 4, 4, 4, "torus")
-        ref = band_structure(lat, build_gauge(lat), BlochGrid(8, 8)).energies
+        g = build_gauge(lat)
+        ref = np.array([np.linalg.eigvalsh(fiber_hamiltonian(lat, g, (a / 8, b / 8)))
+                        for a in range(8) for b in range(8)])
         assert np.abs(energies - ref.ravel()).max() <= 1e-10 * np.abs(ref).max()
 
     def test_default_interval_holds_the_lowest_group(self, tmp_path):
