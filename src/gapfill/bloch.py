@@ -56,8 +56,8 @@ import scipy.linalg
 from .errors import (FluxNotAdmissible, GaugeNotCellPeriodic, LiftNotCertified,
                      NonConstantRank, NonTorusGeometry, ResidualNotCertified,
                      SingularOverlap)
-from .model import (GaugeField, MagneticLattice, _assemble, assemble_bulk, cell_gauge,
-                    cell_lift_phases, twist_seams)
+from .model import (GaugeField, MagneticLattice, _assemble, _formula_numerators,
+                    assemble_bulk, cell_gauge, cell_lift_phases, twist_seams)
 from .spectral import (SpectralInterval, SpectrumReport, residual_tolerance,
                        spectrum_report)
 
@@ -110,19 +110,14 @@ def _check_gauge(lattice: MagneticLattice, gauge: GaugeField) -> None:
     if gauge.gauge_kind not in ("landau", "symmetric"):
         raise GaugeNotCellPeriodic(
             f"no cell-periodic reduction for gauge kind {gauge.gauge_kind!r}")
-    q, k = lattice.q, lattice.k
+    q = lattice.q
     ni, nj = min(q, lattice.n_x - 1), min(q, lattice.n_y - 1)
-    i, j = np.meshgrid(np.arange(ni), np.arange(nj), indexing="ij")
-    # exponents in units of 1/q^2: Landau (0, -Phi*i), symmetric (Phi*j/2, -Phi*i/2)
-    if gauge.gauge_kind == "landau":
-        num_x, num_y = 0 * j, -2 * k * i
-    else:
-        num_x, num_y = k * j, -k * i
+    num_x, num_y = _formula_numerators(lattice, gauge.gauge_kind)
     q2 = q * q
     dev = max(np.abs(gauge.phase_x[:ni, :nj]
-                     - np.exp(2j * np.pi * (num_x % q2 / q2))).max(initial=0.0),
+                     - np.exp(2j * np.pi * (num_x[:ni, :nj] / q2))).max(initial=0.0),
               np.abs(gauge.phase_y[:ni, :nj]
-                     - np.exp(2j * np.pi * (num_y % q2 / q2))).max(initial=0.0))
+                     - np.exp(2j * np.pi * (num_y[:ni, :nj] / q2))).max(initial=0.0))
     if dev > 1e-12:
         raise GaugeNotCellPeriodic(
             "stored link phases deviate from the cell-periodic gauge formula")
@@ -203,9 +198,10 @@ def _transport(lattice: MagneticLattice, rep: GaugeField, member: GaugeField,
 
     rep and member are fiber gauges.  A pair (w, v) of the representative
     becomes (w, chi * v[perm]): perm[x] is the site x - shift (cell row
-    order ix*q + iy), and chi solves U'(x -> y) chi(y) = chi(x) U(x - shift ->
-    y - shift) along the spanning tree of cell_lift_phases (column 0 in y,
-    then every row in x).  The defect bounds the max row sum of
+    order ix*q + iy), and chi is cell_lift_phases of the member against the
+    representative's phases shifted by shift: it solves U'(x -> y) chi(y) =
+    chi(x) U(x - shift -> y - shift) along that function's spanning tree
+    (column 0 in y, then every row in x).  The defect bounds the max row sum of
     |D P H P^T D^H - H'| link by link: q^2 |chi(x) U conj(chi(y)) - U'(x -> y)|
     on each of the four links of a site plus |W(x) - W(x - shift)| on its
     diagonal.  It is computed elementwise, so it does not depend on BLAS.
@@ -214,9 +210,7 @@ def _transport(lattice: MagneticLattice, rep: GaugeField, member: GaugeField,
     i, j = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
     pi, pj = (i - shift[0]) % q, (j - shift[1]) % q
     ux, uy = rep.phase_x[pi, pj], rep.phase_y[pi, pj]
-    chi = np.empty((q, q), complex)
-    chi[0] = np.concatenate([[1.0], np.cumprod(uy[0, :-1] * member.phase_y[0, :-1].conj())])
-    chi[1:] = chi[0] * np.cumprod(ux[:-1] * member.phase_x[:-1].conj(), axis=0)
+    chi = cell_lift_phases(member, GaugeField(rep.lattice, rep.gauge_kind, ux, uy))
     hop = float(q) ** 2
     ex = hop * np.abs(chi * ux * np.roll(chi, -1, axis=0).conj() - member.phase_x)
     ey = hop * np.abs(chi * uy * np.roll(chi, -1, axis=1).conj() - member.phase_y)
@@ -229,12 +223,12 @@ def _transport(lattice: MagneticLattice, rep: GaugeField, member: GaugeField,
 def _fiber_family(lattice: MagneticLattice, gauge_kind: str, n_s: int, n_t: int, solve):
     """Every fiber (a/n_s, b/n_t) with its pairs, one solve per orbit.
 
-    Yields (a, b, fiber_gauge, w, v, defect) orbit by orbit: the
-    representative with (w, v) = solve(its dense fiber) and defect None,
-    then each other member with the representative's values w and its
-    vectors transported (v may be None, or hold only some columns).  No
-    member fiber is formed here; a caller that checks residuals builds it
-    from fiber_gauge.  A transport whose defect exceeds
+    Yields (a, b, fiber_gauge, fiber, w, v, defect) orbit by orbit: the
+    representative with its dense fiber, (w, v) = solve(fiber) and defect
+    None, then each other member with fiber None, the representative's
+    values w and its vectors transported (v may be None, or hold only some
+    columns).  No member fiber is formed here; a caller that checks
+    residuals builds it from fiber_gauge.  A transport whose defect exceeds
     FIBER_RESIDUAL_FACTOR * max(bound, 1), bound the representative's
     largest absolute row sum (equal on every fiber of the family), raises
     LiftNotCertified.
@@ -244,8 +238,8 @@ def _fiber_family(lattice: MagneticLattice, gauge_kind: str, n_s: int, n_t: int,
         fiber = _fiber(lattice, rep)
         tol = FIBER_RESIDUAL_FACTOR * max(float(np.abs(fiber).sum(axis=1).max()), 1.0)
         w, v = solve(fiber)
+        yield a, b, rep, fiber, w, v, None
         del fiber  # not held while the members are transported
-        yield a, b, rep, w, v, None
         for (a2, b2), shift in members:
             member = _fiber_gauge(lattice, gauge_kind, a2 / n_s, b2 / n_t)
             perm, chi, defect = _transport(lattice, rep, member, shift)
@@ -254,7 +248,8 @@ def _fiber_family(lattice: MagneticLattice, gauge_kind: str, n_s: int, n_t: int,
                     f"orbit transport from fiber ({a}/{n_s}, {b}/{n_t}) to "
                     f"({a2}/{n_s}, {b2}/{n_t}) by the shift {shift}: defect "
                     f"{defect:.3e} above the fiber tolerance {tol:.3e}")
-            yield a2, b2, member, w, None if v is None else chi[:, None] * v[perm], defect
+            yield (a2, b2, member, None, w, None if v is None else chi[:, None] * v[perm],
+                   defect)
 
 
 def torus_spectrum(lattice: MagneticLattice, gauge: GaugeField, *,
@@ -285,8 +280,8 @@ def torus_spectrum(lattice: MagneticLattice, gauge: GaugeField, *,
     cell_rows = (op.sites[:, 0] % q) * q + op.sites[:, 1] % q
     values, residuals, blocks = [], [], []
     solved = 0
-    for _, _, fiber_gauge, w, v, defect in _fiber_family(lattice, gauge.gauge_kind,
-                                                         cx, cy, np.linalg.eigh):
+    for _, _, fiber_gauge, _, w, v, defect in _fiber_family(lattice, gauge.gauge_kind,
+                                                            cx, cy, np.linalg.eigh):
         solved += defect is None
         chi = cell_lift_phases(gauge, fiber_gauge)
         scale = (chi.ravel() / np.sqrt(cx * cy))[:, None]
@@ -320,7 +315,7 @@ def band_energies(lattice: MagneticLattice, gauge: GaugeField, grid: BlochGrid) 
     """
     _check_gauge(lattice, gauge)
     energies = np.empty((grid.n_s, grid.n_t, lattice.q ** 2))
-    for a, b, _, w, _, _ in _fiber_family(lattice, gauge.gauge_kind, grid.n_s, grid.n_t,
+    for a, b, _, _, w, _, _ in _fiber_family(lattice, gauge.gauge_kind, grid.n_s, grid.n_t,
                                           lambda fiber: (np.linalg.eigvalsh(fiber), None)):
         energies[a, b] = w
     return energies
@@ -444,9 +439,10 @@ def invariant_pair_result(lattice: MagneticLattice, gauge: GaugeField,
             return np.linalg.eigh(fiber)
         return w, v
 
-    for a, b, fiber_gauge, w, v, defect in _fiber_family(lattice, gauge.gauge_kind,
-                                                         grid.n_s, grid.n_t, solve):
-        fiber = _fiber(lattice, fiber_gauge)
+    for a, b, fiber_gauge, fiber, w, v, defect in _fiber_family(lattice, gauge.gauge_kind,
+                                                                grid.n_s, grid.n_t, solve):
+        if fiber is None:
+            fiber = _fiber(lattice, fiber_gauge)
         solved += defect is None
         max_defect = max(max_defect, defect or 0.0)
         below = int((w < interval.lower).sum())

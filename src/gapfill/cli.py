@@ -163,7 +163,8 @@ def _lattice(cfg: dict) -> MagneticLattice:
                            m["geometry"], pot)
 
 
-def _shape_from_descriptor(desc: dict, lattice: MagneticLattice):
+def _shape_from_descriptor(desc: dict, cells_x: int):
+    """The shape a mask descriptor names; balls sit at x = 0, 1, ..., cells_x."""
     kind = desc["kind"]
     if kind == "half_plane":
         return HalfPlaneShape(desc["level"])
@@ -171,7 +172,7 @@ def _shape_from_descriptor(desc: dict, lattice: MagneticLattice):
         return GraphShape(tuple(desc["f_samples"]))
     if kind == "half_plane_with_balls":
         centers = tuple((float(cx), desc["ball_height"])
-                        for cx in range(lattice.cells_x + 1))
+                        for cx in range(cells_x + 1))
         return BallsShape(HalfPlaneShape(desc["level"]), desc["radius"], centers)
     if kind == "disk":
         return DiskShape(tuple(desc["center"]), desc["radius"])
@@ -184,7 +185,7 @@ def _mask(cfg: dict, lattice: MagneticLattice):
         return mask_all(lattice)
     if desc["kind"] == "sites":
         return mask_from_sites(lattice, [tuple(s) for s in desc["sites"]])
-    return make_mask(lattice, _shape_from_descriptor(desc, lattice))
+    return make_mask(lattice, _shape_from_descriptor(desc, lattice.cells_x))
 
 
 def _unmasked_torus(cfg: dict, lattice: MagneticLattice) -> bool:
@@ -305,25 +306,13 @@ def _bulk_gap_for(lattice: MagneticLattice, gauge_kind: str, bulk_cells: int):
     return spectral.certify_interval(report, g.lower + inset, g.upper - inset), report
 
 
-def _strip_from_params(cfg, p):
-    m = cfg["model"]
+def _strip_from_params(lattice: MagneticLattice, p: dict):
+    """The strip of the params with the model's k, q and W; balls sit one per cell along it."""
     shape = None
     if "shape" in p:
-        desc = p["shape"]
-        if desc["kind"] == "half_plane_with_balls":
-            # strip decorations: one ball per cell along the strip length,
-            # height relative to the top level
-            centers = tuple((float(c), desc["ball_height"])
-                            for c in range(p["length_cells"] + 1))
-            shape = BallsShape(HalfPlaneShape(desc["level"]), desc["radius"],
-                               centers)
-        else:
-            shape = _shape_from_descriptor(desc, _lattice(cfg))
-    pot = m.get("potential")
-    if pot is not None:
-        pot = np.asarray(pot, float).reshape(m["q"], m["q"])
-    return edge.make_strip(m["k"], m["q"], p["width_cells"], p["length_cells"],
-                           shape, pot)
+        shape = _shape_from_descriptor(p["shape"], p["length_cells"])
+    return edge.make_strip(lattice.k, lattice.q, p["width_cells"], p["length_cells"],
+                           shape, lattice.potential)
 
 
 def _task_edge_fill(cfg, out):
@@ -334,7 +323,7 @@ def _task_edge_fill(cfg, out):
         write_json(os.path.join(out, "edge_report.json"),
                    {"verdict": "no_bulk_gap", "all_pass": False})
         return 2
-    strip = _strip_from_params(cfg, p)
+    strip = _strip_from_params(lattice, p)
     report = edge.gap_filling_check(strip, gap, p.get("n_samples", 16),
                                     p.get("delta", 0.5))
     write_json(os.path.join(out, "edge_report.json"), {
@@ -356,7 +345,7 @@ def _task_edge_fill(cfg, out):
 
 def _task_bands(cfg, out):
     p = cfg.get("params", {})
-    strip = _strip_from_params(cfg, p)
+    strip = _strip_from_params(_lattice(cfg), p)
     flow = edge.strip_bands(strip, p.get("n_kappa", 48), p.get("e_ref"),
                             p.get("designated_edge", "lower"))
     rows = []
@@ -440,7 +429,7 @@ def _task_wideness(cfg, out):
                                      y_diameter=p.get("y_diameter"),
                                      seed=cfg.get("seed", 0), mask=mask)
     else:
-        shape = _shape_from_descriptor(desc_cfg, lattice)
+        shape = _shape_from_descriptor(desc_cfg, lattice.cells_x)
         cert = coarse.wideness_check(shape, r, lattice,
                                      y_diameter=p.get("y_diameter"),
                                      seed=cfg.get("seed", 0))

@@ -28,6 +28,9 @@ from .model import (BallsShape, DiskShape, GraphShape, HalfPlaneShape,
 from .spectral import ChebFilter, apply_filter, _cheb_apply, operator_norm
 
 VERIFY_CHUNK = 128  # far columns per block of the bitwise affiliation verify
+N_SPOT = 100  # random bounded sets per analytic wideness rule
+SEARCH_BUDGET = 10_000  # translations tried per set in the explicit-mask search
+N_SEARCH_SETS = 50  # random bounded sets in the explicit-mask search
 
 
 # ---------------------------------------------------------------------------
@@ -300,16 +303,14 @@ def _sample_bounded_set(rng, lattice: MagneticLattice, diameter: float,
 
 
 def wideness_check(descriptor, r: float, lattice: MagneticLattice,
-                   y_diameter: float | None = None, n_spot: int = 100,
-                   seed: int = 0, search_budget: int = 10_000,
-                   n_search_sets: int = 50,
+                   y_diameter: float | None = None, seed: int = 0,
                    mask: RegionMask | None = None) -> WidenessCertificate:
     """Can every bounded set be translated into Z away from the thickened complement?
 
     Half-plane and bounded-graph descriptors, and balls decorating either
     (their complement lies above the base), are wide with the analytic rule
     "translate straight down past the thickened complement"; the rule is
-    spot-verified on n_spot random bounded sets gY against the shape's
+    spot-verified on N_SPOT random bounded sets gY against the shape's
     `contains`: every point of gY and its L1 r-ball must lie in Z, so gY
     misses the r-thickened complement.  Disks (and any bounded region)
     yield counterexample_found: a set wider than the region cannot fit
@@ -335,16 +336,16 @@ def wideness_check(descriptor, r: float, lattice: MagneticLattice,
             return (0, gy)
 
         passed = 0
-        for _ in range(n_spot):
+        for _ in range(N_SPOT):
             y_sites = _sample_bounded_set(rng, lattice, y_diameter, box)
             gx, gy = rule(y_sites)
             pts = (np.asarray(y_sites) + (gx * q, gy * q))[:, None, :] + ball
             if descriptor.contains(pts[..., 0], pts[..., 1], q, lattice.period_x).all():
                 passed += 1
-        verdict = "wide_proved" if passed == n_spot else "inconclusive"
+        verdict = "wide_proved" if passed == N_SPOT else "inconclusive"
         witness = (f"g(Y) = (0, floor({name} - r - max_y(Y)) - 1): translate below "
                    f"the thickened complement")
-        return WidenessCertificate(descriptor, r, verdict, witness, passed, n_spot,
+        return WidenessCertificate(descriptor, r, verdict, witness, passed, N_SPOT,
                                    {"rule_base_level": level_min})
 
     if isinstance(descriptor, HalfPlaneShape):
@@ -381,14 +382,14 @@ def wideness_check(descriptor, r: float, lattice: MagneticLattice,
                     or member_grid[:, 0].any() or member_grid[:, -1].any())
     all_fit = True
     failed_y = None
-    for _ in range(n_search_sets):
+    for _ in range(N_SEARCH_SETS):
         y_sites = _sample_bounded_set(rng, lattice, y_diameter, box)
         found = False
         tried = 0
         for gx in range(-lattice.cells_x, lattice.cells_x + 1):
             for gy in range(-lattice.cells_y, lattice.cells_y + 1):
                 tried += 1
-                if tried > search_budget:
+                if tried > SEARCH_BUDGET:
                     break
                 ok = True
                 for (ix, iy) in y_sites:
@@ -400,7 +401,7 @@ def wideness_check(descriptor, r: float, lattice: MagneticLattice,
                 if ok:
                     found = True
                     break
-            if found or tried > search_budget:
+            if found or tried > SEARCH_BUDGET:
                 break
         if not found:
             all_fit = False
@@ -410,7 +411,7 @@ def wideness_check(descriptor, r: float, lattice: MagneticLattice,
         return WidenessCertificate(descriptor, r, "inconclusive",
                                    "bounded search found translations for every sampled Y "
                                    "(search success is not a proof)",
-                                   n_search_sets, n_search_sets, {})
+                                   N_SEARCH_SETS, N_SEARCH_SETS, {})
     if not touches_edge:
         return WidenessCertificate(descriptor, r, "counterexample_found",
                                    f"region is bounded inside the window and Y = {failed_y} "

@@ -2,20 +2,23 @@
 
 A strip is periodic in x and carved by a boundary shape in y, with one cell
 of vacuum below and above the region so that both edges are genuine mask
-boundaries.  For cell-periodic shapes the strip operator block-diagonalizes
-exactly over the momenta kappa = 2*pi*m/length_cells (magnetic translation
-by one cell), which is how gap filling checks and band structures stay
-cheap.  The block at kappa is the window stencil of :mod:`gapfill.model` on
-the one-cell-wide strip, whose x seam links carry the Landau translation
-cocycle, twisted by e^{i*kappa} (:func:`gapfill.model.twist_seams`); the
-unitary equivalence with the assembled strip matrix is exercised directly
-by the test suite.  Every block is solved on the banded route of
+boundaries.  The strip mask has an x-period of P cells, the fewest cells
+whose x-shift leaves it unchanged (W is cell-periodic, so the mask alone
+decides P, and P divides length_cells).  The strip operator
+block-diagonalizes exactly over the momenta kappa = 2*pi*m/(length_cells/P)
+(magnetic translation by P cells), which is how gap filling checks and
+band structures stay cheap.  The block at kappa is the window stencil of
+:mod:`gapfill.model` on the P-cell-wide strip, whose x seam links carry the
+Landau translation cocycle, twisted by e^{i*kappa}
+(:func:`gapfill.model.twist_seams`); the unitary equivalence with the
+assembled strip matrix is exercised directly by the test suite.  A flat or
+graph edge has P = 1; a strip whose decorations repeat only once along its
+length has P = length_cells and one block at kappa = 0, the strip operator
+itself.  Every block is solved on the banded route of
 :mod:`gapfill.spectral`: all eigenvalues without vectors, eigenvectors by
 inverse iteration only where a verdict or a band continuation needs one,
 residual certificates on those vectors and inertia counts on every
-eigenvalue count a verdict rests on.  A strip whose shape is not
-cell-periodic has no blocks: gap filling solves it densely as one
-operator, and band structures refuse it (UnsupportedShape).
+eigenvalue count a verdict rests on.
 
 Sign conventions, recorded in every report: kappa increases along the
 positive dual direction (the wrap phase is e^{+i*kappa}), a crossing counts
@@ -31,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .errors import (BandConnectionAmbiguous, CountNotCertified, EmptyRegion,
                      MarginTooSmall, StripTooNarrow, UnsupportedShape)
@@ -40,7 +42,7 @@ from .model import (GaugeField, HalfPlaneShape, GraphShape, BallsShape,
                     assemble_restricted, build_gauge, cell_gauge, cell_lift_phases,
                     mask_from_member, twist_seams, window_member)
 from .spectral import (SpectralInterval, banded, banded_eigenvalues, banded_vectors,
-                       certify_counts, eigensolve, inertia)
+                       certify_counts, inertia)
 
 FLOW_CONVENTIONS = {
     "kappa_wrap_phase": "exp(+i*kappa) per cell in +x",
@@ -48,6 +50,7 @@ FLOW_CONVENTIONS = {
     "designated_edge_default": "lower",
     "edge_assignment": ">= 60% mass on the assigned half of the region",
 }
+HEADROOM_CELLS = 1  # vacuum cells above the highest point of the shape
 
 
 @dataclass(frozen=True)
@@ -75,8 +78,7 @@ class StripSpec:
 
 
 def make_strip(k: int, q: int, width_cells: int, length_cells: int,
-               shape: object | None = None, potential=None,
-               headroom_cells: int = 1) -> StripSpec:
+               shape: object | None = None, potential=None) -> StripSpec:
     """StripSpec with the window sized for the shape.
 
     shape=None gives the flat edge y <= 1 + width_cells.  Shapes are given
@@ -96,7 +98,7 @@ def make_strip(k: int, q: int, width_cells: int, length_cells: int,
         extra = max(extra, max(dy for (_, dy) in shape.centers) + shape.radius)
     else:
         abs_shape, extra = _raise_base(shape, top)
-    cells_y = width_cells + 2 + headroom_cells + int(np.ceil(max(extra, 0.0)))
+    cells_y = width_cells + 2 + HEADROOM_CELLS + int(np.ceil(max(extra, 0.0)))
     lattice = MagneticLattice(k, q, length_cells, cells_y, "strip", potential)
     return StripSpec(width_cells, length_cells, abs_shape, lattice)
 
@@ -125,56 +127,57 @@ def strip_operator(strip: StripSpec, gauge: GaugeField | None = None) -> Hermiti
     return assemble_restricted(strip.lattice, gauge, strip_mask(strip))
 
 
-def _mask_cell_periodic(mask: RegionMask) -> bool:
-    q = mask.lattice.q
-    m = mask.member
-    return all(np.array_equal(m[:q], m[c * q:(c + 1) * q])
-               for c in range(mask.lattice.cells_x))
+def _strip_period(mask: RegionMask) -> int:
+    """x-period of the strip mask: the fewest cells whose x-shift leaves it unchanged.
+
+    It divides the strip length, since the shifts that fix the mask form a
+    subgroup of the cyclic group of cell shifts.
+    """
+    lat = mask.lattice
+    return next(p for p in range(1, lat.cells_x + 1)
+                if np.array_equal(np.roll(mask.member, p * lat.q, axis=0), mask.member))
 
 
 def strip_block(strip: StripSpec, kappa: float, mask: RegionMask | None = None) -> HermitianOperator:
-    """Momentum-kappa block of the strip: one cell column, wrap phase e^{i*kappa}.
+    """Momentum-kappa block of the strip: one x-period, wrap phase e^{i*kappa}.
 
-    The window stencil on the one-cell-wide strip, whose x seam carries the
-    Landau translation cocycle, twisted by e^{i*kappa}.  Valid for
-    cell-periodic masks.  The block spectrum over kappa = 2*pi*m/length_cells
-    reproduces the strip spectrum exactly.
+    The window stencil on the strip one x-period P wide (:func:`_strip_period`),
+    whose x seam carries the Landau translation cocycle, twisted by
+    e^{i*kappa}.  The block spectrum over kappa = 2*pi*m/(length_cells/P)
+    reproduces the strip spectrum exactly.  The provenance records the
+    P-cell lattice the block is assembled on.
     """
     lat = strip.lattice
     mask = mask or strip_mask(strip)
-    if not _mask_cell_periodic(mask):
-        raise UnsupportedShape("strip mask is not cell-periodic; no block reduction")
-    prov = {"lattice": lat, "gauge_kind": "landau", "mask": mask.descriptor,
+    cells = MagneticLattice(lat.k, lat.q, _strip_period(mask), lat.cells_y, "strip",
+                            lat.potential)
+    prov = {"lattice": cells, "gauge_kind": "landau", "mask": mask.descriptor,
             "kappa": kappa, "shift": -4.0 * np.pi * lat.k}
-    return _assemble(_cell_lattice(lat), _block_gauge(lat, kappa), mask.member[:lat.q],
-                     prov)
+    return _assemble(cells, _block_gauge(cells, kappa), mask.member[:cells.n_x], prov)
 
 
-def _cell_lattice(lat: MagneticLattice) -> MagneticLattice:
-    """The one-cell-wide strip under every momentum block of lat."""
-    return MagneticLattice(lat.k, lat.q, 1, lat.cells_y, "strip", lat.potential)
-
-
-def _block_gauge(lat: MagneticLattice, kappa: float) -> GaugeField:
-    """The one-cell-wide strip gauge with its x seam twisted by e^{i*kappa}."""
-    return twist_seams(cell_gauge(lat.k, lat.q, "landau", "strip", lat.cells_y),
+def _block_gauge(cells: MagneticLattice, kappa: float) -> GaugeField:
+    """The gauge of the block lattice cells with its x seam twisted by e^{i*kappa}."""
+    return twist_seams(cell_gauge(cells.k, cells.q, "landau", "strip", cells.cells_y,
+                                  cells.cells_x),
                        np.exp(1j * kappa), 1.0)
 
 
 def lift_block_vector(strip: StripSpec, block: HermitianOperator, kappa: float,
                       vec: np.ndarray, mask: RegionMask,
                       gauge: GaugeField | None = None) -> np.ndarray:
-    """Extend a block eigenvector to the strip: psi(x, y) = chi(x, y) vec(x mod q, y).
+    """Extend a block eigenvector to the strip: psi(x, y) = chi(x, y) vec(x mod P*q, y).
 
-    chi is the ratio of block to strip link phases
-    (:func:`gapfill.model.cell_lift_phases`); gauge is the strip's Landau
-    gauge, the one :func:`strip_operator` assembles with by default.
+    P is the x-period of the block's lattice; chi is the ratio of block to
+    strip link phases (:func:`gapfill.model.cell_lift_phases`); gauge is
+    the strip's Landau gauge, the one :func:`strip_operator` assembles with
+    by default.
     """
-    lat = strip.lattice
-    gauge = gauge or build_gauge(lat, "landau")
-    chi = cell_lift_phases(gauge, _block_gauge(lat, kappa))
+    cells = block.provenance["lattice"]
+    gauge = gauge or build_gauge(strip.lattice, "landau")
+    chi = cell_lift_phases(gauge, _block_gauge(cells, kappa))
     ix, iy = np.nonzero(mask.member)
-    out = chi[ix, iy] * np.asarray(vec)[block.ids[ix % lat.q, iy]]
+    out = chi[ix, iy] * np.asarray(vec)[block.ids[ix % cells.n_x, iy]]
     return out / np.linalg.norm(out)
 
 
@@ -201,8 +204,7 @@ class LocalizationProfile:
 class EdgeReport:
     """Gap-filling verdicts: per-sample nearest-eigenvalue distances.
 
-    solver names the route ("banded" momentum blocks or one "dense" strip
-    solve) with the block count and sizes.
+    solver records the banded route with the block count and sizes.
     """
 
     samples: np.ndarray
@@ -262,19 +264,19 @@ def gap_filling_check(strip: StripSpec, bulk_gap: SpectralInterval, n_samples: i
     """Are n_samples energies in the bulk-gap interior all within delta of strip spectrum?
 
     Samples are drawn from the gap inset by 5% of its width on both sides
-    (the gap endpoints themselves may be spectrum).  For cell-periodic
-    shapes the strip spectrum is the union of the momentum-block spectra,
-    each from one banded values-only solve (:func:`gapfill.spectral.banded`).
+    (the gap endpoints themselves may be spectrum).  The strip spectrum is
+    the union of the momentum-block spectra, each from one banded
+    values-only solve (:func:`gapfill.spectral.banded`).
     A sample passes when |s - lambda| + r <= delta for its nearest
     eigenvalue lambda, with r the residual of lambda's inverse-iteration
     eigenvector, which bounds the distance from s to the spectrum.  A
     failing sample is certified by the block inertia counts: no eigenvalue
     lies in [s - delta, s + delta) (CountNotCertified otherwise).  The
-    n_localization states nearest mid-gap (the nearest in each block, then
-    the best across blocks) are the only other vectors computed, and their
-    localization profiles are measured on the block against the one-cell
-    mask, whose boundary distances are those of every cell of the strip.
-    Other shapes solve the assembled strip densely, up to the dense cap.
+    n_localization states nearest mid-gap (the nearest in each block, best
+    first, then the second nearest in each block, and so on) are the only
+    other vectors computed, and their localization profiles are measured on
+    the block against the mask of one x-period, whose boundary distances
+    are those of every period of the strip.
     """
     if bulk_gap.margin <= 0:
         raise MarginTooSmall("bulk_gap must be certified (margin > 0)")
@@ -288,38 +290,26 @@ def gap_filling_check(strip: StripSpec, bulk_gap: SpectralInterval, n_samples: i
 
     mask = strip_mask(strip)
     mid = bulk_gap.midpoint
-    if _mask_cell_periodic(mask):
-        kappas = 2.0 * np.pi * np.arange(strip.length_cells) / strip.length_cells
-        blocks = [banded(strip_block(strip, kappa, mask)) for kappa in kappas]
-        values = [banded_eigenvalues(b) for b in blocks]
-        distances, verdicts = _banded_verdicts(blocks, values, samples, delta)
-        nearest = [(abs(w[j] - mid), m, j) for m, w in enumerate(values)
-                   for j in [int(np.argmin(np.abs(w - mid)))]]
-        nearest.sort(key=lambda t: t[0])
-        states = []
-        for (_, m, j) in nearest[:n_localization]:
-            vec = banded_vectors(blocks[m], values[m], [j])[0][:, 0]
-            states.append((float(values[m][j]), vec, blocks[m].op))
-        n_eigenvalues = sum(len(w) for w in values)
-        solver = _banded_solver(len(blocks), blocks[0])
-        profile_mask = mask_from_member(_cell_lattice(lat), mask.member[:lat.q],
-                                        mask.descriptor)
-    else:
-        op = strip_operator(strip)
-        rep = eigensolve(op, keep_vectors=True)
-        ev = rep.eigenvalues
-        distances = np.array([np.abs(ev - s).min() for s in samples])
-        verdicts = distances <= delta
-        states = [(float(ev[j]), rep.eigenvectors[:, j], op)
-                  for j in np.argsort(np.abs(ev - mid))[:n_localization]]
-        n_eigenvalues = len(ev)
-        solver = {"route": "dense", "blocks": 1, "block_dim": op.dimension}
-        profile_mask = mask
-
-    profiles = tuple(localization_profile(op, (energy, vec), profile_mask)
-                     for (energy, vec, op) in states)
-    return EdgeReport(samples, distances, delta, verdicts, profiles,
-                      dict(FLOW_CONVENTIONS), int(n_eigenvalues), solver)
+    n_blocks = strip.length_cells // _strip_period(mask)
+    kappas = 2.0 * np.pi * np.arange(n_blocks) / n_blocks
+    blocks = [banded(strip_block(strip, kappa, mask)) for kappa in kappas]
+    values = [banded_eigenvalues(b) for b in blocks]
+    distances, verdicts = _banded_verdicts(blocks, values, samples, delta)
+    # by rank within the block, then by distance: the nearest state of every
+    # block comes before the second nearest of any
+    nearest = sorted((rank, abs(w[j] - mid), m, j) for m, w in enumerate(values)
+                     for rank, j in enumerate(np.argsort(np.abs(w - mid), kind="stable")
+                                              [:n_localization]))
+    cells = blocks[0].op.provenance["lattice"]
+    profile_mask = mask_from_member(cells, mask.member[:cells.n_x], mask.descriptor)
+    profiles = []
+    for (_, _, m, j) in nearest[:n_localization]:
+        vec = banded_vectors(blocks[m], values[m], [j])[0][:, 0]
+        profiles.append(localization_profile(blocks[m].op, (float(values[m][j]), vec),
+                                             profile_mask))
+    return EdgeReport(samples, distances, delta, verdicts, tuple(profiles),
+                      dict(FLOW_CONVENTIONS), sum(len(w) for w in values),
+                      _banded_solver(len(blocks), blocks[0]))
 
 
 def _banded_verdicts(blocks: list, values: list, samples: np.ndarray,
@@ -401,8 +391,9 @@ def strip_bands(strip: StripSpec, n_kappa: int, e_ref: float | None = None,
                 window_halfwidth: float | None = None) -> SpectralFlowReport:
     """Dispersion over kappa in [0, 2*pi) with edge-resolved crossing counts.
 
-    Each momentum block takes one banded values-only solve for its whole
-    dispersion row; the window count is certified by the inertia counts at
+    kappa is the momentum of a translation by one x-period of the strip
+    (:func:`strip_block`).  Each momentum block takes one banded values-only
+    solve for its whole dispersion row; the window count is certified by the inertia counts at
     the window ends (CountNotCertified otherwise), and only the window
     bands get eigenvectors, by inverse iteration.  Window energies are the
     banded eigenvalues themselves.  Bands inside the window
@@ -413,6 +404,7 @@ def strip_bands(strip: StripSpec, n_kappa: int, e_ref: float | None = None,
     corresponding half of the region, signed by the slope, and summed for
     the designated edge.
     """
+    from scipy.optimize import linear_sum_assignment
     lat = strip.lattice
     k = lat.k
     if e_ref is None:
@@ -420,10 +412,6 @@ def strip_bands(strip: StripSpec, n_kappa: int, e_ref: float | None = None,
     if window_halfwidth is None:
         window_halfwidth = 0.35 * 8.0 * np.pi * max(k, 1)
     mask = strip_mask(strip)
-    if not _mask_cell_periodic(mask):
-        raise UnsupportedShape(
-            "strip_bands needs a cell-periodic (flat or graph-periodic) shape")
-
     kappas = 2.0 * np.pi * np.arange(n_kappa) / n_kappa
     lo, hi = e_ref - window_halfwidth, e_ref + window_halfwidth
     region_mid = 1.0 + strip.width_cells / 2.0
@@ -450,7 +438,7 @@ def strip_bands(strip: StripSpec, n_kappa: int, e_ref: float | None = None,
         if len(w0) == 0 or len(w1) == 0:
             continue
         overlap = np.abs(win_vecs[m].conj().T @ win_vecs[m2])
-        ri, ci = scipy.optimize.linear_sum_assignment(-overlap ** 2)
+        ri, ci = linear_sum_assignment(-overlap ** 2)
         for i, j in zip(ri, ci):
             e0, e1 = w0[i], w1[j]
             if (e0 - e_ref) * (e1 - e_ref) < 0.0:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.ndimage
 import scipy.sparse as sp
 
 from .errors import EmptyRegion, MissingPhase, NonTorusGeometry, UnsupportedShape
@@ -231,7 +230,8 @@ def twist_seams(gauge: GaugeField, zx: complex, zy: complex) -> GaugeField:
 
     Plaquette fluxes are unchanged and each x (y) Wilson loop gains zx (zy).
     On a one-cell window this is the Bloch reduction: fiber (s, t) takes
-    e^{2*pi*i*s}, e^{2*pi*i*t}; strip momentum kappa takes e^{i*kappa}.
+    e^{2*pi*i*s}, e^{2*pi*i*t}; on one x-period of a strip, momentum kappa
+    takes e^{i*kappa}.
     Scalar products: numpy's vectorized complex multiply can differ in the last bit.
     """
     lat = gauge.lattice
@@ -246,26 +246,28 @@ def twist_seams(gauge: GaugeField, zx: complex, zy: complex) -> GaugeField:
 
 @functools.lru_cache(maxsize=64)
 def cell_gauge(k: int, q: int, gauge_kind: str, geometry: str = "torus",
-               cells_y: int = 1) -> GaugeField:
-    """Untwisted gauge of the one-cell-wide window, solved once per key.
+               cells_y: int = 1, cells_x: int = 1) -> GaugeField:
+    """Untwisted gauge of a cells_x by cells_y window, solved once per key.
 
     The Bloch fiber (torus, one cell) and the strip momentum block (strip,
-    one cell by cells_y) twist its seams; the phases do not depend on the
-    potential, so the key leaves it out.  Phase arrays are read-only
-    (twist_seams copies them).
+    one x-period of cells_x cells by cells_y) twist its seams; the phases
+    do not depend on the potential, so the key leaves it out.  Phase arrays
+    are read-only (twist_seams copies them).
     """
-    gauge = build_gauge(MagneticLattice(k, q, 1, cells_y, geometry), gauge_kind)
+    gauge = build_gauge(MagneticLattice(k, q, cells_x, cells_y, geometry), gauge_kind)
     gauge.phase_x.setflags(write=False)
     gauge.phase_y.setflags(write=False)
     return gauge
 
 
 def cell_lift_phases(gauge: GaugeField, cell: GaugeField) -> np.ndarray:
-    """Phases chi on the window sites that carry one-cell states to the window.
+    """Phases chi on the window sites that carry cell states to the window.
 
-    chi is fixed by U(u -> v) chi(v) = chi(u) U_cell(u' -> v') on every link,
-    where u', v' are the cell sites under u, v, so that psi = chi * phi(u')
-    solves the window equation whenever phi solves the cell equation.  It is
+    The cell is one unit cell (a Bloch fiber) or one x-period of a strip (a
+    momentum block).  chi is fixed by U(u -> v) chi(v) = chi(u) U_cell(u' ->
+    v') on every link, where u', v' are the cell sites under u, v, so that
+    psi = chi * phi(u') solves the window equation whenever phi solves the
+    cell equation.  It is
     the cumulative product of the ratio of cell to window link phases along
     column 0 in y, then along every row in x; no gauge formula enters.  The
     remaining links agree when both gauges have the same plaquette fluxes
@@ -442,7 +444,8 @@ def _distance_to_complement(lattice: MagneticLattice, member: np.ndarray) -> np.
     if lattice.periodic_y:
         tiled = np.concatenate([tiled, tiled, tiled], axis=1)
         oy = lattice.n_y
-    dist = scipy.ndimage.distance_transform_cdt(tiled, metric="taxicab")
+    from scipy.ndimage import distance_transform_cdt
+    dist = distance_transform_cdt(tiled, metric="taxicab")
     dist = dist[ox:ox + lattice.n_x, oy:oy + lattice.n_y].astype(float)
     return dist
 

@@ -1,18 +1,18 @@
 """Eigensolvers, spectral intervals and Chebyshev functional calculus.
 
 Two eigensolver routes, chosen by the kind of operator.  A strip momentum
-block is one cell wide, so in y-major row order it is banded (bandwidth q)
-and block tridiagonal over its y-rows: :func:`banded` stores it as a LAPACK
-band, :func:`banded_eigenvalues` gives its whole spectrum without vectors,
-:func:`banded_vectors` computes the eigenvectors a caller names by inverse
-iteration, each certified by its residual, and :func:`inertia` counts the
-eigenvalues below a shift by a block LDL^H factorization (Sylvester's law
-of inertia), which :func:`certify_counts` checks against the banded
-eigenvalues.  Every other operator (masked windows, strips that are not
-cell-periodic) takes :func:`eigensolve`: one dense LAPACK diagonalization
-up to the fixed dimension cap DENSE_CAP, with a per-pair residual
-certificate, so its report holds the complete spectrum and gap detection
-and interval certification run over all of it.
+block is one x-period of P cells wide, so in y-major row order it is banded
+(bandwidth at most P*q) and block tridiagonal over its y-rows:
+:func:`banded` stores it as a LAPACK band, :func:`banded_eigenvalues` gives
+its whole spectrum without vectors, :func:`banded_vectors` computes the
+eigenvectors a caller names by inverse iteration, each certified by its
+residual, and :func:`inertia` counts the eigenvalues below a shift by a
+block LDL^H factorization (Sylvester's law of inertia), which
+:func:`certify_counts` checks against the banded eigenvalues.  Masked
+windows take :func:`eigensolve`: one dense LAPACK diagonalization up to
+the fixed dimension cap DENSE_CAP, with a per-pair residual certificate,
+so its report holds the complete spectrum and gap detection and interval
+certification run over all of it.
 
 Filters are Chebyshev expansions on a stated spectral enclosure [a, b];
 applying one to a vector through the three-term recurrence grows the support
@@ -39,6 +39,7 @@ RESIDUAL_FACTOR = 1e-9
 INVERSE_STEPS = 2      # solves per inverse-iteration vector
 ORTHO_CLUSTER = 1e-3   # relative eigenvalue spacing below which vectors are orthogonalized
 PIVOT_FLOOR = 1e-3     # relative size below which a pivot direction is deferred
+LANCZOS_ITERATIONS = 60  # Lanczos steps per operator_norm estimate, at most
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +394,9 @@ class BandedOperator:
 def banded(op: HermitianOperator) -> BandedOperator:
     """The operator in y-major row order (sites sorted by (iy, ix)), stored as a band.
 
-    A strip momentum block is one cell of q columns wide, so its x links
-    stay within a y-row and its y links join consecutive y-rows: the
-    bandwidth is at most q and the matrix is block tridiagonal over y-rows.
+    A strip momentum block is one x-period of P*q columns wide, so its x
+    links stay within a y-row and its y links join consecutive y-rows: the
+    bandwidth is at most P*q and the matrix is block tridiagonal over y-rows.
     """
     n = op.dimension
     order = np.lexsort((op.sites[:, 0], op.sites[:, 1]))
@@ -629,16 +630,17 @@ def _erf_floor(margin: float, smoothing: float) -> float:
 
 
 def operator_norm(apply_fn, n: int, *, adjoint_fn=None, hermitian: bool = False,
-                  rtol: float = 1e-3, iterations: int = 60, seed: int = 0) -> float:
+                  rtol: float = 1e-3, seed: int = 0) -> float:
     """Lanczos estimate of the spectral norm of a matrix-free operator.
 
     A fully reorthogonalized Lanczos tridiagonalization runs on A itself
     when Hermitian, else on A*A (adjoint_fn required), from a random start
     vector drawn from seed.  Iterates until two consecutive Ritz values
-    agree to rtol or the basis breaks down (beta ~ 0: the Krylov space is
+    agree to rtol, the basis breaks down (beta ~ 0: the Krylov space is
     exhausted - in particular a zero operator returns exactly 0.0 after one
-    application).  Ritz values never exceed the norm, so the result is a
-    lower estimate, not a certified bound.
+    application) or LANCZOS_ITERATIONS steps have run.  Ritz values never
+    exceed the norm, so the result is a lower estimate, not a certified
+    bound.
     """
     if not hermitian and adjoint_fn is None:
         raise ValueError("non-Hermitian norm needs adjoint_fn")
@@ -652,7 +654,7 @@ def operator_norm(apply_fn, n: int, *, adjoint_fn=None, hermitian: bool = False,
     v_prev = None
     beta = 0.0
     best = 0.0
-    for it in range(min(iterations, n)):
+    for it in range(min(LANCZOS_ITERATIONS, n)):
         w = apply_fn(v)
         if not hermitian:
             if not np.any(w):

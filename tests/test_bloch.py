@@ -250,8 +250,8 @@ class TestTorusSpectrum:
         op = assemble_bulk(lat, g)
         rows = (op.sites[:, 0] % q) * q + op.sites[:, 1] % q
         values, residuals, blocks = [], [], []
-        for _, _, fiber_gauge, w, v, _ in bloch._fiber_family(lat, g.gauge_kind, 3, 2,
-                                                              np.linalg.eigh):
+        for _, _, fiber_gauge, _, w, v, _ in bloch._fiber_family(lat, g.gauge_kind, 3, 2,
+                                                                 np.linalg.eigh):
             chi = cell_lift_phases(g, fiber_gauge)
             psi = (chi.ravel() / np.sqrt(6))[:, None] * v[rows]
             values.append(w)
@@ -545,6 +545,20 @@ class TestFiberOrbits:
         assert calls == ["eigh"] * 36
         assert (res.solved, res.max_transport_defect) == (36, 0.0)
         assert (res.dim, res.chern) == oracle[3][:2]
+
+    @pytest.mark.parametrize("q, generic_w", [(3, False), (8, False), (4, True)])
+    def test_each_fiber_assembled_once(self, monkeypatch, rng, q, generic_w):
+        # a representative's fiber serves its solve and its residual check;
+        # every other member is assembled once, for its own residual check
+        w = 0.5 * rng.standard_normal((q, q)) if generic_w else None
+        lat = MagneticLattice(1, q, 2, 2, "torus", w)
+        assembled = []
+        fiber = bloch._fiber
+        monkeypatch.setattr(bloch, "_fiber",
+                            lambda *args: assembled.append(1) or fiber(*args))
+        invariant_pair_result(lat, build_gauge(lat), SpectralInterval(-20.0, 4 * np.pi),
+                              BlochGrid(16, 16))
+        assert len(assembled) == 16 * 16
 
     @pytest.mark.parametrize("k, n_solves", [(1, 1), (2, 4)])
     def test_route_guard(self, monkeypatch, k, n_solves):

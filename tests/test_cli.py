@@ -2,10 +2,13 @@ import glob
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gapfill
 from gapfill.cli import TASKS, load_config, main
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -83,6 +86,16 @@ class TestConfigValidation:
                      str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("ConfigInvalid: params/shape/f_samples")
+
+
+def test_import_leaves_optimize_and_ndimage_unloaded():
+    # each is imported where its one function is called, not with the CLI
+    code = ("import sys, gapfill.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.ndimage') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gapfill.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestShippedConfigs:

@@ -18,6 +18,28 @@ from gapfill.spectral import (banded, banded_eigenvalues, banded_vectors,
                               residual_tolerance)
 
 
+def _shape(kind, q, length):
+    if kind == "graph":
+        return GraphShape(tuple(0.25 * np.sin(2 * np.pi * np.arange(q) / q)))
+    if kind in ("balls", "period2"):
+        step = 2 if kind == "period2" else 1
+        return BallsShape(HalfPlaneShape(0.0), 1.0 / 3.0,
+                          tuple((float(c), 1.0) for c in range(0, length + 1, step)))
+    if kind == "one_ball":
+        return BallsShape(HalfPlaneShape(0.0), 1.0 / 3.0, ((0.5, 1.0),))
+    return None
+
+
+def _period(kind, length):
+    """x-period in cells of the strip mask of _shape(kind, q, length), length even."""
+    return {"period2": 2, "one_ball": length}.get(kind, 1)
+
+
+# strip shapes: flat and graph edges, and balls on a flat edge once per
+# cell, every other cell and once per strip (x-periods 1, 2, length_cells)
+KINDS = ["flat", "graph", "balls", "period2", "one_ball"]
+
+
 @pytest.fixture(scope="module")
 def small_gap():
     """Certified principal gap of the k=1, h=1/4 bulk torus."""
@@ -138,14 +160,15 @@ class TestGapFilling:
         dist = np.abs(rep.eigenvalues[None, :] - samples[:, None]).min(axis=1)
         assert (dist > 1.0).all()
 
-    def test_non_periodic_strip_takes_the_dense_route(self, small_gap):
-        # one ball on a 6-cell strip is not cell-periodic: no momentum blocks
+    def test_non_periodic_strip_is_one_banded_block(self, small_gap):
+        # one ball on a 6-cell strip has the x-period of the whole strip:
+        # one momentum block at kappa = 0, the strip operator itself
         _, gap = small_gap
-        shape = BallsShape(HalfPlaneShape(0.0), 1.0 / 3.0, ((0.5, 1.0),))
-        strip = make_strip(1, 4, 8, 6, shape=shape)
+        strip = make_strip(1, 4, 8, 6, shape=_shape("one_ball", 4, 6))
         report = gap_filling_check(strip, gap, n_samples=8, delta=1.0)
-        assert report.solver == {"route": "dense", "blocks": 1,
-                                 "block_dim": strip_mask(strip).n_inside}
+        assert report.solver == {"route": "banded", "blocks": 1,
+                                 "block_dim": strip_mask(strip).n_inside,
+                                 "bandwidth": strip.lattice.n_x}
         ev = eigensolve(strip_operator(strip)).eigenvalues
         nearest = np.abs(ev[None, :] - report.samples[:, None]).min(axis=1)
         np.testing.assert_allclose(report.distances, nearest, rtol=0, atol=1e-12)
@@ -190,11 +213,12 @@ class TestLocalization:
             assert np.all(np.diff(prof.cumulative_mass) >= -1e-12)
             assert prof.cumulative_mass[-1] == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("kind", ["flat", "graph", "balls"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_block_profiles_match_lifted_strip_profiles(self, small_gap, monkeypatch,
                                                         kind):
         # each profile is measured on its momentum block; lifted to the whole
-        # strip, the same state has the same mass curve and decay rate
+        # strip, the same state is an eigenvector with the same mass curve
+        # and decay rate, and the block spectra make up the strip spectrum
         _, gap = small_gap
         strip = make_strip(1, 4, 8, 6, shape=_shape(kind, 4, 6))
         calls = []
@@ -209,16 +233,24 @@ class TestLocalization:
         strip_op = strip_operator(strip)
         assert len(report.localization) == len(calls) == 3
         for prof, (block, (energy, vec)) in zip(report.localization, calls):
-            assert block.dimension == mask.n_inside // strip.length_cells
+            period = block.provenance["lattice"].cells_x
+            assert period == _period(kind, 6)
+            assert block.dimension == mask.n_inside * period // strip.length_cells
             lifted = lift_block_vector(strip, block, block.provenance["kappa"], vec,
                                        mask)
             want = profile(strip_op, (energy, lifted), mask)
+            assert want.residual < 1e-8
             assert prof.energy == want.energy
             assert np.array_equal(prof.distances, want.distances)
             np.testing.assert_allclose(prof.cumulative_mass, want.cumulative_mass,
                                        rtol=0, atol=1e-12)
             assert abs(prof.mass_within(1.5) - want.mass_within(1.5)) <= 1e-12
             assert abs(prof.decay_rate - want.decay_rate) <= 1e-12
+        n_blocks = strip.length_cells // _period(kind, 6)
+        blocks = np.sort(np.concatenate(
+            [banded_eigenvalues(banded(strip_block(strip, 2 * np.pi * m / n_blocks, mask)))
+             for m in range(n_blocks)]))
+        assert np.abs(blocks - np.linalg.eigvalsh(strip_op.matrix.toarray())).max() < 1e-8
 
     def test_midgap_state_is_boundary_localized(self):
         # calibrated on the dense run at h = 1/8 (where h resolves the
@@ -302,17 +334,11 @@ def _potential(q):
     return 0.7 * (np.arange(q * q).reshape(q, q) % 5 - 2.0)
 
 
-def _shape(kind, q, length):
-    if kind == "graph":
-        return GraphShape(tuple(0.25 * np.sin(2 * np.pi * np.arange(q) / q)))
-    if kind == "balls":
-        return BallsShape(HalfPlaneShape(0.0), 1.0 / 3.0,
-                          tuple((float(c), 1.0) for c in range(length + 1)))
-    return None
-
-
+# the longer periods at q = 4 only: at q = 8 the dense solves of a
+# whole-strip block take about 30 s per case
 STRIPS = [(k, q, kind, pot) for k in (1, 2) for q in (4, 8)
-          for kind in ("flat", "graph", "balls") for pot in (False, True)]
+          for kind in KINDS for pot in (False, True)
+          if q == 4 or _period(kind, 4) == 1]
 
 
 def use_dense_oracle(monkeypatch):
@@ -337,13 +363,14 @@ def use_dense_oracle(monkeypatch):
 class TestBandedRoute:
     @pytest.mark.parametrize("k,q,kind,pot", STRIPS)
     def test_parity_with_dense_eigensolve(self, k, q, kind, pot):
-        strip = make_strip(k, q, 4, 3, shape=_shape(kind, q, 3),
+        strip = make_strip(k, q, 4, 4, shape=_shape(kind, q, 4),
                            potential=_potential(q) if pot else None)
         mask = strip_mask(strip)
         for kappa in (0.0, np.pi, 2.0 * np.pi * 0.2718):
             block = strip_block(strip, kappa, mask)
             b = banded(block)
-            assert b.bandwidth <= q
+            assert block.provenance["lattice"].cells_x == _period(kind, 4)
+            assert b.bandwidth <= q * _period(kind, 4)
             w = banded_eigenvalues(b)
             dense = eigensolve(block).eigenvalues
             assert np.abs(w - dense).max() <= 1e-10 * max(np.abs(dense).max(), 1.0)
@@ -372,18 +399,22 @@ class TestBandedRoute:
         shifts = shifts[np.abs(dense[None, :] - shifts[:, None]).min(axis=1) > 1e-6]
         assert (inertia(b, shifts) == np.searchsorted(dense, shifts)).all()
 
-    @pytest.mark.parametrize("kind", ["flat", "graph", "balls"])
+    @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("delta", [1.0, 0.05])
     def test_gap_fill_verdicts_match_dense_oracle(self, small_gap, monkeypatch,
                                                   kind, delta):
         _, gap = small_gap
-        strip = make_strip(1, 4, 8, 12, shape=_shape(kind, 4, 12))
+        # one ball makes the whole strip one block: a short strip keeps its
+        # dense oracle small
+        length = 4 if kind == "one_ball" else 12
+        strip = make_strip(1, 4, 8, length, shape=_shape(kind, 4, length))
         got = gap_filling_check(strip, gap, 8, delta)
         with monkeypatch.context() as m:
             use_dense_oracle(m)
             want = gap_filling_check(strip, gap, 8, delta)
-        assert got.solver == {"route": "banded", "blocks": 12,
-                              "block_dim": want.solver["block_dim"], "bandwidth": 4}
+        period = _period(kind, length)
+        assert got.solver == {"route": "banded", "blocks": length // period,
+                              "block_dim": want.solver["block_dim"], "bandwidth": 4 * period}
         assert list(got.verdicts) == list(want.verdicts)
         assert np.abs(got.distances - want.distances).max() < 1e-10
         assert got.n_strip_eigenvalues == want.n_strip_eigenvalues \
@@ -408,13 +439,15 @@ class TestBandedRoute:
         assert [c.mass_lower for c in got.crossings] == pytest.approx(
             [c.mass_lower for c in want.crossings], abs=1e-9)
 
-    def test_non_periodic_shape_unsupported(self):
-        strip = make_strip(1, 4, 6, 3, shape=BallsShape(HalfPlaneShape(0.0), 1.0 / 3.0,
-                                                        ((1.0, 1.0),)))
-        with pytest.raises(UnsupportedShape, match="cell-periodic"):
-            strip_block(strip, 0.0)
-        with pytest.raises(UnsupportedShape, match="cell-periodic"):
-            strip_bands(strip, n_kappa=12)
+    @pytest.mark.parametrize("kind, length", [("one_ball", 2), ("period2", 4)])
+    def test_flow_on_strips_of_longer_period(self, kind, length):
+        # the edge count does not depend on the subgroup of x-translations
+        # that the decorations leave: kappa is the momentum of one x-period
+        strip = make_strip(1, 4, 8, length, shape=_shape(kind, 4, length))
+        flow = strip_bands(strip, n_kappa=24, e_ref=9.0)
+        assert flow.solver["block_dim"] == strip_mask(strip).n_inside * _period(
+            kind, length) // length
+        assert (flow.net_flow, flow.net_flow_upper) == (1, -1)
 
 
 class TestBandedCertificates:
