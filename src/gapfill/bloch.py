@@ -8,10 +8,15 @@ window stencil of :mod:`gapfill.model` on the one-cell torus, with its seam
 links twisted by e^{2*pi*i*s} / e^{2*pi*i*t}
 (:func:`gapfill.model.twist_seams`).  The Wilson-pinned seam links of that
 cell already carry the translation cocycle of the gauge, without which the
-fiber family would violate the plaquette flux at the cell boundary.  An
-unmasked torus of cells_x x cells_y cells is solved on its fibers at
-(a/cells_x, b/cells_y) (:func:`torus_spectrum`), with every lifted pair
-certified on the assembled torus operator.
+fiber family would violate the plaquette flux at the cell boundary.  A
+fiber family is fixed by its gauge kind alone, so :func:`fiber_hamiltonian`,
+:func:`band_energies` and :func:`invariant_pair_result` take the kind
+("landau" or "symmetric"), not a gauge field.  An unmasked torus of
+cells_x x cells_y cells is solved on its fibers at (a/cells_x, b/cells_y)
+(:func:`torus_spectrum`), with every lifted pair certified on the torus
+operator assembled from the caller's gauge.  That certificate is the one
+gauge check: it accepts any torus gauge with the fibers' plaquette fluxes
+and Wilson loops, gauge-transformed ones included, and refuses any other.
 
 The first Chern number of a band group is computed by plaquette Berry
 fluxes on the dual-torus grid (overlap-determinant link variables, principal
@@ -48,16 +53,14 @@ fiber tolerance plus eps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
 
-from .errors import (FluxNotAdmissible, GaugeNotCellPeriodic, LiftNotCertified,
-                     NonConstantRank, NonTorusGeometry, ResidualNotCertified,
-                     SingularOverlap)
-from .model import (GaugeField, MagneticLattice, _assemble, _formula_numerators,
-                    assemble_bulk, cell_gauge, cell_lift_phases, twist_seams)
+from .errors import (FluxNotAdmissible, LiftNotCertified, NonConstantRank,
+                     NonTorusGeometry, ResidualNotCertified, SingularOverlap)
+from .model import (GaugeField, MagneticLattice, _assemble, assemble_bulk, cell_gauge,
+                    cell_lift_phases, twist_seams)
 from .spectral import (SpectralInterval, SpectrumReport, residual_tolerance,
                        spectrum_report)
 
@@ -65,6 +68,7 @@ ORIENTATION = "ds_wedge_dt_positive"
 OVERLAP_SINGULAR_TOL = 1e-8
 FIBER_RESIDUAL_FACTOR = 1e-10
 FLUX_ADMISSIBLE = np.pi / 2
+FHS_INTEGRALITY_TOL = 1e-6
 LIFT_CHUNK = 64
 
 
@@ -105,45 +109,26 @@ class ChernResult:
 # fibers
 
 
-def _check_gauge(lattice: MagneticLattice, gauge: GaugeField) -> None:
-    """The fiber construction trusts the named gauge formulas on the base cell."""
-    if gauge.gauge_kind not in ("landau", "symmetric"):
-        raise GaugeNotCellPeriodic(
-            f"no cell-periodic reduction for gauge kind {gauge.gauge_kind!r}")
-    q = lattice.q
-    ni, nj = min(q, lattice.n_x - 1), min(q, lattice.n_y - 1)
-    num_x, num_y = _formula_numerators(lattice, gauge.gauge_kind)
-    q2 = q * q
-    dev = max(np.abs(gauge.phase_x[:ni, :nj]
-                     - np.exp(2j * np.pi * (num_x[:ni, :nj] / q2))).max(initial=0.0),
-              np.abs(gauge.phase_y[:ni, :nj]
-                     - np.exp(2j * np.pi * (num_y[:ni, :nj] / q2))).max(initial=0.0))
-    if dev > 1e-12:
-        raise GaugeNotCellPeriodic(
-            "stored link phases deviate from the cell-periodic gauge formula")
-
-
 def _fiber_gauge(lattice: MagneticLattice, gauge_kind: str, s: float, t: float) -> GaugeField:
     """The one-cell torus gauge with its seams twisted by e^{2*pi*i*s}, e^{2*pi*i*t}."""
     return twist_seams(cell_gauge(lattice.k, lattice.q, gauge_kind),
                        np.exp(2j * np.pi * s), np.exp(2j * np.pi * t))
 
 
-def fiber_hamiltonian(lattice: MagneticLattice, gauge: GaugeField,
+def fiber_hamiltonian(lattice: MagneticLattice, gauge_kind: str,
                       point: tuple[float, float]) -> np.ndarray:
     """q^2 x q^2 Bloch fiber of the bulk stencil at dual-torus point (s, t).
 
     The stencil on the one-cell torus, whose seam links carry the magnetic
-    translation cocycle of the gauge, twisted by e^{2*pi*i*s} (x seam) and
-    e^{2*pi*i*t} (y seam).
+    translation cocycle of the named gauge, twisted by e^{2*pi*i*s} (x seam)
+    and e^{2*pi*i*t} (y seam).
     """
-    _check_gauge(lattice, gauge)
     s, t = point
-    return _fiber(lattice, _fiber_gauge(lattice, gauge.gauge_kind, s, t))
+    return _fiber(lattice, _fiber_gauge(lattice, gauge_kind, s, t))
 
 
 def _fiber(lattice: MagneticLattice, fiber_gauge: GaugeField) -> np.ndarray:
-    """Dense stencil of the one-cell torus under a fiber gauge (no gauge check)."""
+    """Dense stencil of the one-cell torus under a fiber gauge."""
     cell = MagneticLattice(lattice.k, lattice.q, 1, 1, "torus", lattice.potential)
     return _assemble(cell, fiber_gauge, None, {}).matrix.toarray()
 
@@ -152,9 +137,9 @@ def _fiber(lattice: MagneticLattice, fiber_gauge: GaugeField) -> np.ndarray:
 # magnetic-translation orbits
 
 
-def _momentum_shift(k: int, q: int, dx: int, dy: int) -> tuple[Fraction, Fraction]:
-    """Dual-torus displacement (ds, dt) of fibers under a one-site shift by (dx, dy)."""
-    return Fraction(-2 * k * dy, q), Fraction(2 * k * dx, q)
+def _momentum_shift(k: int, q: int, dx: int, dy: int) -> tuple[int, int]:
+    """q times the dual-torus displacement (ds, dt) of fibers under a shift by (dx, dy)."""
+    return -2 * k * dy, 2 * k * dx
 
 
 def _fiber_orbits(lattice: MagneticLattice, n_s: int, n_t: int) -> list:
@@ -171,10 +156,9 @@ def _fiber_orbits(lattice: MagneticLattice, n_s: int, n_t: int) -> list:
     for dx in range(q):
         for dy in range(q):
             ds, dt = _momentum_shift(lattice.k, q, dx, dy)
-            da, db = ds * n_s, dt * n_t
-            if (da.denominator == 1 and db.denominator == 1
+            if (ds * n_s % q == 0 and dt * n_t % q == 0
                     and np.array_equal(np.roll(w, (dx, dy), axis=(0, 1)), w)):
-                shifts.append((int(da), int(db), (dx, dy)))
+                shifts.append((ds * n_s // q, dt * n_t // q, (dx, dy)))
     seen = set()
     orbits = []
     for a in range(n_s):
@@ -262,9 +246,12 @@ def torus_spectrum(lattice: MagneticLattice, gauge: GaugeField, *,
     docstring; report.solved_blocks counts the solves), and each
     eigenvector phi is lifted to psi = chi * phi / sqrt(cells) on the torus,
     with chi the ratio of fiber to torus link phases
-    (:func:`gapfill.model.cell_lift_phases`).  Every lifted pair is certified
-    on the assembled torus operator, ||H psi - lambda psi|| <= 1e-9 ||H||
-    (LiftNotCertified otherwise).  The cells_x * cells_y fibers give q^2
+    (:func:`gapfill.model.cell_lift_phases`).  The fibers are those of
+    gauge.gauge_kind; every lifted pair is certified on the torus operator
+    assembled from gauge, ||H psi - lambda psi|| <= 1e-9 ||H||
+    (LiftNotCertified otherwise), so a gauge that differs from the kind's
+    formula by site phases is solved and one with another plaquette flux or
+    Wilson loop is refused.  The cells_x * cells_y fibers give q^2
     pairs each, n in all, and lifts of distinct fibers carry distinct Bloch
     characters and are orthogonal, so the certified pairs are the whole
     spectrum.  The lift and its residual run in column chunks of LIFT_CHUNK,
@@ -274,7 +261,6 @@ def torus_spectrum(lattice: MagneticLattice, gauge: GaugeField, *,
     """
     if lattice.geometry != "torus":
         raise NonTorusGeometry(f"torus_spectrum needs torus geometry, got {lattice.geometry}")
-    _check_gauge(lattice, gauge)
     op = assemble_bulk(lattice, gauge)
     q, cx, cy = lattice.q, lattice.cells_x, lattice.cells_y
     cell_rows = (op.sites[:, 0] % q) * q + op.sites[:, 1] % q
@@ -306,16 +292,15 @@ def torus_spectrum(lattice: MagneticLattice, gauge: GaugeField, *,
     return report
 
 
-def band_energies(lattice: MagneticLattice, gauge: GaugeField, grid: BlochGrid) -> np.ndarray:
+def band_energies(lattice: MagneticLattice, gauge_kind: str, grid: BlochGrid) -> np.ndarray:
     """Fiber eigenvalues (n_s, n_t, q^2) on the grid, ascending, without vectors.
 
     One values-only eigvalsh per magnetic-translation orbit, copied to its
     members under the transport certificate; no frame is formed, so the
     memory is that of the energies.
     """
-    _check_gauge(lattice, gauge)
     energies = np.empty((grid.n_s, grid.n_t, lattice.q ** 2))
-    for a, b, _, _, w, _, _ in _fiber_family(lattice, gauge.gauge_kind, grid.n_s, grid.n_t,
+    for a, b, _, _, w, _, _ in _fiber_family(lattice, gauge_kind, grid.n_s, grid.n_t,
                                           lambda fiber: (np.linalg.eigvalsh(fiber), None)):
         energies[a, b] = w
     return energies
@@ -369,22 +354,23 @@ def _chern_result(flux: np.ndarray, group: tuple, grid: BlochGrid,
             f"{FLUX_ADMISSIBLE - max_flux:.3e}); refine the grid")
     total = float(flux.sum() / (2.0 * np.pi))
     chern = int(np.rint(total))
-    if abs(total - chern) > 1e-6:
+    if abs(total - chern) > FHS_INTEGRALITY_TOL:
         raise SingularOverlap(
-            f"plaquette flux total {total:.8f} is not integral to 1e-6 (grid too coarse)")
+            f"plaquette flux total {total:.8f} is not integral to "
+            f"{FHS_INTEGRALITY_TOL:g} (grid too coarse)")
     return ChernResult(group, flux, chern, group[1] - group[0], max_flux, total, grid,
                        solved, max_defect)
 
 
-def invariant_pair(lattice: MagneticLattice, gauge: GaugeField,
+def invariant_pair(lattice: MagneticLattice, gauge_kind: str,
                    interval: SpectralInterval,
                    grid: BlochGrid = BlochGrid(16, 16)) -> tuple[int, int]:
     """(dim, c1) of the spectral projection onto a fiber-uniform interval."""
-    res = invariant_pair_result(lattice, gauge, interval, grid)
+    res = invariant_pair_result(lattice, gauge_kind, interval, grid)
     return res.dim, res.chern
 
 
-def invariant_pair_result(lattice: MagneticLattice, gauge: GaugeField,
+def invariant_pair_result(lattice: MagneticLattice, gauge_kind: str,
                           interval: SpectralInterval,
                           grid: BlochGrid = BlochGrid(16, 16)) -> ChernResult:
     """Full ChernResult for the fiber-uniform interval (see invariant_pair).
@@ -414,7 +400,6 @@ def invariant_pair_result(lattice: MagneticLattice, gauge: GaugeField,
     ||H v - v w|| <= FIBER_RESIDUAL_FACTOR * max(bound, 1)
     (ResidualNotCertified otherwise), and only those columns are kept.
     """
-    _check_gauge(lattice, gauge)
     m = lattice.q ** 2
     counts_in = np.empty((grid.n_s, grid.n_t), int)
     counts_below = np.empty((grid.n_s, grid.n_t), int)
@@ -439,7 +424,7 @@ def invariant_pair_result(lattice: MagneticLattice, gauge: GaugeField,
             return np.linalg.eigh(fiber)
         return w, v
 
-    for a, b, fiber_gauge, fiber, w, v, defect in _fiber_family(lattice, gauge.gauge_kind,
+    for a, b, fiber_gauge, fiber, w, v, defect in _fiber_family(lattice, gauge_kind,
                                                                 grid.n_s, grid.n_t, solve):
         if fiber is None:
             fiber = _fiber(lattice, fiber_gauge)

@@ -52,7 +52,6 @@ _PARAMS_SCHEMA = {
     "type": "object",
     "properties": {
         "cluster_tol": {"type": "number", "exclusiveMinimum": 0},
-        "min_gap_width": {"type": "number", "exclusiveMinimum": 0},
         "export_operator": {"type": "boolean"},
         "export_bands": {"type": "boolean"},
         "grid": {"type": "array", "items": {"type": "integer", "minimum": 4},
@@ -107,11 +106,12 @@ CONFIG_SCHEMA = {
 CONVENTIONS = {
     "orientation": bloch.ORIENTATION,
     "spectral_flow": edge.FLOW_CONVENTIONS,
+    # the conformance model.plaquette_products is held to; no check reads it
     "plaquette_flux_tolerance": 1e-12,
-    "fhs_integrality_tolerance": 1e-6,
+    "fhs_integrality_tolerance": bloch.FHS_INTEGRALITY_TOL,
     "residual_factor": spectral.RESIDUAL_FACTOR,
     "degree_cap": spectral.DEGREE_CAP_DEFAULT,
-    "gap_sample_inset_fraction": 0.05,
+    "gap_sample_inset_fraction": edge.GAP_SAMPLE_INSET,
     "overlap_singular_tolerance": bloch.OVERLAP_SINGULAR_TOL,
 }
 
@@ -216,23 +216,24 @@ def _write_manifest(out: str, cfg: dict, cfg_path: str) -> None:
     })
 
 
-def _spectrum_outputs(out: str, report, min_gap_width: float, solver: dict):
-    rows = [(i, float(ev), float(res), report.cluster_id(i))
-            for i, (ev, res) in enumerate(zip(report.eigenvalues, report.residuals))]
+def _spectrum_outputs(out: str, report, solver: dict):
+    ev = report.eigenvalues
+    starts = [a for a, _ in report.clusters]
+    ids = np.searchsorted(starts, np.arange(len(ev)), side="right") - 1
+    rows = [(i, float(e), float(res), int(c))
+            for i, (e, res, c) in enumerate(zip(ev, report.residuals, ids))]
     write_csv(os.path.join(out, "spectrum.csv"),
               ["index", "eigenvalue", "residual", "cluster_id"], rows)
-    gaps = spectral.detect_gaps(report, min_gap_width)
     write_json(os.path.join(out, "gaps.json"),
                {"gaps": [{"lower": g.lower, "upper": g.upper, "margin": g.margin}
-                         for g in gaps],
-                "min_width": min_gap_width,
+                         for g in report.gaps],
+                "min_width": 0.01 * float(ev[-1] - ev[0]),
                 "n_eigenvalues": int(len(report.eigenvalues)),
                 "solver": solver})
     svg_plot(os.path.join(out, "spectrum.svg"),
              [{"x": list(range(len(report.eigenvalues))),
                "y": [float(v) for v in report.eigenvalues], "kind": "points"}],
              xlabel="index", ylabel="eigenvalue", title="spectrum")
-    return gaps
 
 
 def _task_bulk_spectrum(cfg, out):
@@ -254,9 +255,7 @@ def _task_bulk_spectrum(cfg, out):
     if export:
         from .model import export_triplets
         export_triplets(op, os.path.join(out, "operator.csv"))
-    min_w = p.get("min_gap_width", 0.01 * float(report.eigenvalues[-1]
-                                                - report.eigenvalues[0]))
-    _spectrum_outputs(out, report, min_w, solver)
+    _spectrum_outputs(out, report, solver)
     return 0
 
 
@@ -265,14 +264,14 @@ _task_gaps = _task_bulk_spectrum  # gaps task = spectrum + gap artifacts
 
 def _task_chern(cfg, out):
     lattice = _lattice(cfg)
-    gauge = build_gauge(lattice, cfg["model"]["gauge"])
+    gauge_kind = cfg["model"]["gauge"]
     p = cfg.get("params", {})
     n_s, n_t = p.get("grid", [16, 16])
     # default lower end: one below the Gershgorin bound -4*pi*k + min W of
     # every fiber, so the interval holds every band below its upper end
     lo, hi = p.get("interval", [-4.0 * np.pi * lattice.k + lattice.potential.min() - 1.0,
                                 4.0 * np.pi * max(lattice.k, 1)])
-    res = bloch.invariant_pair_result(lattice, gauge,
+    res = bloch.invariant_pair_result(lattice, gauge_kind,
                                       spectral.SpectralInterval(lo, hi),
                                       bloch.BlochGrid(n_s, n_t))
     write_json(os.path.join(out, "chern.json"),
@@ -283,7 +282,7 @@ def _task_chern(cfg, out):
                            "solved": res.solved,
                            "max_transport_defect": res.max_transport_defect}})
     if p.get("export_bands", False):
-        energies = bloch.band_energies(lattice, gauge, bloch.BlochGrid(n_s, n_t))
+        energies = bloch.band_energies(lattice, gauge_kind, bloch.BlochGrid(n_s, n_t))
         rows = []
         for a in range(n_s):
             for b in range(n_t):

@@ -51,6 +51,7 @@ FLOW_CONVENTIONS = {
     "edge_assignment": ">= 60% mass on the assigned half of the region",
 }
 HEADROOM_CELLS = 1  # vacuum cells above the highest point of the shape
+GAP_SAMPLE_INSET = 0.05  # gap samples stay this fraction of the gap width inside it
 
 
 @dataclass(frozen=True)
@@ -121,10 +122,10 @@ def strip_mask(strip: StripSpec) -> RegionMask:
     return mask_from_member(lat, member, ("strip", strip.shape))
 
 
-def strip_operator(strip: StripSpec, gauge: GaugeField | None = None) -> HermitianOperator:
-    """Assembled Dirichlet strip operator (x-periodic window)."""
-    gauge = gauge or build_gauge(strip.lattice, "landau")
-    return assemble_restricted(strip.lattice, gauge, strip_mask(strip))
+def strip_operator(strip: StripSpec) -> HermitianOperator:
+    """Assembled Dirichlet strip operator (x-periodic window, Landau gauge)."""
+    return assemble_restricted(strip.lattice, build_gauge(strip.lattice, "landau"),
+                               strip_mask(strip))
 
 
 def _strip_period(mask: RegionMask) -> int:
@@ -163,19 +164,19 @@ def _block_gauge(cells: MagneticLattice, kappa: float) -> GaugeField:
                        np.exp(1j * kappa), 1.0)
 
 
-def lift_block_vector(strip: StripSpec, block: HermitianOperator, kappa: float,
-                      vec: np.ndarray, mask: RegionMask,
-                      gauge: GaugeField | None = None) -> np.ndarray:
+def lift_block_vector(strip: StripSpec, block: HermitianOperator, vec: np.ndarray,
+                      mask: RegionMask) -> np.ndarray:
     """Extend a block eigenvector to the strip: psi(x, y) = chi(x, y) vec(x mod P*q, y).
 
-    P is the x-period of the block's lattice; chi is the ratio of block to
-    strip link phases (:func:`gapfill.model.cell_lift_phases`); gauge is
-    the strip's Landau gauge, the one :func:`strip_operator` assembles with
-    by default.
+    P is the x-period and kappa the momentum the block's provenance records;
+    chi is the ratio of block to strip link phases
+    (:func:`gapfill.model.cell_lift_phases`) against the strip's Landau
+    gauge, the one :func:`strip_operator` assembles with.
     """
-    cells = block.provenance["lattice"]
-    gauge = gauge or build_gauge(strip.lattice, "landau")
-    chi = cell_lift_phases(gauge, _block_gauge(cells, kappa))
+    prov = block.provenance
+    cells = prov["lattice"]
+    chi = cell_lift_phases(build_gauge(strip.lattice, "landau"),
+                           _block_gauge(cells, prov["kappa"]))
     ix, iy = np.nonzero(mask.member)
     out = chi[ix, iy] * np.asarray(vec)[block.ids[ix % cells.n_x, iy]]
     return out / np.linalg.norm(out)
@@ -285,7 +286,7 @@ def gap_filling_check(strip: StripSpec, bulk_gap: SpectralInterval, n_samples: i
         raise StripTooNarrow(
             f"strip width {strip.width_cells} cells is below 8 magnetic lengths "
             f"(the magnetic length is {lat.magnetic_length:.3g} at k = {lat.k})")
-    eps0 = 0.05 * bulk_gap.width
+    eps0 = GAP_SAMPLE_INSET * bulk_gap.width
     samples = np.linspace(bulk_gap.lower + eps0, bulk_gap.upper - eps0, n_samples)
 
     mask = strip_mask(strip)

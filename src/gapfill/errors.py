@@ -42,10 +42,6 @@ class MarginTooSmall(GapfillError):
     """An interval's certified margin is missing or too small for the operation."""
 
 
-class GaugeNotCellPeriodic(GapfillError):
-    """Gauge field cannot be reduced to a cell-periodic Bloch family."""
-
-
 class NonConstantRank(GapfillError):
     """In-interval fiber eigenvalue count varies over the dual-torus grid."""
 

@@ -360,10 +360,6 @@ class GraphShape:
     def level_min(self) -> float:
         return float(min(self.f_samples))
 
-    @property
-    def level_max(self) -> float:
-        return float(max(self.f_samples))
-
 
 @dataclass(frozen=True)
 class BallsShape:
@@ -620,24 +616,15 @@ def assemble_restricted(lattice: MagneticLattice, gauge: GaugeField,
 def gauge_transform(op: HermitianOperator, phases) -> HermitianOperator:
     """Conjugate U* H U with U = diag(phases); same sites and hop range.
 
-    phases is either an array over the operator's rows or a map
-    (ix, iy) -> unit complex defined on every site (MissingPhase otherwise).
-    Phases are normalized to unit modulus; the (real) diagonal is left
+    phases is an array over the operator's rows (MissingPhase for any
+    other shape).  Phases are normalized to unit modulus; the (real) diagonal is left
     untouched and the off-diagonal pairs are written as exact conjugates,
     so the result is exactly Hermitian.
     """
     n = op.dimension
-    if isinstance(phases, dict):
-        p = np.empty(n, complex)
-        for i, (ix, iy) in enumerate(op.sites):
-            key = (int(ix), int(iy))
-            if key not in phases:
-                raise MissingPhase(f"no phase for site {key}")
-            p[i] = phases[key]
-    else:
-        p = np.asarray(phases, complex)
-        if p.shape != (n,):
-            raise MissingPhase(f"phase array has shape {p.shape}, expected ({n},)")
+    p = np.asarray(phases, complex)
+    if p.shape != (n,):
+        raise MissingPhase(f"phase array has shape {p.shape}, expected ({n},)")
     mod = np.abs(p)
     if np.any(mod == 0):
         raise MissingPhase("zero modulus phase")

@@ -73,11 +73,6 @@ class SpectralInterval:
     def midpoint(self) -> float:
         return 0.5 * (self.lower + self.upper)
 
-    def inset(self, delta: float) -> "SpectralInterval":
-        """Shrink both ends by delta; the margin grows by the same amount."""
-        return SpectralInterval(self.lower + delta, self.upper - delta,
-                                self.margin + delta)
-
     def contains(self, x: float) -> bool:
         return self.lower < x < self.upper
 
@@ -99,12 +94,6 @@ class SpectrumReport:
     cluster_tol: float
     eigenvectors: np.ndarray | None = None
     solved_blocks: int = 1
-
-    def cluster_id(self, i: int) -> int:
-        for cid, (a, b) in enumerate(self.clusters):
-            if a <= i < b:
-                return cid
-        return -1
 
 
 def _cluster(eigenvalues: np.ndarray, tol: float) -> tuple:

@@ -85,9 +85,8 @@ class TestAcceptance:
         details = []
         for k, q in ((1, 8), (2, 16)):
             lat = MagneticLattice(k, q, 2, 2, "torus")
-            gauge = build_gauge(lat)
             ival = SpectralInterval(-1.0, EIGHT_PI * k * 0.5)
-            pairs = [invariant_pair(lat, gauge, ival, BlochGrid(n, n))
+            pairs = [invariant_pair(lat, "landau", ival, BlochGrid(n, n))
                      for n in (12, 16, 24)]
             ok &= all(p == (2 * k, -1) for p in pairs)
             details.append(f"k={k}: {pairs}")
@@ -227,10 +226,9 @@ class TestAcceptance:
         # fiber-bulk multiset consistency
         from gapfill.bloch import fiber_hamiltonian
         lat2 = MagneticLattice(1, 4, 6, 6, "torus")
-        g2 = build_gauge(lat2)
-        bulk = eigensolve(assemble_bulk(lat2, g2)).eigenvalues
+        bulk = eigensolve(assemble_bulk(lat2, build_gauge(lat2))).eigenvalues
         fib = np.sort(np.concatenate(
-            [np.linalg.eigvalsh(fiber_hamiltonian(lat2, g2, (a / 6, b / 6)))
+            [np.linalg.eigvalsh(fiber_hamiltonian(lat2, "landau", (a / 6, b / 6)))
              for a in range(6) for b in range(6)]))
         dev_fb = np.abs(fib - bulk).max()
         ok = dev_pi < 1e-8 and dev_fb < 1e-8
@@ -286,10 +284,9 @@ class TestAcceptance:
             k = int(rng.integers(1, 3))
             q = int(rng.integers(2, 4))
             lat = MagneticLattice(k, q, 2, 2, "torus")
-            gauge = build_gauge(lat)
-            groups = band_groups(lat, band_energies(lat, gauge, BlochGrid(16, 16)))
+            groups = band_groups(lat, band_energies(lat, "landau", BlochGrid(16, 16)))
             group, interval = groups[int(rng.integers(0, len(groups)))]
-            res = invariant_pair_result(lat, gauge, interval, BlochGrid(16, 16))
+            res = invariant_pair_result(lat, "landau", interval, BlochGrid(16, 16))
             if res.band_group != group or abs(res.total_over_2pi - res.chern) > 1e-6:
                 failures.append(f"fhs {k},{q},{group}")
             cases += 1

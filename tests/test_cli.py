@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import gapfill
+from gapfill import bloch, edge
 from gapfill.cli import TASKS, load_config, main
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -161,6 +162,9 @@ class TestBulkSpectrumTask:
         conv = manifest["conventions"]
         assert conv["orientation"] == "ds_wedge_dt_positive"
         assert "spectral_flow" in conv
+        # the recorded thresholds are the ones the code compares against
+        assert conv["fhs_integrality_tolerance"] == bloch.FHS_INTEGRALITY_TOL
+        assert conv["gap_sample_inset_fraction"] == edge.GAP_SAMPLE_INSET
         assert manifest["tasks"]["bulk-spectrum"] == {
             "config_sha256": hashlib.sha256(cfg.read_bytes()).hexdigest(), "seed": 0}
 
@@ -242,7 +246,7 @@ class TestChernTask:
         # bands.csv holds every fiber's q^2 energies, from one values-only
         # solve per orbit; the reference solves every fiber on its own
         from gapfill.bloch import fiber_hamiltonian
-        from gapfill.model import MagneticLattice, build_gauge
+        from gapfill.model import MagneticLattice
         cfg = write_config(tmp_path / "cfg.json", task="chern",
                            params={"grid": [8, 8], "export_bands": True})
         out = tmp_path / "out"
@@ -251,8 +255,7 @@ class TestChernTask:
         assert lines[0] == "s,t,band_index,energy"
         energies = np.array([float(line.split(",")[3]) for line in lines[1:]])
         lat = MagneticLattice(1, 4, 4, 4, "torus")
-        g = build_gauge(lat)
-        ref = np.array([np.linalg.eigvalsh(fiber_hamiltonian(lat, g, (a / 8, b / 8)))
+        ref = np.array([np.linalg.eigvalsh(fiber_hamiltonian(lat, "landau", (a / 8, b / 8)))
                         for a in range(8) for b in range(8)])
         assert np.abs(energies - ref.ravel()).max() <= 1e-10 * np.abs(ref).max()
 

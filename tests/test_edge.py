@@ -122,7 +122,7 @@ class TestStripConstruction:
         block = strip_block(strip, kappa, mask)
         rep = eigensolve(block, keep_vectors=True)
         j = len(rep.eigenvalues) // 2
-        vec = lift_block_vector(strip, block, kappa, rep.eigenvectors[:, j], mask)
+        vec = lift_block_vector(strip, block, rep.eigenvectors[:, j], mask)
         op = strip_operator(strip)
         res = np.linalg.norm(op.matrix @ vec - rep.eigenvalues[j] * vec)
         assert res < 1e-8
@@ -236,8 +236,7 @@ class TestLocalization:
             period = block.provenance["lattice"].cells_x
             assert period == _period(kind, 6)
             assert block.dimension == mask.n_inside * period // strip.length_cells
-            lifted = lift_block_vector(strip, block, block.provenance["kappa"], vec,
-                                       mask)
+            lifted = lift_block_vector(strip, block, vec, mask)
             want = profile(strip_op, (energy, lifted), mask)
             assert want.residual < 1e-8
             assert prof.energy == want.energy
@@ -321,8 +320,7 @@ class TestSpectralFlow:
         from gapfill.bloch import BlochGrid, invariant_pair
         from gapfill.spectral import SpectralInterval
         lat = MagneticLattice(1, 4, 2, 2, "torus")
-        pair = invariant_pair(lat, build_gauge(lat),
-                              SpectralInterval(-2.0, 9.0), BlochGrid(12, 12))
+        pair = invariant_pair(lat, "landau", SpectralInterval(-2.0, 9.0), BlochGrid(12, 12))
         assert flow.net_flow == -pair[1] == 1
 
 

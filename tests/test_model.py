@@ -301,7 +301,7 @@ class TestGaugeTransform:
         lat = lattice()
         op = assemble_bulk(lat, build_gauge(lat))
         with pytest.raises(MissingPhase):
-            gauge_transform(op, {(0, 0): 1.0})
+            gauge_transform(op, np.ones(op.dimension - 1, complex))
 
     def test_path_integrated_gauge_change_symmetric_to_landau(self):
         # on a simply connected window the two assemblies are related by a
