@@ -28,15 +28,14 @@ orientation the lowest Landau group of the magnetic Laplacian carries
 test suite confirms the sign on the flux-1/3 hopping model.
 
 Every fiber loop (:func:`torus_spectrum`, :func:`band_energies`,
-:func:`invariant_pair_result`) solves one fiber per orbit of the magnetic
-translations (Zak, Phys. Rev. 134, A1602, 1964).  A
-one-site shift by (dx, dy) that leaves the potential unchanged, i.e. an
-element of the stabilizer {(dx, dy) : np.roll(W, (dx, dy)) == W exactly},
-carries fiber (s, t) onto fiber (s - 2k*dy/q, t + 2k*dx/q): the x Wilson
-loop of cell row iy is e^{2*pi*i*2k*iy/q}, so a shift by dy rows moves it
-by 2k*dy/q.  Grid points joined by such shifts form an orbit; only its
-representative is diagonalized, and every other member takes the
-representative's pairs transported as v' = chi * v[perm], with perm the
+:func:`invariant_pair_result`) walks the grid one orbit of the magnetic
+translations at a time (Zak, Phys. Rev. 134, A1602, 1964).  A one-site
+shift by (dx, dy) in the stabilizer {(dx, dy) : np.roll(W, (dx, dy)) == W
+exactly} of the potential carries fiber (s, t) onto fiber
+(s - 2k*dy/q, t + 2k*dx/q): the x Wilson loop of cell row iy is
+e^{2*pi*i*2k*iy/q}.  Each loop solves an orbit's representative as it needs
+(in full, values only, or its lowest pairs); every other member takes its
+values and its vectors transported as v' = chi * v[perm], with perm the
 site permutation of the shift and chi the cumulative product of link-phase
 ratios along the spanning tree of :func:`gapfill.model.cell_lift_phases`.
 W = 0 has all of Z_q^2 as stabilizer; a generic W has only (0, 0), and then
@@ -58,7 +57,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (FluxNotAdmissible, LiftNotCertified, NonConstantRank,
-                     NonTorusGeometry, ResidualNotCertified, SingularOverlap)
+                     ResidualNotCertified, SingularOverlap)
 from .model import (GaugeField, MagneticLattice, _assemble, assemble_bulk, cell_gauge,
                     cell_lift_phases, twist_seams)
 from .spectral import (SpectralInterval, SpectrumReport, residual_tolerance,
@@ -204,27 +203,24 @@ def _transport(lattice: MagneticLattice, rep: GaugeField, member: GaugeField,
     return (pi * q + pj).ravel(), chi.ravel(), float(rows.max())
 
 
-def _fiber_family(lattice: MagneticLattice, gauge_kind: str, n_s: int, n_t: int, solve):
-    """Every fiber (a/n_s, b/n_t) with its pairs, one solve per orbit.
+def _fiber_family(lattice: MagneticLattice, gauge_kind: str, n_s: int, n_t: int):
+    """The grid fibers (a/n_s, b/n_t), one item per magnetic-translation orbit.
 
-    Yields (a, b, fiber_gauge, fiber, w, v, defect) orbit by orbit: the
-    representative with its dense fiber, (w, v) = solve(fiber) and defect
-    None, then each other member with fiber None, the representative's
-    values w and its vectors transported (v may be None, or hold only some
-    columns).  No member fiber is formed here; a caller that checks
-    residuals builds it from fiber_gauge.  A transport whose defect exceeds
-    FIBER_RESIDUAL_FACTOR * max(bound, 1), bound the representative's
-    largest absolute row sum (equal on every fiber of the family), raises
-    LiftNotCertified.
+    Yields (point, fiber_gauge, fiber, tol, members): the representative's
+    grid point, fiber gauge and dense fiber, the fiber tolerance
+    FIBER_RESIDUAL_FACTOR * max(bound, 1) (bound its largest absolute row
+    sum, equal on every fiber of the family), and the certified transport
+    (point, fiber_gauge, perm, chi, defect) of every other member, which
+    takes a representative's pair (w, v) as (w, chi[:, None] * v[perm]).
+    The caller solves the representative; no member fiber is formed here.
+    A defect above tol raises LiftNotCertified.
     """
-    for (a, b), members in _fiber_orbits(lattice, n_s, n_t):
+    for (a, b), shifts in _fiber_orbits(lattice, n_s, n_t):
         rep = _fiber_gauge(lattice, gauge_kind, a / n_s, b / n_t)
         fiber = _fiber(lattice, rep)
         tol = FIBER_RESIDUAL_FACTOR * max(float(np.abs(fiber).sum(axis=1).max()), 1.0)
-        w, v = solve(fiber)
-        yield a, b, rep, fiber, w, v, None
-        del fiber  # not held while the members are transported
-        for (a2, b2), shift in members:
+        members = []
+        for (a2, b2), shift in shifts:
             member = _fiber_gauge(lattice, gauge_kind, a2 / n_s, b2 / n_t)
             perm, chi, defect = _transport(lattice, rep, member, shift)
             if defect > tol:
@@ -232,8 +228,8 @@ def _fiber_family(lattice: MagneticLattice, gauge_kind: str, n_s: int, n_t: int,
                     f"orbit transport from fiber ({a}/{n_s}, {b}/{n_t}) to "
                     f"({a2}/{n_s}, {b2}/{n_t}) by the shift {shift}: defect "
                     f"{defect:.3e} above the fiber tolerance {tol:.3e}")
-            yield (a2, b2, member, None, w, None if v is None else chi[:, None] * v[perm],
-                   defect)
+            members.append(((a2, b2), member, perm, chi, defect))
+        yield (a, b), rep, fiber, tol, members
 
 
 def torus_spectrum(lattice: MagneticLattice, gauge: GaugeField, *,
@@ -259,16 +255,12 @@ def torus_spectrum(lattice: MagneticLattice, gauge: GaugeField, *,
     computed exactly as on the whole n x q^2 block); the n x n eigenvector
     matrix is built only for keep_vectors.
     """
-    if lattice.geometry != "torus":
-        raise NonTorusGeometry(f"torus_spectrum needs torus geometry, got {lattice.geometry}")
     op = assemble_bulk(lattice, gauge)
     q, cx, cy = lattice.q, lattice.cells_x, lattice.cells_y
     cell_rows = (op.sites[:, 0] % q) * q + op.sites[:, 1] % q
     values, residuals, blocks = [], [], []
-    solved = 0
-    for _, _, fiber_gauge, _, w, v, defect in _fiber_family(lattice, gauge.gauge_kind,
-                                                            cx, cy, np.linalg.eigh):
-        solved += defect is None
+
+    def lift(fiber_gauge, w, v):
         chi = cell_lift_phases(gauge, fiber_gauge)
         scale = (chi.ravel() / np.sqrt(cx * cy))[:, None]
         for c in range(0, w.size, LIFT_CHUNK):
@@ -278,6 +270,14 @@ def torus_spectrum(lattice: MagneticLattice, gauge: GaugeField, *,
             if keep_vectors:
                 blocks.append(psi)
         values.append(w)
+
+    solved = 0
+    for _, rep, fiber, _, members in _fiber_family(lattice, gauge.gauge_kind, cx, cy):
+        w, v = np.linalg.eigh(fiber)
+        solved += 1
+        lift(rep, w, v)
+        for _, member, perm, chi, _ in members:
+            lift(member, w, chi[:, None] * v[perm])
     w = np.concatenate(values)
     res = np.concatenate(residuals)
     order = np.argsort(w, kind="stable")
@@ -300,9 +300,10 @@ def band_energies(lattice: MagneticLattice, gauge_kind: str, grid: BlochGrid) ->
     memory is that of the energies.
     """
     energies = np.empty((grid.n_s, grid.n_t, lattice.q ** 2))
-    for a, b, _, _, w, _, _ in _fiber_family(lattice, gauge_kind, grid.n_s, grid.n_t,
-                                          lambda fiber: (np.linalg.eigvalsh(fiber), None)):
-        energies[a, b] = w
+    for point, _, fiber, _, members in _fiber_family(lattice, gauge_kind, grid.n_s, grid.n_t):
+        w = np.linalg.eigvalsh(fiber)
+        for p in [point] + [member[0] for member in members]:
+            energies[p] = w
     return energies
 
 
@@ -370,6 +371,26 @@ def invariant_pair(lattice: MagneticLattice, gauge_kind: str,
     return res.dim, res.chern
 
 
+def _lowest_pairs(fiber: np.ndarray, last: int, upper: float):
+    """Pairs 0..last of a fiber (subset_by_index), or all of them where needed.
+
+    The subset suffices when its top value lies above upper.  Otherwise, or
+    when LAPACK fails on the subset (it does where the subset boundary
+    splits an exactly degenerate pair), the fiber is diagonalized in full.
+    """
+    try:
+        w, v = scipy.linalg.eigh(fiber, subset_by_index=[0, last])
+    except np.linalg.LinAlgError:
+        return np.linalg.eigh(fiber)
+    if w.size < fiber.shape[0] and w[-1] <= upper:
+        return np.linalg.eigh(fiber)
+    return w, v
+
+
+def _max_residual(fiber: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
+    return float(np.linalg.norm(fiber @ v - v * w, axis=0).max(initial=0.0))
+
+
 def invariant_pair_result(lattice: MagneticLattice, gauge_kind: str,
                           interval: SpectralInterval,
                           grid: BlochGrid = BlochGrid(16, 16)) -> ChernResult:
@@ -380,70 +401,48 @@ def invariant_pair_result(lattice: MagneticLattice, gauge_kind: str,
     otherwise); chern is the plaquette-flux sum of the corresponding frame
     columns under the declared orientation.
 
-    Only the pairs the counts and frames need are solved, on one fiber per
-    magnetic-translation orbit (see the module docstring); every other
-    fiber takes its orbit representative's values and transported frame
-    columns.  The first representative, the first grid point, is
-    diagonalized in full; N is its eigenvalue count below interval.upper.
-    Every other representative asks for its lowest N+1 pairs
-    (scipy.linalg.eigh with subset_by_index).  If the returned w[N] lies
-    above interval.upper, no later eigenvalue lies in the interval or
-    nearer to either endpoint, so the counts and the endpoint distance are
-    exact from those N+1 values; otherwise, or when LAPACK fails on the
-    subset (it does where the subset boundary splits an exactly degenerate
-    pair), the fiber is diagonalized again in full.  The endpoint tolerance
-    scales with the largest Gershgorin bound of the fibers (largest
-    absolute row sum), an upper bound on every |eigenvalue|, and the
-    endpoint distance must exceed it plus the largest transport defect.
-    Each kept frame column, solved or transported, is certified by its
-    residual on its own fiber,
+    The grid is walked one magnetic-translation orbit at a time (module
+    docstring).  Each representative is solved for the pairs the counts and
+    frames need: the first (grid point (0, 0)) in full, N its count below
+    interval.upper, every other for its lowest N+1 pairs (_lowest_pairs).
+    Counts and endpoint distance are read once per orbit, since every member
+    has the representative's values; each member takes the kept frame
+    columns transported.  The endpoint distance must exceed the family's
+    fiber tolerance (it scales with the Gershgorin bound, the largest
+    absolute row sum) plus the largest transport defect.  Each kept column,
+    solved or transported, is certified by its residual on its own fiber,
     ||H v - v w|| <= FIBER_RESIDUAL_FACTOR * max(bound, 1)
-    (ResidualNotCertified otherwise), and only those columns are kept.
+    (ResidualNotCertified otherwise); a member's fiber is assembled for
+    that check alone, one member at a time.
     """
     m = lattice.q ** 2
-    counts_in = np.empty((grid.n_s, grid.n_t), int)
-    counts_below = np.empty((grid.n_s, grid.n_t), int)
-    sub = {}
-    edge_dist = np.inf
-    bound = 0.0
-    max_res = 0.0
-    solved, max_defect = 0, 0.0
+    counts = []
+    frames_at = {}
+    edge_dist, tol, max_res, max_defect = np.inf, 0.0, 0.0, 0.0
     last = None
-
-    def solve(fiber):
-        nonlocal last
+    for rep_point, _, fiber, fiber_tol, members in _fiber_family(lattice, gauge_kind,
+                                                                 grid.n_s, grid.n_t):
         if last is None:
             w, v = np.linalg.eigh(fiber)
             last = min(int((w < interval.upper).sum()), m - 1)
-            return w, v[:, :last + 1].copy()  # frees the full frame
-        try:
-            w, v = scipy.linalg.eigh(fiber, subset_by_index=[0, last])
-        except np.linalg.LinAlgError:
-            return np.linalg.eigh(fiber)
-        if w.size < m and w[-1] <= interval.upper:
-            return np.linalg.eigh(fiber)
-        return w, v
-
-    for a, b, fiber_gauge, fiber, w, v, defect in _fiber_family(lattice, gauge_kind,
-                                                                grid.n_s, grid.n_t, solve):
-        if fiber is None:
-            fiber = _fiber(lattice, fiber_gauge)
-        solved += defect is None
-        max_defect = max(max_defect, defect or 0.0)
+        else:
+            w, v = _lowest_pairs(fiber, last, interval.upper)
         below = int((w < interval.lower).sum())
         inside = int(((w > interval.lower) & (w < interval.upper)).sum())
-        counts_below[a, b] = below
-        counts_in[a, b] = inside
-        kept = v[:, below:below + inside].copy()
-        sub[(a, b)] = kept
-        res = np.linalg.norm(fiber @ kept - kept * w[below:below + inside], axis=0)
-        max_res = max(max_res, float(res.max(initial=0.0)))
+        counts.append((below, inside))
         edge_dist = min(edge_dist,
                         float(np.abs(w - interval.lower).min()),
                         float(np.abs(w - interval.upper).min()))
-        bound = max(bound, float(np.abs(fiber).sum(axis=1).max()))
+        tol = max(tol, fiber_tol)
+        w_in = w[below:below + inside]
+        frames_at[rep_point] = kept = v[:, below:below + inside].copy()
+        max_res = max(max_res, _max_residual(fiber, kept, w_in))
+        for point, member, perm, chi, defect in members:
+            moved = chi[:, None] * kept[perm]
+            frames_at[point] = moved
+            max_res = max(max_res, _max_residual(_fiber(lattice, member), moved, w_in))
+            max_defect = max(max_defect, defect)
 
-    tol = FIBER_RESIDUAL_FACTOR * max(bound, 1.0)
     if max_res > tol:
         raise ResidualNotCertified(
             f"fiber residual {max_res:.3e} on the in-interval columns above {tol:.3e}")
@@ -452,20 +451,20 @@ def invariant_pair_result(lattice: MagneticLattice, gauge_kind: str,
             f"a fiber eigenvalue is {edge_dist:.3e} from an interval endpoint "
             f"(within the fiber residual tolerance {tol:.3e} plus the transport "
             f"defect {max_defect:.3e})")
-    if counts_in.min() != counts_in.max():
+    n_below, n_in = np.array(counts).T
+    if n_in.min() != n_in.max():
         raise NonConstantRank(
-            f"in-interval count varies over the grid ({counts_in.min()}..{counts_in.max()})")
-    if counts_below.min() != counts_below.max():
+            f"in-interval count varies over the grid ({n_in.min()}..{n_in.max()})")
+    if n_below.min() != n_below.max():
         raise NonConstantRank(
             f"count below the interval varies over the grid "
-            f"({counts_below.min()}..{counts_below.max()})")
-    dim = int(counts_in[0, 0])
-    below = int(counts_below[0, 0])
+            f"({n_below.min()}..{n_below.max()})")
+    dim, below, solved = int(n_in[0]), int(n_below[0]), len(counts)
     if dim == 0:
         return ChernResult((below, below), np.zeros((grid.n_s, grid.n_t)), 0, 0,
                            0.0, 0.0, grid, solved, max_defect)
     frames = np.empty((grid.n_s, grid.n_t, m, dim), complex)
-    for (a, b), v in sub.items():
-        frames[a, b] = v
+    for point, kept in frames_at.items():
+        frames[point] = kept
     return _chern_result(plaquette_berry_flux(frames), (below, below + dim), grid,
                          solved, max_defect)

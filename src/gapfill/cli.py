@@ -227,7 +227,7 @@ def _spectrum_outputs(out: str, report, solver: dict):
     write_json(os.path.join(out, "gaps.json"),
                {"gaps": [{"lower": g.lower, "upper": g.upper, "margin": g.margin}
                          for g in report.gaps],
-                "min_width": 0.01 * float(ev[-1] - ev[0]),
+                "min_width": spectral._default_gap_width(ev),
                 "n_eigenvalues": int(len(report.eigenvalues)),
                 "solver": solver})
     svg_plot(os.path.join(out, "spectrum.svg"),
@@ -348,16 +348,11 @@ def _task_bands(cfg, out):
     flow = edge.strip_bands(strip, p.get("n_kappa", 48), p.get("e_ref"),
                             p.get("designated_edge", "lower"))
     rows = []
-    for i, kappa in enumerate(flow.kappas):
-        wvals = flow.window_energies[i]
-        wmass = flow.window_mass_lower[i]
-        for b, en in enumerate(flow.dispersion[i]):
-            mass = ""
-            if len(wvals):
-                j = int(np.argmin(np.abs(wvals - en)))
-                if abs(wvals[j] - en) < 1e-9:
-                    mass = float(wmass[j])
-            rows.append((float(kappa), b, float(en), mass))
+    for kappa, energies, bands, masses in zip(flow.kappas, flow.dispersion,
+                                              flow.window_bands, flow.window_mass_lower):
+        mass = dict(zip(bands.tolist(), masses.tolist()))
+        rows.extend((float(kappa), b, float(en), mass.get(b, ""))
+                    for b, en in enumerate(energies))
     write_csv(os.path.join(out, "dispersion.csv"),
               ["kappa", "band", "energy", "edge_mass_lower"], rows)
     write_json(os.path.join(out, "flow.json"), {
@@ -547,12 +542,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         status = run(args.task, args.config, args.out, args.seed)
-    except ConfigInvalid as exc:
-        print(f"ConfigInvalid: {exc}", file=sys.stderr)
-        return 1
-    except MissingArtifacts as exc:
-        print(f"MissingArtifacts: {exc}", file=sys.stderr)
-        return 1
     except GapfillError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

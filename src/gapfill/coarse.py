@@ -216,7 +216,7 @@ class IdealDefectProfile:
 
 
 def ideal_multiplicativity(a_op: HermitianOperator, b_op: HermitianOperator,
-                           mask: RegionMask, radii, seed: int = 0) -> IdealDefectProfile:
+                           mask: RegionMask, radii) -> IdealDefectProfile:
     """Support profile of the compression defect q(A)q(A') - q(AA').
 
     A and A' live on the same window; q compresses to the mask.  The defect
@@ -245,8 +245,7 @@ def ideal_multiplicativity(a_op: HermitianOperator, b_op: HermitianOperator,
         sub = defect[far][:, far]
         subh = sub.getH().tocsr()
         deviations[i] = operator_norm(lambda x: sub @ x, far.size,
-                                      adjoint_fn=lambda x: subh @ x,
-                                      rtol=1e-3, seed=seed)
+                                      adjoint_fn=lambda x: subh @ x, rtol=1e-3)
 
     cone = (a_op.hop_range + b_op.hop_range) * a_op.h
     far = np.flatnonzero(bd > cone + 1e-12)

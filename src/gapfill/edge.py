@@ -367,9 +367,10 @@ class Crossing:
 class SpectralFlowReport:
     """Strip dispersion with signed edge-resolved crossings of E_ref.
 
-    window_energies[i] / window_mass_lower[i] hold, per momentum, the
-    energies and lower-half masses of the bands inside the analysis window
-    |E - e_ref| <= window_halfwidth (eigenvectors are only computed there);
+    window_bands[i] / window_energies[i] / window_mass_lower[i] hold, per
+    momentum, the dispersion indices, energies and lower-half masses of the
+    bands inside the analysis window |E - e_ref| <= window_halfwidth
+    (eigenvectors are only computed there);
     solver records the banded route with the block count and sizes.
     """
 
@@ -382,6 +383,7 @@ class SpectralFlowReport:
     net_flow_upper: int
     conventions: dict
     window_halfwidth: float
+    window_bands: tuple
     window_energies: tuple
     window_mass_lower: tuple
     solver: dict
@@ -418,7 +420,7 @@ def strip_bands(strip: StripSpec, n_kappa: int, e_ref: float | None = None,
     region_mid = 1.0 + strip.width_cells / 2.0
 
     energies_all = []
-    win_vals, win_vecs, win_mass = [], [], []
+    win_bands, win_vals, win_vecs, win_mass = [], [], [], []
     for kappa in kappas:
         b = banded(strip_block(strip, kappa, mask))
         w = banded_eigenvalues(b)
@@ -427,6 +429,7 @@ def strip_bands(strip: StripSpec, n_kappa: int, e_ref: float | None = None,
         v, _ = banded_vectors(b, w, window)
         lower_rows = b.op.sites[:, 1] * lat.h < region_mid
         energies_all.append(w)
+        win_bands.append(window)
         win_vals.append(w[window])
         win_vecs.append(v)
         win_mass.append((np.abs(v[lower_rows]) ** 2).sum(axis=0))
@@ -465,4 +468,5 @@ def strip_bands(strip: StripSpec, n_kappa: int, e_ref: float | None = None,
     return SpectralFlowReport(kappas, dispersion, float(e_ref), tuple(crossings),
                               designated_edge, int(net), int(net_upper),
                               dict(FLOW_CONVENTIONS), float(window_halfwidth),
-                              tuple(win_vals), tuple(win_mass), _banded_solver(n_kappa, b))
+                              tuple(win_bands), tuple(win_vals), tuple(win_mass),
+                              _banded_solver(n_kappa, b))

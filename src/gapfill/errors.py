@@ -10,6 +10,10 @@ class GapfillError(Exception):
     """Base class for all package errors."""
 
 
+class UnknownGaugeKind(GapfillError):
+    """A gauge kind other than "landau" or "symmetric" was requested."""
+
+
 class NonTorusGeometry(GapfillError):
     """Bulk assembly requires torus geometry."""
 

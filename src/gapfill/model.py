@@ -25,7 +25,8 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import EmptyRegion, MissingPhase, NonTorusGeometry, UnsupportedShape
+from .errors import (EmptyRegion, MissingPhase, NonTorusGeometry, UnknownGaugeKind,
+                     UnsupportedShape)
 
 GEOMETRIES = ("torus", "strip", "masked")
 GAUGE_KINDS = ("symmetric", "landau")
@@ -185,7 +186,7 @@ def _formula_numerators(lattice: MagneticLattice, gauge_kind: str):
     elif gauge_kind == "symmetric":
         ax, ay = k * iy, -k * ix
     else:
-        raise ValueError(f"gauge_kind must be one of {GAUGE_KINDS}")
+        raise UnknownGaugeKind(f"gauge_kind must be one of {GAUGE_KINDS}, got {gauge_kind!r}")
     shape = (lattice.n_x, lattice.n_y)
     return np.broadcast_to(ax, shape) % q2, np.broadcast_to(ay, shape) % q2
 

@@ -559,7 +559,7 @@ def _default_gap_width(w: np.ndarray) -> float:
 
 
 def spectral_projection(op: HermitianOperator, interval: SpectralInterval,
-                        tol: float = 1e-6, degree_cap: int = DEGREE_CAP_DEFAULT) -> np.ndarray:
+                        tol: float = 1e-6) -> np.ndarray:
     """Projection onto the interval as a fixed polynomial of the operator.
 
     The sharp indicator is replaced by a smooth surrogate whose transition
@@ -571,7 +571,7 @@ def spectral_projection(op: HermitianOperator, interval: SpectralInterval,
     image sits within tol of {0, 1}.  The composite is still a polynomial of
     the operator, so it commutes with it by construction; MarginTooSmall if
     the base expansion cannot reach the transition floor within the degree
-    cap, or if eight sharpening steps do not reach tol.
+    cap DEGREE_CAP_DEFAULT, or if eight sharpening steps do not reach tol.
     """
     if interval.margin <= 0:
         raise MarginTooSmall("spectral projection needs a certified interval (margin > 0)")
@@ -584,7 +584,7 @@ def spectral_projection(op: HermitianOperator, interval: SpectralInterval,
     base_target = 0.02
     degree = 128
     filt = None
-    while degree <= degree_cap:
+    while degree <= DEGREE_CAP_DEFAULT:
         c = _cheb_fit(_erf_indicator(interval.lower, interval.upper, smoothing), a, b, degree)
         exclude = ((interval.lower - interval.margin / 2, interval.lower + interval.margin / 2),
                    (interval.upper - interval.margin / 2, interval.upper + interval.margin / 2))
@@ -597,7 +597,7 @@ def spectral_projection(op: HermitianOperator, interval: SpectralInterval,
         degree *= 2
     if filt is None:
         raise MarginTooSmall(
-            f"degree cap {degree_cap} cannot resolve a transition of width "
+            f"degree cap {DEGREE_CAP_DEFAULT} cannot resolve a transition of width "
             f"{interval.margin:.3g} on enclosure [{a:.3g}, {b:.3g}]")
     p = _cheb_apply(op.matrix, filt, a, b, np.eye(op.dimension, dtype=complex))
     for _ in range(8):
@@ -619,21 +619,21 @@ def _erf_floor(margin: float, smoothing: float) -> float:
 
 
 def operator_norm(apply_fn, n: int, *, adjoint_fn=None, hermitian: bool = False,
-                  rtol: float = 1e-3, seed: int = 0) -> float:
+                  rtol: float = 1e-3) -> float:
     """Lanczos estimate of the spectral norm of a matrix-free operator.
 
     A fully reorthogonalized Lanczos tridiagonalization runs on A itself
-    when Hermitian, else on A*A (adjoint_fn required), from a random start
-    vector drawn from seed.  Iterates until two consecutive Ritz values
-    agree to rtol, the basis breaks down (beta ~ 0: the Krylov space is
-    exhausted - in particular a zero operator returns exactly 0.0 after one
-    application) or LANCZOS_ITERATIONS steps have run.  Ritz values never
+    when Hermitian, else on A*A (adjoint_fn required), from one fixed
+    pseudorandom start vector (seed 0).  Iterates until two consecutive
+    Ritz values agree to rtol, the basis breaks down (beta ~ 0: the Krylov
+    space is exhausted - in particular a zero operator returns exactly 0.0
+    after one application) or LANCZOS_ITERATIONS steps have run.  Ritz values never
     exceed the norm, so the result is a lower estimate, not a certified
     bound.
     """
     if not hermitian and adjoint_fn is None:
         raise ValueError("non-Hermitian norm needs adjoint_fn")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     x = x / np.linalg.norm(x)
 

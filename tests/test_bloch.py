@@ -7,7 +7,7 @@ from gapfill.bloch import (BlochGrid, band_energies, fiber_hamiltonian,
                            invariant_pair, invariant_pair_result,
                            plaquette_berry_flux, torus_spectrum)
 from gapfill.errors import (FluxNotAdmissible, LiftNotCertified, NonConstantRank,
-                            ResidualNotCertified, SingularOverlap)
+                            ResidualNotCertified, SingularOverlap, UnknownGaugeKind)
 from gapfill.model import (GaugeField, MagneticLattice, assemble_bulk, build_gauge,
                            cell_lift_phases, twist_seams)
 from gapfill.spectral import RESIDUAL_FACTOR, SpectralInterval, eigensolve
@@ -151,6 +151,13 @@ def per_fiber_oracle(lat, gauge_kind, n):
 
 
 class TestFibers:
+    def test_unknown_gauge_kind_is_named(self):
+        lat = MagneticLattice(1, 4, 2, 2, "torus")
+        with pytest.raises(UnknownGaugeKind, match="coulomb"):
+            build_gauge(lat, "coulomb")
+        with pytest.raises(UnknownGaugeKind, match="coulomb"):
+            fiber_hamiltonian(lat, "coulomb", (0.0, 0.0))
+
     def test_hermitian_exactly(self):
         lat = MagneticLattice(1, 4, 2, 2, "torus")
         f = fiber_hamiltonian(lat, "landau", (0.23, 0.71))
@@ -256,13 +263,15 @@ class TestTorusSpectrum:
         op = assemble_bulk(lat, g)
         rows = (op.sites[:, 0] % q) * q + op.sites[:, 1] % q
         values, residuals, blocks = [], [], []
-        for _, _, fiber_gauge, _, w, v, _ in bloch._fiber_family(lat, g.gauge_kind, 3, 2,
-                                                                 np.linalg.eigh):
-            chi = cell_lift_phases(g, fiber_gauge)
-            psi = (chi.ravel() / np.sqrt(6))[:, None] * v[rows]
-            values.append(w)
-            residuals.append(np.linalg.norm(op.matrix @ psi - psi * w, axis=0))
-            blocks.append(psi)
+        for _, rep, fiber, _, members in bloch._fiber_family(lat, g.gauge_kind, 3, 2):
+            w, v = np.linalg.eigh(fiber)
+            for fiber_gauge, vecs in [(rep, v)] + [(member, chi[:, None] * v[perm])
+                                                   for _, member, perm, chi, _ in members]:
+                chi = cell_lift_phases(g, fiber_gauge)
+                psi = (chi.ravel() / np.sqrt(6))[:, None] * vecs[rows]
+                values.append(w)
+                residuals.append(np.linalg.norm(op.matrix @ psi - psi * w, axis=0))
+                blocks.append(psi)
         order = np.argsort(np.concatenate(values), kind="stable")
         assert np.array_equal(fib.residuals, np.concatenate(residuals)[order])
         assert np.array_equal(fib.eigenvectors, np.hstack(blocks)[:, order])
@@ -534,6 +543,34 @@ class TestFiberOrbits:
         invariant_pair_result(lat, "landau", SpectralInterval(-20.0, 4 * np.pi),
                               BlochGrid(16, 16))
         assert len(assembled) == 16 * 16
+
+    def test_member_residual_is_certified(self, monkeypatch):
+        # every member fiber, and no representative, is shifted by 1e-6 on
+        # its diagonal: the representative's counts and frames still pass,
+        # so only the residual of the transported columns on each member's
+        # own fiber can refuse them
+        lat = MagneticLattice(1, 8, 2, 2, "torus")
+        reps = {rep for rep, _ in bloch._fiber_orbits(lat, 8, 8)}
+        member_gauges = []
+        fiber_gauge, fiber = bloch._fiber_gauge, bloch._fiber
+
+        def tagged_gauge(lattice, kind, s, t):
+            g = fiber_gauge(lattice, kind, s, t)
+            if (round(8 * s), round(8 * t)) not in reps:
+                member_gauges.append(g)
+            return g
+
+        def shifted_fiber(lattice, g):
+            f = fiber(lattice, g)
+            if any(g is m for m in member_gauges):
+                f[np.diag_indices_from(f)] += 1e-6
+            return f
+        monkeypatch.setattr(bloch, "_fiber_gauge", tagged_gauge)
+        monkeypatch.setattr(bloch, "_fiber", shifted_fiber)
+        with pytest.raises(ResidualNotCertified, match="in-interval columns"):
+            invariant_pair_result(lat, "landau", SpectralInterval(-1.0, 4 * np.pi),
+                                  BlochGrid(8, 8))
+        assert len(reps) == 4 and len(member_gauges) == 60
 
     @pytest.mark.parametrize("k, n_solves", [(1, 1), (2, 4)])
     def test_route_guard(self, monkeypatch, k, n_solves):
