@@ -416,17 +416,12 @@ def _task_wideness(cfg, out):
     p = cfg.get("params", {})
     lattice = _lattice(cfg)
     desc_cfg = cfg["model"].get("mask_descriptor", {"kind": "all"})
-    r = p.get("r", 1.0)
     if desc_cfg["kind"] in ("sites", "all"):
-        mask = _mask(cfg, lattice)
-        cert = coarse.wideness_check("explicit", r, lattice,
-                                     y_diameter=p.get("y_diameter"),
-                                     seed=cfg.get("seed", 0), mask=mask)
+        region = _mask(cfg, lattice)
     else:
-        shape = _shape_from_descriptor(desc_cfg, lattice.cells_x)
-        cert = coarse.wideness_check(shape, r, lattice,
-                                     y_diameter=p.get("y_diameter"),
-                                     seed=cfg.get("seed", 0))
+        region = _shape_from_descriptor(desc_cfg, lattice.cells_x)
+    cert = coarse.wideness_check(region, p.get("r", 1.0), lattice,
+                                 y_diameter=p.get("y_diameter"), seed=cfg.get("seed", 0))
     write_json(os.path.join(out, "wideness.json"), {
         "verdict": cert.verdict,
         "witness": cert.witness,

@@ -11,8 +11,9 @@ not certified bounds.
 Wideness is the translation property that makes the compression map
 injective: any uniformly bounded site set can be moved by an integer
 translation deep into the region, away from the thickened complement.
-Half-plane and bounded-graph regions get an analytic witness rule plus
-randomized spot checks; explicit masks get an honest bounded search.
+Half-plane and bounded-graph shapes get an analytic witness rule plus
+randomized spot checks; a region mask gets a complete search over the
+translations that keep a sampled set in the window.
 """
 
 from __future__ import annotations
@@ -20,17 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.csgraph as csgraph
 
-from .errors import MaskMismatch, UnsupportedShape
+from .errors import EnclosureViolation, MaskMismatch, UnsupportedShape
 from .model import (BallsShape, DiskShape, GraphShape, HalfPlaneShape,
                     HermitianOperator, MagneticLattice, RegionMask)
 from .spectral import ChebFilter, apply_filter, _cheb_apply, operator_norm
 
 VERIFY_CHUNK = 128  # far columns per block of the bitwise affiliation verify
 N_SPOT = 100  # random bounded sets per analytic wideness rule
-SEARCH_BUDGET = 10_000  # translations tried per set in the explicit-mask search
-N_SEARCH_SETS = 50  # random bounded sets in the explicit-mask search
+N_SEARCH_SETS = 50  # random bounded sets in the region-mask search
 
 
 # ---------------------------------------------------------------------------
@@ -50,12 +49,6 @@ class PropagationProfile:
     distances: np.ndarray
     norms: np.ndarray
     exact_zero_beyond: float | None
-    probe_sites: tuple
-
-
-def _graph_distances(op: HermitianOperator, source: int) -> np.ndarray:
-    adj = op.adjacency()
-    return csgraph.dijkstra(adj, directed=False, unweighted=True, indices=source)
 
 
 def propagation_profile(op: HermitianOperator, filt: ChebFilter,
@@ -64,18 +57,21 @@ def propagation_profile(op: HermitianOperator, filt: ChebFilter,
 
     The expected cone radius is degree * hop_range * h; the bitwise check
     that nothing survives past it must pass on every probe for
-    exact_zero_beyond to be reported.
+    exact_zero_beyond to be reported.  Distances are hops in the pattern of
+    the matrix.
     """
+    import scipy.sparse.csgraph as csgraph
     h = op.h
     cone = filt.degree * op.hop_range * h
     n = op.dimension
+    pattern = abs(op.matrix)
     max_bins = 0
     shells = []
     for v in probe_sites:
         e = np.zeros(n, complex)
         e[v] = 1.0
         u = apply_filter(op, filt, e)
-        d = _graph_distances(op, v)
+        d = csgraph.dijkstra(pattern, directed=False, unweighted=True, indices=v)
         shells.append((d, u))
         max_bins = max(max_bins, int(np.nanmax(d[np.isfinite(d)])) + 1)
     edges = np.arange(max_bins + 1) * h
@@ -90,8 +86,7 @@ def propagation_profile(op: HermitianOperator, filt: ChebFilter,
         beyond = dist_cont > cone + 1e-12
         if np.any(u[beyond] != 0):
             exact = False
-    return PropagationProfile(edges, norms, cone if exact else None,
-                              tuple(int(v) for v in probe_sites))
+    return PropagationProfile(edges, norms, cone if exact else None)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +150,6 @@ def affiliation_check(bulk: HermitianOperator, restricted: HermitianOperator,
     gl, gu = bulk.gershgorin()
     gl2, gu2 = restricted.gershgorin()
     if min(gl, gl2) < a or max(gu, gu2) > b:
-        from .errors import EnclosureViolation
         raise EnclosureViolation("filter enclosure does not cover both operators")
 
     def difference(zvec):
@@ -212,7 +206,6 @@ class IdealDefectProfile:
     radii: np.ndarray
     deviations: np.ndarray
     exact_zero_beyond: float | None
-    hop_ranges: tuple
 
 
 def ideal_multiplicativity(a_op: HermitianOperator, b_op: HermitianOperator,
@@ -249,15 +242,8 @@ def ideal_multiplicativity(a_op: HermitianOperator, b_op: HermitianOperator,
 
     cone = (a_op.hop_range + b_op.hop_range) * a_op.h
     far = np.flatnonzero(bd > cone + 1e-12)
-    exact = None
-    if far.size:
-        sub = defect[far][:, far]
-        if sub.nnz == 0 or not np.any(sub.data != 0):
-            exact = cone
-    else:
-        exact = cone
-    return IdealDefectProfile(radii, deviations, exact,
-                              (a_op.hop_range, b_op.hop_range))
+    exact = None if np.any(defect[far][:, far].data) else cone
+    return IdealDefectProfile(radii, deviations, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -285,138 +271,125 @@ def _l1_ball(r_sites: int) -> np.ndarray:
     return np.column_stack([dx[keep], dy[keep]])
 
 
-def _sample_bounded_set(rng, lattice: MagneticLattice, diameter: float,
-                        center_box: tuple) -> list:
-    """Random site set of continuum L1 diameter <= diameter."""
+def _sample_bounded_set(rng, lattice: MagneticLattice, diameter: float) -> list:
+    """Random site set of continuum L1 diameter <= diameter around a random window site."""
     h = lattice.h
     rad = max(int(np.floor(diameter / (2 * h))), 0)
-    cx = int(rng.integers(center_box[0], center_box[1] + 1))
-    cy = int(rng.integers(center_box[2], center_box[3] + 1))
+    cx = int(rng.integers(0, lattice.n_x))
+    cy = int(rng.integers(0, lattice.n_y))
     n_pts = int(rng.integers(1, 9))
     pts = {(cx, cy)}
     for _ in range(n_pts):
         dx = int(rng.integers(-rad, rad + 1))
-        dy = int(rng.integers(-(rad - abs(dx)), rad - abs(dx) + 1)) if rad - abs(dx) >= 0 else 0
+        dy = int(rng.integers(-(rad - abs(dx)), rad - abs(dx) + 1))
         pts.add((cx + dx, cy + dy))
     return sorted(pts)
 
 
-def wideness_check(descriptor, r: float, lattice: MagneticLattice,
-                   y_diameter: float | None = None, seed: int = 0,
-                   mask: RegionMask | None = None) -> WidenessCertificate:
+def _rule_level(shape):
+    """(level, name) of the analytic wideness rule: the complement lies above level.
+
+    A half-plane has its level, a graph its lowest sample; balls decorating a
+    base add only to the region, so the base rule holds.  None for a shape
+    without a rule.
+    """
+    if isinstance(shape, HalfPlaneShape):
+        return shape.level, "level"
+    if isinstance(shape, GraphShape):
+        return shape.level_min, "min f"
+    if isinstance(shape, BallsShape):
+        base = _rule_level(shape.base)
+        return base and (base[0], "base " + base[1])
+    return None
+
+
+def wideness_check(region, r: float, lattice: MagneticLattice,
+                   y_diameter: float | None = None, seed: int = 0) -> WidenessCertificate:
     """Can every bounded set be translated into Z away from the thickened complement?
 
-    Half-plane and bounded-graph descriptors, and balls decorating either
-    (their complement lies above the base), are wide with the analytic rule
-    "translate straight down past the thickened complement"; the rule is
-    spot-verified on N_SPOT random bounded sets gY against the shape's
-    `contains`: every point of gY and its L1 r-ball must lie in Z, so gY
-    misses the r-thickened complement.  Disks (and any bounded region)
-    yield counterexample_found: a set wider than the region cannot fit
-    under any translation.  Explicit
-    masks get a bounded search with verdict inconclusive on success or
-    window exhaustion, counterexample_found when the region is bounded
-    inside the window.  Translations are the integer (continuum unit)
-    lattice symmetries; the metric is continuum L1.
+    region is a shape or a RegionMask.  Both tests thicken by rho hops, the
+    largest integer with rho * h <= r: a translated site is deep when its
+    L1 rho-ball lies in Z.  Half-plane and graph shapes, and balls
+    decorating either (their complement lies above the base), are wide with
+    the analytic rule "translate straight down past the thickened
+    complement"; the rule is spot-verified on N_SPOT random bounded sets gY,
+    each tested with its rho-balls by one call of the shape's `contains`.
+    A disk yields counterexample_found: a set wider than the region cannot
+    fit under any translation.  A mask is searched over every translation
+    that keeps each of N_SEARCH_SETS sampled sets in the window, against
+    the deep sites member & (boundary_distance >= rho * h): inconclusive
+    when every set fits, counterexample_found when a set fits nowhere and
+    the region is bounded inside the window.  Translations are the integer
+    (continuum unit) lattice symmetries; the metric is continuum L1.
     """
     rng = np.random.default_rng(seed)
     h = lattice.h
     q = lattice.q
     y_diameter = r if y_diameter is None else y_diameter
-    r_sites = int(np.ceil(r / h))
-    box = (0, lattice.n_x - 1, 0, lattice.n_y - 1)
-
-    def rule_verdict(level_min: float, name: str):
-        ball = _l1_ball(r_sites)
-
-        def rule(y_sites):
-            top = max(iy for (_, iy) in y_sites) * h
-            gy = int(np.floor(level_min - r - top)) - 1
-            return (0, gy)
-
+    rho = int(r // h)
+    if isinstance(region, RegionMask):
+        return _mask_search(region, r, rho, lattice, y_diameter, rng)
+    rule = _rule_level(region)
+    if rule is not None:
+        level_min, name = rule
+        ball = _l1_ball(rho)
         passed = 0
         for _ in range(N_SPOT):
-            y_sites = _sample_bounded_set(rng, lattice, y_diameter, box)
-            gx, gy = rule(y_sites)
-            pts = (np.asarray(y_sites) + (gx * q, gy * q))[:, None, :] + ball
-            if descriptor.contains(pts[..., 0], pts[..., 1], q, lattice.period_x).all():
+            y_sites = _sample_bounded_set(rng, lattice, y_diameter)
+            top = max(iy for (_, iy) in y_sites) * h
+            gy = int(np.floor(level_min - r - top)) - 1
+            pts = (np.asarray(y_sites) + (0, gy * q))[:, None, :] + ball
+            if region.contains(pts[..., 0], pts[..., 1], q, lattice.period_x).all():
                 passed += 1
         verdict = "wide_proved" if passed == N_SPOT else "inconclusive"
         witness = (f"g(Y) = (0, floor({name} - r - max_y(Y)) - 1): translate below "
                    f"the thickened complement")
-        return WidenessCertificate(descriptor, r, verdict, witness, passed, N_SPOT,
+        return WidenessCertificate(region, r, verdict, witness, passed, N_SPOT,
                                    {"rule_base_level": level_min})
-
-    if isinstance(descriptor, HalfPlaneShape):
-        return rule_verdict(descriptor.level, "level")
-    if isinstance(descriptor, GraphShape):
-        return rule_verdict(descriptor.level_min, "min f")
-    if isinstance(descriptor, BallsShape) and isinstance(descriptor.base, HalfPlaneShape):
-        # complement is contained above the base half-plane, so its rule works
-        return rule_verdict(descriptor.base.level, "base level")
-    if isinstance(descriptor, BallsShape) and isinstance(descriptor.base, GraphShape):
-        # complement is contained above the base graph
-        return rule_verdict(descriptor.base.level_min, "base min f")
-    if isinstance(descriptor, DiskShape):
-        needed = 2.0 * descriptor.radius
+    if isinstance(region, DiskShape):
+        needed = 2.0 * region.radius
         diam = max(y_diameter, needed + 2 * h)
         span = int(np.floor(diam / (2 * h)))
         witness_y = [(0, 0), (2 * span, 0)]
         return WidenessCertificate(
-            descriptor, r, "counterexample_found",
+            region, r, "counterexample_found",
             f"Y of L1 diameter {2 * span * h:g} exceeds the region diameter "
             f"{needed:g}; no translation fits (witness Y = {witness_y})",
             0, 0, {"y_diameter": 2 * span * h, "region_diameter": needed})
+    raise UnsupportedShape(f"no wideness rule for {region!r} (a site-list region "
+                           "needs its mask)")
 
-    # explicit mask: bounded search
-    if mask is None:
-        raise UnsupportedShape(f"no wideness rule for {descriptor!r} without a mask "
-                               "(an explicit region needs its mask)")
-    member_grid = mask.member
-    # far set: Z minus the r-thickening of the complement, within the window;
-    # boundary_distance is (graph hops - 1) * h, so hops * h > r is the test
-    hops = mask.boundary_distance / h + 1.0
-    deep = member_grid & (hops * h > r)
-    touches_edge = (member_grid[0].any() or member_grid[-1].any()
-                    or member_grid[:, 0].any() or member_grid[:, -1].any())
-    all_fit = True
-    failed_y = None
+
+def _mask_search(mask: RegionMask, r: float, rho: int, lattice: MagneticLattice,
+                 y_diameter: float, rng) -> WidenessCertificate:
+    """Every window translation of each sampled Y, tested in one array expression."""
+    member = mask.member
+    deep = member & (mask.boundary_distance >= rho * lattice.h)
+    n_x, n_y, q = lattice.n_x, lattice.n_y, lattice.q
+    gx = np.arange(-lattice.cells_x, lattice.cells_x + 1)[:, None] * q
+    gy = np.arange(-lattice.cells_y, lattice.cells_y + 1)[None, :] * q
+    touches_edge = (member[0].any() or member[-1].any()
+                    or member[:, 0].any() or member[:, -1].any())
     for _ in range(N_SEARCH_SETS):
-        y_sites = _sample_bounded_set(rng, lattice, y_diameter, box)
-        found = False
-        tried = 0
-        for gx in range(-lattice.cells_x, lattice.cells_x + 1):
-            for gy in range(-lattice.cells_y, lattice.cells_y + 1):
-                tried += 1
-                if tried > SEARCH_BUDGET:
-                    break
-                ok = True
-                for (ix, iy) in y_sites:
-                    jx, jy = ix + gx * q, iy + gy * q
-                    if not (0 <= jx < lattice.n_x and 0 <= jy < lattice.n_y
-                            and deep[jx, jy]):
-                        ok = False
-                        break
-                if ok:
-                    found = True
-                    break
-            if found or tried > SEARCH_BUDGET:
-                break
-        if not found:
-            all_fit = False
-            failed_y = y_sites
+        y_sites = _sample_bounded_set(rng, lattice, y_diameter)
+        y = np.asarray(y_sites)
+        # axes (site of Y, x translation, y translation)
+        jx, jy = y[:, 0, None, None] + gx, y[:, 1, None, None] + gy
+        inside = (jx >= 0) & (jx < n_x) & (jy >= 0) & (jy < n_y)
+        if not (inside & deep[np.clip(jx, 0, n_x - 1),
+                              np.clip(jy, 0, n_y - 1)]).all(axis=0).any():
             break
-    if all_fit:
-        return WidenessCertificate(descriptor, r, "inconclusive",
-                                   "bounded search found translations for every sampled Y "
-                                   "(search success is not a proof)",
+    else:
+        return WidenessCertificate(mask.descriptor, r, "inconclusive",
+                                   "every sampled Y has a window translation onto deep "
+                                   "sites (search success is not a proof)",
                                    N_SEARCH_SETS, N_SEARCH_SETS, {})
     if not touches_edge:
-        return WidenessCertificate(descriptor, r, "counterexample_found",
-                                   f"region is bounded inside the window and Y = {failed_y} "
+        return WidenessCertificate(mask.descriptor, r, "counterexample_found",
+                                   f"region is bounded inside the window and Y = {y_sites} "
                                    "admits no translation",
-                                   0, 0, {"failed_y": failed_y})
-    return WidenessCertificate(descriptor, r, "inconclusive",
-                               f"no translation found for Y = {failed_y} but the region "
+                                   0, 0, {"failed_y": y_sites})
+    return WidenessCertificate(mask.descriptor, r, "inconclusive",
+                               f"no translation found for Y = {y_sites} but the region "
                                "touches the window edge (window too small)",
-                               0, 0, {"failed_y": failed_y})
+                               0, 0, {"failed_y": y_sites})

@@ -153,7 +153,7 @@ def strip_block(strip: StripSpec, kappa: float, mask: RegionMask | None = None) 
     cells = MagneticLattice(lat.k, lat.q, _strip_period(mask), lat.cells_y, "strip",
                             lat.potential)
     prov = {"lattice": cells, "gauge_kind": "landau", "mask": mask.descriptor,
-            "kappa": kappa, "shift": -4.0 * np.pi * lat.k}
+            "kappa": kappa}
     return _assemble(cells, _block_gauge(cells, kappa), mask.member[:cells.n_x], prov)
 
 

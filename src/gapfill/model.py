@@ -32,11 +32,9 @@ GEOMETRIES = ("torus", "strip", "masked")
 GAUGE_KINDS = ("symmetric", "landau")
 
 
-def _phase(exponent: Fraction | float) -> complex:
-    """exp(2*pi*i*exponent), reducing rational exponents mod 1 first."""
-    if isinstance(exponent, Fraction):
-        exponent = float(exponent % 1)
-    return complex(np.exp(2j * np.pi * exponent))
+def _phase(exponent: Fraction) -> complex:
+    """exp(2*pi*i*exponent), reducing the exponent mod 1 first."""
+    return complex(np.exp(2j * np.pi * float(exponent % 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -526,15 +524,6 @@ class HermitianOperator:
         off = absrow - np.abs(m.diagonal())
         return float((d - off).min()), float((d + off).max())
 
-    def adjacency(self) -> sp.csr_matrix:
-        """0/1 pattern of the off-diagonal entries (the hopping graph)."""
-        m = self.matrix.copy().tolil()
-        m.setdiag(0)
-        m = m.tocsr()
-        m.eliminate_zeros()
-        return sp.csr_matrix((np.ones(len(m.data)), m.indices, m.indptr),
-                             shape=m.shape)
-
 
 def _window_links(lattice: MagneticLattice, gauge: GaugeField):
     """Directed +x and +y links of the window as (from_ix, from_iy, to_ix, to_iy, phase)."""
@@ -601,16 +590,14 @@ def assemble_bulk(lattice: MagneticLattice, gauge: GaugeField) -> HermitianOpera
     """Bulk operator on the magnetic-periodic torus."""
     if lattice.geometry != "torus":
         raise NonTorusGeometry(f"assemble_bulk needs torus geometry, got {lattice.geometry}")
-    prov = {"lattice": lattice, "gauge_kind": gauge.gauge_kind, "mask": None,
-            "shift": -4.0 * np.pi * lattice.k}
+    prov = {"lattice": lattice, "gauge_kind": gauge.gauge_kind, "mask": None}
     return _assemble(lattice, gauge, None, prov)
 
 
 def assemble_restricted(lattice: MagneticLattice, gauge: GaugeField,
                         mask: RegionMask) -> HermitianOperator:
     """Dirichlet restriction to the mask: principal submatrix of the window stencil."""
-    prov = {"lattice": lattice, "gauge_kind": gauge.gauge_kind,
-            "mask": mask.descriptor, "shift": -4.0 * np.pi * lattice.k}
+    prov = {"lattice": lattice, "gauge_kind": gauge.gauge_kind, "mask": mask.descriptor}
     return _assemble(lattice, gauge, mask.member, prov)
 
 

@@ -91,7 +91,6 @@ class SpectrumReport:
     clusters: tuple
     gaps: tuple
     norm_bound: float
-    cluster_tol: float
     eigenvectors: np.ndarray | None = None
     solved_blocks: int = 1
 
@@ -180,7 +179,6 @@ class ChebFilter:
     coefficients: np.ndarray
     enclosure: tuple
     target_description: str
-    params: dict
     uniform_error: float
     target: object = field(default=None, repr=False)
 
@@ -206,8 +204,7 @@ def smoothed_indicator_filter(lo: float, hi: float, smoothing: float,
     f = _erf_indicator(lo, hi, smoothing)
     c = _cheb_fit(f, a, b, degree)
     err = _uniform_error(f, c, a, b)
-    return ChebFilter(degree, c, (a, b), "smoothed_indicator",
-                      {"lo": lo, "hi": hi, "smoothing": smoothing}, err, f)
+    return ChebFilter(degree, c, (a, b), "smoothed_indicator", err, f)
 
 
 def gaussian_filter(center: float, sigma: float, enclosure: tuple,
@@ -219,8 +216,7 @@ def gaussian_filter(center: float, sigma: float, enclosure: tuple,
         return np.exp(-0.5 * ((np.asarray(x, float) - center) / sigma) ** 2)
     c = _cheb_fit(f, a, b, degree)
     err = _uniform_error(f, c, a, b)
-    return ChebFilter(degree, c, (a, b), "gaussian",
-                      {"center": center, "sigma": sigma}, err, f)
+    return ChebFilter(degree, c, (a, b), "gaussian", err, f)
 
 
 def polynomial_filter(power_coefficients, enclosure: tuple) -> ChebFilter:
@@ -239,8 +235,7 @@ def polynomial_filter(power_coefficients, enclosure: tuple) -> ChebFilter:
 
     def f(x):
         return np.polynomial.polynomial.polyval(np.asarray(x, float), pc)
-    return ChebFilter(deg, cheb, (a, b), "polynomial",
-                      {"power_coefficients": tuple(float(v) for v in pc)}, 0.0, f)
+    return ChebFilter(deg, cheb, (a, b), "polynomial", 0.0, f)
 
 
 def apply_filter(op: HermitianOperator, filt: ChebFilter, v: np.ndarray) -> np.ndarray:
@@ -354,7 +349,7 @@ def spectrum_report(w: np.ndarray, residuals: np.ndarray, vectors=None, *,
     ctol = cluster_tol if cluster_tol is not None else _default_cluster_tol(w)
     return SpectrumReport(w, residuals, _cluster(w, ctol),
                           tuple(_gaps_between(w, _default_gap_width(w))),
-                          norm_bound, ctol, vectors, solved_blocks)
+                          norm_bound, vectors, solved_blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,8 @@ class TestConfigValidation:
 def test_import_leaves_optimize_and_ndimage_unloaded():
     # each is imported where its one function is called, not with the CLI
     code = ("import sys, gapfill.cli; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.ndimage') if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.ndimage', 'scipy.sparse.csgraph') "
+            "if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gapfill.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
@@ -322,6 +323,31 @@ class TestWidenessTask:
                            params={"r": 1.0, "y_diameter": 8.0})
         out = tmp_path / "out"
         assert main(["wideness", "--config", str(cfg), "--out", str(out)]) == 2
+
+    def _explicit(self, tmp_path, descriptor, params):
+        cfg = write_config(tmp_path / "cfg.json",
+                           model={"k": 1, "q": 4, "cells_x": 6, "cells_y": 6,
+                                  "geometry": "masked", "gauge": "landau",
+                                  "mask_descriptor": descriptor},
+                           task="wideness", params=params)
+        out = tmp_path / "out"
+        status = main(["wideness", "--config", str(cfg), "--out", str(out)])
+        return status, json.loads((out / "wideness.json").read_text())
+
+    def test_bounded_sites_counterexample_exit_2(self, tmp_path):
+        # a 3x3-site block is narrower than Y of diameter 2
+        block = [[ix, iy] for ix in range(10, 13) for iy in range(10, 13)]
+        status, doc = self._explicit(tmp_path, {"kind": "sites", "sites": block},
+                                     {"r": 0.25, "y_diameter": 2.0})
+        assert status == 2
+        assert doc["verdict"] == "counterexample_found"
+        assert "bounded inside the window" in doc["witness"]
+
+    def test_all_sites_inconclusive(self, tmp_path):
+        status, doc = self._explicit(tmp_path, {"kind": "all"}, {"r": 1.0})
+        assert status == 0
+        assert doc["verdict"] == "inconclusive"
+        assert doc["spot_checks"] == [50, 50]
 
 
 class TestAffiliationTask:

@@ -8,7 +8,7 @@ from gapfill.errors import MaskMismatch
 from gapfill.model import (BallsShape, DiskShape, GraphShape, HalfPlaneShape,
                            HermitianOperator, MagneticLattice,
                            assemble_restricted, build_gauge, gauge_transform,
-                           make_mask, mask_all, mask_from_member)
+                           make_mask, mask_all, mask_from_member, mask_from_sites)
 from gapfill.spectral import (_cheb_fit, gaussian_filter, materialize_filter,
                               polynomial_filter, smoothed_indicator_filter)
 
@@ -250,15 +250,13 @@ class TestWideness:
     def test_explicit_bounded_mask_counterexample(self, window):
         lat = window[0]
         mask = make_mask(lat, DiskShape((3.0, 3.0), 2.0))
-        cert = wideness_check("explicit", 0.5, lat, y_diameter=5.0, mask=mask,
-                              seed=4)
+        cert = wideness_check(mask, 0.5, lat, y_diameter=5.0, seed=4)
         assert cert.verdict == "counterexample_found"
 
     def test_explicit_mask_search_success_is_inconclusive(self, window):
         lat = window[0]
         mask = make_mask(lat, HalfPlaneShape(4.0))
-        cert = wideness_check("explicit", 0.5, lat, y_diameter=0.5, mask=mask,
-                              seed=5)
+        cert = wideness_check(mask, 0.5, lat, y_diameter=0.5, seed=5)
         assert cert.verdict == "inconclusive"
         assert "not a proof" in cert.witness
 
@@ -267,7 +265,52 @@ class TestWideness:
         member = np.zeros((lat.n_x, lat.n_y), bool)
         member[:, :3] = True  # thin slab along the window edge
         mask = mask_from_member(lat, member, "slab")
-        cert = wideness_check("explicit", 1.0, lat, y_diameter=4.0, mask=mask,
-                              seed=6)
+        cert = wideness_check(mask, 1.0, lat, y_diameter=4.0, seed=6)
         assert cert.verdict == "inconclusive"
         assert "window too small" in cert.witness
+
+    @pytest.mark.parametrize("case", ["one-site-60x60", "disk", "edge-slab"])
+    def test_mask_search_matches_brute_force(self, case):
+        # one-site region deep in a 60x60-cell window: every window translation
+        # of a one-site Y must be searched, not a prefix of them
+        if case == "one-site-60x60":
+            lat = MagneticLattice(1, 1, 60, 60, "masked")
+            mask, r, y_diameter, seed = mask_from_sites(lat, [(55, 55)]), 0.5, 0.5, 0
+        elif case == "disk":
+            lat = MagneticLattice(1, 4, 6, 6, "masked")
+            mask, r, y_diameter, seed = make_mask(lat, DiskShape((3.0, 3.0), 2.0)), 0.5, 3.0, 4
+        else:
+            lat = MagneticLattice(1, 4, 6, 6, "masked")
+            member = np.zeros((lat.n_x, lat.n_y), bool)
+            member[:, :9] = True
+            mask, r, y_diameter, seed = mask_from_member(lat, member, "slab"), 0.6, 1.5, 6
+        cert = wideness_check(mask, r, lat, y_diameter=y_diameter, seed=seed)
+
+        rho = 0
+        while (rho + 1) * lat.h <= r:
+            rho += 1
+        ball = [(dx, dy) for dx in range(-rho, rho + 1) for dy in range(-rho, rho + 1)
+                if abs(dx) + abs(dy) <= rho]
+
+        def deep(jx, jy):
+            return all(not (0 <= jx + dx < lat.n_x and 0 <= jy + dy < lat.n_y)
+                       or mask.member[jx + dx, jy + dy] for (dx, dy) in ball)
+
+        def fits(y_sites):
+            return any(all(0 <= ix + gx * lat.q < lat.n_x and 0 <= iy + gy * lat.q < lat.n_y
+                           and mask.member[ix + gx * lat.q, iy + gy * lat.q]
+                           and deep(ix + gx * lat.q, iy + gy * lat.q) for (ix, iy) in y_sites)
+                       for gx in range(-lat.cells_x, lat.cells_x + 1)
+                       for gy in range(-lat.cells_y, lat.cells_y + 1))
+
+        rng = np.random.default_rng(seed)
+        for _ in range(coarse.N_SEARCH_SETS):
+            y_sites = coarse._sample_bounded_set(rng, lat, y_diameter)
+            if not fits(y_sites):
+                assert cert.details["failed_y"] == y_sites
+                assert cert.verdict == ("counterexample_found" if case == "disk"
+                                        else "inconclusive")
+                break
+        else:
+            assert "failed_y" not in cert.details
+            assert cert.verdict == "inconclusive"

@@ -184,4 +184,4 @@ def test_unsupported_descriptor_is_named(descriptor):
 def test_explicit_wideness_without_mask_is_named():
     lat = MagneticLattice(1, 4, 2, 2, "masked")
     with pytest.raises(UnsupportedShape, match="needs its mask"):
-        wideness_check("explicit", 1.0, lat)
+        wideness_check(ExplicitShape(3), 1.0, lat)
