@@ -93,12 +93,10 @@ class ChernResult:
     """
 
     band_group: tuple
-    plaquette_flux: np.ndarray
     chern: int
     dim: int
     max_flux: float
     total_over_2pi: float
-    grid: BlochGrid
     solved: int
     max_transport_defect: float
     orientation: str = ORIENTATION
@@ -129,7 +127,7 @@ def fiber_hamiltonian(lattice: MagneticLattice, gauge_kind: str,
 def _fiber(lattice: MagneticLattice, fiber_gauge: GaugeField) -> np.ndarray:
     """Dense stencil of the one-cell torus under a fiber gauge."""
     cell = MagneticLattice(lattice.k, lattice.q, 1, 1, "torus", lattice.potential)
-    return _assemble(cell, fiber_gauge, None, {}).matrix.toarray()
+    return _assemble(cell, fiber_gauge, None).matrix.toarray()
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +337,8 @@ def _link_phases(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
     return d / mod
 
 
-def _chern_result(flux: np.ndarray, group: tuple, grid: BlochGrid,
-                  solved: int, max_defect: float) -> ChernResult:
+def _chern_result(flux: np.ndarray, group: tuple, solved: int,
+                  max_defect: float) -> ChernResult:
     """Certify a plaquette-flux field and round its total to the Chern number.
 
     Every |flux| must stay below pi/2 (Luscher's admissibility bound: then
@@ -359,8 +357,8 @@ def _chern_result(flux: np.ndarray, group: tuple, grid: BlochGrid,
         raise SingularOverlap(
             f"plaquette flux total {total:.8f} is not integral to "
             f"{FHS_INTEGRALITY_TOL:g} (grid too coarse)")
-    return ChernResult(group, flux, chern, group[1] - group[0], max_flux, total, grid,
-                       solved, max_defect)
+    return ChernResult(group, chern, group[1] - group[0], max_flux, total, solved,
+                       max_defect)
 
 
 def invariant_pair(lattice: MagneticLattice, gauge_kind: str,
@@ -461,10 +459,9 @@ def invariant_pair_result(lattice: MagneticLattice, gauge_kind: str,
             f"({n_below.min()}..{n_below.max()})")
     dim, below, solved = int(n_in[0]), int(n_below[0]), len(counts)
     if dim == 0:
-        return ChernResult((below, below), np.zeros((grid.n_s, grid.n_t)), 0, 0,
-                           0.0, 0.0, grid, solved, max_defect)
+        return ChernResult((below, below), 0, 0, 0.0, 0.0, solved, max_defect)
     frames = np.empty((grid.n_s, grid.n_t, m, dim), complex)
     for point, kept in frames_at.items():
         frames[point] = kept
-    return _chern_result(plaquette_berry_flux(frames), (below, below + dim), grid,
-                         solved, max_defect)
+    return _chern_result(plaquette_berry_flux(frames), (below, below + dim), solved,
+                         max_defect)

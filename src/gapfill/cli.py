@@ -1,11 +1,13 @@
 """Experiment orchestration: `gapfill <task> --config cfg.json [--out DIR]`.
 
-Tasks: bulk-spectrum, gaps, chern, edge-fill, bands, affiliation, wideness,
-report.  Exit code 0 on pass verdicts, 2 on scientific fail verdicts, 1 on
-configuration or tooling errors.  Every run records its config hash and
-seed in manifest.json under its task name, beside the entries of the other
-tasks run into the same directory, with every convention that affects a
-sign or threshold.
+Tasks: gaps, chern, edge-fill, bands, affiliation, wideness, report.
+edge-fill certifies the widest gap of the model torus (the spectrum that
+gaps reports) and asks the strip of its params to fill it.  Exit code 0 on
+pass verdicts, 2 on scientific fail verdicts, 1 on configuration or tooling
+errors, among them a field the task reads that the config lacks.  Every run
+records its config hash and seed in manifest.json under its task name,
+beside the entries of the other tasks run into the same directory, with
+every convention that affects a sign or threshold.
 """
 
 from __future__ import annotations
@@ -26,8 +28,14 @@ from .model import (BallsShape, DiskShape, GraphShape, HalfPlaneShape,
                     MagneticLattice, assemble_bulk, assemble_restricted,
                     build_gauge, make_mask, mask_all, mask_from_sites)
 
-TASKS = ("bulk-spectrum", "gaps", "chern", "edge-fill", "bands",
-         "affiliation", "wideness", "report")
+TASKS = ("gaps", "chern", "edge-fill", "bands", "affiliation", "wideness", "report")
+
+
+def _requires(key: str, fields_of: dict) -> list:
+    """if/then clauses: an object whose `key` is v must carry every field in fields_of[v]."""
+    return [{"if": {"properties": {key: {"const": v}}, "required": [key]},
+             "then": {"required": fields}} for v, fields in fields_of.items()]
+
 
 _MASK_SCHEMA = {
     "type": "object",
@@ -46,12 +54,28 @@ _MASK_SCHEMA = {
     },
     "required": ["kind"],
     "additionalProperties": False,
+    "allOf": _requires("kind", {"half_plane": ["level"], "graph": ["f_samples"],
+                                "half_plane_with_balls": ["level", "radius", "ball_height"],
+                                "disk": ["center", "radius"], "sites": ["sites"]}),
+}
+
+_FILTER_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "type": {"enum": ["polynomial", "smoothed_indicator", "gaussian"]},
+        "power_coefficients": {"type": "array", "items": {"type": "number"}},
+        "degree": {"type": "integer"},
+        **{x: {"type": "number"} for x in ("lo", "hi", "smoothing", "center", "sigma")},
+    },
+    "required": ["type"],
+    "allOf": _requires("type", {"polynomial": ["power_coefficients"],
+                                "smoothed_indicator": ["lo", "hi", "smoothing", "degree"],
+                                "gaussian": ["center", "sigma", "degree"]}),
 }
 
 _PARAMS_SCHEMA = {
     "type": "object",
     "properties": {
-        "cluster_tol": {"type": "number", "exclusiveMinimum": 0},
         "export_operator": {"type": "boolean"},
         "export_bands": {"type": "boolean"},
         "grid": {"type": "array", "items": {"type": "integer", "minimum": 4},
@@ -62,12 +86,11 @@ _PARAMS_SCHEMA = {
         "length_cells": {"type": "integer", "minimum": 1},
         "n_samples": {"type": "integer", "minimum": 1},
         "delta": {"type": "number", "exclusiveMinimum": 0},
-        "bulk_cells": {"type": "integer", "minimum": 2},
         "shape": _MASK_SCHEMA,
         "n_kappa": {"type": "integer", "minimum": 4},
         "e_ref": {"type": "number"},
         "designated_edge": {"enum": ["lower", "upper"]},
-        "filter": {"type": "object"},
+        "filter": _FILTER_SCHEMA,
         "radii": {"type": "array", "items": {"type": "number", "minimum": 0}},
         "verify_bitwise": {"type": "boolean"},
         "r": {"type": "number", "exclusiveMinimum": 0},
@@ -101,6 +124,10 @@ CONFIG_SCHEMA = {
     },
     "required": ["model", "task"],
     "additionalProperties": False,
+    # the strip tasks read the strip size from params
+    "allOf": [{"if": {"properties": {"task": {"enum": ["edge-fill", "bands"]}}},
+               "then": {"required": ["params"], "properties": {
+                   "params": {"required": ["width_cells", "length_cells"]}}}}],
 }
 
 CONVENTIONS = {
@@ -137,17 +164,21 @@ def load_config(path: str) -> dict:
             loc = "/".join(str(p) for p in e.absolute_path) or "<root>"
             msgs.append(f"{loc}: {e.message}")
         raise ConfigInvalid("config rejected: " + "; ".join(msgs))
-    q = cfg["model"]["q"]
-    pot = cfg["model"].get("potential")
+    m = cfg["model"]
+    q, pot = m["q"], m.get("potential")
     if pot is not None and len(pot) != q ** 2:
         raise ConfigInvalid(f"model/potential: expected q^2 = {q**2} "
                             f"row-major samples, got {len(pot)}")
-    for loc, desc in (("model/mask_descriptor", cfg["model"].get("mask_descriptor")),
+    n_x, n_y = q * m["cells_x"], q * m["cells_y"]
+    for ix, iy in m.get("mask_descriptor", {}).get("sites", ()):
+        if not (0 <= ix < n_x and 0 <= iy < n_y):
+            raise ConfigInvalid(f"model/mask_descriptor/sites: site [{ix}, {iy}] lies "
+                                f"outside the {n_x} x {n_y} site window")
+    for loc, desc in (("model/mask_descriptor", m.get("mask_descriptor")),
                       ("params/shape", cfg.get("params", {}).get("shape"))):
-        if desc is not None and desc["kind"] == "graph" \
-                and len(desc.get("f_samples", ())) != q:
+        if desc is not None and desc["kind"] == "graph" and len(desc["f_samples"]) != q:
             raise ConfigInvalid(f"{loc}/f_samples: a graph shape needs q = {q} samples "
-                                f"(one cell), got {len(desc.get('f_samples', ()))}")
+                                f"(one cell), got {len(desc['f_samples'])}")
     interval = cfg.get("params", {}).get("interval")
     if interval is not None and not interval[0] < interval[1]:
         raise ConfigInvalid(f"params/interval: need lower < upper, got {interval}")
@@ -236,20 +267,19 @@ def _spectrum_outputs(out: str, report, solver: dict):
              xlabel="index", ylabel="eigenvalue", title="spectrum")
 
 
-def _task_bulk_spectrum(cfg, out):
+def _task_gaps(cfg, out):
     """Spectrum and gaps; an unmasked torus is solved on its Bloch fibers."""
     lattice = _lattice(cfg)
-    p = cfg.get("params", {})
-    export = p.get("export_operator", False)
+    export = cfg.get("params", {}).get("export_operator", False)
     gauge = build_gauge(lattice, cfg["model"]["gauge"])
     if _unmasked_torus(cfg, lattice):
-        report = bloch.torus_spectrum(lattice, gauge, cluster_tol=p.get("cluster_tol"))
+        report = bloch.torus_spectrum(lattice, gauge)
         solver = {"route": "bloch_fibers", "blocks": lattice.cells_x * lattice.cells_y,
                   "block_dim": lattice.q ** 2, "solved_blocks": report.solved_blocks}
         op = assemble_bulk(lattice, gauge) if export else None
     else:
         op = assemble_restricted(lattice, gauge, _mask(cfg, lattice))
-        report = spectral.eigensolve(op, cluster_tol=p.get("cluster_tol"))
+        report = spectral.eigensolve(op)
         solver = {"route": "dense", "blocks": 1, "block_dim": op.dimension,
                   "solved_blocks": report.solved_blocks}
     if export:
@@ -257,9 +287,6 @@ def _task_bulk_spectrum(cfg, out):
         export_triplets(op, os.path.join(out, "operator.csv"))
     _spectrum_outputs(out, report, solver)
     return 0
-
-
-_task_gaps = _task_bulk_spectrum  # gaps task = spectrum + gap artifacts
 
 
 def _task_chern(cfg, out):
@@ -293,16 +320,18 @@ def _task_chern(cfg, out):
     return 0
 
 
-def _bulk_gap_for(lattice: MagneticLattice, gauge_kind: str, bulk_cells: int):
-    torus = MagneticLattice(lattice.k, lattice.q, bulk_cells, bulk_cells, "torus",
-                            lattice.potential)
-    report = bloch.torus_spectrum(torus, build_gauge(torus, gauge_kind))
+def _bulk_gap_for(cfg: dict, lattice: MagneticLattice):
+    """The widest gap of the model torus, certified; None when no gap is wide enough."""
+    if not _unmasked_torus(cfg, lattice):
+        raise ConfigInvalid("edge-fill takes its bulk gap from the model torus: the model "
+                            "needs torus geometry and no mask_descriptor")
+    report = bloch.torus_spectrum(lattice, build_gauge(lattice, cfg["model"]["gauge"]))
     gaps = [g for g in report.gaps if g.width >= 0.2 * 8 * np.pi * max(lattice.k, 1)]
     if not gaps:
-        return None, report
+        return None
     g = max(gaps, key=lambda g: g.width)
     inset = 0.02 * g.width
-    return spectral.certify_interval(report, g.lower + inset, g.upper - inset), report
+    return spectral.certify_interval(report, g.lower + inset, g.upper - inset)
 
 
 def _strip_from_params(lattice: MagneticLattice, p: dict):
@@ -317,7 +346,7 @@ def _strip_from_params(lattice: MagneticLattice, p: dict):
 def _task_edge_fill(cfg, out):
     p = cfg.get("params", {})
     lattice = _lattice(cfg)
-    gap, _ = _bulk_gap_for(lattice, cfg["model"]["gauge"], p.get("bulk_cells", 4))
+    gap = _bulk_gap_for(cfg, lattice)
     if gap is None:
         write_json(os.path.join(out, "edge_report.json"),
                    {"verdict": "no_bulk_gap", "all_pass": False})
@@ -392,10 +421,8 @@ def _task_affiliation(cfg, out):
     elif f["type"] == "smoothed_indicator":
         filt = spectral.smoothed_indicator_filter(f["lo"], f["hi"], f["smoothing"],
                                                   encl, f["degree"])
-    elif f["type"] == "gaussian":
+    else:  # gaussian, the one other type the config schema admits
         filt = spectral.gaussian_filter(f["center"], f["sigma"], encl, f["degree"])
-    else:
-        raise ConfigInvalid(f"unknown filter type {f['type']!r}")
     radii = p.get("radii", [0.5, 1.0, 2.0, 3.0])
     rep = coarse.affiliation_check(bulk, restricted, mask, filt, radii,
                                    verify_bitwise=p.get("verify_bitwise", True))
@@ -500,7 +527,6 @@ def _task_report(cfg, out):
 
 
 _TASK_FNS = {
-    "bulk-spectrum": _task_bulk_spectrum,
     "gaps": _task_gaps,
     "chern": _task_chern,
     "edge-fill": _task_edge_fill,

@@ -254,7 +254,6 @@ def ideal_multiplicativity(a_op: HermitianOperator, b_op: HermitianOperator,
 class WidenessCertificate:
     """Verdict on the translation property gY in Z minus the thickened complement."""
 
-    descriptor: object
     entourage_radius: float
     verdict: str  # wide_proved | counterexample_found | inconclusive
     witness: str
@@ -344,7 +343,7 @@ def wideness_check(region, r: float, lattice: MagneticLattice,
         verdict = "wide_proved" if passed == N_SPOT else "inconclusive"
         witness = (f"g(Y) = (0, floor({name} - r - max_y(Y)) - 1): translate below "
                    f"the thickened complement")
-        return WidenessCertificate(region, r, verdict, witness, passed, N_SPOT,
+        return WidenessCertificate(r, verdict, witness, passed, N_SPOT,
                                    {"rule_base_level": level_min})
     if isinstance(region, DiskShape):
         needed = 2.0 * region.radius
@@ -352,7 +351,7 @@ def wideness_check(region, r: float, lattice: MagneticLattice,
         span = int(np.floor(diam / (2 * h)))
         witness_y = [(0, 0), (2 * span, 0)]
         return WidenessCertificate(
-            region, r, "counterexample_found",
+            r, "counterexample_found",
             f"Y of L1 diameter {2 * span * h:g} exceeds the region diameter "
             f"{needed:g}; no translation fits (witness Y = {witness_y})",
             0, 0, {"y_diameter": 2 * span * h, "region_diameter": needed})
@@ -380,16 +379,16 @@ def _mask_search(mask: RegionMask, r: float, rho: int, lattice: MagneticLattice,
                               np.clip(jy, 0, n_y - 1)]).all(axis=0).any():
             break
     else:
-        return WidenessCertificate(mask.descriptor, r, "inconclusive",
+        return WidenessCertificate(r, "inconclusive",
                                    "every sampled Y has a window translation onto deep "
                                    "sites (search success is not a proof)",
                                    N_SEARCH_SETS, N_SEARCH_SETS, {})
     if not touches_edge:
-        return WidenessCertificate(mask.descriptor, r, "counterexample_found",
+        return WidenessCertificate(r, "counterexample_found",
                                    f"region is bounded inside the window and Y = {y_sites} "
                                    "admits no translation",
                                    0, 0, {"failed_y": y_sites})
-    return WidenessCertificate(mask.descriptor, r, "inconclusive",
+    return WidenessCertificate(r, "inconclusive",
                                f"no translation found for Y = {y_sites} but the region "
                                "touches the window edge (window too small)",
                                0, 0, {"failed_y": y_sites})

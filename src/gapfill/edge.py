@@ -45,13 +45,14 @@ from .spectral import (SpectralInterval, banded, banded_eigenvalues, banded_vect
                        certify_counts, inertia)
 
 FLOW_CONVENTIONS = {
-    "kappa_wrap_phase": "exp(+i*kappa) per cell in +x",
+    "kappa_wrap_phase": "exp(+i*kappa) per x-period of solver.period_cells cells in +x",
     "crossing_sign": "sign of dE/dkappa at the crossing",
     "designated_edge_default": "lower",
     "edge_assignment": ">= 60% mass on the assigned half of the region",
 }
 HEADROOM_CELLS = 1  # vacuum cells above the highest point of the shape
 GAP_SAMPLE_INSET = 0.05  # gap samples stay this fraction of the gap width inside it
+FLOW_WINDOW = 0.35  # flow window half-width, in Landau-level spacings 8*pi*max(k, 1)
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,7 @@ def strip_mask(strip: StripSpec) -> RegionMask:
     member = window_member(lat, strip.shape) & (np.arange(lat.n_y) * lat.h >= 1.0)
     if not member.any():
         raise EmptyRegion("strip mask selects no site")
-    return mask_from_member(lat, member, ("strip", strip.shape))
+    return mask_from_member(lat, member)
 
 
 def strip_operator(strip: StripSpec) -> HermitianOperator:
@@ -128,33 +129,30 @@ def strip_operator(strip: StripSpec) -> HermitianOperator:
                                strip_mask(strip))
 
 
-def _strip_period(mask: RegionMask) -> int:
-    """x-period of the strip mask: the fewest cells whose x-shift leaves it unchanged.
+def _period_lattice(mask: RegionMask) -> MagneticLattice:
+    """The strip lattice cut to one x-period P of its mask.
 
-    It divides the strip length, since the shifts that fix the mask form a
+    P is the fewest cells whose x-shift leaves the mask unchanged.  It
+    divides the strip length, since the shifts that fix the mask form a
     subgroup of the cyclic group of cell shifts.
     """
     lat = mask.lattice
-    return next(p for p in range(1, lat.cells_x + 1)
-                if np.array_equal(np.roll(mask.member, p * lat.q, axis=0), mask.member))
+    period = next(p for p in range(1, lat.cells_x + 1)
+                  if np.array_equal(np.roll(mask.member, p * lat.q, axis=0), mask.member))
+    return MagneticLattice(lat.k, lat.q, period, lat.cells_y, "strip", lat.potential)
 
 
 def strip_block(strip: StripSpec, kappa: float, mask: RegionMask | None = None) -> HermitianOperator:
     """Momentum-kappa block of the strip: one x-period, wrap phase e^{i*kappa}.
 
-    The window stencil on the strip one x-period P wide (:func:`_strip_period`),
+    The window stencil on the strip one x-period P wide (:func:`_period_lattice`),
     whose x seam carries the Landau translation cocycle, twisted by
     e^{i*kappa}.  The block spectrum over kappa = 2*pi*m/(length_cells/P)
-    reproduces the strip spectrum exactly.  The provenance records the
-    P-cell lattice the block is assembled on.
+    reproduces the strip spectrum exactly.
     """
-    lat = strip.lattice
     mask = mask or strip_mask(strip)
-    cells = MagneticLattice(lat.k, lat.q, _strip_period(mask), lat.cells_y, "strip",
-                            lat.potential)
-    prov = {"lattice": cells, "gauge_kind": "landau", "mask": mask.descriptor,
-            "kappa": kappa}
-    return _assemble(cells, _block_gauge(cells, kappa), mask.member[:cells.n_x], prov)
+    cells = _period_lattice(mask)
+    return _assemble(cells, _block_gauge(cells, kappa), mask.member[:cells.n_x])
 
 
 def _block_gauge(cells: MagneticLattice, kappa: float) -> GaugeField:
@@ -164,19 +162,17 @@ def _block_gauge(cells: MagneticLattice, kappa: float) -> GaugeField:
                        np.exp(1j * kappa), 1.0)
 
 
-def lift_block_vector(strip: StripSpec, block: HermitianOperator, vec: np.ndarray,
-                      mask: RegionMask) -> np.ndarray:
-    """Extend a block eigenvector to the strip: psi(x, y) = chi(x, y) vec(x mod P*q, y).
+def lift_block_vector(strip: StripSpec, block: HermitianOperator, kappa: float,
+                      vec: np.ndarray, mask: RegionMask) -> np.ndarray:
+    """Extend an eigenvector of the momentum-kappa block to the strip.
 
-    P is the x-period and kappa the momentum the block's provenance records;
-    chi is the ratio of block to strip link phases
+    psi(x, y) = chi(x, y) vec(x mod P*q, y), with P the x-period of the
+    mask and chi the ratio of block to strip link phases
     (:func:`gapfill.model.cell_lift_phases`) against the strip's Landau
     gauge, the one :func:`strip_operator` assembles with.
     """
-    prov = block.provenance
-    cells = prov["lattice"]
-    chi = cell_lift_phases(build_gauge(strip.lattice, "landau"),
-                           _block_gauge(cells, prov["kappa"]))
+    cells = _period_lattice(mask)
+    chi = cell_lift_phases(build_gauge(strip.lattice, "landau"), _block_gauge(cells, kappa))
     ix, iy = np.nonzero(mask.member)
     out = chi[ix, iy] * np.asarray(vec)[block.ids[ix % cells.n_x, iy]]
     return out / np.linalg.norm(out)
@@ -291,7 +287,8 @@ def gap_filling_check(strip: StripSpec, bulk_gap: SpectralInterval, n_samples: i
 
     mask = strip_mask(strip)
     mid = bulk_gap.midpoint
-    n_blocks = strip.length_cells // _strip_period(mask)
+    cells = _period_lattice(mask)
+    n_blocks = strip.length_cells // cells.cells_x
     kappas = 2.0 * np.pi * np.arange(n_blocks) / n_blocks
     blocks = [banded(strip_block(strip, kappa, mask)) for kappa in kappas]
     values = [banded_eigenvalues(b) for b in blocks]
@@ -301,8 +298,7 @@ def gap_filling_check(strip: StripSpec, bulk_gap: SpectralInterval, n_samples: i
     nearest = sorted((rank, abs(w[j] - mid), m, j) for m, w in enumerate(values)
                      for rank, j in enumerate(np.argsort(np.abs(w - mid), kind="stable")
                                               [:n_localization]))
-    cells = blocks[0].op.provenance["lattice"]
-    profile_mask = mask_from_member(cells, mask.member[:cells.n_x], mask.descriptor)
+    profile_mask = mask_from_member(cells, mask.member[:cells.n_x])
     profiles = []
     for (_, _, m, j) in nearest[:n_localization]:
         vec = banded_vectors(blocks[m], values[m], [j])[0][:, 0]
@@ -310,7 +306,7 @@ def gap_filling_check(strip: StripSpec, bulk_gap: SpectralInterval, n_samples: i
                                              profile_mask))
     return EdgeReport(samples, distances, delta, verdicts, tuple(profiles),
                       dict(FLOW_CONVENTIONS), sum(len(w) for w in values),
-                      _banded_solver(len(blocks), blocks[0]))
+                      _banded_solver(len(blocks), cells.cells_x, blocks[0]))
 
 
 def _banded_verdicts(blocks: list, values: list, samples: np.ndarray,
@@ -341,10 +337,10 @@ def _banded_verdicts(blocks: list, values: list, samples: np.ndarray,
     return dist, verdicts
 
 
-def _banded_solver(n_blocks: int, b) -> dict:
+def _banded_solver(n_blocks: int, period_cells: int, b) -> dict:
     """Solver record of a strip's momentum blocks; they share one sparsity pattern."""
-    return {"route": "banded", "blocks": n_blocks, "block_dim": b.op.dimension,
-            "bandwidth": b.bandwidth}
+    return {"route": "banded", "blocks": n_blocks, "period_cells": period_cells,
+            "block_dim": b.op.dimension, "bandwidth": b.bandwidth}
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +352,9 @@ class Crossing:
     """One signed crossing of the reference energy by a continued band."""
 
     kappa: float
-    energy: float
     sign: int
     edge: str
     mass_lower: float
-    overlap: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,8 +384,7 @@ class SpectralFlowReport:
 
 
 def strip_bands(strip: StripSpec, n_kappa: int, e_ref: float | None = None,
-                designated_edge: str = "lower",
-                window_halfwidth: float | None = None) -> SpectralFlowReport:
+                designated_edge: str = "lower") -> SpectralFlowReport:
     """Dispersion over kappa in [0, 2*pi) with edge-resolved crossing counts.
 
     kappa is the momentum of a translation by one x-period of the strip
@@ -400,7 +393,7 @@ def strip_bands(strip: StripSpec, n_kappa: int, e_ref: float | None = None,
     the window ends (CountNotCertified otherwise), and only the window
     bands get eigenvectors, by inverse iteration.  Window energies are the
     banded eigenvalues themselves.  Bands inside the window
-    |E - e_ref| <= window_halfwidth  are continued between
+    |E - e_ref| <= FLOW_WINDOW * 8*pi*max(k, 1) are continued between
     consecutive momenta by maximal eigenvector overlap (optimal assignment);
     a crossing pair with overlap below 0.5 raises BandConnectionAmbiguous.
     Crossings are assigned to the lower/upper edge by >= 60% mass on the
@@ -412,9 +405,9 @@ def strip_bands(strip: StripSpec, n_kappa: int, e_ref: float | None = None,
     k = lat.k
     if e_ref is None:
         e_ref = 4.0 * np.pi * max(k, 1)
-    if window_halfwidth is None:
-        window_halfwidth = 0.35 * 8.0 * np.pi * max(k, 1)
+    window_halfwidth = FLOW_WINDOW * 8.0 * np.pi * max(k, 1)
     mask = strip_mask(strip)
+    cells = _period_lattice(mask)
     kappas = 2.0 * np.pi * np.arange(n_kappa) / n_kappa
     lo, hi = e_ref - window_halfwidth, e_ref + window_halfwidth
     region_mid = 1.0 + strip.width_cells / 2.0
@@ -460,8 +453,7 @@ def strip_bands(strip: StripSpec, n_kappa: int, e_ref: float | None = None,
                     edge = "unassigned"
                 frac = (e_ref - e0) / (e1 - e0)
                 crossings.append(Crossing(float(kappas[m] + frac * 2 * np.pi / n_kappa),
-                                          float(e_ref), sign, edge, float(mass_lower),
-                                          float(overlap[i, j])))
+                                          sign, edge, float(mass_lower)))
     net_lower = sum(c.sign for c in crossings if c.edge == "lower")
     net_upper = sum(c.sign for c in crossings if c.edge == "upper")
     net = net_lower if designated_edge == "lower" else net_upper
@@ -469,4 +461,4 @@ def strip_bands(strip: StripSpec, n_kappa: int, e_ref: float | None = None,
                               designated_edge, int(net), int(net_upper),
                               dict(FLOW_CONVENTIONS), float(window_halfwidth),
                               tuple(win_bands), tuple(win_vals), tuple(win_mass),
-                              _banded_solver(n_kappa, b))
+                              _banded_solver(n_kappa, cells.cells_x, b))

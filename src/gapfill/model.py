@@ -390,13 +390,6 @@ class DiskShape:
         return _in_ball(ix, iy, q, self.center, self.radius, period_x)
 
 
-@dataclass(frozen=True)
-class ExplicitShape:
-    """Region given by an explicit site list; no analytic extension."""
-
-    n_sites: int
-
-
 @dataclass(frozen=True, eq=False)
 class RegionMask:
     """Site membership in a region Z plus distances to its complement.
@@ -411,7 +404,6 @@ class RegionMask:
     lattice: MagneticLattice
     member: np.ndarray
     boundary_distance: np.ndarray
-    descriptor: object
 
     @property
     def n_inside(self) -> int:
@@ -456,7 +448,7 @@ def window_member(lattice: MagneticLattice, shape) -> np.ndarray:
 
 def make_mask(lattice: MagneticLattice, shape) -> RegionMask:
     """Region mask from a shape descriptor, with boundary distances."""
-    return mask_from_member(lattice, window_member(lattice, shape), shape)
+    return mask_from_member(lattice, window_member(lattice, shape))
 
 
 def mask_from_sites(lattice: MagneticLattice, sites) -> RegionMask:
@@ -464,16 +456,16 @@ def mask_from_sites(lattice: MagneticLattice, sites) -> RegionMask:
     member = np.zeros((lattice.n_x, lattice.n_y), bool)
     for (ix, iy) in sites:
         member[ix, iy] = True
-    return mask_from_member(lattice, member, ExplicitShape(int(member.sum())))
+    return mask_from_member(lattice, member)
 
 
 def mask_all(lattice: MagneticLattice) -> RegionMask:
     """Trivial mask: every window site is in Z."""
     member = np.ones((lattice.n_x, lattice.n_y), bool)
-    return mask_from_member(lattice, member, "all")
+    return mask_from_member(lattice, member)
 
 
-def mask_from_member(lattice: MagneticLattice, member: np.ndarray, descriptor) -> RegionMask:
+def mask_from_member(lattice: MagneticLattice, member: np.ndarray) -> RegionMask:
     member = np.asarray(member, bool)
     if member.shape != (lattice.n_x, lattice.n_y):
         raise ValueError("member grid does not match the lattice window")
@@ -483,7 +475,7 @@ def mask_from_member(lattice: MagneticLattice, member: np.ndarray, descriptor) -
     member = member.copy()
     member.setflags(write=False)
     bd.setflags(write=False)
-    return RegionMask(lattice, member, bd, descriptor)
+    return RegionMask(lattice, member, bd)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +497,6 @@ class HermitianOperator:
     ids: np.ndarray
     h: float
     hop_range: int
-    provenance: dict
 
     @property
     def dimension(self) -> int:
@@ -541,8 +532,8 @@ def _window_links(lattice: MagneticLattice, gauge: GaugeField):
     return links
 
 
-def _assemble(lattice: MagneticLattice, gauge: GaugeField, member: np.ndarray | None,
-              provenance: dict) -> HermitianOperator:
+def _assemble(lattice: MagneticLattice, gauge: GaugeField,
+              member: np.ndarray | None) -> HermitianOperator:
     """Covariant 5-point stencil on the member sites (Dirichlet drop outside).
 
     (H psi)(v) = h^-2 sum_{e: v->u} (psi(v) - U(e) psi(u)) - 4 pi k psi(v)
@@ -583,22 +574,20 @@ def _assemble(lattice: MagneticLattice, gauge: GaugeField, member: np.ndarray | 
     matrix.sort_indices()
     ids.setflags(write=False)
     sites.setflags(write=False)
-    return HermitianOperator(matrix, sites, ids, lattice.h, 1, provenance)
+    return HermitianOperator(matrix, sites, ids, lattice.h, 1)
 
 
 def assemble_bulk(lattice: MagneticLattice, gauge: GaugeField) -> HermitianOperator:
     """Bulk operator on the magnetic-periodic torus."""
     if lattice.geometry != "torus":
         raise NonTorusGeometry(f"assemble_bulk needs torus geometry, got {lattice.geometry}")
-    prov = {"lattice": lattice, "gauge_kind": gauge.gauge_kind, "mask": None}
-    return _assemble(lattice, gauge, None, prov)
+    return _assemble(lattice, gauge, None)
 
 
 def assemble_restricted(lattice: MagneticLattice, gauge: GaugeField,
                         mask: RegionMask) -> HermitianOperator:
     """Dirichlet restriction to the mask: principal submatrix of the window stencil."""
-    prov = {"lattice": lattice, "gauge_kind": gauge.gauge_kind, "mask": mask.descriptor}
-    return _assemble(lattice, gauge, mask.member, prov)
+    return _assemble(lattice, gauge, mask.member)
 
 
 def gauge_transform(op: HermitianOperator, phases) -> HermitianOperator:
@@ -628,9 +617,7 @@ def gauge_transform(op: HermitianOperator, phases) -> HermitianOperator:
     matrix = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     matrix.sum_duplicates()
     matrix.sort_indices()
-    prov = dict(op.provenance)
-    prov["gauge_transformed"] = True
-    return HermitianOperator(matrix, op.sites, op.ids, op.h, op.hop_range, prov)
+    return HermitianOperator(matrix, op.sites, op.ids, op.h, op.hop_range)
 
 
 def export_triplets(op: HermitianOperator, path) -> None:

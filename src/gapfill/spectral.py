@@ -301,10 +301,7 @@ def materialize_filter(op: HermitianOperator, filt: ChebFilter) -> HermitianOper
     matrix = sp.csr_matrix(dense)
     matrix.eliminate_zeros()
     matrix.sort_indices()
-    prov = dict(op.provenance)
-    prov["filtered_by"] = (filt.target_description, filt.degree)
-    return HermitianOperator(matrix, op.sites, op.ids, op.h,
-                             filt.degree * op.hop_range, prov)
+    return HermitianOperator(matrix, op.sites, op.ids, op.h, filt.degree * op.hop_range)
 
 
 # ---------------------------------------------------------------------------

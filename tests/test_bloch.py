@@ -346,6 +346,20 @@ class TestChern:
                            SpectralInterval(-2.0, 35.0), BlochGrid(8, 8))
         assert calls == [(16, 16)]
 
+    def test_nonconstant_count_below(self, monkeypatch):
+        # every fiber after the first loses its lowest pair: the in-interval
+        # count and its columns stay right, the count below the interval drops
+        lat = MagneticLattice(1, 4, 2, 2, "torus")
+        lowest = bloch._lowest_pairs
+
+        def drop_lowest(fiber, last, upper):
+            w, v = lowest(fiber, last, upper)
+            return w[1:], v[:, 1:]
+        monkeypatch.setattr(bloch, "_lowest_pairs", drop_lowest)
+        interval = SpectralInterval(8.925119271497696, 26.774491783301663)
+        with pytest.raises(NonConstantRank, match=r"count below the interval varies .*\(1\.\.2\)"):
+            invariant_pair(lat, "landau", interval, BlochGrid(8, 8))
+
     @pytest.mark.parametrize("k, q", [(1, 8), (2, 16)])
     def test_one_full_solve(self, monkeypatch, k, q):
         # a passing pair diagonalizes only the first fiber in full; every
@@ -436,7 +450,7 @@ class TestChern:
         total = flux.sum() / (2 * np.pi)
         assert abs(total - round(total)) < 1e-6
         with pytest.raises(FluxNotAdmissible, match="margin"):
-            bloch._chern_result(flux, (0, 2), BlochGrid(8, 8), 64, 0.0)
+            bloch._chern_result(flux, (0, 2), 64, 0.0)
 
     def test_endpoint_near_fiber_eigenvalue(self):
         # an endpoint 1e-13 above a fiber eigenvalue is not exactly on it,

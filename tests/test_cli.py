@@ -15,7 +15,7 @@ from gapfill.cli import TASKS, load_config, main
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
-def write_config(path, model=None, task="bulk-spectrum", params=None, seed=0,
+def write_config(path, model=None, task="gaps", params=None, seed=0,
                  **extra):
     cfg = {
         "model": model or {"k": 1, "q": 4, "cells_x": 4, "cells_y": 4,
@@ -33,17 +33,17 @@ class TestConfigValidation:
     def test_empty_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("")
-        assert main(["bulk-spectrum", "--config", str(cfg)]) == 1
+        assert main(["gaps", "--config", str(cfg)]) == 1
 
     def test_unknown_field_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "model": {"k": 1, "q": 4, "cells_x": 2, "cells_y": 2,
                       "geometry": "torus", "gauge": "landau"},
-            "task": "bulk-spectrum",
+            "task": "gaps",
             "frobnicate": True,
         }))
-        assert main(["bulk-spectrum", "--config", str(cfg)]) == 1
+        assert main(["gaps", "--config", str(cfg)]) == 1
 
     def test_wrong_potential_length(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -51,16 +51,16 @@ class TestConfigValidation:
             "model": {"k": 1, "q": 4, "cells_x": 2, "cells_y": 2,
                       "geometry": "torus", "gauge": "landau",
                       "potential": [0.0, 1.0]},
-            "task": "bulk-spectrum",
+            "task": "gaps",
         }))
-        assert main(["bulk-spectrum", "--config", str(cfg)]) == 1
+        assert main(["gaps", "--config", str(cfg)]) == 1
 
     def test_task_mismatch(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", task="chern")
-        assert main(["bulk-spectrum", "--config", str(cfg)]) == 1
+        assert main(["gaps", "--config", str(cfg)]) == 1
 
     def test_missing_file(self, tmp_path):
-        assert main(["bulk-spectrum", "--config", str(tmp_path / "nope.json")]) == 1
+        assert main(["gaps", "--config", str(tmp_path / "nope.json")]) == 1
 
     @pytest.mark.parametrize("n_samples", [3, 5])
     def test_graph_mask_sample_count(self, tmp_path, capsys, n_samples):
@@ -87,6 +87,38 @@ class TestConfigValidation:
                      str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("ConfigInvalid: params/shape/f_samples")
+
+    @pytest.mark.parametrize("task, model, params, named", [
+        ("wideness", {"mask_descriptor": {"kind": "disk", "radius": 1.0}}, {"r": 1.0},
+         "model/mask_descriptor: 'center' is a required property"),
+        ("affiliation", {"mask_descriptor": {"kind": "half_plane", "level": 1.0}},
+         {"filter": {"type": "gaussian", "center": 0.0, "degree": 10}},
+         "params/filter: 'sigma' is a required property"),
+        ("affiliation", {"mask_descriptor": {"kind": "half_plane", "level": 1.0}},
+         {"filter": {"power_coefficients": [0.0, 1.0]}},
+         "params/filter: 'type' is a required property"),
+        ("affiliation", {"mask_descriptor": {"kind": "half_plane", "level": 1.0}},
+         {"filter": {"type": "lorentzian", "degree": 80}},
+         "params/filter/type: 'lorentzian' is not one of"),
+        ("bands", {"geometry": "torus"}, {"length_cells": 2},
+         "params: 'width_cells' is a required property"),
+        ("edge-fill", {"geometry": "torus"}, {"width_cells": 6},
+         "params: 'length_cells' is a required property"),
+        ("gaps", {"mask_descriptor": {"kind": "sites", "sites": [[9, 9]]}}, {},
+         "model/mask_descriptor/sites: site [9, 9] lies outside the 4 x 4 site window"),
+        ("gaps", {"mask_descriptor": {"kind": "sites", "sites": [[1, 1], [-1, 0]]}}, {},
+         "model/mask_descriptor/sites: site [-1, 0] lies outside"),
+    ], ids=["disk-center", "gaussian-sigma", "filter-type", "unknown-filter", "bands-width",
+            "edge-fill-length", "site-past-window", "negative-site"])
+    def test_missing_or_out_of_range_field_exit_1(self, tmp_path, capsys, task, model,
+                                                  params, named):
+        # q = 2 on 2 x 2 cells: the site window is 4 x 4
+        model = dict({"k": 1, "q": 2, "cells_x": 2, "cells_y": 2, "geometry": "masked",
+                      "gauge": "landau"}, **model)
+        cfg = write_config(tmp_path / "cfg.json", model=model, task=task, params=params)
+        assert main([task, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigInvalid: ") and named in err
 
 
 def test_import_leaves_optimize_and_ndimage_unloaded():
@@ -123,7 +155,7 @@ class TestBulkSpectrumTask:
                            model={"k": 1, "q": 8, "cells_x": 4, "cells_y": 4,
                                   "geometry": "torus", "gauge": "landau"})
         out = tmp_path / "out"
-        assert main(["bulk-spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["gaps", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "spectrum.csv").exists()
         assert (out / "spectrum.svg").exists()
         assert (out / "manifest.json").exists()
@@ -158,7 +190,7 @@ class TestBulkSpectrumTask:
     def test_manifest_records_conventions(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
         out = tmp_path / "out"
-        main(["bulk-spectrum", "--config", str(cfg), "--out", str(out)])
+        main(["gaps", "--config", str(cfg), "--out", str(out)])
         manifest = json.loads((out / "manifest.json").read_text())
         conv = manifest["conventions"]
         assert conv["orientation"] == "ds_wedge_dt_positive"
@@ -166,7 +198,7 @@ class TestBulkSpectrumTask:
         # the recorded thresholds are the ones the code compares against
         assert conv["fhs_integrality_tolerance"] == bloch.FHS_INTEGRALITY_TOL
         assert conv["gap_sample_inset_fraction"] == edge.GAP_SAMPLE_INSET
-        assert manifest["tasks"]["bulk-spectrum"] == {
+        assert manifest["tasks"]["gaps"] == {
             "config_sha256": hashlib.sha256(cfg.read_bytes()).hexdigest(), "seed": 0}
 
     def test_manifest_keeps_one_entry_per_task(self, tmp_path):
@@ -191,16 +223,29 @@ class TestBulkSpectrumTask:
     def test_determinism(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", seed=7)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        main(["bulk-spectrum", "--config", str(cfg), "--out", str(out1)])
-        main(["bulk-spectrum", "--config", str(cfg), "--out", str(out2)])
+        main(["gaps", "--config", str(cfg), "--out", str(out1)])
+        main(["gaps", "--config", str(cfg), "--out", str(out2)])
         for name in ("spectrum.csv", "gaps.json", "manifest.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_constant_potential_shifts_the_spectrum(self, tmp_path):
+        # W = 1.5 on every site of the cell adds 1.5 to every eigenvalue
+        spectra = []
+        for name, extra in (("free", {}), ("shifted", {"potential": [1.5] * 16})):
+            model = dict({"k": 1, "q": 4, "cells_x": 2, "cells_y": 2,
+                          "geometry": "torus", "gauge": "landau"}, **extra)
+            cfg = write_config(tmp_path / f"{name}.json", model=model, task="gaps")
+            out = tmp_path / name
+            assert main(["gaps", "--config", str(cfg), "--out", str(out)]) == 0
+            rows = (out / "spectrum.csv").read_text().splitlines()[1:]
+            spectra.append(np.array([float(row.split(",")[1]) for row in rows]))
+        assert np.abs(spectra[1] - spectra[0] - 1.5).max() < 1e-10
 
     def test_operator_triplet_export(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json",
                            params={"export_operator": True})
         out = tmp_path / "out"
-        assert main(["bulk-spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["gaps", "--config", str(cfg), "--out", str(out)]) == 0
         lines = (out / "operator.csv").read_text().splitlines()
         assert lines[0] == "row,col,re,im"
         assert len(lines) > 256  # diagonal plus hoppings
@@ -351,6 +396,9 @@ class TestWidenessTask:
 
 
 class TestAffiliationTask:
+    MODEL = {"k": 1, "q": 4, "cells_x": 5, "cells_y": 5, "geometry": "masked",
+             "gauge": "landau", "mask_descriptor": {"kind": "half_plane", "level": 3.0}}
+
     def test_polynomial_filter_artifacts(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json",
                            model={"k": 1, "q": 4, "cells_x": 5, "cells_y": 5,
@@ -366,6 +414,25 @@ class TestAffiliationTask:
         doc = json.loads((out / "affiliation.json").read_text())
         assert doc["exact_zero_radius"] == pytest.approx(2 * 0.25)
         assert doc["deviations"][-1] == 0.0
+
+    def test_gaussian_filter(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", model=self.MODEL, task="affiliation",
+                           params={"filter": {"type": "gaussian", "center": 10.0,
+                                              "sigma": 6.0, "degree": 80},
+                                   "radii": [0.5, 1.5]})
+        out = tmp_path / "out"
+        assert main(["affiliation", "--config", str(cfg), "--out", str(out)]) == 0
+        doc = json.loads((out / "affiliation.json").read_text())
+        assert doc["filter"] == {"description": "gaussian", "degree": 80}
+        assert doc["exact_zero_radius"] is None
+        assert 0.0 < doc["deviations"][-1] < doc["deviations"][0]
+
+    def test_torus_model_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", task="affiliation")
+        assert main(["affiliation", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "ConfigInvalid: affiliation task needs masked geometry")
 
     def test_artifacts_do_not_depend_on_seed(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json",
@@ -410,8 +477,7 @@ class TestReportChain:
         main(["edge-fill", "--config",
               str(write_config(tmp_path / "c3.json", model=model, task="edge-fill",
                                params={"width_cells": 8, "length_cells": 24,
-                                       "n_samples": 8, "delta": 1.0,
-                                       "bulk_cells": 4})),
+                                       "n_samples": 8, "delta": 1.0})),
               "--out", str(out)])
         main(["bands", "--config",
               str(write_config(tmp_path / "c4.json", model=model, task="bands",
@@ -453,6 +519,28 @@ class TestReportChain:
         assert doc["verdict"] == verdict
         assert ("flow_matches=False" in doc["message"]) == (verdict == "FAIL")
 
+    @pytest.mark.parametrize("final, verdict, status", [(1e-7, "PASS", 0),
+                                                         (1e-5, "FAIL", 2)])
+    def test_affiliation_deviation_is_checked(self, tmp_path, final, verdict, status):
+        # hand-written artifacts that pass every other check: the final
+        # affiliation deviation decides, against the 1e-6 threshold
+        out = tmp_path / "out"
+        out.mkdir()
+        docs = {"gaps.json": {"gaps": [{"lower": 9.0, "upper": 16.0, "margin": 1.0}]},
+                "chern.json": {"dim": 2, "chern": -1},
+                "edge_report.json": {"all_pass": True, "max_distance": 0.1},
+                "flow.json": {"net_flow": 1, "designated_edge": "lower"},
+                "affiliation.json": {"deviations": [0.3, 1e-3, final]}}
+        for name, doc in docs.items():
+            (out / name).write_text(json.dumps(doc))
+        cfg = write_config(tmp_path / "c.json", task="report")
+        assert main(["report", "--config", str(cfg), "--out", str(out)]) == status
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["verdict"] == verdict
+        assert doc["affiliation_final_deviation"] == final
+        assert ("affiliation_ok=False" in doc["message"]) == (verdict == "FAIL")
+        assert f"- affiliation final deviation: {final}" in (out / "report.md").read_text()
+
     def test_no_field_reports_no_obstruction(self, tmp_path):
         out = tmp_path / "out"
         model = {"k": 0, "q": 2, "cells_x": 4, "cells_y": 4,
@@ -468,8 +556,7 @@ class TestReportChain:
         main(["edge-fill", "--config",
               str(write_config(tmp_path / "c3.json", model=model, task="edge-fill",
                                params={"width_cells": 6, "length_cells": 6,
-                                       "n_samples": 4, "delta": 0.5,
-                                       "bulk_cells": 4})),
+                                       "n_samples": 4, "delta": 0.5})),
               "--out", str(out)])
         main(["bands", "--config",
               str(write_config(tmp_path / "c4.json", model=model, task="bands",
@@ -496,7 +583,6 @@ class TestReportChain:
                                                 "length_cells": 24,
                                                 "n_samples": 8,
                                                 "delta": 1.0,
-                                                "bulk_cells": 4,
                                                 "shape": {
                                                     "kind": "half_plane_with_balls",
                                                     "level": 0.0,
@@ -518,6 +604,21 @@ class TestReportChain:
         assert status == 1
         assert capsys.readouterr().err.startswith("UnsupportedShape: ")
 
+    @pytest.mark.parametrize("model", [
+        {"geometry": "strip"},
+        {"geometry": "torus", "mask_descriptor": {"kind": "half_plane", "level": 2.0}}])
+    def test_edge_fill_needs_the_unmasked_model_torus_exit_1(self, tmp_path, capsys,
+                                                            model):
+        # the bulk gap edge-fill certifies is a gap of the model torus itself
+        model = dict({"k": 1, "q": 4, "cells_x": 4, "cells_y": 4, "gauge": "landau"},
+                     **model)
+        cfg = write_config(tmp_path / "c.json", model=model, task="edge-fill",
+                           params={"width_cells": 8, "length_cells": 4})
+        assert main(["edge-fill", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "ConfigInvalid: edge-fill takes its bulk gap from the model torus")
+
     def test_zero_field_edge_fill_exit_1(self, tmp_path, capsys):
         # k=0, q=2 on 2x2 cells: the free Laplacian has gaps of width 8, so
         # the bulk gap is certified and the strip width check decides
@@ -525,8 +626,7 @@ class TestReportChain:
                  "geometry": "torus", "gauge": "landau"}
         cfg = write_config(tmp_path / "c.json", model=model, task="edge-fill",
                            params={"width_cells": 6, "length_cells": 6,
-                                   "n_samples": 4, "delta": 0.5,
-                                   "bulk_cells": 2})
+                                   "n_samples": 4, "delta": 0.5})
         status = main(["edge-fill", "--config", str(cfg), "--out",
                        str(tmp_path / "out")])
         assert status == 1
@@ -541,14 +641,13 @@ class TestReportChain:
                  "geometry": "torus", "gauge": "landau"}
         cfg = write_config(tmp_path / "c.json", model=model, task="edge-fill",
                            params={"width_cells": 95, "length_cells": 2,
-                                   "n_samples": 4, "delta": 0.5,
-                                   "bulk_cells": 4})
+                                   "n_samples": 4, "delta": 0.5})
         out = tmp_path / "out"
         assert main(["edge-fill", "--config", str(cfg), "--out", str(out)]) in (0, 2)
         doc = json.loads((out / "edge_report.json").read_text())
         assert doc["n_strip_eigenvalues"] == (95 * 8 + 1) * 8 * 2
-        assert doc["solver"] == {"route": "banded", "blocks": 2, "block_dim": 6088,
-                                 "bandwidth": 8}
+        assert doc["solver"] == {"route": "banded", "blocks": 2, "period_cells": 1,
+                                 "block_dim": 6088, "bandwidth": 8}
 
     def test_failing_edge_fill_exit_2(self, tmp_path):
         out = tmp_path / "out"
@@ -560,8 +659,7 @@ class TestReportChain:
                                         params={"width_cells": 8,
                                                 "length_cells": 4,
                                                 "n_samples": 8,
-                                                "delta": 0.05,
-                                                "bulk_cells": 4})),
+                                                "delta": 0.05})),
                        "--out", str(out)])
         assert status == 2
         doc = json.loads((out / "edge_report.json").read_text())

@@ -150,7 +150,7 @@ class TestBitwiseVerify:
                                              site)
         m.data[k] = complex(np.nextafter(m.data[k].real, np.inf), m.data[k].imag)
         perturbed = HermitianOperator(m, edge_op.sites, edge_op.ids, edge_op.h,
-                                      edge_op.hop_range, edge_op.provenance)
+                                      edge_op.hop_range)
         assert affiliation_check(bulk, edge_op, mask, filt, [1.0]).exact_zero_radius == cone
         assert affiliation_check(bulk, perturbed, mask, filt, [1.0]).exact_zero_radius is None
 
@@ -264,7 +264,7 @@ class TestWideness:
         lat = window[0]
         member = np.zeros((lat.n_x, lat.n_y), bool)
         member[:, :3] = True  # thin slab along the window edge
-        mask = mask_from_member(lat, member, "slab")
+        mask = mask_from_member(lat, member)
         cert = wideness_check(mask, 1.0, lat, y_diameter=4.0, seed=6)
         assert cert.verdict == "inconclusive"
         assert "window too small" in cert.witness
@@ -283,7 +283,7 @@ class TestWideness:
             lat = MagneticLattice(1, 4, 6, 6, "masked")
             member = np.zeros((lat.n_x, lat.n_y), bool)
             member[:, :9] = True
-            mask, r, y_diameter, seed = mask_from_member(lat, member, "slab"), 0.6, 1.5, 6
+            mask, r, y_diameter, seed = mask_from_member(lat, member), 0.6, 1.5, 6
         cert = wideness_check(mask, r, lat, y_diameter=y_diameter, seed=seed)
 
         rho = 0

@@ -8,7 +8,7 @@ from gapfill.coarse import wideness_check
 from gapfill.edge import (gap_filling_check, lift_block_vector,
                           localization_profile, make_strip, strip_bands,
                           strip_block, strip_mask, strip_operator)
-from gapfill.errors import (BandConnectionAmbiguous, CountNotCertified,
+from gapfill.errors import (BandConnectionAmbiguous, CountNotCertified, MarginTooSmall,
                             ResidualNotCertified, UnsupportedShape)
 from gapfill.model import (BallsShape, DiskShape, GraphShape, HalfPlaneShape,
                            MagneticLattice, build_gauge, make_mask,
@@ -122,7 +122,7 @@ class TestStripConstruction:
         block = strip_block(strip, kappa, mask)
         rep = eigensolve(block, keep_vectors=True)
         j = len(rep.eigenvalues) // 2
-        vec = lift_block_vector(strip, block, rep.eigenvectors[:, j], mask)
+        vec = lift_block_vector(strip, block, kappa, rep.eigenvectors[:, j], mask)
         op = strip_operator(strip)
         res = np.linalg.norm(op.matrix @ vec - rep.eigenvalues[j] * vec)
         assert res < 1e-8
@@ -135,6 +135,11 @@ class TestGapFilling:
         report = gap_filling_check(strip, gap, n_samples=8, delta=1.0)
         assert report.all_pass
         assert report.max_distance <= 1.0
+
+    def test_uncertified_gap_is_refused(self):
+        from gapfill.spectral import SpectralInterval
+        with pytest.raises(MarginTooSmall, match="certified"):
+            gap_filling_check(make_strip(1, 4, 8, 2), SpectralInterval(1.0, 20.0), 4, 1.0)
 
     def test_samples_below_spectrum_all_fail(self, small_gap):
         from gapfill.spectral import SpectralInterval
@@ -166,7 +171,7 @@ class TestGapFilling:
         _, gap = small_gap
         strip = make_strip(1, 4, 8, 6, shape=_shape("one_ball", 4, 6))
         report = gap_filling_check(strip, gap, n_samples=8, delta=1.0)
-        assert report.solver == {"route": "banded", "blocks": 1,
+        assert report.solver == {"route": "banded", "blocks": 1, "period_cells": 6,
                                  "block_dim": strip_mask(strip).n_inside,
                                  "bandwidth": strip.lattice.n_x}
         ev = eigensolve(strip_operator(strip)).eigenvalues
@@ -221,22 +226,28 @@ class TestLocalization:
         # and decay rate, and the block spectra make up the strip spectrum
         _, gap = small_gap
         strip = make_strip(1, 4, 8, 6, shape=_shape(kind, 4, 6))
-        calls = []
-        profile = edge.localization_profile
+        calls, kappa_of = [], {}
+        profile, block_at = edge.localization_profile, edge.strip_block
 
         def record(op, eigenpair, mask):
             calls.append((op, eigenpair))
             return profile(op, eigenpair, mask)
+
+        def record_block(strip, kappa, mask=None):
+            block = block_at(strip, kappa, mask)
+            kappa_of[id(block)] = kappa
+            return block
         monkeypatch.setattr(edge, "localization_profile", record)
+        monkeypatch.setattr(edge, "strip_block", record_block)
         report = gap_filling_check(strip, gap, 4, 1.0)
         mask = strip_mask(strip)
         strip_op = strip_operator(strip)
         assert len(report.localization) == len(calls) == 3
         for prof, (block, (energy, vec)) in zip(report.localization, calls):
-            period = block.provenance["lattice"].cells_x
+            period = (block.sites[:, 0].max() + 1) // strip.lattice.q
             assert period == _period(kind, 6)
             assert block.dimension == mask.n_inside * period // strip.length_cells
-            lifted = lift_block_vector(strip, block, vec, mask)
+            lifted = lift_block_vector(strip, block, kappa_of[id(block)], vec, mask)
             want = profile(strip_op, (energy, lifted), mask)
             assert want.residual < 1e-8
             assert prof.energy == want.energy
@@ -306,9 +317,15 @@ class TestSpectralFlow:
         assert f2.net_flow == -1
 
     def test_reference_below_spectrum(self):
-        flow = strip_bands(make_strip(1, 4, 8, 2), n_kappa=12, e_ref=-50.0,
-                           window_halfwidth=5.0)
+        flow = strip_bands(make_strip(1, 4, 8, 2), n_kappa=12, e_ref=-50.0)
         assert flow.net_flow == 0 and not flow.crossings
+
+    def test_default_reference_is_mid_gap(self):
+        # e_ref defaults to 4*pi*k, mid-way between the two lowest Landau
+        # levels, as the shipped k1-bands config relies on
+        flow = strip_bands(make_strip(1, 8, 6, 2), n_kappa=24)
+        assert flow.e_ref == 4.0 * np.pi
+        assert (flow.net_flow, flow.net_flow_upper) == (1, -1)
 
     def test_ambiguous_connection_raises(self):
         with pytest.raises(BandConnectionAmbiguous):
@@ -367,7 +384,7 @@ class TestBandedRoute:
         for kappa in (0.0, np.pi, 2.0 * np.pi * 0.2718):
             block = strip_block(strip, kappa, mask)
             b = banded(block)
-            assert block.provenance["lattice"].cells_x == _period(kind, 4)
+            assert (block.sites[:, 0].max() + 1) // q == _period(kind, 4)
             assert b.bandwidth <= q * _period(kind, 4)
             w = banded_eigenvalues(b)
             dense = eigensolve(block).eigenvalues
@@ -412,7 +429,8 @@ class TestBandedRoute:
             want = gap_filling_check(strip, gap, 8, delta)
         period = _period(kind, length)
         assert got.solver == {"route": "banded", "blocks": length // period,
-                              "block_dim": want.solver["block_dim"], "bandwidth": 4 * period}
+                              "period_cells": period, "block_dim": want.solver["block_dim"],
+                              "bandwidth": 4 * period}
         assert list(got.verdicts) == list(want.verdicts)
         assert np.abs(got.distances - want.distances).max() < 1e-10
         assert got.n_strip_eigenvalues == want.n_strip_eigenvalues \
@@ -445,6 +463,9 @@ class TestBandedRoute:
         flow = strip_bands(strip, n_kappa=24, e_ref=9.0)
         assert flow.solver["block_dim"] == strip_mask(strip).n_inside * _period(
             kind, length) // length
+        # kappa is the momentum per x-period, whose length the solver records
+        assert flow.solver["period_cells"] == _period(kind, length)
+        assert "x-period of solver.period_cells cells" in flow.conventions["kappa_wrap_phase"]
         assert (flow.net_flow, flow.net_flow_upper) == (1, -1)
 
 

@@ -13,8 +13,8 @@ import pytest
 from gapfill.coarse import wideness_check
 from gapfill.edge import make_strip, strip_mask
 from gapfill.errors import UnsupportedShape
-from gapfill.model import (BallsShape, DiskShape, ExplicitShape, GraphShape,
-                           HalfPlaneShape, MagneticLattice, make_mask)
+from gapfill.model import (BallsShape, DiskShape, GraphShape, HalfPlaneShape,
+                           MagneticLattice, make_mask)
 
 
 def oracle_window_member(lattice, shape):
@@ -146,7 +146,6 @@ def strip_shapes(length):
 def test_strip_matches_strip_rule(kind):
     strip = make_strip(1, 4, 16, 48, shape=strip_shapes(48)[kind])
     mask = strip_mask(strip)
-    assert mask.descriptor == ("strip", strip.shape)
     assert np.array_equal(mask.member, oracle_strip_member(strip))
 
 
@@ -175,7 +174,8 @@ def test_torus_ball_covers_the_seam(shape):
     assert not make_mask(MagneticLattice(1, 4, 2, 2, "masked"), shape).member[7, 4]
 
 
-@pytest.mark.parametrize("descriptor", ["explicit", ExplicitShape(3), ("strip", None)])
+@pytest.mark.parametrize("descriptor", ["explicit", [(0, 0), (1, 1), (2, 2)],
+                                        ("strip", None)])
 def test_unsupported_descriptor_is_named(descriptor):
     with pytest.raises(UnsupportedShape, match="no membership rule"):
         make_mask(MagneticLattice(1, 4, 2, 2, "masked"), descriptor)
@@ -184,4 +184,4 @@ def test_unsupported_descriptor_is_named(descriptor):
 def test_explicit_wideness_without_mask_is_named():
     lat = MagneticLattice(1, 4, 2, 2, "masked")
     with pytest.raises(UnsupportedShape, match="needs its mask"):
-        wideness_check(ExplicitShape(3), 1.0, lat)
+        wideness_check([(0, 0), (1, 1), (2, 2)], 1.0, lat)

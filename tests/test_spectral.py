@@ -22,7 +22,7 @@ def toy_diagonal(values):
     matrix = sp.csr_matrix(sp.diags(np.asarray(values, complex)))
     sites = np.column_stack([np.zeros(n, int), np.arange(n)])
     ids = np.arange(n, dtype=np.int64).reshape(1, n)
-    return HermitianOperator(matrix, sites, ids, 1.0, 0, {})
+    return HermitianOperator(matrix, sites, ids, 1.0, 0)
 
 
 def bulk(k=1, q=6, cells=3):
