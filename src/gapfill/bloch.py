@@ -321,14 +321,14 @@ def plaquette_berry_flux(frames: np.ndarray) -> np.ndarray:
     modulus below 1e-8.  Exposed for cross-checking external families
     (e.g. hopping-model oracles) under the same declared orientation.
     """
-    s_link = _link_phases(frames, np.roll(frames, -1, axis=0))
-    t_link = _link_phases(frames, np.roll(frames, -1, axis=1))
+    s_link = _link_variables(frames, np.roll(frames, -1, axis=0))
+    t_link = _link_variables(frames, np.roll(frames, -1, axis=1))
     loop = (t_link * np.roll(s_link, -1, axis=1)
             * np.roll(t_link, -1, axis=0).conj() * s_link.conj())
     return np.angle(loop)
 
 
-def _link_phases(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+def _link_variables(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
     """Unit link variables det(fa^H fb) / |det(fa^H fb)| per grid point."""
     d = np.linalg.det(fa.conj().swapaxes(-1, -2) @ fb)
     mod = np.abs(d)
@@ -361,14 +361,6 @@ def _chern_result(flux: np.ndarray, group: tuple, solved: int,
                        max_defect)
 
 
-def invariant_pair(lattice: MagneticLattice, gauge_kind: str,
-                   interval: SpectralInterval,
-                   grid: BlochGrid = BlochGrid(16, 16)) -> tuple[int, int]:
-    """(dim, c1) of the spectral projection onto a fiber-uniform interval."""
-    res = invariant_pair_result(lattice, gauge_kind, interval, grid)
-    return res.dim, res.chern
-
-
 def _lowest_pairs(fiber: np.ndarray, last: int, upper: float):
     """Pairs 0..last of a fiber (subset_by_index), or all of them where needed.
 
@@ -392,7 +384,7 @@ def _max_residual(fiber: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
 def invariant_pair_result(lattice: MagneticLattice, gauge_kind: str,
                           interval: SpectralInterval,
                           grid: BlochGrid = BlochGrid(16, 16)) -> ChernResult:
-    """Full ChernResult for the fiber-uniform interval (see invariant_pair).
+    """(dim, c1) of the spectral projection onto a fiber-uniform interval.
 
     dim is the in-interval fiber eigenvalue count, which must be constant
     over the grid along with the count below the interval (NonConstantRank

@@ -256,8 +256,7 @@ def _spectrum_outputs(out: str, report, solver: dict):
     write_csv(os.path.join(out, "spectrum.csv"),
               ["index", "eigenvalue", "residual", "cluster_id"], rows)
     write_json(os.path.join(out, "gaps.json"),
-               {"gaps": [{"lower": g.lower, "upper": g.upper, "margin": g.margin}
-                         for g in report.gaps],
+               {"gaps": [{"lower": g.lower, "upper": g.upper} for g in report.gaps],
                 "min_width": spectral._default_gap_width(ev),
                 "n_eigenvalues": int(len(report.eigenvalues)),
                 "solver": solver})
@@ -322,9 +321,6 @@ def _task_chern(cfg, out):
 
 def _bulk_gap_for(cfg: dict, lattice: MagneticLattice):
     """The widest gap of the model torus, certified; None when no gap is wide enough."""
-    if not _unmasked_torus(cfg, lattice):
-        raise ConfigInvalid("edge-fill takes its bulk gap from the model torus: the model "
-                            "needs torus geometry and no mask_descriptor")
     report = bloch.torus_spectrum(lattice, build_gauge(lattice, cfg["model"]["gauge"]))
     gaps = [g for g in report.gaps if g.width >= 0.2 * 8 * np.pi * max(lattice.k, 1)]
     if not gaps:
@@ -334,8 +330,16 @@ def _bulk_gap_for(cfg: dict, lattice: MagneticLattice):
     return spectral.certify_interval(report, g.lower + inset, g.upper - inset)
 
 
-def _strip_from_params(lattice: MagneticLattice, p: dict):
-    """The strip of the params with the model's k, q and W; balls sit one per cell along it."""
+def _strip_from_params(cfg: dict, lattice: MagneticLattice):
+    """The strip of the params with the model torus's k, q and W; balls sit one per cell.
+
+    Both strip tasks restrict the model torus, so a model that is not an
+    unmasked torus is refused (ConfigInvalid).
+    """
+    if not _unmasked_torus(cfg, lattice):
+        raise ConfigInvalid(f"{cfg['task']} restricts the model torus to a strip: the model "
+                            "needs torus geometry and no mask_descriptor")
+    p = cfg.get("params", {})
     shape = None
     if "shape" in p:
         shape = _shape_from_descriptor(p["shape"], p["length_cells"])
@@ -346,12 +350,12 @@ def _strip_from_params(lattice: MagneticLattice, p: dict):
 def _task_edge_fill(cfg, out):
     p = cfg.get("params", {})
     lattice = _lattice(cfg)
+    strip = _strip_from_params(cfg, lattice)
     gap = _bulk_gap_for(cfg, lattice)
     if gap is None:
         write_json(os.path.join(out, "edge_report.json"),
                    {"verdict": "no_bulk_gap", "all_pass": False})
         return 2
-    strip = _strip_from_params(lattice, p)
     report = edge.gap_filling_check(strip, gap, p.get("n_samples", 16),
                                     p.get("delta", 0.5))
     write_json(os.path.join(out, "edge_report.json"), {
@@ -373,7 +377,7 @@ def _task_edge_fill(cfg, out):
 
 def _task_bands(cfg, out):
     p = cfg.get("params", {})
-    strip = _strip_from_params(_lattice(cfg), p)
+    strip = _strip_from_params(cfg, _lattice(cfg))
     flow = edge.strip_bands(strip, p.get("n_kappa", 48), p.get("e_ref"),
                             p.get("designated_edge", "lower"))
     rows = []

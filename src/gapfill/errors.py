@@ -75,7 +75,7 @@ class StripTooNarrow(GapfillError):
 
 
 class MaskMismatch(GapfillError):
-    """Bulk and restricted operators do not share a common window/mask."""
+    """Operators do not share a window/mask, or a mask or site list does not fit its window."""
 
 
 class ConfigInvalid(GapfillError):

@@ -25,16 +25,11 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (EmptyRegion, MissingPhase, NonTorusGeometry, UnknownGaugeKind,
-                     UnsupportedShape)
+from .errors import (EmptyRegion, MaskMismatch, MissingPhase, NonTorusGeometry,
+                     UnknownGaugeKind, UnsupportedShape)
 
 GEOMETRIES = ("torus", "strip", "masked")
 GAUGE_KINDS = ("symmetric", "landau")
-
-
-def _phase(exponent: Fraction) -> complex:
-    """exp(2*pi*i*exponent), reducing the exponent mod 1 first."""
-    return complex(np.exp(2j * np.pi * float(exponent % 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -100,18 +95,9 @@ class MagneticLattice:
         return self.q * self.cells_y
 
     @property
-    def n_sites(self) -> int:
-        return self.n_x * self.n_y
-
-    @property
     def flux_per_plaquette(self) -> Fraction:
         """Flux quanta per lattice plaquette, Phi = 2k*h^2, exact."""
         return Fraction(2 * self.k, self.q * self.q)
-
-    @property
-    def w_norm(self) -> float:
-        """Sup norm of the potential samples."""
-        return float(np.abs(self.potential).max())
 
     @property
     def magnetic_length(self) -> float:
@@ -151,21 +137,6 @@ class GaugeField:
     phase_x: np.ndarray
     phase_y: np.ndarray
 
-    def link_phase(self, site: tuple[int, int], direction: tuple[int, int]) -> complex:
-        """Phase on the directed edge site -> site + direction."""
-        ix, iy = site
-        dx, dy = direction
-        lat = self.lattice
-        if (dx, dy) == (1, 0):
-            return complex(self.phase_x[ix % lat.n_x, iy % lat.n_y])
-        if (dx, dy) == (-1, 0):
-            return complex(np.conj(self.phase_x[(ix - 1) % lat.n_x, iy % lat.n_y]))
-        if (dx, dy) == (0, 1):
-            return complex(self.phase_y[ix % lat.n_x, iy % lat.n_y])
-        if (dx, dy) == (0, -1):
-            return complex(np.conj(self.phase_y[ix % lat.n_x, (iy - 1) % lat.n_y]))
-        raise ValueError(f"not a nearest-neighbour direction: {direction}")
-
 
 def _formula_numerators(lattice: MagneticLattice, gauge_kind: str):
     """Link-phase exponents of the named gauge on the open window, times q^2.
@@ -202,7 +173,7 @@ def build_gauge(lattice: MagneticLattice, gauge_kind: str = "landau") -> GaugeFi
 
     Exponents are integers mod q^2 (numerators over q^2), the seams are
     integer sums along the rows and columns, and each phase is read from a
-    table of the q^2 values _phase(m / q^2).
+    table of the q^2 values exp(2*pi*i*m/q^2).
     """
     ax, ay = _formula_numerators(lattice, gauge_kind)
     nx, ny = lattice.n_x, lattice.n_y
@@ -214,7 +185,7 @@ def build_gauge(lattice: MagneticLattice, gauge_kind: str = "landau") -> GaugeFi
     if lattice.periodic_y:
         target = -2 * k * (np.arange(nx, dtype=np.int64) % q) * ny
         ay[:, ny - 1] = (target - ay[:, :ny - 1].sum(axis=1)) % q2
-    table = np.array([_phase(Fraction(m, q2)) for m in range(q2)])
+    table = np.exp(2j * np.pi * (np.arange(q2) / q2))
     phase_x = table[ax]
     phase_y = table[ay]
     if not lattice.periodic_x:
@@ -409,10 +380,6 @@ class RegionMask:
     def n_inside(self) -> int:
         return int(self.member.sum())
 
-    def site_indices(self) -> np.ndarray:
-        """Indices (in window order ix*n_y + iy) of the member sites."""
-        return np.flatnonzero(self.member.ravel())
-
 
 def _distance_to_complement(lattice: MagneticLattice, member: np.ndarray) -> np.ndarray:
     """Taxicab distance transform of `member` to its complement, in hops.
@@ -452,9 +419,12 @@ def make_mask(lattice: MagneticLattice, shape) -> RegionMask:
 
 
 def mask_from_sites(lattice: MagneticLattice, sites) -> RegionMask:
-    """Mask from an explicit list of (ix, iy) site pairs."""
+    """Mask from an explicit list of (ix, iy) site pairs (MaskMismatch outside the window)."""
     member = np.zeros((lattice.n_x, lattice.n_y), bool)
     for (ix, iy) in sites:
+        if not (0 <= ix < lattice.n_x and 0 <= iy < lattice.n_y):
+            raise MaskMismatch(f"site ({ix}, {iy}) lies outside the "
+                               f"{lattice.n_x} x {lattice.n_y} site window")
         member[ix, iy] = True
     return mask_from_member(lattice, member)
 

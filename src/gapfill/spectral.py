@@ -105,24 +105,17 @@ def _cluster(eigenvalues: np.ndarray, tol: float) -> tuple:
     return tuple((int(a), int(b)) for a, b in zip(starts, stops))
 
 
-def detect_gaps(report: SpectrumReport, min_width: float) -> list[SpectralInterval]:
+def detect_gaps(eigenvalues: np.ndarray, min_width: float) -> list[SpectralInterval]:
     """Maximal open intervals of width >= min_width between consecutive eigenvalues.
 
-    The reported margin is a quarter of the gap width: insetting each end by
-    the margin leaves an interval whose endpoints are at least margin away
-    from every eigenvalue, which is exactly the room a downstream smoothed
-    projector may use.
+    Equal neighbours never bound a gap.  Each end is an eigenvalue, so the
+    margin is 0 (no certificate); :func:`certify_interval` certifies an
+    interval inset from those ends.
     """
-    return _gaps_between(report.eigenvalues, min_width)
-
-
-def _gaps_between(ev: np.ndarray, min_width: float) -> list[SpectralInterval]:
-    """Spacings of at least min_width; equal neighbours never bound a gap."""
     gaps = []
-    for a, b in zip(ev[:-1], ev[1:]):
-        w = b - a
-        if w >= min_width and w > 0:
-            gaps.append(SpectralInterval(float(a), float(b), w / 4.0))
+    for a, b in zip(eigenvalues[:-1], eigenvalues[1:]):
+        if b - a >= min_width and b > a:
+            gaps.append(SpectralInterval(float(a), float(b)))
     return gaps
 
 
@@ -223,14 +216,7 @@ def polynomial_filter(power_coefficients, enclosure: tuple) -> ChebFilter:
     """Exact polynomial given in the power basis; uniform error is 0 by definition."""
     a, b = enclosure
     pc = np.asarray(power_coefficients, float)
-    # rescale x = c + e*t onto the enclosure before converting to the T-basis
-    c0, e = 0.5 * (b + a), 0.5 * (b - a)
-    shifted = np.zeros(1)
-    basis = np.ones(1)
-    for coef in pc:
-        shifted = np.polynomial.polynomial.polyadd(shifted, coef * basis)
-        basis = np.polynomial.polynomial.polymul(basis, [c0, e])
-    cheb = npcheb.poly2cheb(shifted)
+    cheb = np.polynomial.Polynomial(pc).convert(domain=[a, b], kind=npcheb.Chebyshev).coef
     deg = len(pc) - 1
 
     def f(x):
@@ -345,7 +331,7 @@ def spectrum_report(w: np.ndarray, residuals: np.ndarray, vectors=None, *,
     norm_bound = float(np.abs(w).max()) if len(w) else 0.0
     ctol = cluster_tol if cluster_tol is not None else _default_cluster_tol(w)
     return SpectrumReport(w, residuals, _cluster(w, ctol),
-                          tuple(_gaps_between(w, _default_gap_width(w))),
+                          tuple(detect_gaps(w, _default_gap_width(w))),
                           norm_bound, vectors, solved_blocks)
 
 

@@ -37,7 +37,7 @@ def band_groups():
     def get(lat, energies):
         m = energies.shape[2]
         uniform = (energies[:, :, 1:] - energies[:, :, :-1]).min(axis=(0, 1))
-        threshold = 1e-3 * (16.0 * lat.q ** 2 + 2.0 * lat.w_norm)
+        threshold = 1e-3 * (16.0 * lat.q ** 2 + 2.0 * np.abs(lat.potential).max())
         bounds = [0] + [b + 1 for b in range(m - 1) if uniform[b] >= threshold] + [m]
         ends = ([float(energies.min()) - 1.0]
                 + [0.5 * (energies[:, :, b - 1].max() + energies[:, :, b].min())

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from gapfill.bloch import BlochGrid, invariant_pair, torus_spectrum
+from gapfill.bloch import BlochGrid, invariant_pair_result, torus_spectrum
 from gapfill.coarse import (affiliation_check, ideal_multiplicativity,
                             wideness_check)
 from gapfill.edge import (BallsShape, gap_filling_check, make_strip,
@@ -19,10 +19,9 @@ from gapfill.model import (DiskShape, HalfPlaneShape, MagneticLattice,
                            assemble_bulk, assemble_restricted, build_gauge,
                            gauge_transform, make_mask, mask_all,
                            plaquette_products)
-from gapfill.spectral import (SpectralInterval, certify_interval,
-                              detect_gaps, eigensolve, materialize_filter,
-                              polynomial_filter, smoothed_indicator_filter,
-                              spectral_projection)
+from gapfill.spectral import (SpectralInterval, certify_interval, eigensolve,
+                              materialize_filter, polynomial_filter,
+                              smoothed_indicator_filter, spectral_projection)
 
 EIGHT_PI = 8.0 * np.pi
 
@@ -86,8 +85,9 @@ class TestAcceptance:
         for k, q in ((1, 8), (2, 16)):
             lat = MagneticLattice(k, q, 2, 2, "torus")
             ival = SpectralInterval(-1.0, EIGHT_PI * k * 0.5)
-            pairs = [invariant_pair(lat, "landau", ival, BlochGrid(n, n))
-                     for n in (12, 16, 24)]
+            results = [invariant_pair_result(lat, "landau", ival, BlochGrid(n, n))
+                       for n in (12, 16, 24)]
+            pairs = [(res.dim, res.chern) for res in results]
             ok &= all(p == (2 * k, -1) for p in pairs)
             details.append(f"k={k}: {pairs}")
         assert announce(3, "invariant pair (dim, c1)", ok,
@@ -279,7 +279,7 @@ class TestAcceptance:
         # of them and not only those from band 0, through the interval
         # between its bounding mid-gaps; the grid is fine enough for the
         # admissibility bound (on 8x8 some q=3 bands reach plaquette flux 2.7)
-        from gapfill.bloch import band_energies, invariant_pair_result
+        from gapfill.bloch import band_energies
         for _ in range(40):
             k = int(rng.integers(1, 3))
             q = int(rng.integers(2, 4))

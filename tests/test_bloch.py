@@ -4,8 +4,8 @@ import scipy.linalg
 
 from gapfill import bloch
 from gapfill.bloch import (BlochGrid, band_energies, fiber_hamiltonian,
-                           invariant_pair, invariant_pair_result,
-                           plaquette_berry_flux, torus_spectrum)
+                           invariant_pair_result, plaquette_berry_flux,
+                           torus_spectrum)
 from gapfill.errors import (FluxNotAdmissible, LiftNotCertified, NonConstantRank,
                             ResidualNotCertified, SingularOverlap, UnknownGaugeKind)
 from gapfill.model import (GaugeField, MagneticLattice, assemble_bulk, build_gauge,
@@ -294,7 +294,8 @@ class TestBandStructure:
             group, interval = band_groups(lat, band_energies(lat, "landau",
                                                              BlochGrid(6, 6)))[0]
             assert group == (0, 2 * k)
-            assert invariant_pair(lat, "landau", interval, BlochGrid(6, 6)) == (2 * k, -1)
+            res = invariant_pair_result(lat, "landau", interval, BlochGrid(6, 6))
+            assert (res.dim, res.chern) == (2 * k, -1)
 
     def test_gershgorin_envelope(self):
         lat = MagneticLattice(1, 4, 2, 2, "torus")
@@ -309,19 +310,19 @@ class TestChern:
     def test_invariant_pair_k1_k2(self):
         # the class of the lowest Landau projection is (2k, -1)
         lat1 = MagneticLattice(1, 8, 2, 2, "torus")
-        pair1 = invariant_pair(lat1, "landau",
-                               SpectralInterval(-1.0, 4 * np.pi), BlochGrid(12, 12))
-        assert pair1 == (2, -1)
+        res1 = invariant_pair_result(lat1, "landau",
+                                     SpectralInterval(-1.0, 4 * np.pi), BlochGrid(12, 12))
+        assert (res1.dim, res1.chern) == (2, -1)
         lat2 = MagneticLattice(2, 16, 2, 2, "torus")
-        pair2 = invariant_pair(lat2, "landau",
-                               SpectralInterval(-1.0, 8 * np.pi), BlochGrid(12, 12))
-        assert pair2 == (4, -1)
+        res2 = invariant_pair_result(lat2, "landau",
+                                     SpectralInterval(-1.0, 8 * np.pi), BlochGrid(12, 12))
+        assert (res2.dim, res2.chern) == (4, -1)
 
     def test_interval_below_all_bands(self):
         lat = MagneticLattice(1, 8, 2, 2, "torus")
-        pair = invariant_pair(lat, "landau",
-                              SpectralInterval(-30.0, -20.0), BlochGrid(6, 6))
-        assert pair == (0, 0)
+        res = invariant_pair_result(lat, "landau",
+                                    SpectralInterval(-30.0, -20.0), BlochGrid(6, 6))
+        assert (res.dim, res.chern) == (0, 0)
 
     def test_nonconstant_rank(self, monkeypatch):
         # an interval ending inside a dispersive band has grid-dependent
@@ -331,8 +332,8 @@ class TestChern:
         lat = MagneticLattice(1, 4, 2, 2, "torus")
         calls = count_full_solves(monkeypatch)
         with pytest.raises(NonConstantRank, match="in-interval count varies"):
-            invariant_pair(lat, "landau",
-                           SpectralInterval(-2.0, 19.2), BlochGrid(8, 8))
+            invariant_pair_result(lat, "landau",
+                                  SpectralInterval(-2.0, 19.2), BlochGrid(8, 8))
         assert len(calls) > 1
 
     def test_nonconstant_rank_from_lowest_pairs(self, monkeypatch):
@@ -342,8 +343,8 @@ class TestChern:
         lat = MagneticLattice(1, 4, 2, 2, "torus")
         calls = count_full_solves(monkeypatch)
         with pytest.raises(NonConstantRank, match="in-interval count varies"):
-            invariant_pair(lat, "landau",
-                           SpectralInterval(-2.0, 35.0), BlochGrid(8, 8))
+            invariant_pair_result(lat, "landau",
+                                  SpectralInterval(-2.0, 35.0), BlochGrid(8, 8))
         assert calls == [(16, 16)]
 
     def test_nonconstant_count_below(self, monkeypatch):
@@ -358,7 +359,7 @@ class TestChern:
         monkeypatch.setattr(bloch, "_lowest_pairs", drop_lowest)
         interval = SpectralInterval(8.925119271497696, 26.774491783301663)
         with pytest.raises(NonConstantRank, match=r"count below the interval varies .*\(1\.\.2\)"):
-            invariant_pair(lat, "landau", interval, BlochGrid(8, 8))
+            invariant_pair_result(lat, "landau", interval, BlochGrid(8, 8))
 
     @pytest.mark.parametrize("k, q", [(1, 8), (2, 16)])
     def test_one_full_solve(self, monkeypatch, k, q):
@@ -385,8 +386,8 @@ class TestChern:
             return w, v + 1e-6 * np.roll(v, 1, axis=0)
         monkeypatch.setattr(module, name, perturbed)
         with pytest.raises(ResidualNotCertified, match="in-interval columns"):
-            invariant_pair(lat, "landau", SpectralInterval(-1.0, 4 * np.pi),
-                           BlochGrid(6, 6))
+            invariant_pair_result(lat, "landau", SpectralInterval(-1.0, 4 * np.pi),
+                                  BlochGrid(6, 6))
 
     def test_full_family_is_trivial(self):
         # all bands together form a trivial bundle: chern 0
@@ -458,8 +459,8 @@ class TestChern:
         lat = MagneticLattice(1, 8, 2, 2, "torus")
         w = np.linalg.eigvalsh(fiber_hamiltonian(lat, "landau", (0.0, 0.0)))
         with pytest.raises(NonConstantRank, match="endpoint"):
-            invariant_pair(lat, "landau", SpectralInterval(-1.0, w[2] + 1e-13),
-                           BlochGrid(6, 6))
+            invariant_pair_result(lat, "landau", SpectralInterval(-1.0, w[2] + 1e-13),
+                                  BlochGrid(6, 6))
 
     def test_batched_links_match_plaquette_loop(self, rng):
         # random unitary frame families (no continuity, fluxes anywhere in
@@ -490,8 +491,8 @@ class TestFiberOrbits:
         monkeypatch.setattr(bloch, "_momentum_shift",
                             lambda k, q, dx, dy: (2 * k * dy, 2 * k * dx))
         with pytest.raises(LiftNotCertified, match="orbit transport"):
-            invariant_pair(lat, "landau", SpectralInterval(-1.0, 4 * np.pi),
-                           BlochGrid(8, 8))
+            invariant_pair_result(lat, "landau", SpectralInterval(-1.0, 4 * np.pi),
+                                  BlochGrid(8, 8))
         with pytest.raises(LiftNotCertified, match="orbit transport"):
             torus_spectrum(MagneticLattice(1, 8, 4, 4, "torus"),
                            build_gauge(MagneticLattice(1, 8, 4, 4, "torus")))
@@ -505,7 +506,8 @@ class TestFiberOrbits:
         tol = bloch.FIBER_RESIDUAL_FACTOR * np.abs(fiber).sum(axis=1).max()
         top = band_energies(lat, "landau", BlochGrid(8, 8))[:, :, 1].max()
         interval = SpectralInterval(-1.0, top + 1.5 * tol)
-        assert invariant_pair(lat, "landau", interval, BlochGrid(8, 8)) == (2, -1)
+        res = invariant_pair_result(lat, "landau", interval, BlochGrid(8, 8))
+        assert (res.dim, res.chern) == (2, -1)
         transport = bloch._transport
 
         def inflated(*args):
@@ -513,7 +515,7 @@ class TestFiberOrbits:
             return perm, chi, 0.9 * tol
         monkeypatch.setattr(bloch, "_transport", inflated)
         with pytest.raises(NonConstantRank, match="transport defect"):
-            invariant_pair(lat, "landau", interval, BlochGrid(8, 8))
+            invariant_pair_result(lat, "landau", interval, BlochGrid(8, 8))
 
     def test_stabilizer_of_the_potential(self, rng):
         # W = 0: k=1, q=8 on 8x8 moves s and t in steps of 2 grid points,

@@ -617,7 +617,20 @@ class TestReportChain:
         assert main(["edge-fill", "--config", str(cfg), "--out",
                      str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith(
-            "ConfigInvalid: edge-fill takes its bulk gap from the model torus")
+            "ConfigInvalid: edge-fill restricts the model torus to a strip")
+
+    @pytest.mark.parametrize("task", ["bands", "edge-fill"])
+    def test_strip_tasks_refuse_a_masked_model_exit_1(self, tmp_path, capsys, task):
+        # both strip tasks take k, q and W from the model torus, so a masked
+        # symmetric-gauge window is refused, bands included
+        model = {"k": 1, "q": 8, "cells_x": 6, "cells_y": 6, "geometry": "masked",
+                 "gauge": "symmetric",
+                 "mask_descriptor": {"kind": "half_plane", "level": 3.0}}
+        cfg = write_config(tmp_path / "c.json", model=model, task=task,
+                           params={"width_cells": 12, "length_cells": 2, "n_kappa": 24})
+        assert main([task, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"ConfigInvalid: {task} restricts the model torus to a strip")
 
     def test_zero_field_edge_fill_exit_1(self, tmp_path, capsys):
         # k=0, q=2 on 2x2 cells: the free Laplacian has gaps of width 8, so

@@ -108,7 +108,7 @@ class TestAffiliation:
         rng = np.random.default_rng(5)
         phases = np.exp(2j * np.pi * rng.random(bulk.dimension))
         bulk_t = gauge_transform(bulk, phases)
-        keep = mask.site_indices()
+        keep = np.flatnonzero(mask.member.ravel())
         edge_t = gauge_transform(edge_op, phases[keep])
         rep1 = affiliation_check(bulk_t, edge_t, mask, filt, radii,
                                  verify_bitwise=False)

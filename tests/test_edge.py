@@ -141,6 +141,15 @@ class TestGapFilling:
         with pytest.raises(MarginTooSmall, match="certified"):
             gap_filling_check(make_strip(1, 4, 8, 2), SpectralInterval(1.0, 20.0), 4, 1.0)
 
+    def test_detected_gap_is_refused(self, small_gap):
+        # a detected gap ends on eigenvalues, so it carries no certified
+        # margin and cannot stand in for the certified bulk gap
+        rep, _ = small_gap
+        raw = max(rep.gaps, key=lambda g: g.width)
+        assert certify_interval(rep, raw.lower, raw.upper).margin == 0.0
+        with pytest.raises(MarginTooSmall, match="certified"):
+            gap_filling_check(make_strip(1, 4, 8, 2), raw, 4, 1.0)
+
     def test_samples_below_spectrum_all_fail(self, small_gap):
         from gapfill.spectral import SpectralInterval
         _, _ = small_gap
@@ -334,11 +343,12 @@ class TestSpectralFlow:
     def test_flow_magnitude_matches_chern(self, flow):
         # net_flow = -c1 of the bands below the gap, under the declared
         # orientation and flow conventions
-        from gapfill.bloch import BlochGrid, invariant_pair
+        from gapfill.bloch import BlochGrid, invariant_pair_result
         from gapfill.spectral import SpectralInterval
         lat = MagneticLattice(1, 4, 2, 2, "torus")
-        pair = invariant_pair(lat, "landau", SpectralInterval(-2.0, 9.0), BlochGrid(12, 12))
-        assert flow.net_flow == -pair[1] == 1
+        res = invariant_pair_result(lat, "landau", SpectralInterval(-2.0, 9.0),
+                                    BlochGrid(12, 12))
+        assert flow.net_flow == -res.chern == 1
 
 
 # ---------------------------------------------------------------------------
