@@ -230,9 +230,7 @@ def _fiber_family(lattice: MagneticLattice, gauge_kind: str, n_s: int, n_t: int)
         yield (a, b), rep, fiber, tol, members
 
 
-def torus_spectrum(lattice: MagneticLattice, gauge: GaugeField, *,
-                   cluster_tol: float | None = None,
-                   keep_vectors: bool = False) -> SpectrumReport:
+def torus_spectrum(lattice: MagneticLattice, gauge: GaugeField) -> SpectrumReport:
     """Complete certified torus spectrum from its cells_x * cells_y Bloch fibers.
 
     The fibers at (a/cells_x, b/cells_y) are solved densely, one per
@@ -250,13 +248,12 @@ def torus_spectrum(lattice: MagneticLattice, gauge: GaugeField, *,
     characters and are orthogonal, so the certified pairs are the whole
     spectrum.  The lift and its residual run in column chunks of LIFT_CHUNK,
     so one n x LIFT_CHUNK block is held at a time (each residual column is
-    computed exactly as on the whole n x q^2 block); the n x n eigenvector
-    matrix is built only for keep_vectors.
+    computed exactly as on the whole n x q^2 block).
     """
     op = assemble_bulk(lattice, gauge)
     q, cx, cy = lattice.q, lattice.cells_x, lattice.cells_y
     cell_rows = (op.sites[:, 0] % q) * q + op.sites[:, 1] % q
-    values, residuals, blocks = [], [], []
+    values, residuals = [], []
 
     def lift(fiber_gauge, w, v):
         chi = cell_lift_phases(gauge, fiber_gauge)
@@ -265,8 +262,6 @@ def torus_spectrum(lattice: MagneticLattice, gauge: GaugeField, *,
             cols = slice(c, c + LIFT_CHUNK)
             psi = scale * v[cell_rows, cols]
             residuals.append(np.linalg.norm(op.matrix @ psi - psi * w[cols], axis=0))
-            if keep_vectors:
-                blocks.append(psi)
         values.append(w)
 
     solved = 0
@@ -279,9 +274,7 @@ def torus_spectrum(lattice: MagneticLattice, gauge: GaugeField, *,
     w = np.concatenate(values)
     res = np.concatenate(residuals)
     order = np.argsort(w, kind="stable")
-    report = spectrum_report(w[order], res[order],
-                             np.hstack(blocks)[:, order] if keep_vectors else None,
-                             cluster_tol=cluster_tol, solved_blocks=solved)
+    report = spectrum_report(w[order], res[order], solved_blocks=solved)
     tol = residual_tolerance(report.norm_bound)
     if res.max() > tol:
         raise LiftNotCertified(

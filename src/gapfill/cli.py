@@ -1,10 +1,12 @@
 """Experiment orchestration: `gapfill <task> --config cfg.json [--out DIR]`.
 
 Tasks: gaps, chern, edge-fill, bands, affiliation, wideness, report.
-edge-fill certifies the widest gap of the model torus (the spectrum that
-gaps reports) and asks the strip of its params to fill it.  Exit code 0 on
-pass verdicts, 2 on scientific fail verdicts, 1 on configuration or tooling
-errors, among them a field the task reads that the config lacks.  Every run
+gaps solves an unmasked torus on its Bloch fibers and every other window
+on the banded route, with no cap on its dimension.  edge-fill certifies
+the widest gap of the model torus (the spectrum that gaps reports) and
+asks the strip of its params to fill it.  Exit code 0 on pass verdicts, 2
+on scientific fail verdicts, 1 on configuration or tooling errors, among
+them a field the task reads that the config lacks.  Every run
 records its config hash and seed in manifest.json under its task name,
 beside the entries of the other tasks run into the same directory, with
 every convention that affects a sign or threshold.
@@ -242,7 +244,6 @@ def _write_manifest(out: str, cfg: dict, cfg_path: str) -> None:
         "tool": "gapfill",
         "version": __version__,
         "tasks": tasks,
-        "dense_cap": spectral.DENSE_CAP,
         "conventions": CONVENTIONS,
     })
 
@@ -251,8 +252,9 @@ def _spectrum_outputs(out: str, report, solver: dict):
     ev = report.eigenvalues
     starts = [a for a, _ in report.clusters]
     ids = np.searchsorted(starts, np.arange(len(ev)), side="right") - 1
-    rows = [(i, float(e), float(res), int(c))
-            for i, (e, res, c) in enumerate(zip(ev, report.residuals, ids))]
+    # the banded route computes no vectors, so it has no residuals to write
+    res = [""] * len(ev) if report.residuals is None else report.residuals.tolist()
+    rows = [(i, float(e), r, int(c)) for i, (e, r, c) in enumerate(zip(ev, res, ids))]
     write_csv(os.path.join(out, "spectrum.csv"),
               ["index", "eigenvalue", "residual", "cluster_id"], rows)
     write_json(os.path.join(out, "gaps.json"),
@@ -267,7 +269,7 @@ def _spectrum_outputs(out: str, report, solver: dict):
 
 
 def _task_gaps(cfg, out):
-    """Spectrum and gaps; an unmasked torus is solved on its Bloch fibers."""
+    """Spectrum and gaps: an unmasked torus on its Bloch fibers, any other window banded."""
     lattice = _lattice(cfg)
     export = cfg.get("params", {}).get("export_operator", False)
     gauge = build_gauge(lattice, cfg["model"]["gauge"])
@@ -278,9 +280,10 @@ def _task_gaps(cfg, out):
         op = assemble_bulk(lattice, gauge) if export else None
     else:
         op = assemble_restricted(lattice, gauge, _mask(cfg, lattice))
-        report = spectral.eigensolve(op)
-        solver = {"route": "dense", "blocks": 1, "block_dim": op.dimension,
-                  "solved_blocks": report.solved_blocks}
+        b = spectral.banded(op)
+        report = spectral.banded_spectrum(b)
+        solver = {"route": "banded", "blocks": 1, "block_dim": op.dimension,
+                  "bandwidth": b.bandwidth}
     if export:
         from .model import export_triplets
         export_triplets(op, os.path.join(out, "operator.csv"))

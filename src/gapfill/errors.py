@@ -26,10 +26,6 @@ class MissingPhase(GapfillError):
     """A gauge transformation lacks a phase for some site."""
 
 
-class DenseCapExceeded(GapfillError):
-    """Dense eigensolve requested above the fixed dimension cap."""
-
-
 class ResidualNotCertified(GapfillError):
     """An eigenpair fails the residual certificate."""
 

@@ -1,18 +1,20 @@
 """Eigensolvers, spectral intervals and Chebyshev functional calculus.
 
-Two eigensolver routes, chosen by the kind of operator.  A strip momentum
-block is one x-period of P cells wide, so in y-major row order it is banded
-(bandwidth at most P*q) and block tridiagonal over its y-rows:
-:func:`banded` stores it as a LAPACK band, :func:`banded_eigenvalues` gives
-its whole spectrum without vectors, :func:`banded_vectors` computes the
+One banded route solves every operator that is not an unmasked torus
+(unmasked tori are solved on their Bloch fibers, :mod:`gapfill.bloch`).
+Ordered line by line, in y-rows or x-columns, whichever gives the
+narrower band, an operator is banded and block tridiagonal over its lines:
+a strip momentum block one x-period of P cells wide has y-rows of P*q
+sites, a wide masked window x-columns, and a torus mask that keeps a seam
+link is folded so that lines s and n_s-1-s share a block.  :func:`banded`
+stores the operator as a LAPACK band, :func:`banded_eigenvalues` gives its
+whole spectrum without vectors, :func:`banded_vectors` computes the
 eigenvectors a caller names by inverse iteration, each certified by its
 residual, and :func:`inertia` counts the eigenvalues below a shift by a
 block LDL^H factorization (Sylvester's law of inertia), which
-:func:`certify_counts` checks against the banded eigenvalues.  Masked
-windows take :func:`eigensolve`: one dense LAPACK diagonalization up to
-the fixed dimension cap DENSE_CAP, with a per-pair residual certificate,
-so its report holds the complete spectrum and gap detection and interval
-certification run over all of it.
+:func:`certify_counts` checks against the banded eigenvalues.
+:func:`banded_spectrum` reports the complete spectrum of a window with
+every detected gap certified by those counts.
 
 Filters are Chebyshev expansions on a stated spectral enclosure [a, b];
 applying one to a vector through the three-term recurrence grows the support
@@ -29,11 +31,10 @@ import scipy.linalg
 import scipy.sparse as sp
 from numpy.polynomial import chebyshev as npcheb
 
-from .errors import (CountNotCertified, DenseCapExceeded, EnclosureViolation,
-                     MarginTooSmall, ResidualNotCertified)
+from .errors import (CountNotCertified, EnclosureViolation, MarginTooSmall,
+                     ResidualNotCertified)
 from .model import HermitianOperator
 
-DENSE_CAP = 6000
 DEGREE_CAP_DEFAULT = 4096
 RESIDUAL_FACTOR = 1e-9
 INVERSE_STEPS = 2      # solves per inverse-iteration vector
@@ -79,19 +80,20 @@ class SpectralInterval:
 
 @dataclass(frozen=True, eq=False)
 class SpectrumReport:
-    """Complete sorted spectrum with residual certificates and gap decomposition.
+    """Complete sorted spectrum with its certificates and gap decomposition.
 
-    eigenvectors is None unless the caller asked to keep them.  solved_blocks
-    counts the diagonalized blocks: 1 for a dense solve, one per
-    magnetic-translation orbit of Bloch fibers for a torus.
+    residuals holds the per-pair residuals of a route that computes vectors
+    (Bloch fibers) and is None on the banded route, whose certificate is the
+    inertia count at each gap.  solved_blocks counts the diagonalized
+    blocks: 1 for a banded solve, one per magnetic-translation orbit of
+    Bloch fibers for a torus.
     """
 
     eigenvalues: np.ndarray
-    residuals: np.ndarray
+    residuals: np.ndarray | None
     clusters: tuple
     gaps: tuple
     norm_bound: float
-    eigenvectors: np.ndarray | None = None
     solved_blocks: int = 1
 
 
@@ -291,28 +293,7 @@ def materialize_filter(op: HermitianOperator, filt: ChebFilter) -> HermitianOper
 
 
 # ---------------------------------------------------------------------------
-# eigensolve
-
-
-def eigensolve(op: HermitianOperator, *, cluster_tol: float | None = None,
-               keep_vectors: bool = False) -> SpectrumReport:
-    """Complete certified spectrum of a Hermitian operator.
-
-    Diagonalizes densely (DenseCapExceeded above DENSE_CAP rows, before any
-    dense array is built) and certifies every pair to
-    ||Hv - lambda v|| <= 1e-9 max(||H||, 1) (ResidualNotCertified otherwise).
-    """
-    n = op.dimension
-    if n > DENSE_CAP:
-        raise DenseCapExceeded(f"dimension {n} exceeds dense cap {DENSE_CAP}")
-    w, v = scipy.linalg.eigh(op.matrix.toarray(), driver="evr",
-                             overwrite_a=True, check_finite=False)
-    res = np.linalg.norm(op.matrix @ v - v * w, axis=0)
-    report = spectrum_report(w, res, v if keep_vectors else None, cluster_tol=cluster_tol)
-    tol = residual_tolerance(report.norm_bound)
-    if res.max() > tol:
-        raise ResidualNotCertified(f"dense residual {res.max():.3e} above {tol:.3e}")
-    return report
+# spectrum reports
 
 
 def residual_tolerance(norm_bound: float) -> float:
@@ -320,19 +301,18 @@ def residual_tolerance(norm_bound: float) -> float:
     return RESIDUAL_FACTOR * max(norm_bound, 1.0)
 
 
-def spectrum_report(w: np.ndarray, residuals: np.ndarray, vectors=None, *,
-                    cluster_tol: float | None = None,
+def spectrum_report(w: np.ndarray, residuals: np.ndarray | None, *,
                     solved_blocks: int = 1) -> SpectrumReport:
-    """Clusters and gaps of a complete sorted certified spectrum, with their defaults.
+    """Clusters and gaps of a complete sorted spectrum, at their default widths.
 
     The norm bound is max |lambda|, which is ||H|| for a complete spectrum.
-    Both solver routes (dense and Bloch fibers) build their report here.
+    Both solver routes (banded and Bloch fibers) build their report here.
     """
     norm_bound = float(np.abs(w).max()) if len(w) else 0.0
-    ctol = cluster_tol if cluster_tol is not None else _default_cluster_tol(w)
-    return SpectrumReport(w, residuals, _cluster(w, ctol),
+    spacing = max(1e-8 * float(w[-1] - w[0]), 1e-12) if len(w) > 1 else 1e-8
+    return SpectrumReport(w, residuals, _cluster(w, spacing),
                           tuple(detect_gaps(w, _default_gap_width(w))),
-                          norm_bound, vectors, solved_blocks)
+                          norm_bound, solved_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +321,12 @@ def spectrum_report(w: np.ndarray, residuals: np.ndarray, vectors=None, *,
 
 @dataclass(frozen=True, eq=False)
 class BandedOperator:
-    """A Hermitian operator with its rows in y-major order, as a LAPACK lower band.
+    """A Hermitian operator in the line order of :func:`banded`, as a LAPACK lower band.
 
     Band row i is operator row order[i]; band[d, j] = H[j + d, j] in that
     order for 0 <= d <= bandwidth.  rows holds the band-row range of each
-    y-row, the diagonal blocks of the block-tridiagonal LDL^H inertia count.
+    line (of each folded pair of lines), the diagonal blocks of the
+    block-tridiagonal LDL^H inertia count.
     """
 
     op: HermitianOperator
@@ -358,28 +339,39 @@ class BandedOperator:
         return self.band.shape[0] - 1
 
 
-def banded(op: HermitianOperator) -> BandedOperator:
-    """The operator in y-major row order (sites sorted by (iy, ix)), stored as a band.
+def _line_order(op: HermitianOperator, rows: np.ndarray, cols: np.ndarray, axis: int):
+    """Sites sorted line by line, a line being one s = sites[:, axis], and the
+    band positions of the entries (rows, cols).  When an entry joins sites
+    whose s differ by more than 1 (a kept seam link), lines s and n_s-1-s fold
+    into one."""
+    s = op.sites[:, axis]
+    seam = np.abs(s[rows] - s[cols]).max() > 1
+    line = np.minimum(s, op.ids.shape[axis] - 1 - s) if seam else s
+    order = np.lexsort((op.sites[:, 1 - axis], s, line))
+    pos = np.argsort(order)
+    return line, order, pos[rows], pos[cols]
 
-    A strip momentum block is one x-period of P*q columns wide, so its x
-    links stay within a y-row and its y links join consecutive y-rows: the
-    bandwidth is at most P*q and the matrix is block tridiagonal over y-rows.
+
+def banded(op: HermitianOperator) -> BandedOperator:
+    """The operator ordered line by line, y-rows or x-columns, stored as a band.
+
+    Links join sites on one line or on consecutive (folded) lines, so the
+    matrix is block tridiagonal over lines.  The order with the narrower
+    band is used, y-rows on a tie: a strip momentum block, one x-period of
+    P*q columns, has bandwidth at most P*q, and a window much wider than
+    tall is banded across its short side.
     """
-    n = op.dimension
-    order = np.lexsort((op.sites[:, 0], op.sites[:, 1]))
-    pos = np.empty(n, np.int64)
-    pos[order] = np.arange(n)
     coo = op.matrix.tocoo()
-    r, c = pos[coo.row], pos[coo.col]
+    line, order, r, c = min((_line_order(op, coo.row, coo.col, axis) for axis in (1, 0)),
+                            key=lambda o: np.abs(o[2] - o[3]).max())
     low = r >= c
-    band = np.zeros((int((r - c)[low].max()) + 1, n), complex)
+    band = np.zeros((int((r - c)[low].max()) + 1, op.dimension), complex)
     band[(r - c)[low], c[low]] = coo.data[low]
-    iy = op.sites[order, 1]
-    group = np.concatenate([[0], np.cumsum(np.diff(iy) != 0)])
+    group = np.concatenate([[0], np.cumsum(np.diff(line[order]) != 0)])
     if np.abs(group[r] - group[c]).max() > 1:
-        raise ValueError("operator is not block tridiagonal over its y-rows")
+        raise ValueError("operator is not block tridiagonal over its lines")
     starts = np.flatnonzero(np.diff(group, prepend=-1))
-    stops = np.append(starts[1:], n)
+    stops = np.append(starts[1:], op.dimension)
     return BandedOperator(op, order, band, tuple(zip(starts.tolist(), stops.tolist())))
 
 
@@ -435,7 +427,7 @@ def banded_vectors(b: BandedOperator, eigenvalues: np.ndarray,
 
 
 def _row_blocks(b: BandedOperator) -> tuple[list, list]:
-    """Diagonal blocks H[row r, row r] and couplings H[row r, row r-1] of the y-rows."""
+    """Diagonal blocks H[line r, line r] and couplings H[line r, line r-1] of the lines."""
     start = np.array([a for a, _ in b.rows])
     size = np.array([z - a for a, z in b.rows])
     idx = np.minimum(start[:, None] + np.arange(size.max()), b.op.dimension - 1)
@@ -455,9 +447,9 @@ def _row_blocks(b: BandedOperator) -> tuple[list, list]:
 
 
 def inertia(b: BandedOperator, sigmas) -> np.ndarray:
-    """nu(sigma) = #{eigenvalues < sigma} for each shift, by a block LDL^H over y-rows.
+    """nu(sigma) = #{eigenvalues < sigma} for each shift, by a block LDL^H over lines.
 
-    H - sigma is block tridiagonal over the y-rows; eliminating them in
+    H - sigma is block tridiagonal over the lines; eliminating them in
     order is a congruence H - sigma = L D L^H with D block diagonal, so by
     Sylvester's law of inertia nu(sigma) is the number of negative
     eigenvalues of the pivot blocks.  Each pivot is diagonalized; its
@@ -522,9 +514,23 @@ def certify_counts(b: BandedOperator, eigenvalues: np.ndarray, sigmas) -> np.nda
     return nu
 
 
-def _default_cluster_tol(w: np.ndarray) -> float:
-    spread = float(w[-1] - w[0]) if len(w) > 1 else 1.0
-    return max(1e-8 * spread, 1e-12)
+def banded_spectrum(b: BandedOperator) -> SpectrumReport:
+    """Complete spectrum of a banded operator, every detected gap certified by counts.
+
+    The eigenvalues come from one values-only banded solve, so the report
+    carries no residuals.  Each gap (lower, upper) is certified by
+    :func:`certify_counts` at lower + 2 tol and upper - 2 tol, tol =
+    residual_tolerance(||H||): both counts must equal the number of
+    eigenvalues up to lower, so they agree and no eigenvalue was lost inside
+    the gap (CountNotCertified otherwise).
+    """
+    w = banded_eigenvalues(b)
+    report = spectrum_report(w, None)
+    tol = residual_tolerance(report.norm_bound)
+    shifts = [s for g in report.gaps for s in (g.lower + 2 * tol, g.upper - 2 * tol)]
+    if shifts:
+        certify_counts(b, w, shifts)
+    return report
 
 
 def _default_gap_width(w: np.ndarray) -> float:

@@ -3,7 +3,7 @@ import pytest
 
 from gapfill.bloch import torus_spectrum
 from gapfill.model import MagneticLattice, build_gauge
-from gapfill.spectral import SpectralInterval
+from gapfill.spectral import SpectralInterval, spectrum_report
 
 
 @pytest.fixture(scope="session")
@@ -11,13 +11,27 @@ def torus_reports():
     """Cache of torus spectra (Bloch fiber route) keyed by (k, q, cells)."""
     cache = {}
 
-    def get(k, q, cells=4, cluster_tol=None, keep_vectors=False):
-        key = (k, q, cells, cluster_tol, keep_vectors)
+    def get(k, q, cells=4):
+        key = (k, q, cells)
         if key not in cache:
             lat = MagneticLattice(k, q, cells, cells, "torus")
-            cache[key] = torus_spectrum(lat, build_gauge(lat), cluster_tol=cluster_tol,
-                                        keep_vectors=keep_vectors)
+            cache[key] = torus_spectrum(lat, build_gauge(lat))
         return cache[key]
+
+    return get
+
+
+@pytest.fixture(scope="session")
+def dense_spectrum():
+    """Dense reference spectrum of an operator, the oracle of the solver routes.
+
+    numpy's eigh of the assembled matrix, reported by spectrum_report with
+    its per-pair residuals.
+    """
+
+    def get(op):
+        w, v = np.linalg.eigh(op.matrix.toarray())
+        return spectrum_report(w, np.linalg.norm(op.matrix @ v - v * w, axis=0))
 
     return get
 

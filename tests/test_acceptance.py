@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from gapfill import spectral
 from gapfill.bloch import BlochGrid, invariant_pair_result, torus_spectrum
 from gapfill.coarse import (affiliation_check, ideal_multiplicativity,
                             wideness_check)
@@ -19,9 +20,9 @@ from gapfill.model import (DiskShape, HalfPlaneShape, MagneticLattice,
                            assemble_bulk, assemble_restricted, build_gauge,
                            gauge_transform, make_mask, mask_all,
                            plaquette_products)
-from gapfill.spectral import (SpectralInterval, certify_interval, eigensolve,
-                              materialize_filter, polynomial_filter,
-                              smoothed_indicator_filter, spectral_projection)
+from gapfill.spectral import (SpectralInterval, certify_interval, materialize_filter,
+                              polynomial_filter, smoothed_indicator_filter,
+                              spectral_projection)
 
 EIGHT_PI = 8.0 * np.pi
 
@@ -39,8 +40,7 @@ def landau_runs():
     for k in (1, 2):
         for q in (4, 8, 16):
             lat = MagneticLattice(k, q, 4, 4, "torus")
-            cache[(k, q)] = torus_spectrum(lat, build_gauge(lat),
-                                           cluster_tol=0.1 * EIGHT_PI * k)
+            cache[(k, q)] = torus_spectrum(lat, build_gauge(lat))
     return cache
 
 
@@ -70,7 +70,7 @@ class TestAcceptance:
         for k in (1, 2):
             for q in (4, 8, 16):
                 rep = landau_runs[(k, q)]
-                a, b = rep.clusters[0]
+                a, b = spectral._cluster(rep.eigenvalues, 0.1 * EIGHT_PI * k)[0]
                 width = rep.eigenvalues[b - 1] - rep.eigenvalues[a]
                 good = (b - a == 2 * k * 16) and width < 0.1 * EIGHT_PI * k
                 ok &= good
@@ -207,7 +207,7 @@ class TestAcceptance:
                         f"{half.spot_checks_passed}/{half.spot_checks_total}; "
                         f"disk {disk.verdict} ({time.perf_counter()-t0:.0f}s)")
 
-    def test_10_oracle_equivalence(self):
+    def test_10_oracle_equivalence(self, dense_spectrum):
         t0 = time.perf_counter()
         # flux-1/2 hopping model on a 24x24 torus vs the 2x2-fiber closed form
         lat = MagneticLattice(1, 2, 12, 12, "torus")
@@ -226,7 +226,7 @@ class TestAcceptance:
         # fiber-bulk multiset consistency
         from gapfill.bloch import fiber_hamiltonian
         lat2 = MagneticLattice(1, 4, 6, 6, "torus")
-        bulk = eigensolve(assemble_bulk(lat2, build_gauge(lat2))).eigenvalues
+        bulk = dense_spectrum(assemble_bulk(lat2, build_gauge(lat2))).eigenvalues
         fib = np.sort(np.concatenate(
             [np.linalg.eigvalsh(fiber_hamiltonian(lat2, "landau", (a / 6, b / 6)))
              for a in range(6) for b in range(6)]))

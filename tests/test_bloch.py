@@ -10,7 +10,31 @@ from gapfill.errors import (FluxNotAdmissible, LiftNotCertified, NonConstantRank
                             ResidualNotCertified, SingularOverlap, UnknownGaugeKind)
 from gapfill.model import (GaugeField, MagneticLattice, assemble_bulk, build_gauge,
                            cell_lift_phases, twist_seams)
-from gapfill.spectral import RESIDUAL_FACTOR, SpectralInterval, eigensolve
+from gapfill.spectral import RESIDUAL_FACTOR, SpectralInterval
+
+
+def lifted_pairs(lat, g, op):
+    """The torus pairs lifted from every fiber, in the order of torus_spectrum.
+
+    Returns (values, residuals, vectors); each residual is computed on the
+    whole n x q^2 lifted block of its fiber.
+    """
+    q, cells = lat.q, lat.cells_x * lat.cells_y
+    rows = (op.sites[:, 0] % q) * q + op.sites[:, 1] % q
+    values, residuals, blocks = [], [], []
+    for _, rep, fiber, _, members in bloch._fiber_family(lat, g.gauge_kind,
+                                                         lat.cells_x, lat.cells_y):
+        w, v = np.linalg.eigh(fiber)
+        for fiber_gauge, vecs in [(rep, v)] + [(member, chi[:, None] * v[perm])
+                                               for _, member, perm, chi, _ in members]:
+            chi = cell_lift_phases(g, fiber_gauge)
+            psi = (chi.ravel() / np.sqrt(cells))[:, None] * vecs[rows]
+            values.append(w)
+            residuals.append(np.linalg.norm(op.matrix @ psi - psi * w, axis=0))
+            blocks.append(psi)
+    order = np.argsort(np.concatenate(values), kind="stable")
+    return (np.concatenate(values)[order], np.concatenate(residuals)[order],
+            np.hstack(blocks)[:, order])
 
 
 def hofstadter_frames(p, q, ngrid, n_bands):
@@ -190,13 +214,13 @@ class TestFibers:
             assert np.abs(ev - [-e, -e, e, e]).max() < 1e-12
 
     @pytest.mark.parametrize("kind", ["landau", "symmetric"])
-    def test_fiber_bulk_consistency(self, kind):
+    def test_fiber_bulk_consistency(self, dense_spectrum, kind):
         # the second torus has Phi = 1/4 and a cell potential that is not
         # symmetric under ix <-> iy
         w = 0.7 * (np.arange(16).reshape(4, 4) % 5 - 2.0)
         for k, potential in ((1, None), (2, w)):
             lat = MagneticLattice(k, 4, 3, 3, "torus", potential)
-            bulk = eigensolve(assemble_bulk(lat, build_gauge(lat, kind))).eigenvalues
+            bulk = dense_spectrum(assemble_bulk(lat, build_gauge(lat, kind))).eigenvalues
             fib = np.sort(np.concatenate(
                 [np.linalg.eigvalsh(fiber_hamiltonian(lat, kind, (a / 3, b / 3)))
                  for a in range(3) for b in range(3)]))
@@ -216,7 +240,7 @@ class TestFibers:
 class TestTorusSpectrum:
     @pytest.mark.parametrize("kind", ["landau", "symmetric", "transformed"])
     @pytest.mark.parametrize("k", [0, 1, 2])
-    def test_parity_with_dense_eigensolve(self, rng, kind, k):
+    def test_parity_with_dense_eigensolve(self, rng, dense_spectrum, kind, k):
         # a cell potential that is not symmetric under ix <-> iy; "transformed"
         # is the Landau gauge under random site phases z, U'(x -> y) =
         # conj(z(x)) U(x -> y) z(y): other link phases, the same plaquette
@@ -233,8 +257,8 @@ class TestTorusSpectrum:
             else:
                 g = build_gauge(lat, kind)
             op = assemble_bulk(lat, g)
-            dense = eigensolve(op)
-            fib = torus_spectrum(lat, g, keep_vectors=True)
+            dense = dense_spectrum(op)
+            fib = torus_spectrum(lat, g)
             scale = max(dense.norm_bound, 1.0)
             if kind == "transformed":
                 assert np.array_equal(fib.eigenvalues,
@@ -242,7 +266,8 @@ class TestTorusSpectrum:
             assert len(fib.eigenvalues) == op.dimension
             assert np.abs(fib.eigenvalues - dense.eigenvalues).max() <= 1e-10 * scale
             assert fib.residuals.max() <= RESIDUAL_FACTOR * max(fib.norm_bound, 1.0)
-            v = fib.eigenvectors
+            values, _, v = lifted_pairs(lat, g, op)
+            assert np.array_equal(values, fib.eigenvalues)
             direct = np.linalg.norm(op.matrix @ v - v * fib.eigenvalues, axis=0)
             assert np.abs(direct - fib.residuals).max() < 1e-12
             assert np.abs(v.conj().T @ v - np.eye(op.dimension)).max() < 1e-12
@@ -259,22 +284,10 @@ class TestTorusSpectrum:
         # pairs (solved or orbit-transported)
         lat = MagneticLattice(1, q, 3, 2, "torus")
         g = build_gauge(lat)
-        fib = torus_spectrum(lat, g, keep_vectors=True)
-        op = assemble_bulk(lat, g)
-        rows = (op.sites[:, 0] % q) * q + op.sites[:, 1] % q
-        values, residuals, blocks = [], [], []
-        for _, rep, fiber, _, members in bloch._fiber_family(lat, g.gauge_kind, 3, 2):
-            w, v = np.linalg.eigh(fiber)
-            for fiber_gauge, vecs in [(rep, v)] + [(member, chi[:, None] * v[perm])
-                                                   for _, member, perm, chi, _ in members]:
-                chi = cell_lift_phases(g, fiber_gauge)
-                psi = (chi.ravel() / np.sqrt(6))[:, None] * vecs[rows]
-                values.append(w)
-                residuals.append(np.linalg.norm(op.matrix @ psi - psi * w, axis=0))
-                blocks.append(psi)
-        order = np.argsort(np.concatenate(values), kind="stable")
-        assert np.array_equal(fib.residuals, np.concatenate(residuals)[order])
-        assert np.array_equal(fib.eigenvectors, np.hstack(blocks)[:, order])
+        fib = torus_spectrum(lat, g)
+        values, residuals, _ = lifted_pairs(lat, g, assemble_bulk(lat, g))
+        assert np.array_equal(fib.eigenvalues, values)
+        assert np.array_equal(fib.residuals, residuals)
 
     def test_twisted_torus_seam_fails_certificate(self):
         # the fibers keep the untwisted cocycle, so every Wilson loop along x
@@ -618,13 +631,13 @@ class TestFiberOrbits:
         assert (res.dim, res.chern) == (dim, c1)
         assert abs(res.max_flux - max_flux) <= 1e-12
 
-    def test_torus_with_orbits_matches_dense(self):
+    def test_torus_with_orbits_matches_dense(self, dense_spectrum):
         # W = 0, k=1, q=4 on 4x4 cells: 16 fibers, 4 solved, every lifted
         # pair certified on the torus
         lat = MagneticLattice(1, 4, 4, 4, "torus")
         g = build_gauge(lat)
         fib = torus_spectrum(lat, g)
-        dense = eigensolve(assemble_bulk(lat, g))
+        dense = dense_spectrum(assemble_bulk(lat, g))
         assert fib.solved_blocks == 4
         assert np.abs(fib.eigenvalues - dense.eigenvalues).max() \
             <= 1e-10 * max(dense.norm_bound, 1.0)

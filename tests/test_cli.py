@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import gapfill
-from gapfill import bloch, edge
+from gapfill import bloch, cli, edge, spectral
 from gapfill.cli import TASKS, load_config, main
+from gapfill.model import assemble_restricted, build_gauge
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -27,6 +28,20 @@ def write_config(path, model=None, task="gaps", params=None, seed=0,
     cfg.update(extra)
     path.write_text(json.dumps(cfg))
     return path
+
+
+def read_spectrum(out):
+    """Eigenvalues and residual fields of spectrum.csv."""
+    rows = [line.split(",") for line in (out / "spectrum.csv").read_text().splitlines()[1:]]
+    return np.array([float(r[1]) for r in rows]), [r[2] for r in rows]
+
+
+def window_operator(cfg_path):
+    """The restricted operator the gaps task solves for a masked config."""
+    cfg = load_config(str(cfg_path))
+    lat = cli._lattice(cfg)
+    return assemble_restricted(lat, build_gauge(lat, cfg["model"]["gauge"]),
+                               cli._mask(cfg, lat))
 
 
 class TestConfigValidation:
@@ -166,11 +181,12 @@ class TestBulkSpectrumTask:
         header = (out / "spectrum.csv").read_text().splitlines()[0]
         assert header == "index,eigenvalue,residual,cluster_id"
 
-    def test_solver_route_recorded(self, tmp_path):
+    def test_solver_route_recorded(self, tmp_path, dense_spectrum):
         # an unmasked torus goes through its 16 Bloch fibers, of which W = 0
         # leaves 4 magnetic-translation orbits (k=1, q=4: a shift by dy rows
         # moves s by dy/2, a shift by dx columns moves t by dx/2); a masked
-        # one is solved densely
+        # one is solved banded, one band per row of 16 sites, with no
+        # residuals and the gaps of the dense reference
         torus = {"k": 1, "q": 4, "cells_x": 4, "cells_y": 4,
                  "geometry": "torus", "gauge": "landau"}
         masked = dict(torus, mask_descriptor={"kind": "half_plane", "level": 2.0})
@@ -180,12 +196,16 @@ class TestBulkSpectrumTask:
             cfg = write_config(tmp_path / f"{name}.json", model=model, task="gaps")
             assert main(["gaps", "--config", str(cfg), "--out", str(out)]) == 0
             routes.append(json.loads((out / "gaps.json").read_text())["solver"])
-        n_masked = json.loads((tmp_path / "masked" / "gaps.json").read_text())[
-            "n_eigenvalues"]
+        doc = json.loads((tmp_path / "masked" / "gaps.json").read_text())
         assert routes == [{"route": "bloch_fibers", "blocks": 16, "block_dim": 16,
                            "solved_blocks": 4},
-                          {"route": "dense", "blocks": 1, "block_dim": n_masked,
-                           "solved_blocks": 1}]
+                          {"route": "banded", "blocks": 1,
+                           "block_dim": doc["n_eigenvalues"], "bandwidth": 16}]
+        w, residuals = read_spectrum(tmp_path / "masked")
+        dense = dense_spectrum(window_operator(tmp_path / "masked.json"))
+        assert set(residuals) == {""}
+        assert len(doc["gaps"]) == len(dense.gaps) == 28
+        assert np.abs(w - dense.eigenvalues).max() <= 1e-10 * max(dense.norm_bound, 1.0)
 
     def test_manifest_records_conventions(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
@@ -249,6 +269,72 @@ class TestBulkSpectrumTask:
         lines = (out / "operator.csv").read_text().splitlines()
         assert lines[0] == "row,col,re,im"
         assert len(lines) > 256  # diagonal plus hoppings
+
+
+class TestWindowSpectrum:
+    TORUS = {"k": 1, "q": 4, "cells_x": 4, "cells_y": 4,
+             "geometry": "torus", "gauge": "landau"}
+
+    def run_gaps(self, tmp_path, model, name="out"):
+        cfg = write_config(tmp_path / f"{name}.json", model=model, task="gaps")
+        return main(["gaps", "--config", str(cfg), "--out", str(tmp_path / name)]), cfg
+
+    def test_y_seam_mask_is_solved_on_the_folded_band(self, tmp_path, dense_spectrum):
+        # a site column spanning all 16 rows of the torus plus one site keeps
+        # the link across the y seam; rows iy and 15 - iy share a diagonal
+        # block, 8 blocks in all
+        sites = [[0, iy] for iy in range(16)] + [[1, 0]]
+        model = dict(self.TORUS, mask_descriptor={"kind": "sites", "sites": sites})
+        status, cfg = self.run_gaps(tmp_path, model)
+        assert status == 0
+        op = window_operator(cfg)
+        b = spectral.banded(op)
+        assert len(b.rows) == 8
+        doc = json.loads((tmp_path / "out" / "gaps.json").read_text())
+        assert doc["solver"] == {"route": "banded", "blocks": 1, "block_dim": 17,
+                                 "bandwidth": b.bandwidth}
+        w, _ = read_spectrum(tmp_path / "out")
+        dense = dense_spectrum(op)
+        assert len(doc["gaps"]) == len(dense.gaps)
+        assert np.abs(w - dense.eigenvalues).max() <= 1e-10 * max(dense.norm_bound, 1.0)
+
+    def test_window_of_6400_rows_meets_the_trace_identities(self, tmp_path):
+        # q=8 on 1 x 100 cells: 8 x 800 sites, one band per site row
+        # (bandwidth 8); the eigenvalues sum to trace H and their squares to
+        # ||H||_F^2, both read off the sparse matrix
+        model = {"k": 1, "q": 8, "cells_x": 1, "cells_y": 100,
+                 "geometry": "masked", "gauge": "landau"}
+        status, cfg = self.run_gaps(tmp_path, model)
+        assert status == 0
+        doc = json.loads((tmp_path / "out" / "gaps.json").read_text())
+        assert doc["solver"] == {"route": "banded", "blocks": 1, "block_dim": 6400,
+                                 "bandwidth": 8}
+        w, _ = read_spectrum(tmp_path / "out")
+        h = window_operator(cfg).matrix
+        trace = h.diagonal().real.sum()
+        frobenius = (np.abs(h.data) ** 2).sum()
+        assert abs(w.sum() - trace) <= 1e-10 * abs(trace)
+        assert abs((w ** 2).sum() - frobenius) <= 1e-10 * frobenius
+
+    def test_miscounted_inertia_exit_1(self, tmp_path, capsys, monkeypatch):
+        # an inertia count one too high inside a gap disagrees with the
+        # banded eigenvalues at the gap's lower shift
+        model = dict(self.TORUS, mask_descriptor={"kind": "half_plane", "level": 2.0})
+        assert self.run_gaps(tmp_path, model, "good")[0] == 0
+        gap = json.loads((tmp_path / "good" / "gaps.json").read_text())["gaps"][3]
+        w, _ = read_spectrum(tmp_path / "good")
+        shift = gap["lower"] + 2 * spectral.residual_tolerance(np.abs(w).max())
+        inertia = spectral.inertia
+
+        def miscount(b, sigmas):
+            sig = np.asarray(sigmas)
+            return inertia(b, sig) + ((sig > gap["lower"]) & (sig < gap["upper"]))
+
+        monkeypatch.setattr(spectral, "inertia", miscount)
+        assert self.run_gaps(tmp_path, model, "bad")[0] == 1
+        err = capsys.readouterr().err
+        assert err.startswith("CountNotCertified: ")
+        assert f"below {shift:.12g}," in err
 
 
 class TestChernTask:
@@ -647,9 +733,9 @@ class TestReportChain:
         assert err.startswith("StripTooNarrow: ")
         assert "magnetic length is inf at k = 0" in err
 
-    def test_block_above_dense_cap_solves_banded(self, tmp_path):
-        # q=8, 95 cells wide: one momentum block has 6088 rows, above
-        # DENSE_CAP; strip blocks take the banded route, which has no cap
+    def test_wide_strip_block_solves_banded(self, tmp_path):
+        # q=8, 95 cells wide: one momentum block has 6088 rows; strip blocks
+        # take the banded route, which has no dimension cap
         model = {"k": 1, "q": 8, "cells_x": 4, "cells_y": 4,
                  "geometry": "torus", "gauge": "landau"}
         cfg = write_config(tmp_path / "c.json", model=model, task="edge-fill",

@@ -1,17 +1,14 @@
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse as sp
 
 from gapfill import spectral
-from gapfill.errors import (DenseCapExceeded, EnclosureViolation,
-                            MarginTooSmall, ResidualNotCertified)
+from gapfill.errors import EnclosureViolation, MarginTooSmall
 from gapfill.model import (HalfPlaneShape, HermitianOperator, MagneticLattice,
                            assemble_bulk, assemble_restricted, build_gauge,
-                           make_mask)
-from gapfill.spectral import (DENSE_CAP, SpectralInterval, _cheb_fit,
-                              apply_filter, certify_interval, detect_gaps,
-                              eigensolve, gaussian_filter,
+                           make_mask, mask_all)
+from gapfill.spectral import (SpectralInterval, _cheb_fit, apply_filter,
+                              certify_interval, detect_gaps, gaussian_filter,
                               materialize_filter, operator_norm,
                               polynomial_filter, smoothed_indicator_filter,
                               spectral_projection)
@@ -30,64 +27,46 @@ def bulk(k=1, q=6, cells=3):
     return lat, assemble_bulk(lat, build_gauge(lat))
 
 
+def window_spectrum(op):
+    return spectral.banded_spectrum(spectral.banded(op))
+
+
 class TestEigensolveFull:
     def test_diagonal_toy(self):
-        op = toy_diagonal([0.0, 8 * np.pi])
-        rep = eigensolve(op)
+        # the one gap (0, 8 pi) is certified by inertia counts at its ends
+        rep = window_spectrum(toy_diagonal([0.0, 8 * np.pi]))
         assert np.allclose(rep.eigenvalues, [0.0, 8 * np.pi])
-        assert np.all(rep.residuals == 0.0)
+        assert rep.residuals is None
+        assert [(g.lower, g.upper) for g in rep.gaps] == [(0.0, 8 * np.pi)]
 
     def test_degenerate_spectrum_has_no_gap(self):
         # spread 0 makes the default gap width 0; equal eigenvalues still
         # bound no gap
-        rep = eigensolve(toy_diagonal([5.0, 5.0]))
+        rep = window_spectrum(toy_diagonal([5.0, 5.0]))
         assert rep.gaps == ()
         assert detect_gaps(rep.eigenvalues, 0.0) == []
 
-    def test_residual_certificates(self):
-        _, op = bulk()
-        rep = eigensolve(op)
-        assert rep.residuals.max() <= 1e-9 * rep.norm_bound
-        # assertable by direct multiplication
-        rep2 = eigensolve(op, keep_vectors=True)
-        v = rep2.eigenvectors
-        direct = np.linalg.norm(op.matrix @ v - v * rep2.eigenvalues, axis=0)
-        assert np.abs(direct - rep2.residuals).max() < 1e-12
-
-    def test_residual_certificate_can_fail(self, monkeypatch):
-        # a pair shifted off the spectrum by 1e-3 has residual 1e-3, far
-        # above 1e-9 * ||H|| for this operator
-        _, op = bulk()
-        eigh = scipy.linalg.eigh
-
-        def perturbed(a, **kwargs):
-            w, v = eigh(a, **kwargs)
-            return w + 1e-3, v
-
-        monkeypatch.setattr(spectral.scipy.linalg, "eigh", perturbed)
-        with pytest.raises(ResidualNotCertified, match="dense residual"):
-            eigensolve(op)
-
-    def test_dense_cap(self, monkeypatch):
-        # the cap is checked on the sparse operator: no dense array is built
-        def no_dense(*args, **kwargs):
-            raise AssertionError("dense array built above the cap")
-
-        monkeypatch.setattr(sp.csr_matrix, "toarray", no_dense)
-        monkeypatch.setattr(spectral.scipy.linalg, "eigh", no_dense)
-        with pytest.raises(DenseCapExceeded, match=f"dimension {DENSE_CAP + 1} "):
-            eigensolve(toy_diagonal(np.arange(DENSE_CAP + 1.0)))
+    def test_wide_window_is_banded_across_its_short_side(self, dense_spectrum):
+        # 12 x 1 cells at q=4: 48 x-columns of 4 sites, so the bandwidth is
+        # the 4-site column, not the 48-site y-row
+        lat = MagneticLattice(1, 4, 12, 1, "masked")
+        op = assemble_restricted(lat, build_gauge(lat), mask_all(lat))
+        b = spectral.banded(op)
+        assert (b.bandwidth, len(b.rows)) == (4, 48)
+        rep, dense = spectral.banded_spectrum(b), dense_spectrum(op)
+        assert len(rep.gaps) == len(dense.gaps)
+        assert np.abs(rep.eigenvalues - dense.eigenvalues).max() <= 1e-10 * max(dense.norm_bound, 1.0)
 
     def test_landau_cluster_count(self, torus_reports):
         # one lowest-level state per flux quantum: 2k per cell x 16 cells
-        rep = torus_reports(1, 8, 4, cluster_tol=0.1 * 8 * np.pi)
-        a, b = rep.clusters[0]
+        rep = torus_reports(1, 8, 4)
+        a, b = spectral._cluster(rep.eigenvalues, 0.1 * 8 * np.pi)[0]
         assert b - a == 32
 
 
 class TestGaps:
     def test_two_eigenvalue_gap(self):
-        rep = eigensolve(toy_diagonal([0.0, 8 * np.pi]))
+        rep = window_spectrum(toy_diagonal([0.0, 8 * np.pi]))
         gaps = detect_gaps(rep.eigenvalues, min_width=1.0)
         assert len(gaps) == 1
         g = gaps[0]
@@ -108,7 +87,7 @@ class TestGaps:
         err4 = abs(g4.lower) + abs(g4.upper - 8 * np.pi)
         assert err8 < 0.4 * err4  # h^2 shrinkage
 
-    def test_potential_keeps_certified_gap(self):
+    def test_potential_keeps_certified_gap(self, dense_spectrum):
         # ||W||_inf = w > 0 shifts each band by at most w (bounded
         # perturbation), so the gap survives shrunk by at most w on each
         # side; at h -> 0 the unperturbed gap is (0, 8 pi k), recovering the
@@ -118,16 +97,16 @@ class TestGaps:
         pot = w * (2 * rng.random((6, 6)) - 1)
         pot[0, 0] = w  # pin the sup norm
         lat0 = MagneticLattice(1, 6, 3, 3, "torus")
-        rep0 = eigensolve(assemble_bulk(lat0, build_gauge(lat0)))
+        rep0 = dense_spectrum(assemble_bulk(lat0, build_gauge(lat0)))
         gap0 = next(g for g in rep0.gaps if g.contains(4 * np.pi))
         lat = MagneticLattice(1, 6, 3, 3, "torus", pot)
-        rep = eigensolve(assemble_bulk(lat, build_gauge(lat)))
+        rep = dense_spectrum(assemble_bulk(lat, build_gauge(lat)))
         gap = next(g for g in rep.gaps if g.contains(4 * np.pi))
         assert gap.lower <= gap0.lower + w + 1e-9
         assert gap.upper >= gap0.upper - w - 1e-9
 
     def test_certify_interval_margin(self):
-        rep = eigensolve(toy_diagonal([0.0, 10.0]))
+        rep = window_spectrum(toy_diagonal([0.0, 10.0]))
         ival = certify_interval(rep, 2.0, 7.0)
         assert ival.margin == pytest.approx(2.0)
 
@@ -219,9 +198,9 @@ class TestFilters:
 
 
 @pytest.fixture(scope="module")
-def setup():
+def setup(dense_spectrum):
     lat, op = bulk(1, 6, 3)
-    rep = eigensolve(op)
+    rep = dense_spectrum(op)
     return lat, op, rep
 
 
