@@ -14,11 +14,23 @@ Landau translation cocycle, twisted by e^{i*kappa}
 assembled strip matrix is exercised directly by the test suite.  A flat or
 graph edge has P = 1; a strip whose decorations repeat only once along its
 length has P = length_cells and one block at kappa = 0, the strip operator
-itself.  Every block is solved on the banded route of
-:mod:`gapfill.spectral`: all eigenvalues without vectors, eigenvectors by
-inverse iteration only where a verdict or a band continuation needs one,
+itself.  Each block gives all its eigenvalues without vectors,
+eigenvectors only where a verdict or a band continuation needs one,
 residual certificates on those vectors and inertia counts on every
 eigenvalue count a verdict rests on.
+
+When the mask and W do not change under a one-site x-shift (a flat edge
+with W = 0 or W depending on iy only; then P = 1), that shift is a
+magnetic translation T of every block, and its q eigenspaces split the
+block into q tridiagonal Harper chains (:func:`strip_chains`), solved by
+the chain route of :mod:`gapfill.spectral`.  Three certificates carry
+that route: the split itself (the defect max |TH - HT| and the chain
+entries off the tridiagonal band, LiftNotCertified), the Sturm counts
+checked against the eigenvalues (CountNotCertified) and the residual of
+every lifted vector on the assembled block (ResidualNotCertified).
+Every other block (balls, graph edges, P > 1, a W that varies along x)
+is solved on the banded route: a LAPACK band, inverse iteration and
+block LDL^H inertia counts.
 
 Sign conventions, recorded in every report: kappa increases along the
 positive dual direction (the wrap phase is e^{+i*kappa}), a crossing counts
@@ -34,15 +46,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import (BandConnectionAmbiguous, CountNotCertified, EmptyRegion,
-                     MarginTooSmall, StripTooNarrow, UnsupportedShape)
+                     LiftNotCertified, MarginTooSmall, StripTooNarrow, UnsupportedShape)
 from .model import (GaugeField, HalfPlaneShape, GraphShape, BallsShape,
                     HermitianOperator, MagneticLattice, RegionMask, _assemble,
                     assemble_restricted, build_gauge, cell_gauge, cell_lift_phases,
                     mask_from_member, twist_seams, window_member)
-from .spectral import (SpectralInterval, banded, banded_eigenvalues, banded_vectors,
-                       certify_counts, inertia)
+from .spectral import (ChainOperator, SpectralInterval, banded, certify_counts,
+                       count_below, residual_tolerance, solve_eigenvalues, solve_vectors)
 
 FLOW_CONVENTIONS = {
     "kappa_wrap_phase": "exp(+i*kappa) per x-period of solver.period_cells cells in +x",
@@ -162,6 +175,77 @@ def _block_gauge(cells: MagneticLattice, kappa: float) -> GaugeField:
                        np.exp(1j * kappa), 1.0)
 
 
+def strip_chains(strip: StripSpec, kappa: float, mask: RegionMask) -> ChainOperator:
+    """The momentum-kappa block split into q Harper chains by the one-site x-shift.
+
+    For a strip whose mask and W do not change under a one-site x-shift
+    (:func:`_chain_route`), the shift is a magnetic translation T of the
+    one-cell block: (T v)(x) = chi(x) v(x - 1), with chi the lift phases
+    (:func:`gapfill.model.cell_lift_phases`) of the shifted block gauge
+    against the block gauge.  On every y-row T^q is the phase lambda, and
+    T's eigenvectors B_m[(j, r), r] = mu_m^{-j} c_j(r) / sqrt(q), c_j the
+    product of chi along the row up to j and mu_m^q = lambda, split the
+    block into the q tridiagonal chains C_m = B_m^H H B_m (Harper chains),
+    built from the entries of H for all m at once.  The split is certified
+    by the elementwise defect max |TH - HT|, plus ||H|| times the spread
+    of lambda over the rows, plus the largest entry of any C_m off its
+    tridiagonal band: LiftNotCertified if their sum exceeds
+    residual_tolerance(||H||), ||H|| bounded by the largest absolute row
+    sum.
+    """
+    block = strip_block(strip, kappa, mask)
+    cells = _period_lattice(mask)
+    q, n = cells.q, block.dimension
+    gauge = _block_gauge(cells, kappa)
+    chi = cell_lift_phases(gauge, GaugeField(cells, gauge.gauge_kind,
+                                             np.roll(gauge.phase_x, 1, axis=0),
+                                             np.roll(gauge.phase_y, 1, axis=0)))
+    ix, iy = block.sites[:, 0], block.sites[:, 1]
+    h = block.matrix
+    t = sp.csr_matrix((chi[ix, iy], (np.arange(n), block.ids[(ix - 1) % q, iy])), shape=(n, n))
+    defect = float(np.abs((t @ h - h @ t).data).max(initial=0.0))
+    c = np.cumprod(np.vstack([np.ones(cells.n_y), chi[1:]]), axis=0)
+    rows, line = np.unique(iy, return_inverse=True)
+    lam = (c[-1] * chi[0])[rows]
+    theta = (np.angle(lam[0]) + 2.0 * np.pi * np.arange(q)) / q
+    basis = np.exp(-1j * np.outer(ix, theta)) * (c[ix, iy] / np.sqrt(q))[:, None]
+    # C_m[r, s] accumulates conj(B_m[i, r]) H[i, j] B_m[j, s] over the entries
+    coo = h.tocoo()
+    keys, at = np.unique(line[coo.row] * len(rows) + line[coo.col], return_inverse=True)
+    entries = np.zeros((len(keys), q), complex)
+    np.add.at(entries, at, basis[coo.row].conj() * coo.data[:, None] * basis[coo.col])
+    r, s = np.divmod(keys, len(rows))
+    diagonal = np.zeros((q, len(rows)))
+    diagonal[:, r[r == s]] = entries[r == s].real.T
+    coupling = np.zeros((q, len(rows) - 1), complex)
+    coupling[:, s[r == s + 1]] = entries[r == s + 1].T
+    off_band = float(np.abs(entries[np.abs(r - s) > 1]).max(initial=0.0))
+    norm = float(np.bincount(coo.row, np.abs(coo.data)).max())  # >= ||H||
+    spread = norm * float(np.abs(lam - lam[0]).max())
+    tol = residual_tolerance(norm)
+    if defect + spread + off_band > tol:
+        raise LiftNotCertified(
+            f"one-site translation defect {defect:.3e} + lambda spread {spread:.3e} + "
+            f"off-band chain entry {off_band:.3e} exceeds {tol:.3e} by "
+            f"{defect + spread + off_band - tol:.3e}")
+    return ChainOperator(block, diagonal, coupling, basis, line)
+
+
+def _chain_route(mask: RegionMask) -> bool:
+    """Is the one-site x-shift a symmetry of the strip: its mask and its W unchanged?"""
+    w = mask.lattice.potential
+    return (np.array_equal(np.roll(mask.member, 1, axis=0), mask.member)
+            and np.array_equal(np.roll(w, 1, axis=0), w))
+
+
+def _block_solver(strip: StripSpec, mask: RegionMask):
+    """kappa -> the solve of the momentum-kappa block: Harper chains when the
+    one-site x-shift is a symmetry of the strip, the banded block otherwise."""
+    if _chain_route(mask):
+        return lambda kappa: strip_chains(strip, kappa, mask)
+    return lambda kappa: banded(strip_block(strip, kappa, mask))
+
+
 def lift_block_vector(strip: StripSpec, block: HermitianOperator, kappa: float,
                       vec: np.ndarray, mask: RegionMask) -> np.ndarray:
     """Extend an eigenvector of the momentum-kappa block to the strip.
@@ -201,7 +285,8 @@ class LocalizationProfile:
 class EdgeReport:
     """Gap-filling verdicts: per-sample nearest-eigenvalue distances.
 
-    solver records the banded route with the block count and sizes.
+    solver records the route (Harper chains or banded) with the block
+    count and sizes.
     """
 
     samples: np.ndarray
@@ -262,12 +347,12 @@ def gap_filling_check(strip: StripSpec, bulk_gap: SpectralInterval, n_samples: i
 
     Samples are drawn from the gap inset by 5% of its width on both sides
     (the gap endpoints themselves may be spectrum).  The strip spectrum is
-    the union of the momentum-block spectra, each from one banded
-    values-only solve (:func:`gapfill.spectral.banded`).
+    the union of the momentum-block spectra, each from one values-only
+    solve of its Harper chains or of its band (:func:`_block_solver`).
     A sample passes when |s - lambda| + r <= delta for its nearest
     eigenvalue lambda, with r the residual of lambda's inverse-iteration
     eigenvector, which bounds the distance from s to the spectrum.  A
-    failing sample is certified by the block inertia counts: no eigenvalue
+    failing sample is certified by the block counts: no eigenvalue
     lies in [s - delta, s + delta) (CountNotCertified otherwise).  The
     n_localization states nearest mid-gap (the nearest in each block, best
     first, then the second nearest in each block, and so on) are the only
@@ -290,9 +375,9 @@ def gap_filling_check(strip: StripSpec, bulk_gap: SpectralInterval, n_samples: i
     cells = _period_lattice(mask)
     n_blocks = strip.length_cells // cells.cells_x
     kappas = 2.0 * np.pi * np.arange(n_blocks) / n_blocks
-    blocks = [banded(strip_block(strip, kappa, mask)) for kappa in kappas]
-    values = [banded_eigenvalues(b) for b in blocks]
-    distances, verdicts = _banded_verdicts(blocks, values, samples, delta)
+    blocks = list(map(_block_solver(strip, mask), kappas))
+    values = [solve_eigenvalues(b) for b in blocks]
+    distances, verdicts = _verdicts(blocks, values, samples, delta)
     # by rank within the block, then by distance: the nearest state of every
     # block comes before the second nearest of any
     nearest = sorted((rank, abs(w[j] - mid), m, j) for m, w in enumerate(values)
@@ -301,15 +386,15 @@ def gap_filling_check(strip: StripSpec, bulk_gap: SpectralInterval, n_samples: i
     profile_mask = mask_from_member(cells, mask.member[:cells.n_x])
     profiles = []
     for (_, _, m, j) in nearest[:n_localization]:
-        vec = banded_vectors(blocks[m], values[m], [j])[0][:, 0]
+        vec = solve_vectors(blocks[m], values[m], [j])[0][:, 0]
         profiles.append(localization_profile(blocks[m].op, (float(values[m][j]), vec),
                                              profile_mask))
     return EdgeReport(samples, distances, delta, verdicts, tuple(profiles),
                       dict(FLOW_CONVENTIONS), sum(len(w) for w in values),
-                      _banded_solver(len(blocks), cells.cells_x, blocks[0]))
+                      _solver_record(len(blocks), cells.cells_x, blocks[0]))
 
 
-def _banded_verdicts(blocks: list, values: list, samples: np.ndarray,
+def _verdicts(blocks: list, values: list, samples: np.ndarray,
                      delta: float) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-eigenvalue distances of the samples and their certified verdicts."""
     block_of = np.repeat(np.arange(len(values)), [len(w) for w in values])
@@ -322,12 +407,12 @@ def _banded_verdicts(blocks: list, values: list, samples: np.ndarray,
     for m in np.unique(block_of[nearest[near]]):
         pick = near & (block_of[nearest] == m)
         idx, inverse = np.unique(index_of[nearest[pick]], return_inverse=True)
-        bound[pick] += banded_vectors(blocks[m], values[m], idx)[1][inverse]
+        bound[pick] += solve_vectors(blocks[m], values[m], idx)[1][inverse]
     verdicts = near & (bound <= delta)
     failing = samples[~verdicts]
     if len(failing):
         shifts = np.concatenate([failing - delta, failing + delta])
-        nu = sum(inertia(b, shifts) for b in blocks)
+        nu = sum(count_below(b, shifts) for b in blocks)
         inside = nu[len(failing):] - nu[:len(failing)]
         if inside.any():
             i = int(np.flatnonzero(inside)[0])
@@ -337,8 +422,12 @@ def _banded_verdicts(blocks: list, values: list, samples: np.ndarray,
     return dist, verdicts
 
 
-def _banded_solver(n_blocks: int, period_cells: int, b) -> dict:
+def _solver_record(n_blocks: int, period_cells: int, b) -> dict:
     """Solver record of a strip's momentum blocks; they share one sparsity pattern."""
+    if isinstance(b, ChainOperator):
+        return {"route": "harper_chains", "blocks": n_blocks, "period_cells": period_cells,
+                "chains": b.diagonal.shape[0], "chain_dim": b.diagonal.shape[1],
+                "block_dim": b.op.dimension}
     return {"route": "banded", "blocks": n_blocks, "period_cells": period_cells,
             "block_dim": b.op.dimension, "bandwidth": b.bandwidth}
 
@@ -365,7 +454,8 @@ class SpectralFlowReport:
     momentum, the dispersion indices, energies and lower-half masses of the
     bands inside the analysis window |E - e_ref| <= window_halfwidth
     (eigenvectors are only computed there);
-    solver records the banded route with the block count and sizes.
+    solver records the route (Harper chains or banded) with the block
+    count and sizes.
     """
 
     kappas: np.ndarray
@@ -388,11 +478,12 @@ def strip_bands(strip: StripSpec, n_kappa: int, e_ref: float | None = None,
     """Dispersion over kappa in [0, 2*pi) with edge-resolved crossing counts.
 
     kappa is the momentum of a translation by one x-period of the strip
-    (:func:`strip_block`).  Each momentum block takes one banded values-only
-    solve for its whole dispersion row; the window count is certified by the inertia counts at
+    (:func:`strip_block`).  Each momentum block takes one values-only solve
+    of its Harper chains or of its band (:func:`_block_solver`) for its
+    whole dispersion row; the window count is certified by the counts at
     the window ends (CountNotCertified otherwise), and only the window
     bands get eigenvectors, by inverse iteration.  Window energies are the
-    banded eigenvalues themselves.  Bands inside the window
+    block eigenvalues themselves.  Bands inside the window
     |E - e_ref| <= FLOW_WINDOW * 8*pi*max(k, 1) are continued between
     consecutive momenta by maximal eigenvector overlap (optimal assignment);
     a crossing pair with overlap below 0.5 raises BandConnectionAmbiguous.
@@ -412,14 +503,15 @@ def strip_bands(strip: StripSpec, n_kappa: int, e_ref: float | None = None,
     lo, hi = e_ref - window_halfwidth, e_ref + window_halfwidth
     region_mid = 1.0 + strip.width_cells / 2.0
 
+    solve = _block_solver(strip, mask)
     energies_all = []
     win_bands, win_vals, win_vecs, win_mass = [], [], [], []
     for kappa in kappas:
-        b = banded(strip_block(strip, kappa, mask))
-        w = banded_eigenvalues(b)
+        b = solve(kappa)
+        w = solve_eigenvalues(b)
         certify_counts(b, w, (lo, hi))
         window = np.flatnonzero((w > lo) & (w <= hi))
-        v, _ = banded_vectors(b, w, window)
+        v, _ = solve_vectors(b, w, window)
         lower_rows = b.op.sites[:, 1] * lat.h < region_mid
         energies_all.append(w)
         win_bands.append(window)
@@ -461,4 +553,4 @@ def strip_bands(strip: StripSpec, n_kappa: int, e_ref: float | None = None,
                               designated_edge, int(net), int(net_upper),
                               dict(FLOW_CONVENTIONS), float(window_halfwidth),
                               tuple(win_bands), tuple(win_vals), tuple(win_mass),
-                              _banded_solver(n_kappa, cells.cells_x, b))
+                              _solver_record(n_kappa, cells.cells_x, b))

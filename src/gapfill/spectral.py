@@ -16,6 +16,15 @@ block LDL^H factorization (Sylvester's law of inertia), which
 :func:`banded_spectrum` reports the complete spectrum of a window with
 every detected gap certified by those counts.
 
+An operator that a symmetry splits into tridiagonal chains (a
+:class:`ChainOperator`, such as a flat strip's momentum block split into
+Harper chains) is solved on the chains instead:
+:func:`chain_eigenvalues` by one tridiagonal solve of the chains joined
+by zero couplings, :func:`sturm_counts` by 1x1-pivot LDL^T counts and
+:func:`chain_vectors` by inverse iteration on the chains, lifted back and
+certified by residuals on the operator itself.  :func:`solve_eigenvalues`,
+:func:`solve_vectors` and :func:`count_below` take either kind.
+
 Filters are Chebyshev expansions on a stated spectral enclosure [a, b];
 applying one to a vector through the three-term recurrence grows the support
 by exactly one hop per degree, which is what all finite-propagation
@@ -40,6 +49,8 @@ RESIDUAL_FACTOR = 1e-9
 INVERSE_STEPS = 2      # solves per inverse-iteration vector
 ORTHO_CLUSTER = 1e-3   # relative eigenvalue spacing below which vectors are orthogonalized
 PIVOT_FLOOR = 1e-3     # relative size below which a pivot direction is deferred
+SHIFT_NUDGE = 1e-12    # relative move of an inverse-iteration shift off an exact zero pivot
+CHAIN_CLUSTER = 1e-11  # relative spacing below which eigenvalues are shared out among chains
 LANCZOS_ITERATIONS = 60  # Lanczos steps per operator_norm estimate, at most
 
 
@@ -393,16 +404,31 @@ def banded_vectors(b: BandedOperator, eigenvalues: np.ndarray,
     residuals ||Hv - lambda v||; ResidualNotCertified if any residual
     exceeds residual_tolerance(||H||).
     """
-    n, bw = b.op.dimension, b.bandwidth
+    values = np.asarray(eigenvalues)[select]
     norm = float(np.abs(eigenvalues).max())
+    vectors = np.zeros((b.op.dimension, len(values)), complex)
+    vectors[b.order] = _inverse_iteration(b.band, values, norm)
+    return _certified(b.op, vectors, values, norm)
+
+
+def _inverse_iteration(band: np.ndarray, values: np.ndarray, norm: float) -> np.ndarray:
+    """Inverse-iteration vectors, as columns, of a LAPACK lower band at the given values.
+
+    Each vector takes INVERSE_STEPS solves of (H - lambda) x = x from one
+    fixed start vector, orthogonalized against the vectors already computed
+    for values within ORTHO_CLUSTER * max(norm, 1) of lambda.  A value that
+    makes a pivot of H - lambda exactly zero is moved off by SHIFT_NUDGE *
+    max(norm, 1), far inside the residual tolerance; ResidualNotCertified
+    if that shift is singular too.
+    """
+    bw, n = band.shape[0] - 1, band.shape[1]
     # general band layout of solve_banded: full[bw + i - j, j] = H[i, j]
     full = np.zeros((2 * bw + 1, n), complex)
-    full[bw:] = b.band
+    full[bw:] = band
     for d in range(1, bw + 1):
-        full[bw - d, d:] = np.conj(b.band[d, :n - d])
+        full[bw - d, d:] = np.conj(band[d, :n - d])
     rng = np.random.default_rng(0)
     start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    values = np.asarray(eigenvalues)[select]
     found = []
     for lam in values:
         shifted = full.copy()
@@ -411,14 +437,38 @@ def banded_vectors(b: BandedOperator, eigenvalues: np.ndarray,
                 if abs(mu - lam) <= ORTHO_CLUSTER * max(norm, 1.0)]
         x = start
         for _ in range(INVERSE_STEPS):
-            x = scipy.linalg.solve_banded((bw, bw), shifted, x, check_finite=False)
+            y = _solve_shifted(shifted, x)
+            if y is None:
+                shifted[bw] -= SHIFT_NUDGE * max(norm, 1.0)
+                y = _solve_shifted(shifted, x)
+            if y is None:
+                raise ResidualNotCertified(
+                    f"no inverse-iteration vector at {lam:.12g}: the shift and its "
+                    f"nudge are both singular")
+            x = y
             for u in near:
                 x = x - np.vdot(u, x) * u
             x = x / np.linalg.norm(x)
         found.append(x)
-    vectors = np.zeros((n, len(values)), complex)
-    vectors[b.order] = np.array(found).T.reshape(n, len(values))
-    res = np.linalg.norm(b.op.matrix @ vectors - vectors * values, axis=0)
+    return np.array(found).T.reshape(n, len(values))
+
+
+def _solve_shifted(shifted: np.ndarray, x: np.ndarray) -> np.ndarray | None:
+    """(H - lambda)^-1 x from the general band of H - lambda; None if it is singular."""
+    bw = shifted.shape[0] // 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        try:
+            y = scipy.linalg.solve_banded((bw, bw), shifted, x, check_finite=False)
+        except np.linalg.LinAlgError:
+            return None
+    return y if np.isfinite(y).all() else None
+
+
+def _certified(op: HermitianOperator, vectors: np.ndarray, values: np.ndarray,
+               norm: float) -> tuple[np.ndarray, np.ndarray]:
+    """The vectors with their residuals ||Hv - lambda v|| on op; ResidualNotCertified
+    if any exceeds residual_tolerance(norm)."""
+    res = np.linalg.norm(op.matrix @ vectors - vectors * values, axis=0)
     tol = residual_tolerance(norm)
     if len(values) and res.max() > tol:
         raise ResidualNotCertified(
@@ -492,16 +542,18 @@ def inertia(b: BandedOperator, sigmas) -> np.ndarray:
     return count
 
 
-def certify_counts(b: BandedOperator, eigenvalues: np.ndarray, sigmas) -> np.ndarray:
-    """Inertia counts nu(sigma), checked against the computed eigenvalues.
+def certify_counts(b, eigenvalues: np.ndarray, sigmas) -> np.ndarray:
+    """Inertia counts nu(sigma) of a banded operator or chains, checked against
+    the computed eigenvalues.
 
-    Each nu(sigma) must lie between the number of eigenvalues below
-    sigma - tol and below sigma + tol, tol = residual_tolerance(||H||)
-    (CountNotCertified otherwise): the count then certifies that no
-    eigenvalue was lost or invented near sigma.
+    The count is :func:`inertia` for a BandedOperator and :func:`sturm_counts`
+    for a ChainOperator.  Each nu(sigma) must lie between the number of
+    eigenvalues below sigma - tol and below sigma + tol, tol =
+    residual_tolerance(||H||) (CountNotCertified otherwise): the count then
+    certifies that no eigenvalue was lost or invented near sigma.
     """
     sig = np.atleast_1d(np.asarray(sigmas, float))
-    nu = inertia(b, sig)
+    nu = count_below(b, sig)
     tol = residual_tolerance(float(np.abs(eigenvalues).max()))
     low = np.searchsorted(eigenvalues, sig - tol)
     high = np.searchsorted(eigenvalues, sig + tol)
@@ -509,8 +561,8 @@ def certify_counts(b: BandedOperator, eigenvalues: np.ndarray, sigmas) -> np.nda
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         raise CountNotCertified(
-            f"inertia counts {int(nu[i])} eigenvalues below {sig[i]:.12g}, the banded "
-            f"solve {int(low[i])} (within {tol:.1e}: {int(high[i])})")
+            f"inertia counts {int(nu[i])} eigenvalues below {sig[i]:.12g}, the "
+            f"eigenvalue solve {int(low[i])} (within {tol:.1e}: {int(high[i])})")
     return nu
 
 
@@ -536,6 +588,141 @@ def banded_spectrum(b: BandedOperator) -> SpectrumReport:
 def _default_gap_width(w: np.ndarray) -> float:
     spread = float(w[-1] - w[0]) if len(w) > 1 else 1.0
     return 0.01 * spread
+
+
+# ---------------------------------------------------------------------------
+# tridiagonal chains
+
+
+@dataclass(frozen=True, eq=False)
+class ChainOperator:
+    """A Hermitian operator split by a symmetry into tridiagonal chains.
+
+    H = sum_m B_m C_m B_m^H over the chains m, with B_m orthonormal and C_m
+    tridiagonal: C_m[r, r] = diagonal[m, r] and C_m[r + 1, r] =
+    coupling[m, r].  Each operator row i lies on position line[i] of every
+    chain, with B_m[i, line[i]] = basis[i, m] and no other entry, so chain
+    vectors v_m lift to u[i] = sum_m basis[i, m] v_m[line[i]].  The caller
+    certifies the split; :func:`chain_vectors` certifies the lifted vectors
+    on op itself.
+    """
+
+    op: HermitianOperator
+    diagonal: np.ndarray
+    coupling: np.ndarray
+    basis: np.ndarray
+    line: np.ndarray
+
+
+def chain_eigenvalues(c: ChainOperator) -> np.ndarray:
+    """All eigenvalues, ascending: one LAPACK tridiagonal solve of the joined chains.
+
+    A Hermitian tridiagonal matrix has the spectrum of the real symmetric
+    one with the moduli of its couplings (a diagonal unitary carries one to
+    the other).
+    """
+    joined = np.hstack([np.abs(c.coupling), np.zeros((len(c.coupling), 1))]).ravel()[:-1]
+    return scipy.linalg.eigvalsh_tridiagonal(c.diagonal.ravel(), joined, check_finite=False)
+
+
+def sturm_counts(c: ChainOperator, sigmas) -> np.ndarray:
+    """nu(sigma) = #{eigenvalues < sigma} for each shift, by Sturm counts on the chains.
+
+    C_m - sigma = L D L^H with 1x1 pivots d_r = a_r - sigma - |b_r|^2 /
+    d_{r-1}, run over every chain and shift at once; by Sylvester's law of
+    inertia nu is the number of negative pivots.  A pivot below the floor
+    tiny * max(1, max |b|^2) in modulus is replaced by minus the floor, as
+    LAPACK's bisection does, so no pivot divides by zero.
+    """
+    return _chain_counts(c, sigmas).sum(axis=0)
+
+
+def _chain_counts(c: ChainOperator, sigmas) -> np.ndarray:
+    """The Sturm counts of :func:`sturm_counts`, one row per chain."""
+    sig = np.atleast_1d(np.asarray(sigmas, float))
+    n_chains, length = c.diagonal.shape
+    # b2[:, r] = |C_m[r, r - 1]|^2, 0 before the first site
+    b2 = np.abs(np.hstack([np.zeros((n_chains, 1)), c.coupling])) ** 2
+    floor = np.finfo(float).tiny * max(1.0, float(b2.max()))
+    count = np.zeros((n_chains, len(sig)), int)
+    d = np.ones((n_chains, len(sig)))
+    for r in range(length):
+        d = c.diagonal[:, r, None] - sig - b2[:, r, None] / d
+        d[np.abs(d) < floor] = -floor
+        count += d < 0
+    return count
+
+
+def _chain_of(c: ChainOperator, eigenvalues: np.ndarray, index: np.ndarray,
+              tol: float) -> np.ndarray:
+    """The chain each eigenvalue eigenvalues[index] belongs to.
+
+    Eigenvalues with spacings up to tol form clusters.  Each chain's Sturm
+    count across a cluster, between shifts at least tol/2 from every
+    eigenvalue, is its share of the cluster (CountNotCertified unless the
+    shares add up to the cluster size); the cluster's eigenvalues go to
+    the chains in chain order.
+    """
+    w = eigenvalues
+    start = np.r_[0, np.flatnonzero(np.diff(w) > tol) + 1]
+    stop = np.r_[start[1:], len(w)]
+    used, at = np.unique(np.searchsorted(start, index, side="right") - 1,
+                         return_inverse=True)
+    # edges[k] lies between w[k - 1] and w[k]
+    edges = np.r_[w[0] - tol, 0.5 * (w[:-1] + w[1:]), w[-1] + tol]
+    below, above = edges[start[used]], edges[stop[used]]
+    counts = _chain_counts(c, np.r_[below, above])
+    share = counts[:, len(used):] - counts[:, :len(used)]
+    size = stop[used] - start[used]
+    if (share.sum(axis=0) != size).any():
+        u = int(np.flatnonzero(share.sum(axis=0) != size)[0])
+        raise CountNotCertified(
+            f"Sturm counts find {int(share[:, u].sum())} eigenvalues in "
+            f"({below[u]:.12g}, {above[u]:.12g}), the eigenvalue solve {int(size[u])}")
+    ends = np.cumsum(share, axis=0)[:, at]
+    return (ends <= (index - start[used][at])).sum(axis=0)
+
+
+def chain_vectors(c: ChainOperator, eigenvalues: np.ndarray,
+                  select) -> tuple[np.ndarray, np.ndarray]:
+    """Certified eigenvectors of eigenvalues[select], by inverse iteration on the chains.
+
+    eigenvalues is the complete spectrum from chain_eigenvalues.  Each
+    eigenvalue is assigned its chain by the Sturm counts
+    (:func:`_chain_of`, with the cluster width CHAIN_CLUSTER * max(||H||, 1)),
+    its vector is computed on that chain as :func:`banded_vectors` computes
+    one on a band, lifted by the chain's basis column, and certified by its
+    residual on the operator itself (ResidualNotCertified).
+    """
+    w = np.asarray(eigenvalues)
+    index = np.arange(len(w))[select]
+    values = w[index]
+    norm = float(np.abs(w).max())
+    chain = _chain_of(c, w, index, CHAIN_CLUSTER * max(norm, 1.0))
+    vectors = np.zeros((c.op.dimension, len(index)), complex)
+    for m in np.unique(chain):
+        cols = np.flatnonzero(chain == m)
+        band = np.vstack([c.diagonal[m], np.append(c.coupling[m], 0.0)])
+        v = _inverse_iteration(band, values[cols], norm)
+        vectors[:, cols] = c.basis[:, m, None] * v[c.line]
+    return _certified(c.op, vectors, values, norm)
+
+
+def solve_eigenvalues(s) -> np.ndarray:
+    """All eigenvalues of a BandedOperator or a ChainOperator, ascending."""
+    return chain_eigenvalues(s) if isinstance(s, ChainOperator) else banded_eigenvalues(s)
+
+
+def solve_vectors(s, eigenvalues: np.ndarray, select) -> tuple[np.ndarray, np.ndarray]:
+    """Certified eigenvectors of a BandedOperator or a ChainOperator."""
+    if isinstance(s, ChainOperator):
+        return chain_vectors(s, eigenvalues, select)
+    return banded_vectors(s, eigenvalues, select)
+
+
+def count_below(s, sigmas) -> np.ndarray:
+    """Inertia counts of a BandedOperator (block LDL^H) or a ChainOperator (Sturm)."""
+    return sturm_counts(s, sigmas) if isinstance(s, ChainOperator) else inertia(s, sigmas)
 
 
 # ---------------------------------------------------------------------------

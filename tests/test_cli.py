@@ -734,8 +734,8 @@ class TestReportChain:
         assert "magnetic length is inf at k = 0" in err
 
     def test_wide_strip_block_solves_banded(self, tmp_path):
-        # q=8, 95 cells wide: one momentum block has 6088 rows; strip blocks
-        # take the banded route, which has no dimension cap
+        # q=8, 95 cells wide: one momentum block has 6088 rows; a flat strip
+        # splits it into 8 Harper chains of 761 sites, with no dimension cap
         model = {"k": 1, "q": 8, "cells_x": 4, "cells_y": 4,
                  "geometry": "torus", "gauge": "landau"}
         cfg = write_config(tmp_path / "c.json", model=model, task="edge-fill",
@@ -745,8 +745,8 @@ class TestReportChain:
         assert main(["edge-fill", "--config", str(cfg), "--out", str(out)]) in (0, 2)
         doc = json.loads((out / "edge_report.json").read_text())
         assert doc["n_strip_eigenvalues"] == (95 * 8 + 1) * 8 * 2
-        assert doc["solver"] == {"route": "banded", "blocks": 2, "period_cells": 1,
-                                 "block_dim": 6088, "bandwidth": 8}
+        assert doc["solver"] == {"route": "harper_chains", "blocks": 2, "period_cells": 1,
+                                 "chains": 8, "chain_dim": 761, "block_dim": 6088}
 
     def test_failing_edge_fill_exit_2(self, tmp_path):
         out = tmp_path / "out"

@@ -2,20 +2,20 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gapfill import edge
+from gapfill import edge, spectral
 from gapfill.bloch import torus_spectrum
 from gapfill.coarse import wideness_check
 from gapfill.edge import (gap_filling_check, lift_block_vector,
                           localization_profile, make_strip, strip_bands,
-                          strip_block, strip_mask, strip_operator)
-from gapfill.errors import (BandConnectionAmbiguous, CountNotCertified, MarginTooSmall,
-                            ResidualNotCertified, UnsupportedShape)
-from gapfill.model import (BallsShape, DiskShape, GraphShape, HalfPlaneShape,
+                          strip_block, strip_chains, strip_mask, strip_operator)
+from gapfill.errors import (BandConnectionAmbiguous, CountNotCertified, LiftNotCertified,
+                            MarginTooSmall, ResidualNotCertified, UnsupportedShape)
+from gapfill.model import (BallsShape, DiskShape, GaugeField, GraphShape, HalfPlaneShape,
                            MagneticLattice, build_gauge, make_mask,
                            mask_all)
 from gapfill.spectral import (banded, banded_eigenvalues, banded_vectors,
-                              certify_interval, inertia,
-                              residual_tolerance)
+                              certify_interval, chain_eigenvalues, chain_vectors,
+                              inertia, residual_tolerance, sturm_counts)
 
 
 def _shape(kind, q, length):
@@ -367,7 +367,8 @@ STRIPS = [(k, q, kind, pot) for k in (1, 2) for q in (4, 8)
 
 
 def use_dense_oracle(monkeypatch):
-    """Route edge's banded primitives through dense LAPACK solves of the same block."""
+    """Route edge's block solves, banded or Harper chains, through dense LAPACK
+    solves of the assembled block."""
     def values(b):
         return np.linalg.eigvalsh(b.op.matrix.toarray())
 
@@ -379,10 +380,15 @@ def use_dense_oracle(monkeypatch):
     def counts(b, sigmas):
         return np.searchsorted(values(b), np.atleast_1d(sigmas))
 
-    monkeypatch.setattr(edge, "banded_eigenvalues", values)
-    monkeypatch.setattr(edge, "banded_vectors", vectors)
-    monkeypatch.setattr(edge, "inertia", counts)
+    monkeypatch.setattr(edge, "solve_eigenvalues", values)
+    monkeypatch.setattr(edge, "solve_vectors", vectors)
+    monkeypatch.setattr(edge, "count_below", counts)
     monkeypatch.setattr(edge, "certify_counts", lambda b, w, sigmas: counts(b, sigmas))
+
+
+def use_banded_route(monkeypatch):
+    """Solve every strip on banded blocks, flat strips included."""
+    monkeypatch.setattr(edge, "_chain_route", lambda mask: False)
 
 
 class TestBandedRoute:
@@ -438,9 +444,16 @@ class TestBandedRoute:
             use_dense_oracle(m)
             want = gap_filling_check(strip, gap, 8, delta)
         period = _period(kind, length)
-        assert got.solver == {"route": "banded", "blocks": length // period,
-                              "period_cells": period, "block_dim": want.solver["block_dim"],
-                              "bandwidth": 4 * period}
+        if kind == "flat":
+            assert got.solver == {"route": "harper_chains", "blocks": length,
+                                  "period_cells": 1, "chains": 4,
+                                  "chain_dim": want.solver["block_dim"] // 4,
+                                  "block_dim": want.solver["block_dim"]}
+        else:
+            assert got.solver == {"route": "banded", "blocks": length // period,
+                                  "period_cells": period,
+                                  "block_dim": want.solver["block_dim"],
+                                  "bandwidth": 4 * period}
         assert list(got.verdicts) == list(want.verdicts)
         assert np.abs(got.distances - want.distances).max() < 1e-10
         assert got.n_strip_eigenvalues == want.n_strip_eigenvalues \
@@ -494,6 +507,7 @@ class TestBandedCertificates:
             banded_vectors(b, w, [len(w) // 2])
 
     def test_dropped_window_eigenvalue_fails_count(self, monkeypatch):
+        use_banded_route(monkeypatch)
         eig_banded = scipy.linalg.eig_banded
 
         def dropped(*args, **kwargs):
@@ -519,6 +533,7 @@ class TestBandedCertificates:
         # the middle sample then fails by distance, and the inertia count
         # refuses that verdict
         _, gap = small_gap
+        use_banded_route(monkeypatch)
         strip = make_strip(1, 4, 8, 12)
         assert gap_filling_check(strip, gap, 9, 0.5, n_localization=0).verdicts[4]
         eig_banded = scipy.linalg.eig_banded
@@ -535,11 +550,135 @@ class TestBandedCertificates:
         # edge bands is certified to pass, and the inertia count refuses
         # to let it fail
         _, gap = small_gap
-        vectors = edge.banded_vectors
+        vectors = edge.solve_vectors
 
         def inflated(*args):
             v, res = vectors(*args)
             return v, res + 1.0
-        monkeypatch.setattr(edge, "banded_vectors", inflated)
+        monkeypatch.setattr(edge, "solve_vectors", inflated)
         with pytest.raises(CountNotCertified, match="no eigenpair certified within 0.5"):
             gap_filling_check(make_strip(1, 4, 8, 12), gap, 9, 0.5, n_localization=0)
+
+
+# ---------------------------------------------------------------------------
+# Harper chains against the dense solve of the assembled block
+
+def _row_potential(q):
+    """A cell potential that varies in iy only (W[ix, iy] = g(iy))."""
+    return np.tile(0.7 * (np.arange(q) % 5 - 2.0), (q, 1))
+
+
+CHAIN_STRIPS = [(k, q, pot) for k in (1, 2) for q in (4, 8) for pot in (False, True)]
+
+
+class TestHarperChains:
+    @pytest.mark.parametrize("k,q,pot", CHAIN_STRIPS)
+    def test_parity_with_dense_eigensolve(self, dense_spectrum, k, q, pot):
+        strip = make_strip(k, q, 4, 4, potential=_row_potential(q) if pot else None)
+        mask = strip_mask(strip)
+        for kappa in (0.0, np.pi, 2.0 * np.pi * 0.2718):
+            c = strip_chains(strip, kappa, mask)
+            assert c.diagonal.shape == (q, c.op.dimension // q)
+            dense = dense_spectrum(c.op).eigenvalues
+            w = chain_eigenvalues(c)
+            assert np.abs(w - dense).max() <= 1e-10 * max(np.abs(dense).max(), 1.0)
+            # a shift between each pair of separated neighbours counts every
+            # eigenvalue below it, and so does a shift 1e-11 from an
+            # eigenvalue of a leading chain submatrix, where a pivot is
+            # nearly zero
+            split = np.flatnonzero(np.diff(dense) > 1e-6)
+            shifts = np.r_[dense[0] - 1.0, 0.5 * (dense[split] + dense[split + 1])]
+            assert list(sturm_counts(c, shifts)) == [0] + list(split + 1)
+            chains = [np.diag(d) + np.diag(b, -1) + np.diag(b.conj(), 1)
+                      for d, b in zip(c.diagonal, c.coupling)]
+            near = np.concatenate([np.linalg.eigvalsh(m[:z, :z]) for m in chains
+                                   for z in range(1, len(m))])
+            shifts = np.r_[near - 1e-11, near + 1e-11]
+            shifts = shifts[np.abs(dense[None, :] - shifts[:, None]).min(axis=1) > 1e-6]
+            assert (sturm_counts(c, shifts) == np.searchsorted(dense, shifts)).all()
+            # the lowest Landau group is a near-degenerate cluster
+            select = np.r_[np.arange(6), np.argsort(np.abs(w - 4 * np.pi * k))[:4]]
+            v, res = chain_vectors(c, w, select)
+            assert np.abs(v.conj().T @ v - np.eye(len(select))).max() < 1e-10
+            assert res.max() <= residual_tolerance(np.abs(w).max())
+
+    @pytest.mark.parametrize("potential", [None, _row_potential(4)])
+    def test_flat_strips_take_the_chain_route(self, small_gap, potential):
+        _, gap = small_gap
+        strip = make_strip(1, 4, 8, 4, potential=potential)
+        report = gap_filling_check(strip, gap, 4, 1.0, n_localization=1)
+        flow = strip_bands(strip, n_kappa=6, e_ref=-50.0)
+        n = strip_mask(strip).n_inside // 4
+        assert report.solver == {"route": "harper_chains", "blocks": 4, "period_cells": 1,
+                                 "chains": 4, "chain_dim": n // 4, "block_dim": n}
+        assert flow.solver == dict(report.solver, blocks=6)
+
+    @pytest.mark.parametrize("kind,pot", [("flat", True), ("graph", False),
+                                          ("balls", False), ("one_ball", False)])
+    def test_other_strips_keep_the_banded_route(self, small_gap, kind, pot):
+        _, gap = small_gap
+        strip = make_strip(1, 4, 8, 4, shape=_shape(kind, 4, 4),
+                           potential=_potential(4) if pot else None)
+        report = gap_filling_check(strip, gap, 4, 1.0, n_localization=0)
+        assert report.solver["route"] == "banded"
+
+    def test_x_varying_potential_fails_the_split(self):
+        strip = make_strip(1, 4, 6, 2, potential=_potential(4))
+        with pytest.raises(LiftNotCertified, match=r"one-site translation defect 2.800e\+00"):
+            strip_chains(strip, 0.5, strip_mask(strip))
+
+    def test_perturbed_link_phase_fails_the_split(self, monkeypatch):
+        block_gauge = edge._block_gauge
+
+        def perturbed(cells, kappa):
+            g = block_gauge(cells, kappa)
+            phase_y = g.phase_y.copy()
+            phase_y[2, 9] *= np.exp(0.01j)
+            return GaugeField(g.lattice, g.gauge_kind, g.phase_x, phase_y)
+        monkeypatch.setattr(edge, "_block_gauge", perturbed)
+        strip = make_strip(1, 4, 6, 2)
+        with pytest.raises(LiftNotCertified, match="one-site translation defect 1.600e-01"):
+            strip_chains(strip, 0.5, strip_mask(strip))
+
+    def test_forced_split_is_refused(self, small_gap, monkeypatch):
+        _, gap = small_gap
+        monkeypatch.setattr(edge, "_chain_route", lambda mask: True)
+        strip = make_strip(1, 4, 8, 4, potential=_potential(4))
+        with pytest.raises(LiftNotCertified, match="exceeds"):
+            gap_filling_check(strip, gap, 4, 1.0)
+
+    def test_shifted_chain_eigenvalues_fail_count(self, monkeypatch):
+        values = spectral.chain_eigenvalues
+        monkeypatch.setattr(spectral, "chain_eigenvalues", lambda c: values(c) + 2.0)
+        with pytest.raises(CountNotCertified, match="inertia counts"):
+            strip_bands(make_strip(1, 4, 8, 2), n_kappa=24, e_ref=9.0)
+
+    def test_dropped_sample_eigenvalues_fail_count(self, small_gap, monkeypatch):
+        # as on the banded route, the chain solve loses every eigenvalue
+        # within delta of mid-gap; the Sturm counts across the eigenvalues
+        # next to the lost ones, taken to assign their vectors a chain,
+        # find more eigenvalues than the solve
+        _, gap = small_gap
+        strip = make_strip(1, 4, 8, 12)
+        eigvalsh_tridiagonal = scipy.linalg.eigvalsh_tridiagonal
+
+        def dropped(*args, **kwargs):
+            w = eigvalsh_tridiagonal(*args, **kwargs)
+            return w[np.abs(w - gap.midpoint) > 0.5]
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", dropped)
+        with pytest.raises(CountNotCertified, match="Sturm counts find"):
+            gap_filling_check(strip, gap, 9, 0.5, n_localization=0)
+
+    def test_perturbed_chain_vector_fails_residual(self, monkeypatch):
+        solve = scipy.linalg.solve_banded
+
+        def perturbed(*args, **kwargs):
+            x = solve(*args, **kwargs)
+            x[0] += 1e-3 * np.linalg.norm(x)
+            return x
+        strip = make_strip(1, 4, 6, 3)
+        c = strip_chains(strip, 1.0, strip_mask(strip))
+        w = chain_eigenvalues(c)
+        monkeypatch.setattr(scipy.linalg, "solve_banded", perturbed)
+        with pytest.raises(ResidualNotCertified, match="inverse-iteration residual"):
+            chain_vectors(c, w, [len(w) // 2])

@@ -22,6 +22,13 @@ def toy_diagonal(values):
     return HermitianOperator(matrix, sites, ids, 1.0, 0)
 
 
+def toy_pair():
+    """The 2 x 2 operator [[2, 1], [1, 2]] on two sites of one x-column."""
+    matrix = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]], complex))
+    return HermitianOperator(matrix, np.array([[0, 0], [0, 1]]),
+                             np.arange(2, dtype=np.int64).reshape(1, 2), 1.0, 1)
+
+
 def bulk(k=1, q=6, cells=3):
     lat = MagneticLattice(k, q, cells, cells, "torus")
     return lat, assemble_bulk(lat, build_gauge(lat))
@@ -62,6 +69,50 @@ class TestEigensolveFull:
         rep = torus_reports(1, 8, 4)
         a, b = spectral._cluster(rep.eigenvalues, 0.1 * 8 * np.pi)[0]
         assert b - a == 32
+
+
+class TestInverseIteration:
+    # each eigenvalue below makes a pivot of H - lambda exactly zero, so the
+    # first banded solve at lambda is singular
+    @pytest.mark.parametrize("op", [toy_pair(), toy_diagonal([1.0, 2.0, 3.0])],
+                             ids=["pair", "diagonal"])
+    def test_exact_pivot_zero_shift(self, op):
+        b = spectral.banded(op)
+        w = spectral.banded_eigenvalues(b)
+        assert list(w) == list(np.linalg.eigvalsh(op.matrix.toarray()))
+        v, res = spectral.banded_vectors(b, w, np.arange(len(w)))
+        assert np.abs(v.conj().T @ v - np.eye(len(w))).max() < 1e-10
+        assert res.max() <= spectral.residual_tolerance(np.abs(w).max())
+
+    @pytest.mark.parametrize("op", [toy_pair(), toy_diagonal([1.0, 2.0, 3.0])],
+                             ids=["pair", "diagonal"])
+    def test_exact_pivot_zero_shift_on_chains(self, op):
+        # the pair as one chain of two sites, the diagonal as three chains of
+        # one site each
+        h = op.matrix.toarray()
+        n = len(h)
+        if np.count_nonzero(h - np.diag(np.diag(h))):
+            c = spectral.ChainOperator(op, np.diag(h).real[None, :], np.diag(h, -1)[None, :],
+                                       np.ones((n, 1), complex), np.arange(n))
+        else:
+            c = spectral.ChainOperator(op, np.diag(h).real[:, None], np.zeros((n, 0), complex),
+                                       np.eye(n, dtype=complex), np.zeros(n, int))
+        w = spectral.chain_eigenvalues(c)
+        assert list(w) == list(np.linalg.eigvalsh(h))
+        v, res = spectral.chain_vectors(c, w, np.arange(n))
+        assert np.abs(v.conj().T @ v - np.eye(n)).max() < 1e-10
+        assert res.max() <= spectral.residual_tolerance(np.abs(w).max())
+
+
+class TestSturmCounts:
+    def test_exact_zero_pivot(self):
+        # at sigma = 2 the first pivot of [[2, 1], [1, 2]] - sigma is exactly
+        # zero; the pivot floor counts it negative and keeps the next pivot
+        # finite, so the count is the one eigenvalue 1 below 2
+        op = toy_pair()
+        c = spectral.ChainOperator(op, np.array([[2.0, 2.0]]), np.array([[1.0 + 0j]]),
+                                   np.ones((2, 1), complex), np.arange(2))
+        assert list(spectral.sturm_counts(c, [0.5, 1.5, 2.0, 2.5, 3.5])) == [0, 1, 1, 1, 2]
 
 
 class TestGaps:
