@@ -27,8 +27,8 @@ from . import bloch, coarse, edge, spectral
 from ._output import svg_plot, write_csv, write_json
 from .errors import ConfigInvalid, GapfillError, MissingArtifacts
 from .model import (BallsShape, DiskShape, GraphShape, HalfPlaneShape,
-                    MagneticLattice, assemble_bulk, assemble_restricted,
-                    build_gauge, make_mask, mask_all, mask_from_sites)
+                    MagneticLattice, assemble_restricted, build_gauge, make_mask,
+                    mask_all, mask_from_sites)
 
 TASKS = ("gaps", "chern", "edge-fill", "bands", "affiliation", "wideness", "report")
 
@@ -78,7 +78,6 @@ _FILTER_SCHEMA = {
 _PARAMS_SCHEMA = {
     "type": "object",
     "properties": {
-        "export_operator": {"type": "boolean"},
         "export_bands": {"type": "boolean"},
         "grid": {"type": "array", "items": {"type": "integer", "minimum": 4},
                  "minItems": 2, "maxItems": 2},
@@ -271,22 +270,17 @@ def _spectrum_outputs(out: str, report, solver: dict):
 def _task_gaps(cfg, out):
     """Spectrum and gaps: an unmasked torus on its Bloch fibers, any other window banded."""
     lattice = _lattice(cfg)
-    export = cfg.get("params", {}).get("export_operator", False)
     gauge = build_gauge(lattice, cfg["model"]["gauge"])
     if _unmasked_torus(cfg, lattice):
         report = bloch.torus_spectrum(lattice, gauge)
         solver = {"route": "bloch_fibers", "blocks": lattice.cells_x * lattice.cells_y,
                   "block_dim": lattice.q ** 2, "solved_blocks": report.solved_blocks}
-        op = assemble_bulk(lattice, gauge) if export else None
     else:
         op = assemble_restricted(lattice, gauge, _mask(cfg, lattice))
         b = spectral.banded(op)
         report = spectral.banded_spectrum(b)
         solver = {"route": "banded", "blocks": 1, "block_dim": op.dimension,
                   "bandwidth": b.bandwidth}
-    if export:
-        from .model import export_triplets
-        export_triplets(op, os.path.join(out, "operator.csv"))
     _spectrum_outputs(out, report, solver)
     return 0
 

@@ -54,8 +54,9 @@ from .model import (GaugeField, HalfPlaneShape, GraphShape, BallsShape,
                     HermitianOperator, MagneticLattice, RegionMask, _assemble,
                     assemble_restricted, build_gauge, cell_gauge, cell_lift_phases,
                     mask_from_member, twist_seams, window_member)
-from .spectral import (ChainOperator, SpectralInterval, banded, certify_counts,
-                       count_below, residual_tolerance, solve_eigenvalues, solve_vectors)
+from .spectral import (ChainOperator, SpectralInterval, _certified, _cluster, banded,
+                       certify_counts, count_below, residual_tolerance, solve_eigenvalues,
+                       solve_vectors)
 
 FLOW_CONVENTIONS = {
     "kappa_wrap_phase": "exp(+i*kappa) per x-period of solver.period_cells cells in +x",
@@ -422,6 +423,31 @@ def _verdicts(blocks: list, values: list, samples: np.ndarray,
     return dist, verdicts
 
 
+def _mass_basis(op: HermitianOperator, w: np.ndarray, window: np.ndarray, v: np.ndarray,
+                lower_rows: np.ndarray) -> np.ndarray:
+    """The window vectors v with every cluster of window eigenvalues closer than
+    tol = residual_tolerance(||H||) turned into the eigenbasis of its
+    compressed lower-half mass V^H chi_lower V.
+
+    The residual certificate does not fix a basis of such a cluster; this
+    one does, so the lower-half mass of each vector and the band
+    continuation do not depend on the basis the solve returned.  Turning
+    mixes eigenvalues, adding up to the cluster's spread to each residual,
+    so a run of spacings <= tol wider than tol / 2 is left as solved.  The
+    turned vectors are certified by their residuals at their eigenvalues
+    (ResidualNotCertified).
+    """
+    norm = float(np.abs(w).max())
+    tol = residual_tolerance(norm)
+    v = v.copy()
+    for a, z in _cluster(w[window], tol):
+        if z - a > 1 and w[window[z - 1]] - w[window[a]] <= tol / 2:
+            low = v[lower_rows, a:z]
+            v[:, a:z] = v[:, a:z] @ np.linalg.eigh(low.conj().T @ low)[1]
+            _certified(op, v[:, a:z], w[window[a:z]], norm)
+    return v
+
+
 def _solver_record(n_blocks: int, period_cells: int, b) -> dict:
     """Solver record of a strip's momentum blocks; they share one sparsity pattern."""
     if isinstance(b, ChainOperator):
@@ -482,8 +508,10 @@ def strip_bands(strip: StripSpec, n_kappa: int, e_ref: float | None = None,
     of its Harper chains or of its band (:func:`_block_solver`) for its
     whole dispersion row; the window count is certified by the counts at
     the window ends (CountNotCertified otherwise), and only the window
-    bands get eigenvectors, by inverse iteration.  Window energies are the
-    block eigenvalues themselves.  Bands inside the window
+    bands get eigenvectors, by inverse iteration, each cluster of them
+    closer than the residual tolerance turned into its lower-half mass
+    basis (:func:`_mass_basis`).  Window energies are the block eigenvalues
+    themselves.  Bands inside the window
     |E - e_ref| <= FLOW_WINDOW * 8*pi*max(k, 1) are continued between
     consecutive momenta by maximal eigenvector overlap (optimal assignment);
     a crossing pair with overlap below 0.5 raises BandConnectionAmbiguous.
@@ -511,8 +539,8 @@ def strip_bands(strip: StripSpec, n_kappa: int, e_ref: float | None = None,
         w = solve_eigenvalues(b)
         certify_counts(b, w, (lo, hi))
         window = np.flatnonzero((w > lo) & (w <= hi))
-        v, _ = solve_vectors(b, w, window)
         lower_rows = b.op.sites[:, 1] * lat.h < region_mid
+        v = _mass_basis(b.op, w, window, solve_vectors(b, w, window)[0], lower_rows)
         energies_all.append(w)
         win_bands.append(window)
         win_vals.append(w[window])

@@ -589,11 +589,3 @@ def gauge_transform(op: HermitianOperator, phases) -> HermitianOperator:
     matrix.sort_indices()
     return HermitianOperator(matrix, op.sites, op.ids, op.h, op.hop_range)
 
-
-def export_triplets(op: HermitianOperator, path) -> None:
-    """Sparse triplet CSV (row, col, re, im) for cross-checking elsewhere."""
-    coo = op.matrix.tocoo()
-    with open(path, "w") as fh:
-        fh.write("row,col,re,im\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r},{c},{v.real:.17g},{v.imag:.17g}\n")

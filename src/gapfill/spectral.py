@@ -19,11 +19,12 @@ every detected gap certified by those counts.
 An operator that a symmetry splits into tridiagonal chains (a
 :class:`ChainOperator`, such as a flat strip's momentum block split into
 Harper chains) is solved on the chains instead:
-:func:`chain_eigenvalues` by one tridiagonal solve of the chains joined
-by zero couplings, :func:`sturm_counts` by 1x1-pivot LDL^T counts and
-:func:`chain_vectors` by inverse iteration on the chains, lifted back and
-certified by residuals on the operator itself.  :func:`solve_eigenvalues`,
-:func:`solve_vectors` and :func:`count_below` take either kind.
+:func:`chain_eigenvalues` by one tridiagonal solve per chain, each
+eigenvalue keeping the chain it came from, :func:`sturm_counts` by
+1x1-pivot LDL^T counts and :func:`chain_vectors` by inverse iteration on
+each eigenvalue's own chain, lifted back and certified by residuals on the
+operator itself.  :func:`solve_eigenvalues`, :func:`solve_vectors` and
+:func:`count_below` take either kind.
 
 Filters are Chebyshev expansions on a stated spectral enclosure [a, b];
 applying one to a vector through the three-term recurrence grows the support
@@ -34,6 +35,7 @@ bookkeeping in :mod:`gapfill.coarse` relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -50,7 +52,6 @@ INVERSE_STEPS = 2      # solves per inverse-iteration vector
 ORTHO_CLUSTER = 1e-3   # relative eigenvalue spacing below which vectors are orthogonalized
 PIVOT_FLOOR = 1e-3     # relative size below which a pivot direction is deferred
 SHIFT_NUDGE = 1e-12    # relative move of an inverse-iteration shift off an exact zero pivot
-CHAIN_CLUSTER = 1e-11  # relative spacing below which eigenvalues are shared out among chains
 LANCZOS_ITERATIONS = 60  # Lanczos steps per operator_norm estimate, at most
 
 
@@ -602,9 +603,11 @@ class ChainOperator:
     tridiagonal: C_m[r, r] = diagonal[m, r] and C_m[r + 1, r] =
     coupling[m, r].  Each operator row i lies on position line[i] of every
     chain, with B_m[i, line[i]] = basis[i, m] and no other entry, so chain
-    vectors v_m lift to u[i] = sum_m basis[i, m] v_m[line[i]].  The caller
-    certifies the split; :func:`chain_vectors` certifies the lifted vectors
-    on op itself.
+    vectors v_m lift to u[i] = sum_m basis[i, m] v_m[line[i]].  Each chain
+    is solved once, on its own, the first time its values are asked for,
+    so every eigenvalue keeps the chain it came from.  The caller certifies
+    the split; :func:`chain_vectors` certifies the lifted vectors on op
+    itself.
     """
 
     op: HermitianOperator
@@ -613,16 +616,27 @@ class ChainOperator:
     basis: np.ndarray
     line: np.ndarray
 
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """All eigenvalues, ascending, and the chain of each: one LAPACK
+        tridiagonal solve per chain.
+
+        A Hermitian tridiagonal matrix has the spectrum of the real symmetric
+        one with the moduli of its couplings (a diagonal unitary carries one
+        to the other).
+        """
+        values = [scipy.linalg.eigvalsh_tridiagonal(d, np.abs(b), check_finite=False)
+                  for d, b in zip(self.diagonal, self.coupling)]
+        chain = np.repeat(np.arange(len(values)), [len(w) for w in values])
+        w = np.concatenate(values)
+        order = np.argsort(w, kind="stable")
+        return w[order], chain[order]
+
 
 def chain_eigenvalues(c: ChainOperator) -> np.ndarray:
-    """All eigenvalues, ascending: one LAPACK tridiagonal solve of the joined chains.
-
-    A Hermitian tridiagonal matrix has the spectrum of the real symmetric
-    one with the moduli of its couplings (a diagonal unitary carries one to
-    the other).
-    """
-    joined = np.hstack([np.abs(c.coupling), np.zeros((len(c.coupling), 1))]).ravel()[:-1]
-    return scipy.linalg.eigvalsh_tridiagonal(c.diagonal.ravel(), joined, check_finite=False)
+    """All eigenvalues, ascending: one LAPACK tridiagonal solve per chain, done
+    once per ChainOperator."""
+    return c._spectrum[0]
 
 
 def sturm_counts(c: ChainOperator, sigmas) -> np.ndarray:
@@ -634,72 +648,36 @@ def sturm_counts(c: ChainOperator, sigmas) -> np.ndarray:
     tiny * max(1, max |b|^2) in modulus is replaced by minus the floor, as
     LAPACK's bisection does, so no pivot divides by zero.
     """
-    return _chain_counts(c, sigmas).sum(axis=0)
-
-
-def _chain_counts(c: ChainOperator, sigmas) -> np.ndarray:
-    """The Sturm counts of :func:`sturm_counts`, one row per chain."""
     sig = np.atleast_1d(np.asarray(sigmas, float))
     n_chains, length = c.diagonal.shape
     # b2[:, r] = |C_m[r, r - 1]|^2, 0 before the first site
     b2 = np.abs(np.hstack([np.zeros((n_chains, 1)), c.coupling])) ** 2
     floor = np.finfo(float).tiny * max(1.0, float(b2.max()))
-    count = np.zeros((n_chains, len(sig)), int)
+    count = np.zeros(len(sig), int)
     d = np.ones((n_chains, len(sig)))
     for r in range(length):
         d = c.diagonal[:, r, None] - sig - b2[:, r, None] / d
         d[np.abs(d) < floor] = -floor
-        count += d < 0
+        count += (d < 0).sum(axis=0)
     return count
-
-
-def _chain_of(c: ChainOperator, eigenvalues: np.ndarray, index: np.ndarray,
-              tol: float) -> np.ndarray:
-    """The chain each eigenvalue eigenvalues[index] belongs to.
-
-    Eigenvalues with spacings up to tol form clusters.  Each chain's Sturm
-    count across a cluster, between shifts at least tol/2 from every
-    eigenvalue, is its share of the cluster (CountNotCertified unless the
-    shares add up to the cluster size); the cluster's eigenvalues go to
-    the chains in chain order.
-    """
-    w = eigenvalues
-    start = np.r_[0, np.flatnonzero(np.diff(w) > tol) + 1]
-    stop = np.r_[start[1:], len(w)]
-    used, at = np.unique(np.searchsorted(start, index, side="right") - 1,
-                         return_inverse=True)
-    # edges[k] lies between w[k - 1] and w[k]
-    edges = np.r_[w[0] - tol, 0.5 * (w[:-1] + w[1:]), w[-1] + tol]
-    below, above = edges[start[used]], edges[stop[used]]
-    counts = _chain_counts(c, np.r_[below, above])
-    share = counts[:, len(used):] - counts[:, :len(used)]
-    size = stop[used] - start[used]
-    if (share.sum(axis=0) != size).any():
-        u = int(np.flatnonzero(share.sum(axis=0) != size)[0])
-        raise CountNotCertified(
-            f"Sturm counts find {int(share[:, u].sum())} eigenvalues in "
-            f"({below[u]:.12g}, {above[u]:.12g}), the eigenvalue solve {int(size[u])}")
-    ends = np.cumsum(share, axis=0)[:, at]
-    return (ends <= (index - start[used][at])).sum(axis=0)
 
 
 def chain_vectors(c: ChainOperator, eigenvalues: np.ndarray,
                   select) -> tuple[np.ndarray, np.ndarray]:
     """Certified eigenvectors of eigenvalues[select], by inverse iteration on the chains.
 
-    eigenvalues is the complete spectrum from chain_eigenvalues.  Each
-    eigenvalue is assigned its chain by the Sturm counts
-    (:func:`_chain_of`, with the cluster width CHAIN_CLUSTER * max(||H||, 1)),
-    its vector is computed on that chain as :func:`banded_vectors` computes
-    one on a band, lifted by the chain's basis column, and certified by its
-    residual on the operator itself (ResidualNotCertified).
+    eigenvalues is the complete spectrum from chain_eigenvalues, and each
+    eigenvalue's chain is the one whose solve gave it (the same per-chain
+    solve, not repeated).  Its vector is computed on that chain as
+    :func:`banded_vectors` computes one on a band, lifted by the chain's
+    basis column (so it is an eigenvector of the symmetry too), and
+    certified by its residual on the operator itself (ResidualNotCertified).
     """
     w = np.asarray(eigenvalues)
-    index = np.arange(len(w))[select]
-    values = w[index]
+    values = w[select]
+    chain = c._spectrum[1][select]
     norm = float(np.abs(w).max())
-    chain = _chain_of(c, w, index, CHAIN_CLUSTER * max(norm, 1.0))
-    vectors = np.zeros((c.op.dimension, len(index)), complex)
+    vectors = np.zeros((c.op.dimension, len(values)), complex)
     for m in np.unique(chain):
         cols = np.flatnonzero(chain == m)
         band = np.vstack([c.diagonal[m], np.append(c.coupling[m], 0.0)])

@@ -261,15 +261,6 @@ class TestBulkSpectrumTask:
             spectra.append(np.array([float(row.split(",")[1]) for row in rows]))
         assert np.abs(spectra[1] - spectra[0] - 1.5).max() < 1e-10
 
-    def test_operator_triplet_export(self, tmp_path):
-        cfg = write_config(tmp_path / "cfg.json",
-                           params={"export_operator": True})
-        out = tmp_path / "out"
-        assert main(["gaps", "--config", str(cfg), "--out", str(out)]) == 0
-        lines = (out / "operator.csv").read_text().splitlines()
-        assert lines[0] == "row,col,re,im"
-        assert len(lines) > 256  # diagonal plus hoppings
-
 
 class TestWindowSpectrum:
     TORUS = {"k": 1, "q": 4, "cells_x": 4, "cells_y": 4,

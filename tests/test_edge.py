@@ -336,6 +336,37 @@ class TestSpectralFlow:
         assert flow.e_ref == 4.0 * np.pi
         assert (flow.net_flow, flow.net_flow_upper) == (1, -1)
 
+    def test_degenerate_pair_masses_do_not_depend_on_its_basis(self, monkeypatch):
+        # at kappa = 0 bands 23 and 24 of the shipped bands strip are the
+        # lower and the upper edge state of one Harper chain, 5.6e-13 apart;
+        # the solve's basis of the pair and that basis turned by 45 degrees
+        # give the same masses, one state on each edge
+        strip = make_strip(1, 8, 12, 2)
+        vectors = edge.solve_vectors
+
+        def turned(b, w, select):
+            v, res = vectors(b, w, select)
+            if abs(w[24] - w[23]) < 1e-9:
+                pair = np.flatnonzero(np.isin(select, (23, 24)))
+                v[:, pair] = v[:, pair] @ (np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0))
+            return v, res
+        masses = []
+        for solve in (vectors, turned):
+            monkeypatch.setattr(edge, "solve_vectors", solve)
+            flow = strip_bands(strip, n_kappa=48)
+            pair = np.isin(flow.window_bands[0], (23, 24))
+            masses.append(flow.window_mass_lower[0][pair])
+        assert np.abs(masses[1] - masses[0]).max() < 1e-9
+        assert np.abs(np.sort(masses[0]) - [0.0, 1.0]).max() < 1e-9
+
+    def test_turned_cluster_needs_its_residuals(self, monkeypatch):
+        # a cluster width of 1 joins window eigenvalues the operator
+        # separates; turning their vectors into one mass basis mixes
+        # eigenvalues, and the residuals refuse the result
+        monkeypatch.setattr(edge, "residual_tolerance", lambda norm: 1.0)
+        with pytest.raises(ResidualNotCertified, match="inverse-iteration residual"):
+            strip_bands(make_strip(1, 4, 8, 2), n_kappa=6, e_ref=19.3)
+
     def test_ambiguous_connection_raises(self):
         with pytest.raises(BandConnectionAmbiguous):
             strip_bands(make_strip(1, 4, 8, 2), n_kappa=3, e_ref=9.0)
@@ -655,9 +686,8 @@ class TestHarperChains:
 
     def test_dropped_sample_eigenvalues_fail_count(self, small_gap, monkeypatch):
         # as on the banded route, the chain solve loses every eigenvalue
-        # within delta of mid-gap; the Sturm counts across the eigenvalues
-        # next to the lost ones, taken to assign their vectors a chain,
-        # find more eigenvalues than the solve
+        # within delta of mid-gap, and the Sturm counts of the failing
+        # samples find the lost ones
         _, gap = small_gap
         strip = make_strip(1, 4, 8, 12)
         eigvalsh_tridiagonal = scipy.linalg.eigvalsh_tridiagonal
@@ -666,8 +696,25 @@ class TestHarperChains:
             w = eigvalsh_tridiagonal(*args, **kwargs)
             return w[np.abs(w - gap.midpoint) > 0.5]
         monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", dropped)
-        with pytest.raises(CountNotCertified, match="Sturm counts find"):
+        with pytest.raises(CountNotCertified, match="inertia count finds"):
             gap_filling_check(strip, gap, 9, 0.5, n_localization=0)
+
+    def test_chain_vectors_are_translation_eigenvectors(self):
+        # every vector lies in the range of one chain's basis B_m, so it is an
+        # eigenvector of the one-site translation; the bulk level at
+        # 23.6122675974442 is a cluster of 25 eigenvalues 2.3e-12 wide that
+        # spans all 8 chains
+        strip = make_strip(1, 8, 16, 1)
+        c = strip_chains(strip, 0.3, strip_mask(strip))
+        w = chain_eigenvalues(c)
+        cluster = np.flatnonzero(np.abs(w - 23.6122675974442) < 1e-9)
+        select = np.unique(np.r_[np.arange(4), cluster, np.argsort(np.abs(w - 12.0))[:4]])
+        v, _ = chain_vectors(c, w, select)
+        proj = np.zeros((c.diagonal.shape[1], c.diagonal.shape[0], len(select)), complex)
+        np.add.at(proj, c.line, c.basis.conj()[:, :, None] * v[:, None, :])
+        mass = (np.abs(proj) ** 2).sum(axis=0)  # sum over rows of |B_m^H v|^2
+        assert np.abs(mass.max(axis=0) - 1.0).max() < 1e-10
+        assert len(np.unique(mass[:, np.isin(select, cluster)].argmax(axis=0))) > 1
 
     def test_perturbed_chain_vector_fails_residual(self, monkeypatch):
         solve = scipy.linalg.solve_banded
