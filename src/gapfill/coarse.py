@@ -3,7 +3,12 @@
 Everything here is support arithmetic on banded matrices: polynomial
 filters of a hop-range-1 operator propagate exactly one hop per degree, so
 claims of the form "this operator vanishes beyond radius R of the boundary"
-are checked bitwise, not against a small threshold.  Norm-valued decay
+are checked bitwise, not against a small threshold.  Because propagation
+is finite, the bitwise affiliation verify applies the filters to probes,
+sums of unit vectors at far sites more than 2 * degree * hop_range hops
+apart, rather than to one unit vector per far site: the cones of one
+probe's sites are disjoint, so each entry of the result is bitwise one
+site's own value or zero.  Norm-valued decay
 profiles (for filters that only approximate a continuous function) are
 Lanczos estimates from a fixed start vector: lower estimates of the norms,
 not certified bounds.
@@ -22,12 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnclosureViolation, MaskMismatch, UnsupportedShape
+from .errors import (EnclosureViolation, HopRangeViolation, MaskMismatch,
+                     UnsupportedShape)
 from .model import (BallsShape, DiskShape, GraphShape, HalfPlaneShape,
                     HermitianOperator, MagneticLattice, RegionMask)
 from .spectral import ChebFilter, apply_filter, _cheb_apply, operator_norm
 
-VERIFY_CHUNK = 128  # far columns per block of the bitwise affiliation verify
+VERIFY_CHUNK = 128  # probe columns per block of the bitwise affiliation verify
 N_SPOT = 100  # random bounded sets per analytic wideness rule
 N_SEARCH_SETS = 50  # random bounded sets in the region-mask search
 
@@ -123,6 +129,70 @@ def _mask_alignment(bulk: HermitianOperator, restricted: HermitianOperator,
     return rows
 
 
+def _periodic_axes(lattice: MagneticLattice) -> list:
+    """(axis, site count) of each periodic axis of the lattice."""
+    return [(axis, n) for axis, (periodic, n)
+            in enumerate([(lattice.periodic_x, lattice.n_x), (lattice.periodic_y, lattice.n_y)])
+            if periodic]
+
+
+def _hops(a: np.ndarray, b: np.ndarray, lattice: MagneticLattice) -> np.ndarray:
+    """L1 distances in hops between the sites a[i] and b[i], wrapped on each
+    periodic axis of the lattice."""
+    d = np.abs(a - b)
+    for axis, n in _periodic_axes(lattice):
+        d[:, axis] = np.minimum(d[:, axis], n - d[:, axis])
+    return d.sum(axis=1)
+
+
+def _certify_hop_range(op: HermitianOperator, lattice: MagneticLattice, name: str):
+    """HopRangeViolation unless every stored entry of op joins sites at most
+    op.hop_range hops apart on the lattice."""
+    m = op.matrix
+    rows = np.repeat(np.arange(op.dimension), np.diff(m.indptr))
+    hops = _hops(op.sites[rows], op.sites[m.indices], lattice)
+    if hops.size and hops.max() > op.hop_range:
+        k = int(hops.argmax())
+        raise HopRangeViolation(
+            f"{name} entry ({rows[k]}, {m.indices[k]}) joins sites "
+            f"{tuple(op.sites[rows[k]].tolist())} and {tuple(op.sites[m.indices[k]].tolist())}, "
+            f"{hops[k]} hops apart, beyond its hop range {op.hop_range}")
+
+
+def _probes(rows: np.ndarray, sites: np.ndarray, lattice: MagneticLattice,
+            reach: int) -> list:
+    """rows split into probes whose sites lie pairwise more than 2 * reach hops apart.
+
+    Sites are classed by the residues of ix + iy and ix - iy modulo
+    s = 2 * (reach + 1).  Two sites of one class differ by a multiple of s
+    in both, so their L1 distance max(|d(ix + iy)|, |d(ix - iy)|) is at
+    least s; ix + iy and ix - iy share their parity, so about s^2 / 2
+    classes occur, whatever the window size.  On a periodic axis the
+    wrapped distance is shorter only for two sites within 2 * reach of its
+    seam; each such site joins the first probe of its class that holds no
+    site within 2 * reach of it, or starts a new one.
+    """
+    s = 2 * (reach + 1)
+    key = (sites[:, 0] + sites[:, 1]) % s * s + (sites[:, 0] - sites[:, 1]) % s
+    near_seam = np.zeros(len(rows), bool)
+    for axis, n in _periodic_axes(lattice):
+        near_seam |= (sites[:, axis] <= 2 * reach) | (sites[:, axis] >= n - 2 * reach)
+    order = np.argsort(key, kind="stable")
+    probes = []
+    for members in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+        groups = [[]]  # the class's sites near a seam, split by wrapped distance
+        for i in members[near_seam[members]]:
+            for g in groups:
+                if not g or _hops(sites[g], sites[[i]], lattice).min() > 2 * reach:
+                    g.append(i)
+                    break
+            else:
+                groups.append([i])
+        groups[0].extend(members[~near_seam[members]])
+        probes.extend(rows[np.sort(g)] for g in groups if g)
+    return probes
+
+
 def affiliation_check(bulk: HermitianOperator, restricted: HermitianOperator,
                       mask: RegionMask, filt: ChebFilter, radii,
                       verify_bitwise: bool = True) -> AffiliationReport:
@@ -136,11 +206,21 @@ def affiliation_check(bulk: HermitianOperator, restricted: HermitianOperator,
     compressed difference, started from operator_norm's fixed start vector:
     a lower estimate, the same for every run.
 
-    The bitwise verification applies the difference to the far unit vectors
-    VERIFY_CHUNK columns at a time and checks every far entry of every
-    chunk before exact_zero_radius is set; its working set is a few
-    (bulk dimension) x VERIFY_CHUNK complex blocks, whatever the number of
-    far sites.
+    The bitwise verification first checks that every stored entry of both
+    matrices joins sites at most its operator's hop_range apart (L1, wrapped
+    on a periodic axis of mask.lattice; HopRangeViolation otherwise).  It
+    then applies the difference to probes, VERIFY_CHUNK at a time: each
+    probe is the sum of the unit vectors of far sites pairwise more than
+    2 * degree * hop_range hops apart (see _probes; at most 162 probes at
+    degree 8 on an open window, whatever its size).  The balls of
+    degree * hop_range hops around one probe's sites are disjoint, so each
+    row of each recurrence step sums terms from at most one site, the others
+    contributing exact zeros, and a signed zero never changes a nonzero sum;
+    every nonzero entry of a probe's difference is therefore bitwise that
+    site's own column entry.  exact_zero_radius is set only when every far
+    entry of every probe is exactly 0, the same verdict as one column per
+    far site.  The working set is a few (bulk dimension) x VERIFY_CHUNK
+    complex blocks.
     """
     z_to_bulk = _mask_alignment(bulk, restricted, mask)
     bd = mask.boundary_distance[restricted.sites[:, 0], restricted.sites[:, 1]]
@@ -179,13 +259,19 @@ def affiliation_check(bulk: HermitianOperator, restricted: HermitianOperator,
 
     exact_zero = None
     if filt.uniform_error == 0.0 and verify_bitwise:
+        lattice = mask.lattice
+        _certify_hop_range(bulk, lattice, "bulk")
+        _certify_hop_range(restricted, lattice, "restricted")
         cone = filt.degree * restricted.h
         far = np.flatnonzero(bd > cone + 1e-12)
+        reach = filt.degree * max(bulk.hop_range, restricted.hop_range)
+        probes = _probes(far, restricted.sites[far], lattice, reach)
         exact = True  # vacuously, when there are no far sites
-        for start in range(0, far.size, VERIFY_CHUNK):
-            cols = far[start:start + VERIFY_CHUNK]
-            basis = np.zeros((nz, cols.size), complex)
-            basis[cols, np.arange(cols.size)] = 1.0
+        for start in range(0, len(probes), VERIFY_CHUNK):
+            block = probes[start:start + VERIFY_CHUNK]
+            basis = np.zeros((nz, len(block)), complex)
+            basis[np.concatenate(block),
+                  np.repeat(np.arange(len(block)), [len(p) for p in block])] = 1.0
             if np.any(difference(basis)[far] != 0):
                 exact = False
                 break

@@ -30,12 +30,20 @@ class ResidualNotCertified(GapfillError):
     """An eigenpair fails the residual certificate."""
 
 
+class RepeatedSelection(GapfillError):
+    """An eigenvector selection names one eigenvalue index more than once."""
+
+
 class CountNotCertified(GapfillError):
     """An inertia count disagrees with the eigenvalues it should certify."""
 
 
 class EnclosureViolation(GapfillError):
     """Spectral enclosure of a filter does not contain the Gershgorin bound."""
+
+
+class HopRangeViolation(GapfillError):
+    """A stored operator entry joins sites farther apart than its hop range."""
 
 
 class MarginTooSmall(GapfillError):

@@ -43,7 +43,7 @@ import scipy.sparse as sp
 from numpy.polynomial import chebyshev as npcheb
 
 from .errors import (CountNotCertified, EnclosureViolation, MarginTooSmall,
-                     ResidualNotCertified)
+                     RepeatedSelection, ResidualNotCertified)
 from .model import HermitianOperator
 
 DEGREE_CAP_DEFAULT = 4096
@@ -403,13 +403,29 @@ def banded_vectors(b: BandedOperator, eigenvalues: np.ndarray,
     eigenvalues within ORTHO_CLUSTER * max(||H||, 1) of lambda.  Vectors
     come back in the operator's own row order, as columns, with their
     residuals ||Hv - lambda v||; ResidualNotCertified if any residual
-    exceeds residual_tolerance(||H||).
+    exceeds residual_tolerance(||H||), RepeatedSelection if select names
+    one index twice.
     """
-    values = np.asarray(eigenvalues)[select]
+    values = np.asarray(eigenvalues)[_selected(eigenvalues, select)]
     norm = float(np.abs(eigenvalues).max())
     vectors = np.zeros((b.op.dimension, len(values)), complex)
     vectors[b.order] = _inverse_iteration(b.band, values, norm)
     return _certified(b.op, vectors, values, norm)
+
+
+def _selected(eigenvalues: np.ndarray, select) -> np.ndarray:
+    """The indices eigenvalues[select] names; RepeatedSelection if one comes twice.
+
+    Inverse iteration orthogonalizes each vector against those already
+    computed at nearby values, so a repeated index would be driven off its
+    own eigenvector and fail its residual.
+    """
+    idx = np.arange(len(eigenvalues))[select]
+    unique, counts = np.unique(idx, return_counts=True)
+    if np.any(counts > 1):
+        raise RepeatedSelection(
+            f"select names eigenvalue index {int(unique[counts > 1][0])} more than once")
+    return idx
 
 
 def _inverse_iteration(band: np.ndarray, values: np.ndarray, norm: float) -> np.ndarray:
@@ -672,10 +688,12 @@ def chain_vectors(c: ChainOperator, eigenvalues: np.ndarray,
     :func:`banded_vectors` computes one on a band, lifted by the chain's
     basis column (so it is an eigenvector of the symmetry too), and
     certified by its residual on the operator itself (ResidualNotCertified).
+    RepeatedSelection if select names one index twice.
     """
     w = np.asarray(eigenvalues)
-    values = w[select]
-    chain = c._spectrum[1][select]
+    idx = _selected(w, select)
+    values = w[idx]
+    chain = c._spectrum[1][idx]
     norm = float(np.abs(w).max())
     vectors = np.zeros((c.op.dimension, len(values)), complex)
     for m in np.unique(chain):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gapfill import coarse
 from gapfill.coarse import (affiliation_check, ideal_multiplicativity,
                             propagation_profile, wideness_check)
-from gapfill.errors import MaskMismatch
+from gapfill.errors import HopRangeViolation, MaskMismatch
 from gapfill.model import (BallsShape, DiskShape, GraphShape, HalfPlaneShape,
                            HermitianOperator, MagneticLattice,
                            assemble_restricted, build_gauge, gauge_transform,
@@ -123,16 +124,72 @@ class TestAffiliation:
             affiliation_check(bulk, edge_op, other, filt, [1.0])
 
 
-class TestBitwiseVerify:
-    """The chunked bitwise verify of affiliation_check on the 6x6-cell window.
+def _far_sites(edge_op, mask, cone):
+    bd = mask.boundary_distance[edge_op.sites[:, 0], edge_op.sites[:, 1]]
+    return np.flatnonzero(bd > cone + 1e-12)
 
-    A degree-3 filter leaves 312 far sites past its cone: three chunks.
+
+def _far_differences(bulk, edge_op, mask, filt, basis):
+    """Far rows of (q(p(D)) - p(D')) basis, as affiliation_check forms them."""
+    a, b = filt.enclosure
+    z_to_bulk = coarse._mask_alignment(bulk, edge_op, mask)
+    vb = np.zeros((bulk.dimension, basis.shape[1]), complex)
+    vb[z_to_bulk] = basis
+    w_bulk = coarse._cheb_apply(bulk.matrix, filt.coefficients, a, b, vb)[z_to_bulk]
+    w_edge = coarse._cheb_apply(edge_op.matrix, filt.coefficients, a, b, basis)
+    far = _far_sites(edge_op, mask, filt.degree * edge_op.h)
+    return (w_bulk - w_edge)[far]
+
+
+def _per_column_differences(bulk, edge_op, mask, filt):
+    """The reference verify: one unit column per far site, VERIFY_CHUNK at a time.
+
+    Returns the far x far block of the difference; the verdict is that it
+    is exactly zero.
+    """
+    far = _far_sites(edge_op, mask, filt.degree * edge_op.h)
+    blocks = []
+    for start in range(0, far.size, coarse.VERIFY_CHUNK):
+        cols = far[start:start + coarse.VERIFY_CHUNK]
+        basis = np.zeros((edge_op.dimension, cols.size), complex)
+        basis[cols, np.arange(cols.size)] = 1.0
+        blocks.append(_far_differences(bulk, edge_op, mask, filt, basis))
+    return np.hstack(blocks)
+
+
+def _one_ulp_up(op, site):
+    """op with its diagonal entry at row `site` moved one ULP up."""
+    m = op.matrix.copy()
+    k = m.indptr[site] + np.searchsorted(m.indices[m.indptr[site]:m.indptr[site + 1]],
+                                         site)
+    m.data[k] = complex(np.nextafter(m.data[k].real, np.inf), m.data[k].imag)
+    return HermitianOperator(m, op.sites, op.ids, op.h, op.hop_range)
+
+
+@pytest.fixture(scope="module")
+def strip_window():
+    """Strip (periodic in x) k=1, q=4 window of 5 x 4 cells, Z = {y <= 3}.
+
+    Its 20 x-columns are not a multiple of the degree-3 class modulus 8, so
+    classes meet across the seam.
+    """
+    lat = MagneticLattice(1, 4, 5, 4, "strip")
+    g = build_gauge(lat)
+    bulk = assemble_restricted(lat, g, mask_all(lat))
+    mask = make_mask(lat, HalfPlaneShape(3.0))
+    edge_op = assemble_restricted(lat, g, mask)
+    a, b = bulk.gershgorin()
+    return lat, g, bulk, mask, edge_op, (a - 1.0, b + 1.0)
+
+
+class TestBitwiseVerify:
+    """The probe verify of affiliation_check on the 6x6-cell window.
+
+    A degree-3 filter leaves 312 far sites past its cone; they fall into
+    the 32 diagonal-residue classes modulo 8, one probe each.
     """
 
-    @staticmethod
-    def far_sites(edge_op, mask, cone):
-        bd = mask.boundary_distance[edge_op.sites[:, 0], edge_op.sites[:, 1]]
-        return np.flatnonzero(bd > cone + 1e-12)
+    far_sites = staticmethod(_far_sites)
 
     def test_one_ulp_in_the_last_chunk_fails(self, window):
         lat, _, bulk, mask, edge_op, encl = window
@@ -156,22 +213,84 @@ class TestBitwiseVerify:
 
     def test_verify_applies_at_most_128_columns(self, window, monkeypatch):
         lat, _, bulk, mask, edge_op, encl = window
-        filt = polynomial_filter(np.linspace(1.0, 0.3, 4), encl)
-        widths = []
+        widths, probes = [], []
         apply = coarse._cheb_apply
 
         def spy(matrix, coefficients, a, b, v):
             if v.ndim == 2:
                 widths.append(v.shape[1])
+                if matrix is edge_op.matrix:
+                    probes.extend(np.flatnonzero(col) for col in v.T)
             return apply(matrix, coefficients, a, b, v)
 
         monkeypatch.setattr(coarse, "_cheb_apply", spy)
+        # degree 8 puts 192 far sites in 144 probes: two blocks per recurrence
+        for degree in (3, 8):
+            widths.clear()
+            probes.clear()
+            filt = polynomial_filter(np.linspace(1.0, 0.3, degree + 1), encl)
+            rep = affiliation_check(bulk, edge_op, mask, filt, [1.0])
+            assert rep.exact_zero_radius == pytest.approx(filt.degree * lat.h)
+            # every far site is in exactly one probe
+            far = self.far_sites(edge_op, mask, filt.degree * lat.h)
+            assert np.array_equal(np.sort(np.concatenate(probes)), far)
+            # the sites of one probe lie pairwise more than 2 * degree * hop_range apart
+            for p in probes:
+                pts = edge_op.sites[p]
+                hops = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+                assert np.all(hops[~np.eye(len(p), dtype=bool)]
+                              > 2 * degree * edge_op.hop_range)
+            # each probe goes through both recurrences exactly once
+            assert sum(widths) == 2 * len(probes)
+            assert max(widths) <= coarse.VERIFY_CHUNK
+            assert len(widths) == 2 * -(-len(probes) // coarse.VERIFY_CHUNK)
+            assert len(probes) < far.size
+
+    @pytest.mark.parametrize("site", [None, "first", "middle", "last"])
+    @pytest.mark.parametrize("shape", ["open", "strip"])
+    def test_probe_verdict_matches_per_column_verdict(self, window, strip_window,
+                                                      shape, site):
+        lat, _, bulk, mask, edge_op, encl = window if shape == "open" else strip_window
+        filt = polynomial_filter(np.linspace(1.0, 0.3, 4), encl)
+        cone = filt.degree * lat.h
+        far = self.far_sites(edge_op, mask, cone)
+        if site is not None:
+            edge_op = _one_ulp_up(edge_op, far[{"first": 0, "middle": far.size // 2,
+                                                "last": -1}[site]])
+        per_column = _per_column_differences(bulk, edge_op, mask, filt)
+        assert (not per_column.any()) == (site is None)
         rep = affiliation_check(bulk, edge_op, mask, filt, [1.0])
-        assert rep.exact_zero_radius == pytest.approx(filt.degree * lat.h)
-        assert max(widths) <= 128
-        # every far column goes through both recurrences exactly once
+        assert (rep.exact_zero_radius is not None) == (not per_column.any())
+        # bitwise: each probe's difference holds its sites' own column
+        # entries, at most one of them nonzero in any far row
+        probes = coarse._probes(far, edge_op.sites[far], lat, filt.degree)
+        basis = np.zeros((edge_op.dimension, len(probes)), complex)
+        for c, p in enumerate(probes):
+            basis[p, c] = 1.0
+        probed = _far_differences(bulk, edge_op, mask, filt, basis)
+        column_of = {j: c for c, j in enumerate(far)}
+        for c, p in enumerate(probes):
+            own = per_column[:, [column_of[j] for j in p]]
+            assert np.all(np.count_nonzero(own, axis=1) <= 1)
+            assert np.array_equal(probed[:, c], own.sum(axis=1))
+        if shape == "strip":
+            # a class that meets itself across the seam is split
+            classes = {((ix + iy) % 8, (ix - iy) % 8) for ix, iy in edge_op.sites[far]}
+            assert len(probes) > len(classes)
+
+    def test_entry_beyond_the_hop_range_is_refused(self, window):
+        lat, _, bulk, mask, edge_op, encl = window
+        filt = polynomial_filter(np.linspace(1.0, 0.3, 4), encl)
         far = self.far_sites(edge_op, mask, filt.degree * lat.h)
-        assert sum(widths) == 2 * far.size
+        i = far[0]
+        j = edge_op.ids[edge_op.sites[i, 0] + 2, edge_op.sites[i, 1] + 1]
+        assert j in far
+        pair = sp.csr_matrix(([1e-3j, -1e-3j], ([i, j], [j, i])), shape=edge_op.shape)
+        m = (edge_op.matrix + pair).tocsr()
+        m.sort_indices()
+        bad = HermitianOperator(m, edge_op.sites, edge_op.ids, edge_op.h, edge_op.hop_range)
+        with pytest.raises(HopRangeViolation, match="3 hops apart"):
+            affiliation_check(bulk, bad, mask, filt, [1.0])
 
 
 class TestIdealMultiplicativity:

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from gapfill import spectral
-from gapfill.errors import EnclosureViolation, MarginTooSmall
+from gapfill.errors import EnclosureViolation, MarginTooSmall, RepeatedSelection
 from gapfill.model import (HalfPlaneShape, HermitianOperator, MagneticLattice,
                            assemble_bulk, assemble_restricted, build_gauge,
                            make_mask, mask_all)
@@ -102,6 +102,26 @@ class TestInverseIteration:
         v, res = spectral.chain_vectors(c, w, np.arange(n))
         assert np.abs(v.conj().T @ v - np.eye(n)).max() < 1e-10
         assert res.max() <= spectral.residual_tolerance(np.abs(w).max())
+
+
+    def test_repeated_index_is_refused(self):
+        # the second copy of index 3 would be orthogonalized against the
+        # first and fail its residual (8.9e-2)
+        _, op = masked_window()
+        b = spectral.banded(op)
+        w = spectral.banded_eigenvalues(b)
+        with pytest.raises(RepeatedSelection, match="index 3 "):
+            spectral.banded_vectors(b, w, [3, 3])
+
+    def test_repeated_index_is_refused_on_chains(self):
+        # index -1 and index 1 name the same eigenvalue of the two-site chain
+        op = toy_pair()
+        h = op.matrix.toarray()
+        c = spectral.ChainOperator(op, np.diag(h).real[None, :], np.diag(h, -1)[None, :],
+                                   np.ones((2, 1), complex), np.arange(2))
+        w = spectral.chain_eigenvalues(c)
+        with pytest.raises(RepeatedSelection, match="index 1 "):
+            spectral.chain_vectors(c, w, [1, -1])
 
 
 class TestSturmCounts:
