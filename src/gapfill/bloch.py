@@ -47,6 +47,21 @@ link, must not exceed the fiber tolerance FIBER_RESIDUAL_FACTOR * max(bound,
 eigenvalues lie within eps of the representative's, so counts read from the
 representative hold on the member when every endpoint distance exceeds the
 fiber tolerance plus eps.
+
+An orbit is walked as arrays, not member by member.  The stabilizer is
+found by one gather of W over all q^2 shifts.  The members' fiber gauges
+come from one batched seam twist, and their perms, chis and defects from
+one transport pass (:func:`_transport`) whose cumulative products run over
+a leading member axis; each member's values are bitwise those it would get
+on its own.  The walk forms the one-cell stencil pattern once
+(:class:`gapfill.model.StencilPattern`: CSR indptr, indices and the COO to
+CSR order of :func:`gapfill.model._assemble`).  A representative's dense
+fiber is its gauge's data on that pattern; a member's residual certificate
+applies the member's own sparse fiber, its gauge's data on the same
+pattern, with no dense member fiber and no dense product: the members of an
+orbit are applied together as one block-diagonal operator
+(:func:`_member_operator`).  The pattern lives for one walk; nothing is
+cached between walks.
 """
 
 from __future__ import annotations
@@ -55,11 +70,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from .errors import (FluxNotAdmissible, LiftNotCertified, NonConstantRank,
                      ResidualNotCertified, SingularOverlap)
-from .model import (GaugeField, MagneticLattice, _assemble, assemble_bulk, cell_gauge,
-                    cell_lift_phases, twist_seams)
+from .model import (GaugeField, MagneticLattice, StencilPattern, _stencil_pattern,
+                    assemble_bulk, cell_gauge, cell_lift_phases, twist_seams)
 from .spectral import (SpectralInterval, SpectrumReport, residual_tolerance,
                        spectrum_report)
 
@@ -106,8 +122,11 @@ class ChernResult:
 # fibers
 
 
-def _fiber_gauge(lattice: MagneticLattice, gauge_kind: str, s: float, t: float) -> GaugeField:
-    """The one-cell torus gauge with its seams twisted by e^{2*pi*i*s}, e^{2*pi*i*t}."""
+def _fiber_gauge(lattice: MagneticLattice, gauge_kind: str, s, t) -> GaugeField:
+    """The one-cell torus gauge with its seams twisted by e^{2*pi*i*s}, e^{2*pi*i*t}.
+
+    Arrays s, t of one shape give a batch of fiber gauges (twist_seams).
+    """
     return twist_seams(cell_gauge(lattice.k, lattice.q, gauge_kind),
                        np.exp(2j * np.pi * s), np.exp(2j * np.pi * t))
 
@@ -121,20 +140,25 @@ def fiber_hamiltonian(lattice: MagneticLattice, gauge_kind: str,
     and e^{2*pi*i*t} (y seam).
     """
     s, t = point
-    return _fiber(lattice, _fiber_gauge(lattice, gauge_kind, s, t))
+    return _fiber(_cell_pattern(lattice), _fiber_gauge(lattice, gauge_kind, s, t))
 
 
-def _fiber(lattice: MagneticLattice, fiber_gauge: GaugeField) -> np.ndarray:
+def _cell_pattern(lattice: MagneticLattice) -> StencilPattern:
+    """The stencil pattern of the one-cell torus, shared by every fiber of a family."""
+    return _stencil_pattern(MagneticLattice(lattice.k, lattice.q, 1, 1, "torus",
+                                            lattice.potential), None)
+
+
+def _fiber(pattern: StencilPattern, fiber_gauge: GaugeField) -> np.ndarray:
     """Dense stencil of the one-cell torus under a fiber gauge."""
-    cell = MagneticLattice(lattice.k, lattice.q, 1, 1, "torus", lattice.potential)
-    return _assemble(cell, fiber_gauge, None).matrix.toarray()
+    return pattern.dense(pattern.data(fiber_gauge.phase_x, fiber_gauge.phase_y))
 
 
 # ---------------------------------------------------------------------------
 # magnetic-translation orbits
 
 
-def _momentum_shift(k: int, q: int, dx: int, dy: int) -> tuple[int, int]:
+def _momentum_shift(k: int, q: int, dx, dy):
     """q times the dual-torus displacement (ds, dt) of fibers under a shift by (dx, dy)."""
     return -2 * k * dy, 2 * k * dx
 
@@ -143,91 +167,132 @@ def _fiber_orbits(lattice: MagneticLattice, n_s: int, n_t: int) -> list:
     """Orbits of the grid points (a/n_s, b/n_t) under the stabilizer shifts of W.
 
     The shifts are every (dx, dy) with np.roll(W, (dx, dy)) == W exactly whose
-    momentum displacement lands on the grid.  Returns a list of
-    ((a, b), [((a', b'), (dx, dy)), ...]): each representative, in grid order,
-    with every other member of its orbit and the first shift (row-major in
-    (dx, dy)) that carries the representative's fiber onto it.
+    momentum displacement lands on the grid; all q^2 rolls are tested in one
+    gather of W (q^4 entries).  Returns a list of ((a, b), points, shifts):
+    each representative, in grid order, with every other member of its
+    orbit ((M, 2) grid points) and the first shift (row-major in (dx, dy))
+    that carries the representative's fiber onto it ((M, 2)).  The shifts
+    form a group, so the orbits are its cosets and a representative is the
+    first grid point of its orbit.
     """
     q, w = lattice.q, lattice.potential
-    shifts = []
-    for dx in range(q):
-        for dy in range(q):
-            ds, dt = _momentum_shift(lattice.k, q, dx, dy)
-            if (ds * n_s % q == 0 and dt * n_t % q == 0
-                    and np.array_equal(np.roll(w, (dx, dy), axis=(0, 1)), w)):
-                shifts.append((ds * n_s // q, dt * n_t // q, (dx, dy)))
-    seen = set()
+    dx, dy = (a.ravel() for a in np.meshgrid(np.arange(q), np.arange(q), indexing="ij"))
+    i = np.arange(q)
+    rolled = w[(i[None, :, None] - dx[:, None, None]) % q,
+               (i[None, None, :] - dy[:, None, None]) % q]
+    ds, dt = _momentum_shift(lattice.k, q, dx, dy)
+    keep = ((ds * n_s % q == 0) & (dt * n_t % q == 0)
+            & (rolled == w).all(axis=(1, 2)))
+    da, db = ds[keep] * n_s // q, dt[keep] * n_t // q
+    shifts = np.column_stack([dx[keep], dy[keep]])
+    a, b = np.divmod(np.arange(n_s * n_t), n_t)
+    images = ((a[:, None] + da) % n_s) * n_t + (b[:, None] + db) % n_t
     orbits = []
-    for a in range(n_s):
-        for b in range(n_t):
-            if (a, b) in seen:
-                continue
-            seen.add((a, b))
-            members = []
-            for da, db, shift in shifts:
-                point = ((a + da) % n_s, (b + db) % n_t)
-                if point not in seen:
-                    seen.add(point)
-                    members.append((point, shift))
-            orbits.append(((a, b), members))
+    for rep in np.flatnonzero(images.min(axis=1) == np.arange(n_s * n_t)):
+        row = images[rep]
+        first = np.unique(row, return_index=True)[1]
+        first = np.sort(first[row[first] != rep])
+        orbits.append(((int(a[rep]), int(b[rep])),
+                       np.column_stack(np.divmod(row[first], n_t)), shifts[first]))
     return orbits
 
 
-def _transport(lattice: MagneticLattice, rep: GaugeField, member: GaugeField,
-               shift: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, float]:
-    """Permutation, phases and defect carrying a representative's pairs to a member.
+def _transport(lattice: MagneticLattice, rep: GaugeField, members: GaugeField,
+               shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Permutations, phases and defects carrying a representative's pairs to its members.
 
-    rep and member are fiber gauges.  A pair (w, v) of the representative
-    becomes (w, chi * v[perm]): perm[x] is the site x - shift (cell row
-    order ix*q + iy), and chi is cell_lift_phases of the member against the
-    representative's phases shifted by shift: it solves U'(x -> y) chi(y) =
-    chi(x) U(x - shift -> y - shift) along that function's spanning tree
-    (column 0 in y, then every row in x).  The defect bounds the max row sum of
-    |D P H P^T D^H - H'| link by link: q^2 |chi(x) U conj(chi(y)) - U'(x -> y)|
-    on each of the four links of a site plus |W(x) - W(x - shift)| on its
-    diagonal.  It is computed elementwise, so it does not depend on BLAS.
+    rep is a fiber gauge, members a batch of M fiber gauges (phase arrays
+    (M, q, q)) and shifts (M, 2); the whole orbit is one array pass.  A pair
+    (w, v) of the representative becomes (w, chi[i] * v[perm[i]]) on member
+    i: perm[i, x] is the site x - shift (cell row order ix*q + iy), and
+    chi[i] is cell_lift_phases of the member against the representative's
+    phases shifted by its shift: it solves U'(x -> y) chi(y) = chi(x)
+    U(x - shift -> y - shift) along that function's spanning tree (column 0
+    in y, then every row in x).  defect[i] bounds the max row sum of |D P H
+    P^T D^H - H'| link by link: q^2 |chi(x) U conj(chi(y)) - U'(x -> y)| on
+    each of the four links of a site plus |W(x) - W(x - shift)| on its
+    diagonal.  It is computed elementwise, so it does not depend on BLAS,
+    and each member's values are bitwise those of a one-member batch.
     """
     q = lattice.q
-    i, j = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
-    pi, pj = (i - shift[0]) % q, (j - shift[1]) % q
+    i = np.arange(q)
+    pi = (i[None, :, None] - shifts[:, 0, None, None]) % q
+    pj = (i[None, None, :] - shifts[:, 1, None, None]) % q
+    pi, pj = np.broadcast_arrays(pi, pj)
     ux, uy = rep.phase_x[pi, pj], rep.phase_y[pi, pj]
-    chi = cell_lift_phases(member, GaugeField(rep.lattice, rep.gauge_kind, ux, uy))
+    chi = cell_lift_phases(members, GaugeField(rep.lattice, rep.gauge_kind, ux, uy))
     hop = float(q) ** 2
-    ex = hop * np.abs(chi * ux * np.roll(chi, -1, axis=0).conj() - member.phase_x)
-    ey = hop * np.abs(chi * uy * np.roll(chi, -1, axis=1).conj() - member.phase_y)
+    ex = hop * np.abs(chi * ux * np.roll(chi, -1, axis=-2).conj() - members.phase_x)
+    ey = hop * np.abs(chi * uy * np.roll(chi, -1, axis=-1).conj() - members.phase_y)
     w = lattice.potential
-    rows = (np.abs(w - w[pi, pj]) + ex + np.roll(ex, 1, axis=0)
-            + ey + np.roll(ey, 1, axis=1))
-    return (pi * q + pj).ravel(), chi.ravel(), float(rows.max())
+    rows = (np.abs(w - w[pi, pj]) + ex + np.roll(ex, 1, axis=-2)
+            + ey + np.roll(ey, 1, axis=-1))
+    shape = (len(shifts), q * q)
+    return ((pi * q + pj).reshape(shape), chi.reshape(shape),
+            rows.reshape(shape).max(axis=1, initial=0.0))
+
+
+@dataclass(frozen=True, eq=False)
+class _Orbit:
+    """One magnetic-translation orbit of a fiber family, its members as arrays.
+
+    point, gauge and fiber are the representative's grid point, fiber gauge
+    and dense fiber; tol is the fiber tolerance.  The M other members have
+    grid points points (M, 2), fiber gauges members (phase arrays (M, q, q))
+    and certified transports perm (M, q^2), chi (M, q^2) and defect (M,).
+    pattern is the one-cell stencil pattern shared by the family walk.
+    """
+
+    point: tuple
+    gauge: GaugeField
+    fiber: np.ndarray
+    tol: float
+    points: np.ndarray
+    members: GaugeField
+    perm: np.ndarray
+    chi: np.ndarray
+    defect: np.ndarray
+    pattern: StencilPattern
+
+    def member(self, i: int) -> GaugeField:
+        """The fiber gauge of member i."""
+        g = self.members
+        return GaugeField(g.lattice, g.gauge_kind, g.phase_x[i], g.phase_y[i])
+
+    def moved(self, v: np.ndarray) -> np.ndarray:
+        """The representative's columns v (q^2, c) carried to every member, (M, q^2, c)."""
+        return self.chi[:, :, None] * v[self.perm]
 
 
 def _fiber_family(lattice: MagneticLattice, gauge_kind: str, n_s: int, n_t: int):
-    """The grid fibers (a/n_s, b/n_t), one item per magnetic-translation orbit.
+    """The grid fibers (a/n_s, b/n_t), one _Orbit per magnetic-translation orbit.
 
-    Yields (point, fiber_gauge, fiber, tol, members): the representative's
-    grid point, fiber gauge and dense fiber, the fiber tolerance
-    FIBER_RESIDUAL_FACTOR * max(bound, 1) (bound its largest absolute row
-    sum, equal on every fiber of the family), and the certified transport
-    (point, fiber_gauge, perm, chi, defect) of every other member, which
-    takes a representative's pair (w, v) as (w, chi[:, None] * v[perm]).
-    The caller solves the representative; no member fiber is formed here.
-    A defect above tol raises LiftNotCertified.
+    The stencil pattern of the one-cell torus is formed once per walk; each
+    representative's dense fiber is its data under the representative's
+    gauge, and its tolerance FIBER_RESIDUAL_FACTOR * max(bound, 1) (bound
+    the largest absolute row sum, equal on every fiber of the family).  The
+    members of an orbit are handled together: their fiber gauges in one
+    batched seam twist and their transports in one _transport pass, which
+    takes a representative's pair (w, v) as (w, chi[i, :, None] *
+    v[perm[i]]).  The caller solves the representative; no member fiber is
+    formed here.  A defect above tol raises LiftNotCertified, naming the
+    first such member in orbit order.
     """
-    for (a, b), shifts in _fiber_orbits(lattice, n_s, n_t):
+    pattern = _cell_pattern(lattice)
+    for (a, b), points, shifts in _fiber_orbits(lattice, n_s, n_t):
         rep = _fiber_gauge(lattice, gauge_kind, a / n_s, b / n_t)
-        fiber = _fiber(lattice, rep)
+        fiber = _fiber(pattern, rep)
         tol = FIBER_RESIDUAL_FACTOR * max(float(np.abs(fiber).sum(axis=1).max()), 1.0)
-        members = []
-        for (a2, b2), shift in shifts:
-            member = _fiber_gauge(lattice, gauge_kind, a2 / n_s, b2 / n_t)
-            perm, chi, defect = _transport(lattice, rep, member, shift)
-            if defect > tol:
-                raise LiftNotCertified(
-                    f"orbit transport from fiber ({a}/{n_s}, {b}/{n_t}) to "
-                    f"({a2}/{n_s}, {b2}/{n_t}) by the shift {shift}: defect "
-                    f"{defect:.3e} above the fiber tolerance {tol:.3e}")
-            members.append(((a2, b2), member, perm, chi, defect))
-        yield (a, b), rep, fiber, tol, members
+        members = _fiber_gauge(lattice, gauge_kind, points[:, 0] / n_s, points[:, 1] / n_t)
+        perm, chi, defect = _transport(lattice, rep, members, shifts)
+        bad = np.flatnonzero(defect > tol)
+        if bad.size:
+            (a2, b2), shift, d = points[bad[0]], tuple(shifts[bad[0]].tolist()), defect[bad[0]]
+            raise LiftNotCertified(
+                f"orbit transport from fiber ({a}/{n_s}, {b}/{n_t}) to "
+                f"({a2}/{n_s}, {b2}/{n_t}) by the shift {shift}: defect "
+                f"{d:.3e} above the fiber tolerance {tol:.3e}")
+        yield _Orbit((a, b), rep, fiber, tol, points, members, perm, chi, defect, pattern)
 
 
 def torus_spectrum(lattice: MagneticLattice, gauge: GaugeField) -> SpectrumReport:
@@ -265,12 +330,12 @@ def torus_spectrum(lattice: MagneticLattice, gauge: GaugeField) -> SpectrumRepor
         values.append(w)
 
     solved = 0
-    for _, rep, fiber, _, members in _fiber_family(lattice, gauge.gauge_kind, cx, cy):
-        w, v = np.linalg.eigh(fiber)
+    for orbit in _fiber_family(lattice, gauge.gauge_kind, cx, cy):
+        w, v = np.linalg.eigh(orbit.fiber)
         solved += 1
-        lift(rep, w, v)
-        for _, member, perm, chi, _ in members:
-            lift(member, w, chi[:, None] * v[perm])
+        lift(orbit.gauge, w, v)
+        for i in range(len(orbit.points)):
+            lift(orbit.member(i), w, orbit.chi[i, :, None] * v[orbit.perm[i]])
     w = np.concatenate(values)
     res = np.concatenate(residuals)
     order = np.argsort(w, kind="stable")
@@ -291,10 +356,10 @@ def band_energies(lattice: MagneticLattice, gauge_kind: str, grid: BlochGrid) ->
     memory is that of the energies.
     """
     energies = np.empty((grid.n_s, grid.n_t, lattice.q ** 2))
-    for point, _, fiber, _, members in _fiber_family(lattice, gauge_kind, grid.n_s, grid.n_t):
-        w = np.linalg.eigvalsh(fiber)
-        for p in [point] + [member[0] for member in members]:
-            energies[p] = w
+    for orbit in _fiber_family(lattice, gauge_kind, grid.n_s, grid.n_t):
+        w = np.linalg.eigvalsh(orbit.fiber)
+        energies[orbit.point] = w
+        energies[orbit.points[:, 0], orbit.points[:, 1]] = w
     return energies
 
 
@@ -374,6 +439,29 @@ def _max_residual(fiber: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
     return float(np.linalg.norm(fiber @ v - v * w, axis=0).max(initial=0.0))
 
 
+def _member_operator(orbit: _Orbit) -> sp.csr_matrix:
+    """The members' own fibers as one block-diagonal sparse matrix, (M q^2) x (M q^2).
+
+    Block i is the stencil data of member i's fiber gauge on the family's
+    pattern; no dense member fiber is formed.
+    """
+    pattern, (count, m) = orbit.pattern, orbit.perm.shape
+    data = pattern.data(orbit.members.phase_x, orbit.members.phase_y)
+    offset = np.arange(count)[:, None]
+    indices = (pattern.indices + m * offset).ravel()
+    indptr = np.append((pattern.indptr[:-1] + data.shape[1] * offset).ravel(), data.size)
+    return sp.csr_matrix((data.ravel(), indices, indptr), shape=(count * m, count * m))
+
+
+def _member_residual(orbit: _Orbit, moved: np.ndarray, w: np.ndarray) -> float:
+    """Largest residual ||H_i v - v w|| of the moved columns (M, q^2, c) on each member's fiber."""
+    count, m, c = moved.shape
+    if count == 0 or c == 0:
+        return 0.0
+    applied = (_member_operator(orbit) @ moved.reshape(count * m, c)).reshape(moved.shape)
+    return float(np.linalg.norm(applied - moved * w, axis=1).max())
+
+
 def invariant_pair_result(lattice: MagneticLattice, gauge_kind: str,
                           interval: SpectralInterval,
                           grid: BlochGrid = BlochGrid(16, 16)) -> ChernResult:
@@ -389,42 +477,42 @@ def invariant_pair_result(lattice: MagneticLattice, gauge_kind: str,
     frames need: the first (grid point (0, 0)) in full, N its count below
     interval.upper, every other for its lowest N+1 pairs (_lowest_pairs).
     Counts and endpoint distance are read once per orbit, since every member
-    has the representative's values; each member takes the kept frame
-    columns transported.  The endpoint distance must exceed the family's
-    fiber tolerance (it scales with the Gershgorin bound, the largest
-    absolute row sum) plus the largest transport defect.  Each kept column,
-    solved or transported, is certified by its residual on its own fiber,
-    ||H v - v w|| <= FIBER_RESIDUAL_FACTOR * max(bound, 1)
-    (ResidualNotCertified otherwise); a member's fiber is assembled for
-    that check alone, one member at a time.
+    has the representative's values; the kept frame columns are carried to
+    every member of the orbit in one gather.  The endpoint distance must
+    exceed the family's fiber tolerance (it scales with the Gershgorin
+    bound, the largest absolute row sum) plus the largest transport defect.
+    Each kept column, solved or transported, is certified by its residual
+    on its own fiber, ||H v - v w|| <= FIBER_RESIDUAL_FACTOR * max(bound, 1)
+    (ResidualNotCertified otherwise): the representative's on its dense
+    fiber, the members' on their own sparse fibers, built from each
+    member's gauge on the family's stencil pattern and applied as one
+    block-diagonal operator per orbit (_member_operator).
     """
     m = lattice.q ** 2
     counts = []
-    frames_at = {}
+    frames_at = []
     edge_dist, tol, max_res, max_defect = np.inf, 0.0, 0.0, 0.0
     last = None
-    for rep_point, _, fiber, fiber_tol, members in _fiber_family(lattice, gauge_kind,
-                                                                 grid.n_s, grid.n_t):
+    for orbit in _fiber_family(lattice, gauge_kind, grid.n_s, grid.n_t):
         if last is None:
-            w, v = np.linalg.eigh(fiber)
+            w, v = np.linalg.eigh(orbit.fiber)
             last = min(int((w < interval.upper).sum()), m - 1)
         else:
-            w, v = _lowest_pairs(fiber, last, interval.upper)
+            w, v = _lowest_pairs(orbit.fiber, last, interval.upper)
         below = int((w < interval.lower).sum())
         inside = int(((w > interval.lower) & (w < interval.upper)).sum())
         counts.append((below, inside))
         edge_dist = min(edge_dist,
                         float(np.abs(w - interval.lower).min()),
                         float(np.abs(w - interval.upper).min()))
-        tol = max(tol, fiber_tol)
+        tol = max(tol, orbit.tol)
         w_in = w[below:below + inside]
-        frames_at[rep_point] = kept = v[:, below:below + inside].copy()
-        max_res = max(max_res, _max_residual(fiber, kept, w_in))
-        for point, member, perm, chi, defect in members:
-            moved = chi[:, None] * kept[perm]
-            frames_at[point] = moved
-            max_res = max(max_res, _max_residual(_fiber(lattice, member), moved, w_in))
-            max_defect = max(max_defect, defect)
+        kept = v[:, below:below + inside].copy()
+        moved = orbit.moved(kept)
+        frames_at.append((orbit.point, kept, orbit.points, moved))
+        max_res = max(max_res, _max_residual(orbit.fiber, kept, w_in),
+                      _member_residual(orbit, moved, w_in))
+        max_defect = max(max_defect, float(orbit.defect.max(initial=0.0)))
 
     if max_res > tol:
         raise ResidualNotCertified(
@@ -446,7 +534,8 @@ def invariant_pair_result(lattice: MagneticLattice, gauge_kind: str,
     if dim == 0:
         return ChernResult((below, below), 0, 0, 0.0, 0.0, solved, max_defect)
     frames = np.empty((grid.n_s, grid.n_t, m, dim), complex)
-    for point, kept in frames_at.items():
+    for point, kept, points, moved in frames_at:
         frames[point] = kept
+        frames[points[:, 0], points[:, 1]] = moved
     return _chern_result(plaquette_berry_flux(frames), (below, below + dim), solved,
                          max_defect)

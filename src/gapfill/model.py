@@ -195,22 +195,38 @@ def build_gauge(lattice: MagneticLattice, gauge_kind: str = "landau") -> GaugeFi
     return GaugeField(lattice, gauge_kind, phase_x, phase_y)
 
 
-def twist_seams(gauge: GaugeField, zx: complex, zy: complex) -> GaugeField:
+def _scalar_product(p: np.ndarray, z) -> np.ndarray:
+    """p * z elementwise, rounded as a scalar complex product.
+
+    numpy's vectorized complex multiply may fuse a multiply-add and differ
+    from the scalar product in the last bit; the real parts are formed here
+    as a scalar product forms them, so a batch rounds as one gauge does.
+    """
+    z = np.asarray(z, complex)
+    out = np.empty(np.broadcast_shapes(p.shape, z.shape), complex)
+    out.real = p.real * z.real - p.imag * z.imag
+    out.imag = p.real * z.imag + p.imag * z.real
+    return out
+
+
+def twist_seams(gauge: GaugeField, zx, zy) -> GaugeField:
     """The gauge with the seam links of the periodic directions times zx (x), zy (y).
 
     Plaquette fluxes are unchanged and each x (y) Wilson loop gains zx (zy).
     On a one-cell window this is the Bloch reduction: fiber (s, t) takes
     e^{2*pi*i*s}, e^{2*pi*i*t}; on one x-period of a strip, momentum kappa
-    takes e^{i*kappa}.
-    Scalar products: numpy's vectorized complex multiply can differ in the last bit.
+    takes e^{i*kappa}.  zx and zy may be arrays of one shape: the result is
+    then a batch of gauges whose phase arrays carry that shape as leading
+    axes, each twisted as a scalar twist would be, bit for bit.
     """
     lat = gauge.lattice
-    phase_x = gauge.phase_x.copy()
-    phase_y = gauge.phase_y.copy()
+    lead = np.broadcast_shapes(np.shape(zx), np.shape(zy))
+    phase_x = np.broadcast_to(gauge.phase_x, lead + gauge.phase_x.shape).copy()
+    phase_y = np.broadcast_to(gauge.phase_y, lead + gauge.phase_y.shape).copy()
     if lat.periodic_x:
-        phase_x[-1, :] = [p * zx for p in phase_x[-1, :]]
+        phase_x[..., -1, :] = _scalar_product(phase_x[..., -1, :], np.asarray(zx)[..., None])
     if lat.periodic_y:
-        phase_y[:, -1] = [p * zy for p in phase_y[:, -1]]
+        phase_y[..., :, -1] = _scalar_product(phase_y[..., :, -1], np.asarray(zy)[..., None])
     return GaugeField(lat, gauge.gauge_kind, phase_x, phase_y)
 
 
@@ -241,16 +257,19 @@ def cell_lift_phases(gauge: GaugeField, cell: GaugeField) -> np.ndarray:
     the cumulative product of the ratio of cell to window link phases along
     column 0 in y, then along every row in x; no gauge formula enters.  The
     remaining links agree when both gauges have the same plaquette fluxes
-    and Wilson loops, which callers certify by residuals.
+    and Wilson loops, which callers certify by residuals.  Phase arrays with
+    leading axes (batches of gauges) broadcast, and the cumulative products
+    run over the site axes of every batch member at once.
     """
     nx, ny = gauge.lattice.n_x, gauge.lattice.n_y
     cx = np.arange(nx) % cell.lattice.n_x
     cy = np.arange(ny) % cell.lattice.n_y
-    col = cell.phase_y[0, cy[:-1]] * np.conj(gauge.phase_y[0, :-1])
-    rows = cell.phase_x[np.ix_(cx[:-1], cy)] * np.conj(gauge.phase_x[:-1, :])
-    chi = np.empty((nx, ny), complex)
-    chi[0] = np.concatenate([[1.0], np.cumprod(col)])
-    chi[1:] = chi[0] * np.cumprod(rows, axis=0)
+    col = cell.phase_y[..., 0, cy[:-1]] * np.conj(gauge.phase_y[..., 0, :-1])
+    rows = cell.phase_x[..., cx[:-1, None], cy] * np.conj(gauge.phase_x[..., :-1, :])
+    chi = np.empty(np.broadcast_shapes(col.shape[:-1], rows.shape[:-2]) + (nx, ny), complex)
+    chi[..., 0, 0] = 1.0
+    chi[..., 0, 1:] = np.cumprod(col, axis=-1)
+    chi[..., 1:, :] = chi[..., :1, :] * np.cumprod(rows, axis=-2)
     return chi
 
 
@@ -486,31 +505,80 @@ class HermitianOperator:
         return float((d - off).min()), float((d + off).max())
 
 
-def _window_links(lattice: MagneticLattice, gauge: GaugeField):
-    """Directed +x and +y links of the window as (from_ix, from_iy, to_ix, to_iy, phase)."""
+def _window_links(lattice: MagneticLattice):
+    """Directed +x and +y links of the window as (from_ix, from_iy, to_ix, to_iy)."""
     nx, ny = lattice.n_x, lattice.n_y
-    links = []
     lim_x = nx if lattice.periodic_x else nx - 1
     lim_y = ny if lattice.periodic_y else ny - 1
     ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    # +x links
     m = ix < lim_x
-    links.append((ix[m], iy[m], (ix[m] + 1) % nx, iy[m], gauge.phase_x[ix[m], iy[m]]))
-    # +y links
+    plus_x = (ix[m], iy[m], (ix[m] + 1) % nx, iy[m])
     m = iy < lim_y
-    links.append((ix[m], iy[m], ix[m], (iy[m] + 1) % ny, gauge.phase_y[ix[m], iy[m]]))
-    return links
+    plus_y = (ix[m], iy[m], ix[m], (iy[m] + 1) % ny)
+    return plus_x, plus_y
 
 
-def _assemble(lattice: MagneticLattice, gauge: GaugeField,
-              member: np.ndarray | None) -> HermitianOperator:
-    """Covariant 5-point stencil on the member sites (Dirichlet drop outside).
+@dataclass(frozen=True, eq=False)
+class StencilPattern:
+    """The 5-point stencil of a window on its member sites, without link phases.
 
-    (H psi)(v) = h^-2 sum_{e: v->u} (psi(v) - U(e) psi(u)) - 4 pi k psi(v)
-               + W(v) psi(v),
-    where the edge sum runs over the four window edges at v regardless of the
-    mask: the restricted operator is the principal submatrix of the window
-    stencil, so the diagonal stays 4 h^-2 - 4 pi k + W(v).
+    The COO entries of the stencil come in assembly order: the diagonal,
+    then the +x links and the +y links, each link (a -> b) followed by its
+    reverse.  indptr and indices are the CSR pattern of their sum (rows
+    ascending, the columns of a row ascending and distinct); rows[p] is the
+    row of CSR position p.  first[p] is the first COO entry at position p,
+    and every later one (only a periodic direction one or two sites long
+    has any) is listed in repeats, with its position in slots, and added
+    in COO order, as scipy's sum_duplicates adds it.  links holds the
+    (ix, iy) phase index of every kept +x and +y link.
+    """
+
+    lattice: MagneticLattice
+    ids: np.ndarray
+    sites: np.ndarray
+    diag: np.ndarray
+    links: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
+    rows: np.ndarray
+    first: np.ndarray
+    repeats: np.ndarray
+    slots: np.ndarray
+
+    def data(self, phase_x: np.ndarray, phase_y: np.ndarray) -> np.ndarray:
+        """CSR data of the stencil under the given link phases.
+
+        (H psi)(v) = h^-2 sum_{e: v->u} (psi(v) - U(e) psi(u)) - 4 pi k psi(v)
+                   + W(v) psi(v): each link carries -h^-2 U and its reverse
+        the conjugate.  The phase arrays may carry the same leading axes (a
+        batch of gauges on one window); the data then carries them too.
+        """
+        hi2 = float(self.lattice.q) ** 2
+        lead = phase_x.shape[:-2]
+        parts = [np.broadcast_to(self.diag.astype(complex), lead + self.diag.shape)]
+        for phase, (fx, fy) in zip((phase_x, phase_y), self.links):
+            v = -hi2 * phase[..., fx, fy]
+            parts += [v, np.conj(v)]
+        vals = np.concatenate(parts, axis=-1)
+        data = vals[..., self.first]
+        for j, p in zip(self.repeats, self.slots):
+            data[..., p] += vals[..., j]
+        return data
+
+    def dense(self, data: np.ndarray) -> np.ndarray:
+        """The dense matrix of the data, added to zeros as scipy's toarray adds it."""
+        n = len(self.sites)
+        out = np.zeros((n, n), complex)
+        out[self.rows, self.indices] += data
+        return out
+
+
+def _stencil_pattern(lattice: MagneticLattice, member: np.ndarray | None) -> StencilPattern:
+    """The stencil pattern on the member sites (every window site for None).
+
+    The edge sum runs over the four window edges at a site regardless of
+    the mask: the restricted operator is the principal submatrix of the
+    window stencil, so the diagonal stays 4 h^-2 - 4 pi k + W(v).
     """
     nx, ny = lattice.n_x, lattice.n_y
     if member is None:
@@ -519,32 +587,50 @@ def _assemble(lattice: MagneticLattice, gauge: GaugeField,
     flat = np.flatnonzero(member.ravel())
     if flat.size == 0:
         raise EmptyRegion("region mask selects no lattice site")
-    ids.ravel()[flat] = np.arange(flat.size)
+    n = flat.size
+    ids.ravel()[flat] = np.arange(n)
     sites = np.column_stack([flat // ny, flat % ny])
-
     hi2 = float(lattice.q) ** 2
     diag = (4.0 * hi2 - 4.0 * np.pi * lattice.k
             + lattice.potential[sites[:, 0] % lattice.q, sites[:, 1] % lattice.q])
 
-    rows = [np.arange(flat.size)]
-    cols = [np.arange(flat.size)]
-    vals = [diag.astype(complex)]
-    for (fx, fy, tx, ty, ph) in _window_links(lattice, gauge):
+    rows, cols, links = [np.arange(n)], [np.arange(n)], []
+    for (fx, fy, tx, ty) in _window_links(lattice):
         a = ids[fx, fy]
         b = ids[tx, ty]
         keep = (a >= 0) & (b >= 0)
-        a, b, p = a[keep], b[keep], ph[keep]
-        v = -hi2 * p
-        rows.append(a); cols.append(b); vals.append(v)
-        rows.append(b); cols.append(a); vals.append(np.conj(v))
-    matrix = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(flat.size, flat.size))
-    matrix.sum_duplicates()
-    matrix.sort_indices()
-    ids.setflags(write=False)
-    sites.setflags(write=False)
-    return HermitianOperator(matrix, sites, ids, lattice.h, 1)
+        a, b = a[keep], b[keep]
+        links.append((fx[keep], fy[keep]))
+        rows += [a, b]
+        cols += [b, a]
+    keys = np.concatenate(rows) * n + np.concatenate(cols)
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    new = np.concatenate([[True], ordered[1:] != ordered[:-1]])
+    unique = ordered[new]
+    repeats = np.sort(order[~new])
+    csr_rows = unique // n
+    indptr = np.searchsorted(csr_rows, np.arange(n + 1)).astype(np.int32)
+    for a in (ids, sites, diag):
+        a.setflags(write=False)
+    return StencilPattern(lattice, ids, sites, diag, tuple(links), indptr,
+                          (unique % n).astype(np.int32), csr_rows, order[new],
+                          repeats, np.searchsorted(unique, keys[repeats]))
+
+
+def _assemble(lattice: MagneticLattice, gauge: GaugeField,
+              member: np.ndarray | None) -> HermitianOperator:
+    """Covariant 5-point stencil on the member sites (Dirichlet drop outside).
+
+    The pattern of :func:`_stencil_pattern` with the data of the gauge's link
+    phases (:meth:`StencilPattern.data`, the one rule by which link phases
+    become stencil entries).
+    """
+    pattern = _stencil_pattern(lattice, member)
+    n = len(pattern.sites)
+    matrix = sp.csr_matrix((pattern.data(gauge.phase_x, gauge.phase_y), pattern.indices,
+                            pattern.indptr), shape=(n, n))
+    return HermitianOperator(matrix, pattern.sites, pattern.ids, lattice.h, 1)
 
 
 def assemble_bulk(lattice: MagneticLattice, gauge: GaugeField) -> HermitianOperator:

@@ -9,7 +9,7 @@ from gapfill.bloch import (BlochGrid, band_energies, fiber_hamiltonian,
 from gapfill.errors import (FluxNotAdmissible, LiftNotCertified, NonConstantRank,
                             ResidualNotCertified, SingularOverlap, UnknownGaugeKind)
 from gapfill.model import (GaugeField, MagneticLattice, assemble_bulk, build_gauge,
-                           cell_lift_phases, twist_seams)
+                           cell_gauge, cell_lift_phases, twist_seams)
 from gapfill.spectral import RESIDUAL_FACTOR, SpectralInterval
 
 
@@ -22,11 +22,11 @@ def lifted_pairs(lat, g, op):
     q, cells = lat.q, lat.cells_x * lat.cells_y
     rows = (op.sites[:, 0] % q) * q + op.sites[:, 1] % q
     values, residuals, blocks = [], [], []
-    for _, rep, fiber, _, members in bloch._fiber_family(lat, g.gauge_kind,
-                                                         lat.cells_x, lat.cells_y):
-        w, v = np.linalg.eigh(fiber)
-        for fiber_gauge, vecs in [(rep, v)] + [(member, chi[:, None] * v[perm])
-                                               for _, member, perm, chi, _ in members]:
+    for orbit in bloch._fiber_family(lat, g.gauge_kind, lat.cells_x, lat.cells_y):
+        w, v = np.linalg.eigh(orbit.fiber)
+        moved = orbit.moved(v)
+        for fiber_gauge, vecs in [(orbit.gauge, v)] + [(orbit.member(i), moved[i])
+                                                       for i in range(len(moved))]:
             chi = cell_lift_phases(g, fiber_gauge)
             psi = (chi.ravel() / np.sqrt(cells))[:, None] * vecs[rows]
             values.append(w)
@@ -172,6 +172,35 @@ def per_fiber_oracle(lat, gauge_kind, n):
     flux = plaquette_flux_loop(vectors[:, :, :, :j])
     return (SpectralInterval(lower, upper), below, inside,
             (j, int(np.rint(flux.sum() / (2 * np.pi))), float(np.abs(flux).max())), energies)
+
+
+def member_reference(lat, kind, rep, point, shift, n):
+    """One orbit member handled on its own: its fiber gauge, transport and dense fiber.
+
+    The member's seams are twisted one scalar product at a time, its
+    transport is the single-member formula (perm, chi, defect) and its
+    fiber is the dense torus stencil of one cell under its gauge.
+    """
+    q = lat.q
+    cell = cell_gauge(lat.k, q, kind)
+    zx, zy = np.exp(2j * np.pi * point[0] / n), np.exp(2j * np.pi * point[1] / n)
+    phase_x, phase_y = cell.phase_x.copy(), cell.phase_y.copy()
+    phase_x[-1, :] = [p * zx for p in phase_x[-1, :]]
+    phase_y[:, -1] = [p * zy for p in phase_y[:, -1]]
+    member = GaugeField(cell.lattice, kind, phase_x, phase_y)
+    i, j = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
+    pi, pj = (i - shift[0]) % q, (j - shift[1]) % q
+    ux, uy = rep.phase_x[pi, pj], rep.phase_y[pi, pj]
+    chi = cell_lift_phases(member, GaugeField(rep.lattice, kind, ux, uy))
+    hop = float(q) ** 2
+    ex = hop * np.abs(chi * ux * np.roll(chi, -1, axis=0).conj() - member.phase_x)
+    ey = hop * np.abs(chi * uy * np.roll(chi, -1, axis=1).conj() - member.phase_y)
+    w = lat.potential
+    rows = (np.abs(w - w[pi, pj]) + ex + np.roll(ex, 1, axis=0)
+            + ey + np.roll(ey, 1, axis=1))
+    one_cell = MagneticLattice(lat.k, q, 1, 1, "torus", lat.potential)
+    fiber = assemble_bulk(one_cell, member).matrix.toarray()
+    return (pi * q + pj).ravel(), chi.ravel(), float(rows.max()), fiber
 
 
 class TestFibers:
@@ -524,8 +553,8 @@ class TestFiberOrbits:
         transport = bloch._transport
 
         def inflated(*args):
-            perm, chi, _ = transport(*args)
-            return perm, chi, 0.9 * tol
+            perm, chi, defect = transport(*args)
+            return perm, chi, np.full_like(defect, 0.9 * tol)
         monkeypatch.setattr(bloch, "_transport", inflated)
         with pytest.raises(NonConstantRank, match="transport defect"):
             invariant_pair_result(lat, "landau", interval, BlochGrid(8, 8))
@@ -542,11 +571,54 @@ class TestFiberOrbits:
             lat = MagneticLattice(1, q, 2, 2, "torus", w)
             orbits = bloch._fiber_orbits(lat, 8, 8)
             assert len(orbits) == n_orbits
-            assert all(len(members) + 1 == size for _, members in orbits)
-            points = [rep for rep, _ in orbits] + [p for _, ms in orbits for p, _ in ms]
+            assert all(len(points) + 1 == len(shifts) + 1 == size
+                       for _, points, shifts in orbits)
+            points = [rep for rep, _, _ in orbits] + [tuple(p) for _, ps, _ in orbits
+                                                      for p in ps.tolist()]
             assert sorted(points) == [(a, b) for a in range(8) for b in range(8)]
             if size == 4:
-                assert all(p[1] == rep[1] for rep, ms in orbits for p, _ in ms)
+                assert all((ps[:, 1] == rep[1]).all() for rep, ps, _ in orbits)
+
+    @pytest.mark.parametrize("potential", ["zero", "ix_only"])
+    @pytest.mark.parametrize("k, q", [(1, 8), (2, 8), (1, 16), (2, 16)])
+    def test_orbit_matches_member_by_member(self, rng, k, q, potential):
+        # the batched orbit against each member on its own: perm, chi,
+        # defect and the moved frames bitwise, each member's block of the
+        # orbit operator equal to its dense fiber, and its residuals equal
+        # to rounding
+        w = None if potential == "zero" else np.repeat(rng.standard_normal(q)[:, None], q, 1)
+        lat = MagneticLattice(k, q, 2, 2, "torus", w)
+        n, m = 8, q * q
+        orbits = bloch._fiber_orbits(lat, n, n)
+        family = list(bloch._fiber_family(lat, "landau", n, n))
+        assert [o.point for o in family] == [rep for rep, _, _ in orbits]
+        checked = 0
+        for orbit, (_, points, shifts) in zip(family, orbits):
+            assert np.array_equal(orbit.points, points)
+            ev, vecs = np.linalg.eigh(orbit.fiber)
+            kept = vecs[:, :2 * k]
+            moved = orbit.moved(kept)
+            op = bloch._member_operator(orbit)
+            residual = (op @ moved.reshape(-1, 2 * k)).reshape(moved.shape) - moved * ev[:2 * k]
+            bound = np.abs(orbit.fiber).sum(axis=1).max()
+            largest = 0.0
+            for i, (point, shift) in enumerate(zip(points.tolist(), shifts.tolist())):
+                perm, chi, defect, fiber = member_reference(lat, "landau", orbit.gauge,
+                                                            point, shift, n)
+                assert np.array_equal(orbit.perm[i], perm)
+                assert orbit.chi[i].tobytes() == chi.tobytes()
+                assert orbit.defect[i] == defect
+                ref = chi[:, None] * kept[perm]
+                assert moved[i].tobytes() == ref.tobytes()
+                block = op[i * m:(i + 1) * m, i * m:(i + 1) * m].toarray()
+                assert block.tobytes() == fiber.tobytes()
+                ref_residual = fiber @ ref - ref * ev[:2 * k]
+                assert np.abs(residual[i] - ref_residual).max() <= 1e-13 * bound
+                largest = max(largest, np.linalg.norm(ref_residual, axis=0).max())
+                checked += 1
+            assert abs(bloch._member_residual(orbit, moved, ev[:2 * k]) - largest) \
+                <= 1e-13 * bound
+        assert checked + len(family) == n * n
 
     def test_random_potential_solves_every_fiber(self, monkeypatch, rng):
         # no shift survives, so every fiber is solved: one full solve and 35
@@ -561,17 +633,23 @@ class TestFiberOrbits:
 
     @pytest.mark.parametrize("q, generic_w", [(3, False), (8, False), (4, True)])
     def test_each_fiber_assembled_once(self, monkeypatch, rng, q, generic_w):
-        # a representative's fiber serves its solve and its residual check;
-        # every other member is assembled once, for its own residual check
+        # a representative's dense fiber serves its solve and its residual
+        # check; every other member's sparse fiber is built once, in its
+        # orbit's block-diagonal operator, for its own residual check
         w = 0.5 * rng.standard_normal((q, q)) if generic_w else None
         lat = MagneticLattice(1, q, 2, 2, "torus", w)
-        assembled = []
-        fiber = bloch._fiber
-        monkeypatch.setattr(bloch, "_fiber",
-                            lambda *args: assembled.append(1) or fiber(*args))
-        invariant_pair_result(lat, "landau", SpectralInterval(-20.0, 4 * np.pi),
-                              BlochGrid(16, 16))
-        assert len(assembled) == 16 * 16
+        dense, sparse = [], []
+        fiber, member_operator = bloch._fiber, bloch._member_operator
+
+        def counted(orbit):
+            sparse.append(len(orbit.points))
+            return member_operator(orbit)
+        monkeypatch.setattr(bloch, "_fiber", lambda *args: dense.append(1) or fiber(*args))
+        monkeypatch.setattr(bloch, "_member_operator", counted)
+        res = invariant_pair_result(lat, "landau", SpectralInterval(-20.0, 4 * np.pi),
+                                    BlochGrid(16, 16))
+        assert len(dense) == res.solved
+        assert len(dense) + sum(sparse) == 16 * 16
 
     def test_member_residual_is_certified(self, monkeypatch):
         # every member fiber, and no representative, is shifted by 1e-6 on
@@ -579,27 +657,20 @@ class TestFiberOrbits:
         # so only the residual of the transported columns on each member's
         # own fiber can refuse them
         lat = MagneticLattice(1, 8, 2, 2, "torus")
-        reps = {rep for rep, _ in bloch._fiber_orbits(lat, 8, 8)}
-        member_gauges = []
-        fiber_gauge, fiber = bloch._fiber_gauge, bloch._fiber
+        interval = SpectralInterval(-1.0, 4 * np.pi)
+        invariant_pair_result(lat, "landau", interval, BlochGrid(8, 8))
+        shifted = []
+        member_operator = bloch._member_operator
 
-        def tagged_gauge(lattice, kind, s, t):
-            g = fiber_gauge(lattice, kind, s, t)
-            if (round(8 * s), round(8 * t)) not in reps:
-                member_gauges.append(g)
-            return g
-
-        def shifted_fiber(lattice, g):
-            f = fiber(lattice, g)
-            if any(g is m for m in member_gauges):
-                f[np.diag_indices_from(f)] += 1e-6
-            return f
-        monkeypatch.setattr(bloch, "_fiber_gauge", tagged_gauge)
-        monkeypatch.setattr(bloch, "_fiber", shifted_fiber)
+        def shifted_operator(orbit):
+            op = member_operator(orbit)
+            op.setdiag(op.diagonal() + 1e-6)
+            shifted.append(len(orbit.points))
+            return op
+        monkeypatch.setattr(bloch, "_member_operator", shifted_operator)
         with pytest.raises(ResidualNotCertified, match="in-interval columns"):
-            invariant_pair_result(lat, "landau", SpectralInterval(-1.0, 4 * np.pi),
-                                  BlochGrid(8, 8))
-        assert len(reps) == 4 and len(member_gauges) == 60
+            invariant_pair_result(lat, "landau", interval, BlochGrid(8, 8))
+        assert shifted == [15] * 4
 
     @pytest.mark.parametrize("k, n_solves", [(1, 1), (2, 4)])
     def test_route_guard(self, monkeypatch, k, n_solves):

@@ -191,23 +191,28 @@ class TestBitwiseVerify:
 
     far_sites = staticmethod(_far_sites)
 
-    def test_one_ulp_in_the_last_chunk_fails(self, window):
+    def test_one_ulp_in_the_last_probe_block_fails(self, window):
+        # degree 8 puts the 192 far sites in 144 probes, two blocks of at
+        # most VERIFY_CHUNK; the perturbed site lies in a probe of the
+        # second block, and that block's own probe columns show it.  Sites
+        # of the first block lie one hop from it, so the verify may refuse
+        # it there already; that every block is applied is checked by
+        # test_verify_applies_at_most_128_columns
         lat, _, bulk, mask, edge_op, encl = window
-        filt = polynomial_filter(np.linspace(1.0, 0.3, 4), encl)
+        filt = polynomial_filter(np.linspace(1.0, 0.3, 9), encl)
         cone = filt.degree * lat.h
         far = self.far_sites(edge_op, mask, cone)
-        n_last = far.size - (far.size - 1) // coarse.VERIFY_CHUNK * coarse.VERIFY_CHUNK
-        assert far.size > 2 * coarse.VERIFY_CHUNK
-        site = far[-1]
-        # only columns of the last chunk reach the perturbed site within the cone
-        hops = np.abs(edge_op.sites[far[:-n_last]] - edge_op.sites[site]).sum(axis=1)
-        assert hops.min() > filt.degree
-        m = edge_op.matrix.copy()
-        k = m.indptr[site] + np.searchsorted(m.indices[m.indptr[site]:m.indptr[site + 1]],
-                                             site)
-        m.data[k] = complex(np.nextafter(m.data[k].real, np.inf), m.data[k].imag)
-        perturbed = HermitianOperator(m, edge_op.sites, edge_op.ids, edge_op.h,
-                                      edge_op.hop_range)
+        probes = coarse._probes(far, edge_op.sites[far], lat, filt.degree)
+        last = probes[(len(probes) - 1) // coarse.VERIFY_CHUNK * coarse.VERIFY_CHUNK:]
+        assert len(probes) > coarse.VERIFY_CHUNK and len(last) < len(probes)
+        site = last[-1][-1]
+        perturbed = _one_ulp_up(edge_op, site)
+        basis = np.zeros((edge_op.dimension, len(last)), complex)
+        for c, p in enumerate(last):
+            basis[p, c] = 1.0
+        shown = _far_differences(bulk, perturbed, mask, filt, basis)
+        assert shown[np.searchsorted(far, site), -1] != 0
+        assert not _far_differences(bulk, edge_op, mask, filt, basis).any()
         assert affiliation_check(bulk, edge_op, mask, filt, [1.0]).exact_zero_radius == cone
         assert affiliation_check(bulk, perturbed, mask, filt, [1.0]).exact_zero_radius is None
 

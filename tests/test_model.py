@@ -2,13 +2,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gapfill.errors import EmptyRegion, MaskMismatch, MissingPhase, NonTorusGeometry
 from gapfill.model import (BallsShape, DiskShape, GraphShape, HalfPlaneShape,
                            MagneticLattice, assemble_bulk,
                            assemble_restricted, build_gauge, cell_gauge,
                            gauge_transform, make_mask, mask_all,
-                           mask_from_sites, plaquette_products, twist_seams)
+                           mask_from_sites, plaquette_products, twist_seams,
+                           _assemble, _stencil_pattern)
 
 PLAQ_TOL = 1e-12
 
@@ -119,6 +121,25 @@ class TestGauge:
         assert np.array_equal(tw.phase_x[:-1], g.phase_x[:-1])
         assert np.array_equal(tw.phase_y[:, :-1], g.phase_y[:, :-1])
 
+    @pytest.mark.parametrize("geometry", ["torus", "strip"])
+    def test_batched_twist_matches_scalar_twists_bitwise(self, rng, geometry):
+        # each gauge of a batch is twisted as one scalar product per seam
+        # link, as a gauge twisted on its own
+        g = build_gauge(MagneticLattice(2, 8, 1, 2, geometry), "symmetric")
+        zx, zy = np.exp(2j * np.pi * rng.random(5)), np.exp(2j * np.pi * rng.random(5))
+        batch = twist_seams(g, zx, zy)
+        assert batch.phase_x.shape == (5,) + g.phase_x.shape
+        for i in range(5):
+            phase_x, phase_y = g.phase_x.copy(), g.phase_y.copy()
+            phase_x[-1, :] = [p * complex(zx[i]) for p in phase_x[-1, :]]
+            if geometry == "torus":
+                phase_y[:, -1] = [p * complex(zy[i]) for p in phase_y[:, -1]]
+            one = twist_seams(g, zx[i], zy[i])
+            for got in (batch.phase_x[i], one.phase_x):
+                assert got.tobytes() == phase_x.tobytes()
+            for got in (batch.phase_y[i], one.phase_y):
+                assert got.tobytes() == phase_y.tobytes()
+
     def test_cell_gauge_is_cached_and_read_only(self):
         g = cell_gauge(2, 4, "symmetric", "strip", 3)
         assert cell_gauge(2, 4, "symmetric", "strip", 3) is g
@@ -161,6 +182,59 @@ class TestAssembly:
             dx = np.abs(op.sites[r] - op.sites[c])
             dx = np.minimum(dx, [lat.n_x, lat.n_y] - dx)
             assert dx.sum() == 1
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 8])
+    @pytest.mark.parametrize("geometry", ["torus", "strip", "masked"])
+    def test_pattern_assembly_matches_coo_assembly_bitwise(self, rng, q, geometry):
+        # the stencil written as COO entries (diagonal, then each +x and +y
+        # link and its reverse) and summed by scipy; q = 1 and 2 on one cell
+        # put several entries on one position of a periodic direction
+        for cells, member in ((1, None), (2, None), (2, "random")):
+            lat = MagneticLattice(1, q, cells, cells, geometry, rng.standard_normal((q, q)))
+            g = twist_seams(build_gauge(lat, "symmetric"), np.exp(0.3j), np.exp(1.3j))
+            keep = None if member is None else rng.random((lat.n_x, lat.n_y)) < 0.7
+            if keep is not None:
+                keep.ravel()[0] = True
+            op = _assemble(lat, g, keep)
+            ids = op.ids
+            diag = 4.0 * q * q - 4.0 * np.pi + lat.potential[op.sites[:, 0] % q,
+                                                             op.sites[:, 1] % q]
+            rows, cols, vals = [np.arange(len(diag))], [np.arange(len(diag))], [diag + 0j]
+            for axis, phase in ((0, g.phase_x), (1, g.phase_y)):
+                for ix in range(lat.n_x):
+                    for iy in range(lat.n_y):
+                        to = [ix, iy]
+                        to[axis] += 1
+                        periodic = lat.periodic_x if axis == 0 else lat.periodic_y
+                        if to[axis] == (lat.n_x, lat.n_y)[axis]:
+                            if not periodic:
+                                continue
+                            to[axis] = 0
+                        a, b = ids[ix, iy], ids[to[0], to[1]]
+                        if a >= 0 and b >= 0:
+                            v = -float(q) ** 2 * phase[ix, iy]
+                            rows += [[a], [b]]
+                            cols += [[b], [a]]
+                            vals += [[v], [np.conj(v)]]
+            ref = sp.csr_matrix((np.concatenate(vals),
+                                 (np.concatenate(rows), np.concatenate(cols))),
+                                shape=op.shape)
+            ref.sum_duplicates()
+            ref.sort_indices()
+            assert op.matrix.data.tobytes() == ref.data.tobytes()
+            assert np.array_equal(op.matrix.indices, ref.indices)
+            assert np.array_equal(op.matrix.indptr, ref.indptr)
+            pattern = _stencil_pattern(lat, keep)
+            assert pattern.dense(op.matrix.data).tobytes() == ref.toarray().tobytes()
+
+    def test_pattern_data_batches_gauges(self):
+        lat = MagneticLattice(1, 4, 1, 1, "torus")
+        g = twist_seams(build_gauge(lat), np.exp([0.1j, 0.2j, 0.3j]), np.exp([1j, 2j, 3j]))
+        pattern = _stencil_pattern(lat, None)
+        data = pattern.data(g.phase_x, g.phase_y)
+        for i in range(3):
+            one = pattern.data(g.phase_x[i], g.phase_y[i])
+            assert data[i].tobytes() == one.tobytes()
 
     def test_bulk_requires_torus(self):
         lat = lattice(geometry="strip")
