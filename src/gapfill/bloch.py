@@ -300,9 +300,9 @@ def torus_spectrum(lattice: MagneticLattice, gauge: GaugeField) -> SpectrumRepor
 
     The fibers at (a/cells_x, b/cells_y) are solved densely, one per
     magnetic-translation orbit (the rest transported, see the module
-    docstring; report.solved_blocks counts the solves), and each
-    eigenvector phi is lifted to psi = chi * phi / sqrt(cells) on the torus,
-    with chi the ratio of fiber to torus link phases
+    docstring; report.solver records the fibers, their size and the solves),
+    and each eigenvector phi is lifted to psi = chi * phi / sqrt(cells) on
+    the torus, with chi the ratio of fiber to torus link phases
     (:func:`gapfill.model.cell_lift_phases`).  The fibers are those of
     gauge.gauge_kind; every lifted pair is certified on the torus operator
     assembled from gauge, ||H psi - lambda psi|| <= 1e-9 ||H||
@@ -339,7 +339,9 @@ def torus_spectrum(lattice: MagneticLattice, gauge: GaugeField) -> SpectrumRepor
     w = np.concatenate(values)
     res = np.concatenate(residuals)
     order = np.argsort(w, kind="stable")
-    report = spectrum_report(w[order], res[order], solved_blocks=solved)
+    report = spectrum_report(w[order], res[order],
+                             {"route": "bloch_fibers", "blocks": cx * cy, "block_dim": q * q,
+                              "solved_blocks": solved})
     tol = residual_tolerance(report.norm_bound)
     if res.max() > tol:
         raise LiftNotCertified(

@@ -247,7 +247,7 @@ def _write_manifest(out: str, cfg: dict, cfg_path: str) -> None:
     })
 
 
-def _spectrum_outputs(out: str, report, solver: dict):
+def _spectrum_outputs(out: str, report):
     ev = report.eigenvalues
     starts = [a for a, _ in report.clusters]
     ids = np.searchsorted(starts, np.arange(len(ev)), side="right") - 1
@@ -260,7 +260,7 @@ def _spectrum_outputs(out: str, report, solver: dict):
                {"gaps": [{"lower": g.lower, "upper": g.upper} for g in report.gaps],
                 "min_width": spectral._default_gap_width(ev),
                 "n_eigenvalues": int(len(report.eigenvalues)),
-                "solver": solver})
+                "solver": report.solver})
     svg_plot(os.path.join(out, "spectrum.svg"),
              [{"x": list(range(len(report.eigenvalues))),
                "y": [float(v) for v in report.eigenvalues], "kind": "points"}],
@@ -273,15 +273,10 @@ def _task_gaps(cfg, out):
     gauge = build_gauge(lattice, cfg["model"]["gauge"])
     if _unmasked_torus(cfg, lattice):
         report = bloch.torus_spectrum(lattice, gauge)
-        solver = {"route": "bloch_fibers", "blocks": lattice.cells_x * lattice.cells_y,
-                  "block_dim": lattice.q ** 2, "solved_blocks": report.solved_blocks}
     else:
         op = assemble_restricted(lattice, gauge, _mask(cfg, lattice))
-        b = spectral.banded(op)
-        report = spectral.banded_spectrum(b)
-        solver = {"route": "banded", "blocks": 1, "block_dim": op.dimension,
-                  "bandwidth": b.bandwidth}
-    _spectrum_outputs(out, report, solver)
+        report = spectral.banded_spectrum(spectral.banded(op))
+    _spectrum_outputs(out, report)
     return 0
 
 

@@ -55,8 +55,7 @@ from .model import (GaugeField, HalfPlaneShape, GraphShape, BallsShape,
                     assemble_restricted, build_gauge, cell_gauge, cell_lift_phases,
                     mask_from_member, twist_seams, window_member)
 from .spectral import (ChainOperator, SpectralInterval, _certified, _cluster, banded,
-                       certify_counts, count_below, residual_tolerance, solve_eigenvalues,
-                       solve_vectors)
+                       certify_counts, residual_tolerance)
 
 FLOW_CONVENTIONS = {
     "kappa_wrap_phase": "exp(+i*kappa) per x-period of solver.period_cells cells in +x",
@@ -286,8 +285,8 @@ class LocalizationProfile:
 class EdgeReport:
     """Gap-filling verdicts: per-sample nearest-eigenvalue distances.
 
-    solver records the route (Harper chains or banded) with the block
-    count and sizes.
+    solver is the record of the momentum blocks' own solve (Harper chains
+    or banded, with their sizes) plus the block count and x-period.
     """
 
     samples: np.ndarray
@@ -377,8 +376,8 @@ def gap_filling_check(strip: StripSpec, bulk_gap: SpectralInterval, n_samples: i
     n_blocks = strip.length_cells // cells.cells_x
     kappas = 2.0 * np.pi * np.arange(n_blocks) / n_blocks
     blocks = list(map(_block_solver(strip, mask), kappas))
-    values = [solve_eigenvalues(b) for b in blocks]
-    distances, verdicts = _verdicts(blocks, values, samples, delta)
+    values = [b.eigenvalues for b in blocks]
+    distances, verdicts = _verdicts(blocks, samples, delta)
     # by rank within the block, then by distance: the nearest state of every
     # block comes before the second nearest of any
     nearest = sorted((rank, abs(w[j] - mid), m, j) for m, w in enumerate(values)
@@ -387,17 +386,17 @@ def gap_filling_check(strip: StripSpec, bulk_gap: SpectralInterval, n_samples: i
     profile_mask = mask_from_member(cells, mask.member[:cells.n_x])
     profiles = []
     for (_, _, m, j) in nearest[:n_localization]:
-        vec = solve_vectors(blocks[m], values[m], [j])[0][:, 0]
+        vec = blocks[m].vectors([j])[0][:, 0]
         profiles.append(localization_profile(blocks[m].op, (float(values[m][j]), vec),
                                              profile_mask))
     return EdgeReport(samples, distances, delta, verdicts, tuple(profiles),
                       dict(FLOW_CONVENTIONS), sum(len(w) for w in values),
-                      _solver_record(len(blocks), cells.cells_x, blocks[0]))
+                      dict(blocks[0].record, blocks=len(blocks), period_cells=cells.cells_x))
 
 
-def _verdicts(blocks: list, values: list, samples: np.ndarray,
-                     delta: float) -> tuple[np.ndarray, np.ndarray]:
+def _verdicts(blocks: list, samples: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-eigenvalue distances of the samples and their certified verdicts."""
+    values = [b.eigenvalues for b in blocks]
     block_of = np.repeat(np.arange(len(values)), [len(w) for w in values])
     index_of = np.concatenate([np.arange(len(w)) for w in values])
     d = np.abs(np.concatenate(values)[None, :] - samples[:, None])
@@ -408,12 +407,12 @@ def _verdicts(blocks: list, values: list, samples: np.ndarray,
     for m in np.unique(block_of[nearest[near]]):
         pick = near & (block_of[nearest] == m)
         idx, inverse = np.unique(index_of[nearest[pick]], return_inverse=True)
-        bound[pick] += solve_vectors(blocks[m], values[m], idx)[1][inverse]
+        bound[pick] += blocks[m].vectors(idx)[1][inverse]
     verdicts = near & (bound <= delta)
     failing = samples[~verdicts]
     if len(failing):
         shifts = np.concatenate([failing - delta, failing + delta])
-        nu = sum(count_below(b, shifts) for b in blocks)
+        nu = sum(b.counts(shifts) for b in blocks)
         inside = nu[len(failing):] - nu[:len(failing)]
         if inside.any():
             i = int(np.flatnonzero(inside)[0])
@@ -423,11 +422,10 @@ def _verdicts(blocks: list, values: list, samples: np.ndarray,
     return dist, verdicts
 
 
-def _mass_basis(op: HermitianOperator, w: np.ndarray, window: np.ndarray, v: np.ndarray,
-                lower_rows: np.ndarray) -> np.ndarray:
-    """The window vectors v with every cluster of window eigenvalues closer than
-    tol = residual_tolerance(||H||) turned into the eigenbasis of its
-    compressed lower-half mass V^H chi_lower V.
+def _mass_basis(b, window: np.ndarray, v: np.ndarray, lower_rows: np.ndarray) -> np.ndarray:
+    """The window vectors v of block b, every cluster of its window eigenvalues
+    closer than tol = residual_tolerance(||H||) turned into the eigenbasis
+    of its compressed lower-half mass V^H chi_lower V.
 
     The residual certificate does not fix a basis of such a cluster; this
     one does, so the lower-half mass of each vector and the band
@@ -437,6 +435,7 @@ def _mass_basis(op: HermitianOperator, w: np.ndarray, window: np.ndarray, v: np.
     turned vectors are certified by their residuals at their eigenvalues
     (ResidualNotCertified).
     """
+    w = b.eigenvalues
     norm = float(np.abs(w).max())
     tol = residual_tolerance(norm)
     v = v.copy()
@@ -444,18 +443,8 @@ def _mass_basis(op: HermitianOperator, w: np.ndarray, window: np.ndarray, v: np.
         if z - a > 1 and w[window[z - 1]] - w[window[a]] <= tol / 2:
             low = v[lower_rows, a:z]
             v[:, a:z] = v[:, a:z] @ np.linalg.eigh(low.conj().T @ low)[1]
-            _certified(op, v[:, a:z], w[window[a:z]], norm)
+            _certified(b.op, v[:, a:z], w[window[a:z]], norm)
     return v
-
-
-def _solver_record(n_blocks: int, period_cells: int, b) -> dict:
-    """Solver record of a strip's momentum blocks; they share one sparsity pattern."""
-    if isinstance(b, ChainOperator):
-        return {"route": "harper_chains", "blocks": n_blocks, "period_cells": period_cells,
-                "chains": b.diagonal.shape[0], "chain_dim": b.diagonal.shape[1],
-                "block_dim": b.op.dimension}
-    return {"route": "banded", "blocks": n_blocks, "period_cells": period_cells,
-            "block_dim": b.op.dimension, "bandwidth": b.bandwidth}
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +469,8 @@ class SpectralFlowReport:
     momentum, the dispersion indices, energies and lower-half masses of the
     bands inside the analysis window |E - e_ref| <= window_halfwidth
     (eigenvectors are only computed there);
-    solver records the route (Harper chains or banded) with the block
-    count and sizes.
+    solver is the record of the momentum blocks' own solve (Harper chains
+    or banded, with their sizes) plus the block count and x-period.
     """
 
     kappas: np.ndarray
@@ -536,11 +525,11 @@ def strip_bands(strip: StripSpec, n_kappa: int, e_ref: float | None = None,
     win_bands, win_vals, win_vecs, win_mass = [], [], [], []
     for kappa in kappas:
         b = solve(kappa)
-        w = solve_eigenvalues(b)
-        certify_counts(b, w, (lo, hi))
+        w = b.eigenvalues
+        certify_counts(b, (lo, hi))
         window = np.flatnonzero((w > lo) & (w <= hi))
         lower_rows = b.op.sites[:, 1] * lat.h < region_mid
-        v = _mass_basis(b.op, w, window, solve_vectors(b, w, window)[0], lower_rows)
+        v = _mass_basis(b, window, b.vectors(window)[0], lower_rows)
         energies_all.append(w)
         win_bands.append(window)
         win_vals.append(w[window])
@@ -581,4 +570,4 @@ def strip_bands(strip: StripSpec, n_kappa: int, e_ref: float | None = None,
                               designated_edge, int(net), int(net_upper),
                               dict(FLOW_CONVENTIONS), float(window_halfwidth),
                               tuple(win_bands), tuple(win_vals), tuple(win_mass),
-                              _solver_record(n_kappa, cells.cells_x, b))
+                              dict(b.record, blocks=n_kappa, period_cells=cells.cells_x))

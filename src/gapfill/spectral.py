@@ -7,24 +7,28 @@ narrower band, an operator is banded and block tridiagonal over its lines:
 a strip momentum block one x-period of P cells wide has y-rows of P*q
 sites, a wide masked window x-columns, and a torus mask that keeps a seam
 link is folded so that lines s and n_s-1-s share a block.  :func:`banded`
-stores the operator as a LAPACK band, :func:`banded_eigenvalues` gives its
-whole spectrum without vectors, :func:`banded_vectors` computes the
-eigenvectors a caller names by inverse iteration, each certified by its
-residual, and :func:`inertia` counts the eigenvalues below a shift by a
-block LDL^H factorization (Sylvester's law of inertia), which
-:func:`certify_counts` checks against the banded eigenvalues.
-:func:`banded_spectrum` reports the complete spectrum of a window with
-every detected gap certified by those counts.
-
-An operator that a symmetry splits into tridiagonal chains (a
+stores the operator as a LAPACK band (a :class:`BandedOperator`).  An
+operator that a symmetry splits into tridiagonal chains (a
 :class:`ChainOperator`, such as a flat strip's momentum block split into
-Harper chains) is solved on the chains instead:
-:func:`chain_eigenvalues` by one tridiagonal solve per chain, each
-eigenvalue keeping the chain it came from, :func:`sturm_counts` by
-1x1-pivot LDL^T counts and :func:`chain_vectors` by inverse iteration on
-each eigenvalue's own chain, lifted back and certified by residuals on the
-operator itself.  :func:`solve_eigenvalues`, :func:`solve_vectors` and
-:func:`count_below` take either kind.
+Harper chains) is solved on the chains instead.
+
+Both kinds of block answer for themselves, so no caller needs to know
+which route ran:
+
+- ``eigenvalues``: the whole spectrum, ascending, without vectors, solved
+  once per block (a banded LAPACK solve, or one tridiagonal solve per
+  chain, each eigenvalue keeping the chain it came from);
+- ``vectors(select)``: the eigenvectors of ``eigenvalues[select]`` by
+  inverse iteration (on the band, or on each eigenvalue's own chain and
+  lifted back), each certified by its residual on the operator itself;
+- ``counts(sigmas)``: the number of eigenvalues below each shift by an
+  LDL^H factorization and Sylvester's law of inertia (block pivots over
+  the lines of a band, 1x1 Sturm pivots on the chains);
+- ``record``: the route and the sizes of the solve.
+
+:func:`certify_counts` checks a block's counts against its eigenvalues,
+and :func:`banded_spectrum` reports the complete spectrum of a window
+with every detected gap certified by those counts.
 
 Filters are Chebyshev expansions on a stated spectral enclosure [a, b];
 applying one to a vector through the three-term recurrence grows the support
@@ -96,9 +100,9 @@ class SpectrumReport:
 
     residuals holds the per-pair residuals of a route that computes vectors
     (Bloch fibers) and is None on the banded route, whose certificate is the
-    inertia count at each gap.  solved_blocks counts the diagonalized
-    blocks: 1 for a banded solve, one per magnetic-translation orbit of
-    Bloch fibers for a torus.
+    inertia count at each gap.  solver is the route record of the solve
+    that gave the spectrum: the band's ``record`` with one block, or the
+    Bloch fibers with their count, size and solved orbits.
     """
 
     eigenvalues: np.ndarray
@@ -106,7 +110,7 @@ class SpectrumReport:
     clusters: tuple
     gaps: tuple
     norm_bound: float
-    solved_blocks: int = 1
+    solver: dict
 
 
 def _cluster(eigenvalues: np.ndarray, tol: float) -> tuple:
@@ -313,8 +317,8 @@ def residual_tolerance(norm_bound: float) -> float:
     return RESIDUAL_FACTOR * max(norm_bound, 1.0)
 
 
-def spectrum_report(w: np.ndarray, residuals: np.ndarray | None, *,
-                    solved_blocks: int = 1) -> SpectrumReport:
+def spectrum_report(w: np.ndarray, residuals: np.ndarray | None,
+                    solver: dict) -> SpectrumReport:
     """Clusters and gaps of a complete sorted spectrum, at their default widths.
 
     The norm bound is max |lambda|, which is ||H|| for a complete spectrum.
@@ -324,7 +328,7 @@ def spectrum_report(w: np.ndarray, residuals: np.ndarray | None, *,
     spacing = max(1e-8 * float(w[-1] - w[0]), 1e-12) if len(w) > 1 else 1e-8
     return SpectrumReport(w, residuals, _cluster(w, spacing),
                           tuple(detect_gaps(w, _default_gap_width(w))),
-                          norm_bound, solved_blocks)
+                          norm_bound, solver)
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +353,81 @@ class BandedOperator:
     @property
     def bandwidth(self) -> int:
         return self.band.shape[0] - 1
+
+    @property
+    def record(self) -> dict:
+        return {"route": "banded", "block_dim": self.op.dimension, "bandwidth": self.bandwidth}
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """All eigenvalues, ascending, from LAPACK's banded Hermitian solver (no
+        vectors), solved once per BandedOperator."""
+        return scipy.linalg.eig_banded(self.band, lower=True, eigvals_only=True,
+                                       check_finite=False)
+
+    def vectors(self, select) -> tuple[np.ndarray, np.ndarray]:
+        """Certified eigenvectors of eigenvalues[select] by banded inverse iteration.
+
+        Each vector takes INVERSE_STEPS solves of (H - lambda) x = x from one
+        fixed start vector, orthogonalized against the vectors already
+        computed for eigenvalues within ORTHO_CLUSTER * max(||H||, 1) of
+        lambda.  Vectors come back in the operator's own row order, as
+        columns, with their residuals ||Hv - lambda v||; ResidualNotCertified
+        if any residual exceeds residual_tolerance(||H||), RepeatedSelection
+        if select names one index twice.
+        """
+        w = self.eigenvalues
+        values = w[_selected(w, select)]
+        norm = float(np.abs(w).max())
+        vectors = np.zeros((self.op.dimension, len(values)), complex)
+        vectors[self.order] = _inverse_iteration(self.band, values, norm)
+        return _certified(self.op, vectors, values, norm)
+
+    def counts(self, sigmas) -> np.ndarray:
+        """nu(sigma) = #{eigenvalues < sigma} for each shift, by a block LDL^H over lines.
+
+        H - sigma is block tridiagonal over the lines; eliminating them in
+        order is a congruence H - sigma = L D L^H with D block diagonal, so by
+        Sylvester's law of inertia nu(sigma) is the number of negative
+        eigenvalues of the pivot blocks.  Each pivot is diagonalized; its
+        eigen-directions with |d| >= PIVOT_FLOOR * ||H|| are eliminated, and
+        the smaller ones are deferred into the next pivot (a symmetric
+        pivoting that bounds the growth of the Schur complements by
+        1 / PIVOT_FLOOR).
+        """
+        blocks, couplings = _row_blocks(self)
+        lo, hi = self.op.gershgorin()
+        floor = PIVOT_FLOOR * max(abs(lo), abs(hi), 1.0)
+        sig = np.atleast_1d(np.asarray(sigmas, float))
+        count = np.zeros(len(sig), int)
+        # deferred directions per shift: values and couplings to the current
+        # row, padded to a common number with decoupled pivots 2 * floor
+        deferred = np.zeros((len(sig), 0))
+        deferred_cpl = None
+        schur = 0.0
+        for r, a in enumerate(blocks):
+            t = deferred.shape[1]
+            pivot = a - sig[:, None, None] * np.eye(len(a)) - schur
+            if t:
+                pivot = np.block([[deferred[:, :, None] * np.eye(t),
+                                   deferred_cpl.conj().transpose(0, 2, 1)],
+                                  [deferred_cpl, pivot]])
+            d, u = np.linalg.eigh(pivot)
+            good = np.abs(d) >= floor
+            if r + 1 == len(blocks):
+                count += (d < 0).sum(axis=1)
+                break
+            count += ((d < 0) & good).sum(axis=1)
+            cpl = couplings[r + 1] @ u[:, t:]
+            inv = np.divide(1.0, d, out=np.zeros_like(d), where=good)
+            schur = (cpl * inv[:, None, :]) @ cpl.conj().transpose(0, 2, 1)
+            n_deferred = (~good).sum(axis=1)
+            order = np.argsort(good, axis=1, kind="stable")[:, :n_deferred.max()]
+            live = np.arange(order.shape[1]) < n_deferred[:, None]
+            deferred = np.where(live, np.take_along_axis(d, order, axis=1), 2.0 * floor)
+            deferred_cpl = np.where(live[:, None, :],
+                                    np.take_along_axis(cpl, order[:, None, :], axis=2), 0.0)
+        return count
 
 
 def _line_order(op: HermitianOperator, rows: np.ndarray, cols: np.ndarray, axis: int):
@@ -385,32 +464,6 @@ def banded(op: HermitianOperator) -> BandedOperator:
     starts = np.flatnonzero(np.diff(group, prepend=-1))
     stops = np.append(starts[1:], op.dimension)
     return BandedOperator(op, order, band, tuple(zip(starts.tolist(), stops.tolist())))
-
-
-def banded_eigenvalues(b: BandedOperator) -> np.ndarray:
-    """All eigenvalues, ascending, from LAPACK's banded Hermitian solver (no vectors)."""
-    return scipy.linalg.eig_banded(b.band, lower=True, eigvals_only=True,
-                                   check_finite=False)
-
-
-def banded_vectors(b: BandedOperator, eigenvalues: np.ndarray,
-                   select) -> tuple[np.ndarray, np.ndarray]:
-    """Certified eigenvectors of eigenvalues[select] by banded inverse iteration.
-
-    eigenvalues is the complete spectrum from banded_eigenvalues.  Each
-    vector takes INVERSE_STEPS solves of (H - lambda) x = x from one fixed
-    start vector, orthogonalized against the vectors already computed for
-    eigenvalues within ORTHO_CLUSTER * max(||H||, 1) of lambda.  Vectors
-    come back in the operator's own row order, as columns, with their
-    residuals ||Hv - lambda v||; ResidualNotCertified if any residual
-    exceeds residual_tolerance(||H||), RepeatedSelection if select names
-    one index twice.
-    """
-    values = np.asarray(eigenvalues)[_selected(eigenvalues, select)]
-    norm = float(np.abs(eigenvalues).max())
-    vectors = np.zeros((b.op.dimension, len(values)), complex)
-    vectors[b.order] = _inverse_iteration(b.band, values, norm)
-    return _certified(b.op, vectors, values, norm)
 
 
 def _selected(eigenvalues: np.ndarray, select) -> np.ndarray:
@@ -513,64 +566,18 @@ def _row_blocks(b: BandedOperator) -> tuple[list, list]:
     return blocks, couplings
 
 
-def inertia(b: BandedOperator, sigmas) -> np.ndarray:
-    """nu(sigma) = #{eigenvalues < sigma} for each shift, by a block LDL^H over lines.
+def certify_counts(s, sigmas) -> np.ndarray:
+    """Inertia counts nu(sigma) of a block, checked against its eigenvalues.
 
-    H - sigma is block tridiagonal over the lines; eliminating them in
-    order is a congruence H - sigma = L D L^H with D block diagonal, so by
-    Sylvester's law of inertia nu(sigma) is the number of negative
-    eigenvalues of the pivot blocks.  Each pivot is diagonalized; its
-    eigen-directions with |d| >= PIVOT_FLOOR * ||H|| are eliminated, and the
-    smaller ones are deferred into the next pivot (a symmetric pivoting
-    that bounds the growth of the Schur complements by 1 / PIVOT_FLOOR).
-    """
-    blocks, couplings = _row_blocks(b)
-    lo, hi = b.op.gershgorin()
-    floor = PIVOT_FLOOR * max(abs(lo), abs(hi), 1.0)
-    sig = np.atleast_1d(np.asarray(sigmas, float))
-    count = np.zeros(len(sig), int)
-    # deferred directions per shift: values and couplings to the current
-    # row, padded to a common number with decoupled pivots 2 * floor
-    deferred = np.zeros((len(sig), 0))
-    deferred_cpl = None
-    schur = 0.0
-    for r, a in enumerate(blocks):
-        t = deferred.shape[1]
-        pivot = a - sig[:, None, None] * np.eye(len(a)) - schur
-        if t:
-            pivot = np.block([[deferred[:, :, None] * np.eye(t),
-                               deferred_cpl.conj().transpose(0, 2, 1)],
-                              [deferred_cpl, pivot]])
-        d, u = np.linalg.eigh(pivot)
-        good = np.abs(d) >= floor
-        if r + 1 == len(blocks):
-            count += (d < 0).sum(axis=1)
-            break
-        count += ((d < 0) & good).sum(axis=1)
-        cpl = couplings[r + 1] @ u[:, t:]
-        inv = np.divide(1.0, d, out=np.zeros_like(d), where=good)
-        schur = (cpl * inv[:, None, :]) @ cpl.conj().transpose(0, 2, 1)
-        n_deferred = (~good).sum(axis=1)
-        order = np.argsort(good, axis=1, kind="stable")[:, :n_deferred.max()]
-        live = np.arange(order.shape[1]) < n_deferred[:, None]
-        deferred = np.where(live, np.take_along_axis(d, order, axis=1), 2.0 * floor)
-        deferred_cpl = np.where(live[:, None, :],
-                                np.take_along_axis(cpl, order[:, None, :], axis=2), 0.0)
-    return count
-
-
-def certify_counts(b, eigenvalues: np.ndarray, sigmas) -> np.ndarray:
-    """Inertia counts nu(sigma) of a banded operator or chains, checked against
-    the computed eigenvalues.
-
-    The count is :func:`inertia` for a BandedOperator and :func:`sturm_counts`
-    for a ChainOperator.  Each nu(sigma) must lie between the number of
-    eigenvalues below sigma - tol and below sigma + tol, tol =
-    residual_tolerance(||H||) (CountNotCertified otherwise): the count then
-    certifies that no eigenvalue was lost or invented near sigma.
+    s is a BandedOperator or a ChainOperator, counted by its own counts.
+    Each nu(sigma) must lie between the number of eigenvalues below
+    sigma - tol and below sigma + tol, tol = residual_tolerance(||H||)
+    (CountNotCertified otherwise): the count then certifies that no
+    eigenvalue was lost or invented near sigma.
     """
     sig = np.atleast_1d(np.asarray(sigmas, float))
-    nu = count_below(b, sig)
+    nu = s.counts(sig)
+    eigenvalues = s.eigenvalues
     tol = residual_tolerance(float(np.abs(eigenvalues).max()))
     low = np.searchsorted(eigenvalues, sig - tol)
     high = np.searchsorted(eigenvalues, sig + tol)
@@ -587,18 +594,17 @@ def banded_spectrum(b: BandedOperator) -> SpectrumReport:
     """Complete spectrum of a banded operator, every detected gap certified by counts.
 
     The eigenvalues come from one values-only banded solve, so the report
-    carries no residuals.  Each gap (lower, upper) is certified by
-    :func:`certify_counts` at lower + 2 tol and upper - 2 tol, tol =
-    residual_tolerance(||H||): both counts must equal the number of
-    eigenvalues up to lower, so they agree and no eigenvalue was lost inside
-    the gap (CountNotCertified otherwise).
+    carries no residuals; its solver is the band's record, one block.  Each
+    gap (lower, upper) is certified by :func:`certify_counts` at lower +
+    2 tol and upper - 2 tol, tol = residual_tolerance(||H||): both counts
+    must equal the number of eigenvalues up to lower, so they agree and no
+    eigenvalue was lost inside the gap (CountNotCertified otherwise).
     """
-    w = banded_eigenvalues(b)
-    report = spectrum_report(w, None)
+    report = spectrum_report(b.eigenvalues, None, dict(b.record, blocks=1))
     tol = residual_tolerance(report.norm_bound)
     shifts = [s for g in report.gaps for s in (g.lower + 2 * tol, g.upper - 2 * tol)]
     if shifts:
-        certify_counts(b, w, shifts)
+        certify_counts(b, shifts)
     return report
 
 
@@ -622,8 +628,7 @@ class ChainOperator:
     vectors v_m lift to u[i] = sum_m basis[i, m] v_m[line[i]].  Each chain
     is solved once, on its own, the first time its values are asked for,
     so every eigenvalue keeps the chain it came from.  The caller certifies
-    the split; :func:`chain_vectors` certifies the lifted vectors on op
-    itself.
+    the split; vectors certifies the lifted vectors on op itself.
     """
 
     op: HermitianOperator
@@ -648,77 +653,61 @@ class ChainOperator:
         order = np.argsort(w, kind="stable")
         return w[order], chain[order]
 
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """All eigenvalues, ascending: one LAPACK tridiagonal solve per chain, done
+        once per ChainOperator."""
+        return self._spectrum[0]
 
-def chain_eigenvalues(c: ChainOperator) -> np.ndarray:
-    """All eigenvalues, ascending: one LAPACK tridiagonal solve per chain, done
-    once per ChainOperator."""
-    return c._spectrum[0]
+    @property
+    def record(self) -> dict:
+        return {"route": "harper_chains", "chains": self.diagonal.shape[0],
+                "chain_dim": self.diagonal.shape[1], "block_dim": self.op.dimension}
 
+    def vectors(self, select) -> tuple[np.ndarray, np.ndarray]:
+        """Certified eigenvectors of eigenvalues[select], by inverse iteration on the chains.
 
-def sturm_counts(c: ChainOperator, sigmas) -> np.ndarray:
-    """nu(sigma) = #{eigenvalues < sigma} for each shift, by Sturm counts on the chains.
+        Each eigenvalue's chain is the one whose solve gave it (the same
+        per-chain solve, not repeated).  Its vector is computed on that chain
+        as :meth:`BandedOperator.vectors` computes one on a band, lifted by
+        the chain's basis column (so it is an eigenvector of the symmetry
+        too), and certified by its residual on the operator itself
+        (ResidualNotCertified).  RepeatedSelection if select names one index
+        twice.
+        """
+        w, chain = self._spectrum
+        idx = _selected(w, select)
+        values, chain = w[idx], chain[idx]
+        norm = float(np.abs(w).max())
+        vectors = np.zeros((self.op.dimension, len(values)), complex)
+        for m in np.unique(chain):
+            cols = np.flatnonzero(chain == m)
+            band = np.vstack([self.diagonal[m], np.append(self.coupling[m], 0.0)])
+            v = _inverse_iteration(band, values[cols], norm)
+            vectors[:, cols] = self.basis[:, m, None] * v[self.line]
+        return _certified(self.op, vectors, values, norm)
 
-    C_m - sigma = L D L^H with 1x1 pivots d_r = a_r - sigma - |b_r|^2 /
-    d_{r-1}, run over every chain and shift at once; by Sylvester's law of
-    inertia nu is the number of negative pivots.  A pivot below the floor
-    tiny * max(1, max |b|^2) in modulus is replaced by minus the floor, as
-    LAPACK's bisection does, so no pivot divides by zero.
-    """
-    sig = np.atleast_1d(np.asarray(sigmas, float))
-    n_chains, length = c.diagonal.shape
-    # b2[:, r] = |C_m[r, r - 1]|^2, 0 before the first site
-    b2 = np.abs(np.hstack([np.zeros((n_chains, 1)), c.coupling])) ** 2
-    floor = np.finfo(float).tiny * max(1.0, float(b2.max()))
-    count = np.zeros(len(sig), int)
-    d = np.ones((n_chains, len(sig)))
-    for r in range(length):
-        d = c.diagonal[:, r, None] - sig - b2[:, r, None] / d
-        d[np.abs(d) < floor] = -floor
-        count += (d < 0).sum(axis=0)
-    return count
+    def counts(self, sigmas) -> np.ndarray:
+        """nu(sigma) = #{eigenvalues < sigma} for each shift, by Sturm counts on the chains.
 
-
-def chain_vectors(c: ChainOperator, eigenvalues: np.ndarray,
-                  select) -> tuple[np.ndarray, np.ndarray]:
-    """Certified eigenvectors of eigenvalues[select], by inverse iteration on the chains.
-
-    eigenvalues is the complete spectrum from chain_eigenvalues, and each
-    eigenvalue's chain is the one whose solve gave it (the same per-chain
-    solve, not repeated).  Its vector is computed on that chain as
-    :func:`banded_vectors` computes one on a band, lifted by the chain's
-    basis column (so it is an eigenvector of the symmetry too), and
-    certified by its residual on the operator itself (ResidualNotCertified).
-    RepeatedSelection if select names one index twice.
-    """
-    w = np.asarray(eigenvalues)
-    idx = _selected(w, select)
-    values = w[idx]
-    chain = c._spectrum[1][idx]
-    norm = float(np.abs(w).max())
-    vectors = np.zeros((c.op.dimension, len(values)), complex)
-    for m in np.unique(chain):
-        cols = np.flatnonzero(chain == m)
-        band = np.vstack([c.diagonal[m], np.append(c.coupling[m], 0.0)])
-        v = _inverse_iteration(band, values[cols], norm)
-        vectors[:, cols] = c.basis[:, m, None] * v[c.line]
-    return _certified(c.op, vectors, values, norm)
-
-
-def solve_eigenvalues(s) -> np.ndarray:
-    """All eigenvalues of a BandedOperator or a ChainOperator, ascending."""
-    return chain_eigenvalues(s) if isinstance(s, ChainOperator) else banded_eigenvalues(s)
-
-
-def solve_vectors(s, eigenvalues: np.ndarray, select) -> tuple[np.ndarray, np.ndarray]:
-    """Certified eigenvectors of a BandedOperator or a ChainOperator."""
-    if isinstance(s, ChainOperator):
-        return chain_vectors(s, eigenvalues, select)
-    return banded_vectors(s, eigenvalues, select)
-
-
-def count_below(s, sigmas) -> np.ndarray:
-    """Inertia counts of a BandedOperator (block LDL^H) or a ChainOperator (Sturm)."""
-    return sturm_counts(s, sigmas) if isinstance(s, ChainOperator) else inertia(s, sigmas)
+        C_m - sigma = L D L^H with 1x1 pivots d_r = a_r - sigma - |b_r|^2 /
+        d_{r-1}, run over every chain and shift at once; by Sylvester's law
+        of inertia nu is the number of negative pivots.  A pivot below the
+        floor tiny * max(1, max |b|^2) in modulus is replaced by minus the
+        floor, as LAPACK's bisection does, so no pivot divides by zero.
+        """
+        sig = np.atleast_1d(np.asarray(sigmas, float))
+        n_chains, length = self.diagonal.shape
+        # b2[:, r] = |C_m[r, r - 1]|^2, 0 before the first site
+        b2 = np.abs(np.hstack([np.zeros((n_chains, 1)), self.coupling])) ** 2
+        floor = np.finfo(float).tiny * max(1.0, float(b2.max()))
+        count = np.zeros(len(sig), int)
+        d = np.ones((n_chains, len(sig)))
+        for r in range(length):
+            d = self.diagonal[:, r, None] - sig - b2[:, r, None] / d
+            d[np.abs(d) < floor] = -floor
+            count += (d < 0).sum(axis=0)
+        return count
 
 
 # ---------------------------------------------------------------------------

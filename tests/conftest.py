@@ -26,12 +26,13 @@ def dense_spectrum():
     """Dense reference spectrum of an operator, the oracle of the solver routes.
 
     numpy's eigh of the assembled matrix, reported by spectrum_report with
-    its per-pair residuals.
+    its per-pair residuals and a "dense" solver record.
     """
 
     def get(op):
         w, v = np.linalg.eigh(op.matrix.toarray())
-        return spectrum_report(w, np.linalg.norm(op.matrix @ v - v * w, axis=0))
+        return spectrum_report(w, np.linalg.norm(op.matrix @ v - v * w, axis=0),
+                               {"route": "dense", "block_dim": op.dimension})
 
     return get
 

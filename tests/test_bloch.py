@@ -709,7 +709,7 @@ class TestFiberOrbits:
         g = build_gauge(lat)
         fib = torus_spectrum(lat, g)
         dense = dense_spectrum(assemble_bulk(lat, g))
-        assert fib.solved_blocks == 4
+        assert fib.solver["solved_blocks"] == 4
         assert np.abs(fib.eigenvalues - dense.eigenvalues).max() \
             <= 1e-10 * max(dense.norm_bound, 1.0)
 

@@ -315,13 +315,13 @@ class TestWindowSpectrum:
         gap = json.loads((tmp_path / "good" / "gaps.json").read_text())["gaps"][3]
         w, _ = read_spectrum(tmp_path / "good")
         shift = gap["lower"] + 2 * spectral.residual_tolerance(np.abs(w).max())
-        inertia = spectral.inertia
+        counts = spectral.BandedOperator.counts
 
         def miscount(b, sigmas):
             sig = np.asarray(sigmas)
-            return inertia(b, sig) + ((sig > gap["lower"]) & (sig < gap["upper"]))
+            return counts(b, sig) + ((sig > gap["lower"]) & (sig < gap["upper"]))
 
-        monkeypatch.setattr(spectral, "inertia", miscount)
+        monkeypatch.setattr(spectral.BandedOperator, "counts", miscount)
         assert self.run_gaps(tmp_path, model, "bad")[0] == 1
         err = capsys.readouterr().err
         assert err.startswith("CountNotCertified: ")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gapfill import edge, spectral
+from gapfill import edge
 from gapfill.bloch import torus_spectrum
 from gapfill.coarse import wideness_check
 from gapfill.edge import (gap_filling_check, lift_block_vector,
@@ -13,9 +13,8 @@ from gapfill.errors import (BandConnectionAmbiguous, CountNotCertified, LiftNotC
 from gapfill.model import (BallsShape, DiskShape, GaugeField, GraphShape, HalfPlaneShape,
                            MagneticLattice, build_gauge, make_mask,
                            mask_all)
-from gapfill.spectral import (banded, banded_eigenvalues, banded_vectors,
-                              certify_interval, chain_eigenvalues, chain_vectors,
-                              inertia, residual_tolerance, sturm_counts)
+from gapfill.spectral import (BandedOperator, ChainOperator, banded, certify_counts,
+                              certify_interval, residual_tolerance)
 
 
 def _shape(kind, q, length):
@@ -267,7 +266,7 @@ class TestLocalization:
             assert abs(prof.decay_rate - want.decay_rate) <= 1e-12
         n_blocks = strip.length_cells // _period(kind, 6)
         blocks = np.sort(np.concatenate(
-            [banded_eigenvalues(banded(strip_block(strip, 2 * np.pi * m / n_blocks, mask)))
+            [banded(strip_block(strip, 2 * np.pi * m / n_blocks, mask)).eigenvalues
              for m in range(n_blocks)]))
         assert np.abs(blocks - np.linalg.eigvalsh(strip_op.matrix.toarray())).max() < 1e-8
 
@@ -342,17 +341,18 @@ class TestSpectralFlow:
         # the solve's basis of the pair and that basis turned by 45 degrees
         # give the same masses, one state on each edge
         strip = make_strip(1, 8, 12, 2)
-        vectors = edge.solve_vectors
+        vectors = ChainOperator.vectors
 
-        def turned(b, w, select):
-            v, res = vectors(b, w, select)
+        def turned(c, select):
+            v, res = vectors(c, select)
+            w = c.eigenvalues
             if abs(w[24] - w[23]) < 1e-9:
                 pair = np.flatnonzero(np.isin(select, (23, 24)))
                 v[:, pair] = v[:, pair] @ (np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0))
             return v, res
         masses = []
         for solve in (vectors, turned):
-            monkeypatch.setattr(edge, "solve_vectors", solve)
+            monkeypatch.setattr(ChainOperator, "vectors", solve)
             flow = strip_bands(strip, n_kappa=48)
             pair = np.isin(flow.window_bands[0], (23, 24))
             masses.append(flow.window_mass_lower[0][pair])
@@ -397,24 +397,27 @@ STRIPS = [(k, q, kind, pot) for k in (1, 2) for q in (4, 8)
           if q == 4 or _period(kind, 4) == 1]
 
 
+class DenseBlock:
+    """A momentum block solved by numpy's dense eigh of the assembled matrix,
+    with the members of the banded and chain blocks."""
+
+    def __init__(self, op):
+        self.op = op
+        self.record = {"route": "dense", "block_dim": op.dimension}
+        self.eigenvalues, self._frames = np.linalg.eigh(op.matrix.toarray())
+
+    def vectors(self, select):
+        v = self._frames[:, select]
+        return v, np.linalg.norm(self.op.matrix @ v - v * self.eigenvalues[select], axis=0)
+
+    def counts(self, sigmas):
+        return np.searchsorted(self.eigenvalues, np.atleast_1d(sigmas))
+
+
 def use_dense_oracle(monkeypatch):
-    """Route edge's block solves, banded or Harper chains, through dense LAPACK
-    solves of the assembled block."""
-    def values(b):
-        return np.linalg.eigvalsh(b.op.matrix.toarray())
-
-    def vectors(b, w, select):
-        dw, dv = np.linalg.eigh(b.op.matrix.toarray())
-        v = dv[:, select]
-        return v, np.linalg.norm(b.op.matrix @ v - v * dw[select], axis=0)
-
-    def counts(b, sigmas):
-        return np.searchsorted(values(b), np.atleast_1d(sigmas))
-
-    monkeypatch.setattr(edge, "solve_eigenvalues", values)
-    monkeypatch.setattr(edge, "solve_vectors", vectors)
-    monkeypatch.setattr(edge, "count_below", counts)
-    monkeypatch.setattr(edge, "certify_counts", lambda b, w, sigmas: counts(b, sigmas))
+    """Solve edge's momentum blocks, banded or Harper chains, as DenseBlocks."""
+    monkeypatch.setattr(edge, "_block_solver", lambda strip, mask: lambda kappa: DenseBlock(
+        strip_block(strip, kappa, mask)))
 
 
 def use_banded_route(monkeypatch):
@@ -433,19 +436,19 @@ class TestBandedRoute:
             b = banded(block)
             assert (block.sites[:, 0].max() + 1) // q == _period(kind, 4)
             assert b.bandwidth <= q * _period(kind, 4)
-            w = banded_eigenvalues(b)
+            w = b.eigenvalues
             dense = dense_spectrum(block).eigenvalues
             assert np.abs(w - dense).max() <= 1e-10 * max(np.abs(dense).max(), 1.0)
             # the lowest Landau group is a near-degenerate cluster
             select = np.r_[np.arange(6), np.argsort(np.abs(w - 4 * np.pi * k))[:4]]
-            v, res = banded_vectors(b, w, select)
+            v, res = b.vectors(select)
             assert np.abs(v.conj().T @ v - np.eye(len(select))).max() < 1e-10
             assert res.max() <= residual_tolerance(np.abs(w).max())
             # a shift between each pair of separated neighbours counts
             # every eigenvalue below it
             split = np.flatnonzero(np.diff(dense) > 1e-6)
             shifts = np.r_[dense[0] - 1.0, 0.5 * (dense[split] + dense[split + 1])]
-            assert list(inertia(b, shifts)) == [0] + list(split + 1)
+            assert list(b.counts(shifts)) == [0] + list(split + 1)
 
     @pytest.mark.parametrize("kappa", [0.0, np.pi])
     def test_inertia_next_to_leading_submatrix_eigenvalues(self, kappa):
@@ -459,7 +462,7 @@ class TestBandedRoute:
         near = np.concatenate([np.linalg.eigvalsh(h[:z, :z]) for (_, z) in b.rows[:-1]])
         shifts = np.r_[near - 1e-11, near + 1e-11]
         shifts = shifts[np.abs(dense[None, :] - shifts[:, None]).min(axis=1) > 1e-6]
-        assert (inertia(b, shifts) == np.searchsorted(dense, shifts)).all()
+        assert (b.counts(shifts) == np.searchsorted(dense, shifts)).all()
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("delta", [1.0, 0.05])
@@ -533,9 +536,8 @@ class TestBandedCertificates:
             return x
         monkeypatch.setattr(scipy.linalg, "solve_banded", perturbed)
         b = banded(strip_block(make_strip(1, 4, 6, 3), 1.0))
-        w = banded_eigenvalues(b)
         with pytest.raises(ResidualNotCertified, match="inverse-iteration residual"):
-            banded_vectors(b, w, [len(w) // 2])
+            b.vectors([len(b.eigenvalues) // 2])
 
     def test_dropped_window_eigenvalue_fails_count(self, monkeypatch):
         use_banded_route(monkeypatch)
@@ -555,8 +557,8 @@ class TestBandedCertificates:
         failing = report.samples[~report.verdicts]
         assert len(failing)
         mask = strip_mask(strip)
-        nu = sum(inertia(banded(strip_block(strip, 2 * np.pi * m / 4, mask)),
-                         np.r_[failing - 0.05, failing + 0.05]) for m in range(4))
+        nu = sum(banded(strip_block(strip, 2 * np.pi * m / 4, mask)).counts(
+            np.r_[failing - 0.05, failing + 0.05]) for m in range(4))
         assert not (nu[len(failing):] - nu[:len(failing)]).any()
 
     def test_dropped_sample_eigenvalues_fail_count(self, small_gap, monkeypatch):
@@ -581,12 +583,11 @@ class TestBandedCertificates:
         # edge bands is certified to pass, and the inertia count refuses
         # to let it fail
         _, gap = small_gap
-        vectors = edge.solve_vectors
-
-        def inflated(*args):
-            v, res = vectors(*args)
-            return v, res + 1.0
-        monkeypatch.setattr(edge, "solve_vectors", inflated)
+        for cls in (BandedOperator, ChainOperator):
+            def inflated(b, select, vectors=cls.vectors):
+                v, res = vectors(b, select)
+                return v, res + 1.0
+            monkeypatch.setattr(cls, "vectors", inflated)
         with pytest.raises(CountNotCertified, match="no eigenpair certified within 0.5"):
             gap_filling_check(make_strip(1, 4, 8, 12), gap, 9, 0.5, n_localization=0)
 
@@ -611,7 +612,7 @@ class TestHarperChains:
             c = strip_chains(strip, kappa, mask)
             assert c.diagonal.shape == (q, c.op.dimension // q)
             dense = dense_spectrum(c.op).eigenvalues
-            w = chain_eigenvalues(c)
+            w = c.eigenvalues
             assert np.abs(w - dense).max() <= 1e-10 * max(np.abs(dense).max(), 1.0)
             # a shift between each pair of separated neighbours counts every
             # eigenvalue below it, and so does a shift 1e-11 from an
@@ -619,17 +620,17 @@ class TestHarperChains:
             # nearly zero
             split = np.flatnonzero(np.diff(dense) > 1e-6)
             shifts = np.r_[dense[0] - 1.0, 0.5 * (dense[split] + dense[split + 1])]
-            assert list(sturm_counts(c, shifts)) == [0] + list(split + 1)
+            assert list(c.counts(shifts)) == [0] + list(split + 1)
             chains = [np.diag(d) + np.diag(b, -1) + np.diag(b.conj(), 1)
                       for d, b in zip(c.diagonal, c.coupling)]
             near = np.concatenate([np.linalg.eigvalsh(m[:z, :z]) for m in chains
                                    for z in range(1, len(m))])
             shifts = np.r_[near - 1e-11, near + 1e-11]
             shifts = shifts[np.abs(dense[None, :] - shifts[:, None]).min(axis=1) > 1e-6]
-            assert (sturm_counts(c, shifts) == np.searchsorted(dense, shifts)).all()
+            assert (c.counts(shifts) == np.searchsorted(dense, shifts)).all()
             # the lowest Landau group is a near-degenerate cluster
             select = np.r_[np.arange(6), np.argsort(np.abs(w - 4 * np.pi * k))[:4]]
-            v, res = chain_vectors(c, w, select)
+            v, res = c.vectors(select)
             assert np.abs(v.conj().T @ v - np.eye(len(select))).max() < 1e-10
             assert res.max() <= residual_tolerance(np.abs(w).max())
 
@@ -679,8 +680,8 @@ class TestHarperChains:
             gap_filling_check(strip, gap, 4, 1.0)
 
     def test_shifted_chain_eigenvalues_fail_count(self, monkeypatch):
-        values = spectral.chain_eigenvalues
-        monkeypatch.setattr(spectral, "chain_eigenvalues", lambda c: values(c) + 2.0)
+        values = ChainOperator.eigenvalues.fget
+        monkeypatch.setattr(ChainOperator, "eigenvalues", property(lambda c: values(c) + 2.0))
         with pytest.raises(CountNotCertified, match="inertia counts"):
             strip_bands(make_strip(1, 4, 8, 2), n_kappa=24, e_ref=9.0)
 
@@ -706,10 +707,10 @@ class TestHarperChains:
         # spans all 8 chains
         strip = make_strip(1, 8, 16, 1)
         c = strip_chains(strip, 0.3, strip_mask(strip))
-        w = chain_eigenvalues(c)
+        w = c.eigenvalues
         cluster = np.flatnonzero(np.abs(w - 23.6122675974442) < 1e-9)
         select = np.unique(np.r_[np.arange(4), cluster, np.argsort(np.abs(w - 12.0))[:4]])
-        v, _ = chain_vectors(c, w, select)
+        v, _ = c.vectors(select)
         proj = np.zeros((c.diagonal.shape[1], c.diagonal.shape[0], len(select)), complex)
         np.add.at(proj, c.line, c.basis.conj()[:, :, None] * v[:, None, :])
         mass = (np.abs(proj) ** 2).sum(axis=0)  # sum over rows of |B_m^H v|^2
@@ -725,7 +726,35 @@ class TestHarperChains:
             return x
         strip = make_strip(1, 4, 6, 3)
         c = strip_chains(strip, 1.0, strip_mask(strip))
-        w = chain_eigenvalues(c)
+        w = c.eigenvalues
         monkeypatch.setattr(scipy.linalg, "solve_banded", perturbed)
         with pytest.raises(ResidualNotCertified, match="inverse-iteration residual"):
-            chain_vectors(c, w, [len(w) // 2])
+            c.vectors([len(w) // 2])
+
+
+class TestBlockProtocol:
+    @pytest.mark.parametrize("route,solver,calls", [("banded", "eig_banded", 1),
+                                                    ("harper_chains", "eigvalsh_tridiagonal", 4)],
+                             ids=["banded", "harper_chains"])
+    def test_flat_block_is_solved_once(self, monkeypatch, route, solver, calls):
+        # eigenvalues, vectors and certify_counts all read the one solve of
+        # the block: one banded solve, or one tridiagonal solve per chain
+        monkeypatch.setattr(edge, "_chain_route", lambda mask: route == "harper_chains")
+        solve = getattr(scipy.linalg, solver)
+        ran = []
+
+        def counted(*args, **kwargs):
+            ran.append(solver)
+            return solve(*args, **kwargs)
+        monkeypatch.setattr(scipy.linalg, solver, counted)
+        strip = make_strip(1, 4, 8, 2)
+        b = edge._block_solver(strip, strip_mask(strip))(0.5)
+        assert b.record["route"] == route
+        w = b.eigenvalues
+        window = np.flatnonzero(np.abs(w - 9.0) < 3.0)
+        v, res = b.vectors(window)
+        assert res.max() <= residual_tolerance(np.abs(w).max())
+        nu = certify_counts(b, (6.0, 12.0))
+        assert list(nu) == list(np.searchsorted(w, (6.0, 12.0)))
+        assert b.eigenvalues is w
+        assert len(ran) == calls

@@ -29,6 +29,12 @@ def toy_pair():
                              np.arange(2, dtype=np.int64).reshape(1, 2), 1.0, 1)
 
 
+def pair_chain():
+    """toy_pair as one tridiagonal chain of its two sites."""
+    return spectral.ChainOperator(toy_pair(), np.array([[2.0, 2.0]]), np.array([[1.0 + 0j]]),
+                                  np.ones((2, 1), complex), np.arange(2))
+
+
 def bulk(k=1, q=6, cells=3):
     lat = MagneticLattice(k, q, cells, cells, "torus")
     return lat, assemble_bulk(lat, build_gauge(lat))
@@ -78,9 +84,9 @@ class TestInverseIteration:
                              ids=["pair", "diagonal"])
     def test_exact_pivot_zero_shift(self, op):
         b = spectral.banded(op)
-        w = spectral.banded_eigenvalues(b)
+        w = b.eigenvalues
         assert list(w) == list(np.linalg.eigvalsh(op.matrix.toarray()))
-        v, res = spectral.banded_vectors(b, w, np.arange(len(w)))
+        v, res = b.vectors(np.arange(len(w)))
         assert np.abs(v.conj().T @ v - np.eye(len(w))).max() < 1e-10
         assert res.max() <= spectral.residual_tolerance(np.abs(w).max())
 
@@ -97,31 +103,23 @@ class TestInverseIteration:
         else:
             c = spectral.ChainOperator(op, np.diag(h).real[:, None], np.zeros((n, 0), complex),
                                        np.eye(n, dtype=complex), np.zeros(n, int))
-        w = spectral.chain_eigenvalues(c)
+        w = c.eigenvalues
         assert list(w) == list(np.linalg.eigvalsh(h))
-        v, res = spectral.chain_vectors(c, w, np.arange(n))
+        v, res = c.vectors(np.arange(n))
         assert np.abs(v.conj().T @ v - np.eye(n)).max() < 1e-10
         assert res.max() <= spectral.residual_tolerance(np.abs(w).max())
 
-
-    def test_repeated_index_is_refused(self):
-        # the second copy of index 3 would be orthogonalized against the
-        # first and fail its residual (8.9e-2)
-        _, op = masked_window()
-        b = spectral.banded(op)
-        w = spectral.banded_eigenvalues(b)
-        with pytest.raises(RepeatedSelection, match="index 3 "):
-            spectral.banded_vectors(b, w, [3, 3])
-
-    def test_repeated_index_is_refused_on_chains(self):
-        # index -1 and index 1 name the same eigenvalue of the two-site chain
-        op = toy_pair()
-        h = op.matrix.toarray()
-        c = spectral.ChainOperator(op, np.diag(h).real[None, :], np.diag(h, -1)[None, :],
-                                   np.ones((2, 1), complex), np.arange(2))
-        w = spectral.chain_eigenvalues(c)
-        with pytest.raises(RepeatedSelection, match="index 1 "):
-            spectral.chain_vectors(c, w, [1, -1])
+    @pytest.mark.parametrize("kind", ["banded", "chains"])
+    def test_repeated_index_is_refused(self, kind):
+        # on the band the second copy of index 3 would be orthogonalized
+        # against the first and fail its residual (8.9e-2); on the two-site
+        # chain index -1 and index 1 name the same eigenvalue
+        if kind == "banded":
+            block, select, index = spectral.banded(masked_window()[1]), [3, 3], 3
+        else:
+            block, select, index = pair_chain(), [1, -1], 1
+        with pytest.raises(RepeatedSelection, match=f"index {index} "):
+            block.vectors(select)
 
 
 class TestSturmCounts:
@@ -129,10 +127,7 @@ class TestSturmCounts:
         # at sigma = 2 the first pivot of [[2, 1], [1, 2]] - sigma is exactly
         # zero; the pivot floor counts it negative and keeps the next pivot
         # finite, so the count is the one eigenvalue 1 below 2
-        op = toy_pair()
-        c = spectral.ChainOperator(op, np.array([[2.0, 2.0]]), np.array([[1.0 + 0j]]),
-                                   np.ones((2, 1), complex), np.arange(2))
-        assert list(spectral.sturm_counts(c, [0.5, 1.5, 2.0, 2.5, 3.5])) == [0, 1, 1, 1, 2]
+        assert list(pair_chain().counts([0.5, 1.5, 2.0, 2.5, 3.5])) == [0, 1, 1, 1, 2]
 
 
 class TestGaps:
