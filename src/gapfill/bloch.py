@@ -9,9 +9,9 @@ links twisted by e^{2*pi*i*s} / e^{2*pi*i*t}
 (:func:`gapfill.model.twist_seams`).  The Wilson-pinned seam links of that
 cell already carry the translation cocycle of the gauge, without which the
 fiber family would violate the plaquette flux at the cell boundary.  A
-fiber family is fixed by its gauge kind alone, so :func:`fiber_hamiltonian`,
-:func:`band_energies` and :func:`invariant_pair_result` take the kind
-("landau" or "symmetric"), not a gauge field.  An unmasked torus of
+fiber family is fixed by its gauge kind alone, so :func:`band_energies`
+and :func:`invariant_pair_result` take the kind ("landau" or
+"symmetric"), not a gauge field.  An unmasked torus of
 cells_x x cells_y cells is solved on its fibers at (a/cells_x, b/cells_y)
 (:func:`torus_spectrum`), with every lifted pair certified on the torus
 operator assembled from the caller's gauge.  That certificate is the one
@@ -103,9 +103,9 @@ class BlochGrid:
 class ChernResult:
     """Integer invariant of a band group from plaquette Berry fluxes.
 
-    solved counts the fibers diagonalized (one per magnetic-translation
-    orbit) and max_transport_defect is the largest certified transport
-    defect.
+    solver is the route record of the solve: the grid's fiber count, the
+    fibers diagonalized (one per magnetic-translation orbit) and the
+    largest certified transport defect.
     """
 
     band_group: tuple
@@ -113,8 +113,7 @@ class ChernResult:
     dim: int
     max_flux: float
     total_over_2pi: float
-    solved: int
-    max_transport_defect: float
+    solver: dict
     orientation: str = ORIENTATION
 
 
@@ -129,18 +128,6 @@ def _fiber_gauge(lattice: MagneticLattice, gauge_kind: str, s, t) -> GaugeField:
     """
     return twist_seams(cell_gauge(lattice.k, lattice.q, gauge_kind),
                        np.exp(2j * np.pi * s), np.exp(2j * np.pi * t))
-
-
-def fiber_hamiltonian(lattice: MagneticLattice, gauge_kind: str,
-                      point: tuple[float, float]) -> np.ndarray:
-    """q^2 x q^2 Bloch fiber of the bulk stencil at dual-torus point (s, t).
-
-    The stencil on the one-cell torus, whose seam links carry the magnetic
-    translation cocycle of the named gauge, twisted by e^{2*pi*i*s} (x seam)
-    and e^{2*pi*i*t} (y seam).
-    """
-    s, t = point
-    return _fiber(_cell_pattern(lattice), _fiber_gauge(lattice, gauge_kind, s, t))
 
 
 def _cell_pattern(lattice: MagneticLattice) -> StencilPattern:
@@ -397,8 +384,7 @@ def _link_variables(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
     return d / mod
 
 
-def _chern_result(flux: np.ndarray, group: tuple, solved: int,
-                  max_defect: float) -> ChernResult:
+def _chern_result(flux: np.ndarray, group: tuple, solver: dict) -> ChernResult:
     """Certify a plaquette-flux field and round its total to the Chern number.
 
     Every |flux| must stay below pi/2 (Luscher's admissibility bound: then
@@ -417,8 +403,7 @@ def _chern_result(flux: np.ndarray, group: tuple, solved: int,
         raise SingularOverlap(
             f"plaquette flux total {total:.8f} is not integral to "
             f"{FHS_INTEGRALITY_TOL:g} (grid too coarse)")
-    return ChernResult(group, chern, group[1] - group[0], max_flux, total, solved,
-                       max_defect)
+    return ChernResult(group, chern, group[1] - group[0], max_flux, total, solver)
 
 
 def _lowest_pairs(fiber: np.ndarray, last: int, upper: float):
@@ -532,12 +517,13 @@ def invariant_pair_result(lattice: MagneticLattice, gauge_kind: str,
         raise NonConstantRank(
             f"count below the interval varies over the grid "
             f"({n_below.min()}..{n_below.max()})")
-    dim, below, solved = int(n_in[0]), int(n_below[0]), len(counts)
+    dim, below = int(n_in[0]), int(n_below[0])
+    solver = {"route": "fiber_orbits", "fibers": grid.n_s * grid.n_t, "solved": len(counts),
+              "max_transport_defect": max_defect}
     if dim == 0:
-        return ChernResult((below, below), 0, 0, 0.0, 0.0, solved, max_defect)
+        return ChernResult((below, below), 0, 0, 0.0, 0.0, solver)
     frames = np.empty((grid.n_s, grid.n_t, m, dim), complex)
     for point, kept, points, moved in frames_at:
         frames[point] = kept
         frames[points[:, 0], points[:, 1]] = moved
-    return _chern_result(plaquette_berry_flux(frames), (below, below + dim), solved,
-                         max_defect)
+    return _chern_result(plaquette_berry_flux(frames), (below, below + dim), solver)

@@ -65,9 +65,10 @@ _FILTER_SCHEMA = {
     "type": "object",
     "properties": {
         "type": {"enum": ["polynomial", "smoothed_indicator", "gaussian"]},
-        "power_coefficients": {"type": "array", "items": {"type": "number"}},
-        "degree": {"type": "integer"},
-        **{x: {"type": "number"} for x in ("lo", "hi", "smoothing", "center", "sigma")},
+        "power_coefficients": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+        "degree": {"type": "integer", "minimum": 0, "maximum": spectral.DEGREE_CAP_DEFAULT},
+        **{x: {"type": "number"} for x in ("lo", "hi", "center")},
+        **{x: {"type": "number", "exclusiveMinimum": 0} for x in ("smoothing", "sigma")},
     },
     "required": ["type"],
     "allOf": _requires("type", {"polynomial": ["power_coefficients"],
@@ -92,7 +93,8 @@ _PARAMS_SCHEMA = {
         "e_ref": {"type": "number"},
         "designated_edge": {"enum": ["lower", "upper"]},
         "filter": _FILTER_SCHEMA,
-        "radii": {"type": "array", "items": {"type": "number", "minimum": 0}},
+        "radii": {"type": "array", "items": {"type": "number", "minimum": 0},
+                  "minItems": 1},
         "verify_bitwise": {"type": "boolean"},
         "r": {"type": "number", "exclusiveMinimum": 0},
         "y_diameter": {"type": "number", "exclusiveMinimum": 0},
@@ -165,7 +167,7 @@ def load_config(path: str) -> dict:
             loc = "/".join(str(p) for p in e.absolute_path) or "<root>"
             msgs.append(f"{loc}: {e.message}")
         raise ConfigInvalid("config rejected: " + "; ".join(msgs))
-    m = cfg["model"]
+    m, params = cfg["model"], cfg.get("params", {})
     q, pot = m["q"], m.get("potential")
     if pot is not None and len(pot) != q ** 2:
         raise ConfigInvalid(f"model/potential: expected q^2 = {q**2} "
@@ -176,13 +178,16 @@ def load_config(path: str) -> dict:
             raise ConfigInvalid(f"model/mask_descriptor/sites: site [{ix}, {iy}] lies "
                                 f"outside the {n_x} x {n_y} site window")
     for loc, desc in (("model/mask_descriptor", m.get("mask_descriptor")),
-                      ("params/shape", cfg.get("params", {}).get("shape"))):
+                      ("params/shape", params.get("shape"))):
         if desc is not None and desc["kind"] == "graph" and len(desc["f_samples"]) != q:
             raise ConfigInvalid(f"{loc}/f_samples: a graph shape needs q = {q} samples "
                                 f"(one cell), got {len(desc['f_samples'])}")
-    interval = cfg.get("params", {}).get("interval")
+    interval = params.get("interval")
     if interval is not None and not interval[0] < interval[1]:
         raise ConfigInvalid(f"params/interval: need lower < upper, got {interval}")
+    filt = params.get("filter", {})
+    if filt.get("type") == "smoothed_indicator" and not filt["lo"] < filt["hi"]:
+        raise ConfigInvalid(f"params/filter: need lo < hi, got [{filt['lo']}, {filt['hi']}]")
     return cfg
 
 
@@ -296,9 +301,7 @@ def _task_chern(cfg, out):
                {"group": list(res.band_group), "dim": res.dim, "chern": res.chern,
                 "max_flux": res.max_flux, "interval": [lo, hi],
                 "grid": [n_s, n_t], "orientation": res.orientation,
-                "solver": {"route": "fiber_orbits", "fibers": n_s * n_t,
-                           "solved": res.solved,
-                           "max_transport_defect": res.max_transport_defect}})
+                "solver": res.solver})
     if p.get("export_bands", False):
         energies = bloch.band_energies(lattice, gauge_kind, bloch.BlochGrid(n_s, n_t))
         rows = []

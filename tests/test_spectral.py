@@ -214,7 +214,7 @@ class TestFilters:
         v[7] = 1.0
         assert np.array_equal(apply_filter(op, filt, v), v.astype(complex))
 
-    @pytest.mark.parametrize("degree", [1, 3, 7])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 5, 7])
     def test_support_grows_one_hop_per_degree(self, degree):
         lat = MagneticLattice(1, 4, 3, 3, "masked")
         from gapfill.model import assemble_restricted, mask_all
@@ -231,6 +231,27 @@ class TestFilters:
         graph_dist = dx.sum(axis=1)
         assert np.all(out[graph_dist > degree] == 0.0)  # bitwise
         assert np.any(out[graph_dist == degree] != 0.0)
+
+    def test_gaussian_mass_beyond_m_hops_within_coefficient_tail(self):
+        # p(H) delta_v beyond m hops of v comes from the degrees j >= m
+        # alone, each |T_j(H~)| <= 1: that mass is at most sum_{j>=m} |c_j|
+        # and falls below 1e-8 within 8 magnetic lengths (~2.26 continuum
+        # units; measured crossing: 17 hops, 2.125)
+        lat = MagneticLattice(1, 8, 4, 4, "masked")
+        op = assemble_restricted(lat, build_gauge(lat), mask_all(lat))
+        a, b = op.gershgorin()
+        filt = gaussian_filter(4 * np.pi, 100.0, (a - 1, b + 1), 160)
+        center = op.ids[lat.n_x // 2, lat.n_y // 2]
+        v = np.zeros(op.dimension)
+        v[center] = 1.0
+        out = apply_filter(op, filt, v)
+        hops = np.abs(op.sites - op.sites[center]).sum(axis=1)
+        tails = np.abs(filt.coefficients[::-1]).cumsum()[::-1]
+        for m in range(1, hops.max() + 1):
+            mass = np.linalg.norm(out[hops >= m])
+            assert mass <= tails[m] + 1e-12
+            if m * lat.h >= 8 * lat.magnetic_length:
+                assert mass <= 1e-8
 
     def test_gaussian_degree80_tail_oracle(self):
         # coefficient tail sum bounds the uniform error below 1e-8
