@@ -14,20 +14,25 @@ Landau translation cocycle, twisted by e^{i*kappa}
 assembled strip matrix is exercised directly by the test suite.  A flat or
 graph edge has P = 1; a strip whose decorations repeat only once along its
 length has P = length_cells and one block at kappa = 0, the strip operator
-itself.  Each block gives all its eigenvalues without vectors,
-eigenvectors only where a verdict or a band continuation needs one,
-residual certificates on those vectors and inertia counts on every
-eigenvalue count a verdict rests on.
+itself.  All momenta of a strip are formed in one pass: the stencil
+pattern of one x-period once, the twisted gauges of every momentum as one
+batch and every block's entries from one call, each block bit for bit the
+block of its momentum alone (:func:`_momentum_blocks`).  Each block gives
+all its eigenvalues without vectors, eigenvectors only where a verdict or
+a band continuation needs one, residual certificates on those vectors and
+inertia counts on every eigenvalue count a verdict rests on.
 
 When the mask and W do not change under a one-site x-shift (a flat edge
 with W = 0 or W depending on iy only; then P = 1), that shift is a
 magnetic translation T of every block, and its q eigenspaces split the
-block into q tridiagonal Harper chains (:func:`strip_chains`), solved by
-the chain route of :mod:`gapfill.spectral`.  Three certificates carry
-that route: the split itself (the defect max |TH - HT| and the chain
-entries off the tridiagonal band, LiftNotCertified), the Sturm counts
-checked against the eigenvalues (CountNotCertified) and the residual of
-every lifted vector on the assembled block (ResidualNotCertified).
+block into q tridiagonal Harper chains, solved by the chain route of
+:mod:`gapfill.spectral`; every momentum is split at once, as arrays
+(:func:`_harper_chains`; :func:`strip_chains` splits one).  Three
+certificates carry that route: the split itself (the defect max |TH - HT|
+and the chain entries off the tridiagonal band, LiftNotCertified), the
+Sturm counts checked against the eigenvalues (CountNotCertified) and the
+residual of every lifted vector on the assembled block
+(ResidualNotCertified).
 Every other block (balls, graph edges, P > 1, a W that varies along x)
 is solved on the banded route: a LAPACK band, inverse iteration and
 block LDL^H inertia counts.
@@ -46,14 +51,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (BandConnectionAmbiguous, CountNotCertified, EmptyRegion,
                      LiftNotCertified, MarginTooSmall, StripTooNarrow, UnsupportedShape)
 from .model import (GaugeField, HalfPlaneShape, GraphShape, BallsShape,
-                    HermitianOperator, MagneticLattice, RegionMask, _assemble,
-                    cell_gauge, cell_lift_phases, mask_from_member, twist_seams,
-                    window_member)
+                    HermitianOperator, MagneticLattice, RegionMask, StencilPattern,
+                    _stencil_pattern, cell_gauge, cell_lift_phases, mask_from_member,
+                    twist_seams, window_member)
 from .spectral import (ChainOperator, SpectralInterval, _certified, _cluster, banded,
                        certify_counts, residual_tolerance)
 
@@ -155,26 +159,54 @@ def strip_block(strip: StripSpec, kappa: float, mask: RegionMask | None = None) 
     The window stencil on the strip one x-period P wide (:func:`_period_lattice`),
     whose x seam carries the Landau translation cocycle, twisted by
     e^{i*kappa}.  The block spectrum over kappa = 2*pi*m/(length_cells/P)
-    reproduces the strip spectrum exactly.
+    reproduces the strip spectrum exactly.  It is the one-momentum case of
+    :func:`_momentum_blocks`.
     """
-    mask = mask or strip_mask(strip)
-    cells = _period_lattice(mask)
-    return _assemble(cells, _block_gauge(cells, kappa), mask.member[:cells.n_x])
+    pattern, _, data = _momentum_blocks(mask or strip_mask(strip), [kappa])
+    return pattern.operator(data[0])
 
 
-def _block_gauge(cells: MagneticLattice, kappa: float) -> GaugeField:
-    """The gauge of the block lattice cells with its x seam twisted by e^{i*kappa}."""
+def _block_gauge(cells: MagneticLattice, kappas) -> GaugeField:
+    """The gauges of the block lattice cells with their x seam twisted by e^{i*kappa}.
+
+    kappas is a sequence of momenta, whose axis the phase arrays then lead
+    with (:func:`gapfill.model.twist_seams`), or one momentum.
+    """
     return twist_seams(cell_gauge(cells.k, cells.q, "landau", "strip", cells.cells_y,
                                   cells.cells_x),
-                       np.exp(1j * kappa), 1.0)
+                       np.exp(1j * np.asarray(kappas, float)), 1.0)
+
+
+def _momentum_blocks(mask: RegionMask, kappas) -> tuple[StencilPattern, GaugeField, np.ndarray]:
+    """The momentum blocks at kappas: their stencil pattern, gauges and CSR data.
+
+    The period lattice and the stencil pattern of one x-period are formed
+    once, the twisted gauges of all momenta are one batch, and one
+    :meth:`StencilPattern.data` call gives every block's data: row m of the
+    data is the block at kappas[m], bit for bit the block of that momentum
+    alone.
+    """
+    cells = _period_lattice(mask)
+    pattern = _stencil_pattern(cells, mask.member[:cells.n_x])
+    gauge = _block_gauge(cells, kappas)
+    return pattern, gauge, pattern.data(gauge.phase_x, gauge.phase_y)
 
 
 def strip_chains(strip: StripSpec, kappa: float, mask: RegionMask) -> ChainOperator:
     """The momentum-kappa block split into q Harper chains by the one-site x-shift.
 
-    For a strip whose mask and W do not change under a one-site x-shift
-    (:func:`_chain_route`), the shift is a magnetic translation T of the
-    one-cell block: (T v)(x) = chi(x) v(x - 1), with chi the lift phases
+    The one-momentum case of :func:`_harper_chains`, for a strip whose mask
+    and W do not change under a one-site x-shift (:func:`_chain_route`).
+    """
+    return _harper_chains(*_momentum_blocks(mask, [kappa]), [kappa])[0]
+
+
+def _harper_chains(pattern: StencilPattern, gauge: GaugeField, data: np.ndarray,
+                   kappas) -> list:
+    """The momentum blocks (row m of data at kappas[m]) split into q Harper chains.
+
+    The one-site x-shift is a magnetic translation T of the one-cell block:
+    (T v)(x) = chi(x) v(x - 1), with chi the lift phases
     (:func:`gapfill.model.cell_lift_phases`) of the shifted block gauge
     against the block gauge.  On every y-row T^q is the phase lambda, and
     T's eigenvectors B_m[(j, r), r] = mu_m^{-j} c_j(r) / sqrt(q), c_j the
@@ -183,46 +215,81 @@ def strip_chains(strip: StripSpec, kappa: float, mask: RegionMask) -> ChainOpera
     built from the entries of H for all m at once.  The split is certified
     by the elementwise defect max |TH - HT|, plus ||H|| times the spread
     of lambda over the rows, plus the largest entry of any C_m off its
-    tridiagonal band: LiftNotCertified if their sum exceeds
-    residual_tolerance(||H||), ||H|| bounded by the largest absolute row
-    sum.
+    tridiagonal band: LiftNotCertified, naming the first failing momentum,
+    if their sum exceeds residual_tolerance(||H||), ||H|| bounded by the
+    largest absolute row sum.  A mask that the shift changes is refused
+    (LiftNotCertified) before any of these is formed.
+
+    Every momentum is split at once, as arrays over the momenta.  The
+    chain entries are accumulated pass by pass in the CSR order of the
+    block entries, as one momentum's entries would be added one by one, so
+    each momentum's chains are bit for bit those of that momentum alone.
     """
-    block = strip_block(strip, kappa, mask)
-    cells = _period_lattice(mask)
-    q, n = cells.q, block.dimension
-    gauge = _block_gauge(cells, kappa)
-    chi = cell_lift_phases(gauge, GaugeField(cells, gauge.gauge_kind,
-                                             np.roll(gauge.phase_x, 1, axis=0),
-                                             np.roll(gauge.phase_y, 1, axis=0)))
-    ix, iy = block.sites[:, 0], block.sites[:, 1]
-    h = block.matrix
-    t = sp.csr_matrix((chi[ix, iy], (np.arange(n), block.ids[(ix - 1) % q, iy])), shape=(n, n))
-    defect = float(np.abs((t @ h - h @ t).data).max(initial=0.0))
-    c = np.cumprod(np.vstack([np.ones(cells.n_y), chi[1:]]), axis=0)
-    rows, line = np.unique(iy, return_inverse=True)
-    lam = (c[-1] * chi[0])[rows]
-    theta = (np.angle(lam[0]) + 2.0 * np.pi * np.arange(q)) / q
-    basis = np.exp(-1j * np.outer(ix, theta)) * (c[ix, iy] / np.sqrt(q))[:, None]
-    # C_m[r, s] accumulates conj(B_m[i, r]) H[i, j] B_m[j, s] over the entries
-    coo = h.tocoo()
-    keys, at = np.unique(line[coo.row] * len(rows) + line[coo.col], return_inverse=True)
-    entries = np.zeros((len(keys), q), complex)
-    np.add.at(entries, at, basis[coo.row].conj() * coo.data[:, None] * basis[coo.col])
-    r, s = np.divmod(keys, len(rows))
-    diagonal = np.zeros((q, len(rows)))
-    diagonal[:, r[r == s]] = entries[r == s].real.T
-    coupling = np.zeros((q, len(rows) - 1), complex)
-    coupling[:, s[r == s + 1]] = entries[r == s + 1].T
-    off_band = float(np.abs(entries[np.abs(r - s) > 1]).max(initial=0.0))
-    norm = float(np.bincount(coo.row, np.abs(coo.data)).max())  # >= ||H||
-    spread = norm * float(np.abs(lam - lam[0]).max())
-    tol = residual_tolerance(norm)
-    if defect + spread + off_band > tol:
+    cells = pattern.lattice
+    q, n = cells.q, len(pattern.sites)
+    ix, iy = pattern.sites[:, 0], pattern.sites[:, 1]
+    # T[i, src[i]] = chi_i: row i of T v reads the site one step back in x
+    src = np.roll(pattern.ids, 1, axis=0)[ix, iy]
+    if (src < 0).any():
         raise LiftNotCertified(
-            f"one-site translation defect {defect:.3e} + lambda spread {spread:.3e} + "
-            f"off-band chain entry {off_band:.3e} exceeds {tol:.3e} by "
-            f"{defect + spread + off_band - tol:.3e}")
-    return ChainOperator(block, diagonal, coupling, basis, line)
+            f"the one-site x-shift moves the strip mask: {int((src < 0).sum())} of the "
+            f"{n} block sites come from outside it")
+    chi = cell_lift_phases(gauge, GaugeField(cells, gauge.gauge_kind,
+                                             np.roll(gauge.phase_x, 1, axis=-2),
+                                             np.roll(gauge.phase_y, 1, axis=-2)))
+    t = chi[:, ix, iy]
+    # (TH - HT)[i, src[j]] = t_i H[src[i], src[j]] - H[i, j] t_j over the
+    # entries (i, j) of H: a mask the shift keeps has a pattern it keeps
+    rows, cols = pattern.rows, pattern.indices
+    moved = np.searchsorted(rows * n + cols, src[rows] * n + src[cols])
+    defect = np.abs(t[:, rows] * data[:, moved] - data * t[:, cols]).max(axis=1, initial=0.0)
+    c = np.cumprod(np.concatenate([np.ones_like(chi[:, :1]), chi[:, 1:]], axis=1), axis=1)
+    lines, line = np.unique(iy, return_inverse=True)
+    lam = (c[:, -1] * chi[:, 0])[:, lines]
+    theta = (np.angle(lam[:, :1]) + 2.0 * np.pi * np.arange(q)) / q
+    # basis[i, m, k] = B_m[i, line[i]] at kappas[k]: with the momentum axis
+    # last, each product below runs over all momenta of an (entry, chain)
+    basis = np.exp(-1j * (np.arange(cells.n_x)[:, None, None] * theta.T))[ix]
+    basis *= (c[:, ix, iy] / np.sqrt(q)).T[:, None, :]
+    # C_m[r, s] accumulates conj(B_m[i, r]) H[i, j] B_m[j, s] over the entries
+    # in CSR order, pass k adding the k-th entry of every (r, s).  The (r, s)
+    # are held most entries first, so those that pass k reaches lead.
+    keys, at, counts = np.unique(line[rows] * len(lines) + line[cols],
+                                 return_inverse=True, return_counts=True)
+    order = np.argsort(at, kind="stable")
+    slot = np.empty_like(order)
+    slot[order] = np.arange(len(at)) - np.searchsorted(at[order], at[order])
+    held = np.empty_like(order, shape=len(keys))
+    held[np.argsort(-counts, kind="stable")] = np.arange(len(keys))
+    entries = np.zeros((len(keys), q, len(data)), complex)
+    for k in range(counts.max()):
+        e = np.flatnonzero(slot == k)
+        e = e[np.argsort(held[at[e]])]
+        x = basis[rows[e]]
+        np.conjugate(x, out=x)
+        x *= data[:, e].T[:, None, :]
+        x *= basis[cols[e]]
+        entries[:len(e)] += x
+    chains = entries[held].transpose(2, 1, 0)
+    r, s = np.divmod(keys, len(lines))
+    diagonal = np.zeros((len(data), q, len(lines)))
+    diagonal[:, :, r[r == s]] = chains[:, :, r == s].real
+    coupling = np.zeros((len(data), q, len(lines) - 1), complex)
+    coupling[:, :, s[r == s + 1]] = chains[:, :, r == s + 1]
+    off_band = np.abs(chains[:, :, np.abs(r - s) > 1]).max(axis=(1, 2), initial=0.0)
+    norm = np.add.reduceat(np.abs(data), pattern.indptr[:-1], axis=1).max(axis=1)  # >= ||H||
+    spread = norm * np.abs(lam - lam[:, :1]).max(axis=1)
+    total = defect + spread + off_band
+    tol = np.array([residual_tolerance(float(x)) for x in norm])
+    failing = np.flatnonzero(total > tol)
+    if len(failing):
+        m = failing[0]
+        raise LiftNotCertified(
+            f"at kappa {kappas[m]:.6g}: one-site translation defect {defect[m]:.3e} + "
+            f"lambda spread {spread[m]:.3e} + off-band chain entry {off_band[m]:.3e} "
+            f"exceeds {tol[m]:.3e} by {total[m] - tol[m]:.3e}")
+    return [ChainOperator(pattern.operator(data[m]), diagonal[m], coupling[m], basis[:, :, m],
+                          line) for m in range(len(data))]
 
 
 def _chain_route(mask: RegionMask) -> bool:
@@ -232,12 +299,15 @@ def _chain_route(mask: RegionMask) -> bool:
             and np.array_equal(np.roll(w, 1, axis=0), w))
 
 
-def _block_solver(strip: StripSpec, mask: RegionMask):
-    """kappa -> the solve of the momentum-kappa block: Harper chains when the
-    one-site x-shift is a symmetry of the strip, the banded block otherwise."""
+def _strip_blocks(strip: StripSpec, mask: RegionMask, kappas) -> list:
+    """The solves of the momentum blocks at kappas, in order: Harper chains
+    when the one-site x-shift is a symmetry of the strip, banded blocks
+    otherwise, all formed from one stencil pattern and one batch of gauges
+    (:func:`_momentum_blocks`)."""
+    pattern, gauge, data = _momentum_blocks(mask, kappas)
     if _chain_route(mask):
-        return lambda kappa: strip_chains(strip, kappa, mask)
-    return lambda kappa: banded(strip_block(strip, kappa, mask))
+        return _harper_chains(pattern, gauge, data, kappas)
+    return [banded(pattern.operator(d)) for d in data]
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +396,8 @@ def gap_filling_check(strip: StripSpec, bulk_gap: SpectralInterval, n_samples: i
     Samples are drawn from the gap inset by 5% of its width on both sides
     (the gap endpoints themselves may be spectrum).  The strip spectrum is
     the union of the momentum-block spectra, each from one values-only
-    solve of its Harper chains or of its band (:func:`_block_solver`).
+    solve of its Harper chains or of its band; all blocks are formed and
+    split in one pass (:func:`_strip_blocks`).
     A sample passes when |s - lambda| + r <= delta for its nearest
     eigenvalue lambda, with r the residual of lambda's inverse-iteration
     eigenvector, which bounds the distance from s to the spectrum.  A
@@ -353,7 +424,7 @@ def gap_filling_check(strip: StripSpec, bulk_gap: SpectralInterval, n_samples: i
     cells = _period_lattice(mask)
     n_blocks = strip.length_cells // cells.cells_x
     kappas = 2.0 * np.pi * np.arange(n_blocks) / n_blocks
-    blocks = list(map(_block_solver(strip, mask), kappas))
+    blocks = _strip_blocks(strip, mask, kappas)
     values = [b.eigenvalues for b in blocks]
     distances, verdicts = _verdicts(blocks, samples, delta)
     # by rank within the block, then by distance: the nearest state of every
@@ -471,10 +542,11 @@ def strip_bands(strip: StripSpec, n_kappa: int, e_ref: float | None = None,
     """Dispersion over kappa in [0, 2*pi) with edge-resolved crossing counts.
 
     kappa is the momentum of a translation by one x-period of the strip
-    (:func:`strip_block`).  Each momentum block takes one values-only solve
-    of its Harper chains or of its band (:func:`_block_solver`) for its
-    whole dispersion row; the window count is certified by the counts at
-    the window ends (CountNotCertified otherwise), and only the window
+    (:func:`strip_block`).  All momentum blocks are formed and split in one
+    pass (:func:`_strip_blocks`), and each takes one values-only solve of
+    its Harper chains or of its band for its whole dispersion row; the
+    window count is certified by the counts at the window ends
+    (CountNotCertified otherwise), and only the window
     bands get eigenvectors, by inverse iteration, each cluster of them
     closer than the residual tolerance turned into its lower-half mass
     basis (:func:`_mass_basis`).  Window energies are the block eigenvalues
@@ -498,11 +570,9 @@ def strip_bands(strip: StripSpec, n_kappa: int, e_ref: float | None = None,
     lo, hi = e_ref - window_halfwidth, e_ref + window_halfwidth
     region_mid = 1.0 + strip.width_cells / 2.0
 
-    solve = _block_solver(strip, mask)
     energies_all = []
     win_bands, win_vals, win_vecs, win_mass = [], [], [], []
-    for kappa in kappas:
-        b = solve(kappa)
+    for b in _strip_blocks(strip, mask, kappas):
         w = b.eigenvalues
         certify_counts(b, (lo, hi))
         window = np.flatnonzero((w > lo) & (w <= hi))

@@ -565,6 +565,12 @@ class StencilPattern:
             data[..., p] += vals[..., j]
         return data
 
+    def operator(self, data: np.ndarray) -> HermitianOperator:
+        """The operator of one gauge's data on this pattern."""
+        n = len(self.sites)
+        matrix = sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+        return HermitianOperator(matrix, self.sites, self.ids, self.lattice.h, 1)
+
     def dense(self, data: np.ndarray) -> np.ndarray:
         """The dense matrix of the data, added to zeros as scipy's toarray adds it."""
         n = len(self.sites)
@@ -627,10 +633,7 @@ def _assemble(lattice: MagneticLattice, gauge: GaugeField,
     become stencil entries).
     """
     pattern = _stencil_pattern(lattice, member)
-    n = len(pattern.sites)
-    matrix = sp.csr_matrix((pattern.data(gauge.phase_x, gauge.phase_y), pattern.indices,
-                            pattern.indptr), shape=(n, n))
-    return HermitianOperator(matrix, pattern.sites, pattern.ids, lattice.h, 1)
+    return pattern.operator(pattern.data(gauge.phase_x, gauge.phase_y))
 
 
 def assemble_bulk(lattice: MagneticLattice, gauge: GaugeField) -> HermitianOperator:

@@ -3,7 +3,9 @@
 No task reaches these: gapfill solves a strip on its momentum blocks and a
 torus on its magnetic-translation orbits.  The references assemble what
 those routes avoid, the whole Dirichlet strip and one Bloch fiber at a
-time, from the same private helpers, so a test can compare the two.
+time, from the same private helpers, so a test can compare the two; the
+Harper chains of one block are summed entry by entry, as one block alone
+would be, against the pass-by-pass sums of a batch.
 """
 
 from __future__ import annotations
@@ -36,6 +38,27 @@ def lift_block_vector(strip: StripSpec, block: HermitianOperator, kappa: float,
     ix, iy = np.nonzero(mask.member)
     out = chi[ix, iy] * np.asarray(vec)[block.ids[ix % cells.n_x, iy]]
     return out / np.linalg.norm(out)
+
+
+def chain_entries(op: HermitianOperator, basis: np.ndarray,
+                  line: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonals and couplings of the chains B_m^H H B_m of one block, summed
+    entry by entry (np.add.at over the block's COO entries, in their order).
+
+    B_m[i, line[i]] = basis[i, m]: the split of one momentum, accumulated as
+    a single block's split is, for tests of the batched pass-by-pass sums.
+    """
+    coo = op.matrix.tocoo()
+    n_lines, q = int(line.max()) + 1, basis.shape[1]
+    keys, at = np.unique(line[coo.row] * n_lines + line[coo.col], return_inverse=True)
+    entries = np.zeros((len(keys), q), complex)
+    np.add.at(entries, at, basis[coo.row].conj() * coo.data[:, None] * basis[coo.col])
+    r, s = np.divmod(keys, n_lines)
+    diagonal = np.zeros((q, n_lines))
+    diagonal[:, r[r == s]] = entries[r == s].real.T
+    coupling = np.zeros((q, n_lines - 1), complex)
+    coupling[:, s[r == s + 1]] = entries[r == s + 1].T
+    return diagonal, coupling
 
 
 def fiber_hamiltonian(lattice: MagneticLattice, gauge_kind: str,

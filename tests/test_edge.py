@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,11 +12,11 @@ from gapfill.edge import (gap_filling_check, localization_profile, make_strip,
 from gapfill.errors import (BandConnectionAmbiguous, CountNotCertified, LiftNotCertified,
                             MarginTooSmall, ResidualNotCertified, UnsupportedShape)
 from gapfill.model import (BallsShape, DiskShape, GaugeField, GraphShape, HalfPlaneShape,
-                           MagneticLattice, build_gauge, make_mask,
+                           MagneticLattice, _assemble, build_gauge, make_mask,
                            mask_all)
 from gapfill.spectral import (BandedOperator, ChainOperator, banded, certify_counts,
                               certify_interval, residual_tolerance)
-from reference import lift_block_vector, strip_operator
+from reference import chain_entries, lift_block_vector, strip_operator
 
 
 def _shape(kind, q, length):
@@ -235,18 +237,18 @@ class TestLocalization:
         _, gap = small_gap
         strip = make_strip(1, 4, 8, 6, shape=_shape(kind, 4, 6))
         calls, kappa_of = [], {}
-        profile, block_at = edge.localization_profile, edge.strip_block
+        profile, blocks_at = edge.localization_profile, edge._strip_blocks
 
         def record(op, eigenpair, mask):
             calls.append((op, eigenpair))
             return profile(op, eigenpair, mask)
 
-        def record_block(strip, kappa, mask=None):
-            block = block_at(strip, kappa, mask)
-            kappa_of[id(block)] = kappa
-            return block
+        def record_blocks(strip, mask, kappas):
+            blocks = blocks_at(strip, mask, kappas)
+            kappa_of.update((id(b.op), kappa) for b, kappa in zip(blocks, kappas))
+            return blocks
         monkeypatch.setattr(edge, "localization_profile", record)
-        monkeypatch.setattr(edge, "strip_block", record_block)
+        monkeypatch.setattr(edge, "_strip_blocks", record_blocks)
         report = gap_filling_check(strip, gap, 4, 1.0)
         mask = strip_mask(strip)
         strip_op = strip_operator(strip)
@@ -416,8 +418,8 @@ class DenseBlock:
 
 def use_dense_oracle(monkeypatch):
     """Solve edge's momentum blocks, banded or Harper chains, as DenseBlocks."""
-    monkeypatch.setattr(edge, "_block_solver", lambda strip, mask: lambda kappa: DenseBlock(
-        strip_block(strip, kappa, mask)))
+    monkeypatch.setattr(edge, "_strip_blocks", lambda strip, mask, kappas: [
+        DenseBlock(strip_block(strip, kappa, mask)) for kappa in kappas])
 
 
 def use_banded_route(monkeypatch):
@@ -660,17 +662,43 @@ class TestHarperChains:
             strip_chains(strip, 0.5, strip_mask(strip))
 
     def test_perturbed_link_phase_fails_the_split(self, monkeypatch):
+        # the gauge of momentum 0.5 carries a perturbed link phase: its split
+        # fails alone, and in a batch, whose other members split, the error
+        # names that momentum
         block_gauge = edge._block_gauge
 
-        def perturbed(cells, kappa):
-            g = block_gauge(cells, kappa)
+        def perturbed(cells, kappas):
+            g = block_gauge(cells, kappas)
             phase_y = g.phase_y.copy()
-            phase_y[2, 9] *= np.exp(0.01j)
+            phase_y[np.asarray(kappas) == 0.5, 2, 9] *= np.exp(0.01j)
             return GaugeField(g.lattice, g.gauge_kind, g.phase_x, phase_y)
-        monkeypatch.setattr(edge, "_block_gauge", perturbed)
         strip = make_strip(1, 4, 6, 2)
+        mask = strip_mask(strip)
+        kappas = [0.0, 1.5, 0.5, 3.0]
+        assert len(edge._strip_blocks(strip, mask, kappas)) == 4
+        monkeypatch.setattr(edge, "_block_gauge", perturbed)
         with pytest.raises(LiftNotCertified, match="one-site translation defect 1.600e-01"):
+            strip_chains(strip, 0.5, mask)
+        with pytest.raises(LiftNotCertified, match=re.escape(
+                "at kappa 0.5: one-site translation defect 1.600e-01")):
+            edge._strip_blocks(strip, mask, kappas)
+
+    @pytest.mark.parametrize("kind", ["graph", "balls"])
+    def test_shifted_mask_is_refused(self, small_gap, monkeypatch, kind):
+        # the one-site x-shift moves a graph or balls mask, so it is no
+        # translation of the block: the split refuses it before it forms the
+        # lift phases, called directly or on a forced chain route
+        _, gap = small_gap
+        strip = make_strip(1, 4, 8, 4, shape=_shape(kind, 4, 4))
+
+        def unreached(*args):
+            raise AssertionError("lift phases formed for a mask the shift moves")
+        monkeypatch.setattr(edge, "cell_lift_phases", unreached)
+        with pytest.raises(LiftNotCertified, match="one-site x-shift moves the strip mask"):
             strip_chains(strip, 0.5, strip_mask(strip))
+        monkeypatch.setattr(edge, "_chain_route", lambda mask: True)
+        with pytest.raises(LiftNotCertified, match="one-site x-shift moves the strip mask"):
+            gap_filling_check(strip, gap, 4, 1.0)
 
     def test_forced_split_is_refused(self, small_gap, monkeypatch):
         _, gap = small_gap
@@ -748,7 +776,7 @@ class TestBlockProtocol:
             return solve(*args, **kwargs)
         monkeypatch.setattr(scipy.linalg, solver, counted)
         strip = make_strip(1, 4, 8, 2)
-        b = edge._block_solver(strip, strip_mask(strip))(0.5)
+        b = edge._strip_blocks(strip, strip_mask(strip), [0.5])[0]
         assert b.record["route"] == route
         w = b.eigenvalues
         window = np.flatnonzero(np.abs(w - 9.0) < 3.0)
@@ -758,3 +786,35 @@ class TestBlockProtocol:
         assert list(nu) == list(np.searchsorted(w, (6.0, 12.0)))
         assert b.eigenvalues is w
         assert len(ran) == calls
+
+    @pytest.mark.parametrize("kind,pot,route", [("flat", False, "harper_chains"),
+                                                ("flat", True, "harper_chains"),
+                                                ("graph", False, "banded"),
+                                                ("balls", False, "banded")],
+                             ids=["flat", "row_potential", "graph", "balls"])
+    def test_batch_equals_one_momentum(self, kind, pot, route):
+        # every block of a batch, and its Harper chains, is bit for bit the
+        # block of its momentum alone: assembled from one unbatched gauge,
+        # split by strip_chains, chains summed entry by entry
+        strip = make_strip(1, 4, 8, 4, shape=_shape(kind, 4, 4),
+                           potential=_row_potential(4) if pot else None)
+        mask = strip_mask(strip)
+        cells = edge._period_lattice(mask)
+        kappas = np.array([0.0, np.pi, 2.0 * np.pi * 0.2718])
+        batch = edge._strip_blocks(strip, mask, kappas)
+        assert [b.record["route"] for b in batch] == [route] * 3
+
+        def same_bits(a, b):
+            a, b = np.asarray(a), np.asarray(b)
+            return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        for b, kappa in zip(batch, kappas):
+            alone = _assemble(cells, edge._block_gauge(cells, kappa), mask.member[:cells.n_x])
+            for op in (alone, strip_block(strip, kappa, mask)):
+                assert all(same_bits(getattr(b.op.matrix, a), getattr(op.matrix, a))
+                           for a in ("data", "indices", "indptr"))
+            if route == "harper_chains":
+                one = strip_chains(strip, kappa, mask)
+                assert all(same_bits(getattr(b, a), getattr(one, a))
+                           for a in ("diagonal", "coupling", "basis", "line"))
+                diagonal, coupling = chain_entries(alone, b.basis, b.line)
+                assert same_bits(b.diagonal, diagonal) and same_bits(b.coupling, coupling)
