@@ -478,9 +478,12 @@ def _task_report(cfg, out):
     # under the declared conventions the lower edge carries -c1, the upper +c1
     edge_sign = -1 if flow["designated_edge"] == "lower" else 1
     flow_matches = flow["net_flow"] == edge_sign * chern["chern"]
+    # a constant filter (degree 0) is trivially affiliated, so its leg shows nothing
     affiliation_ok = True
-    if affiliation is not None and affiliation["deviations"]:
-        affiliation_ok = affiliation["deviations"][-1] <= 1e-6
+    if affiliation is not None:
+        deviations = affiliation["deviations"]
+        affiliation_ok = (affiliation["filter"]["degree"] >= 1
+                          and (not deviations or deviations[-1] <= 1e-6))
 
     if not obstruction:
         verdict = "no_obstruction"
@@ -496,6 +499,8 @@ def _task_report(cfg, out):
         verdict = "FAIL"
         message = (f"obstruction c1={chern['chern']} but gap_filled={filled}, "
                    f"flow_matches={flow_matches}, affiliation_ok={affiliation_ok}")
+        if affiliation is not None:
+            message += f" (affiliation filter degree {affiliation['filter']['degree']})"
         status = 2
 
     doc = {

@@ -8,10 +8,12 @@ is finite, the bitwise affiliation verify applies the filters to probes,
 sums of unit vectors at far sites more than 2 * degree * hop_range hops
 apart, rather than to one unit vector per far site: the cones of one
 probe's sites are disjoint, so each entry of the result is bitwise one
-site's own value or zero.  Norm-valued decay
-profiles (for filters that only approximate a continuous function) are
-Lanczos estimates from a fixed start vector: lower estimates of the norms,
-not certified bounds.
+site's own value or zero.  Probes go through the filters in blocks of
+max(1, VERIFY_BLOCK_BYTES // (16 * bulk dimension)) complex columns, so
+the verify's working set stays a few MiB whatever the window size.
+Norm-valued decay profiles (for filters that only approximate a
+continuous function) are Lanczos estimates from a fixed start vector:
+lower estimates of the norms, not certified bounds.
 
 Wideness is the translation property that makes the compression map
 injective: any uniformly bounded site set can be moved by an integer
@@ -33,7 +35,7 @@ from .model import (BallsShape, DiskShape, GraphShape, HalfPlaneShape,
                     HermitianOperator, MagneticLattice, RegionMask)
 from .spectral import ChebFilter, _cheb_apply, operator_norm
 
-VERIFY_CHUNK = 128  # probe columns per block of the bitwise affiliation verify
+VERIFY_BLOCK_BYTES = 1 << 20  # bytes of one (bulk dimension) x columns verify block
 N_SPOT = 100  # random bounded sets per analytic wideness rule
 N_SEARCH_SETS = 50  # random bounded sets in the region-mask search
 
@@ -152,8 +154,8 @@ def affiliation_check(bulk: HermitianOperator, restricted: HermitianOperator,
     The bitwise verification first checks that every stored entry of both
     matrices joins sites at most its operator's hop_range apart (L1, wrapped
     on a periodic axis of mask.lattice; HopRangeViolation otherwise).  It
-    then applies the difference to probes, VERIFY_CHUNK at a time: each
-    probe is the sum of the unit vectors of far sites pairwise more than
+    then applies the difference to probes, a block of columns at a time:
+    each probe is the sum of the unit vectors of far sites pairwise more than
     2 * degree * hop_range hops apart (see _probes; at most 162 probes at
     degree 8 on an open window, whatever its size).  The balls of
     degree * hop_range hops around one probe's sites are disjoint, so each
@@ -162,8 +164,9 @@ def affiliation_check(bulk: HermitianOperator, restricted: HermitianOperator,
     every nonzero entry of a probe's difference is therefore bitwise that
     site's own column entry.  exact_zero_radius is set only when every far
     entry of every probe is exactly 0, the same verdict as one column per
-    far site.  The working set is a few (bulk dimension) x VERIFY_CHUNK
-    complex blocks.
+    far site.  A block holds max(1, VERIFY_BLOCK_BYTES // (16 * bulk
+    dimension)) probe columns, so the working set is a few complex blocks
+    of about VERIFY_BLOCK_BYTES each, whatever the window size.
     """
     z_to_bulk = _mask_alignment(bulk, restricted, mask)
     bd = mask.boundary_distance[restricted.sites[:, 0], restricted.sites[:, 1]]
@@ -209,9 +212,10 @@ def affiliation_check(bulk: HermitianOperator, restricted: HermitianOperator,
         far = np.flatnonzero(bd > cone + 1e-12)
         reach = filt.degree * max(bulk.hop_range, restricted.hop_range)
         probes = _probes(far, restricted.sites[far], lattice, reach)
+        width = max(1, VERIFY_BLOCK_BYTES // (16 * nb))  # complex columns
         exact = True  # vacuously, when there are no far sites
-        for start in range(0, len(probes), VERIFY_CHUNK):
-            block = probes[start:start + VERIFY_CHUNK]
+        for start in range(0, len(probes), width):
+            block = probes[start:start + width]
             basis = np.zeros((nz, len(block)), complex)
             basis[np.concatenate(block),
                   np.repeat(np.arange(len(block)), [len(p) for p in block])] = 1.0

@@ -633,7 +633,8 @@ class TestReportChain:
                 "chern.json": {"dim": 2, "chern": -1},
                 "edge_report.json": {"all_pass": True, "max_distance": 0.1},
                 "flow.json": {"net_flow": 1, "designated_edge": "lower"},
-                "affiliation.json": {"deviations": [0.3, 1e-3, final]}}
+                "affiliation.json": {"filter": {"description": "smooth", "degree": 200},
+                                     "deviations": [0.3, 1e-3, final]}}
         for name, doc in docs.items():
             (out / name).write_text(json.dumps(doc))
         cfg = write_config(tmp_path / "c.json", task="report")
@@ -643,6 +644,26 @@ class TestReportChain:
         assert doc["affiliation_final_deviation"] == final
         assert ("affiliation_ok=False" in doc["message"]) == (verdict == "FAIL")
         assert f"- affiliation final deviation: {final}" in (out / "report.md").read_text()
+
+    def test_degree_zero_affiliation_fails(self, tmp_path):
+        # the shipped k1 chain passes; a constant filter is trivially
+        # affiliated, so the same chain with a degree-0 affiliation leg fails
+        out = tmp_path / "out"
+        for task in TASKS:
+            config = os.path.join(CONFIG_DIR, f"k1-{task}.json")
+            assert main([task, "--config", config, "--out", str(out)]) == 0, task
+        assert json.loads((out / "report.json").read_text())["verdict"] == "PASS"
+        path = out / "affiliation.json"
+        doc = json.loads(path.read_text())
+        doc["filter"] = {"description": "constant", "degree": 0}
+        doc["deviations"] = [0.0] * len(doc["deviations"])
+        path.write_text(json.dumps(doc))
+        config = os.path.join(CONFIG_DIR, "k1-report.json")
+        assert main(["report", "--config", config, "--out", str(out)]) == 2
+        report = json.loads((out / "report.json").read_text())
+        assert report["verdict"] == "FAIL"
+        assert "affiliation_ok=False" in report["message"]
+        assert "affiliation filter degree 0" in report["message"]
 
     def test_no_field_reports_no_obstruction(self, tmp_path):
         out = tmp_path / "out"

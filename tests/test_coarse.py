@@ -110,16 +110,24 @@ def _far_differences(bulk, edge_op, mask, filt, basis):
     return (w_bulk - w_edge)[far]
 
 
+def _block_width(bulk):
+    """Probe columns per block of the bitwise verify: one block of about
+    VERIFY_BLOCK_BYTES, at least one column."""
+    return max(1, coarse.VERIFY_BLOCK_BYTES // (16 * bulk.dimension))
+
+
 def _per_column_differences(bulk, edge_op, mask, filt):
-    """The reference verify: one unit column per far site, VERIFY_CHUNK at a time.
+    """The reference verify: one unit column per far site, in blocks as wide
+    as the verify's.
 
     Returns the far x far block of the difference; the verdict is that it
     is exactly zero.
     """
     far = _far_sites(edge_op, mask, filt.degree * edge_op.h)
+    width = _block_width(bulk)
     blocks = []
-    for start in range(0, far.size, coarse.VERIFY_CHUNK):
-        cols = far[start:start + coarse.VERIFY_CHUNK]
+    for start in range(0, far.size, width):
+        cols = far[start:start + width]
         basis = np.zeros((edge_op.dimension, cols.size), complex)
         basis[cols, np.arange(cols.size)] = 1.0
         blocks.append(_far_differences(bulk, edge_op, mask, filt, basis))
@@ -162,18 +170,19 @@ class TestBitwiseVerify:
 
     def test_one_ulp_in_the_last_probe_block_fails(self, window):
         # degree 8 puts the 192 far sites in 144 probes, two blocks of at
-        # most VERIFY_CHUNK; the perturbed site lies in a probe of the
-        # second block, and that block's own probe columns show it.  Sites
-        # of the first block lie one hop from it, so the verify may refuse
-        # it there already; that every block is applied is checked by
-        # test_verify_applies_at_most_128_columns
+        # most 113 columns on this 576-site bulk; the perturbed site lies
+        # in a probe of the second block, and that block's own probe
+        # columns show it.  Sites of the first block lie one hop from it,
+        # so the verify may refuse it there already; that every block is
+        # applied is checked by test_verify_blocks_fit_the_byte_budget
         lat, _, bulk, mask, edge_op, encl = window
         filt = polynomial_filter(np.linspace(1.0, 0.3, 9), encl)
         cone = filt.degree * lat.h
         far = self.far_sites(edge_op, mask, cone)
         probes = coarse._probes(far, edge_op.sites[far], lat, filt.degree)
-        last = probes[(len(probes) - 1) // coarse.VERIFY_CHUNK * coarse.VERIFY_CHUNK:]
-        assert len(probes) > coarse.VERIFY_CHUNK and len(last) < len(probes)
+        width = _block_width(bulk)
+        last = probes[(len(probes) - 1) // width * width:]
+        assert len(probes) > width and len(last) < len(probes)
         site = last[-1][-1]
         perturbed = _one_ulp_up(edge_op, site)
         basis = np.zeros((edge_op.dimension, len(last)), complex)
@@ -185,7 +194,7 @@ class TestBitwiseVerify:
         assert affiliation_check(bulk, edge_op, mask, filt, [1.0]).exact_zero_radius == cone
         assert affiliation_check(bulk, perturbed, mask, filt, [1.0]).exact_zero_radius is None
 
-    def test_verify_applies_at_most_128_columns(self, window, monkeypatch):
+    def test_verify_blocks_fit_the_byte_budget(self, window, monkeypatch):
         lat, _, bulk, mask, edge_op, encl = window
         widths, probes = [], []
         apply = coarse._cheb_apply
@@ -198,7 +207,11 @@ class TestBitwiseVerify:
             return apply(matrix, coefficients, a, b, v)
 
         monkeypatch.setattr(coarse, "_cheb_apply", spy)
-        # degree 8 puts 192 far sites in 144 probes: two blocks per recurrence
+        # degree 8 puts 192 far sites in 144 probes: two blocks of at most
+        # 113 columns per recurrence
+        width = _block_width(bulk)
+        assert width == 113
+        assert width * 16 * bulk.dimension <= coarse.VERIFY_BLOCK_BYTES
         for degree in (3, 8):
             widths.clear()
             probes.clear()
@@ -216,9 +229,37 @@ class TestBitwiseVerify:
                               > 2 * degree * edge_op.hop_range)
             # each probe goes through both recurrences exactly once
             assert sum(widths) == 2 * len(probes)
-            assert max(widths) <= coarse.VERIFY_CHUNK
-            assert len(widths) == 2 * -(-len(probes) // coarse.VERIFY_CHUNK)
+            assert max(widths) <= width
+            assert len(widths) == 2 * -(-len(probes) // width)
             assert len(probes) < far.size
+
+    @pytest.mark.parametrize("columns", [1, 7, None])
+    @pytest.mark.parametrize("shape", ["open", "strip"])
+    def test_verdict_does_not_depend_on_the_block_width(self, window, strip_window,
+                                                        monkeypatch, shape, columns):
+        # 1 column, 7 columns, or every probe in one block
+        lat, _, bulk, mask, edge_op, encl = window if shape == "open" else strip_window
+        filt = polynomial_filter(np.linspace(1.0, 0.3, 4), encl)
+        cone = filt.degree * lat.h
+        far = self.far_sites(edge_op, mask, cone)
+        n_probes = len(coarse._probes(far, edge_op.sites[far], lat, filt.degree))
+        columns = n_probes if columns is None else columns
+        monkeypatch.setattr(coarse, "VERIFY_BLOCK_BYTES", columns * 16 * bulk.dimension)
+        widths = []
+        apply = coarse._cheb_apply
+
+        def spy(matrix, coefficients, a, b, v):
+            if v.ndim == 2:
+                widths.append(v.shape[1])
+            return apply(matrix, coefficients, a, b, v)
+
+        monkeypatch.setattr(coarse, "_cheb_apply", spy)
+        rep = affiliation_check(bulk, edge_op, mask, filt, [1.0])
+        assert rep.exact_zero_radius == cone
+        assert max(widths) == columns
+        assert len(widths) == 2 * -(-n_probes // columns)
+        perturbed = _one_ulp_up(edge_op, far[far.size // 2])
+        assert affiliation_check(bulk, perturbed, mask, filt, [1.0]).exact_zero_radius is None
 
     @pytest.mark.parametrize("site", [None, "first", "middle", "last"])
     @pytest.mark.parametrize("shape", ["open", "strip"])
