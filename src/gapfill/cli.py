@@ -91,7 +91,6 @@ _PARAMS_SCHEMA = {
         "shape": _MASK_SCHEMA,
         "n_kappa": {"type": "integer", "minimum": 4},
         "e_ref": {"type": "number"},
-        "designated_edge": {"enum": ["lower", "upper"]},
         "filter": _FILTER_SCHEMA,
         "radii": {"type": "array", "items": {"type": "number", "minimum": 0},
                   "minItems": 1},
@@ -373,8 +372,7 @@ def _task_edge_fill(cfg, out):
 def _task_bands(cfg, out):
     p = cfg.get("params", {})
     strip = _strip_from_params(cfg, _lattice(cfg))
-    flow = edge.strip_bands(strip, p.get("n_kappa", 48), p.get("e_ref"),
-                            p.get("designated_edge", "lower"))
+    flow = edge.strip_bands(strip, p.get("n_kappa", 48), p.get("e_ref"))
     rows = []
     for kappa, energies, bands, masses in zip(flow.kappas, flow.dispersion,
                                               flow.window_bands, flow.window_mass_lower):
@@ -385,7 +383,6 @@ def _task_bands(cfg, out):
               ["kappa", "band", "energy", "edge_mass_lower"], rows)
     write_json(os.path.join(out, "flow.json"), {
         "e_ref": flow.e_ref,
-        "designated_edge": flow.designated_edge,
         "net_flow": flow.net_flow,
         "net_flow_upper": flow.net_flow_upper,
         "crossings": [{"kappa": c.kappa, "sign": c.sign, "edge": c.edge,
@@ -469,6 +466,8 @@ def _task_report(cfg, out):
     chern = read("chern.json")
     edge_rep = read("edge_report.json")
     flow = read("flow.json")
+    if "net_flow_upper" not in flow:
+        raise MissingArtifacts("flow.json has no net_flow_upper; rerun the bands task")
     affiliation = None
     if os.path.exists(os.path.join(out, "affiliation.json")):
         affiliation = read("affiliation.json")
@@ -476,8 +475,7 @@ def _task_report(cfg, out):
     obstruction = chern["chern"] != 0
     filled = bool(edge_rep.get("all_pass"))
     # under the declared conventions the lower edge carries -c1, the upper +c1
-    edge_sign = -1 if flow["designated_edge"] == "lower" else 1
-    flow_matches = flow["net_flow"] == edge_sign * chern["chern"]
+    flow_matches = flow["net_flow"] == -chern["chern"] == -flow["net_flow_upper"]
     # a constant filter (degree 0) is trivially affiliated, so its leg shows nothing
     affiliation_ok = True
     if affiliation is not None:
@@ -492,8 +490,7 @@ def _task_report(cfg, out):
     elif filled and flow_matches and affiliation_ok:
         verdict = "PASS"
         message = (f"nonzero obstruction (c1={chern['chern']}), gap filled, "
-                   f"net_flow={'-' if edge_sign < 0 else '+'}c1 on the "
-                   f"{flow['designated_edge']} edge")
+                   "net_flow=-c1 on the lower edge and +c1 on the upper edge")
         status = 0
     else:
         verdict = "FAIL"
@@ -511,6 +508,7 @@ def _task_report(cfg, out):
         "gap_filled": filled,
         "max_sample_distance": edge_rep.get("max_distance"),
         "net_flow": flow["net_flow"],
+        "net_flow_upper": flow["net_flow_upper"],
         "affiliation_final_deviation": (affiliation["deviations"][-1]
                                         if affiliation and affiliation["deviations"]
                                         else None),
@@ -522,7 +520,7 @@ def _task_report(cfg, out):
           f"- bulk gaps: {[(g['lower'], g['upper']) for g in gaps['gaps']]}",
           f"- gap filled: {filled} (max sample distance "
           f"{edge_rep.get('max_distance')})",
-          f"- net spectral flow ({flow['designated_edge']} edge): {flow['net_flow']}"]
+          f"- net spectral flow: lower edge {flow['net_flow']}, upper edge {flow['net_flow_upper']}"]
     if affiliation is not None:
         md.append(f"- affiliation final deviation: {doc['affiliation_final_deviation']}")
     from ._output import atomic_write

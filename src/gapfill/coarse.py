@@ -31,8 +31,7 @@ import numpy as np
 
 from .errors import (EnclosureViolation, HopRangeViolation, MaskMismatch,
                      UnsupportedShape)
-from .model import (BallsShape, DiskShape, GraphShape, HalfPlaneShape,
-                    HermitianOperator, MagneticLattice, RegionMask)
+from .model import DiskShape, HermitianOperator, MagneticLattice, RegionMask
 from .spectral import ChebFilter, _cheb_apply, operator_norm
 
 VERIFY_BLOCK_BYTES = 1 << 20  # bytes of one (bulk dimension) x columns verify block
@@ -318,31 +317,14 @@ def _sample_bounded_set(rng, lattice: MagneticLattice, diameter: float) -> list:
     return sorted(pts)
 
 
-def _rule_level(shape):
-    """(level, name) of the analytic wideness rule: the complement lies above level.
-
-    A half-plane has its level, a graph its lowest sample; balls decorating a
-    base add only to the region, so the base rule holds.  None for a shape
-    without a rule.
-    """
-    if isinstance(shape, HalfPlaneShape):
-        return shape.level, "level"
-    if isinstance(shape, GraphShape):
-        return shape.level_min, "min f"
-    if isinstance(shape, BallsShape):
-        base = _rule_level(shape.base)
-        return base and (base[0], "base " + base[1])
-    return None
-
-
 def wideness_check(region, r: float, lattice: MagneticLattice,
                    y_diameter: float | None = None, seed: int = 0) -> WidenessCertificate:
     """Can every bounded set be translated into Z away from the thickened complement?
 
     region is a shape or a RegionMask.  Both tests thicken by rho hops, the
     largest integer with rho * h <= r: a translated site is deep when its
-    L1 rho-ball lies in Z.  Half-plane and graph shapes, and balls
-    decorating either (their complement lies above the base), are wide with
+    L1 rho-ball lies in Z.  A shape with a floor (half-plane, graph, balls
+    decorating either: the complement lies above that level) is wide with
     the analytic rule "translate straight down past the thickened
     complement"; the rule is spot-verified on N_SPOT random bounded sets gY,
     each tested with its rho-balls by one call of the shape's `contains`.
@@ -361,7 +343,7 @@ def wideness_check(region, r: float, lattice: MagneticLattice,
     rho = int(r // h)
     if isinstance(region, RegionMask):
         return _mask_search(region, r, rho, lattice, y_diameter, rng)
-    rule = _rule_level(region)
+    rule = getattr(region, "floor", lambda: None)()
     if rule is not None:
         level_min, name = rule
         ball = _l1_ball(rho)

@@ -28,22 +28,23 @@ magnetic translation T of every block, and its q eigenspaces split the
 block into q tridiagonal Harper chains, solved by the chain route of
 :mod:`gapfill.spectral`; every momentum is split at once, as arrays
 (:func:`_harper_chains`; :func:`strip_chains` splits one).  Three
-certificates carry that route: the split itself (the defect max |TH - HT|
-and the chain entries off the tridiagonal band, LiftNotCertified), the
-Sturm counts checked against the eigenvalues (CountNotCertified) and the
-residual of every lifted vector on the assembled block
-(ResidualNotCertified).
+certificates carry that route: the split itself (the largest row sum of
+|TH - HT| and of the chain entries off the tridiagonal band,
+LiftNotCertified), the Sturm counts checked against the eigenvalues
+(CountNotCertified) and the residual of every lifted vector on the
+assembled block (ResidualNotCertified).
 Every other block (balls, graph edges, P > 1, a W that varies along x)
 is solved on the banded route: a LAPACK band, inverse iteration and
 block LDL^H inertia counts.
 
 Sign conventions, recorded in every report: kappa increases along the
-positive dual direction (the wrap phase is e^{+i*kappa}), a crossing counts
-with the sign of dE/dkappa, and the lower edge is the designated edge by
-default.  Under these conventions the k=1 magnetic Laplacian carries
-net_flow = +1 on the lower edge at mid-gap: the lower edge carries -c1
-and the upper edge +c1, for the Chern number c1 of the bands below
-(orientation of :mod:`gapfill.bloch`).
+positive dual direction (the wrap phase is e^{+i*kappa}) and a crossing
+counts with the sign of dE/dkappa.  Every flow reports both edges:
+net_flow on the lower edge and net_flow_upper on the upper edge.  Under
+these conventions the k=1 magnetic Laplacian carries net_flow = +1 and
+net_flow_upper = -1 at mid-gap: the lower edge carries -c1 and the upper
+edge +c1, for the Chern number c1 of the bands below (orientation of
+:mod:`gapfill.bloch`).
 """
 
 from __future__ import annotations
@@ -53,18 +54,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BandConnectionAmbiguous, CountNotCertified, EmptyRegion,
-                     LiftNotCertified, MarginTooSmall, StripTooNarrow, UnsupportedShape)
-from .model import (GaugeField, HalfPlaneShape, GraphShape, BallsShape,
-                    HermitianOperator, MagneticLattice, RegionMask, StencilPattern,
-                    _stencil_pattern, cell_gauge, cell_lift_phases, mask_from_member,
-                    twist_seams, window_member)
+                     LiftNotCertified, MarginTooSmall, StripTooNarrow)
+from .model import (GaugeField, HalfPlaneShape, HermitianOperator, MagneticLattice,
+                    RegionMask, StencilPattern, _stencil_pattern, cell_gauge,
+                    cell_lift_phases, mask_from_member, twist_seams, window_member)
 from .spectral import (ChainOperator, SpectralInterval, _certified, _cluster, banded,
                        certify_counts, residual_tolerance)
 
 FLOW_CONVENTIONS = {
     "kappa_wrap_phase": "exp(+i*kappa) per x-period of solver.period_cells cells in +x",
     "crossing_sign": "sign of dE/dkappa at the crossing",
-    "designated_edge_default": "lower",
     "edge_assignment": ">= 60% mass on the assigned half of the region",
 }
 HEADROOM_CELLS = 1  # vacuum cells above the highest point of the shape
@@ -103,32 +102,14 @@ def make_strip(k: int, q: int, width_cells: int, length_cells: int,
     shape=None gives the flat edge y <= 1 + width_cells.  Shapes are given
     relative to the top level: HalfPlaneShape(0.25) means the flat edge
     raised by 0.25, GraphShape samples are offsets of f around the top
-    level, BallsShape decorates its base (a half-plane or a graph, shifted
-    the same way; UnsupportedShape for any other base) and its centers are
-    relative (x, dy) pairs with dy measured from the top level.
+    level, BallsShape decorates its base (shifted the same way) and its
+    centers are relative (x, dy) pairs with dy measured from the top level.
+    A disk, alone or as a base, bounds no strip: UnsupportedShape.
     """
-    top = 1.0 + width_cells
-    if shape is None:
-        shape = HalfPlaneShape(0.0)
-    if isinstance(shape, BallsShape):
-        base, extra = _raise_base(shape.base, top)
-        centers = tuple((cx, top + dy) for (cx, dy) in shape.centers)
-        abs_shape = BallsShape(base, shape.radius, centers)
-        extra = max(extra, max(dy for (_, dy) in shape.centers) + shape.radius)
-    else:
-        abs_shape, extra = _raise_base(shape, top)
+    abs_shape, extra = (shape or HalfPlaneShape(0.0)).raised(1.0 + width_cells)
     cells_y = width_cells + 2 + HEADROOM_CELLS + int(np.ceil(max(extra, 0.0)))
     lattice = MagneticLattice(k, q, length_cells, cells_y, "strip", potential)
     return StripSpec(width_cells, length_cells, abs_shape, lattice)
-
-
-def _raise_base(shape: object, top: float) -> tuple[object, float]:
-    """A half-plane or graph shape raised by top, with its largest offset above top."""
-    if isinstance(shape, HalfPlaneShape):
-        return HalfPlaneShape(top + shape.level), shape.level
-    if isinstance(shape, GraphShape):
-        return GraphShape(tuple(top + f for f in shape.f_samples)), max(shape.f_samples)
-    raise UnsupportedShape(f"unsupported strip shape: {shape!r}")
 
 
 def strip_mask(strip: StripSpec) -> RegionMask:
@@ -213,12 +194,15 @@ def _harper_chains(pattern: StencilPattern, gauge: GaugeField, data: np.ndarray,
     product of chi along the row up to j and mu_m^q = lambda, split the
     block into the q tridiagonal chains C_m = B_m^H H B_m (Harper chains),
     built from the entries of H for all m at once.  The split is certified
-    by the elementwise defect max |TH - HT|, plus ||H|| times the spread
-    of lambda over the rows, plus the largest entry of any C_m off its
-    tridiagonal band: LiftNotCertified, naming the first failing momentum,
-    if their sum exceeds residual_tolerance(||H||), ||H|| bounded by the
-    largest absolute row sum.  A mask that the shift changes is refused
-    (LiftNotCertified) before any of these is formed.
+    by the largest row sum of |TH - HT|, plus ||H|| times the spread of
+    lambda over the rows, plus the largest row sum of the entries of any
+    C_m off its tridiagonal band: LiftNotCertified, naming the first
+    failing momentum, if their sum exceeds residual_tolerance(||H||), ||H||
+    bounded by the largest absolute row sum.  Row sums bound the norms
+    Weyl's inequality needs, since T H T^H - H (whose norm is that of
+    TH - HT) and the off-band part of C_m are Hermitian.  A mask that the
+    shift changes is refused (LiftNotCertified) before any of these is
+    formed.
 
     Every momentum is split at once, as arrays over the momenta.  The
     chain entries are accumulated pass by pass in the CSR order of the
@@ -242,7 +226,9 @@ def _harper_chains(pattern: StencilPattern, gauge: GaugeField, data: np.ndarray,
     # entries (i, j) of H: a mask the shift keeps has a pattern it keeps
     rows, cols = pattern.rows, pattern.indices
     moved = np.searchsorted(rows * n + cols, src[rows] * n + src[cols])
-    defect = np.abs(t[:, rows] * data[:, moved] - data * t[:, cols]).max(axis=1, initial=0.0)
+    # up to unit phases the entries of T H T^H - H, Hermitian: row sums bound its norm
+    defect = np.add.reduceat(np.abs(t[:, rows] * data[:, moved] - data * t[:, cols]),
+                             pattern.indptr[:-1], axis=1).max(axis=1)
     c = np.cumprod(np.concatenate([np.ones_like(chi[:, :1]), chi[:, 1:]], axis=1), axis=1)
     lines, line = np.unique(iy, return_inverse=True)
     lam = (c[:, -1] * chi[:, 0])[:, lines]
@@ -276,7 +262,9 @@ def _harper_chains(pattern: StencilPattern, gauge: GaugeField, data: np.ndarray,
     diagonal[:, :, r[r == s]] = chains[:, :, r == s].real
     coupling = np.zeros((len(data), q, len(lines) - 1), complex)
     coupling[:, :, s[r == s + 1]] = chains[:, :, r == s + 1]
-    off_band = np.abs(chains[:, :, np.abs(r - s) > 1]).max(axis=(1, 2), initial=0.0)
+    far = np.abs(r - s) > 1  # C_m is Hermitian: off-band row sums bound that part's norm
+    off_band = (np.abs(chains[:, :, far]) @ (r[far, None] == np.arange(len(lines)))
+                ).max(axis=(1, 2), initial=0.0)
     norm = np.add.reduceat(np.abs(data), pattern.indptr[:-1], axis=1).max(axis=1)  # >= ||H||
     spread = norm * np.abs(lam - lam[:, :1]).max(axis=1)
     total = defect + spread + off_band
@@ -526,7 +514,6 @@ class SpectralFlowReport:
     dispersion: np.ndarray
     e_ref: float
     crossings: tuple
-    designated_edge: str
     net_flow: int
     net_flow_upper: int
     conventions: dict
@@ -537,8 +524,7 @@ class SpectralFlowReport:
     solver: dict
 
 
-def strip_bands(strip: StripSpec, n_kappa: int, e_ref: float | None = None,
-                designated_edge: str = "lower") -> SpectralFlowReport:
+def strip_bands(strip: StripSpec, n_kappa: int, e_ref: float | None = None) -> SpectralFlowReport:
     """Dispersion over kappa in [0, 2*pi) with edge-resolved crossing counts.
 
     kappa is the momentum of a translation by one x-period of the strip
@@ -555,8 +541,8 @@ def strip_bands(strip: StripSpec, n_kappa: int, e_ref: float | None = None,
     consecutive momenta by maximal eigenvector overlap (optimal assignment);
     a crossing pair with overlap below 0.5 raises BandConnectionAmbiguous.
     Crossings are assigned to the lower/upper edge by >= 60% mass on the
-    corresponding half of the region, signed by the slope, and summed for
-    the designated edge.
+    corresponding half of the region, signed by the slope, and summed per
+    edge: net_flow on the lower edge, net_flow_upper on the upper edge.
     """
     from scipy.optimize import linear_sum_assignment
     lat = strip.lattice
@@ -613,9 +599,8 @@ def strip_bands(strip: StripSpec, n_kappa: int, e_ref: float | None = None,
                                           sign, edge, float(mass_lower)))
     net_lower = sum(c.sign for c in crossings if c.edge == "lower")
     net_upper = sum(c.sign for c in crossings if c.edge == "upper")
-    net = net_lower if designated_edge == "lower" else net_upper
     return SpectralFlowReport(kappas, dispersion, float(e_ref), tuple(crossings),
-                              designated_edge, int(net), int(net_upper),
+                              int(net_lower), int(net_upper),
                               dict(FLOW_CONVENTIONS), float(window_halfwidth),
                               tuple(win_bands), tuple(win_vals), tuple(win_mass),
                               dict(b.record, blocks=n_kappa, period_cells=cells.cells_x))

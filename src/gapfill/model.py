@@ -301,7 +301,10 @@ def plaquette_products(gauge: GaugeField) -> np.ndarray:
 # boolean array of the broadcast shape of ix and iy.  period_x (continuum
 # units) is the x period of an x-periodic window; ball x-distances wrap
 # modulo it.  Coordinates are x = ix * h with h = 1.0 / q (not ix / q,
-# which rounds differently).
+# which rounds differently).  raised(dy) gives the shape moved up by dy and
+# its highest boundary offset before the move (UnsupportedShape for a disk);
+# floor() gives (level, name) of the wideness rule, the complement lying
+# above level, or None for a shape without one.
 
 
 def _in_ball(ix, iy, q, center, radius, period_x):
@@ -324,6 +327,12 @@ class HalfPlaneShape:
         return np.broadcast_to(np.asarray(iy) * (1.0 / q) <= self.level,
                                np.broadcast(ix, iy).shape)
 
+    def raised(self, dy: float):
+        return HalfPlaneShape(dy + self.level), self.level
+
+    def floor(self):
+        return self.level, "level"
+
 
 @dataclass(frozen=True)
 class GraphShape:
@@ -345,9 +354,11 @@ class GraphShape:
     def contains(self, ix, iy, q: int, period_x: float | None = None) -> np.ndarray:
         return np.asarray(iy) * (1.0 / q) <= self.samples(q)[np.asarray(ix) % q]
 
-    @property
-    def level_min(self) -> float:
-        return float(min(self.f_samples))
+    def raised(self, dy: float):
+        return GraphShape(tuple(dy + f for f in self.f_samples)), max(self.f_samples)
+
+    def floor(self):
+        return float(min(self.f_samples)), "min f"
 
 
 @dataclass(frozen=True)
@@ -368,6 +379,16 @@ class BallsShape:
             member |= _in_ball(ix, iy, q, center, self.radius, period_x)
         return member
 
+    def raised(self, dy: float):
+        base, offset = self.base.raised(dy)
+        centers = tuple((cx, dy + cy) for (cx, cy) in self.centers)
+        return (BallsShape(base, self.radius, centers),
+                max(offset, max(cy for (_, cy) in self.centers) + self.radius))
+
+    def floor(self):
+        base = self.base.floor()
+        return base and (base[0], "base " + base[1])
+
 
 @dataclass(frozen=True)
 class DiskShape:
@@ -378,6 +399,12 @@ class DiskShape:
 
     def contains(self, ix, iy, q: int, period_x: float | None = None) -> np.ndarray:
         return _in_ball(ix, iy, q, self.center, self.radius, period_x)
+
+    def raised(self, dy: float):
+        raise UnsupportedShape(f"unsupported strip shape: {self!r}")
+
+    def floor(self):
+        return None
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,9 +14,8 @@ from gapfill import spectral
 from gapfill.bloch import BlochGrid, invariant_pair_result, torus_spectrum
 from gapfill.coarse import (affiliation_check, ideal_multiplicativity,
                             wideness_check)
-from gapfill.edge import (BallsShape, gap_filling_check, make_strip,
-                          strip_bands)
-from gapfill.model import (DiskShape, HalfPlaneShape, MagneticLattice,
+from gapfill.edge import gap_filling_check, make_strip, strip_bands
+from gapfill.model import (BallsShape, DiskShape, HalfPlaneShape, MagneticLattice,
                            assemble_bulk, assemble_restricted, build_gauge,
                            gauge_transform, make_mask, mask_all,
                            plaquette_products)

@@ -147,10 +147,14 @@ class TestConfigValidation:
          "params/filter: need lo < hi, got [5.0, 5.0]"),
         ("affiliation", {"mask_descriptor": {"kind": "half_plane", "level": 1.0}},
          {"radii": []}, "params/radii: []"),
+        # every flow reports both edges: the removed edge option is refused
+        ("bands", {"geometry": "torus"},
+         {"width_cells": 6, "length_cells": 2, "designated_edge": "upper"},
+         "params: Additional properties are not allowed ('designated_edge' was unexpected)"),
     ], ids=["disk-center", "gaussian-sigma", "filter-type", "unknown-filter", "bands-width",
             "edge-fill-length", "site-past-window", "negative-site", "negative-degree",
             "degree-past-cap", "no-power-coefficients", "zero-sigma", "zero-smoothing",
-            "lo-not-below-hi", "no-radii"])
+            "lo-not-below-hi", "no-radii", "edge-option"])
     def test_missing_or_out_of_range_field_exit_1(self, tmp_path, capsys, task, model,
                                                   params, named):
         # q = 2 on 2 x 2 cells: the site window is 4 x 4
@@ -596,31 +600,49 @@ class TestReportChain:
         assert doc["verdict"] == "PASS"
         assert doc["invariant_pair"] == {"dim": 2, "chern": -1}
         assert doc["gap_filled"] is True
-        assert doc["net_flow"] == 1
-        assert "net_flow=-c1 on the lower edge" in doc["message"]
-        assert (out / "report.md").exists()
+        assert (doc["net_flow"], doc["net_flow_upper"]) == (1, -1)
+        assert "net_flow=-c1 on the lower edge and +c1 on the upper edge" in doc["message"]
+        assert "- net spectral flow: lower edge 1, upper edge -1" in (
+            out / "report.md").read_text()
         assert (out / "dispersion.csv").exists()
         assert (out / "bands.svg").exists()
 
-    @pytest.mark.parametrize("edge, net_flow, verdict, status",
-                             [("lower", 1, "PASS", 0), ("lower", -1, "FAIL", 2),
-                              ("upper", -1, "PASS", 0), ("upper", 1, "FAIL", 2)])
-    def test_flow_sign_is_checked(self, tmp_path, edge, net_flow, verdict, status):
+    @pytest.mark.parametrize("net_flow, net_flow_upper, verdict, status",
+                             [(1, -1, "PASS", 0), (-1, -1, "FAIL", 2),
+                              (1, 0, "FAIL", 2), (1, 1, "FAIL", 2)])
+    def test_flow_sign_is_checked(self, tmp_path, net_flow, net_flow_upper, verdict, status):
         # hand-written artifacts with c1 = -1: the lower edge must carry
-        # net_flow = -c1 = +1, the upper edge +c1 = -1
+        # net_flow = -c1 = +1 and the upper edge net_flow_upper = +c1 = -1
         out = tmp_path / "out"
         out.mkdir()
         docs = {"gaps.json": {"gaps": [{"lower": 9.0, "upper": 16.0, "margin": 1.0}]},
                 "chern.json": {"dim": 2, "chern": -1},
                 "edge_report.json": {"all_pass": True, "max_distance": 0.1},
-                "flow.json": {"net_flow": net_flow, "designated_edge": edge}}
+                "flow.json": {"net_flow": net_flow, "net_flow_upper": net_flow_upper}}
         for name, doc in docs.items():
             (out / name).write_text(json.dumps(doc))
         cfg = write_config(tmp_path / "c.json", task="report")
         assert main(["report", "--config", str(cfg), "--out", str(out)]) == status
         doc = json.loads((out / "report.json").read_text())
         assert doc["verdict"] == verdict
+        assert (doc["net_flow"], doc["net_flow_upper"]) == (net_flow, net_flow_upper)
         assert ("flow_matches=False" in doc["message"]) == (verdict == "FAIL")
+
+    def test_flow_without_upper_edge_is_refused(self, tmp_path, capsys):
+        # a flow.json that reports only the lower edge cannot be checked
+        out = tmp_path / "out"
+        out.mkdir()
+        docs = {"gaps.json": {"gaps": [{"lower": 9.0, "upper": 16.0, "margin": 1.0}]},
+                "chern.json": {"dim": 2, "chern": -1},
+                "edge_report.json": {"all_pass": True, "max_distance": 0.1},
+                "flow.json": {"net_flow": 1}}
+        for name, doc in docs.items():
+            (out / name).write_text(json.dumps(doc))
+        cfg = write_config(tmp_path / "c.json", task="report")
+        assert main(["report", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("MissingArtifacts: ") and "net_flow_upper" in err
+        assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("final, verdict, status", [(1e-7, "PASS", 0),
                                                          (1e-5, "FAIL", 2)])
@@ -632,7 +654,7 @@ class TestReportChain:
         docs = {"gaps.json": {"gaps": [{"lower": 9.0, "upper": 16.0, "margin": 1.0}]},
                 "chern.json": {"dim": 2, "chern": -1},
                 "edge_report.json": {"all_pass": True, "max_distance": 0.1},
-                "flow.json": {"net_flow": 1, "designated_edge": "lower"},
+                "flow.json": {"net_flow": 1, "net_flow_upper": -1},
                 "affiliation.json": {"filter": {"description": "smooth", "degree": 200},
                                      "deviations": [0.3, 1e-3, final]}}
         for name, doc in docs.items():

@@ -12,8 +12,8 @@ from gapfill.edge import (gap_filling_check, localization_profile, make_strip,
 from gapfill.errors import (BandConnectionAmbiguous, CountNotCertified, LiftNotCertified,
                             MarginTooSmall, ResidualNotCertified, UnsupportedShape)
 from gapfill.model import (BallsShape, DiskShape, GaugeField, GraphShape, HalfPlaneShape,
-                           MagneticLattice, _assemble, build_gauge, make_mask,
-                           mask_all)
+                           MagneticLattice, _assemble, build_gauge, cell_lift_phases,
+                           make_mask, mask_all)
 from gapfill.spectral import (BandedOperator, ChainOperator, banded, certify_counts,
                               certify_interval, residual_tolerance)
 from reference import chain_entries, lift_block_vector, strip_operator
@@ -320,11 +320,6 @@ class TestSpectralFlow:
                 assert c.mass_lower >= 0.6
             elif c.edge == "upper":
                 assert c.mass_lower <= 0.4
-
-    def test_reversed_designation_negates(self):
-        f2 = strip_bands(make_strip(1, 4, 8, 2), n_kappa=24, e_ref=9.0,
-                         designated_edge="upper")
-        assert f2.net_flow == -1
 
     def test_reference_below_spectrum(self):
         flow = strip_bands(make_strip(1, 4, 8, 2), n_kappa=12, e_ref=-50.0)
@@ -682,6 +677,38 @@ class TestHarperChains:
         with pytest.raises(LiftNotCertified, match=re.escape(
                 "at kappa 0.5: one-site translation defect 1.600e-01")):
             edge._strip_blocks(strip, mask, kappas)
+
+    def test_split_defect_bounds_the_norm(self, monkeypatch):
+        # two turned x-link phases give rows of TH - HT with two entries
+        # each: the defect the split names bounds ||TH - HT|| (0.226),
+        # which their elementwise maximum (0.160) does not
+        block_gauge = edge._block_gauge
+
+        def perturbed(cells, kappas):
+            g = block_gauge(cells, kappas)
+            phase_x = g.phase_x.copy()
+            phase_x[..., [1, 2], 9] *= np.exp(0.01j)
+            return GaugeField(g.lattice, g.gauge_kind, phase_x, g.phase_y)
+        monkeypatch.setattr(edge, "_block_gauge", perturbed)
+        monkeypatch.setattr(edge, "residual_tolerance", lambda norm: 0.0)
+        strip = make_strip(1, 4, 6, 2)
+        mask = strip_mask(strip)
+        with pytest.raises(LiftNotCertified) as err:
+            strip_chains(strip, 0.5, mask)
+        defect = float(re.search(r"one-site translation defect (\S+) ", str(err.value))[1])
+        # T[i, src[i]] = chi_i, formed from the perturbed block gauge
+        pattern, gauge, data = edge._momentum_blocks(mask, [0.5])
+        shifted = GaugeField(pattern.lattice, gauge.gauge_kind,
+                             np.roll(gauge.phase_x, 1, axis=-2),
+                             np.roll(gauge.phase_y, 1, axis=-2))
+        ix, iy = pattern.sites.T
+        src = np.roll(pattern.ids, 1, axis=0)[ix, iy]
+        t = np.zeros((len(ix), len(ix)), complex)
+        t[np.arange(len(ix)), src] = cell_lift_phases(gauge, shifted)[0][ix, iy]
+        h = pattern.dense(data[0])
+        norm = np.linalg.norm(t @ h - h @ t, 2)
+        assert norm > 0.2 and np.abs(t @ h - h @ t).max() < norm
+        assert defect >= norm
 
     @pytest.mark.parametrize("kind", ["graph", "balls"])
     def test_shifted_mask_is_refused(self, small_gap, monkeypatch, kind):
