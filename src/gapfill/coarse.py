@@ -32,7 +32,7 @@ import numpy as np
 from .errors import (EnclosureViolation, HopRangeViolation, MaskMismatch,
                      UnsupportedShape)
 from .model import DiskShape, HermitianOperator, MagneticLattice, RegionMask
-from .spectral import ChebFilter, _cheb_apply, operator_norm
+from .spectral import ChebFilter, _cheb_scaled, _cheb_series, operator_norm
 
 VERIFY_BLOCK_BYTES = 1 << 20  # bytes of one (bulk dimension) x columns verify block
 N_SPOT = 100  # random bounded sets per analytic wideness rule
@@ -143,10 +143,11 @@ def affiliation_check(bulk: HermitianOperator, restricted: HermitianOperator,
     """Deviation profile of q(p(D)) - p(D') over increasing collar radii.
 
     Both filter applications share the filter's enclosure, so for interior
-    sites the two Chebyshev recurrences perform identical arithmetic (see
-    _cheb_apply) and the difference vanishes bitwise beyond degree * h; for
-    approximating filters the deviations decay like the filter's coefficient
-    tail.  Each deviation is a Lanczos estimate of the norm of the Hermitian
+    sites the two Chebyshev recurrences perform identical arithmetic on the
+    scaled operators, each formed once per call (see _cheb_scaled), and the
+    difference vanishes bitwise beyond degree * h; for approximating
+    filters the deviations decay like the filter's coefficient tail.  Each
+    deviation is a Lanczos estimate of the norm of the Hermitian
     compressed difference, started from operator_norm's fixed start vector:
     a lower estimate, the same for every run.
 
@@ -177,11 +178,13 @@ def affiliation_check(bulk: HermitianOperator, restricted: HermitianOperator,
     if min(gl, gl2) < a or max(gu, gu2) > b:
         raise EnclosureViolation("filter enclosure does not cover both operators")
 
+    hs_bulk, hs_edge = _cheb_scaled(bulk.matrix, a, b), _cheb_scaled(restricted.matrix, a, b)
+
     def difference(zvec):
         vb = np.zeros((nb,) + zvec.shape[1:], complex)
         vb[z_to_bulk] = zvec
-        w_bulk = _cheb_apply(bulk.matrix, filt.coefficients, a, b, vb)[z_to_bulk]
-        w_edge = _cheb_apply(restricted.matrix, filt.coefficients, a, b, zvec)
+        w_bulk = _cheb_series(hs_bulk, filt.coefficients, vb)[z_to_bulk]
+        w_edge = _cheb_series(hs_edge, filt.coefficients, zvec)
         return w_bulk - w_edge
 
     radii = np.asarray(sorted(radii), float)
@@ -370,8 +373,12 @@ def wideness_check(region, r: float, lattice: MagneticLattice,
             f"Y of L1 diameter {2 * span * h:g} exceeds the region diameter "
             f"{needed:g}; no translation fits (witness Y = {witness_y})",
             0, 0, {"y_diameter": 2 * span * h, "region_diameter": needed})
-    raise UnsupportedShape(f"no wideness rule for {region!r} (a site-list region "
-                           "needs its mask)")
+    if not hasattr(region, "contains"):
+        raise UnsupportedShape(f"no wideness rule for {region!r} (a site-list region "
+                               "needs its mask)")
+    base = getattr(region, "base", None)
+    reason = "it has no floor" if base is None else f"its base {base!r} has no floor"
+    raise UnsupportedShape(f"no wideness rule for {region!r}: {reason} and it is not a disk")
 
 
 def _mask_search(mask: RegionMask, r: float, rho: int, lattice: MagneticLattice,

@@ -29,13 +29,23 @@ block into q tridiagonal Harper chains, solved by the chain route of
 :mod:`gapfill.spectral`; every momentum is split at once, as arrays
 (:func:`_harper_chains`; :func:`strip_chains` splits one).  Three
 certificates carry that route: the split itself (the largest row sum of
-|TH - HT| and of the chain entries off the tridiagonal band,
+|TH - HT|, and no block entry joining y-lines more than one apart,
 LiftNotCertified), the Sturm counts checked against the eigenvalues
 (CountNotCertified) and the residual of every lifted vector on the
 assembled block (ResidualNotCertified).
 Every other block (balls, graph edges, P > 1, a W that varies along x)
 is solved on the banded route: a LAPACK band, inverse iteration and
 block LDL^H inertia counts.
+
+The spectral flow follows bands on the route of its blocks.  On Harper
+chains a band is its chain and its index in the chain: chains are
+continued between momenta by their T eigenvalues, crossings of e_ref
+read from per-chain Sturm counts, and a step is bisected until the Weyl
+bound on dE/dkappa rules out a second crossing of every other band
+(:func:`_chain_flow`); only the crossing states get eigenvectors.  Other
+blocks give vectors to a window of bands around e_ref and pair them by
+eigenvector overlap (:func:`_overlap_flow`), the only use of
+scipy.optimize.
 
 Sign conventions, recorded in every report: kappa increases along the
 positive dual direction (the wrap phase is e^{+i*kappa}) and a crossing
@@ -49,7 +59,7 @@ edge +c1, for the Chern number c1 of the bands below (orientation of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,16 +69,23 @@ from .model import (GaugeField, HalfPlaneShape, HermitianOperator, MagneticLatti
                     RegionMask, StencilPattern, _stencil_pattern, cell_gauge,
                     cell_lift_phases, mask_from_member, twist_seams, window_member)
 from .spectral import (ChainOperator, SpectralInterval, _certified, _cluster, banded,
-                       certify_counts, residual_tolerance)
+                       certify_counts, residual_tolerance, sturm_counts)
 
 FLOW_CONVENTIONS = {
     "kappa_wrap_phase": "exp(+i*kappa) per x-period of solver.period_cells cells in +x",
     "crossing_sign": "sign of dE/dkappa at the crossing",
     "edge_assignment": ">= 60% mass on the assigned half of the region",
+    "band_continuation": "harper_chains: by chain (T eigenvalue) and index in the chain, "
+                         "each step bisected until every band that does not cross keeps "
+                         "|E_a - e_ref| + |E_b - e_ref| > L * dkappa (Weyl, L = 2q/P); "
+                         "banded: by eigenvector overlap",
+    "edge_mass_lower": "filled only for the states that got vectors: the crossing states "
+                       "(harper_chains) or the window bands (banded)",
 }
 HEADROOM_CELLS = 1  # vacuum cells above the highest point of the shape
 GAP_SAMPLE_INSET = 0.05  # gap samples stay this fraction of the gap width inside it
 FLOW_WINDOW = 0.35  # flow window half-width, in Landau-level spacings 8*pi*max(k, 1)
+BISECTION_DEPTH = 12  # times a grid step of the chain flow is halved, at most
 
 
 @dataclass(frozen=True)
@@ -193,16 +210,17 @@ def _harper_chains(pattern: StencilPattern, gauge: GaugeField, data: np.ndarray,
     T's eigenvectors B_m[(j, r), r] = mu_m^{-j} c_j(r) / sqrt(q), c_j the
     product of chi along the row up to j and mu_m^q = lambda, split the
     block into the q tridiagonal chains C_m = B_m^H H B_m (Harper chains),
-    built from the entries of H for all m at once.  The split is certified
-    by the largest row sum of |TH - HT|, plus ||H|| times the spread of
-    lambda over the rows, plus the largest row sum of the entries of any
-    C_m off its tridiagonal band: LiftNotCertified, naming the first
-    failing momentum, if their sum exceeds residual_tolerance(||H||), ||H||
-    bounded by the largest absolute row sum.  Row sums bound the norms
-    Weyl's inequality needs, since T H T^H - H (whose norm is that of
-    TH - HT) and the off-band part of C_m are Hermitian.  A mask that the
-    shift changes is refused (LiftNotCertified) before any of these is
-    formed.
+    built from the entries of H for all m at once; chain m carries the T
+    eigenvalue e^{i*theta_m}, theta_m = (arg lambda + 2*pi*m) / q
+    (ChainOperator.theta).  The split is certified by the largest row sum
+    of |TH - HT| plus ||H|| times the spread of lambda over the rows:
+    LiftNotCertified, naming the first failing momentum, if their sum
+    exceeds residual_tolerance(||H||), ||H|| bounded by the largest
+    absolute row sum.  Row sums bound the norm Weyl's inequality needs,
+    since T H T^H - H (whose norm is that of TH - HT) is Hermitian.  C_m is
+    tridiagonal only if no entry of H joins y-rows more than one line
+    apart; a pattern with such an entry is refused (LiftNotCertified), as
+    is a mask that the shift changes, before any phase is formed.
 
     Every momentum is split at once, as arrays over the momenta.  The
     chain entries are accumulated pass by pass in the CSR order of the
@@ -218,19 +236,27 @@ def _harper_chains(pattern: StencilPattern, gauge: GaugeField, data: np.ndarray,
         raise LiftNotCertified(
             f"the one-site x-shift moves the strip mask: {int((src < 0).sum())} of the "
             f"{n} block sites come from outside it")
+    rows, cols = pattern.rows, pattern.indices
+    lines, line = np.unique(iy, return_inverse=True)
+    keys, at, counts = np.unique(line[rows] * len(lines) + line[cols],
+                                 return_inverse=True, return_counts=True)
+    r, s = np.divmod(keys, len(lines))
+    far = np.flatnonzero(np.abs(r - s) > 1)
+    if len(far):
+        raise LiftNotCertified(
+            f"block entries join y-lines {int(r[far[0]])} and {int(s[far[0]])}, more than "
+            f"one apart: the chains would not be tridiagonal")
     chi = cell_lift_phases(gauge, GaugeField(cells, gauge.gauge_kind,
                                              np.roll(gauge.phase_x, 1, axis=-2),
                                              np.roll(gauge.phase_y, 1, axis=-2)))
     t = chi[:, ix, iy]
     # (TH - HT)[i, src[j]] = t_i H[src[i], src[j]] - H[i, j] t_j over the
     # entries (i, j) of H: a mask the shift keeps has a pattern it keeps
-    rows, cols = pattern.rows, pattern.indices
     moved = np.searchsorted(rows * n + cols, src[rows] * n + src[cols])
     # up to unit phases the entries of T H T^H - H, Hermitian: row sums bound its norm
     defect = np.add.reduceat(np.abs(t[:, rows] * data[:, moved] - data * t[:, cols]),
                              pattern.indptr[:-1], axis=1).max(axis=1)
     c = np.cumprod(np.concatenate([np.ones_like(chi[:, :1]), chi[:, 1:]], axis=1), axis=1)
-    lines, line = np.unique(iy, return_inverse=True)
     lam = (c[:, -1] * chi[:, 0])[:, lines]
     theta = (np.angle(lam[:, :1]) + 2.0 * np.pi * np.arange(q)) / q
     # basis[i, m, k] = B_m[i, line[i]] at kappas[k]: with the momentum axis
@@ -240,8 +266,6 @@ def _harper_chains(pattern: StencilPattern, gauge: GaugeField, data: np.ndarray,
     # C_m[r, s] accumulates conj(B_m[i, r]) H[i, j] B_m[j, s] over the entries
     # in CSR order, pass k adding the k-th entry of every (r, s).  The (r, s)
     # are held most entries first, so those that pass k reaches lead.
-    keys, at, counts = np.unique(line[rows] * len(lines) + line[cols],
-                                 return_inverse=True, return_counts=True)
     order = np.argsort(at, kind="stable")
     slot = np.empty_like(order)
     slot[order] = np.arange(len(at)) - np.searchsorted(at[order], at[order])
@@ -257,27 +281,22 @@ def _harper_chains(pattern: StencilPattern, gauge: GaugeField, data: np.ndarray,
         x *= basis[cols[e]]
         entries[:len(e)] += x
     chains = entries[held].transpose(2, 1, 0)
-    r, s = np.divmod(keys, len(lines))
     diagonal = np.zeros((len(data), q, len(lines)))
     diagonal[:, :, r[r == s]] = chains[:, :, r == s].real
     coupling = np.zeros((len(data), q, len(lines) - 1), complex)
     coupling[:, :, s[r == s + 1]] = chains[:, :, r == s + 1]
-    far = np.abs(r - s) > 1  # C_m is Hermitian: off-band row sums bound that part's norm
-    off_band = (np.abs(chains[:, :, far]) @ (r[far, None] == np.arange(len(lines)))
-                ).max(axis=(1, 2), initial=0.0)
     norm = np.add.reduceat(np.abs(data), pattern.indptr[:-1], axis=1).max(axis=1)  # >= ||H||
     spread = norm * np.abs(lam - lam[:, :1]).max(axis=1)
-    total = defect + spread + off_band
+    total = defect + spread
     tol = np.array([residual_tolerance(float(x)) for x in norm])
     failing = np.flatnonzero(total > tol)
     if len(failing):
         m = failing[0]
         raise LiftNotCertified(
             f"at kappa {kappas[m]:.6g}: one-site translation defect {defect[m]:.3e} + "
-            f"lambda spread {spread[m]:.3e} + off-band chain entry {off_band[m]:.3e} "
-            f"exceeds {tol[m]:.3e} by {total[m] - tol[m]:.3e}")
+            f"lambda spread {spread[m]:.3e} exceeds {tol[m]:.3e} by {total[m] - tol[m]:.3e}")
     return [ChainOperator(pattern.operator(data[m]), diagonal[m], coupling[m], basis[:, :, m],
-                          line) for m in range(len(data))]
+                          line, theta[m]) for m in range(len(data))]
 
 
 def _chain_route(mask: RegionMask) -> bool:
@@ -503,11 +522,13 @@ class SpectralFlowReport:
     """Strip dispersion with signed edge-resolved crossings of E_ref.
 
     window_bands[i] / window_energies[i] / window_mass_lower[i] hold, per
-    momentum, the dispersion indices, energies and lower-half masses of the
-    bands inside the analysis window |E - e_ref| <= window_halfwidth
-    (eigenvectors are only computed there);
+    grid momentum, the dispersion indices, energies and lower-half masses
+    of the states that got eigenvectors: the crossing states (and the
+    eigenvalues within the residual tolerance of them) on Harper chains,
+    the bands inside the window |E - e_ref| <= window_halfwidth otherwise;
     solver is the record of the momentum blocks' own solve (Harper chains
-    or banded, with their sizes) plus the block count and x-period.
+    or banded, with their sizes) plus the block count and x-period, and
+    on Harper chains the bisection momenta and the smallest Weyl margin.
     """
 
     kappas: np.ndarray
@@ -530,21 +551,28 @@ def strip_bands(strip: StripSpec, n_kappa: int, e_ref: float | None = None) -> S
     kappa is the momentum of a translation by one x-period of the strip
     (:func:`strip_block`).  All momentum blocks are formed and split in one
     pass (:func:`_strip_blocks`), and each takes one values-only solve of
-    its Harper chains or of its band for its whole dispersion row; the
-    window count is certified by the counts at the window ends
-    (CountNotCertified otherwise), and only the window
-    bands get eigenvectors, by inverse iteration, each cluster of them
-    closer than the residual tolerance turned into its lower-half mass
-    basis (:func:`_mass_basis`).  Window energies are the block eigenvalues
-    themselves.  Bands inside the window
-    |E - e_ref| <= FLOW_WINDOW * 8*pi*max(k, 1) are continued between
-    consecutive momenta by maximal eigenvector overlap (optimal assignment);
-    a crossing pair with overlap below 0.5 raises BandConnectionAmbiguous.
+    its Harper chains or of its band for its whole dispersion row.  Bands
+    are continued from one momentum to the next on the route of the blocks:
+
+    - Harper chains (:func:`_chain_flow`): each band is followed by its
+      chain and its index in the chain; Sturm counts at e_ref give the
+      crossings, and each grid step is bisected until the Weyl bound rules
+      out a second crossing.  Only the crossing states get eigenvectors.
+    - Any other block (:func:`_overlap_flow`): the window bands
+      |E - e_ref| <= FLOW_WINDOW * 8*pi*max(k, 1) get eigenvectors and are
+      paired by maximal eigenvector overlap (optimal assignment).
+
     Crossings are assigned to the lower/upper edge by >= 60% mass on the
-    corresponding half of the region, signed by the slope, and summed per
-    edge: net_flow on the lower edge, net_flow_upper on the upper edge.
+    corresponding half of the region, averaged over the vectors of the
+    crossing band at the two ends of its grid step, and each crossing state
+    in a cluster of eigenvalues closer than the residual tolerance has its
+    cluster turned into the lower-half mass basis first (:func:`_mass_basis`).
+    The crossing kappa interpolates the band's energies at those ends
+    linearly.  Crossings are signed by the slope and summed per edge:
+    net_flow on the lower edge, net_flow_upper on the upper edge.
+    window_bands, window_energies and window_mass_lower hold the states of
+    each grid momentum that got vectors.
     """
-    from scipy.optimize import linear_sum_assignment
     lat = strip.lattice
     k = lat.k
     if e_ref is None:
@@ -553,23 +581,59 @@ def strip_bands(strip: StripSpec, n_kappa: int, e_ref: float | None = None) -> S
     mask = strip_mask(strip)
     cells = _period_lattice(mask)
     kappas = 2.0 * np.pi * np.arange(n_kappa) / n_kappa
-    lo, hi = e_ref - window_halfwidth, e_ref + window_halfwidth
-    region_mid = 1.0 + strip.width_cells / 2.0
+    blocks = _strip_blocks(strip, mask, kappas)
+    lower_rows = blocks[0].op.sites[:, 1] * lat.h < 1.0 + strip.width_cells / 2.0
+    solver = dict(blocks[0].record, blocks=n_kappa, period_cells=cells.cells_x)
+    if all(isinstance(b, ChainOperator) for b in blocks):
+        crossings, window, route = _chain_flow(strip, mask, blocks, kappas, float(e_ref),
+                                               lower_rows)
+        solver.update(route)
+    else:
+        crossings, window = _overlap_flow(blocks, kappas, float(e_ref), window_halfwidth,
+                                          lower_rows)
+    net_lower = sum(c.sign for c in crossings if c.edge == "lower")
+    net_upper = sum(c.sign for c in crossings if c.edge == "upper")
+    return SpectralFlowReport(kappas, np.array([b.eigenvalues for b in blocks]),
+                              float(e_ref), tuple(crossings), int(net_lower), int(net_upper),
+                              dict(FLOW_CONVENTIONS), float(window_halfwidth),
+                              *(tuple(x) for x in window), solver)
 
-    energies_all = []
+
+def _crossing(kappa: float, sign: int, mass_lower: float) -> Crossing:
+    """A crossing on the edge that carries >= 60% of its mass, else unassigned."""
+    if mass_lower >= 0.6:
+        edge = "lower"
+    elif mass_lower <= 0.4:
+        edge = "upper"
+    else:
+        edge = "unassigned"
+    return Crossing(float(kappa), sign, edge, float(mass_lower))
+
+
+def _overlap_flow(blocks: list, kappas: np.ndarray, e_ref: float, halfwidth: float,
+                  lower_rows: np.ndarray) -> tuple[list, tuple]:
+    """Crossings of bands continued by eigenvector overlap, and the window states.
+
+    The window count of every block is certified by its counts at the
+    window ends (CountNotCertified otherwise), and only the window bands
+    get eigenvectors, by inverse iteration, turned into their mass basis
+    (:func:`_mass_basis`).  Window bands at consecutive momenta are paired
+    by optimal assignment on their squared overlaps; a crossing pair with
+    overlap below 0.5 raises BandConnectionAmbiguous.
+    """
+    from scipy.optimize import linear_sum_assignment
+    n_kappa = len(kappas)
+    lo, hi = e_ref - halfwidth, e_ref + halfwidth
     win_bands, win_vals, win_vecs, win_mass = [], [], [], []
-    for b in _strip_blocks(strip, mask, kappas):
+    for b in blocks:
         w = b.eigenvalues
         certify_counts(b, (lo, hi))
         window = np.flatnonzero((w > lo) & (w <= hi))
-        lower_rows = b.op.sites[:, 1] * lat.h < region_mid
         v = _mass_basis(b, window, b.vectors(window)[0], lower_rows)
-        energies_all.append(w)
         win_bands.append(window)
         win_vals.append(w[window])
         win_vecs.append(v)
         win_mass.append((np.abs(v[lower_rows]) ** 2).sum(axis=0))
-    dispersion = np.array(energies_all)
 
     crossings = []
     for m in range(n_kappa):
@@ -586,21 +650,278 @@ def strip_bands(strip: StripSpec, n_kappa: int, e_ref: float | None = None) -> S
                     raise BandConnectionAmbiguous(
                         f"crossing overlap {overlap[i, j]:.3f} < 0.5 at kappa index {m}; "
                         "refine n_kappa")
-                sign = 1 if e1 > e0 else -1
-                mass_lower = 0.5 * (win_mass[m][i] + win_mass[m2][j])
-                if mass_lower >= 0.6:
-                    edge = "lower"
-                elif mass_lower <= 0.4:
-                    edge = "upper"
-                else:
-                    edge = "unassigned"
                 frac = (e_ref - e0) / (e1 - e0)
-                crossings.append(Crossing(float(kappas[m] + frac * 2 * np.pi / n_kappa),
-                                          sign, edge, float(mass_lower)))
-    net_lower = sum(c.sign for c in crossings if c.edge == "lower")
-    net_upper = sum(c.sign for c in crossings if c.edge == "upper")
-    return SpectralFlowReport(kappas, dispersion, float(e_ref), tuple(crossings),
-                              int(net_lower), int(net_upper),
-                              dict(FLOW_CONVENTIONS), float(window_halfwidth),
-                              tuple(win_bands), tuple(win_vals), tuple(win_mass),
-                              dict(b.record, blocks=n_kappa, period_cells=cells.cells_x))
+                crossings.append(_crossing(kappas[m] + frac * 2 * np.pi / n_kappa,
+                                           1 if e1 > e0 else -1,
+                                           0.5 * (win_mass[m][i] + win_mass[m2][j])))
+    return crossings, (win_bands, win_vals, win_mass)
+
+
+@dataclass(frozen=True, eq=False)
+class _Node:
+    """One momentum of the chain flow: its block, and for the chains the flow
+    follows there (every chain at a grid momentum) their eigenvalues,
+    ascending (values[m]), and their certified Sturm counts below e_ref
+    (below[m])."""
+
+    kappa: float
+    block: ChainOperator
+    values: object
+    below: object
+
+
+def _certify_chain_counts(kappa: float, chains, values, below, e_ref: float,
+                          tol: float) -> None:
+    """Each chain's Sturm count below e_ref must lie between the number of its
+    values below e_ref - tol and below e_ref + tol (CountNotCertified)."""
+    for m, w, nu in zip(chains, values, below):
+        low, high = np.searchsorted(w, [e_ref - tol, e_ref + tol])
+        if not low <= nu <= high:
+            raise CountNotCertified(
+                f"at kappa {kappa:.6g} the inertia counts {int(nu)} eigenvalues of chain "
+                f"{int(m)} below {e_ref:.12g}, its chain solve {int(low)} "
+                f"(within {tol:.1e}: {int(high)})")
+
+
+def _grid_nodes(blocks: list, kappas, e_ref: float) -> tuple[list, np.ndarray]:
+    """The nodes of the grid momenta, every chain followed, and the index of
+    each chain eigenvalue (index[g, m, j]) in the block's eigenvalues.
+
+    A block's chain values are its eigenvalues grouped by the chain that gave
+    each, and every chain must give as many as it has sites
+    (CountNotCertified otherwise).  The Sturm counts of every chain of
+    every block are run at once (:func:`gapfill.spectral.sturm_counts`) and
+    certified against those values.
+    """
+    below = sturm_counts(np.concatenate([b.diagonal for b in blocks]),
+                         np.concatenate([b.coupling for b in blocks]), [e_ref])
+    below = below.reshape(len(blocks), -1)
+    nodes, index = [], []
+    for b, kappa, nu in zip(blocks, kappas, below):
+        w = b.eigenvalues
+        if len(w) != b.diagonal.size:
+            raise CountNotCertified(
+                f"at kappa {kappa:.6g} the chain solves give {len(w)} eigenvalues for "
+                f"{b.diagonal.size} chain sites")
+        index.append(np.argsort(b.chains, kind="stable").reshape(b.diagonal.shape))
+        values = w[index[-1]]
+        _certify_chain_counts(kappa, range(len(nu)), values, nu, e_ref,
+                              residual_tolerance(float(np.abs(w).max())))
+        nodes.append(_Node(float(kappa), b, values, nu))
+    return nodes, np.array(index)
+
+
+def _kappa_lipschitz(cells: MagneticLattice) -> float:
+    """L with every chain eigenvalue, followed in kappa, moving by at most L |dkappa|.
+
+    A diagonal gauge spreads the seam twist e^{i*kappa} over the q*P
+    x-links of every y-row, each then twisted by e^{i*kappa/(q*P)}.  In that
+    gauge the one-site x-shift does not depend on kappa, so each chain is
+    the compression of H(kappa) to a fixed subspace, and only the x-links
+    depend on kappa: each of modulus h^-2 = q^2, two on every row.  So
+    ||dH/dkappa|| <= 2 q^2 / (q*P), and Weyl's inequality gives L = 2q/P.
+    """
+    return 2.0 * cells.q / cells.cells_x
+
+
+def _theta_rate(cells: MagneticLattice) -> float:
+    """d theta_m / d kappa of the T eigenvalues of a block's Harper chains.
+
+    The lift phases of T (:func:`_harper_chains`) take the seam twist
+    e^{i*kappa} on the n_x - 1 sites of a row past the seam, so T^q =
+    lambda carries e^{i*(n_x - 1)*kappa} and each theta_m = (arg lambda +
+    2*pi*m) / q turns at (n_x - 1) / q.
+    """
+    return (cells.n_x - 1) / cells.q
+
+
+def _continuation(a: _Node, b: _Node, rate: float) -> np.ndarray:
+    """perm[m]: the chain at b whose T eigenvalue continues chain m's at a.
+
+    The T eigenvalue of a chain turns by e^{i*rate*(b.kappa - a.kappa)}
+    from a to b (:func:`_theta_rate`); the continuation is the chain at b
+    within pi/q of it (BandConnectionAmbiguous if there is none).
+    """
+    q = len(a.block.theta)
+    turn = np.angle(np.exp(1j * (b.block.theta[None, :] - a.block.theta[:, None]
+                                 - rate * (b.kappa - a.kappa))))
+    perm = np.abs(turn).argmin(axis=1)
+    miss = float(np.abs(turn[np.arange(q), perm]).max())
+    if miss >= np.pi / q or len(np.unique(perm)) < q:
+        raise BandConnectionAmbiguous(
+            f"no chain continuation from kappa {a.kappa:.9g} to {b.kappa:.9g}: a T "
+            f"eigenvalue is {miss:.3g} from its match, pi/q = {np.pi / q:.3g}; refine n_kappa")
+    return perm
+
+
+def _crossing_bands(va, vb, na, nb, e_ref: float, step: float,
+                    lipschitz: float) -> tuple[np.ndarray, np.ndarray]:
+    """The bands of chains crossing e_ref over a step, and each chain's Weyl margin.
+
+    va, vb are the chains' values (chains by bands) and na, nb their Sturm
+    counts below e_ref at the two ends.  crossing[m, j] marks band j of
+    chain m when it lies between the counts.  Every other band must keep
+    |E_a - e_ref| + |E_b - e_ref| > L * step, so that it cannot reach e_ref
+    in between: margin[m] is the smallest excess over the chain's other
+    bands, and a chain whose margin is not positive must be bisected.
+    """
+    j = np.arange(va.shape[-1])
+    crossing = ((j >= np.minimum(na, nb)[..., None]) & (j < np.maximum(na, nb)[..., None]))
+    slack = np.where(crossing, np.inf, np.abs(va - e_ref) + np.abs(vb - e_ref))
+    return crossing, slack.min(axis=-1) - lipschitz * step
+
+
+def _chain_flow(strip: StripSpec, mask: RegionMask, blocks: list, kappas: np.ndarray,
+                e_ref: float, lower_rows: np.ndarray) -> tuple[list, tuple, dict]:
+    """Crossings of bands followed by (chain, index), the vector states and the route record.
+
+    Chains are continued from each grid momentum to the next by their T
+    eigenvalues (:func:`_continuation`) and crossings read from per-chain
+    Sturm counts at e_ref (:func:`_crossing_bands`).  A chain over a grid
+    step whose other bands might reach e_ref under the Weyl bound L
+    (:func:`_kappa_lipschitz`) is bisected: the midpoints of one level are
+    formed in one :func:`_strip_blocks` pass, only the followed chains are
+    solved and counted there, and a grid step is halved at most
+    BISECTION_DEPTH times (BandConnectionAmbiguous beyond that).
+    Eigenvectors are computed only for the crossing states at the two ends
+    of their grid step, with the eigenvalues within the residual tolerance
+    of them, each such cluster turned into its mass basis; a crossing state
+    in a turned cluster takes the cluster's vector with the largest overlap
+    with its band's vector at the other end.  The record holds the
+    bisection momenta and the smallest Weyl margin.
+    """
+    n_kappa = len(kappas)
+    step = 2.0 * np.pi / n_kappa
+    cells = _period_lattice(mask)
+    lipschitz, rate = _kappa_lipschitz(cells), _theta_rate(cells)
+    grid, index = _grid_nodes(blocks, kappas, e_ref)
+    ends = grid[1:] + [replace(grid[0], kappa=2.0 * np.pi)]
+    perm = np.array([_continuation(a, b, rate) for a, b in zip(grid, ends)])
+    values = np.array([node.values for node in grid])
+    below = np.array([node.below for node in grid])
+    end = np.roll(np.arange(n_kappa), -1)[:, None], perm
+    crossing, margin = _crossing_bands(values, values[end], below, below[end], e_ref, step,
+                                       lipschitz)
+    # a segment is chain m0 of grid step i, followed from node a (chain ma)
+    # to node b (chain mb); those with a positive margin are final
+    segments = [(i, m0, grid[i], m0, ends[i], perm[i, m0], crossing[i, m0], margin[i, m0])
+                for i, m0 in zip(*np.nonzero(margin > 0))]
+    pending = [(i, m0, grid[i], m0, ends[i], perm[i, m0])
+               for i, m0 in zip(*np.nonzero(margin <= 0))]
+    bisected = []
+    for depth in range(BISECTION_DEPTH + 1):
+        if not pending:
+            break
+        if depth == BISECTION_DEPTH:
+            i, _, a, _, b, _ = pending[0]
+            raise BandConnectionAmbiguous(
+                f"after {BISECTION_DEPTH} bisections of the step from kappa {kappas[i]:.6g}, "
+                f"a chain eigenvalue may still cross {e_ref:.12g} twice between kappa "
+                f"{a.kappa:.9g} and {b.kappa:.9g}; refine n_kappa")
+        pending, level = _bisect(strip, mask, pending, e_ref, lipschitz, rate)
+        bisected += level
+        segments += [s for s in pending if s[-1] > 0]
+        pending = [s[:-2] for s in pending if s[-1] <= 0]
+
+    # the crossing bands, with their indices at the two grid ends
+    found, needed = [], [set() for _ in grid]
+    for i, m0, a, ma, b, mb, cross, _ in segments:
+        g1 = (i + 1) % n_kappa
+        for j in np.flatnonzero(cross):
+            k0, k1 = index[i, m0, j], index[g1, perm[i, m0], j]
+            needed[i].add(k0)
+            needed[g1].add(k1)
+            found.append((i, k0, k1, a, ma, b, mb, j))
+
+    vectors = []
+    for node, want in zip(grid, needed):
+        w = node.block.eigenvalues
+        group = np.cumsum(np.r_[0, np.diff(w) > residual_tolerance(float(np.abs(w).max()))])
+        select = np.flatnonzero(np.isin(group, group[sorted(want)]))
+        v = _mass_basis(node.block, select, node.block.vectors(select)[0], lower_rows)
+        vectors.append((select, group[select], v, (np.abs(v[lower_rows]) ** 2).sum(axis=0)))
+
+    def column(g: int, k: int, other: np.ndarray) -> int:
+        """The column of state k among grid momentum g's vectors; in a turned
+        cluster, the cluster's column with the largest overlap with other."""
+        select, group, v, _ = vectors[g]
+        p = int(np.searchsorted(select, k))
+        same = np.flatnonzero(group == group[p])
+        if len(same) > 1:
+            p = int(same[np.argmax(np.abs(v[:, same].conj().T @ other))])
+        return p
+
+    crossings, flipped = [], []
+    for i, k0, k1, a, ma, b, mb, j in sorted(found, key=lambda f: (f[0], f[1], f[3].kappa)):
+        g1 = (i + 1) % n_kappa
+        v0 = vectors[i][2][:, np.searchsorted(vectors[i][0], k0)]
+        v1 = vectors[g1][2][:, np.searchsorted(vectors[g1][0], k1)]
+        masses = vectors[i][3][column(i, k0, v1)], vectors[g1][3][column(g1, k1, v0)]
+        e0, e1 = grid[i].block.eigenvalues[k0], grid[g1].block.eigenvalues[k1]
+        ea, eb = a.values[ma][j], b.values[mb][j]
+        if max(masses) >= 0.6 and min(masses) <= 0.4:
+            # the band changes edge within its grid step: it takes the edge of
+            # its own state at the crossing, within the step it crosses in
+            kappa = a.kappa + (e_ref - ea) / (eb - ea) * (b.kappa - a.kappa)
+            flipped.append((len(crossings), kappa, a, ma, j))
+        elif (e0 - e_ref) * (e1 - e_ref) < 0.0:
+            kappa = kappas[i] + (e_ref - e0) / (e1 - e0) * 2 * np.pi / n_kappa
+        else:  # the band crosses more than once in its grid step
+            kappa = a.kappa + (e_ref - ea) / (eb - ea) * (b.kappa - a.kappa)
+        sign = 1 if a.below[ma] > b.below[mb] else -1  # the count below e_ref falls
+        crossings.append(_crossing(kappa, sign, 0.5 * sum(masses)))
+    if flipped:
+        at = [kappa for _, kappa, *_ in flipped]
+        for (c, kappa, a, ma, j), block in zip(flipped, _strip_blocks(strip, mask, at)):
+            m = _continuation(a, _Node(kappa, block, None, None), rate)[ma]
+            v = block.vectors(np.flatnonzero(block.chains == m)[j:j + 1])[0]
+            crossings[c] = _crossing(kappa, crossings[c].sign, (np.abs(v[lower_rows]) ** 2).sum())
+    window = ([s for s, *_ in vectors],
+              [node.block.eigenvalues[s] for node, (s, *_) in zip(grid, vectors)],
+              [mass for *_, mass in vectors])
+    return crossings, window, {"bisection_kappas": [float(x) for x in sorted(bisected)],
+                               "weyl_margin": float(min(s[-1] for s in segments))}
+
+
+def _bisect(strip: StripSpec, mask: RegionMask, pending: list, e_ref: float,
+            lipschitz: float, rate: float) -> tuple[list, list]:
+    """One bisection level: the halves of the pending segments, each with its
+    crossing bands and margin, and the midpoint momenta.
+
+    Every midpoint is formed in one :func:`_strip_blocks` pass; at each, only
+    the chains that continue a pending segment's are solved, and their
+    Sturm counts are run at once and certified against their values.
+    """
+    spans = list({(id(a), id(b)): (a, b) for _, _, a, _, b, _ in pending}.values())
+    half = [0.5 * (a.kappa + b.kappa) for a, b in spans]
+    mids = {}
+    for (a, b), kappa, block in zip(spans, half, _strip_blocks(strip, mask, half)):
+        mids[id(a), id(b)] = _Node(kappa, block, {}, {})
+    follow = []
+    for i, m0, a, ma, b, mb in pending:
+        mid = mids[id(a), id(b)]
+        mm = int(_continuation(a, mid, rate)[ma])
+        if _continuation(mid, b, rate)[mm] != mb:
+            raise BandConnectionAmbiguous(
+                f"the chain continuation from kappa {a.kappa:.9g} to {b.kappa:.9g} does "
+                f"not pass through its midpoint; refine n_kappa")
+        follow.append(mm)
+        mid.values[mm] = mid.block.chain_values(mm)
+    keys = [(mid, m) for mid in mids.values() for m in mid.values]
+    counts = sturm_counts(np.array([mid.block.diagonal[m] for mid, m in keys]),
+                          np.array([mid.block.coupling[m] for mid, m in keys]), [e_ref])[:, 0]
+    for (mid, m), nu in zip(keys, counts):
+        mid.below[m] = nu
+    for mid in mids.values():
+        w = np.concatenate(list(mid.values.values()))
+        _certify_chain_counts(mid.kappa, list(mid.values), list(mid.values.values()),
+                              list(mid.below.values()), e_ref,
+                              residual_tolerance(float(np.abs(w).max())))
+    halves = []
+    for (i, m0, a, ma, b, mb), mm in zip(pending, follow):
+        mid = mids[id(a), id(b)]
+        for (x, mx), (y, my) in (((a, ma), (mid, mm)), ((mid, mm), (b, mb))):
+            cross, margin = _crossing_bands(x.values[mx], y.values[my], x.below[mx],
+                                            y.below[my], e_ref, y.kappa - x.kappa, lipschitz)
+            halves.append((i, m0, x, mx, y, my, cross, float(margin)))
+    return halves, half

@@ -26,6 +26,11 @@ which route ran:
   the lines of a band, 1x1 Sturm pivots on the chains);
 - ``record``: the route and the sizes of the solve.
 
+A :class:`ChainOperator` also answers per chain: ``chain_values(m)``
+(one chain's solve, the same one ``eigenvalues`` reads) and ``chains``
+(the chain of each eigenvalue); :func:`sturm_counts` counts per chain,
+and runs the chains of many operators at once.
+
 :func:`certify_counts` checks a block's counts against its eigenvalues,
 and :func:`banded_spectrum` reports the complete spectrum of a window
 with every detected gap certified by those counts.
@@ -258,30 +263,44 @@ def apply_filter(op: HermitianOperator, filt: ChebFilter, v: np.ndarray) -> np.n
 
 def _cheb_apply(matrix: sp.csr_matrix, coefficients: np.ndarray, a: float, b: float,
                 v: np.ndarray) -> np.ndarray:
-    """Sum c_j T_j(H~) v, H~ = (H - center) / half for the enclosure [a, b].
+    """Sum c_j T_j(H~) v, H~ = (H - center) / half for the enclosure [a, b]:
+    the recurrence (:func:`_cheb_series`) on the scaled operator
+    (:func:`_cheb_scaled`)."""
+    return _cheb_series(_cheb_scaled(matrix, a, b), coefficients, v)
 
-    The recurrence runs on the scaled operator Hs = 2 H~, formed once per
-    call entrywise from the matrix's own entries: (2/half) H_ij off the
-    diagonal and (2/half)(H_ii - center) on it.  Then T_1 v = Hs v / 2, and
-    each further degree is one sparse product, one in-place subtract and one
-    in-place axpy: T_{j+1} v = Hs T_j v - T_{j-1} v, out += c_j T_{j+1} v.
-    Two operators whose rows agree entrywise (a bulk operator and its
-    Dirichlet restriction, on the interior rows) get identical Hs entries
-    there, so the recurrence performs identical arithmetic on those rows and
-    their difference stays bitwise zero beyond degree hops of where the
+
+def _cheb_scaled(matrix: sp.csr_matrix, a: float, b: float) -> sp.csr_matrix:
+    """The scaled operator Hs = 2 H~ = (2/half)(H - center) of the enclosure [a, b].
+
+    It is formed entrywise from the matrix's own entries: (2/half) H_ij off
+    the diagonal and (2/half)(H_ii - center) on it.  Two operators whose
+    rows agree entrywise (a bulk operator and its Dirichlet restriction, on
+    the interior rows) get identical Hs entries there.  A caller applying
+    one filter many times forms Hs once.
+    """
+    center, half = 0.5 * (b + a), 0.5 * (b - a)
+    return (matrix - center * sp.identity(matrix.shape[0], format="csr")) * (2.0 / half)
+
+
+def _cheb_series(hs: sp.csr_matrix, coefficients: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Sum c_j T_j(Hs / 2) v by the three-term recurrence on a scaled operator.
+
+    T_1 v = Hs v / 2, and each further degree is one sparse product, one
+    in-place subtract and one in-place axpy: T_{j+1} v = Hs T_j v - T_{j-1}
+    v, out += c_j T_{j+1} v.  Two operators with identical Hs entries on
+    some rows (:func:`_cheb_scaled`) get identical arithmetic on those rows,
+    so their difference stays bitwise zero beyond degree hops of where the
     rows differ.  v is a vector or a block of columns.
 
     The axpy scales into a reused scratch block and then adds, so each
     entry is rounded the same wherever it sits in the block; a fused BLAS
     axpy makes no such promise.
     """
-    center, half = 0.5 * (b + a), 0.5 * (b - a)
     c = coefficients
     t0 = np.array(v, dtype=complex)
     out = c[0] * t0
     if len(c) == 1:
         return out
-    hs = (matrix - center * sp.identity(matrix.shape[0], format="csr")) * (2.0 / half)
     scratch = np.empty_like(t0)
     t1 = hs @ t0
     t1 *= 0.5
@@ -626,9 +645,11 @@ class ChainOperator:
     coupling[m, r].  Each operator row i lies on position line[i] of every
     chain, with B_m[i, line[i]] = basis[i, m] and no other entry, so chain
     vectors v_m lift to u[i] = sum_m basis[i, m] v_m[line[i]].  Each chain
-    is solved once, on its own, the first time its values are asked for,
-    so every eigenvalue keeps the chain it came from.  The caller certifies
-    the split; vectors certifies the lifted vectors on op itself.
+    is solved once, on its own, the first time its values are asked for
+    (:meth:`chain_values`), so every eigenvalue keeps the chain it came
+    from.  The caller certifies the split; vectors certifies the lifted
+    vectors on op itself.  theta, where the splitting symmetry gives one,
+    holds the angle of that symmetry's eigenvalue e^{i*theta[m]} on chain m.
     """
 
     op: HermitianOperator
@@ -636,18 +657,30 @@ class ChainOperator:
     coupling: np.ndarray
     basis: np.ndarray
     line: np.ndarray
+    theta: np.ndarray | None = None
 
     @cached_property
-    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """All eigenvalues, ascending, and the chain of each: one LAPACK
-        tridiagonal solve per chain.
+    def _solved(self) -> dict:
+        """The eigenvalues of each chain solved so far, by chain."""
+        return {}
+
+    def chain_values(self, m: int) -> np.ndarray:
+        """The eigenvalues of chain m, ascending: one LAPACK tridiagonal solve
+        of that chain, run once per ChainOperator.
 
         A Hermitian tridiagonal matrix has the spectrum of the real symmetric
         one with the moduli of its couplings (a diagonal unitary carries one
         to the other).
         """
-        values = [scipy.linalg.eigvalsh_tridiagonal(d, np.abs(b), check_finite=False)
-                  for d, b in zip(self.diagonal, self.coupling)]
+        if m not in self._solved:
+            self._solved[m] = scipy.linalg.eigvalsh_tridiagonal(
+                self.diagonal[m], np.abs(self.coupling[m]), check_finite=False)
+        return self._solved[m]
+
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """All eigenvalues, ascending, and the chain of each, from the chain solves."""
+        values = [self.chain_values(m) for m in range(len(self.diagonal))]
         chain = np.repeat(np.arange(len(values)), [len(w) for w in values])
         w = np.concatenate(values)
         order = np.argsort(w, kind="stable")
@@ -658,6 +691,11 @@ class ChainOperator:
         """All eigenvalues, ascending: one LAPACK tridiagonal solve per chain, done
         once per ChainOperator."""
         return self._spectrum[0]
+
+    @property
+    def chains(self) -> np.ndarray:
+        """The chain of each of eigenvalues, from the same per-chain solve."""
+        return self._spectrum[1]
 
     @property
     def record(self) -> dict:
@@ -688,26 +726,35 @@ class ChainOperator:
         return _certified(self.op, vectors, values, norm)
 
     def counts(self, sigmas) -> np.ndarray:
-        """nu(sigma) = #{eigenvalues < sigma} for each shift, by Sturm counts on the chains.
+        """nu(sigma) = #{eigenvalues < sigma} for each shift: the sum of the
+        chains' Sturm counts (:func:`sturm_counts`)."""
+        return sturm_counts(self.diagonal, self.coupling, sigmas).sum(axis=0)
 
-        C_m - sigma = L D L^H with 1x1 pivots d_r = a_r - sigma - |b_r|^2 /
-        d_{r-1}, run over every chain and shift at once; by Sylvester's law
-        of inertia nu is the number of negative pivots.  A pivot below the
-        floor tiny * max(1, max |b|^2) in modulus is replaced by minus the
-        floor, as LAPACK's bisection does, so no pivot divides by zero.
-        """
-        sig = np.atleast_1d(np.asarray(sigmas, float))
-        n_chains, length = self.diagonal.shape
-        # b2[:, r] = |C_m[r, r - 1]|^2, 0 before the first site
-        b2 = np.abs(np.hstack([np.zeros((n_chains, 1)), self.coupling])) ** 2
-        floor = np.finfo(float).tiny * max(1.0, float(b2.max()))
-        count = np.zeros(len(sig), int)
-        d = np.ones((n_chains, len(sig)))
-        for r in range(length):
-            d = self.diagonal[:, r, None] - sig - b2[:, r, None] / d
-            d[np.abs(d) < floor] = -floor
-            count += (d < 0).sum(axis=0)
-        return count
+
+def sturm_counts(diagonal: np.ndarray, coupling: np.ndarray, sigmas) -> np.ndarray:
+    """Eigenvalue counts below each shift of Hermitian tridiagonal chains, chains by shifts.
+
+    Chain m has diagonal[m] and subdiagonal coupling[m], as on a
+    :class:`ChainOperator`; chains of several operators may be stacked.
+    C_m - sigma = L D L^H with 1x1 pivots d_r = a_r - sigma - |b_r|^2 /
+    d_{r-1}, run over every chain and shift at once; by Sylvester's law of
+    inertia the count is the number of negative pivots of chain m.  A pivot
+    below the chain's floor tiny * max(1, max |b|^2) in modulus is replaced
+    by minus the floor, as LAPACK's bisection does, so no pivot divides by
+    zero.
+    """
+    sig = np.atleast_1d(np.asarray(sigmas, float))
+    n_chains, length = diagonal.shape
+    # b2[:, r] = |C_m[r, r - 1]|^2, 0 before the first site
+    b2 = np.abs(np.hstack([np.zeros((n_chains, 1)), coupling])) ** 2
+    floor = np.finfo(float).tiny * np.maximum(1.0, b2.max(axis=1, keepdims=True))
+    count = np.zeros((n_chains, len(sig)), int)
+    d = np.ones((n_chains, len(sig)))
+    for r in range(length):
+        d = diagonal[:, r, None] - sig - b2[:, r, None] / d
+        np.copyto(d, -floor, where=np.abs(d) < floor)
+        count += d < 0
+    return count
 
 
 # ---------------------------------------------------------------------------

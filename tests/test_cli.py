@@ -177,6 +177,24 @@ def test_import_leaves_optimize_and_ndimage_unloaded():
     assert out.strip() == "[]"
 
 
+def test_flat_edge_bands_leave_optimize_unloaded(tmp_path):
+    # the shipped bands config takes the Harper-chain flow, which pairs no
+    # vectors by assignment; a balls strip still takes the overlap pairing
+    code = ("import sys; from gapfill.cli import main; from gapfill import edge, model; "
+            f"status = main(['bands', '--config', {os.path.join(CONFIG_DIR, 'k1-bands.json')!r}, "
+            f"'--out', {str(tmp_path)!r}]); "
+            "flat = 'scipy.optimize' in sys.modules; "
+            "edge.strip_bands(edge.make_strip(1, 4, 8, 2, shape=model.BallsShape("
+            "model.HalfPlaneShape(0.0), 1 / 3, ((0.0, 1.0), (1.0, 1.0), (2.0, 1.0)))), 6); "
+            "print(status, flat, 'scipy.optimize' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gapfill.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["0", "False", "True"]
+    with open(tmp_path / "flow.json") as fh:
+        assert json.load(fh)["solver"]["route"] == "harper_chains"
+
+
 class TestShippedConfigs:
     def test_configs_load_and_name_their_task(self):
         paths = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json")))

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from gapfill import coarse
+from gapfill import coarse, spectral
 from gapfill.coarse import affiliation_check, ideal_multiplicativity, wideness_check
-from gapfill.errors import HopRangeViolation, MaskMismatch
+from gapfill.errors import HopRangeViolation, MaskMismatch, UnsupportedShape
 from gapfill.model import (BallsShape, DiskShape, GraphShape, HalfPlaneShape,
                            HermitianOperator, MagneticLattice,
                            assemble_restricted, build_gauge, gauge_transform,
@@ -104,8 +104,8 @@ def _far_differences(bulk, edge_op, mask, filt, basis):
     z_to_bulk = coarse._mask_alignment(bulk, edge_op, mask)
     vb = np.zeros((bulk.dimension, basis.shape[1]), complex)
     vb[z_to_bulk] = basis
-    w_bulk = coarse._cheb_apply(bulk.matrix, filt.coefficients, a, b, vb)[z_to_bulk]
-    w_edge = coarse._cheb_apply(edge_op.matrix, filt.coefficients, a, b, basis)
+    w_bulk = spectral._cheb_apply(bulk.matrix, filt.coefficients, a, b, vb)[z_to_bulk]
+    w_edge = spectral._cheb_apply(edge_op.matrix, filt.coefficients, a, b, basis)
     far = _far_sites(edge_op, mask, filt.degree * edge_op.h)
     return (w_bulk - w_edge)[far]
 
@@ -197,16 +197,16 @@ class TestBitwiseVerify:
     def test_verify_blocks_fit_the_byte_budget(self, window, monkeypatch):
         lat, _, bulk, mask, edge_op, encl = window
         widths, probes = [], []
-        apply = coarse._cheb_apply
+        series = coarse._cheb_series
 
-        def spy(matrix, coefficients, a, b, v):
+        def spy(hs, coefficients, v):
             if v.ndim == 2:
                 widths.append(v.shape[1])
-                if matrix is edge_op.matrix:
+                if hs.shape[0] == edge_op.dimension:
                     probes.extend(np.flatnonzero(col) for col in v.T)
-            return apply(matrix, coefficients, a, b, v)
+            return series(hs, coefficients, v)
 
-        monkeypatch.setattr(coarse, "_cheb_apply", spy)
+        monkeypatch.setattr(coarse, "_cheb_series", spy)
         # degree 8 puts 192 far sites in 144 probes: two blocks of at most
         # 113 columns per recurrence
         width = _block_width(bulk)
@@ -233,6 +233,22 @@ class TestBitwiseVerify:
             assert len(widths) == 2 * -(-len(probes) // width)
             assert len(probes) < far.size
 
+    def test_scaled_operators_are_formed_once(self, window, monkeypatch):
+        # the smooth Lanczos and the bitwise verify apply the filter many
+        # times, all on the two scaled operators of one call
+        lat, _, bulk, mask, edge_op, encl = window
+        scaled, formed = coarse._cheb_scaled, []
+
+        def counted(matrix, a, b):
+            formed.append(matrix)
+            return scaled(matrix, a, b)
+        monkeypatch.setattr(coarse, "_cheb_scaled", counted)
+        filt = polynomial_filter(np.linspace(1.0, 0.3, 4), encl)
+        rep = affiliation_check(bulk, edge_op, mask, filt, [1.0, 2.0])
+        assert rep.exact_zero_radius == pytest.approx(filt.degree * lat.h)
+        assert len(formed) == 2
+        assert formed[0] is bulk.matrix and formed[1] is edge_op.matrix
+
     @pytest.mark.parametrize("columns", [1, 7, None])
     @pytest.mark.parametrize("shape", ["open", "strip"])
     def test_verdict_does_not_depend_on_the_block_width(self, window, strip_window,
@@ -246,14 +262,14 @@ class TestBitwiseVerify:
         columns = n_probes if columns is None else columns
         monkeypatch.setattr(coarse, "VERIFY_BLOCK_BYTES", columns * 16 * bulk.dimension)
         widths = []
-        apply = coarse._cheb_apply
+        series = coarse._cheb_series
 
-        def spy(matrix, coefficients, a, b, v):
+        def spy(hs, coefficients, v):
             if v.ndim == 2:
                 widths.append(v.shape[1])
-            return apply(matrix, coefficients, a, b, v)
+            return series(hs, coefficients, v)
 
-        monkeypatch.setattr(coarse, "_cheb_apply", spy)
+        monkeypatch.setattr(coarse, "_cheb_series", spy)
         rep = affiliation_check(bulk, edge_op, mask, filt, [1.0])
         assert rep.exact_zero_radius == cone
         assert max(widths) == columns
@@ -380,6 +396,17 @@ class TestWideness:
         lat = window[0]
         cert = wideness_check(DiskShape((3.0, 3.0), 2.0), 1.0, lat, y_diameter=8.0)
         assert cert.verdict == "counterexample_found"
+
+    def test_balls_on_a_disk_name_their_base(self, window):
+        # a balls shape is a shape, not a site list: the refusal names the
+        # missing rule, a floor on its base, and that it is not a disk
+        lat = window[0]
+        shape = BallsShape(DiskShape((0.5, 0.5), 0.3), 0.3, ((0.0, 1.0),))
+        with pytest.raises(UnsupportedShape) as err:
+            wideness_check(shape, 0.5, lat)
+        assert str(err.value) == (
+            f"no wideness rule for {shape!r}: its base {shape.base!r} has no floor "
+            "and it is not a disk")
 
     def test_explicit_bounded_mask_counterexample(self, window):
         lat = window[0]

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -335,9 +336,13 @@ class TestSpectralFlow:
     def test_degenerate_pair_masses_do_not_depend_on_its_basis(self, monkeypatch):
         # at kappa = 0 bands 23 and 24 of the shipped bands strip are the
         # lower and the upper edge state of one Harper chain, 5.6e-13 apart;
-        # the solve's basis of the pair and that basis turned by 45 degrees
-        # give the same masses, one state on each edge
+        # just above their energy both edge states cross, next to kappa = 0,
+        # so the pair are crossing states there.  The solve's basis of the
+        # pair and that basis turned by 45 degrees give the same masses, one
+        # state on each edge, and each crossing takes the state of its own
+        # edge from the pair
         strip = make_strip(1, 8, 12, 2)
+        e_ref = strip_bands(strip, n_kappa=48).dispersion[0, 23] + 0.05
         vectors = ChainOperator.vectors
 
         def turned(c, select):
@@ -347,26 +352,82 @@ class TestSpectralFlow:
                 pair = np.flatnonzero(np.isin(select, (23, 24)))
                 v[:, pair] = v[:, pair] @ (np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0))
             return v, res
-        masses = []
+        flows = []
         for solve in (vectors, turned):
             monkeypatch.setattr(ChainOperator, "vectors", solve)
-            flow = strip_bands(strip, n_kappa=48)
-            pair = np.isin(flow.window_bands[0], (23, 24))
-            masses.append(flow.window_mass_lower[0][pair])
-        assert np.abs(masses[1] - masses[0]).max() < 1e-9
-        assert np.abs(np.sort(masses[0]) - [0.0, 1.0]).max() < 1e-9
+            flows.append(strip_bands(strip, n_kappa=48, e_ref=e_ref))
+        for flow in flows:
+            assert list(flow.window_bands[0]) == [23, 24]
+            assert np.abs(np.sort(flow.window_mass_lower[0]) - [0.0, 1.0]).max() < 1e-9
+            assert (flow.net_flow, flow.net_flow_upper) == (1, -1)
+            assert [(c.sign, c.edge) for c in flow.crossings] == [(1, "lower"), (-1, "upper")]
+        assert np.abs(flows[1].window_mass_lower[0] - flows[0].window_mass_lower[0]).max() < 1e-9
+        assert [c.mass_lower for c in flows[1].crossings] == pytest.approx(
+            [c.mass_lower for c in flows[0].crossings], abs=1e-9)
 
     def test_turned_cluster_needs_its_residuals(self, monkeypatch):
-        # a cluster width of 1 joins window eigenvalues the operator
-        # separates; turning their vectors into one mass basis mixes
-        # eigenvalues, and the residuals refuse the result
+        # a cluster width of 1 joins a crossing state with eigenvalues the
+        # operator separates; turning their vectors into one mass basis
+        # mixes eigenvalues, and the residuals refuse the result
+        strip = make_strip(1, 4, 8, 2)
+        assert strip_bands(strip, n_kappa=6, e_ref=16.0).net_flow == 1
         monkeypatch.setattr(edge, "residual_tolerance", lambda norm: 1.0)
         with pytest.raises(ResidualNotCertified, match="inverse-iteration residual"):
-            strip_bands(make_strip(1, 4, 8, 2), n_kappa=6, e_ref=19.3)
+            strip_bands(strip, n_kappa=6, e_ref=16.0)
 
     def test_ambiguous_connection_raises(self):
-        with pytest.raises(BandConnectionAmbiguous):
+        # the overlap pairing of a balls strip at three momenta
+        with pytest.raises(BandConnectionAmbiguous, match="crossing overlap"):
+            strip_bands(make_strip(1, 4, 8, 2, shape=_shape("balls", 4, 2)), n_kappa=3,
+                        e_ref=9.0)
+
+    def test_chain_flow_bisects_coarse_steps(self, flow):
+        # three momenta of the flat strip: the chain flow bisects its steps
+        # until the Weyl bound rules out a second crossing, and finds the
+        # flow of 24 momenta; capped at one bisection it refuses
+        coarse = strip_bands(make_strip(1, 4, 8, 2), n_kappa=3, e_ref=9.0)
+        assert (coarse.net_flow, coarse.net_flow_upper) == (flow.net_flow, flow.net_flow_upper)
+        assert [(c.sign, c.edge) for c in coarse.crossings] == \
+            [(c.sign, c.edge) for c in flow.crossings]
+        assert len(coarse.solver["bisection_kappas"]) > 2 and coarse.solver["weyl_margin"] > 0
+
+    def test_bisection_depth_cap_refuses(self, monkeypatch):
+        monkeypatch.setattr(edge, "BISECTION_DEPTH", 1)
+        with pytest.raises(BandConnectionAmbiguous, match="after 1 bisections.*refine n_kappa"):
             strip_bands(make_strip(1, 4, 8, 2), n_kappa=3, e_ref=9.0)
+
+    def test_chain_continuation_is_checked(self, monkeypatch):
+        # T eigenvalues that no longer turn with kappa leave a chain with
+        # two continuations: refused, not guessed
+        harper_chains = edge._harper_chains
+
+        def frozen(*args):
+            return [dataclasses.replace(c, theta=np.zeros_like(c.theta))
+                    for c in harper_chains(*args)]
+        monkeypatch.setattr(edge, "_harper_chains", frozen)
+        with pytest.raises(BandConnectionAmbiguous, match="no chain continuation"):
+            strip_bands(make_strip(1, 4, 8, 2), n_kappa=24, e_ref=9.0)
+
+    @pytest.mark.parametrize("k,q,width,n_kappa,gaps", [(1, 4, 8, 24, (1, 2, 3, 5, 6, 7)),
+                                                        (1, 8, 12, 48, range(1, 16))])
+    def test_flow_in_every_gap_is_tknn(self, k, q, width, n_kappa, gaps):
+        # gap r of flux p/Q = 2k/q^2 lies above q^2/Q fiber bands per
+        # Hofstadter band; TKNN: r = Q s + p t with |t| < Q/2 gives c1 = -t,
+        # so the lower edge carries t and the upper edge -t.  At (1, 8) the
+        # gaps below the closed middle one; gap 2 has a band that changes
+        # edge within a grid step, and an overlap pairing fails in gaps 3, 4
+        # and 9-15
+        from gapfill.bloch import BlochGrid, band_energies
+        energies = band_energies(MagneticLattice(k, q, 1, 1, "torus"), "landau",
+                                 BlochGrid(12, 12))
+        p, big_q = 2 * k // np.gcd(2 * k, q * q), q * q // np.gcd(2 * k, q * q)
+        per = q * q // big_q
+        strip = make_strip(k, q, width, 2)
+        for r in gaps:
+            t = next(t for t in range(-big_q // 2 + 1, big_q // 2) if (r - p * t) % big_q == 0)
+            lo, hi = energies[..., per * r - 1].max(), energies[..., per * r].min()
+            flow = strip_bands(strip, n_kappa, 0.5 * (lo + hi))
+            assert (flow.net_flow, flow.net_flow_upper) == (t, -t), r
 
     def test_flow_magnitude_matches_chern(self, flow):
         # net_flow = -c1 of the bands below the gap, under the declared
@@ -640,7 +701,10 @@ class TestHarperChains:
         n = strip_mask(strip).n_inside // 4
         assert report.solver == {"route": "harper_chains", "blocks": 4, "period_cells": 1,
                                  "chains": 4, "chain_dim": n // 4, "block_dim": n}
-        assert flow.solver == dict(report.solver, blocks=6)
+        # no band comes near e_ref, so no step is bisected
+        assert flow.solver == dict(report.solver, blocks=6, bisection_kappas=[],
+                                   weyl_margin=flow.solver["weyl_margin"])
+        assert flow.solver["weyl_margin"] > 0
 
     @pytest.mark.parametrize("kind,pot", [("flat", True), ("graph", False),
                                           ("balls", False), ("one_ball", False)])
@@ -709,6 +773,37 @@ class TestHarperChains:
         norm = np.linalg.norm(t @ h - h @ t, 2)
         assert norm > 0.2 and np.abs(t @ h - h @ t).max() < norm
         assert defect >= norm
+
+    def test_entries_beyond_the_next_line_are_refused(self, monkeypatch):
+        # y-rows 10 and 12 of the block swap their labels: the y-links of
+        # row 9 then join lines two apart, which no tridiagonal chain holds,
+        # and the split refuses before it forms a phase
+        stencil_pattern = edge._stencil_pattern
+
+        def swapped(*args):
+            pattern = stencil_pattern(*args)
+            sites = pattern.sites.copy()
+            sites[pattern.sites[:, 1] == 10, 1] = 12
+            sites[pattern.sites[:, 1] == 12, 1] = 10
+            return dataclasses.replace(pattern, sites=sites)
+        strip = make_strip(1, 4, 6, 2)
+        monkeypatch.setattr(edge, "_stencil_pattern", swapped)
+        monkeypatch.setattr(edge, "cell_lift_phases", None)
+        with pytest.raises(LiftNotCertified, match="more than one apart"):
+            strip_chains(strip, 0.5, strip_mask(strip))
+
+    @pytest.mark.parametrize("q", [4, 8])
+    def test_theta_turns_with_kappa(self, q):
+        # the T eigenvalues of the chains turn at (n_x - 1) / q with kappa,
+        # which the chain flow's continuation predicts
+        strip = make_strip(1, q, 6, 2)
+        kappas = np.linspace(0.0, 2.0 * np.pi, 33)
+        chains = edge._strip_blocks(strip, strip_mask(strip), kappas)
+        turn = np.unwrap([q * c.theta[0] for c in chains])
+        rate = edge._theta_rate(edge._period_lattice(strip_mask(strip)))
+        assert rate == (q - 1) / q
+        assert np.abs(np.diff(turn) - q * rate * np.diff(kappas)).max() < 1e-9
+        assert all(np.abs(np.diff(c.theta) - 2.0 * np.pi / q).max() < 1e-12 for c in chains)
 
     @pytest.mark.parametrize("kind", ["graph", "balls"])
     def test_shifted_mask_is_refused(self, small_gap, monkeypatch, kind):
