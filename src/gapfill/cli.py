@@ -31,6 +31,9 @@ from .model import (BallsShape, DiskShape, GraphShape, HalfPlaneShape,
                     mask_all, mask_from_sites)
 
 TASKS = ("gaps", "chern", "edge-fill", "bands", "affiliation", "wideness", "report")
+# bands.svg draws the bands that come within this many Landau-level spacings
+# 8*pi*max(k, 1) of e_ref: a choice of the plot, not of the flow
+BANDS_PLOT_SPACINGS = 0.525
 
 
 def _requires(key: str, fields_of: dict) -> list:
@@ -390,7 +393,8 @@ def _task_bands(cfg, out):
         "conventions": flow.conventions,
         "solver": flow.solver,
     })
-    in_gap = np.abs(flow.dispersion - flow.e_ref) < flow.window_halfwidth * 1.5
+    halfwidth = BANDS_PLOT_SPACINGS * 8.0 * np.pi * max(strip.lattice.k, 1)
+    in_gap = np.abs(flow.dispersion - flow.e_ref) < halfwidth
     series = [{"x": [float(k) for k in flow.kappas],
                "y": [float(v) for v in flow.dispersion[:, b]], "kind": "line"}
               for b in range(flow.dispersion.shape[1])

@@ -37,15 +37,13 @@ Every other block (balls, graph edges, P > 1, a W that varies along x)
 is solved on the banded route: a LAPACK band, inverse iteration and
 block LDL^H inertia counts.
 
-The spectral flow follows bands on the route of its blocks.  On Harper
-chains a band is its chain and its index in the chain: chains are
-continued between momenta by their T eigenvalues, crossings of e_ref
-read from per-chain Sturm counts, and a step is bisected until the Weyl
-bound on dE/dkappa rules out a second crossing of every other band
-(:func:`_chain_flow`); only the crossing states get eigenvectors.  Other
-blocks give vectors to a window of bands around e_ref and pair them by
-eigenvector overlap (:func:`_overlap_flow`), the only use of
-scipy.optimize.
+One spectral flow serves both routes (:func:`_chain_flow`).  A band is
+a chain and its index in the chain, a banded block being a single
+chain: Harper chains are continued between momenta by their T
+eigenvalues, crossings of e_ref are read from the counts of every chain
+(Sturm counts on Harper chains, the inertia count of a band), and a step
+is bisected until the Weyl bound on dE/dkappa rules out a second
+crossing of every other band.  Only crossing states get eigenvectors.
 
 Sign conventions, recorded in every report: kappa increases along the
 positive dual direction (the wrap phase is e^{+i*kappa}) and a crossing
@@ -69,23 +67,24 @@ from .model import (GaugeField, HalfPlaneShape, HermitianOperator, MagneticLatti
                     RegionMask, StencilPattern, _stencil_pattern, cell_gauge,
                     cell_lift_phases, mask_from_member, twist_seams, window_member)
 from .spectral import (ChainOperator, SpectralInterval, _certified, _cluster, banded,
-                       certify_counts, residual_tolerance, sturm_counts)
+                       chain_counts, residual_tolerance)
 
 FLOW_CONVENTIONS = {
     "kappa_wrap_phase": "exp(+i*kappa) per x-period of solver.period_cells cells in +x",
     "crossing_sign": "sign of dE/dkappa at the crossing",
     "edge_assignment": ">= 60% mass on the assigned half of the region",
-    "band_continuation": "harper_chains: by chain (T eigenvalue) and index in the chain, "
-                         "each step bisected until every band that does not cross keeps "
-                         "|E_a - e_ref| + |E_b - e_ref| > L * dkappa (Weyl, L = 2q/P); "
-                         "banded: by eigenvector overlap",
-    "edge_mass_lower": "filled only for the states that got vectors: the crossing states "
-                       "(harper_chains) or the window bands (banded)",
+    "band_continuation": "by chain and index in the chain (harper_chains: chains continued "
+                         "by their T eigenvalue; banded: the block is one chain), each step "
+                         "bisected until every band that does not cross keeps "
+                         "|E_a - e_ref| + |E_b - e_ref| > L * dkappa (Weyl, L = 2q/P)",
+    "edge_mass_lower": "filled only for the states that got vectors at the grid momenta: "
+                       "the crossing states at the ends of their grid step (harper_chains), "
+                       "none (banded: each crossing takes the mass of its state at the "
+                       "crossing kappa)",
 }
 HEADROOM_CELLS = 1  # vacuum cells above the highest point of the shape
 GAP_SAMPLE_INSET = 0.05  # gap samples stay this fraction of the gap width inside it
-FLOW_WINDOW = 0.35  # flow window half-width, in Landau-level spacings 8*pi*max(k, 1)
-BISECTION_DEPTH = 12  # times a grid step of the chain flow is halved, at most
+BISECTION_DEPTH = 12  # times a grid step of the flow is halved, at most
 
 
 @dataclass(frozen=True)
@@ -523,12 +522,13 @@ class SpectralFlowReport:
 
     window_bands[i] / window_energies[i] / window_mass_lower[i] hold, per
     grid momentum, the dispersion indices, energies and lower-half masses
-    of the states that got eigenvectors: the crossing states (and the
-    eigenvalues within the residual tolerance of them) on Harper chains,
-    the bands inside the window |E - e_ref| <= window_halfwidth otherwise;
+    of the states that got eigenvectors there: on Harper chains the
+    crossing states at the two ends of their grid step, with the
+    eigenvalues within the residual tolerance of them; on a banded block
+    none, since its crossings read their states at the crossing momenta.
     solver is the record of the momentum blocks' own solve (Harper chains
-    or banded, with their sizes) plus the block count and x-period, and
-    on Harper chains the bisection momenta and the smallest Weyl margin.
+    or banded, with their sizes) plus the block count, the x-period, the
+    bisection momenta and the smallest Weyl margin.
     """
 
     kappas: np.ndarray
@@ -538,7 +538,6 @@ class SpectralFlowReport:
     net_flow: int
     net_flow_upper: int
     conventions: dict
-    window_halfwidth: float
     window_bands: tuple
     window_energies: tuple
     window_mass_lower: tuple
@@ -551,52 +550,36 @@ def strip_bands(strip: StripSpec, n_kappa: int, e_ref: float | None = None) -> S
     kappa is the momentum of a translation by one x-period of the strip
     (:func:`strip_block`).  All momentum blocks are formed and split in one
     pass (:func:`_strip_blocks`), and each takes one values-only solve of
-    its Harper chains or of its band for its whole dispersion row.  Bands
-    are continued from one momentum to the next on the route of the blocks:
-
-    - Harper chains (:func:`_chain_flow`): each band is followed by its
-      chain and its index in the chain; Sturm counts at e_ref give the
-      crossings, and each grid step is bisected until the Weyl bound rules
-      out a second crossing.  Only the crossing states get eigenvectors.
-    - Any other block (:func:`_overlap_flow`): the window bands
-      |E - e_ref| <= FLOW_WINDOW * 8*pi*max(k, 1) get eigenvectors and are
-      paired by maximal eigenvector overlap (optimal assignment).
-
-    Crossings are assigned to the lower/upper edge by >= 60% mass on the
-    corresponding half of the region, averaged over the vectors of the
-    crossing band at the two ends of its grid step, and each crossing state
-    in a cluster of eigenvalues closer than the residual tolerance has its
-    cluster turned into the lower-half mass basis first (:func:`_mass_basis`).
-    The crossing kappa interpolates the band's energies at those ends
-    linearly.  Crossings are signed by the slope and summed per edge:
-    net_flow on the lower edge, net_flow_upper on the upper edge.
-    window_bands, window_energies and window_mass_lower hold the states of
-    each grid momentum that got vectors.
+    its Harper chains or of its band for its whole dispersion row.  One
+    flow follows the bands of either kind of block (:func:`_chain_flow`):
+    a band is its chain and its index in the chain, a banded block being a
+    single chain; the counts below e_ref of every chain give the crossings,
+    each grid step is bisected until the Weyl bound rules out a second
+    crossing, and only crossing states get eigenvectors.  A crossing is
+    assigned to the lower/upper edge by >= 60% mass on the corresponding
+    half of the region: the mass of its band's states at the ends of its
+    grid step on Harper chains, of its own state at the crossing on a band
+    or where those ends disagree.  Crossings are signed by the slope and
+    summed per edge: net_flow on the lower edge, net_flow_upper on the
+    upper edge.
     """
     lat = strip.lattice
-    k = lat.k
     if e_ref is None:
-        e_ref = 4.0 * np.pi * max(k, 1)
-    window_halfwidth = FLOW_WINDOW * 8.0 * np.pi * max(k, 1)
+        e_ref = 4.0 * np.pi * max(lat.k, 1)
     mask = strip_mask(strip)
     cells = _period_lattice(mask)
     kappas = 2.0 * np.pi * np.arange(n_kappa) / n_kappa
     blocks = _strip_blocks(strip, mask, kappas)
     lower_rows = blocks[0].op.sites[:, 1] * lat.h < 1.0 + strip.width_cells / 2.0
-    solver = dict(blocks[0].record, blocks=n_kappa, period_cells=cells.cells_x)
-    if all(isinstance(b, ChainOperator) for b in blocks):
-        crossings, window, route = _chain_flow(strip, mask, blocks, kappas, float(e_ref),
-                                               lower_rows)
-        solver.update(route)
-    else:
-        crossings, window = _overlap_flow(blocks, kappas, float(e_ref), window_halfwidth,
-                                          lower_rows)
+    crossings, window, route = _chain_flow(strip, mask, blocks, kappas, float(e_ref),
+                                           lower_rows)
     net_lower = sum(c.sign for c in crossings if c.edge == "lower")
     net_upper = sum(c.sign for c in crossings if c.edge == "upper")
     return SpectralFlowReport(kappas, np.array([b.eigenvalues for b in blocks]),
                               float(e_ref), tuple(crossings), int(net_lower), int(net_upper),
-                              dict(FLOW_CONVENTIONS), float(window_halfwidth),
-                              *(tuple(x) for x in window), solver)
+                              dict(FLOW_CONVENTIONS), *(tuple(x) for x in window),
+                              dict(blocks[0].record, blocks=n_kappa, period_cells=cells.cells_x,
+                                   **route))
 
 
 def _crossing(kappa: float, sign: int, mass_lower: float) -> Crossing:
@@ -610,69 +593,22 @@ def _crossing(kappa: float, sign: int, mass_lower: float) -> Crossing:
     return Crossing(float(kappa), sign, edge, float(mass_lower))
 
 
-def _overlap_flow(blocks: list, kappas: np.ndarray, e_ref: float, halfwidth: float,
-                  lower_rows: np.ndarray) -> tuple[list, tuple]:
-    """Crossings of bands continued by eigenvector overlap, and the window states.
-
-    The window count of every block is certified by its counts at the
-    window ends (CountNotCertified otherwise), and only the window bands
-    get eigenvectors, by inverse iteration, turned into their mass basis
-    (:func:`_mass_basis`).  Window bands at consecutive momenta are paired
-    by optimal assignment on their squared overlaps; a crossing pair with
-    overlap below 0.5 raises BandConnectionAmbiguous.
-    """
-    from scipy.optimize import linear_sum_assignment
-    n_kappa = len(kappas)
-    lo, hi = e_ref - halfwidth, e_ref + halfwidth
-    win_bands, win_vals, win_vecs, win_mass = [], [], [], []
-    for b in blocks:
-        w = b.eigenvalues
-        certify_counts(b, (lo, hi))
-        window = np.flatnonzero((w > lo) & (w <= hi))
-        v = _mass_basis(b, window, b.vectors(window)[0], lower_rows)
-        win_bands.append(window)
-        win_vals.append(w[window])
-        win_vecs.append(v)
-        win_mass.append((np.abs(v[lower_rows]) ** 2).sum(axis=0))
-
-    crossings = []
-    for m in range(n_kappa):
-        m2 = (m + 1) % n_kappa
-        w0, w1 = win_vals[m], win_vals[m2]
-        if len(w0) == 0 or len(w1) == 0:
-            continue
-        overlap = np.abs(win_vecs[m].conj().T @ win_vecs[m2])
-        ri, ci = linear_sum_assignment(-overlap ** 2)
-        for i, j in zip(ri, ci):
-            e0, e1 = w0[i], w1[j]
-            if (e0 - e_ref) * (e1 - e_ref) < 0.0:
-                if overlap[i, j] < 0.5:
-                    raise BandConnectionAmbiguous(
-                        f"crossing overlap {overlap[i, j]:.3f} < 0.5 at kappa index {m}; "
-                        "refine n_kappa")
-                frac = (e_ref - e0) / (e1 - e0)
-                crossings.append(_crossing(kappas[m] + frac * 2 * np.pi / n_kappa,
-                                           1 if e1 > e0 else -1,
-                                           0.5 * (win_mass[m][i] + win_mass[m2][j])))
-    return crossings, (win_bands, win_vals, win_mass)
-
-
 @dataclass(frozen=True, eq=False)
 class _Node:
-    """One momentum of the chain flow: its block, and for the chains the flow
+    """One momentum of the flow: its block, and for the chains the flow
     follows there (every chain at a grid momentum) their eigenvalues,
-    ascending (values[m]), and their certified Sturm counts below e_ref
+    ascending (values[m]), and their certified counts below e_ref
     (below[m])."""
 
     kappa: float
-    block: ChainOperator
+    block: object
     values: object
     below: object
 
 
 def _certify_chain_counts(kappa: float, chains, values, below, e_ref: float,
                           tol: float) -> None:
-    """Each chain's Sturm count below e_ref must lie between the number of its
+    """Each chain's count below e_ref must lie between the number of its
     values below e_ref - tol and below e_ref + tol (CountNotCertified)."""
     for m, w, nu in zip(chains, values, below):
         low, high = np.searchsorted(w, [e_ref - tol, e_ref + tol])
@@ -687,27 +623,26 @@ def _grid_nodes(blocks: list, kappas, e_ref: float) -> tuple[list, np.ndarray]:
     """The nodes of the grid momenta, every chain followed, and the index of
     each chain eigenvalue (index[g, m, j]) in the block's eigenvalues.
 
-    A block's chain values are its eigenvalues grouped by the chain that gave
-    each, and every chain must give as many as it has sites
-    (CountNotCertified otherwise).  The Sturm counts of every chain of
-    every block are run at once (:func:`gapfill.spectral.sturm_counts`) and
-    certified against those values.
+    A block's chain values are its eigenvalues grouped by the chain that
+    gave each.  The counts of every chain of every block are run at once
+    (:func:`gapfill.spectral.chain_counts`) and certified against those
+    values, and the chains must give as many values as the block has rows
+    (CountNotCertified otherwise).
     """
-    below = sturm_counts(np.concatenate([b.diagonal for b in blocks]),
-                         np.concatenate([b.coupling for b in blocks]), [e_ref])
-    below = below.reshape(len(blocks), -1)
+    n = int(blocks[0].chains.max()) + 1
+    below = chain_counts([b for b in blocks for _ in range(n)], np.tile(np.arange(n), len(blocks)),
+                         e_ref).reshape(len(blocks), n)
     nodes, index = [], []
     for b, kappa, nu in zip(blocks, kappas, below):
         w = b.eigenvalues
-        if len(w) != b.diagonal.size:
-            raise CountNotCertified(
-                f"at kappa {kappa:.6g} the chain solves give {len(w)} eigenvalues for "
-                f"{b.diagonal.size} chain sites")
-        index.append(np.argsort(b.chains, kind="stable").reshape(b.diagonal.shape))
-        values = w[index[-1]]
-        _certify_chain_counts(kappa, range(len(nu)), values, nu, e_ref,
+        _certify_chain_counts(kappa, range(n), [w[b.chains == m] for m in range(n)], nu, e_ref,
                               residual_tolerance(float(np.abs(w).max())))
-        nodes.append(_Node(float(kappa), b, values, nu))
+        if len(w) != b.op.dimension:
+            raise CountNotCertified(
+                f"at kappa {kappa:.6g} the chain solves give {len(w)} eigenvalues for a "
+                f"block of {b.op.dimension} rows")
+        index.append(np.argsort(b.chains, kind="stable").reshape(n, -1))
+        nodes.append(_Node(float(kappa), b, w[index[-1]], nu))
     return nodes, np.array(index)
 
 
@@ -715,11 +650,13 @@ def _kappa_lipschitz(cells: MagneticLattice) -> float:
     """L with every chain eigenvalue, followed in kappa, moving by at most L |dkappa|.
 
     A diagonal gauge spreads the seam twist e^{i*kappa} over the q*P
-    x-links of every y-row, each then twisted by e^{i*kappa/(q*P)}.  In that
-    gauge the one-site x-shift does not depend on kappa, so each chain is
-    the compression of H(kappa) to a fixed subspace, and only the x-links
-    depend on kappa: each of modulus h^-2 = q^2, two on every row.  So
-    ||dH/dkappa|| <= 2 q^2 / (q*P), and Weyl's inequality gives L = 2q/P.
+    x-links of every y-row, each then twisted by e^{i*kappa/(q*P)}.  Only
+    x-links carry kappa, each of modulus h^-2 = q^2, at most two at a site
+    whatever the strip mask: ||dH/dkappa|| <= 2 q^2 / (q*P) by row sums,
+    and Weyl's inequality gives L = 2q/P for a band's sorted eigenvalues.
+    In that gauge the one-site x-shift of a flat strip does not depend on
+    kappa, so each Harper chain is the compression of H(kappa) to a fixed
+    subspace, and L holds for it too.
     """
     return 2.0 * cells.q / cells.cells_x
 
@@ -740,8 +677,12 @@ def _continuation(a: _Node, b: _Node, rate: float) -> np.ndarray:
 
     The T eigenvalue of a chain turns by e^{i*rate*(b.kappa - a.kappa)}
     from a to b (:func:`_theta_rate`); the continuation is the chain at b
-    within pi/q of it (BandConnectionAmbiguous if there is none).
+    within pi/q of it (BandConnectionAmbiguous if there is none).  A block
+    without a splitting symmetry (theta None) is one chain, continued by
+    itself.
     """
+    if a.block.theta is None:
+        return np.zeros(1, int)
     q = len(a.block.theta)
     turn = np.angle(np.exp(1j * (b.block.theta[None, :] - a.block.theta[:, None]
                                  - rate * (b.kappa - a.kappa))))
@@ -758,9 +699,9 @@ def _crossing_bands(va, vb, na, nb, e_ref: float, step: float,
                     lipschitz: float) -> tuple[np.ndarray, np.ndarray]:
     """The bands of chains crossing e_ref over a step, and each chain's Weyl margin.
 
-    va, vb are the chains' values (chains by bands) and na, nb their Sturm
-    counts below e_ref at the two ends.  crossing[m, j] marks band j of
-    chain m when it lies between the counts.  Every other band must keep
+    va, vb are the chains' values (chains by bands) and na, nb their counts
+    below e_ref at the two ends.  crossing[m, j] marks band j of chain m
+    when it lies between the counts.  Every other band must keep
     |E_a - e_ref| + |E_b - e_ref| > L * step, so that it cannot reach e_ref
     in between: margin[m] is the smallest excess over the chain's other
     bands, and a chain whose margin is not positive must be bisected.
@@ -771,24 +712,47 @@ def _crossing_bands(va, vb, na, nb, e_ref: float, step: float,
     return crossing, slack.min(axis=-1) - lipschitz * step
 
 
+def _crossing_state(block, m: int, j: int, kappa: float, e_ref: float) -> int:
+    """The index among block's eigenvalues of band j of chain m, read at its crossing kappa.
+
+    The state read must be the crossing one: band j must be its chain's
+    value nearest e_ref, every other one farther from e_ref by more than
+    tol = residual_tolerance(||H||), which also keeps its vector one state
+    (BandConnectionAmbiguous otherwise).
+    """
+    distance = np.abs(block.chain_values(m) - e_ref)
+    others = np.delete(distance, j)
+    if len(others) and others.min() <= distance[j] + residual_tolerance(
+            float(np.abs(block.eigenvalues).max())):
+        raise BandConnectionAmbiguous(
+            f"at the crossing kappa {kappa:.9g} band {j} of chain {m} lies {distance[j]:.3g} "
+            f"from {e_ref:.12g}, another of its chain {others.min():.3g}: the state of the "
+            f"crossing is not certified; refine n_kappa")
+    return int(np.flatnonzero(block.chains == m)[j])
+
+
 def _chain_flow(strip: StripSpec, mask: RegionMask, blocks: list, kappas: np.ndarray,
                 e_ref: float, lower_rows: np.ndarray) -> tuple[list, tuple, dict]:
     """Crossings of bands followed by (chain, index), the vector states and the route record.
 
-    Chains are continued from each grid momentum to the next by their T
-    eigenvalues (:func:`_continuation`) and crossings read from per-chain
-    Sturm counts at e_ref (:func:`_crossing_bands`).  A chain over a grid
-    step whose other bands might reach e_ref under the Weyl bound L
-    (:func:`_kappa_lipschitz`) is bisected: the midpoints of one level are
-    formed in one :func:`_strip_blocks` pass, only the followed chains are
-    solved and counted there, and a grid step is halved at most
-    BISECTION_DEPTH times (BandConnectionAmbiguous beyond that).
-    Eigenvectors are computed only for the crossing states at the two ends
-    of their grid step, with the eigenvalues within the residual tolerance
-    of them, each such cluster turned into its mass basis; a crossing state
-    in a turned cluster takes the cluster's vector with the largest overlap
-    with its band's vector at the other end.  The record holds the
-    bisection momenta and the smallest Weyl margin.
+    A banded block is one chain, and Harper chains are continued from each
+    grid momentum to the next by their T eigenvalues (:func:`_continuation`).
+    Crossings are read from per-chain counts at e_ref (:func:`_crossing_bands`).
+    A chain over a grid step whose other bands might reach e_ref under the
+    Weyl bound L (:func:`_kappa_lipschitz`) is bisected: the midpoints of
+    one level are formed in one :func:`_strip_blocks` pass, only the
+    followed chains are solved and counted there, and a grid step is
+    halved at most BISECTION_DEPTH times (BandConnectionAmbiguous beyond
+    that).  On Harper chains, whose values within one chain are simple,
+    eigenvectors are computed for the crossing states at the two ends of
+    their grid step, with the eigenvalues within the residual tolerance of
+    them, each such cluster turned into its mass basis; a crossing state
+    in a turned cluster takes the cluster's vector with the largest
+    overlap with its band's vector at the other end.  A band of a banded
+    block, whose sorted index need not keep one state over a step, and a
+    Harper-chain band that changes edge within its grid step take the mass
+    of their own state at the crossing (:func:`_crossing_state`).  The
+    record holds the bisection momenta and the smallest Weyl margin.
     """
     n_kappa = len(kappas)
     step = 2.0 * np.pi / n_kappa
@@ -817,20 +781,24 @@ def _chain_flow(strip: StripSpec, mask: RegionMask, blocks: list, kappas: np.nda
             raise BandConnectionAmbiguous(
                 f"after {BISECTION_DEPTH} bisections of the step from kappa {kappas[i]:.6g}, "
                 f"a chain eigenvalue may still cross {e_ref:.12g} twice between kappa "
-                f"{a.kappa:.9g} and {b.kappa:.9g}; refine n_kappa")
+                f"{a.kappa:.9g} and {b.kappa:.9g}: refine n_kappa, unless e_ref lies on "
+                f"a band or in a closed gap, where no grid resolves the crossings")
         pending, level = _bisect(strip, mask, pending, e_ref, lipschitz, rate)
         bisected += level
         segments += [s for s in pending if s[-1] > 0]
         pending = [s[:-2] for s in pending if s[-1] <= 0]
 
-    # the crossing bands, with their indices at the two grid ends
+    # the crossing bands, with their indices at the two grid ends; on Harper
+    # chains their states there get vectors
+    split = grid[0].block.theta is not None
     found, needed = [], [set() for _ in grid]
     for i, m0, a, ma, b, mb, cross, _ in segments:
         g1 = (i + 1) % n_kappa
         for j in np.flatnonzero(cross):
             k0, k1 = index[i, m0, j], index[g1, perm[i, m0], j]
-            needed[i].add(k0)
-            needed[g1].add(k1)
+            if split:
+                needed[i].add(k0)
+                needed[g1].add(k1)
             found.append((i, k0, k1, a, ma, b, mb, j))
 
     vectors = []
@@ -851,31 +819,32 @@ def _chain_flow(strip: StripSpec, mask: RegionMask, blocks: list, kappas: np.nda
             p = int(same[np.argmax(np.abs(v[:, same].conj().T @ other))])
         return p
 
-    crossings, flipped = [], []
+    crossings, at = [], []
     for i, k0, k1, a, ma, b, mb, j in sorted(found, key=lambda f: (f[0], f[1], f[3].kappa)):
-        g1 = (i + 1) % n_kappa
-        v0 = vectors[i][2][:, np.searchsorted(vectors[i][0], k0)]
-        v1 = vectors[g1][2][:, np.searchsorted(vectors[g1][0], k1)]
-        masses = vectors[i][3][column(i, k0, v1)], vectors[g1][3][column(g1, k1, v0)]
-        e0, e1 = grid[i].block.eigenvalues[k0], grid[g1].block.eigenvalues[k1]
-        ea, eb = a.values[ma][j], b.values[mb][j]
-        if max(masses) >= 0.6 and min(masses) <= 0.4:
-            # the band changes edge within its grid step: it takes the edge of
-            # its own state at the crossing, within the step it crosses in
-            kappa = a.kappa + (e_ref - ea) / (eb - ea) * (b.kappa - a.kappa)
-            flipped.append((len(crossings), kappa, a, ma, j))
-        elif (e0 - e_ref) * (e1 - e_ref) < 0.0:
-            kappa = kappas[i] + (e_ref - e0) / (e1 - e0) * 2 * np.pi / n_kappa
-        else:  # the band crosses more than once in its grid step
-            kappa = a.kappa + (e_ref - ea) / (eb - ea) * (b.kappa - a.kappa)
         sign = 1 if a.below[ma] > b.below[mb] else -1  # the count below e_ref falls
-        crossings.append(_crossing(kappa, sign, 0.5 * sum(masses)))
-    if flipped:
-        at = [kappa for _, kappa, *_ in flipped]
-        for (c, kappa, a, ma, j), block in zip(flipped, _strip_blocks(strip, mask, at)):
-            m = _continuation(a, _Node(kappa, block, None, None), rate)[ma]
-            v = block.vectors(np.flatnonzero(block.chains == m)[j:j + 1])[0]
-            crossings[c] = _crossing(kappa, crossings[c].sign, (np.abs(v[lower_rows]) ** 2).sum())
+        ea, eb = a.values[ma][j], b.values[mb][j]
+        kappa = a.kappa + (e_ref - ea) / (eb - ea) * (b.kappa - a.kappa)
+        if split:
+            g1 = (i + 1) % n_kappa
+            v0 = vectors[i][2][:, np.searchsorted(vectors[i][0], k0)]
+            v1 = vectors[g1][2][:, np.searchsorted(vectors[g1][0], k1)]
+            masses = vectors[i][3][column(i, k0, v1)], vectors[g1][3][column(g1, k1, v0)]
+            e0, e1 = grid[i].block.eigenvalues[k0], grid[g1].block.eigenvalues[k1]
+            if not (max(masses) >= 0.6 and min(masses) <= 0.4):
+                if (e0 - e_ref) * (e1 - e_ref) < 0.0:
+                    kappa = kappas[i] + (e_ref - e0) / (e1 - e0) * 2 * np.pi / n_kappa
+                # else the band crosses more than once in its grid step
+                crossings.append(_crossing(kappa, sign, 0.5 * sum(masses)))
+                continue
+        # the edge of the band's own state at the crossing, within the step it
+        # crosses in
+        at.append((len(crossings), kappa, a, ma, j))
+        crossings.append(sign)
+    for (c, kappa, a, ma, j), block in zip(at, _strip_blocks(strip, mask, [x[1] for x in at])
+                                           if at else []):
+        m = _continuation(a, _Node(kappa, block, None, None), rate)[ma]
+        v = block.vectors([_crossing_state(block, m, j, kappa, e_ref)])[0]
+        crossings[c] = _crossing(kappa, crossings[c], (np.abs(v[lower_rows]) ** 2).sum())
     window = ([s for s, *_ in vectors],
               [node.block.eigenvalues[s] for node, (s, *_) in zip(grid, vectors)],
               [mass for *_, mass in vectors])
@@ -890,7 +859,8 @@ def _bisect(strip: StripSpec, mask: RegionMask, pending: list, e_ref: float,
 
     Every midpoint is formed in one :func:`_strip_blocks` pass; at each, only
     the chains that continue a pending segment's are solved, and their
-    Sturm counts are run at once and certified against their values.
+    counts are run at once (:func:`gapfill.spectral.chain_counts`) and
+    certified against their values.
     """
     spans = list({(id(a), id(b)): (a, b) for _, _, a, _, b, _ in pending}.values())
     half = [0.5 * (a.kappa + b.kappa) for a, b in spans]
@@ -908,8 +878,7 @@ def _bisect(strip: StripSpec, mask: RegionMask, pending: list, e_ref: float,
         follow.append(mm)
         mid.values[mm] = mid.block.chain_values(mm)
     keys = [(mid, m) for mid in mids.values() for m in mid.values]
-    counts = sturm_counts(np.array([mid.block.diagonal[m] for mid, m in keys]),
-                          np.array([mid.block.coupling[m] for mid, m in keys]), [e_ref])[:, 0]
+    counts = chain_counts([mid.block for mid, _ in keys], [m for _, m in keys], e_ref)
     for (mid, m), nu in zip(keys, counts):
         mid.below[m] = nu
     for mid in mids.values():

@@ -26,10 +26,12 @@ which route ran:
   the lines of a band, 1x1 Sturm pivots on the chains);
 - ``record``: the route and the sizes of the solve.
 
-A :class:`ChainOperator` also answers per chain: ``chain_values(m)``
-(one chain's solve, the same one ``eigenvalues`` reads) and ``chains``
-(the chain of each eigenvalue); :func:`sturm_counts` counts per chain,
-and runs the chains of many operators at once.
+Both also answer per chain: ``chain_values(m)`` (one chain's solve, the
+same one ``eigenvalues`` reads), ``chains`` (the chain of each
+eigenvalue) and ``theta`` (the splitting symmetry's eigenvalue angle of
+each chain, None without one).  A band is one chain, which holds every
+eigenvalue.  :func:`chain_counts` counts per chain, the chains of many
+operators at once (:func:`sturm_counts` on the tridiagonal ones).
 
 :func:`certify_counts` checks a block's counts against its eigenvalues,
 and :func:`banded_spectrum` reports the complete spectrum of a window
@@ -368,6 +370,7 @@ class BandedOperator:
     order: np.ndarray
     band: np.ndarray
     rows: tuple
+    theta = None  # no splitting symmetry: the band is one chain
 
     @property
     def bandwidth(self) -> int:
@@ -383,6 +386,15 @@ class BandedOperator:
         vectors), solved once per BandedOperator."""
         return scipy.linalg.eig_banded(self.band, lower=True, eigvals_only=True,
                                        check_finite=False)
+
+    @property
+    def chains(self) -> np.ndarray:
+        """The chain of each eigenvalue: a band is one chain, chain 0."""
+        return np.zeros(len(self.eigenvalues), int)
+
+    def chain_values(self, m: int) -> np.ndarray:
+        """The eigenvalues of the band's one chain: all of them."""
+        return self.eigenvalues
 
     def vectors(self, select) -> tuple[np.ndarray, np.ndarray]:
         """Certified eigenvectors of eigenvalues[select] by banded inverse iteration.
@@ -755,6 +767,19 @@ def sturm_counts(diagonal: np.ndarray, coupling: np.ndarray, sigmas) -> np.ndarr
         np.copyto(d, -floor, where=np.abs(d) < floor)
         count += d < 0
     return count
+
+
+def chain_counts(blocks, chains, sigma: float) -> np.ndarray:
+    """The count below sigma of chain chains[i] of blocks[i], for every i: the
+    tridiagonal chains of every ChainOperator as one stack of
+    :func:`sturm_counts`, any other block, one chain, by its own counts."""
+    split = np.array([isinstance(b, ChainOperator) for b in blocks])
+    nu = np.array([0 if s else b.counts([sigma])[0] for s, b in zip(split, blocks)])
+    at = np.flatnonzero(split)
+    if len(at):
+        nu[at] = sturm_counts(np.array([blocks[i].diagonal[chains[i]] for i in at]),
+                              np.array([blocks[i].coupling[chains[i]] for i in at]), [sigma])[:, 0]
+    return nu
 
 
 # ---------------------------------------------------------------------------

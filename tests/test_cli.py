@@ -178,8 +178,9 @@ def test_import_leaves_optimize_and_ndimage_unloaded():
 
 
 def test_flat_edge_bands_leave_optimize_unloaded(tmp_path):
-    # the shipped bands config takes the Harper-chain flow, which pairs no
-    # vectors by assignment; a balls strip still takes the overlap pairing
+    # the shipped bands config takes the Harper chains, a balls strip the
+    # banded blocks: one flow, which pairs no vectors by assignment, runs
+    # both, and neither loads scipy.optimize
     code = ("import sys; from gapfill.cli import main; from gapfill import edge, model; "
             f"status = main(['bands', '--config', {os.path.join(CONFIG_DIR, 'k1-bands.json')!r}, "
             f"'--out', {str(tmp_path)!r}]); "
@@ -190,7 +191,7 @@ def test_flat_edge_bands_leave_optimize_unloaded(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gapfill.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.split() == ["0", "False", "True"]
+    assert out.split() == ["0", "False", "False"]
     with open(tmp_path / "flow.json") as fh:
         assert json.load(fh)["solver"]["route"] == "harper_chains"
 

@@ -375,11 +375,42 @@ class TestSpectralFlow:
         with pytest.raises(ResidualNotCertified, match="inverse-iteration residual"):
             strip_bands(strip, n_kappa=6, e_ref=16.0)
 
-    def test_ambiguous_connection_raises(self):
-        # the overlap pairing of a balls strip at three momenta
-        with pytest.raises(BandConnectionAmbiguous, match="crossing overlap"):
-            strip_bands(make_strip(1, 4, 8, 2, shape=_shape("balls", 4, 2)), n_kappa=3,
-                        e_ref=9.0)
+    def test_banded_bisection_depth_cap_refuses(self, monkeypatch):
+        # three momenta of a balls strip: the banded block, one chain, has its
+        # steps bisected as a Harper chain has; capped at one bisection it refuses
+        strip = make_strip(1, 4, 8, 2, shape=_shape("balls", 4, 2))
+        assert len(strip_bands(strip, n_kappa=3, e_ref=9.0).solver["bisection_kappas"]) > 2
+        monkeypatch.setattr(edge, "BISECTION_DEPTH", 1)
+        with pytest.raises(BandConnectionAmbiguous, match="after 1 bisections"):
+            strip_bands(strip, n_kappa=3, e_ref=9.0)
+
+    @pytest.mark.parametrize("kind", ["flat", "balls"])
+    def test_crossing_state_is_certified(self, monkeypatch, kind):
+        # reading band j + 1 at the crossing momentum in place of the crossing
+        # band j: its value is not the one nearest e_ref, and the state is
+        # refused, not assigned an edge.  A flat strip reads its state at the
+        # crossing only for a band that changes edge within its grid step
+        strip, e_ref, n_kappa = ((make_strip(1, 8, 12, 2), 35.0, 48) if kind == "flat" else
+                                 (make_strip(1, 4, 8, 2, shape=_shape("balls", 4, 2)), 9.0, 6))
+        assert strip_bands(strip, n_kappa, e_ref).net_flow == (2 if kind == "flat" else 1)
+        crossing_state = edge._crossing_state
+        monkeypatch.setattr(edge, "_crossing_state", lambda block, m, j, kappa, e_ref:
+                            crossing_state(block, m, j + 1, kappa, e_ref))
+        with pytest.raises(BandConnectionAmbiguous, match="state of the crossing is not"):
+            strip_bands(strip, n_kappa, e_ref)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_banded_flow_does_not_depend_on_the_grid(self, k):
+        # the overlap pairing this flow replaced refused a balls strip at
+        # three momenta; followed by its inertia counts, the band gives the
+        # crossings of 24 momenta
+        strip = make_strip(k, 4, 8, 2, shape=_shape("balls", 4, 2))
+        coarse, fine = (strip_bands(strip, n_kappa=n, e_ref=9.0 * k) for n in (3, 24))
+        assert coarse.solver["route"] == fine.solver["route"] == "banded"
+        assert (coarse.net_flow, coarse.net_flow_upper) == (fine.net_flow,
+                                                            fine.net_flow_upper) == (1, -1)
+        assert [(c.sign, c.edge) for c in coarse.crossings] == \
+            [(c.sign, c.edge) for c in fine.crossings]
 
     def test_chain_flow_bisects_coarse_steps(self, flow):
         # three momenta of the flat strip: the chain flow bisects its steps
@@ -393,8 +424,17 @@ class TestSpectralFlow:
 
     def test_bisection_depth_cap_refuses(self, monkeypatch):
         monkeypatch.setattr(edge, "BISECTION_DEPTH", 1)
-        with pytest.raises(BandConnectionAmbiguous, match="after 1 bisections.*refine n_kappa"):
+        with pytest.raises(BandConnectionAmbiguous, match="after 1 bisections.*refine n_kappa, "
+                           "unless e_ref lies on a band or in a closed gap"):
             strip_bands(make_strip(1, 4, 8, 2), n_kappa=3, e_ref=9.0)
+
+    @pytest.mark.parametrize("n_kappa", [6, 48])
+    def test_reference_on_a_band_is_refused(self, n_kappa):
+        # 19.3 lies in the bulk band [19.04, 19.43] of (1, 4): bands touch
+        # e_ref on every grid, and refining n_kappa cannot help
+        with pytest.raises(BandConnectionAmbiguous, match="after 12 bisections.*unless e_ref "
+                           "lies on a band or in a closed gap, where no grid resolves"):
+            strip_bands(make_strip(1, 4, 8, 2), n_kappa, e_ref=19.3)
 
     def test_chain_continuation_is_checked(self, monkeypatch):
         # T eigenvalues that no longer turn with kappa leave a chain with
@@ -408,16 +448,24 @@ class TestSpectralFlow:
         with pytest.raises(BandConnectionAmbiguous, match="no chain continuation"):
             strip_bands(make_strip(1, 4, 8, 2), n_kappa=24, e_ref=9.0)
 
-    @pytest.mark.parametrize("k,q,width,n_kappa,gaps", [(1, 4, 8, 24, (1, 2, 3, 5, 6, 7)),
-                                                        (1, 8, 12, 48, range(1, 16))])
-    def test_flow_in_every_gap_is_tknn(self, k, q, width, n_kappa, gaps):
+    @pytest.mark.parametrize("route,k,q,width,n_kappa,gaps", [
+        ("harper_chains", 1, 4, 8, 24, (1, 2, 3, 5, 6, 7)),
+        ("banded", 1, 4, 8, 24, (1, 2, 3, 5, 6, 7)),
+        ("harper_chains", 1, 8, 12, 48, range(1, 16)),
+        ("banded", 1, 8, 12, 48, (10,))],
+        ids=["harper_chains-q4", "banded-q4", "harper_chains-q8", "banded-q8"])
+    def test_flow_in_every_gap_is_tknn(self, monkeypatch, route, k, q, width, n_kappa, gaps):
         # gap r of flux p/Q = 2k/q^2 lies above q^2/Q fiber bands per
         # Hofstadter band; TKNN: r = Q s + p t with |t| < Q/2 gives c1 = -t,
         # so the lower edge carries t and the upper edge -t.  At (1, 8) the
         # gaps below the closed middle one; gap 2 has a band that changes
-        # edge within a grid step, and an overlap pairing fails in gaps 3, 4
-        # and 9-15
+        # edge within a grid step.  The flat strip solved as banded blocks,
+        # one chain each, must give the same flow: there a band's sorted
+        # index need not keep one state over a grid step, and an eigenvector
+        # overlap pairing failed in gap 10 (and in gaps 3, 4, 9 and 11-15)
         from gapfill.bloch import BlochGrid, band_energies
+        if route == "banded":
+            use_banded_route(monkeypatch)
         energies = band_energies(MagneticLattice(k, q, 1, 1, "torus"), "landau",
                                  BlochGrid(12, 12))
         p, big_q = 2 * k // np.gcd(2 * k, q * q), q * q // np.gcd(2 * k, q * q)
@@ -427,6 +475,7 @@ class TestSpectralFlow:
             t = next(t for t in range(-big_q // 2 + 1, big_q // 2) if (r - p * t) % big_q == 0)
             lo, hi = energies[..., per * r - 1].max(), energies[..., per * r].min()
             flow = strip_bands(strip, n_kappa, 0.5 * (lo + hi))
+            assert flow.solver["route"] == route
             assert (flow.net_flow, flow.net_flow_upper) == (t, -t), r
 
     def test_flow_magnitude_matches_chern(self, flow):
@@ -457,12 +506,18 @@ STRIPS = [(k, q, kind, pot) for k in (1, 2) for q in (4, 8)
 
 class DenseBlock:
     """A momentum block solved by numpy's dense eigh of the assembled matrix,
-    with the members of the banded and chain blocks."""
+    with the members of the banded and chain blocks: like a band, one chain."""
+
+    theta = None
 
     def __init__(self, op):
         self.op = op
         self.record = {"route": "dense", "block_dim": op.dimension}
         self.eigenvalues, self._frames = np.linalg.eigh(op.matrix.toarray())
+        self.chains = np.zeros(len(self.eigenvalues), int)
+
+    def chain_values(self, m):
+        return self.eigenvalues
 
     def vectors(self, select):
         v = self._frames[:, select]
