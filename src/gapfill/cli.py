@@ -376,14 +376,10 @@ def _task_bands(cfg, out):
     p = cfg.get("params", {})
     strip = _strip_from_params(cfg, _lattice(cfg))
     flow = edge.strip_bands(strip, p.get("n_kappa", 48), p.get("e_ref"))
-    rows = []
-    for kappa, energies, bands, masses in zip(flow.kappas, flow.dispersion,
-                                              flow.window_bands, flow.window_mass_lower):
-        mass = dict(zip(bands.tolist(), masses.tolist()))
-        rows.extend((float(kappa), b, float(en), mass.get(b, ""))
-                    for b, en in enumerate(energies))
-    write_csv(os.path.join(out, "dispersion.csv"),
-              ["kappa", "band", "energy", "edge_mass_lower"], rows)
+    write_csv(os.path.join(out, "dispersion.csv"), ["kappa", "band", "energy"],
+              [(float(kappa), b, float(en))
+               for kappa, energies in zip(flow.kappas, flow.dispersion)
+               for b, en in enumerate(energies)])
     write_json(os.path.join(out, "flow.json"), {
         "e_ref": flow.e_ref,
         "net_flow": flow.net_flow,

@@ -66,21 +66,19 @@ from .errors import (BandConnectionAmbiguous, CountNotCertified, EmptyRegion,
 from .model import (GaugeField, HalfPlaneShape, HermitianOperator, MagneticLattice,
                     RegionMask, StencilPattern, _stencil_pattern, cell_gauge,
                     cell_lift_phases, mask_from_member, twist_seams, window_member)
-from .spectral import (ChainOperator, SpectralInterval, _certified, _cluster, banded,
-                       chain_counts, residual_tolerance)
+from .spectral import (ChainOperator, SpectralInterval, banded, chain_counts,
+                       residual_tolerance)
 
 FLOW_CONVENTIONS = {
     "kappa_wrap_phase": "exp(+i*kappa) per x-period of solver.period_cells cells in +x",
     "crossing_sign": "sign of dE/dkappa at the crossing",
-    "edge_assignment": ">= 60% mass on the assigned half of the region",
+    "edge_assignment": ">= 60% of the mass of the crossing's own state at its crossing kappa "
+                       "on the assigned half of the region (StripTooNarrow if neither half "
+                       "holds 60%)",
     "band_continuation": "by chain and index in the chain (harper_chains: chains continued "
                          "by their T eigenvalue; banded: the block is one chain), each step "
                          "bisected until every band that does not cross keeps "
                          "|E_a - e_ref| + |E_b - e_ref| > L * dkappa (Weyl, L = 2q/P)",
-    "edge_mass_lower": "filled only for the states that got vectors at the grid momenta: "
-                       "the crossing states at the ends of their grid step (harper_chains), "
-                       "none (banded: each crossing takes the mass of its state at the "
-                       "crossing kappa)",
 }
 HEADROOM_CELLS = 1  # vacuum cells above the highest point of the shape
 GAP_SAMPLE_INSET = 0.05  # gap samples stay this fraction of the gap width inside it
@@ -477,31 +475,6 @@ def _verdicts(blocks: list, samples: np.ndarray, delta: float) -> tuple[np.ndarr
     return dist, verdicts
 
 
-def _mass_basis(b, window: np.ndarray, v: np.ndarray, lower_rows: np.ndarray) -> np.ndarray:
-    """The window vectors v of block b, every cluster of its window eigenvalues
-    closer than tol = residual_tolerance(||H||) turned into the eigenbasis
-    of its compressed lower-half mass V^H chi_lower V.
-
-    The residual certificate does not fix a basis of such a cluster; this
-    one does, so the lower-half mass of each vector and the band
-    continuation do not depend on the basis the solve returned.  Turning
-    mixes eigenvalues, adding up to the cluster's spread to each residual,
-    so a run of spacings <= tol wider than tol / 2 is left as solved.  The
-    turned vectors are certified by their residuals at their eigenvalues
-    (ResidualNotCertified).
-    """
-    w = b.eigenvalues
-    norm = float(np.abs(w).max())
-    tol = residual_tolerance(norm)
-    v = v.copy()
-    for a, z in _cluster(w[window], tol):
-        if z - a > 1 and w[window[z - 1]] - w[window[a]] <= tol / 2:
-            low = v[lower_rows, a:z]
-            v[:, a:z] = v[:, a:z] @ np.linalg.eigh(low.conj().T @ low)[1]
-            _certified(b.op, v[:, a:z], w[window[a:z]], norm)
-    return v
-
-
 # ---------------------------------------------------------------------------
 # spectral flow
 
@@ -520,15 +493,11 @@ class Crossing:
 class SpectralFlowReport:
     """Strip dispersion with signed edge-resolved crossings of E_ref.
 
-    window_bands[i] / window_energies[i] / window_mass_lower[i] hold, per
-    grid momentum, the dispersion indices, energies and lower-half masses
-    of the states that got eigenvectors there: on Harper chains the
-    crossing states at the two ends of their grid step, with the
-    eigenvalues within the residual tolerance of them; on a banded block
-    none, since its crossings read their states at the crossing momenta.
-    solver is the record of the momentum blocks' own solve (Harper chains
-    or banded, with their sizes) plus the block count, the x-period, the
-    bisection momenta and the smallest Weyl margin.
+    Each crossing holds the lower-half mass of its own state at its
+    crossing kappa; no grid state gets a vector.  solver is the record of
+    the momentum blocks' own solve (Harper chains or banded, with their
+    sizes) plus the block count, the x-period, the bisection momenta and
+    the smallest Weyl margin.
     """
 
     kappas: np.ndarray
@@ -538,10 +507,8 @@ class SpectralFlowReport:
     net_flow: int
     net_flow_upper: int
     conventions: dict
-    window_bands: tuple
-    window_energies: tuple
-    window_mass_lower: tuple
     solver: dict
+    window_energies: tuple = ()  # always empty, no grid state gets a vector; bench reads it
 
 
 def strip_bands(strip: StripSpec, n_kappa: int, e_ref: float | None = None) -> SpectralFlowReport:
@@ -555,11 +522,11 @@ def strip_bands(strip: StripSpec, n_kappa: int, e_ref: float | None = None) -> S
     a band is its chain and its index in the chain, a banded block being a
     single chain; the counts below e_ref of every chain give the crossings,
     each grid step is bisected until the Weyl bound rules out a second
-    crossing, and only crossing states get eigenvectors.  A crossing is
-    assigned to the lower/upper edge by >= 60% mass on the corresponding
-    half of the region: the mass of its band's states at the ends of its
-    grid step on Harper chains, of its own state at the crossing on a band
-    or where those ends disagree.  Crossings are signed by the slope and
+    crossing, and only crossing states get eigenvectors.  Every crossing,
+    on either kind of block, is assigned to the lower/upper edge by >= 60%
+    of the mass of its own state at its crossing kappa on the corresponding
+    half of the region; a state with between 40% and 60% on the lower half
+    is refused (StripTooNarrow).  Crossings are signed by the slope and
     summed per edge: net_flow on the lower edge, net_flow_upper on the
     upper edge.
     """
@@ -571,26 +538,25 @@ def strip_bands(strip: StripSpec, n_kappa: int, e_ref: float | None = None) -> S
     kappas = 2.0 * np.pi * np.arange(n_kappa) / n_kappa
     blocks = _strip_blocks(strip, mask, kappas)
     lower_rows = blocks[0].op.sites[:, 1] * lat.h < 1.0 + strip.width_cells / 2.0
-    crossings, window, route = _chain_flow(strip, mask, blocks, kappas, float(e_ref),
-                                           lower_rows)
+    crossings, route = _chain_flow(strip, mask, blocks, kappas, float(e_ref), lower_rows)
     net_lower = sum(c.sign for c in crossings if c.edge == "lower")
     net_upper = sum(c.sign for c in crossings if c.edge == "upper")
     return SpectralFlowReport(kappas, np.array([b.eigenvalues for b in blocks]),
                               float(e_ref), tuple(crossings), int(net_lower), int(net_upper),
-                              dict(FLOW_CONVENTIONS), *(tuple(x) for x in window),
+                              dict(FLOW_CONVENTIONS),
                               dict(blocks[0].record, blocks=n_kappa, period_cells=cells.cells_x,
                                    **route))
 
 
-def _crossing(kappa: float, sign: int, mass_lower: float) -> Crossing:
-    """A crossing on the edge that carries >= 60% of its mass, else unassigned."""
-    if mass_lower >= 0.6:
-        edge = "lower"
-    elif mass_lower <= 0.4:
-        edge = "upper"
-    else:
-        edge = "unassigned"
-    return Crossing(float(kappa), sign, edge, float(mass_lower))
+def _crossing(kappa: float, sign: int, m: int, j: int, mass_lower: float) -> Crossing:
+    """The crossing of band j of chain m on the edge that carries >= 60% of
+    its state's mass (StripTooNarrow if neither does)."""
+    if 0.4 < mass_lower < 0.6:
+        raise StripTooNarrow(
+            f"at the crossing kappa {kappa:.9g} band {j} of chain {m} has {mass_lower:.3g} of "
+            f"its mass on the lower half of the strip: its state lies on neither edge")
+    return Crossing(float(kappa), sign, "lower" if mass_lower >= 0.6 else "upper",
+                    float(mass_lower))
 
 
 @dataclass(frozen=True, eq=False)
@@ -619,9 +585,8 @@ def _certify_chain_counts(kappa: float, chains, values, below, e_ref: float,
                 f"(within {tol:.1e}: {int(high)})")
 
 
-def _grid_nodes(blocks: list, kappas, e_ref: float) -> tuple[list, np.ndarray]:
-    """The nodes of the grid momenta, every chain followed, and the index of
-    each chain eigenvalue (index[g, m, j]) in the block's eigenvalues.
+def _grid_nodes(blocks: list, kappas, e_ref: float) -> list:
+    """The nodes of the grid momenta, every chain followed.
 
     A block's chain values are its eigenvalues grouped by the chain that
     gave each.  The counts of every chain of every block are run at once
@@ -632,7 +597,7 @@ def _grid_nodes(blocks: list, kappas, e_ref: float) -> tuple[list, np.ndarray]:
     n = int(blocks[0].chains.max()) + 1
     below = chain_counts([b for b in blocks for _ in range(n)], np.tile(np.arange(n), len(blocks)),
                          e_ref).reshape(len(blocks), n)
-    nodes, index = [], []
+    nodes = []
     for b, kappa, nu in zip(blocks, kappas, below):
         w = b.eigenvalues
         _certify_chain_counts(kappa, range(n), [w[b.chains == m] for m in range(n)], nu, e_ref,
@@ -641,9 +606,9 @@ def _grid_nodes(blocks: list, kappas, e_ref: float) -> tuple[list, np.ndarray]:
             raise CountNotCertified(
                 f"at kappa {kappa:.6g} the chain solves give {len(w)} eigenvalues for a "
                 f"block of {b.op.dimension} rows")
-        index.append(np.argsort(b.chains, kind="stable").reshape(n, -1))
-        nodes.append(_Node(float(kappa), b, w[index[-1]], nu))
-    return nodes, np.array(index)
+        chain_values = w[np.argsort(b.chains, kind="stable").reshape(n, -1)]
+        nodes.append(_Node(float(kappa), b, chain_values, nu))
+    return nodes
 
 
 def _kappa_lipschitz(cells: MagneticLattice) -> float:
@@ -732,8 +697,8 @@ def _crossing_state(block, m: int, j: int, kappa: float, e_ref: float) -> int:
 
 
 def _chain_flow(strip: StripSpec, mask: RegionMask, blocks: list, kappas: np.ndarray,
-                e_ref: float, lower_rows: np.ndarray) -> tuple[list, tuple, dict]:
-    """Crossings of bands followed by (chain, index), the vector states and the route record.
+                e_ref: float, lower_rows: np.ndarray) -> tuple[list, dict]:
+    """Crossings of bands followed by (chain, index) and the route record.
 
     A banded block is one chain, and Harper chains are continued from each
     grid momentum to the next by their T eigenvalues (:func:`_continuation`).
@@ -743,22 +708,18 @@ def _chain_flow(strip: StripSpec, mask: RegionMask, blocks: list, kappas: np.nda
     one level are formed in one :func:`_strip_blocks` pass, only the
     followed chains are solved and counted there, and a grid step is
     halved at most BISECTION_DEPTH times (BandConnectionAmbiguous beyond
-    that).  On Harper chains, whose values within one chain are simple,
-    eigenvectors are computed for the crossing states at the two ends of
-    their grid step, with the eigenvalues within the residual tolerance of
-    them, each such cluster turned into its mass basis; a crossing state
-    in a turned cluster takes the cluster's vector with the largest
-    overlap with its band's vector at the other end.  A band of a banded
-    block, whose sorted index need not keep one state over a step, and a
-    Harper-chain band that changes edge within its grid step take the mass
-    of their own state at the crossing (:func:`_crossing_state`).  The
-    record holds the bisection momenta and the smallest Weyl margin.
+    that).  Every crossing, on either kind of block, is read at the kappa
+    interpolated in the last bisected step it crosses in: all those momenta
+    are formed in one :func:`_strip_blocks` pass, and each crossing takes
+    the edge of its own state there (:func:`_crossing_state`,
+    :func:`_crossing`), the only eigenvector the flow computes.  The record
+    holds the bisection momenta and the smallest Weyl margin.
     """
     n_kappa = len(kappas)
     step = 2.0 * np.pi / n_kappa
     cells = _period_lattice(mask)
     lipschitz, rate = _kappa_lipschitz(cells), _theta_rate(cells)
-    grid, index = _grid_nodes(blocks, kappas, e_ref)
+    grid = _grid_nodes(blocks, kappas, e_ref)
     ends = grid[1:] + [replace(grid[0], kappa=2.0 * np.pi)]
     perm = np.array([_continuation(a, b, rate) for a, b in zip(grid, ends)])
     values = np.array([node.values for node in grid])
@@ -766,18 +727,17 @@ def _chain_flow(strip: StripSpec, mask: RegionMask, blocks: list, kappas: np.nda
     end = np.roll(np.arange(n_kappa), -1)[:, None], perm
     crossing, margin = _crossing_bands(values, values[end], below, below[end], e_ref, step,
                                        lipschitz)
-    # a segment is chain m0 of grid step i, followed from node a (chain ma)
-    # to node b (chain mb); those with a positive margin are final
-    segments = [(i, m0, grid[i], m0, ends[i], perm[i, m0], crossing[i, m0], margin[i, m0])
-                for i, m0 in zip(*np.nonzero(margin > 0))]
-    pending = [(i, m0, grid[i], m0, ends[i], perm[i, m0])
-               for i, m0 in zip(*np.nonzero(margin <= 0))]
+    # a segment of grid step i follows a chain from node a (chain ma) to
+    # node b (chain mb); those with a positive margin are final
+    segments = [(i, grid[i], m, ends[i], perm[i, m], crossing[i, m], margin[i, m])
+                for i, m in zip(*np.nonzero(margin > 0))]
+    pending = [(i, grid[i], m, ends[i], perm[i, m]) for i, m in zip(*np.nonzero(margin <= 0))]
     bisected = []
     for depth in range(BISECTION_DEPTH + 1):
         if not pending:
             break
         if depth == BISECTION_DEPTH:
-            i, _, a, _, b, _ = pending[0]
+            i, a, _, b, _ = pending[0]
             raise BandConnectionAmbiguous(
                 f"after {BISECTION_DEPTH} bisections of the step from kappa {kappas[i]:.6g}, "
                 f"a chain eigenvalue may still cross {e_ref:.12g} twice between kappa "
@@ -788,68 +748,25 @@ def _chain_flow(strip: StripSpec, mask: RegionMask, blocks: list, kappas: np.nda
         segments += [s for s in pending if s[-1] > 0]
         pending = [s[:-2] for s in pending if s[-1] <= 0]
 
-    # the crossing bands, with their indices at the two grid ends; on Harper
-    # chains their states there get vectors
-    split = grid[0].block.theta is not None
-    found, needed = [], [set() for _ in grid]
-    for i, m0, a, ma, b, mb, cross, _ in segments:
-        g1 = (i + 1) % n_kappa
+    # each crossing at the kappa interpolated in the last bisected step it
+    # crosses in, in the order of those momenta
+    found = []
+    for _, a, ma, b, mb, cross, _ in segments:
         for j in np.flatnonzero(cross):
-            k0, k1 = index[i, m0, j], index[g1, perm[i, m0], j]
-            if split:
-                needed[i].add(k0)
-                needed[g1].add(k1)
-            found.append((i, k0, k1, a, ma, b, mb, j))
-
-    vectors = []
-    for node, want in zip(grid, needed):
-        w = node.block.eigenvalues
-        group = np.cumsum(np.r_[0, np.diff(w) > residual_tolerance(float(np.abs(w).max()))])
-        select = np.flatnonzero(np.isin(group, group[sorted(want)]))
-        v = _mass_basis(node.block, select, node.block.vectors(select)[0], lower_rows)
-        vectors.append((select, group[select], v, (np.abs(v[lower_rows]) ** 2).sum(axis=0)))
-
-    def column(g: int, k: int, other: np.ndarray) -> int:
-        """The column of state k among grid momentum g's vectors; in a turned
-        cluster, the cluster's column with the largest overlap with other."""
-        select, group, v, _ = vectors[g]
-        p = int(np.searchsorted(select, k))
-        same = np.flatnonzero(group == group[p])
-        if len(same) > 1:
-            p = int(same[np.argmax(np.abs(v[:, same].conj().T @ other))])
-        return p
-
-    crossings, at = [], []
-    for i, k0, k1, a, ma, b, mb, j in sorted(found, key=lambda f: (f[0], f[1], f[3].kappa)):
-        sign = 1 if a.below[ma] > b.below[mb] else -1  # the count below e_ref falls
-        ea, eb = a.values[ma][j], b.values[mb][j]
-        kappa = a.kappa + (e_ref - ea) / (eb - ea) * (b.kappa - a.kappa)
-        if split:
-            g1 = (i + 1) % n_kappa
-            v0 = vectors[i][2][:, np.searchsorted(vectors[i][0], k0)]
-            v1 = vectors[g1][2][:, np.searchsorted(vectors[g1][0], k1)]
-            masses = vectors[i][3][column(i, k0, v1)], vectors[g1][3][column(g1, k1, v0)]
-            e0, e1 = grid[i].block.eigenvalues[k0], grid[g1].block.eigenvalues[k1]
-            if not (max(masses) >= 0.6 and min(masses) <= 0.4):
-                if (e0 - e_ref) * (e1 - e_ref) < 0.0:
-                    kappa = kappas[i] + (e_ref - e0) / (e1 - e0) * 2 * np.pi / n_kappa
-                # else the band crosses more than once in its grid step
-                crossings.append(_crossing(kappa, sign, 0.5 * sum(masses)))
-                continue
-        # the edge of the band's own state at the crossing, within the step it
-        # crosses in
-        at.append((len(crossings), kappa, a, ma, j))
-        crossings.append(sign)
-    for (c, kappa, a, ma, j), block in zip(at, _strip_blocks(strip, mask, [x[1] for x in at])
-                                           if at else []):
-        m = _continuation(a, _Node(kappa, block, None, None), rate)[ma]
+            ea, eb = a.values[ma][j], b.values[mb][j]
+            found.append((a.kappa + (e_ref - ea) / (eb - ea) * (b.kappa - a.kappa),
+                          a, ma, b, mb, j))
+    found.sort(key=lambda f: f[0])
+    at = [f[0] for f in found]
+    crossings = []
+    for (kappa, a, ma, b, mb, j), block in zip(found, _strip_blocks(strip, mask, at)
+                                               if at else []):
+        m = int(_continuation(a, _Node(kappa, block, None, None), rate)[ma])
         v = block.vectors([_crossing_state(block, m, j, kappa, e_ref)])[0]
-        crossings[c] = _crossing(kappa, crossings[c], (np.abs(v[lower_rows]) ** 2).sum())
-    window = ([s for s, *_ in vectors],
-              [node.block.eigenvalues[s] for node, (s, *_) in zip(grid, vectors)],
-              [mass for *_, mass in vectors])
-    return crossings, window, {"bisection_kappas": [float(x) for x in sorted(bisected)],
-                               "weyl_margin": float(min(s[-1] for s in segments))}
+        sign = 1 if a.below[ma] > b.below[mb] else -1  # the count below e_ref falls
+        crossings.append(_crossing(kappa, sign, m, j, float((np.abs(v[lower_rows]) ** 2).sum())))
+    return crossings, {"bisection_kappas": [float(x) for x in sorted(bisected)],
+                       "weyl_margin": float(min(s[-1] for s in segments))}
 
 
 def _bisect(strip: StripSpec, mask: RegionMask, pending: list, e_ref: float,
@@ -862,13 +779,13 @@ def _bisect(strip: StripSpec, mask: RegionMask, pending: list, e_ref: float,
     counts are run at once (:func:`gapfill.spectral.chain_counts`) and
     certified against their values.
     """
-    spans = list({(id(a), id(b)): (a, b) for _, _, a, _, b, _ in pending}.values())
+    spans = list({(id(a), id(b)): (a, b) for _, a, _, b, _ in pending}.values())
     half = [0.5 * (a.kappa + b.kappa) for a, b in spans]
     mids = {}
     for (a, b), kappa, block in zip(spans, half, _strip_blocks(strip, mask, half)):
         mids[id(a), id(b)] = _Node(kappa, block, {}, {})
     follow = []
-    for i, m0, a, ma, b, mb in pending:
+    for _, a, ma, b, mb in pending:
         mid = mids[id(a), id(b)]
         mm = int(_continuation(a, mid, rate)[ma])
         if _continuation(mid, b, rate)[mm] != mb:
@@ -887,10 +804,10 @@ def _bisect(strip: StripSpec, mask: RegionMask, pending: list, e_ref: float,
                               list(mid.below.values()), e_ref,
                               residual_tolerance(float(np.abs(w).max())))
     halves = []
-    for (i, m0, a, ma, b, mb), mm in zip(pending, follow):
+    for (i, a, ma, b, mb), mm in zip(pending, follow):
         mid = mids[id(a), id(b)]
         for (x, mx), (y, my) in (((a, ma), (mid, mm)), ((mid, mm), (b, mb))):
             cross, margin = _crossing_bands(x.values[mx], y.values[my], x.below[mx],
                                             y.below[my], e_ref, y.kappa - x.kappa, lipschitz)
-            halves.append((i, m0, x, mx, y, my, cross, float(margin)))
+            halves.append((i, x, mx, y, my, cross, float(margin)))
     return halves, half

@@ -67,7 +67,9 @@ class LiftNotCertified(GapfillError):
 
 
 class BandConnectionAmbiguous(GapfillError):
-    """Eigenvector overlap too small to continue bands between momenta."""
+    """Bands cannot be followed between momenta: no chain continuation, a
+    step still unresolved after the bisection cap, or an uncertified
+    crossing state."""
 
 
 class UnsupportedShape(GapfillError):
@@ -75,7 +77,8 @@ class UnsupportedShape(GapfillError):
 
 
 class StripTooNarrow(GapfillError):
-    """A strip is narrower than the edge-state localization requires."""
+    """A strip is narrower than the edge-state localization requires, or a
+    crossing state holds between 40% and 60% of its mass on each half."""
 
 
 class MaskMismatch(GapfillError):

@@ -11,7 +11,8 @@ from gapfill.coarse import wideness_check
 from gapfill.edge import (gap_filling_check, localization_profile, make_strip,
                           strip_bands, strip_block, strip_chains, strip_mask)
 from gapfill.errors import (BandConnectionAmbiguous, CountNotCertified, LiftNotCertified,
-                            MarginTooSmall, ResidualNotCertified, UnsupportedShape)
+                            MarginTooSmall, ResidualNotCertified, StripTooNarrow,
+                            UnsupportedShape)
 from gapfill.model import (BallsShape, DiskShape, GaugeField, GraphShape, HalfPlaneShape,
                            MagneticLattice, _assemble, build_gauge, cell_lift_phases,
                            make_mask, mask_all)
@@ -317,10 +318,8 @@ class TestSpectralFlow:
     def test_crossings_carry_at_least_60_percent_mass(self, flow):
         assert flow.crossings
         for c in flow.crossings:
-            if c.edge == "lower":
-                assert c.mass_lower >= 0.6
-            elif c.edge == "upper":
-                assert c.mass_lower <= 0.4
+            assert c.edge in ("lower", "upper")
+            assert c.mass_lower >= 0.6 if c.edge == "lower" else c.mass_lower <= 0.4
 
     def test_reference_below_spectrum(self):
         flow = strip_bands(make_strip(1, 4, 8, 2), n_kappa=12, e_ref=-50.0)
@@ -336,13 +335,14 @@ class TestSpectralFlow:
     def test_degenerate_pair_masses_do_not_depend_on_its_basis(self, monkeypatch):
         # at kappa = 0 bands 23 and 24 of the shipped bands strip are the
         # lower and the upper edge state of one Harper chain, 5.6e-13 apart;
-        # just above their energy both edge states cross, next to kappa = 0,
-        # so the pair are crossing states there.  The solve's basis of the
-        # pair and that basis turned by 45 degrees give the same masses, one
-        # state on each edge, and each crossing takes the state of its own
-        # edge from the pair
+        # just above their energy both edge states cross, next to kappa = 0.
+        # Each crossing reads its own state at its crossing kappa, so the
+        # solve's basis of the pair and that basis turned by 45 degrees give
+        # the same crossings, one on each edge
         strip = make_strip(1, 8, 12, 2)
-        e_ref = strip_bands(strip, n_kappa=48).dispersion[0, 23] + 0.05
+        dispersion = strip_bands(strip, n_kappa=48).dispersion
+        assert dispersion[0, 24] - dispersion[0, 23] < 1e-9
+        e_ref = dispersion[0, 23] + 0.05
         vectors = ChainOperator.vectors
 
         def turned(c, select):
@@ -357,23 +357,12 @@ class TestSpectralFlow:
             monkeypatch.setattr(ChainOperator, "vectors", solve)
             flows.append(strip_bands(strip, n_kappa=48, e_ref=e_ref))
         for flow in flows:
-            assert list(flow.window_bands[0]) == [23, 24]
-            assert np.abs(np.sort(flow.window_mass_lower[0]) - [0.0, 1.0]).max() < 1e-9
             assert (flow.net_flow, flow.net_flow_upper) == (1, -1)
-            assert [(c.sign, c.edge) for c in flow.crossings] == [(1, "lower"), (-1, "upper")]
-        assert np.abs(flows[1].window_mass_lower[0] - flows[0].window_mass_lower[0]).max() < 1e-9
-        assert [c.mass_lower for c in flows[1].crossings] == pytest.approx(
-            [c.mass_lower for c in flows[0].crossings], abs=1e-9)
-
-    def test_turned_cluster_needs_its_residuals(self, monkeypatch):
-        # a cluster width of 1 joins a crossing state with eigenvalues the
-        # operator separates; turning their vectors into one mass basis
-        # mixes eigenvalues, and the residuals refuse the result
-        strip = make_strip(1, 4, 8, 2)
-        assert strip_bands(strip, n_kappa=6, e_ref=16.0).net_flow == 1
-        monkeypatch.setattr(edge, "residual_tolerance", lambda norm: 1.0)
-        with pytest.raises(ResidualNotCertified, match="inverse-iteration residual"):
-            strip_bands(strip, n_kappa=6, e_ref=16.0)
+            assert sorted((c.sign, c.edge) for c in flow.crossings) == [(-1, "upper"),
+                                                                      (1, "lower")]
+            assert all(min(c.mass_lower, 1.0 - c.mass_lower) < 1e-9 for c in flow.crossings)
+        assert [(c.sign, c.edge, c.kappa, c.mass_lower) for c in flows[1].crossings] == \
+            [(c.sign, c.edge, c.kappa, c.mass_lower) for c in flows[0].crossings]
 
     def test_banded_bisection_depth_cap_refuses(self, monkeypatch):
         # three momenta of a balls strip: the banded block, one chain, has its
@@ -384,19 +373,37 @@ class TestSpectralFlow:
         with pytest.raises(BandConnectionAmbiguous, match="after 1 bisections"):
             strip_bands(strip, n_kappa=3, e_ref=9.0)
 
-    @pytest.mark.parametrize("kind", ["flat", "balls"])
-    def test_crossing_state_is_certified(self, monkeypatch, kind):
-        # reading band j + 1 at the crossing momentum in place of the crossing
-        # band j: its value is not the one nearest e_ref, and the state is
-        # refused, not assigned an edge.  A flat strip reads its state at the
-        # crossing only for a band that changes edge within its grid step
+    @pytest.mark.parametrize("kind,fault", [("flat", "next_band"), ("balls", "next_band"),
+                                            ("flat", "half_mass"), ("balls", "half_mass")],
+                             ids=["flat", "balls", "flat-half_mass", "balls-half_mass"])
+    def test_crossing_state_is_certified(self, monkeypatch, kind, fault):
+        # every crossing, on Harper chains (flat) or on a band (balls), takes
+        # the edge of its own state at its crossing kappa.  Reading band
+        # j + 1 there in place of the crossing band j: its value is not the
+        # one nearest e_ref, and the state is refused, not assigned an edge.
+        # A crossing state with half its mass on each half of the strip lies
+        # on neither edge: refused too, not left out of both edges' flows
         strip, e_ref, n_kappa = ((make_strip(1, 8, 12, 2), 35.0, 48) if kind == "flat" else
                                  (make_strip(1, 4, 8, 2, shape=_shape("balls", 4, 2)), 9.0, 6))
         assert strip_bands(strip, n_kappa, e_ref).net_flow == (2 if kind == "flat" else 1)
-        crossing_state = edge._crossing_state
-        monkeypatch.setattr(edge, "_crossing_state", lambda block, m, j, kappa, e_ref:
-                            crossing_state(block, m, j + 1, kappa, e_ref))
-        with pytest.raises(BandConnectionAmbiguous, match="state of the crossing is not"):
+        if fault == "next_band":
+            crossing_state = edge._crossing_state
+            monkeypatch.setattr(edge, "_crossing_state", lambda block, m, j, kappa, e_ref:
+                                crossing_state(block, m, j + 1, kappa, e_ref))
+            with pytest.raises(BandConnectionAmbiguous, match="state of the crossing is not"):
+                strip_bands(strip, n_kappa, e_ref)
+            return
+
+        def halves(block, select):
+            # each state's weight split evenly between the lowest and the highest site
+            y = block.op.sites[:, 1]
+            v = np.zeros((block.op.dimension, len(select)), complex)
+            v[[y.argmin(), y.argmax()]] = np.sqrt(0.5)
+            return v, np.zeros(len(select))
+        for solver in (BandedOperator, ChainOperator):
+            monkeypatch.setattr(solver, "vectors", halves)
+        with pytest.raises(StripTooNarrow, match=r"band \d+ of chain \d+ has 0.5 of its mass "
+                           "on the lower half"):
             strip_bands(strip, n_kappa, e_ref)
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -451,15 +458,16 @@ class TestSpectralFlow:
     @pytest.mark.parametrize("route,k,q,width,n_kappa,gaps", [
         ("harper_chains", 1, 4, 8, 24, (1, 2, 3, 5, 6, 7)),
         ("banded", 1, 4, 8, 24, (1, 2, 3, 5, 6, 7)),
-        ("harper_chains", 1, 8, 12, 48, range(1, 16)),
+        ("harper_chains", 1, 8, 12, 48, (*range(1, 16), *range(17, 32))),
         ("banded", 1, 8, 12, 48, (10,))],
         ids=["harper_chains-q4", "banded-q4", "harper_chains-q8", "banded-q8"])
     def test_flow_in_every_gap_is_tknn(self, monkeypatch, route, k, q, width, n_kappa, gaps):
         # gap r of flux p/Q = 2k/q^2 lies above q^2/Q fiber bands per
         # Hofstadter band; TKNN: r = Q s + p t with |t| < Q/2 gives c1 = -t,
-        # so the lower edge carries t and the upper edge -t.  At (1, 8) the
-        # gaps below the closed middle one; gap 2 has a band that changes
-        # edge within a grid step.  The flat strip solved as banded blocks,
+        # so the lower edge carries t and the upper edge -t.  At (1, 8) every
+        # open gap, on both sides of the closed middle one; each crossing
+        # takes the edge of its own state at its crossing kappa, whose mass
+        # must lie outside (0.4, 0.6).  The flat strip solved as banded blocks,
         # one chain each, must give the same flow: there a band's sorted
         # index need not keep one state over a grid step, and an eigenvector
         # overlap pairing failed in gap 10 (and in gaps 3, 4, 9 and 11-15)
